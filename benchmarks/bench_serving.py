@@ -1,8 +1,7 @@
 """Serving-engine scaling: batch throughput vs shard count (1 -> 8)
-across both shard executors, plus fused-vs-object search-kernel
-end-to-end comparison.
+across both shard executors.
 
-The scaling table now carries an **executor** column: ``thread`` runs
+The scaling table carries an **executor** column: ``thread`` runs
 the shards on a pool of worker threads inside one interpreter (wall
 throughput GIL-bound on the functional simulator), ``process`` runs
 each shard in a spawn-pinned worker process holding a zero-copy
@@ -33,7 +32,6 @@ import numpy as np
 from _util import emit
 
 from repro.core import ClientConfig
-from repro.core.client import CipherMatchClient
 from repro.eval.tables import format_table
 from repro.he import BFVParams
 from repro.serve import ShardedSearchEngine
@@ -72,7 +70,7 @@ def _workload():
     return params, db, queries
 
 
-def _run_batch(params, db, queries, shards, executor, kernel="fused"):
+def _run_batch(params, db, queries, shards, executor):
     """One fresh engine, one outsource, one timed batch.
 
     Worker processes warm-start at outsourcing time, so the timed batch
@@ -82,7 +80,6 @@ def _run_batch(params, db, queries, shards, executor, kernel="fused"):
         ClientConfig(params, key_seed=9),
         num_shards=shards,
         cache_capacity=512,
-        search_kernel=kernel,
         executor=executor,
     )
     try:
@@ -183,208 +180,10 @@ def run_scaling(quick: bool) -> int:
     return 0
 
 
-def run_kernels() -> int:
-    """Fused vs object search kernel, end-to-end on the serve engine."""
-    params, db, queries = _workload()
-    rows = []
-    best = {}
-    matches = {}
-    for kernel in ("object", "fused"):
-        engine = ShardedSearchEngine(
-            ClientConfig(params, key_seed=9),
-            num_shards=4,
-            cache_capacity=512,
-            search_kernel=kernel,
-        )
-        try:
-            engine.outsource(db)
-            seconds = float("inf")
-            for _ in range(3):
-                t0 = time.perf_counter()
-                report = engine.search_batch(queries)
-                seconds = min(seconds, time.perf_counter() - t0)
-        finally:
-            engine.close()
-        best[kernel] = seconds
-        matches[kernel] = report.matches_per_query()
-        rows.append(
-            [
-                kernel,
-                f"{seconds:.3f}",
-                f"{len(queries) / seconds:.1f}",
-                report.reports[0].hom_additions,
-            ]
-        )
-    speedup = best["object"] / best["fused"]
-    rows.append(["speedup", f"{speedup:.1f}x", "", ""])
-
-    emit(
-        "serving_kernels",
-        format_table(
-            "serving throughput: fused vs object search kernel "
-            "(12-query batch, 4 shards)",
-            ("kernel", "batch s", "wall q/s", "hom-adds/query"),
-            rows,
-            paper_note="same Fig. 9/12 batch; identical match sets enforced",
-        ),
-    )
-
-    assert matches["object"] == matches["fused"]
-    # acceptance: the fused kernel at least doubles end-to-end
-    # wall-clock throughput vs the object path (PR-3 baseline)
-    if speedup < 2.0:
-        print(f"FAIL: fused kernel speedup only {speedup:.2f}x",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-#: first-query workload: paper parameters (n=1024, q=2**32) and enough
-#: polynomials that the arena build (rows + RNS limbs + phases) is a
-#: visible wall, not noise
-FIRST_QUERY_POLYS = 48
-
-#: lazy adopt must return in at most this fraction of the eager adopt
-#: wall (the build no longer happens before serving starts)
-ADOPT_RATIO_GATE = 0.5
-
-#: ...without inflating adopt + first query beyond this factor of the
-#: eager total (the build moves into the query, it is not duplicated)
-TOTAL_RATIO_GATE = 1.25
-
-
-def run_first_query(quick: bool) -> int:
-    """Adopt-to-first-result latency: lazy vs eager arena build.
-
-    Eager reproduces the old behavior — ``adopt_database`` pays the
-    whole arena build (stack copy, RNS-limb transforms, phase rows)
-    before the engine accepts a query.  Lazy returns from adopt
-    immediately and materializes per build tile as the first query's
-    shard tasks touch their rows.  Match results must be identical;
-    the gate requires the lazy adopt wall to drop measurably without
-    inflating the total time to the first result.
-    """
-    del quick  # one cell either way; the workload is already small
-    rng = np.random.default_rng(5)
-    params = BFVParams.paper()
-    bits_per_poly = params.n * 16
-    db_bits = random_bits(FIRST_QUERY_POLYS * bits_per_poly, rng)
-    query = random_bits(32, rng)
-    off = 16 * 7
-    db_bits[off : off + 32] = query
-
-    # Encrypt once, outside the timed region — the client-side cost is
-    # identical either way.  Both engines adopt the same encrypted db;
-    # invalidate_caches between modes drops the previous arena.
-    client = CipherMatchClient(ClientConfig(params, key_seed=5))
-    db = client.outsource(db_bits)
-
-    rows = []
-    timings = {}
-    matches = {}
-    for mode in ("eager", "lazy"):
-        db.invalidate_caches()
-        engine = ShardedSearchEngine(
-            client=client,
-            num_shards=4,
-            cache_capacity=512,
-            search_kernel="fused",
-            arena_build=mode,
-        )
-        try:
-            t0 = time.perf_counter()
-            engine.adopt_database(db)
-            adopt_s = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            first = engine.search_batch([query])
-            first_s = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            second = engine.search_batch([query])
-            second_s = time.perf_counter() - t0
-        finally:
-            engine.close()
-        timings[mode] = (adopt_s, first_s, second_s)
-        matches[mode] = (first.matches_per_query(), second.matches_per_query())
-        rows.append(
-            [
-                mode,
-                f"{adopt_s * 1e3:.1f}",
-                f"{first_s * 1e3:.1f}",
-                f"{(adopt_s + first_s) * 1e3:.1f}",
-                f"{second_s * 1e3:.1f}",
-            ]
-        )
-
-    emit(
-        "serving_first_query",
-        format_table(
-            "adopt-to-first-result latency: lazy vs eager arena build "
-            f"(n={params.n}, {FIRST_QUERY_POLYS} polys, 4 shards)",
-            ("arena build", "adopt ms", "first query ms",
-             "adopt+first ms", "second query ms"),
-            rows,
-            paper_note=(
-                "lazy materializes arena tiles on first touch; eager "
-                "rebuilds everything at adopt (the pre-fix behavior); "
-                f"host cpus={os.cpu_count()}"
-            ),
-        ),
-    )
-
-    assert matches["eager"] == matches["lazy"], "lazy build changed matches"
-
-    eager_adopt, eager_first, _ = timings["eager"]
-    lazy_adopt, lazy_first, _ = timings["lazy"]
-    adopt_ratio = lazy_adopt / eager_adopt
-    total_ratio = (lazy_adopt + lazy_first) / (eager_adopt + eager_first)
-    print(
-        f"first-query latency after outsourcing — adopt wall: eager "
-        f"{eager_adopt * 1e3:.1f} ms -> lazy {lazy_adopt * 1e3:.1f} ms "
-        f"({adopt_ratio:.2f}x); adopt+first-result: "
-        f"{(eager_adopt + eager_first) * 1e3:.1f} ms -> "
-        f"{(lazy_adopt + lazy_first) * 1e3:.1f} ms ({total_ratio:.2f}x)"
-    )
-    if adopt_ratio > ADOPT_RATIO_GATE:
-        print(
-            f"FAIL: lazy adopt wall {adopt_ratio:.2f}x eager "
-            f"(gate: <= {ADOPT_RATIO_GATE}x) — arena build still paid "
-            "before the first query",
-            file=sys.stderr,
-        )
-        return 1
-    if total_ratio > TOTAL_RATIO_GATE:
-        print(
-            f"FAIL: lazy adopt+first-result {total_ratio:.2f}x eager "
-            f"(gate: <= {TOTAL_RATIO_GATE}x) — lazy build duplicating "
-            "work",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def run(quick: bool) -> int:
-    rc = run_scaling(quick)
-    rc = rc or run_first_query(quick)
-    if not quick:
-        rc = rc or run_kernels()
-    return rc
-
-
 def test_emit_serving_scaling(benchmark):
     """Pytest entry point (same artifact, quick shape)."""
     benchmark(lambda: None)
     assert run_scaling(quick=True) == 0
-
-
-def test_emit_kernel_comparison(benchmark):
-    benchmark(lambda: None)
-    assert run_kernels() == 0
-
-
-def test_emit_first_query_latency(benchmark):
-    benchmark(lambda: None)
-    assert run_first_query(quick=True) == 0
 
 
 def main() -> int:
@@ -396,7 +195,7 @@ def main() -> int:
         "executor misses the core-count-aware speedup ratio (CI gate)",
     )
     args = parser.parse_args()
-    return run(quick=args.quick)
+    return run_scaling(quick=args.quick)
 
 
 if __name__ == "__main__":

@@ -14,9 +14,9 @@
     python -m repro load --trace trace.jsonl --remote host:port
 
 Every subcommand has ``--help``; ``search`` talks to the unified
-:mod:`repro.api` facade, so ``--engine``/``--shards``/``--poly-backend``/
-``--search-kernel`` map directly onto registry keys and engine kwargs,
-and ``--remote host:port`` routes the same request through the
+:mod:`repro.api` facade, so ``--engine``/``--shards``/``--poly-backend``
+map directly onto registry keys and engine kwargs, and
+``--remote host:port`` routes the same request through the
 :mod:`repro.net` client SDK to a running ``serve-net`` service.
 """
 
@@ -91,10 +91,8 @@ def _search(args: argparse.Namespace) -> int:
         print(f"error: {exc}")
         return 2
     if args.remote is not None:
-        # the server side owns shard/backend/kernel/key configuration
-        for name in (
-            "shards", "poly_backend", "search_kernel", "executor", "key_seed"
-        ):
+        # the server side owns shard/backend/key configuration
+        for name in ("shards", "poly_backend", "executor", "key_seed"):
             if getattr(args, name, None) is not None:
                 print(
                     f"error: --{name.replace('_', '-')} configures a local "
@@ -109,13 +107,6 @@ def _search(args: argparse.Namespace) -> int:
             engine_kwargs["num_shards"] = args.shards
         if args.poly_backend is not None:
             engine_kwargs["poly_backend"] = args.poly_backend
-        if getattr(args, "search_kernel", None) is not None:
-            if args.engine not in ("bfv", "bfv-sharded"):
-                print(
-                    f"error: engine {args.engine!r} has no search-kernel choice"
-                )
-                return 2
-            engine_kwargs["search_kernel"] = args.search_kernel
         if getattr(args, "executor", None) is not None:
             if args.engine != "bfv-sharded":
                 print(
@@ -302,8 +293,6 @@ def _serve_net(args: argparse.Namespace) -> int:
     engine_kwargs = {"num_shards": args.shards}
     if args.poly_backend is not None:
         engine_kwargs["poly_backend"] = args.poly_backend
-    if args.search_kernel is not None:
-        engine_kwargs["search_kernel"] = args.search_kernel
     if args.executor is not None:
         engine_kwargs["executor"] = args.executor
     if args.key_seed is not None:
@@ -531,8 +520,6 @@ def _load(args: argparse.Namespace) -> int:
             engine_kwargs["num_shards"] = args.shards
         if args.executor is not None:
             engine_kwargs["executor"] = args.executor
-        if args.search_kernel is not None:
-            engine_kwargs["search_kernel"] = args.search_kernel
         if args.poly_backend is not None:
             engine_kwargs["poly_backend"] = args.poly_backend
         if args.key_seed is not None and args.engine != "plaintext":
@@ -659,10 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="polynomial-arithmetic backend",
     )
     p_search.add_argument(
-        "--search-kernel", choices=["fused", "object"],
-        help="search execution kernel (bfv / bfv-sharded engines)",
-    )
-    p_search.add_argument(
         "--executor", choices=["thread", "process"],
         help="shard executor (bfv-sharded engine only): thread workers "
         "or spawn-pinned worker processes over a shared-memory arena",
@@ -761,10 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve_net.add_argument(
         "--poly-backend", choices=["vectorized", "reference"],
         help="polynomial-arithmetic backend",
-    )
-    p_serve_net.add_argument(
-        "--search-kernel", choices=["fused", "object"],
-        help="search execution kernel",
     )
     p_serve_net.add_argument(
         "--executor", choices=["thread", "process"],
@@ -903,10 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument(
         "--executor", choices=["thread", "process"],
         help="shard executor (bfv-sharded engine only)",
-    )
-    p_load.add_argument(
-        "--search-kernel", choices=["fused", "object"],
-        help="search execution kernel (bfv / bfv-sharded engines)",
     )
     p_load.add_argument(
         "--poly-backend", choices=["vectorized", "reference"],

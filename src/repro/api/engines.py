@@ -239,7 +239,6 @@ class PipelineEngine(Engine):
         index_mode: IndexMode = IndexMode.CLIENT_DECRYPT,
         deterministic_seed: Optional[int] = None,
         poly_backend: Optional[str] = None,
-        search_kernel: Optional[str] = None,
         addition_backend=None,
         pipeline: Optional[SecureStringMatchPipeline] = None,
     ):
@@ -254,9 +253,7 @@ class PipelineEngine(Engine):
                 key_seed=key_seed,
                 poly_backend=poly_backend,
             )
-            self.pipeline = SecureStringMatchPipeline(
-                config, search_kernel=search_kernel
-            )
+            self.pipeline = SecureStringMatchPipeline(config)
         if addition_backend is not None:
             if callable(addition_backend):
                 addition_backend = addition_backend(self.pipeline.client.ctx)
@@ -350,7 +347,6 @@ class ShardedEngine(Engine):
         chunk_width: Optional[int] = None,
         index_mode: IndexMode = IndexMode.CLIENT_DECRYPT,
         poly_backend: Optional[str] = None,
-        search_kernel: Optional[str] = None,
         executor: Optional[str] = None,
         cache_capacity: int = 256,
         max_workers: Optional[int] = None,
@@ -383,7 +379,6 @@ class ShardedEngine(Engine):
             backend_factory=backend_factory,
             max_workers=max_workers,
             cache_capacity=cache_capacity,
-            search_kernel=search_kernel,
             executor=executor,
             degraded_mode=degraded_mode,
             breaker_threshold=breaker_threshold,

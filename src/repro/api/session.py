@@ -285,10 +285,9 @@ def open_session(
     ``engine`` is a registry key (``"bfv"``, ``"bfv-sharded"``,
     ``"yasuda"``, ...) or an already-built :class:`Engine`.  Keyword
     arguments flow to the engine constructor (``params=``,
-    ``poly_backend=``, ``search_kernel=``, ``num_shards=``,
-    ``cache_capacity=``, ...), which owns key generation and cache
-    wiring.  Passing ``db_bits`` also
-    outsources the database immediately:
+    ``poly_backend=``, ``num_shards=``, ``cache_capacity=``, ...),
+    which owns key generation and cache wiring.  Passing ``db_bits``
+    also outsources the database immediately:
 
     >>> import numpy as np, repro
     >>> db = np.zeros(4096, dtype=np.uint8); db[160:192] = 1

@@ -1,7 +1,6 @@
 """The paper's primary contribution: CIPHERMATCH — memory-efficient data
 packing plus Hom-Add-only secure exact string matching."""
 
-from .batch import BatchReport, BatchSearcher
 from .client import CipherMatchClient, ClientConfig
 from .match_polynomial import IndexMode, match_plaintext, match_value
 from .matcher import (
@@ -23,13 +22,11 @@ from .pipeline import SearchReport, SecureStringMatchPipeline
 from .protocol import TranscriptStats, WireProtocolSession
 from .query import PreparedQuery, QueryPreparer, QueryVariant, guaranteed_phases
 from .server import CipherMatchServer
-from .wildcard import WildcardPattern, WildcardSearcher
+from .wildcard import WildcardPattern
 
 __all__ = [
     "TranscriptStats",
     "WireProtocolSession",
-    "BatchReport",
-    "BatchSearcher",
     "CPUAdditionBackend",
     "CipherMatchClient",
     "CipherMatchServer",
@@ -50,7 +47,6 @@ __all__ = [
     "SecureSearchEngine",
     "SecureStringMatchPipeline",
     "WildcardPattern",
-    "WildcardSearcher",
     "guaranteed_phases",
     "match_plaintext",
     "match_value",

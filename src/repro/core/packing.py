@@ -111,8 +111,7 @@ class EncryptedDatabase:
         and allocates, but rows/limbs/phases materialize per build tile
         on first touch (so outsourcing pays nothing up front and each
         serving shard builds only its own rows).  Cached on the
-        database; call ``arena.ensure_built()`` for the old eager
-        behavior."""
+        database."""
         arena = self._arena
         if arena is None or arena.ring != ring:
             self._drop_arena()

@@ -49,25 +49,18 @@ class SearchReport:
 class SecureStringMatchPipeline:
     """Client + server wired together for in-process experiments.
 
-    ``search_kernel`` selects the server's execution strategy
-    (``"fused"`` arena kernels / ``"object"`` per-pair path / ``None``
-    for the process default) — see :mod:`repro.he.arena`.  Both kernels
-    produce bit-identical matches; the object path survives as the
-    parity oracle and for stateful addition backends.
+    The server searches through the fused arena kernels when ``backend``
+    is a plain CPU adder and per (polynomial, variant) pair when it does
+    its own addition (see :class:`CipherMatchServer`); matches are
+    bit-identical either way.
     """
 
     def __init__(
-        self,
-        config: ClientConfig,
-        backend: Optional[AdditionBackend] = None,
-        *,
-        search_kernel: Optional[str] = None,
+        self, config: ClientConfig, backend: Optional[AdditionBackend] = None
     ):
         self.config = config
         self.client = CipherMatchClient(config)
-        self.server = CipherMatchServer(
-            self.client.ctx, backend, search_kernel=search_kernel
-        )
+        self.server = CipherMatchServer(self.client.ctx, backend)
         self.db: Optional[EncryptedDatabase] = None
 
     # -- setup -----------------------------------------------------------

@@ -13,7 +13,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..he.arena import resolve_search_kernel
 from ..he.bfv import BFVContext, Ciphertext
 from ..he.keys import PublicKey
 from .match_polynomial import DeterministicComparator
@@ -31,28 +30,17 @@ from .query import PreparedQuery
 class CipherMatchServer:
     """Server endpoint: encrypted storage + Hom-Add search execution.
 
-    ``search_kernel`` selects the execution strategy: ``"fused"``
-    (default) broadcasts over the database's ciphertext arena and
-    returns a lazy :class:`~repro.core.matcher.FusedResultSet`;
-    ``"object"`` is the original one-``ctx.add``-per-pair path.  ``None``
-    defers to the process default (``REPRO_SEARCH_KERNEL``).  Backends
-    that do their own addition (the simulated in-flash IFP backend)
-    always take the object path — the fused kernels only stand in for
-    plain CPU adds.
+    A plain CPU adder (``backend.supports_fused``) searches through the
+    fused kernels: one broadcast over the database's ciphertext arena,
+    returned as a lazy :class:`~repro.core.matcher.FusedResultSet`.
+    Backends that do their own addition (the simulated in-flash IFP
+    backend) take the one-``hom_add``-per-pair path — the fused kernels
+    only stand in for plain CPU adds.
     """
 
-    def __init__(
-        self,
-        ctx: BFVContext,
-        backend: Optional[AdditionBackend] = None,
-        *,
-        search_kernel: Optional[str] = None,
-    ):
+    def __init__(self, ctx: BFVContext, backend: Optional[AdditionBackend] = None):
         self.ctx = ctx
         self.engine = SecureSearchEngine(backend or CPUAdditionBackend(ctx))
-        if search_kernel is not None:
-            resolve_search_kernel(search_kernel)  # validate eagerly
-        self.search_kernel = search_kernel
         self.db: Optional[EncryptedDatabase] = None
         self._comparator: Optional[DeterministicComparator] = None
 
@@ -69,12 +57,6 @@ class CipherMatchServer:
 
     # -- search (Algorithm 1, lines 10-12) --------------------------------
 
-    def uses_fused_kernel(self) -> bool:
-        """True when the next search will run the fused arena kernels."""
-        return resolve_search_kernel(self.search_kernel) == "fused" and getattr(
-            self.engine.backend, "supports_fused", False
-        )
-
     def search(
         self,
         prepared: PreparedQuery,
@@ -82,7 +64,7 @@ class CipherMatchServer:
     ) -> Sequence[ResultBlock]:
         if self.db is None:
             raise RuntimeError("no database stored on the server")
-        if self.uses_fused_kernel():
+        if getattr(self.engine.backend, "supports_fused", False):
             return self.engine.search_fused(self.db, prepared, encrypt_variant)
         return self.engine.search(self.db, prepared, encrypt_variant)
 

@@ -18,8 +18,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .pipeline import SecureStringMatchPipeline
-
 
 @dataclass(frozen=True)
 class PatternSegment:
@@ -110,64 +108,3 @@ class WildcardPattern:
                 bits.extend((value >> (7 - k)) & 1 for k in range(8))
                 mask.extend([1] * 8)
         return WildcardPattern.from_bits(bits, mask)
-
-
-class WildcardSearcher:
-    """Wildcard search on top of a standard CIPHERMATCH pipeline.
-
-    .. deprecated:: 1.3
-        Thin shim over the unified facade: the segment-sweep +
-        intersection join now lives in :class:`repro.api.Engine` and is
-        shared by every wildcard-capable engine.  New code::
-
-            session = repro.open_session("bfv", ..., db_bits=db)
-            result = session.search(WildcardSearch.from_text("AB??CD"))
-    """
-
-    def __init__(self, pipeline: SecureStringMatchPipeline):
-        import warnings
-
-        warnings.warn(
-            "WildcardSearcher is a deprecated shim; use "
-            "repro.open_session(...).search(repro.api.WildcardSearch...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.pipeline = pipeline
-
-    def search(self, pattern: WildcardPattern, *, verify=True) -> List[int]:
-        """Offsets where the full wildcard pattern occurs.
-
-        Each literal segment is searched independently (one Hom-Add
-        sweep per segment); candidate pattern offsets are the
-        intersection of the per-segment offsets shifted by their
-        displacement.  Executed by the :mod:`repro.api` facade's shared
-        wildcard join.
-        """
-        # Imported here: repro.api sits above repro.core in the stack.
-        from ..api import PipelineEngine, WildcardSearch
-        from ..verify import VerifyPolicy
-
-        if self.pipeline.db is None:
-            raise RuntimeError("outsource a database first")
-        bits, mask = pattern.to_bits_and_mask()
-        engine = PipelineEngine(pipeline=self.pipeline)
-        result = engine.execute(
-            WildcardSearch(
-                tuple(int(b) for b in bits),
-                tuple(int(m) for m in mask),
-                verify=VerifyPolicy.coerce(verify),
-            )
-        )
-        return list(result.matches)
-
-    def hom_additions_for(self, pattern: WildcardPattern) -> int:
-        """Predicted Hom-Add count: one sweep per literal segment."""
-        total = 0
-        if self.pipeline.db is None:
-            raise RuntimeError("outsource a database first")
-        polys = self.pipeline.db.num_polynomials
-        for segment in pattern.segments:
-            prepared = self.pipeline.client.prepare_query(segment.bit_array())
-            total += prepared.num_variants * polys
-        return total

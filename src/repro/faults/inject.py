@@ -1,8 +1,7 @@
 """The hook side of fault injection: a thread-safe :class:`FaultInjector`
 that the instrumented choke points (engine workers, the asyncio
 service, the load harness, the framing layer) consult, plus the shared
-``crash_shard_worker`` hook the process executor's ad-hoc
-``inject_crash`` method grew into.
+``crash_shard_worker`` hook.
 
 The injector keeps one visit counter per ``(site, target)`` pair; a
 scheduled :class:`~repro.faults.plan.FaultEvent` fires exactly once,
@@ -130,8 +129,7 @@ def corrupt_payload(payload: bytes, seed: int = 0) -> bytes:
 
 def crash_shard_worker(executor: object, shard_id: int) -> bool:
     """The canonical worker-crash hook: hard-kill the process pinned to
-    ``shard_id`` on any executor exposing ``crash_worker`` (the shared
-    hook API that replaced ``ProcessShardExecutor.inject_crash``).
+    ``shard_id`` on any executor exposing ``crash_worker``.
     Returns ``False`` when the executor has no crashable workers (e.g.
     the thread executor), letting callers fall back to a simulated
     crash."""

@@ -7,11 +7,6 @@ from .arena import (
     QueryArena,
     decrypt_batch,
     flags_batch,
-    get_default_search_kernel,
-    resolve_arena_build,
-    resolve_search_kernel,
-    resolve_tile_bytes,
-    set_default_search_kernel,
 )
 from .backend import (
     PolyBackend,
@@ -88,14 +83,9 @@ __all__ = [
     "flags_batch",
     "generate_keys",
     "get_default_backend",
-    "get_default_search_kernel",
-    "resolve_arena_build",
-    "resolve_search_kernel",
-    "resolve_tile_bytes",
     "serialize_ciphertext",
     "serialize_plaintext",
     "serialize_public_key",
     "serialize_secret_key",
     "set_default_backend",
-    "set_default_search_kernel",
 ]

@@ -30,15 +30,6 @@ with its own ``c1 * s`` ring multiply.  The arena removes both costs:
 Every kernel is exact: it produces bit-for-bit the coefficients the
 object path produces (``tests/he/test_arena.py`` enforces this), for
 both polynomial backends.
-
-Kernel selection
-----------------
-The search layers (:mod:`repro.core`, :mod:`repro.serve`,
-:mod:`repro.api`) accept a ``search_kernel`` argument mirroring the
-``poly_backend`` plumbing: ``"fused"`` (default) or ``"object"`` (the
-original per-pair path, kept as the parity oracle).  When omitted, the
-process default applies: :func:`set_default_search_kernel`, else the
-``REPRO_SEARCH_KERNEL`` environment variable, else ``"fused"``.
 """
 
 from __future__ import annotations
@@ -61,59 +52,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .params import BFVParams
 
 # ---------------------------------------------------------------------------
-# Kernel selection (mirrors repro.he.backend's poly-backend plumbing)
-# ---------------------------------------------------------------------------
-
-#: the two search-kernel implementations
-SEARCH_KERNELS = ("fused", "object")
-
-#: environment override consulted when no explicit choice was made.
-KERNEL_ENV_VAR = "REPRO_SEARCH_KERNEL"
-
-_default_kernel: str | None = None
-
-
-def set_default_search_kernel(name: str | None) -> None:
-    """Install a process-wide default (``None`` restores env/built-in)."""
-    global _default_kernel
-    if name is not None and name not in SEARCH_KERNELS:
-        raise ValueError(
-            f"unknown search kernel {name!r}; available: {sorted(SEARCH_KERNELS)}"
-        )
-    _default_kernel = name
-
-
-def get_default_search_kernel() -> str:
-    if _default_kernel is not None:
-        return _default_kernel
-    env = os.environ.get(KERNEL_ENV_VAR)
-    if env:
-        if env not in SEARCH_KERNELS:
-            raise ValueError(
-                f"{KERNEL_ENV_VAR}={env!r} is not a search kernel; "
-                f"available: {sorted(SEARCH_KERNELS)}"
-            )
-        return env
-    return "fused"
-
-
-def resolve_search_kernel(spec: str | None) -> str:
-    """Turn a kernel name or ``None`` (process default) into a name."""
-    if spec is None:
-        return get_default_search_kernel()
-    if spec not in SEARCH_KERNELS:
-        raise ValueError(
-            f"unknown search kernel {spec!r}; available: {sorted(SEARCH_KERNELS)}"
-        )
-    return spec
-
-
-# ---------------------------------------------------------------------------
 # Tile / build plumbing
 # ---------------------------------------------------------------------------
-
-#: environment override (bytes) for the broadcast-add tile budget.
-TILE_ENV_VAR = "REPRO_ARENA_TILE_BYTES"
 
 #: default per-tile output budget for the tiled broadcast add: large
 #: enough that the numpy dispatch overhead is negligible (hundreds of
@@ -126,39 +66,6 @@ _DEFAULT_TILE_BYTES = 1 << 25
 #: RNS-limb view and the phase view materialize on first touch.  At the
 #: paper's n=4096 one tile is 16 rows x 64 KiB = 1 MiB of ciphertext.
 _BUILD_TILE_ROWS = 16
-
-#: arena build strategies: ``lazy`` defers stack/limb/phase
-#: materialization to first touch (per build tile, per shard); ``eager``
-#: reproduces the old build-everything-at-outsourcing behavior.
-ARENA_BUILD_MODES = ("lazy", "eager")
-
-#: environment override consulted when no explicit choice was made.
-ARENA_BUILD_ENV_VAR = "REPRO_ARENA_BUILD"
-
-
-def resolve_tile_bytes(spec: "int | None" = None) -> int:
-    """Tile byte budget: explicit argument, else ``REPRO_ARENA_TILE_BYTES``,
-    else the built-in default."""
-    if spec is None:
-        env = os.environ.get(TILE_ENV_VAR)
-        spec = int(env) if env else _DEFAULT_TILE_BYTES
-    spec = int(spec)
-    if spec <= 0:
-        raise ValueError(f"tile byte budget must be positive, got {spec}")
-    return spec
-
-
-def resolve_arena_build(spec: str | None) -> str:
-    """Arena build mode: explicit argument, else ``REPRO_ARENA_BUILD``,
-    else ``"lazy"``."""
-    if spec is None:
-        spec = os.environ.get(ARENA_BUILD_ENV_VAR) or "lazy"
-    if spec not in ARENA_BUILD_MODES:
-        raise ValueError(
-            f"unknown arena build mode {spec!r}; "
-            f"available: {sorted(ARENA_BUILD_MODES)}"
-        )
-    return spec
 
 
 def _tile_shape(
@@ -424,11 +331,7 @@ class CiphertextArena:
         """Materialize row ``j`` back into a ciphertext object (copies,
         so callers can't corrupt the arena)."""
         self._ensure_rows(j, j + 1)
-        return Ciphertext(
-            self.params,
-            RingPoly(self.ring, self.stack[j, 0].copy()),
-            RingPoly(self.ring, self.stack[j, 1].copy()),
-        )
+        return unstack_ciphertext(self.ring, self.params, self.stack[j])
 
     # -- fused kernels -----------------------------------------------------
 
@@ -450,8 +353,7 @@ class CiphertextArena:
         kernel stays fast where the one-shot broadcast was
         bandwidth-bound.  ``out`` recycles a result buffer across calls
         (the steady-state serving shape); ``tile_bytes`` overrides the
-        per-tile output budget (else ``REPRO_ARENA_TILE_BYTES``, else
-        the built-in default).
+        built-in per-tile output budget.
         """
         query = np.asarray(query)
         single = query.ndim == 2
@@ -472,9 +374,12 @@ class CiphertextArena:
             full = out[None] if single else out
         else:
             full = np.empty((num_variants, num_polys, 2, n), dtype=np.int64)
-        poly_tile, variant_tile = _tile_shape(
-            num_polys, num_variants, n, resolve_tile_bytes(tile_bytes)
-        )
+        tile_bytes = _DEFAULT_TILE_BYTES if tile_bytes is None else int(tile_bytes)
+        if tile_bytes <= 0:
+            raise ValueError(
+                f"tile byte budget must be positive, got {tile_bytes}"
+            )
+        poly_tile, variant_tile = _tile_shape(num_polys, num_variants, n, tile_bytes)
         pow2 = q & (q - 1) == 0
         for p0 in range(0, num_polys, poly_tile):
             p1 = min(p0 + poly_tile, num_polys)
@@ -1028,3 +933,14 @@ def stack_ciphertext(ct: Ciphertext) -> np.ndarray:
     if ct.size != 2:
         raise ValueError("arena rows require size-2 ciphertexts")
     return np.stack([ct.c0.coeffs, ct.c1.coeffs])
+
+
+def unstack_ciphertext(
+    ring: RingContext, params: "BFVParams", row: np.ndarray
+) -> Ciphertext:
+    """The inverse of :func:`stack_ciphertext`: one ``(2, n)`` arena row
+    back into a ciphertext object (copies, so callers can't corrupt the
+    row's owner)."""
+    return Ciphertext(
+        params, RingPoly(ring, row[0].copy()), RingPoly(ring, row[1].copy())
+    )

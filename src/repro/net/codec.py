@@ -158,6 +158,13 @@ class _Writer:
         return bytes(self._buf)
 
 
+def _utf8(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FramingError(f"text field is not valid UTF-8: {exc}") from None
+
+
 class _Reader:
     def __init__(self, payload: bytes):
         self._buf = payload
@@ -197,7 +204,7 @@ class _Reader:
         return out
 
     def text(self) -> str:
-        return self.raw(self.u16()).decode("utf-8")
+        return _utf8(self.raw(self.u16()))
 
     def blob(self) -> bytes:
         return self.raw(self.u32())
@@ -618,11 +625,11 @@ def decode_stats(payload: bytes) -> ServiceStats:
         dead_shard_degradations=r.u64(),
         admit_rejected=r.u64(),
         degraded_shards=r.u64(),
-        executor=r.blob().decode("utf-8"),
-        report_text=r.blob().decode("utf-8"),
-        report_json=r.blob().decode("utf-8"),
+        executor=_utf8(r.blob()),
+        report_text=_utf8(r.blob()),
+        report_json=_utf8(r.blob()),
         # trailing blob appended in protocol v2; absent in v1 payloads
-        tenants_json=r.blob().decode("utf-8") if r.remaining() else "",
+        tenants_json=_utf8(r.blob()) if r.remaining() else "",
     )
     r.done()
     return stats

@@ -1,12 +1,12 @@
 """Bounded, thread-safe LRU cache for encrypted query variants.
 
 A query batch re-encrypts the same (query, variant, residue-class)
-polynomial once per shard touch unless something caches it.  The old
-:class:`repro.core.batch.BatchSearcher` kept an *unbounded* per-batch
-dict; a serving process that stays up for millions of queries cannot do
-that.  :class:`VariantCipherCache` keeps the most recently used variant
-ciphertexts under a hard entry bound and reports hit/miss/eviction
-statistics so the serving report can surface cache effectiveness.
+polynomial once per shard touch unless something caches it, and a
+serving process that stays up for millions of queries cannot keep an
+unbounded dict.  :class:`VariantCipherCache` keeps the most recently
+used variant ciphertexts under a hard entry bound and reports
+hit/miss/eviction statistics so the serving report can surface cache
+effectiveness.
 
 The cache also doubles as the encryption serialization point: BFV
 encryption draws from the client's (non-thread-safe) RNG, so the miss
@@ -15,11 +15,8 @@ serving cost, so serializing encryption costs little and guarantees each
 key is encrypted at most once per residency.
 
 Values are whatever the serving path caches per (query, variant,
-residue-class): the object search kernel stores
-:class:`~repro.he.bfv.Ciphertext` objects, the fused kernel stores the
-stacked ``(2, n)`` int64 arena rows directly (keyed under a ``"rows"``
-tag so the kernels never collide), which is the form the broadcast
-Hom-Add consumes.
+residue-class): the sharded engine stores the stacked ``(2, n)`` int64
+arena rows, the form the broadcast Hom-Add consumes.
 
 Byte accounting (multi-tenant serving)
 --------------------------------------
@@ -48,10 +45,10 @@ def entry_nbytes(value: object) -> int:
     """Best-effort resident size of one cached value, in bytes.
 
     ndarrays (and anything else exposing an integer ``nbytes``) report
-    their buffer size; tuples/lists sum their elements (the fused
-    kernel caches stacked ``(2, n)`` row pairs); everything else falls
-    back to :func:`sys.getsizeof`.  The figure feeds quota accounting,
-    not allocation — a consistent estimate is all that is required.
+    their buffer size; tuples/lists sum their elements; everything else
+    falls back to :func:`sys.getsizeof`.  The figure feeds quota
+    accounting, not allocation — a consistent estimate is all that is
+    required.
     """
     nbytes = getattr(value, "nbytes", None)
     if isinstance(nbytes, int):

@@ -4,12 +4,13 @@
 contiguous per-shard polynomial slices, gives every shard its own
 :class:`AdditionBackend` instance (CPU reference or simulated in-flash),
 and drives a worker pool over a task queue of (query, shard) units.
-Per-shard :class:`ResultBlock` lists carry *global* polynomial indices,
-so merging them reproduces exactly the block set the single-pipeline
-:class:`~repro.core.pipeline.SecureStringMatchPipeline` emits — decode
-is byte-identical, including matches that span shard boundaries (the
-run-detection in :class:`~repro.core.matcher.ResultDecoder` operates on
-the globally concatenated flag vector).
+Every shard task yields that shard's slice of the boolean match-flag
+grid; finalize stitches the slices in *global* polynomial order, so
+decode is byte-identical to the single-pipeline
+:class:`~repro.core.pipeline.SecureStringMatchPipeline` — including
+matches that span shard boundaries (the run-detection in
+:class:`~repro.core.matcher.ResultDecoder` operates on the globally
+concatenated flag vector).
 
 Concurrency model
 -----------------
@@ -23,13 +24,12 @@ Concurrency model
 * The worker completing a query's last shard task finalizes it (index
   generation + decode + verification), so decode of one query overlaps
   the Hom-Adds of the next.
-* Under the fused search kernel (the default — see
-  :mod:`repro.he.arena`) each shard holds a zero-copy slice of the
-  database's ciphertext arena and a shard task reduces to a few
-  broadcast kernels producing that shard's slice of the boolean flag
-  grid; finalize stitches the slices in global polynomial order, so
-  decode — including cross-shard runs — stays byte-identical to the
-  object path.
+* A shard whose backend is a plain CPU adder (``supports_fused``)
+  holds a zero-copy slice of the database's ciphertext arena and its
+  task reduces to a few broadcast kernels (see :mod:`repro.he.arena`).
+  A shard whose backend does its own addition (the simulated in-flash
+  IFP device) runs one ``backend.hom_add`` per (polynomial, variant)
+  pair instead; both produce the same flag slice.
 * The shard *executor* is pluggable (see :mod:`repro.serve.executor`):
   ``"thread"`` runs shard tasks on the worker threads themselves (the
   parity oracle, GIL-bound for CPU kernels), ``"process"`` dispatches
@@ -55,18 +55,20 @@ from ..he.arena import (
     CiphertextArena,
     QueryArena,
     fused_decrypt_flags,
-    resolve_arena_build,
-    resolve_search_kernel,
     stack_ciphertext,
+    unstack_ciphertext,
 )
 from ..he.bfv import BFVContext, Ciphertext
 from ..verify import VerifyLike
 from ..core.client import CipherMatchClient, ClientConfig
-from ..core.match_polynomial import DeterministicComparator, IndexMode
+from ..core.match_polynomial import (
+    DeterministicComparator,
+    IndexMode,
+    flag_matches_by_decryption,
+)
 from ..core.matcher import (
     AdditionBackend,
     CPUAdditionBackend,
-    ResultBlock,
     comparator_flag_grid,
 )
 from ..core.packing import EncryptedDatabase
@@ -98,7 +100,7 @@ class DbShard:
     base_poly: int
     ciphertexts: List[Ciphertext]
     backend: AdditionBackend
-    #: zero-copy view into the database's ciphertext arena (fused kernel)
+    #: zero-copy view into the database's ciphertext arena
     arena: Optional[CiphertextArena] = None
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     hom_adds: int = 0
@@ -109,19 +111,23 @@ class DbShard:
     def num_polynomials(self) -> int:
         return len(self.ciphertexts)
 
+    @property
+    def fused(self) -> bool:
+        """True when the broadcast arena kernels compute exactly what
+        this shard's backend would add pair by pair."""
+        return getattr(self.backend, "supports_fused", False)
+
 
 class _QueryJob:
     """One distinct query in flight across all shards."""
 
     def __init__(self, index: int, query_bits: np.ndarray, key: bytes,
-                 prepared: PreparedQuery, num_shards: int, fused: bool = False):
+                 prepared: PreparedQuery, num_shards: int):
         self.index = index
         self.query_bits = query_bits
         self.key = key
         self.prepared = prepared
-        self.fused = fused
-        self.blocks: List[ResultBlock] = []
-        #: shard_id -> (V, shard_polys, n) flag grid slice (fused kernel)
+        #: shard_id -> (V, shard_polys, n) flag grid slice
         self.flag_parts: Dict[int, np.ndarray] = {}
         #: shards whose task was skipped/lost under partial-results mode
         self.degraded: set = set()
@@ -160,15 +166,6 @@ class ShardedSearchEngine:
         ``config``.  The vectorized backend is what lets decode — one
         ``c1 * s`` negacyclic multiply per result block — keep up with
         the concurrent Hom-Add stage (see ``docs/backends.md``).
-    search_kernel:
-        Search execution strategy ("fused" / "object"; None defers to
-        the ``REPRO_SEARCH_KERNEL`` process default).  Under the fused
-        kernel every shard holds a zero-copy slice of the database's
-        ciphertext arena and a shard task is a handful of broadcast
-        kernels — no per-pair ciphertext objects, no per-block decrypt
-        multiplies (see ``docs/perf.md``).  Shards whose backends do
-        their own addition (the simulated in-flash IFP backend) force
-        the object path regardless.
     executor:
         Shard execution vehicle ("thread" / "process"; None defers to
         the ``REPRO_SERVE_EXECUTOR`` process default).  "process" runs
@@ -178,16 +175,6 @@ class ShardedSearchEngine:
         backends the workers can't replicate (anything without
         ``supports_fused``, e.g. the simulated IFP device) fall back to
         threads regardless.
-    arena_build:
-        When to materialize the database arena's rows / RNS-limb /
-        phase views ("lazy" / "eager"; None defers to the
-        ``REPRO_ARENA_BUILD`` process default, which defaults to lazy).
-        "lazy" builds per tile on first touch, so ``adopt_database``
-        returns without paying the full arena build and each shard's
-        first query builds only that shard's rows.  "eager" restores
-        the old build-everything-at-adopt behavior (and pre-warms
-        worker phase caches under the process executor) for serving
-        fleets that prefer the cost up front.
     degraded_mode:
         What a batch does when a shard is unserveable (terminal worker
         crash, circuit breaker open).  ``"fail"`` (default) propagates
@@ -218,9 +205,7 @@ class ShardedSearchEngine:
         cache_capacity: int = 256,
         scheduler: Optional[ServeScheduler] = None,
         poly_backend: Optional[str] = None,
-        search_kernel: Optional[str] = None,
         executor: Optional[str] = None,
-        arena_build: Optional[str] = None,
         degraded_mode: str = "fail",
         breaker_threshold: int = 3,
         breaker_cooldown: float = 5.0,
@@ -256,15 +241,9 @@ class ShardedSearchEngine:
         self.scheduler = scheduler or ServeScheduler(
             word_bits=self._word_bits(client.ctx)
         )
-        if search_kernel is not None:
-            resolve_search_kernel(search_kernel)  # validate eagerly
-        self.search_kernel = search_kernel
         if executor is not None:
             resolve_serve_executor(executor)  # validate eagerly
         self.executor = executor
-        if arena_build is not None:
-            resolve_arena_build(arena_build)  # validate eagerly
-        self.arena_build = arena_build
         if degraded_mode not in ("fail", "partial"):
             raise ValueError(
                 f"degraded_mode must be 'fail' or 'partial', got {degraded_mode!r}"
@@ -327,17 +306,6 @@ class ShardedSearchEngine:
                 self.config.deterministic_seed,
                 self.client.chunk_width,
             )
-        # Eager build mode: pay the full arena build (rows + limb view +
-        # phase cache) here, before serving starts, instead of on the
-        # first query.  Must precede _ensure_workers so share() finds a
-        # complete limb view to publish to the worker processes.
-        if self._arena_build_active() == "eager" and self._fused_active():
-            ctx = self.client.ctx
-            arena = db.fused_arena(ctx.ring, ctx.params)
-            arena.ensure_built()
-            if self._comparator is None:
-                arena.c1_limbs()
-                arena.phases(self.client.sk)
         # Shard boundaries changed: retire the old worker fleet and warm
         # start a new one so the first batch doesn't pay the spawns.
         self._shutdown_workers()
@@ -372,12 +340,11 @@ class ShardedSearchEngine:
         and is resolved once, in the client decode step."""
         if self.db is None or not self.shards:
             raise RuntimeError("outsource or adopt a database first")
-        fused = self._fused_active()
         exec_kind = self._executor_active()
         workers: Optional[ProcessShardExecutor] = None
         if exec_kind == "process":
             workers = self._ensure_workers()
-        elif fused:
+        elif any(shard.fused for shard in self.shards):
             self._ensure_shard_arenas()
 
         # Deduplicate identical queries; duplicates share one job/report.
@@ -396,9 +363,6 @@ class ShardedSearchEngine:
                     key=key,
                     prepared=self.client.prepare_query(bits),
                     num_shards=len(self.shards),
-                    # process workers always return flag grids, so the
-                    # stitched-flags finalize applies under both kernels
-                    fused=fused or workers is not None,
                 )
                 by_key[key] = job
                 jobs.append(job)
@@ -427,9 +391,7 @@ class ShardedSearchEngine:
                 breaker = self._breakers.get(shard.shard_id)
                 injector = self.fault_injector
                 try:
-                    blocks: Optional[List[ResultBlock]] = None
                     flags_part: Optional[np.ndarray] = None
-                    hom_adds = 0
                     crashes = 0
                     degraded = False
                     events = (
@@ -459,22 +421,12 @@ class ShardedSearchEngine:
                                         f"shard {shard.shard_id}: injected "
                                         "worker crash"
                                     )
-                                if workers is not None:
-                                    flags_part, hom_adds, crashes = (
-                                        self._run_shard_task_process(
-                                            shard, job, workers
-                                        )
-                                    )
-                                    if crashes:
-                                        with trace_lock:
-                                            batch_crashes[0] += crashes
-                                elif job.fused:
-                                    flags_part, hom_adds = (
-                                        self._run_shard_task_fused(shard, job)
-                                    )
-                                else:
-                                    blocks = self._run_shard_task(shard, job)
-                                    hom_adds = len(blocks)
+                                flags_part, crashes = self._run_shard_task(
+                                    shard, job, workers
+                                )
+                            if crashes:
+                                with trace_lock:
+                                    batch_crashes[0] += crashes
                             if breaker is not None:
                                 if crashes:
                                     breaker.record_failure()
@@ -500,14 +452,12 @@ class ShardedSearchEngine:
                                 ShardTaskTrace(
                                     query_index=job.index,
                                     shard_id=shard.shard_id,
-                                    hom_adds=hom_adds,
+                                    hom_adds=job.prepared.num_variants
+                                    * shard.num_polynomials,
                                 )
                             )
                         with job.lock:
-                            if flags_part is not None:
-                                job.flag_parts[shard.shard_id] = flags_part
-                            elif blocks is not None:
-                                job.blocks.extend(blocks)
+                            job.flag_parts[shard.shard_id] = flags_part
                             job.remaining -= 1
                             last = job.remaining == 0
                     if last:
@@ -598,22 +548,15 @@ class ShardedSearchEngine:
 
     # -- executor machinery ----------------------------------------------
 
-    def _arena_build_active(self) -> str:
-        """The resolved arena build mode for this engine."""
-        return resolve_arena_build(self.arena_build)
-
     def _executor_active(self) -> str:
         """The executor this batch actually uses.  Custom backends the
         spawn-fresh workers cannot replicate (anything without
         ``supports_fused`` — notably the stateful simulated IFP device)
-        silently fall back to threads, mirroring the fused-kernel gate,
-        so a process-wide ``REPRO_SERVE_EXECUTOR=process`` default never
-        changes what those backends compute."""
+        silently fall back to threads, so a process-wide
+        ``REPRO_SERVE_EXECUTOR=process`` default never changes what
+        those backends compute."""
         kind = resolve_serve_executor(self.executor)
-        if kind == "process" and not all(
-            getattr(shard.backend, "supports_fused", False)
-            for shard in self.shards
-        ):
+        if kind == "process" and not all(shard.fused for shard in self.shards):
             return "thread"
         return kind
 
@@ -683,24 +626,15 @@ class ShardedSearchEngine:
         """
         ctx = self.client.ctx
         arena = self.db.fused_arena(ctx.ring, ctx.params)
-        # Eager build mode: workers precompute their shard's phase view
-        # at attach time (decryption-path engines only — the
-        # deterministic comparator never decrypts).
-        warm = (
-            self._arena_build_active() == "eager"
-            and self._comparator is None
-        )
         with self._worker_lock:
             handle = arena.share()
             refreshed = handle != self._shared_handle
             workers = self._process_executor
             if workers is None:
-                workers = ProcessShardExecutor(
-                    self._worker_specs(), handle, warm=warm
-                )
+                workers = ProcessShardExecutor(self._worker_specs(), handle)
                 self._process_executor = workers
             elif refreshed:
-                workers.reattach(handle, warm=warm)
+                workers.reattach(handle)
             self._shared_handle = handle
         # Parent-side slices stay maintained too: they now alias the
         # same shared pages the workers mapped, and the thread fallback
@@ -715,49 +649,7 @@ class ShardedSearchEngine:
         if workers is not None:
             workers.shutdown()
 
-    def _run_shard_task_process(
-        self, shard: DbShard, job: _QueryJob, workers: ProcessShardExecutor
-    ) -> tuple:
-        """Ship one (query, shard) unit to the shard's worker process.
-
-        Only arena-format arrays cross the pipe: the query stack, the
-        shard-local row map and row residues out; the shard's
-        ``(V, shard_polys, n)`` flag-grid slice back.  Hom-Adds are
-        accounted exactly like the in-process paths.  Returns
-        ``(flags, hom_adds, crashes)``.
-        """
-        t0 = time.perf_counter()
-        query_arena = self._job_query_arena(job)
-        polys = np.arange(
-            shard.base_poly,
-            shard.base_poly + shard.num_polynomials,
-            dtype=np.int64,
-        )
-        row_map = query_arena.row_map(polys)
-        flags, crashes = workers.run_task(
-            shard.shard_id,
-            resolve_search_kernel(self.search_kernel),
-            query_arena.stack,
-            row_map,
-            query_arena.row_residue,
-        )
-        hom_adds = job.prepared.num_variants * shard.num_polynomials
-        self.client.ctx.counter.additions += hom_adds
-        shard.busy_seconds += time.perf_counter() - t0
-        shard.hom_adds += hom_adds
-        shard.tasks_executed += 1
-        return flags, hom_adds, crashes
-
-    # -- fused-kernel machinery ------------------------------------------
-
-    def _fused_active(self) -> bool:
-        """True when this batch runs the fused arena kernels: selected
-        (explicitly or by process default) and every shard backend is a
-        plain-CPU adder the broadcast kernels can stand in for."""
-        return resolve_search_kernel(self.search_kernel) == "fused" and all(
-            getattr(shard.backend, "supports_fused", False)
-            for shard in self.shards
-        )
+    # -- arena machinery -------------------------------------------------
 
     def _ensure_shard_arenas(self, force: bool = False) -> None:
         """Build the database arena once and hand every shard its
@@ -781,9 +673,8 @@ class ShardedSearchEngine:
     def _job_query_arena(self, job: _QueryJob) -> QueryArena:
         """The job's stacked query-variant rows, built by the first
         shard task to need them.  Rows live in the shared
-        :class:`VariantCipherCache` (as ``(2, n)`` int64 stacks — the
-        fused path never holds ciphertext objects), so repeated queries
-        across batches skip encryption entirely."""
+        :class:`VariantCipherCache` as ``(2, n)`` int64 stacks, so
+        repeated queries across batches skip encryption entirely."""
         with job.prep_lock:
             if job.query_arena is None:
                 det_seed = None
@@ -793,7 +684,7 @@ class ShardedSearchEngine:
 
                 def rows_for(v_idx: int, residue: int, j: int) -> np.ndarray:
                     return self.cache.get_or_create(
-                        ("rows", job.key, v_idx, residue),
+                        (job.key, v_idx, residue),
                         lambda: stack_ciphertext(
                             self.client.preparer.encrypt_variant_value(
                                 job.prepared, v_idx, residue, self.client.pk,
@@ -811,17 +702,25 @@ class ShardedSearchEngine:
                 )
             return job.query_arena
 
-    def _run_shard_task_fused(
-        self, shard: DbShard, job: _QueryJob
-    ) -> tuple:
-        """Fused equivalent of :meth:`_run_shard_task`: the shard's
-        whole db x variant product — Hom-Add, index generation and flag
-        extraction — as broadcast kernels over the shard's arena slice.
+    # -- shard execution -------------------------------------------------
 
-        Returns ``(flags, hom_adds)`` where ``flags`` is the shard's
-        ``(V, shard_polys, n)`` boolean slice of the global flag grid
-        and ``hom_adds`` the logical Hom-Add count (identical to the
-        object path's block count for this shard).
+    def _run_shard_task(
+        self,
+        shard: DbShard,
+        job: _QueryJob,
+        workers: Optional[ProcessShardExecutor],
+    ) -> tuple:
+        """One (query, shard) unit: Hom-Add every query variant against
+        this shard's slice and extract the match flags.
+
+        Returns ``(flags, crashes)``: the shard's ``(V, shard_polys, n)``
+        boolean slice of the global flag grid, and the worker-process
+        deaths survived on the way (always 0 in-process).  Under the
+        process executor only arena-format arrays cross the pipe — the
+        query stack, the shard-local row map and row residues out, the
+        flag slice back.  Every branch tallies one logical Hom-Add (and,
+        under ``CLIENT_DECRYPT``, one decryption) per (polynomial,
+        variant) pair on the context's operation counter.
         """
         t0 = time.perf_counter()
         ctx = self.client.ctx
@@ -832,98 +731,75 @@ class ShardedSearchEngine:
             dtype=np.int64,
         )
         row_map = query_arena.row_map(polys)
-        if self._comparator is not None:
-            flags = comparator_flag_grid(
-                self._comparator, shard.arena, query_arena, row_map, polys
-            )
-        else:
-            flags = fused_decrypt_flags(
-                shard.arena.phases(self.client.sk),
-                query_arena.phases(self.client.sk),
-                row_map,
-                ctx.params,
-                self.client.chunk_width,
-            )
         hom_adds = job.prepared.num_variants * shard.num_polynomials
-        ctx.counter.additions += hom_adds
+        crashes = 0
+        if shard.fused:
+            if workers is not None:
+                flags, crashes = workers.run_task(
+                    shard.shard_id,
+                    query_arena.stack,
+                    row_map,
+                    query_arena.row_residue,
+                )
+            elif self._comparator is not None:
+                flags = comparator_flag_grid(
+                    self._comparator, shard.arena, query_arena, row_map, polys
+                )
+            else:
+                flags = fused_decrypt_flags(
+                    shard.arena.phases(self.client.sk),
+                    query_arena.phases(self.client.sk),
+                    row_map,
+                    ctx.params,
+                    self.client.chunk_width,
+                )
+            ctx.counter.additions += hom_adds
+            if self._comparator is None:
+                ctx.counter.decryptions += hom_adds
+        else:
+            # the adder and ``ctx.decrypt`` count their own operations
+            flags = self._pair_flags(shard, query_arena, row_map)
         shard.busy_seconds += time.perf_counter() - t0
         shard.hom_adds += hom_adds
         shard.tasks_executed += 1
-        return flags, hom_adds
+        return flags, crashes
 
-    # -- shard execution -------------------------------------------------
-
-    def _run_shard_task(self, shard: DbShard, job: _QueryJob) -> List[ResultBlock]:
-        """Hom-Add every query variant against this shard's slice.
-
-        Emits blocks with *global* polynomial indices so the merged set
-        is indistinguishable from a sequential single-engine run.
-        """
-        det_seed = None
-        if self.config.index_mode is IndexMode.SERVER_DETERMINISTIC:
-            det_seed = self.config.deterministic_seed
-        n = self.db.n
-        prepared = job.prepared
-        blocks: List[ResultBlock] = []
-        t0 = time.perf_counter()
-        for v_idx, variant in enumerate(prepared.variants):
+    def _pair_flags(
+        self, shard: DbShard, query_arena: QueryArena, row_map: np.ndarray
+    ) -> np.ndarray:
+        """The shard's flag slice through its own adder: one genuine
+        ``backend.hom_add`` per (polynomial, variant) pair, then
+        per-block flag extraction — the only path a stateful backend
+        (the simulated in-flash device) can run, and the oracle the
+        broadcast kernels are tested against."""
+        ctx = self.client.ctx
+        query_cts = [
+            unstack_ciphertext(ctx.ring, ctx.params, row)
+            for row in query_arena.stack
+        ]
+        num_variants, num_polys = row_map.shape
+        flags = np.empty((num_variants, num_polys, ctx.ring.n), dtype=bool)
+        for v_idx in range(num_variants):
             for local_j, db_ct in enumerate(shard.ciphertexts):
-                j = shard.base_poly + local_j
-                residue = (j * n) % variant.span
-                query_ct = self.cache.get_or_create(
-                    (job.key, v_idx, residue),
-                    lambda: self.client.preparer.encrypt_variant_value(
-                        prepared, v_idx, residue, self.client.pk,
-                        deterministic_seed=det_seed,
-                    ),
-                )
-                blocks.append(
-                    ResultBlock(
-                        poly_index=j,
-                        variant_index=v_idx,
-                        variant_cache_key=variant_cache_key(v_idx, residue),
-                        ciphertext=shard.backend.hom_add(db_ct, query_ct),
+                row = row_map[v_idx, local_j]
+                result = shard.backend.hom_add(db_ct, query_cts[row])
+                if self._comparator is not None:
+                    flags[v_idx, local_j] = self._comparator.flag_matches(
+                        result,
+                        shard.base_poly + local_j,
+                        variant_cache_key(
+                            v_idx, int(query_arena.row_residue[row])
+                        ),
                     )
-                )
-        shard.busy_seconds += time.perf_counter() - t0
-        shard.hom_adds += len(blocks)
-        shard.tasks_executed += 1
-        return blocks
+                else:
+                    flags[v_idx, local_j] = flag_matches_by_decryption(
+                        ctx, result, self.client.sk, self.client.chunk_width
+                    )
+        return flags
 
     # -- result merge + decode -------------------------------------------
 
     def _finalize(self, job: _QueryJob, *, verify: bool) -> SearchReport:
-        """Merge per-shard results and decode exactly like the pipeline.
-        Shards in ``job.degraded`` contributed nothing; the missing
-        blocks decode as all-zero flags (no candidates) and the report
-        carries their ids so callers see the result is partial."""
-        if job.fused:
-            return self._finalize_fused(job, verify=verify)
-        blocks = sorted(job.blocks, key=lambda b: (b.variant_index, b.poly_index))
-        if self._comparator is not None:
-            flags = {
-                (b.variant_index, b.poly_index): self._comparator.flag_matches(
-                    b.ciphertext, b.poly_index, b.variant_cache_key
-                )
-                for b in blocks
-            }
-            candidates = self.client.decode_server_flags(
-                job.prepared, flags, self.db, verify=verify
-            )
-        else:
-            candidates = self.client.decode_results(
-                job.prepared, blocks, self.db, verify=verify
-            )
-        return SearchReport(
-            matches=[c.offset for c in candidates],
-            candidates=candidates,
-            hom_additions=len(blocks),
-            num_variants=job.prepared.num_variants,
-            encrypted_db_bytes=self.db.serialized_bytes,
-            degraded_shards=tuple(sorted(job.degraded)),
-        )
-
-    def _finalize_fused(self, job: _QueryJob, *, verify: bool) -> SearchReport:
         """Stitch the per-shard flag slices back into the global
         ``(V, P, n)`` grid (global polynomial order, so cross-shard runs
         decode exactly like a single-engine pass) and decode.  Degraded
@@ -945,9 +821,6 @@ class ShardedSearchEngine:
             flags[
                 :, shard.base_poly : shard.base_poly + shard.num_polynomials
             ] = part
-        if self._comparator is None:
-            # same logical decrypt count as the per-block object decode
-            self.client.ctx.counter.decryptions += num_variants * live_polys
         candidates = self.client.decode_flags_matrix(
             job.prepared, flags, self.db, verify=verify
         )

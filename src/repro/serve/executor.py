@@ -9,8 +9,8 @@ zero-copy :mod:`multiprocessing.shared_memory` view of the database
 arena (see :meth:`repro.he.arena.CiphertextArena.share`), so shard
 kernels run on separate cores with no shared interpreter lock.
 
-Selection mirrors the ``search_kernel`` / ``poly_backend`` plumbing:
-an explicit ``executor=`` argument wins, else
+Selection mirrors the ``poly_backend`` plumbing: an explicit
+``executor=`` argument wins, else
 :func:`set_default_serve_executor`, else the ``REPRO_SERVE_EXECUTOR``
 environment variable, else ``"thread"`` (the parity oracle and the
 right choice for stateful/IFP backends, which the process executor
@@ -37,7 +37,7 @@ from ..he.arena import SharedArenaHandle
 from .worker import ShardWorkerSpec, shard_worker_main
 
 # ---------------------------------------------------------------------------
-# Executor selection (mirrors repro.he.arena's kernel plumbing)
+# Executor selection (mirrors repro.he.backend's poly-backend plumbing)
 # ---------------------------------------------------------------------------
 
 #: the two shard-executor implementations
@@ -117,8 +117,6 @@ class _WorkerHandle:
         self.process = None
         self.conn = None
         self.arena_handle: Optional[SharedArenaHandle] = None
-        #: whether the last attach asked the worker to pre-warm caches
-        self.warm = False
         #: times this shard's worker was respawned after a crash
         self.restarts = 0
 
@@ -126,7 +124,7 @@ class _WorkerHandle:
     def alive(self) -> bool:
         return self.process is not None and self.process.is_alive()
 
-    def spawn(self, arena_handle: SharedArenaHandle, warm: bool = False) -> None:
+    def spawn(self, arena_handle: SharedArenaHandle) -> None:
         parent_conn, child_conn = self._mp.Pipe()
         process = self._mp.Process(
             target=shard_worker_main,
@@ -138,17 +136,16 @@ class _WorkerHandle:
         child_conn.close()
         self.process = process
         self.conn = parent_conn
-        self.attach(arena_handle, warm)
+        self.attach(arena_handle)
 
     def respawn(self) -> None:
         self.restarts += 1
         self.close(graceful=False)
-        self.spawn(self.arena_handle, self.warm)
+        self.spawn(self.arena_handle)
 
-    def attach(self, arena_handle: SharedArenaHandle, warm: bool = False) -> None:
+    def attach(self, arena_handle: SharedArenaHandle) -> None:
         self.arena_handle = arena_handle
-        self.warm = warm
-        self.send(("attach", arena_handle, warm))
+        self.send(("attach", arena_handle))
 
     def send(self, msg: tuple) -> None:
         if self.conn is None or self.process is None:
@@ -220,7 +217,6 @@ class ProcessShardExecutor:
         arena_handle: SharedArenaHandle,
         *,
         poll_interval: float = 0.05,
-        warm: bool = False,
     ):
         mp_ctx = spawn_context()
         self._poll_interval = poll_interval
@@ -234,26 +230,21 @@ class ProcessShardExecutor:
         # Spawn everything first, then the interpreters boot in
         # parallel; the attach messages wait in each pipe.
         for handle in self._handles.values():
-            handle.spawn(arena_handle, warm)
+            handle.spawn(arena_handle)
         self._finalizer = weakref.finalize(
             self, _close_handles, list(self._handles.values())
         )
 
     # -- arena lifecycle --------------------------------------------------
 
-    def reattach(
-        self, arena_handle: SharedArenaHandle, warm: bool = False
-    ) -> None:
+    def reattach(self, arena_handle: SharedArenaHandle) -> None:
         """Point every worker at a re-shared arena (after
-        ``invalidate_caches`` / ``adopt_database`` rebuilt it).
-        ``warm`` asks each worker to precompute its shard's phase view
-        at attach time (the eager arena-build mode)."""
+        ``invalidate_caches`` / ``adopt_database`` rebuilt it)."""
         for handle in self._handles.values():
             try:
-                handle.attach(arena_handle, warm)
+                handle.attach(arena_handle)
             except WorkerCrashError:
                 handle.arena_handle = arena_handle
-                handle.warm = warm
                 handle.respawn()
 
     # -- tasks ------------------------------------------------------------
@@ -261,7 +252,6 @@ class ProcessShardExecutor:
     def run_task(
         self,
         shard_id: int,
-        kernel: str,
         query_stack: np.ndarray,
         row_map: np.ndarray,
         row_residue: np.ndarray,
@@ -278,7 +268,7 @@ class ProcessShardExecutor:
         crashes = 0
         for attempt in (0, 1):
             try:
-                handle.send(("task", task_id, kernel, query_stack, row_map, row_residue))
+                handle.send(("task", task_id, query_stack, row_map, row_residue))
                 while True:
                     reply = handle.recv(self._poll_interval)
                     if reply[0] in ("ok", "err") and reply[1] == task_id:
@@ -325,19 +315,6 @@ class ProcessShardExecutor:
             return
         if handle.process is not None:
             handle.process.join(timeout=5.0)
-
-    def inject_crash(self, shard_id: int) -> None:
-        """Deprecated alias for :meth:`crash_worker` (the pre-
-        ``repro.faults`` ad-hoc test hook)."""
-        import warnings
-
-        warnings.warn(
-            "ProcessShardExecutor.inject_crash is deprecated; use "
-            "crash_worker (or repro.faults.crash_shard_worker)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.crash_worker(shard_id)
 
     # -- shutdown ---------------------------------------------------------
 

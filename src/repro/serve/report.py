@@ -93,7 +93,7 @@ class ServeReport:
         """Shards whose worker was dead at batch end."""
         return sum(1 for s in self.shards if not s.alive)
 
-    # -- aggregate correctness counters (BatchReport parity) -----------
+    # -- aggregate correctness counters ---------------------------------
 
     @property
     def num_queries(self) -> int:

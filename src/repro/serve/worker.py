@@ -11,12 +11,10 @@ not a pickle.
 
 Wire protocol (one duplex pipe per worker, parent -> child):
 
-``("attach", handle, warm)``
+``("attach", handle)``
     (Re-)attach the database arena.  No reply; pipe FIFO ordering
-    guarantees the attach lands before any task that needs it.  With
-    ``warm`` (the eager arena-build mode) the worker precomputes its
-    shard's phase view immediately instead of on the first task.
-``("task", task_id, kernel, query_stack, row_map, row_residue)``
+    guarantees the attach lands before any task that needs it.
+``("task", task_id, query_stack, row_map, row_residue)``
     Run one (query, shard) unit.  ``query_stack`` is the query arena's
     ``(R, 2, n)`` rows, ``row_map`` the ``(V, shard_polys)`` local row
     map, ``row_residue`` the per-row residues.  Replies
@@ -46,13 +44,12 @@ from ..he.arena import (
     fused_decrypt_flags,
     mul_rows_by_poly,
 )
-from ..he.bfv import BFVContext, Ciphertext
+from ..he.bfv import BFVContext
 from ..he.keys import PublicKey, SecretKey
 from ..he.params import BFVParams
 from ..he.poly import RingPoly
-from ..core.match_polynomial import DeterministicComparator, match_value
-from ..core.matcher import CPUAdditionBackend, comparator_flag_grid
-from ..core.query import variant_cache_key
+from ..core.match_polynomial import DeterministicComparator
+from ..core.matcher import comparator_flag_grid
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,6 @@ class _WorkerState:
         self.sk = SecretKey(
             spec.params, RingPoly(ring, np.asarray(spec.sk_coeffs, dtype=np.int64))
         )
-        self.backend = CPUAdditionBackend(self.ctx)
         self.comparator: Optional[DeterministicComparator] = None
         if spec.comparator_seed is not None:
             pk = PublicKey(
@@ -125,25 +121,22 @@ class _WorkerState:
         #: in-flight task that might still read them
         self._attached = []
 
-    def attach(self, handle: SharedArenaHandle, warm: bool = False) -> None:
+    def attach(self, handle: SharedArenaHandle) -> None:
         arena = CiphertextArena.attach_shared(
             self.ctx.ring, self.spec.params, handle, self.spec.start, self.spec.stop
         )
         self._attached.append(arena)
         self.arena = arena
-        if warm and self.comparator is None:
-            # Eager build: pay the shard's limb transforms + phase rows
-            # now so the first task doesn't.  (The deterministic
-            # comparator path never decrypts, so nothing to warm.)
-            arena.phases(self.sk)
 
     def run(
         self,
-        kernel: str,
         query_stack: np.ndarray,
         row_map: np.ndarray,
         row_residue: np.ndarray,
     ) -> np.ndarray:
+        """The same broadcast kernels the thread executor runs in
+        process — shard phases against query phases, or the batched
+        deterministic comparator."""
         if self.arena is None:
             raise RuntimeError("no arena attached")
         query = _QueryRows(
@@ -151,14 +144,6 @@ class _WorkerState:
             np.asarray(row_residue, dtype=np.intp),
         )
         row_map = np.asarray(row_map, dtype=np.intp)
-        if kernel == "object":
-            return self._run_object(query, row_map)
-        return self._run_fused(query, row_map)
-
-    def _run_fused(self, query: _QueryRows, row_map: np.ndarray) -> np.ndarray:
-        """The same broadcast kernels the thread executor's fused path
-        runs — shard phases against query phases, or the batched
-        deterministic comparator."""
         spec = self.spec
         if self.comparator is not None:
             polys = np.arange(spec.start, spec.stop, dtype=np.int64)
@@ -177,38 +162,6 @@ class _WorkerState:
             spec.chunk_width,
         )
 
-    def _run_object(self, query: _QueryRows, row_map: np.ndarray) -> np.ndarray:
-        """Parity oracle inside the worker: one genuine per-pair
-        ``hom_add`` + per-block flag extraction, like the thread
-        executor's object path, reduced to the flag grid the wire
-        protocol carries."""
-        spec = self.spec
-        ring = self.ctx.ring
-        num_variants, num_polys = row_map.shape
-        flags = np.empty((num_variants, num_polys, ring.n), dtype=bool)
-        match = match_value(spec.chunk_width)
-        for v_idx in range(num_variants):
-            for local_j in range(num_polys):
-                row = row_map[v_idx, local_j]
-                query_ct = Ciphertext(
-                    spec.params,
-                    RingPoly(ring, np.array(query.stack[row, 0])),
-                    RingPoly(ring, np.array(query.stack[row, 1])),
-                )
-                result = self.backend.hom_add(
-                    self.arena.ciphertext(local_j), query_ct
-                )
-                if self.comparator is not None:
-                    flags[v_idx, local_j] = self.comparator.flag_matches(
-                        result,
-                        spec.start + local_j,
-                        variant_cache_key(v_idx, int(query.row_residue[row])),
-                    )
-                else:
-                    pt = self.ctx.decrypt(result, self.sk)
-                    flags[v_idx, local_j] = pt.poly.coeffs == match
-        return flags
-
 
 def shard_worker_main(conn, spec: ShardWorkerSpec) -> None:
     """Child-process entry point: serve tasks until stop/EOF."""
@@ -223,15 +176,15 @@ def shard_worker_main(conn, spec: ShardWorkerSpec) -> None:
             if op == "stop":
                 return
             if op == "attach":
-                state.attach(msg[1], msg[2] if len(msg) > 2 else False)
+                state.attach(msg[1])
             elif op == "ping":
                 conn.send(("pong", spec.shard_id))
             elif op == "crash":
                 os._exit(17)
             elif op == "task":
-                task_id, kernel, query_stack, row_map, row_residue = msg[1:]
+                task_id, query_stack, row_map, row_residue = msg[1:]
                 try:
-                    flags = state.run(kernel, query_stack, row_map, row_residue)
+                    flags = state.run(query_stack, row_map, row_residue)
                 except BaseException as exc:
                     conn.send(("err", task_id, f"{type(exc).__name__}: {exc}"))
                 else:

@@ -121,17 +121,9 @@ class SecureBiometricMatcher:
     'subject-0002'
     """
 
-    def __init__(
-        self,
-        gallery: BiometricGallery,
-        config: ClientConfig,
-        *,
-        search_kernel: Optional[str] = None,
-    ):
+    def __init__(self, gallery: BiometricGallery, config: ClientConfig):
         self.gallery = gallery
-        self.pipeline = SecureStringMatchPipeline(
-            config, search_kernel=search_kernel
-        )
+        self.pipeline = SecureStringMatchPipeline(config)
         self.pipeline.outsource_database(gallery.concatenated_bits())
 
     def authenticate(self, probe: np.ndarray) -> AuthenticationResult:

@@ -130,14 +130,11 @@ class SecureReadMapper:
         *,
         seed_bases: int = 8,
         min_votes: int = 1,
-        search_kernel: Optional[str] = None,
     ):
         self.reference = reference
         self.extractor = SeedExtractor(seed_bases)
         self.min_votes = min_votes
-        self.pipeline = SecureStringMatchPipeline(
-            config, search_kernel=search_kernel
-        )
+        self.pipeline = SecureStringMatchPipeline(config)
         self.pipeline.outsource_database(sequence_to_bits(reference))
         self.reads_mapped = 0
 

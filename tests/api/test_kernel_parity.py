@@ -1,12 +1,14 @@
-"""Fused-vs-object search-kernel parity across the api engines.
+"""Fused-vs-per-pair search parity across the api engines.
 
 The acceptance bar of the fused arena kernels: every registered engine
 built on the core CIPHERMATCH matcher (the pipeline, the wire protocol
 and the sharded serving engine) produces *identical*
 ``MatchCandidate``/match lists — and, at the flag level, byte-identical
-decrypted flag vectors — whichever ``search_kernel`` executes the
-search, including deterministic-seed (server-side index generation)
-mode and merges that span shard boundaries.
+decrypted flag vectors — whether a plain CPU adder runs the fused
+kernels ("fused") or :class:`tests.oracles.PerPairAdder` forces one
+``hom_add`` object per pair ("object"), including deterministic-seed
+(server-side index generation) mode and merges that span shard
+boundaries.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.baselines import find_all_matches
 from repro.core import ClientConfig, IndexMode, SecureStringMatchPipeline
 from repro.core.matcher import FusedResultSet
 from repro.he import BFVParams
+from tests.oracles import ADDER_KWARGS, PerPairAdder, per_pair_factory
 
 #: engines built on the core matcher, with kwargs mirroring
 #: tests/api/test_parity.py (plus per-engine shard counts)
@@ -35,7 +38,10 @@ def test_kernel_matches_oracle_and_peer(key, kernel, master_fixture):
     caps = DEFAULT_REGISTRY.spec(key).capabilities
     db_view, query = master_fixture.view(caps)
     with repro.open_session(
-        key, db_bits=db_view, search_kernel=kernel, **CORE_ENGINE_KWARGS[key]
+        key,
+        db_bits=db_view,
+        **ADDER_KWARGS[kernel][key],
+        **CORE_ENGINE_KWARGS[key],
     ) as session:
         result = session.search(query)
     expected = find_all_matches(db_view, query)
@@ -47,7 +53,7 @@ def test_kernel_matches_oracle_and_peer(key, kernel, master_fixture):
 
 @pytest.mark.parametrize("key", list(CORE_ENGINE_KWARGS))
 def test_hom_op_tally_identical_across_kernels(key, master_fixture):
-    """HomOpTally must not change meaning between kernels."""
+    """HomOpTally must not change meaning between the two paths."""
     caps = DEFAULT_REGISTRY.spec(key).capabilities
     db_view, query = master_fixture.view(caps)
     tallies = {}
@@ -55,7 +61,7 @@ def test_hom_op_tally_identical_across_kernels(key, master_fixture):
         with repro.open_session(
             key,
             db_bits=db_view,
-            search_kernel=kernel,
+            **ADDER_KWARGS[kernel][key],
             **CORE_ENGINE_KWARGS[key],
         ) as session:
             tallies[kernel] = session.search(query).hom_ops
@@ -77,9 +83,10 @@ def test_pipeline_flags_byte_identical(index_mode, master_fixture):
         pipe = SecureStringMatchPipeline(
             ClientConfig(
                 BFVParams.test_small(64), key_seed=21, index_mode=index_mode
-            ),
-            search_kernel=kernel,
+            )
         )
+        if kernel == "object":
+            pipe.server.engine.backend = PerPairAdder(pipe.client.ctx)
         pipe.outsource_database(db_bits)
         pipes[kernel] = pipe
 
@@ -90,6 +97,7 @@ def test_pipeline_flags_byte_identical(index_mode, master_fixture):
         )
         if index_mode is IndexMode.SERVER_DETERMINISTIC:
             return prepared, pipe.server.generate_index(blocks)
+        assert isinstance(blocks, FusedResultSet) == (pipe is pipes["fused"])
         if isinstance(blocks, FusedResultSet):
             grid = blocks.flags_by_decryption(pipe.client.sk)
             return prepared, {
@@ -108,8 +116,6 @@ def test_pipeline_flags_byte_identical(index_mode, master_fixture):
 
     prep_o, flags_o = flags_of(pipes["object"])
     prep_f, flags_f = flags_of(pipes["fused"])
-    assert pipes["fused"].server.uses_fused_kernel()
-    assert not pipes["object"].server.uses_fused_kernel()
     assert flags_o.keys() == flags_f.keys()
     for key in flags_o:
         assert np.asarray(flags_o[key]).tobytes() == np.asarray(
@@ -132,17 +138,18 @@ def test_candidate_lists_identical_with_and_without_verify(master_fixture):
         candidates = {}
         for kernel in ("object", "fused"):
             pipe = SecureStringMatchPipeline(
-                ClientConfig(BFVParams.test_small(64), key_seed=23),
-                search_kernel=kernel,
+                ClientConfig(BFVParams.test_small(64), key_seed=23)
             )
+            if kernel == "object":
+                pipe.server.engine.backend = PerPairAdder(pipe.client.ctx)
             pipe.outsource_database(db_bits)
             candidates[kernel] = pipe.search(query, verify=verify).candidates
         assert candidates["object"] == candidates["fused"]
 
 
 def test_sharded_cross_shard_merge_identical(master_fixture):
-    """Sharded merges: every shard count produces the same matches under
-    both kernels, including the occurrence straddling shard boundaries."""
+    """Sharded merges: every shard count produces the same matches on
+    both paths, including the occurrence straddling shard boundaries."""
     db_bits = master_fixture.db_bits
     query = master_fixture.query_bits
     results = {}
@@ -153,7 +160,7 @@ def test_sharded_cross_shard_merge_identical(master_fixture):
                 db_bits=db_bits,
                 key_seed=13,
                 num_shards=shards,
-                search_kernel=kernel,
+                **ADDER_KWARGS[kernel]["bfv-sharded"],
             ) as session:
                 results[(kernel, shards)] = list(session.search(query).matches)
     baseline = results[("object", 1)]
@@ -162,23 +169,9 @@ def test_sharded_cross_shard_merge_identical(master_fixture):
         assert matches == baseline, key
 
 
-def test_env_var_selects_kernel(monkeypatch, master_fixture):
-    """REPRO_SEARCH_KERNEL threads through to the server dispatch."""
-    db_view = master_fixture.db_bits[:512]
-    query = master_fixture.query_bits
-    for env in ("object", "fused"):
-        monkeypatch.setenv("REPRO_SEARCH_KERNEL", env)
-        pipe = SecureStringMatchPipeline(
-            ClientConfig(BFVParams.test_small(64), key_seed=29)
-        )
-        pipe.outsource_database(db_view)
-        assert pipe.server.uses_fused_kernel() == (env == "fused")
-        assert pipe.search(query).matches == find_all_matches(db_view, query)
-
-
 def test_deterministic_seed_mode_sharded_parity(master_fixture):
     """Deterministic-seed (server-side index) mode through the sharded
-    engine: both kernels, same matches, same hom-add accounting."""
+    engine: both paths, same matches, same hom-add accounting."""
     db_bits = master_fixture.db_bits
     query = master_fixture.query_bits
     from repro.serve import ShardedSearchEngine
@@ -192,7 +185,7 @@ def test_deterministic_seed_mode_sharded_parity(master_fixture):
                 index_mode=IndexMode.SERVER_DETERMINISTIC,
             ),
             num_shards=2,
-            search_kernel=kernel,
+            backend_factory=per_pair_factory if kernel == "object" else None,
         )
         engine.outsource(db_bits)
         reports[kernel] = engine.search(query)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import ClientConfig, SecureStringMatchPipeline
-from repro.core.wildcard import WildcardPattern, WildcardSearcher
+import repro
+from repro.api import WildcardSearch
+from repro.core.wildcard import WildcardPattern
 from repro.he import BFVParams
 from repro.utils.bits import bytes_to_bits, random_bits, text_to_bits
 
@@ -53,23 +54,25 @@ class TestPatternParsing:
 
 
 class TestWildcardSearch:
-    def _searcher(self, db_bits, seed=70):
-        pipe = SecureStringMatchPipeline(ClientConfig(PARAMS, key_seed=seed))
-        pipe.outsource_database(db_bits)
-        return WildcardSearcher(pipe)
+    """Wildcard search through the ``repro.api`` facade's shared
+    segment-sweep + intersection join."""
+
+    def _session(self, db_bits, seed=70):
+        return repro.open_session(
+            "bfv", params=PARAMS, key_seed=seed, db_bits=db_bits
+        )
 
     def test_text_wildcard_byte(self, rng):
         text = "xx hello world -- hellish words -- hellfire wow " * 2
         db = text_to_bits(text)
-        searcher = self._searcher(db)
-        pattern = WildcardPattern.from_text("hell? w")
-        matches = searcher.search(pattern)
+        with self._session(db) as session:
+            result = session.search(WildcardSearch.from_text("hell? w"))
         import re
 
         expected = [
             8 * m.start() for m in re.finditer(r"hell. w", text)
         ]
-        assert matches == expected
+        assert list(result.matches) == expected
 
     def test_bit_level_gap(self, rng):
         db = random_bits(3000, rng)
@@ -82,9 +85,8 @@ class TestWildcardSearch:
         mask = np.concatenate(
             [np.ones(32), np.zeros(16), np.ones(32)]
         ).astype(np.uint8)
-        pattern = WildcardPattern.from_bits(bits, mask)
-        searcher = self._searcher(db, seed=71)
-        assert base in searcher.search(pattern)
+        with self._session(db, seed=71) as session:
+            assert base in session.search(WildcardSearch(bits, mask)).matches
 
     def test_segments_must_all_match(self, rng):
         db = random_bits(2000, rng)
@@ -95,8 +97,8 @@ class TestWildcardSearch:
         mask = np.concatenate(
             [np.ones(32), np.zeros(16), np.ones(32)]
         ).astype(np.uint8)
-        searcher = self._searcher(db, seed=72)
-        assert 320 not in searcher.search(WildcardPattern.from_bits(bits, mask))
+        with self._session(db, seed=72) as session:
+            assert 320 not in session.search(WildcardSearch(bits, mask)).matches
 
     def test_pattern_must_fit_database(self, rng):
         db = random_bits(200, rng)
@@ -104,21 +106,26 @@ class TestWildcardSearch:
         bits = np.concatenate([seg, np.zeros(64, dtype=np.uint8)])
         mask = np.concatenate([np.ones(32), np.zeros(64)]).astype(np.uint8)
         # pattern spans past the database end from offset 160
-        searcher = self._searcher(db, seed=73)
-        assert 160 not in searcher.search(WildcardPattern.from_bits(bits, mask))
+        with self._session(db, seed=73) as session:
+            assert 160 not in session.search(WildcardSearch(bits, mask)).matches
 
     def test_hom_add_prediction(self, rng):
+        """One Hom-Add sweep per literal segment."""
         db = random_bits(1000, rng)
-        searcher = self._searcher(db, seed=74)
         pattern = WildcardPattern.from_text("ab?cd")
-        predicted = searcher.hom_additions_for(pattern)
-        before = searcher.pipeline.server.hom_add_count
-        searcher.search(pattern)
-        executed = searcher.pipeline.server.hom_add_count - before
-        assert executed == predicted
+        with self._session(db, seed=74) as session:
+            pipeline = session.engine.pipeline
+            predicted = sum(
+                pipeline.client.prepare_query(seg.bit_array()).num_variants
+                * pipeline.db.num_polynomials
+                for seg in pattern.segments
+            )
+            before = pipeline.server.hom_add_count
+            result = session.search(WildcardSearch.from_text("ab?cd"))
+            executed = pipeline.server.hom_add_count - before
+        assert executed == predicted == result.hom_ops.additions
 
     def test_search_requires_database(self):
-        pipe = SecureStringMatchPipeline(ClientConfig(PARAMS, key_seed=75))
-        searcher = WildcardSearcher(pipe)
-        with pytest.raises(RuntimeError):
-            searcher.search(WildcardPattern.from_text("a?b"))
+        with repro.open_session("bfv", params=PARAMS, key_seed=75) as session:
+            with pytest.raises(RuntimeError):
+                session.search(WildcardSearch.from_text("a?b"))

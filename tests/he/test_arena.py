@@ -15,18 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.he.arena import (
-    KERNEL_ENV_VAR,
     CiphertextArena,
     QueryArena,
     add_mod_q,
     decrypt_batch,
     flags_batch,
     fused_decrypt_flags,
-    get_default_search_kernel,
     mul_rows_by_poly,
-    resolve_search_kernel,
     scale_rows_to_plaintext,
-    set_default_search_kernel,
     stack_ciphertext,
 )
 from repro.he.backend import get_rns_basis
@@ -368,36 +364,6 @@ def test_lazy_arena_kernels_build_on_first_touch():
 
 
 # ---------------------------------------------------------------------------
-# Build-mode / tile plumbing
-# ---------------------------------------------------------------------------
-
-
-def test_arena_build_and_tile_resolution(monkeypatch):
-    from repro.he.arena import (
-        ARENA_BUILD_ENV_VAR,
-        TILE_ENV_VAR,
-        _DEFAULT_TILE_BYTES,
-        resolve_arena_build,
-        resolve_tile_bytes,
-    )
-
-    monkeypatch.delenv(ARENA_BUILD_ENV_VAR, raising=False)
-    monkeypatch.delenv(TILE_ENV_VAR, raising=False)
-    assert resolve_arena_build(None) == "lazy"
-    assert resolve_arena_build("eager") == "eager"
-    monkeypatch.setenv(ARENA_BUILD_ENV_VAR, "eager")
-    assert resolve_arena_build(None) == "eager"
-    with pytest.raises(ValueError):
-        resolve_arena_build("sometimes")
-    assert resolve_tile_bytes(None) == _DEFAULT_TILE_BYTES
-    monkeypatch.setenv(TILE_ENV_VAR, "4096")
-    assert resolve_tile_bytes(None) == 4096
-    assert resolve_tile_bytes(123) == 123  # explicit beats env
-    with pytest.raises(ValueError):
-        resolve_tile_bytes(-1)
-
-
-# ---------------------------------------------------------------------------
 # Query arena
 # ---------------------------------------------------------------------------
 
@@ -429,35 +395,6 @@ def test_query_arena_rows_and_map_cover_residue_classes():
             assert qa.row_residue[row] == (j * n) % variant.span
     # phases cached per secret key
     assert qa.phases(sk) is qa.phases(sk)
-
-
-# ---------------------------------------------------------------------------
-# Kernel selection plumbing
-# ---------------------------------------------------------------------------
-
-
-def test_kernel_selection_default_and_env(monkeypatch):
-    monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
-    set_default_search_kernel(None)
-    assert get_default_search_kernel() == "fused"
-    monkeypatch.setenv(KERNEL_ENV_VAR, "object")
-    assert get_default_search_kernel() == "object"
-    assert resolve_search_kernel(None) == "object"
-    assert resolve_search_kernel("fused") == "fused"
-    set_default_search_kernel("fused")
-    assert get_default_search_kernel() == "fused"  # explicit beats env
-    set_default_search_kernel(None)
-
-
-def test_kernel_selection_rejects_unknown(monkeypatch):
-    with pytest.raises(ValueError):
-        set_default_search_kernel("simd")
-    with pytest.raises(ValueError):
-        resolve_search_kernel("simd")
-    monkeypatch.setenv(KERNEL_ENV_VAR, "simd")
-    set_default_search_kernel(None)
-    with pytest.raises(ValueError):
-        get_default_search_kernel()
 
 
 # ---------------------------------------------------------------------------

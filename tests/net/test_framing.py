@@ -343,3 +343,81 @@ def test_request_payload_trailing_bytes_rejected():
     ftype, payload = codec.encode_request(ExactSearch.from_bits([1, 0, 1]))
     with pytest.raises(FramingError, match="trailing"):
         codec.decode_request(ftype, payload + b"\x00")
+
+
+# -- invalid UTF-8 in text fields ---------------------------------------------
+
+_MARK = "zz-text-zz"
+
+
+def _text_payloads():
+    result = SearchResult(
+        matches=(1,), engine=_MARK, scheme="bfv", hom_ops=HomOpTally(),
+        elapsed_seconds=0.0, verified=True,
+    )
+    welcome = dict(
+        protocol_version=2, engine="bfv", scheme="bfv", wildcard=True,
+        batching=True, sharded=False, verify=True, max_query_bits=None,
+        db_bit_length=None,
+    )
+    stats = dict(
+        active_connections=0, total_connections=0, accepted=0, completed=0,
+        shed=0, failed=0, draining=False, scheduler_sheds=0, served_queries=0,
+        wall_p50=0.0, wall_p95=0.0, wall_p99=0.0, throughput_qps=0.0,
+        cache_hit_rate=0.0, executor="thread", worker_restarts=0,
+        dead_shard_degradations=0, report_text="",
+    )
+    exact = ExactSearch.from_bits([1, 0, 1])
+    wildcard = WildcardSearch((1, 0, 1), (1, 0, 1))
+    batch = BatchSearch((exact,))
+    cases = {
+        "hello": (codec.encode_hello(2, _MARK), codec.decode_hello),
+        "welcome-engine": (
+            codec.encode_welcome(codec.Welcome(**{**welcome, "engine": _MARK})),
+            codec.decode_welcome,
+        ),
+        "welcome-tenant": (
+            codec.encode_welcome(codec.Welcome(**welcome, tenant=_MARK)),
+            codec.decode_welcome,
+        ),
+        "result": (codec.encode_result(result), codec.decode_result),
+        "batch-result": (
+            codec.encode_batch_result(
+                BatchSearchResult((result,), engine="bfv", elapsed_seconds=0.0)
+            ),
+            codec.decode_batch_result,
+        ),
+        "error": (codec.encode_error(codec.ERR_REMOTE, _MARK), codec.decode_error),
+    }
+    for name, request in (("exact", exact), ("wildcard", wildcard), ("batch", batch)):
+        ftype, payload = codec.encode_request(request, None, _MARK)
+        cases[f"request-{name}"] = (
+            payload, lambda p, ftype=ftype: codec.decode_request(ftype, p)
+        )
+    for field in ("executor", "report_text", "report_json", "tenants_json"):
+        cases[f"stats-{field}"] = (
+            codec.encode_stats(codec.ServiceStats(**{**stats, field: _MARK})),
+            codec.decode_stats,
+        )
+    return cases
+
+
+_TEXT_PAYLOADS = _text_payloads()
+
+
+@pytest.mark.parametrize("case", sorted(_TEXT_PAYLOADS))
+def test_invalid_utf8_text_field_raises_framing_error(case):
+    """Every decoder keeps its ``FramingError`` contract when a text
+    field holds bytes that are not UTF-8 (same length, so every length
+    prefix still checks out)."""
+    payload, decode = _TEXT_PAYLOADS[case]
+    decode(payload)  # the well-formed payload decodes
+    mark = _MARK.encode()
+    assert payload.count(mark) == 1
+    with pytest.raises(FramingError, match="UTF-8"):
+        decode(payload.replace(mark, b"\xff\xfe" + mark[2:]))
+
+
+def test_malformed_hello_from_the_issue_raises_framing_error():
+    with pytest.raises(FramingError):
+        codec.decode_hello(b"\x02\x00\x02\x00\xff\xfe")

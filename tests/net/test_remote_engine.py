@@ -3,7 +3,7 @@
 The acceptance bar of the networked layer: `repro.open_session("remote")`
 returns byte-identical results to the in-process engine it fronts —
 same matches, same homomorphic-op accounting, same shard breakdown —
-under both search kernels and both poly backends.
+through fused-kernel and per-pair-adder shards alike.
 """
 
 import numpy as np
@@ -20,6 +20,7 @@ from repro.api import (
 from repro.baselines import find_all_matches
 from repro.he import BFVParams
 from repro.net import RemoteEngine
+from tests.oracles import ADDER_KWARGS
 
 
 @pytest.fixture(scope="module")
@@ -76,13 +77,18 @@ def test_byte_identical_results_vs_in_process(fixture_db):
         remote.close()
 
 
-@pytest.mark.parametrize("search_kernel", ["fused", "object"])
-def test_kernel_parity_over_socket(fixture_db, search_kernel):
-    """Both search kernels return identical flags through the wire."""
+@pytest.mark.parametrize("adder", ["fused", "object"])
+def test_kernel_parity_over_socket(fixture_db, adder):
+    """Fused-kernel shards and per-pair-adder shards return identical
+    flags through the wire."""
     db, query = fixture_db
     params = BFVParams.test_small(64)
     local, remote = _engine_pair(
-        params, db, num_shards=2, key_seed=33, search_kernel=search_kernel
+        params,
+        db,
+        num_shards=2,
+        key_seed=33,
+        **ADDER_KWARGS[adder]["bfv-sharded"],
     )
     try:
         expected = find_all_matches(db, query)

@@ -302,3 +302,38 @@ def test_open_session_remote_roundtrip(plaintext_service):
     assert offsets[0] in result.matches
     assert result.engine == "remote"
     assert result.scheme == "none"  # backing engine's scheme, negotiated
+
+
+def test_malformed_hello_drops_connection_and_service_keeps_serving(
+    plaintext_service,
+):
+    """A HELLO whose tenant field is not UTF-8 is a framing error: the
+    connection is dropped, nothing reaches the loop's exception handler,
+    and the next well-formed client is served."""
+    import gc
+    import socket
+
+    from repro.net.framing import (
+        Frame,
+        FrameType,
+        read_frame_sync,
+        write_frame_sync,
+    )
+
+    loop = plaintext_service._loop
+    unhandled = []
+    loop.call_soon_threadsafe(
+        loop.set_exception_handler, lambda _loop, ctx: unhandled.append(ctx)
+    )
+    with socket.create_connection(plaintext_service.address, timeout=5) as sock:
+        write_frame_sync(
+            sock, Frame(FrameType.HELLO, 1, b"\x02\x00\x02\x00\xff\xfe")
+        )
+        assert read_frame_sync(sock) is None  # dropped, no WELCOME
+    with Client(plaintext_service.address) as client:
+        assert client.welcome.engine == "plaintext"
+        client.outsource(np.ones(64, dtype=np.uint8))
+        assert list(client.search(np.ones(8, dtype=np.uint8)).matches)
+    # a handler task that died with an exception reports it when collected
+    gc.collect()
+    assert unhandled == []

@@ -1,5 +1,5 @@
-"""Process-parallel shard executor: cross-executor match parity under
-both search kernels, shared-memory arena re-attach, worker crash
+"""Process-parallel shard executor: cross-executor match parity for
+fused-kernel and per-pair-adder shards, shared-memory arena re-attach, worker crash
 recovery with single-shard restart, spawn-safety from a clean
 interpreter, and the executor selection plumbing (explicit >
 process default > env var > thread)."""
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import ClientConfig, CPUAdditionBackend, IndexMode
+from repro.faults import crash_shard_worker
 from repro.he import BFVParams
 from repro.serve import (
     EXECUTOR_ENV_VAR,
@@ -23,6 +24,7 @@ from repro.serve import (
     set_default_serve_executor,
 )
 from repro.utils.bits import random_bits
+from tests.oracles import per_pair_factory
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
@@ -44,7 +46,7 @@ def _engine(params, *, executor, kernel="fused", num_shards=3, **cfg):
     return ShardedSearchEngine(
         ClientConfig(params, key_seed=23, **cfg),
         num_shards=num_shards,
-        search_kernel=kernel,
+        backend_factory=per_pair_factory if kernel == "object" else None,
         executor=executor,
     )
 
@@ -132,7 +134,9 @@ def test_process_matches_thread_byte_identical(kernel):
     assert sum(s.hom_adds for s in p.shards) == sum(
         s.hom_adds for s in t.shards
     )
-    assert p.executor == "process" and t.executor == "thread"
+    # per-pair adders cannot be replicated in a worker: threads serve them
+    assert p.executor == ("process" if kernel == "fused" else "thread")
+    assert t.executor == "thread"
     assert p.worker_restarts == 0
     assert all(s.alive for s in p.shards)
 
@@ -241,78 +245,28 @@ def test_reshare_after_invalidate_unlinks_old_segments():
     assert new_handle.stack_ref not in listing
 
 
-# -- arena build modes -------------------------------------------------------
+# -- lazy arena build ------------------------------------------------------
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
-@pytest.mark.parametrize("mode", ["lazy", "eager"])
-def test_arena_build_modes_match_across_executors(executor, mode):
-    """Lazy and eager builds serve identical match sets under both
-    executors (the build schedule must never be observable)."""
-    params, db, queries = _workload()
-    with _engine(params, executor="thread") as oracle:
-        oracle.outsource(db)
-        expected = oracle.search_batch(queries).matches_per_query()
-    engine = ShardedSearchEngine(
-        ClientConfig(params, key_seed=23),
-        num_shards=3,
-        search_kernel="fused",
-        executor=executor,
-        arena_build=mode,
-    )
-    with engine:
-        engine.outsource(db)
-        assert engine.search_batch(queries).matches_per_query() == expected
-
-
-def test_lazy_adopt_defers_arena_build():
-    """arena_build='lazy' returns from adopt with an unbuilt arena; the
-    first query materializes it.  'eager' restores build-at-adopt."""
+def test_adopt_defers_arena_rows_to_first_query():
+    """Adopt returns with an unbuilt arena; the first query
+    materializes it."""
     params, db, queries = _workload()
     # thread executor: the process path's share() materializes the stack
-    # at adopt regardless of build mode, which is exactly what we are
-    # *not* probing here
-    lazy = ShardedSearchEngine(
-        ClientConfig(params, key_seed=23),
-        num_shards=2,
-        search_kernel="fused",
-        executor="thread",
-        arena_build="lazy",
-    )
-    with lazy:
+    # at adopt, which is exactly what we are *not* probing here
+    with _engine(params, executor="thread", num_shards=2) as lazy:
         encrypted = lazy.outsource(db)
         assert encrypted._arena is None  # adopt paid nothing
         lazy.search_batch(queries[:1])
         arena = encrypted._arena
         assert arena is not None
         assert arena.fully_built  # the query touched every shard
-    encrypted.invalidate_caches()
-    eager = ShardedSearchEngine(
-        ClientConfig(params, key_seed=23),
-        num_shards=2,
-        search_kernel="fused",
-        executor="thread",
-        arena_build="eager",
-    )
-    with eager:
-        eager.adopt_database(encrypted)
-        arena = encrypted._arena
-        assert arena is not None and arena.fully_built
-        assert arena._phase_rows is not None  # phases pre-warmed too
-
-
-def test_engine_rejects_unknown_arena_build():
-    params, _, _ = _workload(num_polys=1, num_queries=1)
-    with pytest.raises(ValueError):
-        ShardedSearchEngine(
-            ClientConfig(params, key_seed=1), arena_build="never"
-        )
 
 
 @pytest.mark.parametrize("executor", ["thread", "process"])
 def test_fused_limb_major_decrypt_matches_object_kernel(executor):
     """The limb-major decrypt layout must stay bit-identical to the
-    object kernel's per-block decryption, under both executors."""
+    per-pair adder's per-block decryption, under both executors."""
     params, db, queries = _workload()
     results = {}
     for kernel in ("object", "fused"):
@@ -340,7 +294,7 @@ def test_worker_crash_mid_batch_recovers_with_restart():
         engine.outsource(db)
         engine.search_batch(queries[:1])  # workers proven healthy
         victim = engine.shards[1].shard_id
-        engine._process_executor.inject_crash(victim)
+        assert crash_shard_worker(engine._process_executor, victim)
         assert not engine._process_executor.shard_alive(victim)
         report = engine.search_batch(queries)
         assert report.matches_per_query() == expected

@@ -1,7 +1,8 @@
 """Fused-kernel behavior specific to the sharded serving engine:
 arena slices on shards, stacked variant rows in the LRU cache, fused
-accounting in the serve report, and fallback to the object path for
-backends that do their own addition."""
+accounting in the serve report, and the per-pair path for backends that
+do their own addition ("object" below: :class:`tests.oracles.PerPairAdder`
+shards)."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from repro.core import ClientConfig, CPUAdditionBackend, IndexMode
 from repro.he import BFVParams
 from repro.serve import ShardedSearchEngine
 from repro.utils.bits import random_bits
+from tests.oracles import per_pair_factory
 
 
 def _workload(num_polys=6, num_queries=4, seed=41):
@@ -31,7 +33,7 @@ def _engine(params, kernel, *, num_shards=3, executor=None, **kwargs):
     return ShardedSearchEngine(
         ClientConfig(params, key_seed=41, **kwargs),
         num_shards=num_shards,
-        search_kernel=kernel,
+        backend_factory=per_pair_factory if kernel == "object" else None,
         executor=executor,
     )
 
@@ -88,22 +90,10 @@ def test_variant_cache_stores_stacked_rows_under_fused():
     assert engine.cache.stats().misses == misses_before
 
 
-def test_object_kernel_still_caches_ciphertext_objects():
-    from repro.he import Ciphertext
-
-    # thread executor only: process workers always take the stacked-row
-    # cache path, since query rows cross the pipe as arrays
-    params, db, queries = _workload()
-    engine = _engine(params, "object", executor="thread")
-    engine.outsource(db)
-    engine.search_batch(queries[:1])
-    values = engine.cache.values()
-    assert values and all(isinstance(v, Ciphertext) for v in values)
-
-
 def test_stateful_backend_forces_object_path():
     """A backend without ``supports_fused`` (e.g. the simulated IFP
-    adder) must take the object path even when fused is requested."""
+    adder) runs one ``hom_add`` per pair, fed from the same stacked
+    query rows in the variant cache as the fused kernels."""
 
     class CountingBackend(CPUAdditionBackend):
         supports_fused = False
@@ -127,13 +117,17 @@ def test_stateful_backend_forces_object_path():
     engine = ShardedSearchEngine(
         ClientConfig(params, key_seed=41),
         num_shards=2,
-        search_kernel="fused",
         backend_factory=factory,
     )
     engine.outsource(db)
-    assert not engine._fused_active()
+    assert not any(shard.fused for shard in engine.shards)
     report = engine.search_batch(queries[:1])
     assert sum(b.calls for b in backends) == report.reports[0].hom_additions > 0
+    assert all(shard.arena is None for shard in engine.shards)
+    rows = engine.cache.values()
+    assert rows and all(
+        isinstance(v, np.ndarray) and v.shape == (2, params.n) for v in rows
+    )
 
 
 def test_fused_deterministic_mode_uses_comparator_batch():
@@ -149,14 +143,6 @@ def test_fused_deterministic_mode_uses_comparator_batch():
         reports["object"].matches_per_query()
         == reports["fused"].matches_per_query()
     )
-
-
-def test_rejects_unknown_kernel():
-    params, _, _ = _workload(num_polys=1, num_queries=1)
-    with pytest.raises(ValueError):
-        ShardedSearchEngine(
-            ClientConfig(params, key_seed=1), search_kernel="simd"
-        )
 
 
 def test_invalidate_caches_reslices_shard_arenas():
@@ -176,7 +162,7 @@ def test_invalidate_caches_reslices_shard_arenas():
     engine.db.invalidate_caches()
     after_fused = engine.search_batch(queries[:1]).reports[0].matches
     object_engine = ShardedSearchEngine(
-        client=engine.client, num_shards=2, search_kernel="object"
+        client=engine.client, num_shards=2, backend_factory=per_pair_factory
     )
     object_engine.adopt_database(engine.db)
     after_object = object_engine.search_batch(queries[:1]).reports[0].matches
@@ -198,3 +184,84 @@ def test_adopt_database_resets_arena_slices():
     assert all(s.arena is None for s in engine.shards)
     report = engine.search_batch(queries[:1])
     assert report.reports[0].matches
+
+
+# -- accounting on the per-pair branch of the shard task -----------------------
+
+
+def _ifp_factory(ctx, shard_id):
+    from repro.ssd.device import IFPAdditionBackend
+
+    return IFPAdditionBackend(ctx)
+
+
+def _tallies(params, db, queries, *, index_mode, backend_factory, executor):
+    """Everything a batch reports or counts, once clean and once with
+    shard 1 lost under partial-results mode."""
+    from repro.faults import FaultInjector, FaultPlan
+
+    with ShardedSearchEngine(
+        ClientConfig(params, key_seed=41, index_mode=index_mode),
+        num_shards=3,
+        backend_factory=backend_factory,
+        executor=executor,
+        degraded_mode="partial",
+    ) as engine:
+        engine.outsource(db)
+        assert engine.executor_kind == "thread"
+        counter = engine.client.ctx.counter
+        out = []
+        for plan in (FaultPlan(), FaultPlan().worker_crash(0, shard=1)):
+            engine.fault_injector = FaultInjector(plan)
+            adds, decs = counter.additions, counter.decryptions
+            shard_adds = [s.hom_adds for s in engine.shards]
+            report = engine.search_batch(queries + [queries[0]])
+            out.append(
+                {
+                    "matches": report.matches_per_query(),
+                    "hom_additions": [r.hom_additions for r in report.reports],
+                    "degraded": [r.degraded_shards for r in report.reports],
+                    "batch_degraded": report.degraded_shards,
+                    "counter_additions": counter.additions - adds,
+                    "counter_decryptions": counter.decryptions - decs,
+                    "shard_hom_adds": [
+                        s.hom_adds - before
+                        for s, before in zip(engine.shards, shard_adds)
+                    ],
+                }
+            )
+        return out
+
+
+@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize(
+    "index_mode", [IndexMode.CLIENT_DECRYPT, IndexMode.SERVER_DETERMINISTIC]
+)
+@pytest.mark.parametrize(
+    "backend_factory", [per_pair_factory, _ifp_factory], ids=["cpu", "ifp"]
+)
+def test_per_pair_accounting_equals_fused(backend_factory, index_mode, executor):
+    """A shard whose adder lacks ``supports_fused`` — a plain CPU adder
+    or the stateful in-flash device — reports and counts exactly what
+    the fused kernels do: matches, per-report Hom-Adds, the context's
+    addition/decryption counters, per-shard Hom-Adds and the degraded
+    shard markers.  ``executor="process"`` must resolve to threads."""
+    params, db, queries = _workload(num_polys=3, num_queries=2)
+    fused = _tallies(
+        params, db, queries,
+        index_mode=index_mode, backend_factory=None, executor="thread",
+    )
+    per_pair = _tallies(
+        params, db, queries,
+        index_mode=index_mode, backend_factory=backend_factory,
+        executor=executor,
+    )
+    assert per_pair == fused
+    clean, lost = fused
+    assert clean["batch_degraded"] == [] and lost["batch_degraded"] == [1]
+    assert clean["counter_additions"] == sum(clean["shard_hom_adds"]) > 0
+    decrypting = index_mode is IndexMode.CLIENT_DECRYPT
+    assert clean["counter_decryptions"] == (
+        clean["counter_additions"] if decrypting else 0
+    )
+    assert 0 < lost["counter_additions"] < clean["counter_additions"]

@@ -6,7 +6,6 @@ import pytest
 
 from repro.baselines import find_all_matches
 from repro.core import (
-    BatchSearcher,
     ClientConfig,
     IndexMode,
     SecureStringMatchPipeline,
@@ -183,34 +182,23 @@ class TestIfpBackendSharding:
         assert all(b.hom_add_count > 0 for b in backends)
 
 
-class TestBatchSearcherFacade:
-    def test_multi_shard_batch_searcher(self, rng):
-        db, queries = make_workload(rng, num_queries=3)
-        pipe = SecureStringMatchPipeline(ClientConfig(PARAMS, key_seed=51))
-        searcher = BatchSearcher(pipe, num_shards=4)
-        searcher.outsource(db)
-        report = searcher.search_batch(queries)
-        for q, matches in zip(queries, report.matches_per_query()):
-            assert matches == find_all_matches(db, q)
-        serve = searcher.last_serve_report
-        assert serve is not None
-        assert serve.num_shards == 4
-        # the pipeline stays usable for sequential cross-checks
-        assert pipe.search(queries[0]).matches == report.matches_per_query()[0]
-
+class TestAdoptPipelineDatabase:
     def test_adopts_directly_outsourced_pipeline(self, rng):
-        """Legacy usage: outsource through the pipeline, then batch."""
+        """A database the sequential pipeline outsourced is sharded
+        without re-encrypting, and the pipeline stays usable for
+        cross-checks."""
         db, queries = make_workload(rng, num_queries=2)
         pipe = SecureStringMatchPipeline(ClientConfig(PARAMS, key_seed=53))
         pipe.outsource_database(db)
-        searcher = BatchSearcher(pipe)
-        report = searcher.search_batch(queries)
-        for q, matches in zip(queries, report.matches_per_query()):
-            assert matches == find_all_matches(db, q)
-        # re-outsourcing through the pipeline is picked up too
-        db2 = random_bits(2 * BITS_PER_POLY, rng)
-        q2 = db2[:32].copy()
-        pipe.outsource_database(db2)
-        assert searcher.search_batch([q2]).matches_per_query()[0] == find_all_matches(
-            db2, q2
-        )
+        with ShardedSearchEngine(client=pipe.client, num_shards=4) as engine:
+            engine.adopt_database(pipe.db)
+            report = engine.search_batch(queries)
+            assert report.num_shards == 4
+            for q, matches in zip(queries, report.matches_per_query()):
+                assert matches == find_all_matches(db, q)
+                assert matches == pipe.search(q).matches
+            # a database the pipeline outsources later is adopted the same way
+            db2 = random_bits(2 * BITS_PER_POLY, rng)
+            q2 = db2[:32].copy()
+            engine.adopt_database(pipe.outsource_database(db2))
+            assert engine.search(q2).matches == find_all_matches(db2, q2)

@@ -1,11 +1,12 @@
-"""Workload parity across search kernels and shard executors.
+"""Workload parity across adders and shard executors.
 
 Every scenario stream in :mod:`repro.load` must produce identical
-matches whichever ``search_kernel`` (fused / object) and ``executor``
-(thread / process) configuration serves it — the fused kernels and the
-shared-memory process pool are performance paths, never semantic ones.
-The workload wrappers' ``search_kernel=`` knob gets the same treatment
-directly.
+matches whether a plain CPU adder serves it through the fused kernels
+("fused") or :class:`tests.oracles.PerPairAdder` forces one ``hom_add``
+per pair ("object"), under either ``executor`` (thread / process; a
+per-pair backend resolves "process" to threads) — the fused kernels and
+the shared-memory process pool are performance paths, never semantic
+ones.  The workload wrappers get the same treatment directly.
 """
 
 import itertools
@@ -22,6 +23,7 @@ from repro.workloads.biometric import (
 )
 from repro.workloads.dna import DnaWorkloadGenerator
 from repro.workloads.readmapper import SecureReadMapper
+from tests.oracles import ADDER_KWARGS, PerPairAdder
 
 PARAMS = BFVParams.test_small(64)
 MATRIX = list(itertools.product(["fused", "object"], ["thread", "process"]))
@@ -34,7 +36,7 @@ def _scenario_results(key, kernel, executor, n):
         params=PARAMS,
         num_shards=2,
         key_seed=13,
-        search_kernel=kernel,
+        **ADDER_KWARGS[kernel]["bfv-sharded"],
         executor=executor,
         db_bits=scenario.db_bits(),
     ) as session:
@@ -49,7 +51,7 @@ def _scenario_results(key, kernel, executor, n):
 
 
 class TestScenarioParityMatrix:
-    """Same scenario stream, every kernel x executor cell, same matches."""
+    """Same scenario stream, every adder x executor cell, same matches."""
 
     @pytest.mark.parametrize("kernel,executor", MATRIX)
     def test_database_matches_oracle(self, kernel, executor):
@@ -80,8 +82,13 @@ class TestScenarioParityMatrix:
         assert runs["fused"] == runs["object"]
 
 
+def _use_adder(pipeline, kernel):
+    if kernel == "object":
+        pipeline.server.engine.backend = PerPairAdder(pipeline.client.ctx)
+
+
 class TestWorkloadWrapperKernelKnob:
-    """The search_kernel= kwarg on the workload wrappers is semantics-free."""
+    """The workload wrappers answer the same through either adder."""
 
     def test_read_mapper_parity(self):
         workload = DnaWorkloadGenerator(seed=5).generate(
@@ -91,11 +98,9 @@ class TestWorkloadWrapperKernelKnob:
         verdicts = {}
         for kernel in ("fused", "object"):
             mapper = SecureReadMapper(
-                workload.genome,
-                ClientConfig(PARAMS),
-                seed_bases=8,
-                search_kernel=kernel,
+                workload.genome, ClientConfig(PARAMS), seed_bases=8
             )
+            _use_adder(mapper.pipeline, kernel)
             verdicts[kernel] = [
                 mapper.verify(mapper.map_read(read.sequence))
                 for read in workload.reads
@@ -111,9 +116,8 @@ class TestWorkloadWrapperKernelKnob:
         )
         outcomes = {}
         for kernel in ("fused", "object"):
-            matcher = SecureBiometricMatcher(
-                gallery, ClientConfig(PARAMS), search_kernel=kernel
-            )
+            matcher = SecureBiometricMatcher(gallery, ClientConfig(PARAMS))
+            _use_adder(matcher.pipeline, kernel)
             outcomes[kernel] = [
                 (
                     matcher.authenticate(e.template).accepted,
