@@ -331,26 +331,23 @@ class ResultDecoder:
     def _offsets_for_variant(
         self, variant: QueryVariant, flags: np.ndarray, prepared: PreparedQuery
     ) -> np.ndarray:
+        """Database bit offsets at which ``variant`` matches, from its
+        global flag vector.
+
+        A match is a run of ``span`` consecutive set flags starting at
+        a position congruent to the variant's rotation.  Set flags are
+        rare (a non-matching coefficient is all-ones with probability
+        ``1/t``), so the run test works on their sorted indices:
+        ``hits[k]`` starts a full run iff the hit ``span - 1`` places
+        later is exactly ``span - 1`` positions away.
+        """
         w = self.chunk_width
         span = variant.span
         o = variant.query_bit_offset
         y = prepared.bit_length
-        total = len(flags)
-        # run[g] = True when flags[g : g+span] are all True.  A prefix
-        # sum turns the all-ones test into one windowed difference
-        # (O(total) instead of the old O(span * total) shift loop);
-        # positions within span-1 of the end can never host a full run.
-        if span == 1:
-            run = flags
-        elif span > total:
-            return np.empty(0, dtype=np.int64)
-        else:
-            sums = np.cumsum(flags, dtype=np.int64)
-            window = sums[span - 1 :].copy()
-            window[1:] -= sums[: total - span]
-            run = np.zeros(total, dtype=bool)
-            run[: total - span + 1] = window == span
-        starts = np.nonzero(run)[0]
+        hits = np.flatnonzero(flags)
+        heads = hits[: max(len(hits) - span + 1, 0)]
+        starts = heads[hits[span - 1 :] - heads == span - 1]
         starts = starts[(starts - variant.rotation) % span == 0]
         offsets = starts * w - o
         offsets = offsets[(offsets >= 0) & (offsets + y <= self.db_bit_length)]

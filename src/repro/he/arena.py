@@ -25,7 +25,12 @@ with its own ``c1 * s`` ring multiply.  The arena removes both costs:
   :meth:`CiphertextArena.phases` computes the database-side phases once
   per (database, secret key) — ``num_polys`` multiplies instead of
   ``num_polys * num_variants`` — and :func:`fused_decrypt_flags` folds
-  the per-variant query phases over them with pure broadcast adds.
+  the per-variant query phases over them with pure broadcast adds,
+  then generates the match flags by a *range test* on the summed phase:
+  a coefficient decrypts to the all-ones match value exactly when its
+  phase lies in one fixed interval of ``[0, q)``, so index generation
+  is an add, a modular fold and a compare — no plaintext scaling, no
+  division, no arithmetic wider than int64 at any supported modulus.
 
 Every kernel is exact: it produces bit-for-bit the coefficients the
 object path produces (``tests/he/test_arena.py`` enforces this), for
@@ -816,22 +821,68 @@ def fused_decrypt_flags(
     ``(V, P, n)`` boolean flag grid — bit-identical to decrypting every
     pair's Hom-Add result and comparing against the match polynomial.
 
-    Memory stays bounded: the int64 phase grid is materialized one
-    variant at a time; only the bool output holds the full grid.
+    Index generation is a range test on the phase.  A phase ``p`` in
+    ``[0, q)`` decrypts to ``round(t*p/q) mod t`` (centering ``p``
+    first moves the quotient by exactly ``t``, so it drops out), and
+    for the match value ``1 <= m < t`` that equals ``m`` iff
+    ``m*q <= t*p + q//2 < (m+1)*q``, i.e. iff ``p`` lies in
+    ``[lo, hi)`` with ``lo = ceil((m*q - q//2) / t)`` and
+    ``hi = ceil(((m+1)*q - q//2) / t)``.  ``0 < lo <= hi <= q``, so the
+    interval never wraps and ``(p - lo) mod q < hi - lo`` tests it
+    with one compare.  ``lo`` is folded into the small query side once
+    per call; per variant the kernel is one add, one fold mod ``q`` and
+    one compare over the ``(P, n)`` grid, written into a scratch buffer
+    and the output row.  Nothing is multiplied by ``t``, so every
+    intermediate is below ``2q <= 2**63``.
+
+    Raises ``ValueError`` unless ``0 < 2**chunk_width - 1 < t`` and
+    ``q <= 2**62``, and ``IndexError`` for a ``row_map`` entry outside
+    ``query_phases``.
     """
     q, t = params.q, params.t
     match = (1 << chunk_width) - 1
+    if not 0 < match < t:
+        raise ValueError(
+            f"match value 2**{chunk_width} - 1 must lie in [1, t) for t={t}"
+        )
+    if q > 1 << 62:
+        raise ValueError(f"phase sums need 2q <= 2**63, got q={q}")
+    lo = -((q // 2 - match * q) // t)
+    hi = -((q // 2 - (match + 1) * q) // t)
+    width = hi - lo
     num_variants, num_polys = row_map.shape
-    flags = np.empty((num_variants, num_polys, db_phases.shape[1]), dtype=bool)
+    if row_map.size and not (
+        0 <= row_map.min() and row_map.max() < len(query_phases)
+    ):
+        raise IndexError("row_map entry outside query_phases")
+    shifted = query_phases - lo
+    np.add(shifted, q, out=shifted, where=shifted < 0)
+    shape = db_phases.shape
+    flags = np.empty((num_variants,) + shape, dtype=bool)
+    buf = np.empty(shape, dtype=np.int64)
+    pow2 = q & (q - 1) == 0
+    wrapped = None if pow2 else np.empty(shape, dtype=bool)
     for v in range(num_variants):
         rows = row_map[v]
+        out = flags[v]
         if num_polys and (rows == rows[0]).all():
-            q_phase = query_phases[rows[0]][None, :]
+            np.add(db_phases, shifted[rows[0]], out=buf)
         else:
-            q_phase = query_phases[rows]
-        phase = add_mod_q(db_phases, q_phase, q)
-        coeffs = scale_rows_to_plaintext(center_rows(phase, q), q, t)
-        flags[v] = coeffs == match
+            # bounds were checked above; "clip" only selects numpy's
+            # unbuffered write into ``buf``
+            np.take(shifted, rows, axis=0, out=buf, mode="clip")
+            np.add(buf, db_phases, out=buf)
+        if pow2:
+            np.bitwise_and(buf, q - 1, out=buf)
+            np.less(buf, width, out=out)
+        else:
+            # s in [0, 2q): (s mod q) < width iff s < width or
+            # 0 <= s - q < width; the unsigned view makes the second
+            # test one compare (a negative s - q reads as >= 2**63)
+            np.less(buf, width, out=out)
+            np.subtract(buf, q, out=buf)
+            np.less(buf.view(np.uint64), np.uint64(width), out=wrapped)
+            np.logical_or(out, wrapped, out=out)
     return flags
 
 

@@ -380,20 +380,34 @@ def encode_request(
     )
 
 
+def _request(make, *args, **kwargs):
+    """Build a request object from decoded fields: a value the request
+    type rejects (empty query, empty batch, mismatched mask) is a
+    malformed frame."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise FramingError(f"invalid request: {exc}") from None
+
+
 def decode_request(
     ftype: FrameType, payload: bytes
 ) -> Tuple[SearchRequest, Optional[float], str]:
     """Inverse of :func:`encode_request`; returns
-    ``(request, deadline, tenant)``."""
+    ``(request, deadline, tenant)``.  Raises :class:`FramingError` for
+    any payload that does not decode to a valid request."""
     r = _Reader(payload)
     policy = _policy(r.u8())
     deadline = _deadline(r.f64())
     tenant = r.text()
     if ftype is FrameType.SEARCH:
-        request: SearchRequest = ExactSearch.from_bits(r.bits(), verify=policy)
+        request: SearchRequest = _request(
+            ExactSearch.from_bits, r.bits(), verify=policy
+        )
     elif ftype is FrameType.WILDCARD:
         bits = r.bits()
-        request = WildcardSearch(
+        request = _request(
+            WildcardSearch,
             tuple(int(b) for b in bits),
             tuple(int(m) for m in r.bits()),
             verify=policy,
@@ -403,8 +417,10 @@ def decode_request(
         queries = []
         for _ in range(count):
             sub_policy = _policy(r.u8())  # written before the bits
-            queries.append(ExactSearch.from_bits(r.bits(), verify=sub_policy))
-        request = BatchSearch(tuple(queries), verify=policy)
+            queries.append(
+                _request(ExactSearch.from_bits, r.bits(), verify=sub_policy)
+            )
+        request = _request(BatchSearch, tuple(queries), verify=policy)
     else:
         raise FramingError(f"frame type {ftype.name} is not a request")
     r.done()

@@ -12,8 +12,10 @@ from repro.core import (
 )
 from repro.core.matcher import MatchCandidate
 from repro.core.client import CipherMatchClient
+from repro.core.query import PreparedQuery, QueryVariant
 from repro.he import BFVParams
 from repro.utils.bits import random_bits
+from tests.oracles import prefix_sum_offsets
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +126,49 @@ class TestResultDecoder:
         decoder = ResultDecoder(16, n, 16 * 3 * n)
         candidates = decoder.decode(prepared, flags, 2)
         assert [c.offset for c in candidates] == [(n + 2) * 16]
+
+    @pytest.mark.parametrize("density", [0.05, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("span", [1, 2, 3, 4, 5])
+    def test_run_decode_matches_prefix_sum_reference(self, density, span):
+        """The run rule on the set indices against the dense prefix-sum
+        reference, for every rotation and every vector length 0-40 —
+        vectors shorter than the span, fewer hits than the span, runs
+        longer than the span, a run touching the last index and the
+        all-True vector included — through both decode entry points."""
+        w = 4
+        rng = np.random.default_rng(round(density * 100) * 10 + span)
+        for rotation in range(span):
+            variant = QueryVariant(
+                phase=0,
+                rotation=rotation,
+                span=span,
+                pattern_chunks=np.zeros(span, dtype=np.int64),
+                query_bit_offset=2,  # a run at index 0 decodes below 0
+                requires_verification=False,
+            )
+            prepared = PreparedQuery(
+                query_bits=np.zeros(span * w, dtype=np.uint8),
+                chunk_width=w,
+                variants=[variant],
+            )
+            for total in range(41):
+                # even lengths split over two polynomials
+                polys = 2 if total and total % 2 == 0 else min(total, 1)
+                n = total // polys if polys else 4
+                # the last chunk is cut short, so a run touching it is
+                # out of bounds for the query's full length
+                decoder = ResultDecoder(w, n, max(total * w - 3, 0))
+                grid = rng.random((1, polys, n)) < density
+                flat = grid.reshape(-1)
+                want = prefix_sum_offsets(decoder, variant, flat, prepared)
+                got = decoder._offsets_for_variant(variant, flat, prepared)
+                assert got.dtype == want.dtype and got.tolist() == want.tolist()
+                blocks = {(0, j): grid[0, j] for j in range(polys)}
+                for candidates in (
+                    decoder.decode(prepared, blocks, polys),
+                    decoder.decode_stacked(prepared, grid),
+                ):
+                    assert [c.offset for c in candidates] == want.tolist()
 
 
 class TestVerifyCandidates:

@@ -30,6 +30,7 @@ from repro.he.bfv import BFVContext
 from repro.he.keys import generate_keys
 from repro.he.params import BFVParams
 from repro.he.poly import RingContext
+from tests.oracles import scaled_decrypt_flags
 
 #: modulus regimes: power-of-two (paper), native NTT prime, odd
 #: composite with RNS limbs, near the 2**62 cap
@@ -169,6 +170,98 @@ def test_phase_linearity_equals_result_decryption(backend):
         result = ctx.add(db_ct, q_ct)
         want = ctx.decrypt(result, sk).poly.coeffs == (1 << 16) - 1
         assert np.array_equal(flags[0, j], want)
+
+
+# ---------------------------------------------------------------------------
+# Index generation as a range test vs plaintext scaling
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "q, t", [(256, 16), (257, 16), (1000, 8), (4096, 64), (65537, 256)]
+)
+def test_fused_flags_exhaustive_over_small_moduli(q, t):
+    """Every phase in [0, q) against a spread of query phases — every
+    sum with and without a wrap past q — for every chunk width the
+    plaintext modulus admits, on power-of-two and odd moduli."""
+    params = BFVParams(n=4, q=q, t=t, name="exhaustive")
+    rng = np.random.default_rng(q)
+    every = np.arange(q, dtype=np.int64)
+    db_phases = np.stack([every, every[::-1]])
+    spread = [0, 1, q // 3, q // 2, q - 2, q - 1]
+    query_phases = np.stack(
+        [np.full(q, c, dtype=np.int64) for c in spread]
+        + [rng.integers(0, q, size=q, dtype=np.int64)]
+    )
+    rows = np.arange(len(query_phases), dtype=np.intp)
+    # both polynomials on one query row, and on two different ones
+    row_map = np.concatenate(
+        [np.stack([rows, rows], axis=1), np.stack([rows, rows[::-1]], axis=1)]
+    )
+    widths = [w for w in range(1, 17) if (1 << w) - 1 < t]
+    assert widths
+    for w in widths:
+        got = fused_decrypt_flags(db_phases, query_phases, row_map, params, w)
+        want = scaled_decrypt_flags(db_phases, query_phases, row_map, params, w)
+        assert want.any()
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("make_params", [BFVParams.paper, BFVParams.paper_secure])
+def test_fused_flags_on_the_interval_edges_at_paper_moduli(make_params):
+    """Sums planted exactly on ``lo - 1, lo, hi - 1, hi`` and across the
+    ``q - 1 -> 0`` wrap at the paper's power-of-two modulus and at the
+    54-bit prime one (where plaintext scaling overflows int64), through
+    the one-query-row path and the gathered-rows path."""
+    params = make_params()
+    q, t, w = params.q, params.t, 16
+    match = (1 << w) - 1
+
+    def scales_to_match(p):
+        c = p - q if p > q // 2 else p
+        return (t * c + q // 2) // q % t == match
+
+    lo = -(-(match * q - q // 2) // t)
+    hi = -(-((match + 1) * q - q // 2) // t)
+    targets = [lo - 1, lo, hi - 1, hi, q - 1, 0, 1, q // 2, q // 2 + 1]
+    expected = [False, True, True, False, False, False, False, False, False]
+    assert [scales_to_match(p) for p in targets] == expected
+
+    num_polys, cols = 4, 36
+    rng = np.random.default_rng(params.n)
+    db_phases = rng.integers(0, q, size=(num_polys, cols), dtype=np.int64)
+    planted = np.resize(np.array(targets, dtype=np.int64), cols)
+    # query row r is planted against database polynomial r; rows 4 and 5
+    # are random, so their sums wrap past q about half the time
+    query_phases = np.concatenate(
+        [
+            (planted - db_phases) % q,
+            rng.integers(0, q, size=(2, cols), dtype=np.int64),
+        ]
+    )
+    row_map = np.array(
+        [[0, 0, 0, 0], [0, 1, 2, 3], [4, 4, 4, 4], [5, 4, 1, 1]], dtype=np.intp
+    )
+    got = fused_decrypt_flags(db_phases, query_phases, row_map, params, w)
+    want = scaled_decrypt_flags(db_phases, query_phases, row_map, params, w)
+    assert np.array_equal(got, want)
+    on_edges = np.resize(np.array(expected), cols)
+    assert np.array_equal(got[0, 0], on_edges)
+    for j in range(num_polys):
+        assert np.array_equal(got[1, j], on_edges)
+
+
+def test_fused_flags_reject_what_the_range_test_cannot_hold():
+    phases = np.zeros((1, 4), dtype=np.int64)
+    row_map = np.zeros((1, 1), dtype=np.intp)
+    paper = BFVParams.test_small(4)
+    with pytest.raises(ValueError, match="match value"):
+        fused_decrypt_flags(phases, phases, row_map, paper, chunk_width=17)
+    wide = BFVParams(n=4, q=(1 << 62) + 1, t=1 << 16, name="wide")
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        fused_decrypt_flags(phases, phases, row_map, wide, chunk_width=16)
+    with pytest.raises(IndexError):
+        fused_decrypt_flags(phases, phases, row_map + 1, paper, chunk_width=16)
 
 
 def test_arena_phase_cache_and_slice_views():

@@ -7,6 +7,7 @@ and through a real socket pair with the sync reader.
 """
 
 import socket
+import struct
 import threading
 
 import numpy as np
@@ -421,3 +422,55 @@ def test_invalid_utf8_text_field_raises_framing_error(case):
 def test_malformed_hello_from_the_issue_raises_framing_error():
     with pytest.raises(FramingError):
         codec.decode_hello(b"\x02\x00\x02\x00\xff\xfe")
+
+
+# -- request-object validation stays behind FramingError ----------------------
+
+_REQUEST_HEAD = b"\x00" + struct.pack("<d", -1.0) + b"\x00\x00"
+
+
+@pytest.mark.parametrize(
+    "ftype, body, message",
+    [
+        (FrameType.SEARCH, b"\x00\x00\x00\x00", "empty query"),
+        (FrameType.BATCH, b"\x00\x00\x00\x00", "empty batch"),
+        (
+            FrameType.WILDCARD,
+            b"\x08\x00\x00\x00\xff\x10\x00\x00\x00\xff\xff",
+            "same length",
+        ),
+    ],
+    ids=["search", "batch", "wildcard"],
+)
+def test_request_the_request_type_rejects_raises_framing_error(
+    ftype, body, message
+):
+    with pytest.raises(FramingError, match=message):
+        codec.decode_request(ftype, _REQUEST_HEAD + body)
+
+
+@pytest.mark.parametrize("case", ["exact", "wildcard", "batch"])
+def test_mutated_request_payload_decodes_or_raises_framing_error(case):
+    """Seeded byte flips, truncations and appended bytes over one valid
+    payload per request frame type: ``decode_request`` returns a request
+    or raises ``FramingError``, nothing else."""
+    payload, decode = _TEXT_PAYLOADS[f"request-{case}"]
+    rng = np.random.default_rng(13)
+    outcomes = {"decoded": 0, "rejected": 0}
+    for _ in range(3000):
+        data = bytearray(payload)
+        kind = rng.integers(3)
+        if kind == 0:
+            for pos in rng.integers(0, len(data), size=rng.integers(1, 4)):
+                data[pos] ^= 1 << rng.integers(8)
+        elif kind == 1:
+            del data[rng.integers(0, len(data)) :]
+        else:
+            data += rng.integers(0, 256, size=rng.integers(1, 9), dtype=np.uint8).tobytes()
+        try:
+            decode(bytes(data))
+        except FramingError:
+            outcomes["rejected"] += 1
+        else:
+            outcomes["decoded"] += 1
+    assert outcomes["decoded"] and outcomes["rejected"]
