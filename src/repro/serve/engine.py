@@ -47,6 +47,7 @@ import queue as queue_mod
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -84,7 +85,7 @@ from ..faults import (
 )
 from .cache import VariantCipherCache
 from .executor import ProcessShardExecutor, WorkerCrashError, resolve_serve_executor
-from .report import ServeReport, ShardStats
+from .report import ModelReplay, ServeReport, ShardStats
 from .scheduler import ServeScheduler, ShardTaskTrace
 from .worker import ShardWorkerSpec
 
@@ -473,27 +474,33 @@ class ShardedSearchEngine:
             self.max_workers or len(self.shards),
             max(1, len(jobs) * len(self.shards)),
         )
+        # The calling thread is worker 0.  Besides saving a start, this
+        # keeps the process's memory flat: a thread started while the
+        # previous batch's threads are still exiting finds no free glibc
+        # malloc arena and creates one (7-15 MiB of retained high water
+        # each; BENCH_14.json, "rss").
         threads = [
             threading.Thread(target=worker, name=f"serve-worker-{i}")
-            for i in range(num_workers)
+            for i in range(1, num_workers)
         ]
         for t in threads:
             t.start()
+        worker()
         for t in threads:
             t.join()
         if errors:
             raise errors[0]
         wall = time.perf_counter() - start
 
-        sim = self.scheduler.simulate(
-            traces, self.db.ciphertexts[0].serialized_bytes if self.db.ciphertexts else 0
+        # The device model is an analysis of the batch, not part of
+        # serving it: hand the report the traces and let whoever reads a
+        # modeled figure pay for the replay (once; see ModelReplay).
+        model = ModelReplay(
+            self.scheduler,
+            traces,
+            self.db.ciphertexts[0].serialized_bytes if self.db.ciphertexts else 0,
+            [job.index for job in order],
         )
-        # Expand per distinct job -> per input query (duplicates share a
-        # job), so wall and modeled percentiles weight queries equally.
-        job_modeled = self.scheduler.per_query_latency(sim)
-        modeled_latencies = {
-            i: job_modeled.get(job.index, 0.0) for i, job in enumerate(order)
-        }
         shard_stats = []
         for shard in self.shards:
             channel, die = self.scheduler.placement(shard.shard_id)
@@ -506,7 +513,7 @@ class ShardedSearchEngine:
                     hom_adds=shard.hom_adds,
                     tasks_executed=shard.tasks_executed,
                     busy_seconds=shard.busy_seconds,
-                    modeled_utilization=sim.die_utilization(channel, die),
+                    modeled_utilization=partial(model.utilization, channel, die),
                     restarts=(
                         workers.shard_restarts(shard.shard_id) if workers else 0
                     ),
@@ -535,8 +542,8 @@ class ShardedSearchEngine:
             queue_depth_mean=(
                 sum(depth_samples) / len(depth_samples) if depth_samples else 0.0
             ),
-            modeled_makespan=sim.makespan,
-            modeled_latencies=modeled_latencies,
+            modeled_makespan=model.makespan,
+            modeled_latencies=model.latencies,
             encrypted_db_bytes=self.db.serialized_bytes,
             executor=exec_kind,
             worker_restarts=batch_crashes[0],

@@ -6,21 +6,133 @@ returns — the per-query :class:`~repro.core.pipeline.SearchReport` list
 produce) plus the operational metrics a serving deployment watches.  The
 tables render through :mod:`repro.eval.tables` so serving output matches
 the paper-figure reproductions.
+
+The *modeled* figures (makespan, per-query latency, per-shard
+utilization) are an analysis of the batch, not part of serving it: the
+engine hands the report a :class:`ModelReplay` holding the batch's task
+traces, and the discrete-event replay runs once, the first time any of
+those figures is read — by ``python -m repro serve``, a bench table, or
+a STATS frame's ``report_json`` — never on the request path.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.matcher import MatchCandidate
 from ..core.pipeline import SearchReport
 from ..eval.tables import format_bytes, format_table, percentile
 from .cache import CacheStats
+from .scheduler import ServeScheduler, ShardTaskTrace
 
 #: schema guard for the machine-readable serialization
 SERVE_REPORT_VERSION = 1
+
+
+class ModelReplay:
+    """The CM-IFP device model of one served batch, run when first read.
+
+    Holds what :meth:`ServeScheduler.simulate` needs — the batch's
+    (job, shard) task traces, the result-ciphertext size and, per input
+    query, the index of the distinct job that served it — and replays
+    them once, under a lock, the first time :meth:`makespan`,
+    :meth:`latencies` or :meth:`utilization` is called; concurrent first
+    readers all see that one replay.  Only the derived figures are kept
+    afterwards, not the traces or the simulated requests.
+
+    Traces are replayed in ``(query_index, shard_id)`` order, whatever
+    order the engine's worker threads completed them in: the simulator
+    breaks ready-time ties by submission order, so on shards that share
+    a channel the modeled figures would otherwise depend on host thread
+    timing.
+    """
+
+    def __init__(
+        self,
+        scheduler: ServeScheduler,
+        traces: Sequence[ShardTaskTrace],
+        ciphertext_bytes: int,
+        job_of_query: Sequence[int],
+    ):
+        self._lock = threading.Lock()
+        self._pending: Optional[tuple] = (
+            scheduler,
+            sorted(traces, key=lambda t: (t.query_index, t.shard_id)),
+            ciphertext_bytes,
+            list(job_of_query),
+        )
+        self._makespan = 0.0
+        self._latencies: Dict[int, float] = {}
+        self._utilization: Dict[Tuple[int, int], float] = {}
+
+    def _replayed(self) -> "ModelReplay":
+        with self._lock:
+            if self._pending is not None:
+                scheduler, traces, ciphertext_bytes, job_of_query = self._pending
+                sim = scheduler.simulate(traces, ciphertext_bytes)
+                per_job = scheduler.per_query_latency(sim)
+                self._makespan = sim.makespan
+                # Expand per distinct job -> per input query (duplicates
+                # share a job), so wall and modeled percentiles weight
+                # queries equally.
+                self._latencies = {
+                    i: per_job.get(job, 0.0) for i, job in enumerate(job_of_query)
+                }
+                self._utilization = {
+                    key: sim.die_utilization(*key) for key in sim.die_busy
+                }
+                self._pending = None
+        return self
+
+    def makespan(self) -> float:
+        return self._replayed()._makespan
+
+    def latencies(self) -> Dict[int, float]:
+        """Modeled latency keyed by input-query position."""
+        return self._replayed()._latencies
+
+    def utilization(self, channel: int, die: int) -> float:
+        """Busy fraction of the makespan for one die (0.0 for a die no
+        trace touched, e.g. a degraded shard's)."""
+        return self._replayed()._utilization.get((channel, die), 0.0)
+
+
+class _OnRead:
+    """Dataclass field that may be given a zero-argument callable in
+    place of its value; the callable runs at the first read and its
+    result takes its place.  A plain value is stored and returned as is,
+    so reports built with explicit numbers (tests, :meth:`from_dict`)
+    never call anything.
+
+    Used as the field's class-level default, which is how dataclasses
+    take a descriptor: ``_OnRead()`` leaves the field required,
+    ``_OnRead(0.0)`` defaults it to ``0.0`` and ``_OnRead(dict)`` to a
+    fresh ``{}`` per instance (the default is itself a callable).
+    """
+
+    def __init__(self, *default):
+        self._default = default
+
+    def __set_name__(self, owner, name):
+        self._name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            if self._default:
+                return self._default[0]
+            raise AttributeError(self._name)
+        value = obj.__dict__[self._name]
+        if callable(value):
+            # Racing first readers each store the same result: the
+            # callable is a memoized ModelReplay accessor.
+            value = obj.__dict__[self._name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self._name] = value
 
 
 @dataclass
@@ -34,8 +146,9 @@ class ShardStats:
     hom_adds: int
     tasks_executed: int
     busy_seconds: float
-    #: fraction of the modeled makespan the shard's die was busy
-    modeled_utilization: float
+    #: fraction of the modeled makespan the shard's die was busy (the
+    #: engine passes a :class:`ModelReplay` accessor, resolved on read)
+    modeled_utilization: float = _OnRead()
     #: worker-process restarts for this shard (0 under the thread
     #: executor, which has no per-shard process to lose)
     restarts: int = 0
@@ -65,10 +178,13 @@ class ServeReport:
     queue_depth_max: int = 0
     queue_depth_mean: float = 0.0
     #: discrete-event queueing model of the same batch on CM-IFP shards
-    modeled_makespan: float = 0.0
+    #: (from the engine: a :class:`ModelReplay` accessor, resolved the
+    #: first time it is read)
+    modeled_makespan: float = _OnRead(0.0)
     #: modeled latency per input query (keyed by batch position, so the
-    #: population matches :attr:`latencies` duplicate-for-duplicate)
-    modeled_latencies: Dict[int, float] = field(default_factory=dict)
+    #: population matches :attr:`latencies` duplicate-for-duplicate);
+    #: resolved on first read like :attr:`modeled_makespan`
+    modeled_latencies: Dict[int, float] = _OnRead(dict)
     encrypted_db_bytes: int = 0
     #: shard executor that served the batch ("thread" / "process")
     executor: str = "thread"

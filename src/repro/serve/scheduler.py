@@ -9,6 +9,11 @@ shard pinned to its own (channel, die) pair the way the FTL stripes the
 CIPHERMATCH region.  The resulting :class:`SimulationResult` yields the
 modeled batch makespan, per-shard utilization, and per-query modeled
 latency that :class:`repro.serve.report.ServeReport` surfaces.
+
+The replay is not on the request path: ``search_batch`` only records
+the traces, and :class:`repro.serve.report.ModelReplay` — the one
+caller of :meth:`ServeScheduler.simulate` — runs it when a modeled
+figure of the report is first read.
 """
 
 from __future__ import annotations

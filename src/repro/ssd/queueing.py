@@ -158,19 +158,20 @@ class SsdQueueingSimulator:
         done: List[IoRequest] = []
         makespan = 0.0
 
-        # (ready_time, seq, request, phase_index); seq keeps the heap
-        # stable and preserves submission order among simultaneous
-        # ready times (the FTL's FCFS).
-        events: List[Tuple[float, int, IoRequest, int]] = [
-            (arrival, seq, req, 0) for arrival, seq, req in self._pending
+        # (ready_time, seq, request, phases, phase_index); seq keeps the
+        # heap stable and preserves submission order among simultaneous
+        # ready times (the FTL's FCFS).  A request's phase list travels
+        # with its events, so it is built once, not once per phase.
+        events: List[Tuple[float, int, IoRequest, List[Tuple[str, float]], int]] = [
+            (arrival, seq, req, self._phases(req), 0)
+            for arrival, seq, req in self._pending
         ]
         self._pending.clear()
         heapq.heapify(events)
         next_seq = self._seq
 
         while events:
-            ready, _, req, phase_idx = heapq.heappop(events)
-            phases = self._phases(req)
+            ready, _, req, phases, phase_idx = heapq.heappop(events)
             resource, duration = phases[phase_idx]
             if resource == "channel":
                 start = max(ready, channel_free.get(req.channel, 0.0))
@@ -187,7 +188,9 @@ class SsdQueueingSimulator:
             if phase_idx == 0:
                 req.start = start
             if phase_idx + 1 < len(phases):
-                heapq.heappush(events, (finish, next_seq, req, phase_idx + 1))
+                heapq.heappush(
+                    events, (finish, next_seq, req, phases, phase_idx + 1)
+                )
                 next_seq += 1
             else:
                 req.finish = finish

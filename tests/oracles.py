@@ -15,14 +15,22 @@ scaling of every coefficient, and a dense prefix sum over every flag —
 which :func:`repro.he.arena.fused_decrypt_flags` (a range test on the
 phase) and :meth:`repro.core.matcher.ResultDecoder._offsets_for_variant`
 (a run rule on the set indices) must reproduce bit for bit.
+
+:func:`per_event_phases_run` is the queueing simulator's event loop as
+it was when it rebuilt a request's phase list on every event;
+:meth:`repro.ssd.queueing.SsdQueueingSimulator.run` (phases built once
+per request) must give the same floats in the same order.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
 from repro.core.matcher import CPUAdditionBackend
 from repro.he.arena import add_mod_q, center_rows, scale_rows_to_plaintext
+from repro.ssd.queueing import SimulationResult
 
 
 class PerPairAdder(CPUAdditionBackend):
@@ -89,3 +97,41 @@ def prefix_sum_offsets(decoder, variant, flags, prepared):
     offsets = starts * w - o
     offsets = offsets[(offsets >= 0) & (offsets + y <= decoder.db_bit_length)]
     return offsets.astype(np.int64)
+
+
+def per_event_phases_run(sim):
+    """Drain ``sim``'s submitted requests through the phase-granular
+    event loop, calling ``sim._phases(req)`` at every event."""
+    channel_free, die_free, channel_busy, die_busy = {}, {}, {}, {}
+    done = []
+    makespan = 0.0
+    events = [(arrival, seq, req, 0) for arrival, seq, req in sim._pending]
+    sim._pending.clear()
+    heapq.heapify(events)
+    next_seq = sim._seq
+    while events:
+        ready, _, req, phase_idx = heapq.heappop(events)
+        phases = sim._phases(req)
+        resource, duration = phases[phase_idx]
+        if resource == "channel":
+            start = max(ready, channel_free.get(req.channel, 0.0))
+            channel_free[req.channel] = start + duration
+            channel_busy[req.channel] = channel_busy.get(req.channel, 0.0) + duration
+        else:
+            dkey = (req.channel, req.die)
+            start = max(ready, die_free.get(dkey, 0.0))
+            die_free[dkey] = start + duration
+            die_busy[dkey] = die_busy.get(dkey, 0.0) + duration
+        finish = start + duration
+        if phase_idx == 0:
+            req.start = start
+        if phase_idx + 1 < len(phases):
+            heapq.heappush(events, (finish, next_seq, req, phase_idx + 1))
+            next_seq += 1
+        else:
+            req.finish = finish
+            makespan = max(makespan, finish)
+            done.append(req)
+    return SimulationResult(
+        requests=done, makespan=makespan, channel_busy=channel_busy, die_busy=die_busy
+    )

@@ -1,6 +1,8 @@
 """Sharded concurrent serving: equivalence with the sequential pipeline,
 cross-shard offset correctness, cache bounding, and scheduler scaling."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,33 @@ class TestServeMetrics:
             engine.outsource(db)
             makespans[shards] = engine.search_batch(queries).modeled_makespan
         assert makespans[1] / makespans[4] >= 2.0
+
+    @pytest.mark.parametrize(
+        "shards, max_workers, starts", [(4, None, 3), (4, 1, 0), (1, None, 0)]
+    )
+    def test_calling_thread_is_a_worker(self, rng, monkeypatch, shards, max_workers, starts):
+        """A batch starts one thread fewer than it has workers (the
+        caller runs the rest) and reports the workers it really had."""
+        db, queries = make_workload(rng, num_queries=2)
+        engine = ShardedSearchEngine(
+            ClientConfig(PARAMS, key_seed=51), num_shards=shards, max_workers=max_workers
+        )
+        engine.outsource(db)
+        started = []
+        real_start = threading.Thread.start
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                threading.Thread,
+                "start",
+                lambda self: started.append(self.name) or real_start(self),
+            )
+            report = engine.search_batch(queries)
+        assert [n for n in started if n.startswith("serve-worker")] == [
+            f"serve-worker-{i}" for i in range(1, starts + 1)
+        ]
+        assert report.num_workers == starts + 1
+        assert report.matches_per_query() == [find_all_matches(db, q) for q in queries]
+        assert sum(s.tasks_executed for s in report.shards) == len(queries) * shards
 
 
 class TestIfpBackendSharding:

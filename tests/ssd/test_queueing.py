@@ -1,5 +1,7 @@
 """Tests for the event-driven SSD queueing simulator."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from repro.ssd.queueing import (
     cm_search_wave,
     simulate_cm_search,
 )
+from tests.oracles import per_event_phases_run
 
 
 @pytest.fixture
@@ -214,3 +217,53 @@ class TestCmSearchWave:
         result = simulate_cm_search(slots, geometry, timings)
         total_die = sum(result.die_busy.values())
         assert total_die == pytest.approx(slots * 32 * timings.t_bop_add)
+
+
+class TestPhasesBuiltOncePerRequest:
+    @staticmethod
+    def _stream(seed):
+        rnd = random.Random(seed)
+        kinds = list(RequestKind)
+        return [
+            IoRequest(
+                kind=rnd.choice(kinds),
+                channel=rnd.randrange(2),
+                die=rnd.randrange(2),
+                # repeated arrival times force ready-time ties
+                arrival=rnd.choice([0.0, 0.0, 1e-5, 2.5e-5, rnd.random() * 1e-4]),
+                pages=rnd.randint(1, 3),
+                tag=f"q{i % 5}",
+            )
+            for i in range(120)
+        ]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_floats_in_same_order_as_per_event_loop(self, geometry, timings, seed):
+        def run(loop):
+            sim = SsdQueueingSimulator(geometry, timings, word_bits=17)
+            sim.submit_many(self._stream(seed))
+            result = loop(sim)
+            return (
+                [(r.tag, r.kind, r.channel, r.die, r.start, r.finish) for r in result.requests],
+                result.makespan,
+                list(result.channel_busy.items()),
+                list(result.die_busy.items()),
+            )
+
+        got = run(SsdQueueingSimulator.run)
+        assert got == run(per_event_phases_run)
+        assert {kind for _, kind, *_ in got[0]} == set(RequestKind)
+
+    def test_phases_called_once_per_request(self, geometry, timings, monkeypatch):
+        calls = []
+        real = SsdQueueingSimulator._phases
+        monkeypatch.setattr(
+            SsdQueueingSimulator,
+            "_phases",
+            lambda self, req: calls.append(req) or real(self, req),
+        )
+        sim = SsdQueueingSimulator(geometry, timings)
+        stream = self._stream(0)
+        sim.submit_many(stream)
+        assert len(sim.run().requests) == len(stream)
+        assert len(calls) == len(stream)
