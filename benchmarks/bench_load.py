@@ -1,8 +1,7 @@
 """Open-loop load SLO benchmark over the trace-driven harness.
 
 Boots a loopback :class:`repro.net.ServiceThread` around a 2-shard
-``bfv-sharded`` engine on the **process** executor with a small
-per-connection admission bound, then drives the ``database`` scenario
+``bfv-sharded`` engine with a small per-connection admission bound, then drives the ``database`` scenario
 (32-bit exact key lookups from :mod:`repro.load`) through the client
 SDK two ways:
 
@@ -49,6 +48,7 @@ from _util import OUT_DIR, emit
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.he import BFVParams
 from repro.load import (
+    FAILED,
     SCENARIO_REGISTRY,
     BurstyArrivals,
     LoadReport,
@@ -116,9 +116,12 @@ def resilience_lanes(
       combined shed + admit-rejected rate under ``REJECT_RATE_CAP``.
     * **chaos-replay** — a fixed fault schedule (worker crash on shard 1,
       a server shed storm, a client-side connection drop) replayed over
-      a Poisson trace.  Every scheduled fault must actually fire, and
-      the retrying client must still finish with zero failures and zero
-      oracle mismatches.
+      a Poisson trace.  Every scheduled fault must actually fire.  The
+      crash is terminal for the batch it hits — the requests the session
+      dispatcher had coalesced at that moment, at least one and at most
+      ``MAX_IN_FLIGHT`` — so that many requests fail with the crash as
+      their error and nothing else may fail; the retrying client must
+      finish everything else with zero oracle mismatches.
     """
     n_burst = 40 if quick else 120
     n_chaos = 40 if quick else 100
@@ -132,7 +135,6 @@ def resilience_lanes(
         params=BFVParams.test_small(64),
         num_shards=NUM_SHARDS,
         key_seed=seed,
-        executor="process",
         max_in_flight=MAX_IN_FLIGHT,
         admission=AdmissionController(budget),
     ) as service:
@@ -146,7 +148,7 @@ def resilience_lanes(
                     scenario, PoissonArrivals(), 50.0, max_requests=1
                 ).events[0].request,
                 None,
-            ).result()  # warm the worker pool
+            ).result()  # warm the shard arenas
             trace_burst = generate_trace(
                 scenario, BurstyArrivals(), sustainable, max_requests=n_burst
             )
@@ -193,7 +195,6 @@ def resilience_lanes(
         params=BFVParams.test_small(64),
         num_shards=NUM_SHARDS,
         key_seed=seed,
-        executor="process",
         max_in_flight=MAX_IN_FLIGHT,
         admission=AdmissionController(budget),
         fault_plan=chaos_plan,
@@ -205,10 +206,10 @@ def resilience_lanes(
             trace_chaos = generate_trace(
                 scenario, PoissonArrivals(), sustainable, max_requests=n_chaos
             )
-            slo_chaos = ScenarioSlo.from_run(
-                trace_chaos,
-                run_trace(trace_chaos, target, injector=client_injector),
+            run_chaos = run_trace(
+                trace_chaos, target, injector=client_injector
             )
+            slo_chaos = ScenarioSlo.from_run(trace_chaos, run_chaos)
             server_fired = service.service.fault_injector.summary()
             stats = target.stats()
         finally:
@@ -220,8 +221,21 @@ def resilience_lanes(
             f"{slo_chaos.completed} + shed {slo_chaos.shed} + admit_rejected "
             f"{slo_chaos.admit_rejected} + failed {slo_chaos.failed}"
         )
-    if slo_chaos.failed:
-        failures.append(f"chaos-replay: {slo_chaos.failed} request(s) failed")
+    crashes = sum(
+        1 for event in chaos_plan.events if event.kind == "worker_crash"
+    )
+    if not crashes <= slo_chaos.failed <= crashes * MAX_IN_FLIGHT:
+        failures.append(
+            f"chaos-replay: {slo_chaos.failed} request(s) failed; "
+            f"{crashes} scheduled worker_crash event(s) fail between "
+            f"{crashes} and {crashes * MAX_IN_FLIGHT}"
+        )
+    for outcome in run_chaos.outcomes:
+        if outcome.status == FAILED and "worker crash" not in outcome.error:
+            failures.append(
+                f"chaos-replay: request {outcome.index} failed for a reason "
+                f"other than the injected crash: {outcome.error}"
+            )
     if slo_chaos.mismatches:
         failures.append(
             f"chaos-replay: {slo_chaos.mismatches} oracle mismatch(es) "
@@ -277,7 +291,6 @@ def tenant_lanes(scenario_key: str, seed: int, quick: bool, failures: list):
         specs,
         params=BFVParams.test_small(64),
         num_shards=NUM_SHARDS,
-        executor="process",
         global_cache_bytes=8 << 20,
     )
     scenarios = {
@@ -312,7 +325,7 @@ def tenant_lanes(scenario_key: str, seed: int, quick: bool, failures: list):
                     ).events
                 ]
                 hot = targets["hot"]
-                hot.submit(probe[0], None).result()  # warm the worker pool
+                hot.submit(probe[0], None).result()  # warm the shard arenas
                 t0 = time.perf_counter()
                 for request in probe[1:]:
                     hot.submit(request, None).result()
@@ -434,8 +447,6 @@ def run_tenant(quick: bool, seed: int) -> int:
             for t in tenant_ids
             if t in lanes
         ],
-        executor=str(stats.get("executor", "")),
-        worker_restarts=int(stats.get("worker_restarts", 0) or 0),
         scheduler_sheds=int(stats.get("scheduler_sheds", 0) or 0),
         tenants=rows,
     )
@@ -481,7 +492,6 @@ def run(quick: bool, seed: int) -> int:
         params=BFVParams.test_small(64),
         num_shards=NUM_SHARDS,
         key_seed=seed,
-        executor="process",
         max_in_flight=MAX_IN_FLIGHT,
     ) as service:
         # shedding is per-connection: one socket so the in-flight bound
@@ -500,7 +510,7 @@ def run(quick: bool, seed: int) -> int:
                     scenario, PoissonArrivals(), 100.0, max_requests=n_probe + 1
                 ).events
             ]
-            target.submit(probe[0], None).result()  # warm the worker pool
+            target.submit(probe[0], None).result()  # warm the shard arenas
             t0 = time.perf_counter()
             for request in probe[1:]:
                 target.submit(request, None).result()
@@ -578,8 +588,6 @@ def run(quick: bool, seed: int) -> int:
             dataclasses.replace(slo_lo, scenario="database @0.4x"),
             dataclasses.replace(slo_hi, scenario="database @5x"),
         ],
-        executor=str(stats.get("executor", "")),
-        worker_restarts=int(stats.get("worker_restarts", 0) or 0),
         scheduler_sheds=int(stats.get("scheduler_sheds", 0) or 0),
     )
     emit("load_slo", report.table())
@@ -598,8 +606,6 @@ def run(quick: bool, seed: int) -> int:
             dataclasses.replace(slo_burst, scenario="database mmpp-burst"),
             dataclasses.replace(slo_chaos, scenario="database chaos-replay"),
         ],
-        executor=str(chaos_stats.get("executor", "")),
-        worker_restarts=int(chaos_stats.get("worker_restarts", 0) or 0),
         scheduler_sheds=int(chaos_stats.get("scheduler_sheds", 0) or 0),
     )
     emit("chaos_slo", chaos_report.table())
@@ -622,7 +628,8 @@ def run(quick: bool, seed: int) -> int:
         f"record/replay identical; mmpp-burst p99 {slo_burst.p99_ms:.0f} ms "
         f"within {budget * 1e3:.0f} ms budget at "
         f"{slo_burst.reject_rate:.0%} reject rate; chaos replay fired "
-        f"{sum(fired.values())} fault(s) with 0 failures"
+        f"{sum(fired.values())} fault(s), {slo_chaos.failed} request(s) lost "
+        f"to the crash"
     )
     return 0
 

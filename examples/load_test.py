@@ -82,7 +82,7 @@ def drive(trace: LoadTrace) -> LoadReport:
         rate=trace.rate,
         seed=trace.seed,
         scenarios=[ScenarioSlo.from_run(trace, run)],
-        executor=str(stats.get("executor", "")),
+        scheduler_sheds=stats["scheduler_sheds"],
     )
     print(report.table())
     return report

@@ -92,7 +92,7 @@ def _search(args: argparse.Namespace) -> int:
         return 2
     if args.remote is not None:
         # the server side owns shard/backend/key configuration
-        for name in ("shards", "poly_backend", "executor", "key_seed"):
+        for name in ("shards", "poly_backend", "key_seed"):
             if getattr(args, name, None) is not None:
                 print(
                     f"error: --{name.replace('_', '-')} configures a local "
@@ -107,13 +107,6 @@ def _search(args: argparse.Namespace) -> int:
             engine_kwargs["num_shards"] = args.shards
         if args.poly_backend is not None:
             engine_kwargs["poly_backend"] = args.poly_backend
-        if getattr(args, "executor", None) is not None:
-            if args.engine != "bfv-sharded":
-                print(
-                    f"error: engine {args.engine!r} has no executor choice"
-                )
-                return 2
-            engine_kwargs["executor"] = args.executor
         if args.key_seed is not None and args.engine != "plaintext":
             # every HE engine takes a seed under one of these names
             engine_kwargs[
@@ -259,7 +252,6 @@ def _serve(args: argparse.Namespace) -> int:
         key_seed=11,
         cache_capacity=128,
         poly_backend=args.poly_backend,
-        executor=args.executor,
         db_bits=db,
     ) as session:
         session.search_batch(queries)
@@ -293,8 +285,6 @@ def _serve_net(args: argparse.Namespace) -> int:
     engine_kwargs = {"num_shards": args.shards}
     if args.poly_backend is not None:
         engine_kwargs["poly_backend"] = args.poly_backend
-    if args.executor is not None:
-        engine_kwargs["executor"] = args.executor
     if args.key_seed is not None:
         engine_kwargs["key_seed"] = args.key_seed
     if args.degraded_mode is not None:
@@ -518,8 +508,6 @@ def _load(args: argparse.Namespace) -> int:
         spec = DEFAULT_REGISTRY.spec(args.engine)
         if spec.capabilities.sharded:
             engine_kwargs["num_shards"] = args.shards
-        if args.executor is not None:
-            engine_kwargs["executor"] = args.executor
         if args.poly_backend is not None:
             engine_kwargs["poly_backend"] = args.poly_backend
         if args.key_seed is not None and args.engine != "plaintext":
@@ -571,8 +559,6 @@ def _load(args: argparse.Namespace) -> int:
         rate=rate,
         seed=seed,
         scenarios=slos,
-        executor=str(stats.get("executor", "")),
-        worker_restarts=int(stats.get("worker_restarts", 0) or 0),
         scheduler_sheds=int(stats.get("scheduler_sheds", 0) or 0),
         tenants=dict(stats.get("tenants", {}) or {}),
     )
@@ -646,11 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="polynomial-arithmetic backend",
     )
     p_search.add_argument(
-        "--executor", choices=["thread", "process"],
-        help="shard executor (bfv-sharded engine only): thread workers "
-        "or spawn-pinned worker processes over a shared-memory arena",
-    )
-    p_search.add_argument(
         "--key-seed", type=int, help="deterministic key generation seed"
     )
     p_search.add_argument(
@@ -712,11 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--poly-backend", choices=["vectorized", "reference"],
         help="polynomial-arithmetic backend",
     )
-    p_serve.add_argument(
-        "--executor", choices=["thread", "process"],
-        help="shard executor: thread workers or spawn-pinned worker "
-        "processes over a shared-memory arena",
-    )
     p_serve.set_defaults(func=_serve)
 
     p_serve_net = sub.add_parser(
@@ -744,11 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve_net.add_argument(
         "--poly-backend", choices=["vectorized", "reference"],
         help="polynomial-arithmetic backend",
-    )
-    p_serve_net.add_argument(
-        "--executor", choices=["thread", "process"],
-        help="shard executor: thread workers or spawn-pinned worker "
-        "processes over a shared-memory arena",
     )
     p_serve_net.add_argument(
         "--key-seed", type=int, help="deterministic key generation seed"
@@ -878,10 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument(
         "--shards", type=int, default=4,
         help="shard count for sharded engines (default: 4)",
-    )
-    p_load.add_argument(
-        "--executor", choices=["thread", "process"],
-        help="shard executor (bfv-sharded engine only)",
     )
     p_load.add_argument(
         "--poly-backend", choices=["vectorized", "reference"],

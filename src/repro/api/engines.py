@@ -347,7 +347,6 @@ class ShardedEngine(Engine):
         chunk_width: Optional[int] = None,
         index_mode: IndexMode = IndexMode.CLIENT_DECRYPT,
         poly_backend: Optional[str] = None,
-        executor: Optional[str] = None,
         cache_capacity: int = 256,
         max_workers: Optional[int] = None,
         backend_factory: Optional[Callable] = None,
@@ -379,7 +378,6 @@ class ShardedEngine(Engine):
             backend_factory=backend_factory,
             max_workers=max_workers,
             cache_capacity=cache_capacity,
-            executor=executor,
             degraded_mode=degraded_mode,
             breaker_threshold=breaker_threshold,
             breaker_cooldown=breaker_cooldown,
@@ -394,7 +392,7 @@ class ShardedEngine(Engine):
         self.engine.outsource(np.asarray(db_bits, dtype=np.uint8))
 
     def close(self) -> None:
-        """Shut down shard worker processes (no-op under threads)."""
+        """Close the serving engine."""
         self.engine.close()
 
     def adopt_database(self, db) -> None:
@@ -405,7 +403,9 @@ class ShardedEngine(Engine):
     def db_bit_length(self) -> Optional[int]:
         return None if self.engine.db is None else self.engine.db.bit_length
 
-    def _shard_breakdown(self) -> tuple:
+    @staticmethod
+    def _shard_breakdown(serve) -> tuple:
+        """Per-shard work of the batch ``serve`` reports."""
         return tuple(
             ShardBreakdown(
                 shard_id=s.shard_id,
@@ -413,7 +413,7 @@ class ShardedEngine(Engine):
                 hom_adds=s.hom_adds,
                 tasks_executed=s.tasks_executed,
             )
-            for s in self.engine.shards
+            for s in serve.shards
         )
 
     def _exact(self, bits: np.ndarray, verify: bool) -> _Outcome:
@@ -426,7 +426,7 @@ class ShardedEngine(Engine):
             verified=verify,
             num_variants=report.num_variants,
             encrypted_db_bytes=report.encrypted_db_bytes,
-            shards=self._shard_breakdown(),
+            shards=self._shard_breakdown(serve),
             degraded_shards=tuple(report.degraded_shards),
         )
 
@@ -448,7 +448,7 @@ class ShardedEngine(Engine):
         )
         self.last_serve_report = serve
         elapsed = time.perf_counter() - start
-        shards = self._shard_breakdown()
+        shards = self._shard_breakdown(serve)
         results = tuple(
             SearchResult(
                 matches=tuple(r.matches),

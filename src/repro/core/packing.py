@@ -69,17 +69,8 @@ class EncryptedDatabase:
     def __setattr__(self, name: str, value) -> None:
         if name == "ciphertexts":
             object.__setattr__(self, "_serialized_bytes", None)
-            self._drop_arena()
+            object.__setattr__(self, "_arena", None)
         object.__setattr__(self, name, value)
-
-    def _drop_arena(self) -> None:
-        """Drop the cached arena, eagerly unlinking any OS-shared
-        backing it published — re-sharing after an invalidate must not
-        leave the previous ``/dev/shm`` segments linked until GC."""
-        arena = getattr(self, "_arena", None)
-        if arena is not None:
-            arena.release_shared()
-        object.__setattr__(self, "_arena", None)
 
     @property
     def num_polynomials(self) -> int:
@@ -102,7 +93,7 @@ class EncryptedDatabase:
     def invalidate_caches(self) -> None:
         """Drop derived caches after in-place ciphertext mutation."""
         self._serialized_bytes = None
-        self._drop_arena()
+        self._arena = None
 
     def fused_arena(self, ring, params) -> "CiphertextArena":
         """The database's :class:`~repro.he.arena.CiphertextArena` —
@@ -114,7 +105,6 @@ class EncryptedDatabase:
         database."""
         arena = self._arena
         if arena is None or arena.ring != ring:
-            self._drop_arena()
             arena = CiphertextArena.from_ciphertexts(
                 ring, params, self.ciphertexts, lazy=True
             )

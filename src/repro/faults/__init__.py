@@ -11,8 +11,7 @@ a fault plan composes with any of them without cycles:
   serializable (:mod:`repro.faults.plan`).
 * :class:`FaultInjector` — the thread-safe replayer each choke point
   (`shard.task`, `server.request`, `client.request`, `frame.send`)
-  steps; :func:`crash_shard_worker` is the shared worker-crash hook
-  (:mod:`repro.faults.inject`).
+  steps (:mod:`repro.faults.inject`).
 * :class:`CircuitBreaker` — closed/open/half-open per shard, feeding
   the engine's partial-results degraded mode
   (:mod:`repro.faults.breaker`).
@@ -34,7 +33,6 @@ from .inject import (
     FaultInjector,
     FiredFault,
     corrupt_payload,
-    crash_shard_worker,
     install_engine_injector,
 )
 from .plan import (
@@ -79,7 +77,6 @@ __all__ = [
     "ShardDegradedError",
     "WORKER_CRASH",
     "corrupt_payload",
-    "crash_shard_worker",
     "decorrelated_jitter",
     "install_engine_injector",
     "RetryPolicy",

@@ -4,8 +4,8 @@ half-open probe after a cooldown, closed again on a clean probe.
 The breaker is deliberately tiny — consecutive-failure threshold, a
 monotonic-clock cooldown, and a single-probe half-open gate — because
 its job in the sharded engine is narrow: stop feeding tasks to a shard
-whose worker keeps dying, so the batch path can return partial results
-from the live shards instead of burning a respawn per task.
+whose tasks keep crashing, so the batch path can return partial results
+from the live shards instead of failing on it again.
 """
 
 from __future__ import annotations

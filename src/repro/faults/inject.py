@@ -1,7 +1,6 @@
 """The hook side of fault injection: a thread-safe :class:`FaultInjector`
 that the instrumented choke points (engine workers, the asyncio
-service, the load harness, the framing layer) consult, plus the shared
-``crash_shard_worker`` hook.
+service, the load harness, the framing layer) consult.
 
 The injector keeps one visit counter per ``(site, target)`` pair; a
 scheduled :class:`~repro.faults.plan.FaultEvent` fires exactly once,
@@ -125,19 +124,6 @@ def corrupt_payload(payload: bytes, seed: int = 0) -> bytes:
         index = rng.randrange(len(data))
         data[index] ^= rng.randint(1, 255)
     return bytes(data)
-
-
-def crash_shard_worker(executor: object, shard_id: int) -> bool:
-    """The canonical worker-crash hook: hard-kill the process pinned to
-    ``shard_id`` on any executor exposing ``crash_worker``.
-    Returns ``False`` when the executor has no crashable workers (e.g.
-    the thread executor), letting callers fall back to a simulated
-    crash."""
-    crash = getattr(executor, "crash_worker", None)
-    if crash is None:
-        return False
-    crash(shard_id)
-    return True
 
 
 def install_engine_injector(engine: object, injector: Optional[FaultInjector]) -> bool:

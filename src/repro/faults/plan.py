@@ -160,9 +160,8 @@ class FaultPlan:
         return FaultPlan(self.events + tuple(events))
 
     def worker_crash(self, at: int, *, shard: int = -1) -> "FaultPlan":
-        """Kill (process executor) or simulate a terminal crash of
-        (thread executor) the worker serving ``shard`` at its
-        ``at``-th task."""
+        """Fail ``shard``'s ``at``-th task with a
+        :class:`~repro.serve.WorkerCrashError`."""
         return self.extend(FaultEvent(WORKER_CRASH, at, target=shard))
 
     def slow_shard(

@@ -39,12 +39,8 @@ both polynomial backends.
 
 from __future__ import annotations
 
-import os
-import tempfile
 import threading
-import weakref
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -193,14 +189,9 @@ class CiphertextArena:
         self._phase_built: np.ndarray | None = None
         #: cached limb-major (k, num_polys, n) RNS view of the c1 rows
         #: (vectorized backend); built per tile on first touch.  A
-        #: ``None`` built-mask with a non-None array means "externally
-        #: provided, fully built" (shared-memory attach).
+        #: ``None`` built-mask with a non-None array means fully built.
         self._c1_limbs: np.ndarray | None = None
         self._limbs_built: np.ndarray | None = None
-        #: OS-shared backing blocks (kept alive for the arena's lifetime)
-        self._blocks: List["_SharedBlock"] | None = None
-        #: handle returned by :meth:`share` (root arenas only)
-        self._shared_handle: "SharedArenaHandle | None" = None
 
     # -- construction ------------------------------------------------------
 
@@ -514,262 +505,6 @@ class CiphertextArena:
             if lo == 0 and hi == self.num_polys:
                 return rows
             return rows[lo:hi]
-
-    # -- OS-shared backing (process-parallel serving shards) ---------------
-
-    def share(self, backing: str = "auto") -> "SharedArenaHandle":
-        """Move the arena's stack — and, on the vectorized backend, its
-        cached RNS-limb view — into OS shared memory so worker processes
-        can attach zero-copy views by name instead of pickling poly data.
-
-        Root arenas only (shard slices share through their parent).  The
-        arena keeps reading the shared copy after this call, so existing
-        ``slice()`` views and phase caches built *afterwards* alias the
-        same pages the workers see.  Idempotent: repeated calls return
-        the same handle.  ``backing`` is ``"shm"``
-        (:mod:`multiprocessing.shared_memory`), ``"memmap"`` (a
-        temp-file :class:`numpy.memmap`, the fallback for hosts without
-        POSIX shared memory), or ``"auto"``.
-        """
-        if self._parent is not None:
-            raise ValueError("share() applies to root arenas; share the parent")
-        with self._lock:
-            if self._shared_handle is not None:
-                return self._shared_handle
-            # Stack rows must exist before they are copied into the
-            # shared pages (a cheap memcpy even for a lazy arena) —
-            # otherwise a pre-existing slice view would keep aliasing
-            # the old, never-built private pages.
-            self._ensure_rows(0, self.num_polys)
-            # The expensive limb view is shared only if it already
-            # exists in full; otherwise workers build their shard's
-            # limbs lazily (deterministic, so parity is unaffected)
-            # and outsourcing stays cheap.
-            limbs = (
-                self._c1_limbs if self._limbs_built is None else None
-            )
-            stack_block = _create_block(self.stack.shape, backing)
-            np.copyto(stack_block.array, self.stack)
-            self.stack = stack_block.array
-            blocks = [stack_block]
-            limbs_ref = limbs_shape = None
-            if limbs is not None:
-                limbs_block = _create_block(limbs.shape, stack_block.kind)
-                np.copyto(limbs_block.array, limbs)
-                self._c1_limbs = limbs_block.array
-                blocks.append(limbs_block)
-                limbs_ref = limbs_block.ref
-                limbs_shape = tuple(limbs.shape)
-            self._blocks = blocks
-            self._shared_handle = SharedArenaHandle(
-                kind=stack_block.kind,
-                stack_ref=stack_block.ref,
-                stack_shape=tuple(self.stack.shape),
-                limbs_ref=limbs_ref,
-                limbs_shape=limbs_shape,
-            )
-            return self._shared_handle
-
-    def release_shared(self) -> None:
-        """Eagerly unlink this arena's OS-shared backing blocks.
-
-        Without this, a re-``share()`` after ``invalidate_caches()`` /
-        re-adopt leaves the previous ``/dev/shm`` segments (or memmap
-        files) linked until garbage collection gets around to the old
-        arena — a real leak under repeated adoption.  Existing local
-        views keep working (the pages stay mapped until unmapped; only
-        the *name* disappears), but no new process can attach and the
-        kernel reclaims the memory once the last mapping drops.
-        Attached (non-owning) arenas only close their mapping lazily
-        via GC as before; this is a no-op for them and for arenas that
-        never shared.  The released blocks stay referenced by the arena
-        (a later ``share()`` replaces them) so the mapping they pin
-        outlives every local view.
-        """
-        with self._lock:
-            blocks = list(self._blocks or ())
-            self._shared_handle = None
-        for block in blocks:
-            block.release()
-
-    @classmethod
-    def attach_shared(
-        cls,
-        ring: RingContext,
-        params: "BFVParams",
-        handle: "SharedArenaHandle",
-        start: Optional[int] = None,
-        stop: Optional[int] = None,
-    ) -> "CiphertextArena":
-        """Attach the stack published by :meth:`share` in another
-        process, as a *root* arena over rows ``[start, stop)`` (the
-        whole stack when omitted).
-
-        No coefficient data crosses the process boundary — the child
-        maps the same pages by name and slices its shard's rows.  The
-        returned arena pins the underlying mappings for its lifetime;
-        it never unlinks them (the sharing process owns cleanup).
-        """
-        start = 0 if start is None else start
-        stop = handle.stack_shape[0] if stop is None else stop
-        stack_block = _attach_block(handle.kind, handle.stack_ref, handle.stack_shape)
-        arena = cls(ring, params, stack_block.array[start:stop], base_index=start)
-        arena._blocks = [stack_block]
-        if handle.limbs_ref is not None and isinstance(
-            ring.backend, VectorizedBackend
-        ):
-            limbs_block = _attach_block(
-                handle.kind, handle.limbs_ref, handle.limbs_shape
-            )
-            # Limb-major (k, num_polys, n): the shard slices its row
-            # range on the middle axis; a None built-mask marks the
-            # view externally provided and fully built.
-            arena._c1_limbs = limbs_block.array[:, start:stop]
-            arena._limbs_built = None
-            arena._blocks.append(limbs_block)
-        return arena
-
-
-# ---------------------------------------------------------------------------
-# OS-shared backing blocks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SharedArenaHandle:
-    """Picklable name-and-shape reference to a shared arena's backing.
-
-    ``kind`` is ``"shm"`` or ``"memmap"``; ``stack_ref`` / ``limbs_ref``
-    are the shared-memory segment name or memmap file path.  Sending
-    this across a pipe is how a shard worker learns where the database
-    lives — never the coefficients themselves.
-    """
-
-    kind: str
-    stack_ref: str
-    stack_shape: Tuple[int, int, int]
-    limbs_ref: Optional[str] = None
-    limbs_shape: Optional[Tuple[int, ...]] = None
-
-
-class _SharedBlock:
-    """One OS-shared int64 buffer plus its keep-alive / cleanup hooks.
-
-    The creating side owns the segment and unlinks it when the block is
-    garbage-collected; attaching sides only close their mapping.  The
-    ndarray in ``array`` views the mapping directly, so the block must
-    stay referenced for as long as any view of it is used.
-    """
-
-    def __init__(self, kind: str, ref: str, array: np.ndarray, cleanup):
-        self.kind = kind
-        self.ref = ref
-        self.array = array
-        self._finalizer = (
-            weakref.finalize(self, cleanup) if cleanup is not None else None
-        )
-
-    @property
-    def owned(self) -> bool:
-        """True when this side created the segment and owns unlink."""
-        return self._finalizer is not None
-
-    @property
-    def released(self) -> bool:
-        """True once an owned block's cleanup has been claimed/run."""
-        fin = self._finalizer
-        return fin is not None and not fin.alive
-
-    def release(self) -> bool:
-        """Run this block's cleanup exactly once; returns whether this
-        call did the work.
-
-        ``weakref.finalize.detach()`` is the atomic claim: exactly one
-        caller — an eager :meth:`CiphertextArena.release_shared`, a
-        second racing release, or the GC finalizer itself — receives
-        the callback, so the segment is unlinked once no matter how
-        many shutdown paths overlap.  Non-owning (attached) blocks are
-        a no-op.
-        """
-        fin = self._finalizer
-        if fin is None:
-            return False
-        claimed = fin.detach()
-        if claimed is None:
-            return False
-        _obj, func, args, kwargs = claimed
-        func(*args, **kwargs)
-        return True
-
-
-def _create_block(shape: Tuple[int, ...], backing: str) -> _SharedBlock:
-    if backing not in ("auto", "shm", "memmap"):
-        raise ValueError(f"unknown arena backing {backing!r}")
-    nbytes = int(np.prod(shape)) * np.dtype(np.int64).itemsize
-    if backing in ("auto", "shm"):
-        try:
-            from multiprocessing import shared_memory
-
-            shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
-        except (ImportError, OSError):
-            if backing == "shm":
-                raise
-        else:
-            array = np.ndarray(shape, dtype=np.int64, buffer=shm.buf)
-
-            def cleanup(shm=shm):
-                # Unlink the *name* only: an eager release runs while
-                # local views (the arena, shard slices) still read the
-                # pages, and ``shm.close()`` would unmap them out from
-                # under live ndarrays.  The mapping itself is closed
-                # when the block is garbage-collected (the pinned
-                # SharedMemory's ``__del__``), after the last view dies.
-                try:
-                    shm.unlink()  # also unregisters from the tracker
-                except Exception:  # already gone
-                    pass
-
-            block = _SharedBlock("shm", shm.name, array, cleanup)
-            block._shm = shm  # pin the mapping for the views' lifetime
-            return block
-    fd, path = tempfile.mkstemp(prefix="repro-arena-", suffix=".mm")
-    os.close(fd)
-    array = np.memmap(path, dtype=np.int64, mode="w+", shape=shape)
-
-    def cleanup(path=path):
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-
-    return _SharedBlock("memmap", path, array, cleanup)
-
-
-def _attach_block(kind: str, ref: str, shape: Tuple[int, ...]) -> _SharedBlock:
-    if kind == "memmap":
-        array = np.memmap(ref, dtype=np.int64, mode="r", shape=shape)
-        return _SharedBlock("memmap", ref, array, None)
-    from multiprocessing import shared_memory
-
-    try:
-        shm = shared_memory.SharedMemory(name=ref, track=False)
-    except TypeError:
-        # Python < 3.13 has no track=: attaching registers the segment
-        # with the resource tracker, which would unlink it when *this*
-        # process exits even though the sharing process owns it.  Mute
-        # the registration for the duration of the attach.
-        from multiprocessing import resource_tracker
-
-        original_register = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            shm = shared_memory.SharedMemory(name=ref)
-        finally:
-            resource_tracker.register = original_register
-    array = np.ndarray(shape, dtype=np.int64, buffer=shm.buf)
-    block = _SharedBlock("shm", ref, array, None)
-    block._shm = shm  # keep the mapping alive alongside the view
-    return block
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,8 @@ import numpy as np
 from ..api.capabilities import Capabilities
 from ..api.requests import BatchSearchResult
 from ..api.session import Session
-from ..faults import CONN_DROP, SITE_CLIENT_REQUEST, WORKER_CRASH, FaultEvent
+from ..faults import CONN_DROP, SITE_CLIENT_REQUEST, FaultEvent
 from ..faults import FaultInjector as _FaultInjector
-from ..faults import crash_shard_worker
 from .arrival import ArrivalProcess
 from .scenarios import Scenario, ScenarioRequest
 from .trace import LoadTrace, TraceEvent
@@ -123,7 +122,7 @@ class LoadTarget(abc.ABC):
         """Queue one request; returns the future of its result."""
 
     def stats(self) -> Dict[str, object]:
-        """Operational counters for the report (executor, sheds, ...)."""
+        """Operational counters for the report (sheds, rejects, ...)."""
         return {}
 
     def inject_fault(self, event: FaultEvent) -> bool:
@@ -161,21 +160,11 @@ class SessionTarget(LoadTarget):
         inner = getattr(self.session.engine, "engine", None)
         scheduler = getattr(inner, "scheduler", None)
         return {
-            "executor": str(getattr(inner, "executor_kind", "") or ""),
-            "worker_restarts": int(getattr(inner, "worker_restarts", 0) or 0),
             "scheduler_sheds": 0 if scheduler is None else scheduler.sheds,
             "admit_rejected": (
                 0 if scheduler is None else scheduler.admit_rejected
             ),
         }
-
-    def inject_fault(self, event: FaultEvent) -> bool:
-        if event.kind != WORKER_CRASH:
-            return False
-        inner = getattr(self.session.engine, "engine", None)
-        executor = getattr(inner, "_process_executor", None)
-        shard = event.target if event.target >= 0 else 0
-        return crash_shard_worker(executor, shard)
 
     def close(self) -> None:
         if self._owns:
@@ -227,8 +216,6 @@ class RemoteTarget(LoadTarget):
         except ValueError:
             tenants = {}
         return {
-            "executor": s.executor,
-            "worker_restarts": s.worker_restarts,
             "scheduler_sheds": s.scheduler_sheds,
             "service_shed": s.shed,
             "service_completed": s.completed,

@@ -100,9 +100,6 @@ class LoadReport:
     rate: float
     seed: int
     scenarios: List[ScenarioSlo] = field(default_factory=list)
-    #: shard executor behind the target ("" when not applicable)
-    executor: str = ""
-    worker_restarts: int = 0
     #: admission-control sheds in ServeScheduler accounting
     scheduler_sheds: int = 0
     #: per-tenant accounting rows from a multi-tenant service's STATS
@@ -166,12 +163,8 @@ class LoadReport:
             f"target {self.target}; arrival {self.arrival} @ {self.rate:.1f} "
             f"req/s nominal; seed {self.seed}"
         )
-        if self.executor:
-            note += (
-                f"; executor {self.executor} "
-                f"({self.worker_restarts} worker restarts, "
-                f"{self.scheduler_sheds} scheduler sheds)"
-            )
+        if self.scheduler_sheds:
+            note += f"; {self.scheduler_sheds} scheduler sheds"
         return format_table(
             "open-loop load SLO report",
             (
@@ -235,8 +228,6 @@ class LoadReport:
             rate=float(obj["rate"]),
             seed=int(obj["seed"]),
             scenarios=scenarios,
-            executor=obj.get("executor", ""),
-            worker_restarts=int(obj.get("worker_restarts", 0)),
             scheduler_sheds=int(obj.get("scheduler_sheds", 0)),
             tenants=dict(obj.get("tenants", {})),
             version=version,

@@ -580,13 +580,6 @@ class ServiceStats:
     wall_p99: float
     throughput_qps: float
     cache_hit_rate: float
-    #: shard executor behind the engine ("thread" / "process"; "" when
-    #: the engine has no executor notion)
-    executor: str
-    #: shard worker-process restarts over the engine's life
-    worker_restarts: int
-    #: shard tasks that survived a worker crash (restart + retry)
-    dead_shard_degradations: int
     #: rendered ServeReport.summary_table() of the last batch ("" if none)
     report_text: str
     #: machine-readable ServeReport.to_json() of the last batch ("" if
@@ -611,9 +604,14 @@ def encode_stats(stats: ServiceStats) -> bytes:
     w.u64(stats.scheduler_sheds).u64(stats.served_queries)
     w.f64(stats.wall_p50).f64(stats.wall_p95).f64(stats.wall_p99)
     w.f64(stats.throughput_qps).f64(stats.cache_hit_rate)
-    w.u64(stats.worker_restarts).u64(stats.dead_shard_degradations)
+    # Reserved: three slots that described the shard executor until 3.0
+    # (worker_restarts, dead_shard_degradations, executor name).  Written
+    # as 0, 0, "thread" — what every 2.x server without worker processes
+    # sent — and skipped on read.  Dropping them changes the layout, so
+    # they go when CMN1 v1 parsing does.
+    w.u64(0).u64(0)
     w.u64(stats.admit_rejected).u64(stats.degraded_shards)
-    w.blob(stats.executor.encode("utf-8"))
+    w.blob(b"thread")
     w.blob(stats.report_text.encode("utf-8"))
     w.blob(stats.report_json.encode("utf-8"))
     w.blob(stats.tenants_json.encode("utf-8"))
@@ -622,7 +620,7 @@ def encode_stats(stats: ServiceStats) -> bytes:
 
 def decode_stats(payload: bytes) -> ServiceStats:
     r = _Reader(payload)
-    stats = ServiceStats(
+    fields = dict(
         active_connections=r.u32(),
         total_connections=r.u64(),
         accepted=r.u64(),
@@ -637,11 +635,12 @@ def decode_stats(payload: bytes) -> ServiceStats:
         wall_p99=r.f64(),
         throughput_qps=r.f64(),
         cache_hit_rate=r.f64(),
-        worker_restarts=r.u64(),
-        dead_shard_degradations=r.u64(),
-        admit_rejected=r.u64(),
-        degraded_shards=r.u64(),
-        executor=_utf8(r.blob()),
+    )
+    r.u64(), r.u64()  # reserved, see encode_stats
+    fields.update(admit_rejected=r.u64(), degraded_shards=r.u64())
+    r.blob()  # reserved
+    stats = ServiceStats(
+        **fields,
         report_text=_utf8(r.blob()),
         report_json=_utf8(r.blob()),
         # trailing blob appended in protocol v2; absent in v1 payloads

@@ -374,12 +374,9 @@ class AsyncSearchService:
             p50 = p95 = p99 = throughput = cache_hit_rate = 0.0
             text = report_json = ""
             served = 0
-        # Worker-health surface: only the sharded engine has an
-        # executor notion; other engines report the neutral defaults.
+        # Only the sharded engine has circuit breakers; other engines
+        # report none degraded.
         inner = getattr(self.session.engine, "engine", None)
-        executor = str(getattr(inner, "executor_kind", "") or "")
-        worker_restarts = int(getattr(inner, "worker_restarts", 0) or 0)
-        degradations = int(getattr(inner, "degraded_tasks", 0) or 0)
         degraded_shards = len(getattr(inner, "degraded_shards", ()) or ())
         return codec.ServiceStats(
             active_connections=len(self._connections),
@@ -396,9 +393,6 @@ class AsyncSearchService:
             wall_p99=p99,
             throughput_qps=throughput,
             cache_hit_rate=cache_hit_rate,
-            executor=executor,
-            worker_restarts=worker_restarts,
-            dead_shard_degradations=degradations,
             admit_rejected=self.admit_rejected,
             degraded_shards=degraded_shards,
             report_text=text,
@@ -413,9 +407,8 @@ class AsyncSearchService:
         rows = self.tenants.accounting_snapshot()
         merged_window: list = []
         sched_sheds = sched_admit = 0
-        restarts = degradations = degraded = served = 0
+        degraded = served = 0
         hits = misses = 0
-        executor = ""
         text = report_json = ""
         for tenant in self.tenants.tenants():
             tid = tenant.tenant_id
@@ -428,9 +421,6 @@ class AsyncSearchService:
                 sched_sheds += scheduler.sheds
                 sched_admit += scheduler.admit_rejected
             inner = getattr(tenant.session.engine, "engine", None)
-            executor = executor or str(getattr(inner, "executor_kind", "") or "")
-            restarts += int(getattr(inner, "worker_restarts", 0) or 0)
-            degradations += int(getattr(inner, "degraded_tasks", 0) or 0)
             degraded += len(getattr(inner, "degraded_shards", ()) or ())
             if tenant.cache is not None:
                 cache_stats = tenant.cache.stats()
@@ -458,9 +448,6 @@ class AsyncSearchService:
             wall_p99=percentile(merged_window, 99),
             throughput_qps=0.0,
             cache_hit_rate=hits / lookups if lookups else 0.0,
-            executor=executor,
-            worker_restarts=restarts,
-            dead_shard_degradations=degradations,
             admit_rejected=self.admit_rejected,
             degraded_shards=degraded,
             report_text=text,

@@ -10,10 +10,10 @@ concurrent, sharded serving engine:
     contiguous per-shard polynomial slices, places each shard on its own
     :class:`~repro.core.matcher.AdditionBackend` (CPU reference or the
     simulated in-flash backend from :mod:`repro.ssd.device`), and runs a
-    worker pool over queued (query, shard) tasks.  Per-shard result
-    blocks carry global polynomial indices, so merged results — match
-    offsets included — are identical to the sequential pipeline's, even
-    for occurrences spanning shard boundaries.
+    pool of worker threads over queued (query, shard) tasks.  Per-shard
+    result blocks carry global polynomial indices, so merged results —
+    match offsets included — are identical to the sequential pipeline's,
+    even for occurrences spanning shard boundaries.
 
 :class:`VariantCipherCache`
     A bounded, thread-safe LRU cache of encrypted query variants shared
@@ -31,15 +31,6 @@ concurrent, sharded serving engine:
     throughput, wall/modeled latency percentiles, queue depth, cache and
     shard statistics, rendered with the :mod:`repro.eval.tables`
     helpers.
-
-:mod:`repro.serve.executor`
-    Pluggable shard executors: ``"thread"`` (the GIL-bound parity
-    oracle) or ``"process"`` — per-shard worker processes attached
-    zero-copy to the database's shared-memory ciphertext arena, the
-    path that actually scales across cores (``docs/scaling.md``).
-    Select per engine (``executor=``), per process
-    (:func:`set_default_serve_executor`), or via the
-    ``REPRO_SERVE_EXECUTOR`` environment variable.
 
 Quickstart
 ----------
@@ -62,39 +53,22 @@ one to eight shards.
 
 from .admission import AdmissionController, classify_request, coerce_admission
 from .cache import CacheStats, VariantCipherCache
-from .engine import BackendFactory, DbShard, ShardedSearchEngine
-from .executor import (
-    EXECUTOR_ENV_VAR,
-    SERVE_EXECUTORS,
-    ProcessShardExecutor,
-    WorkerCrashError,
-    get_default_serve_executor,
-    resolve_serve_executor,
-    set_default_serve_executor,
-)
+from .engine import BackendFactory, DbShard, ShardedSearchEngine, WorkerCrashError
 from .report import ServeReport, ShardStats
 from .scheduler import ServeScheduler, ShardTaskTrace
-from .worker import ShardWorkerSpec
 
 __all__ = [
     "AdmissionController",
     "BackendFactory",
     "CacheStats",
     "DbShard",
-    "EXECUTOR_ENV_VAR",
-    "ProcessShardExecutor",
-    "SERVE_EXECUTORS",
     "ServeReport",
     "ServeScheduler",
     "ShardStats",
     "ShardTaskTrace",
-    "ShardWorkerSpec",
     "ShardedSearchEngine",
     "VariantCipherCache",
     "WorkerCrashError",
     "classify_request",
     "coerce_admission",
-    "get_default_serve_executor",
-    "resolve_serve_executor",
-    "set_default_serve_executor",
 ]

@@ -30,15 +30,10 @@ Concurrency model
   A shard whose backend does its own addition (the simulated in-flash
   IFP device) runs one ``backend.hom_add`` per (polynomial, variant)
   pair instead; both produce the same flag slice.
-* The shard *executor* is pluggable (see :mod:`repro.serve.executor`):
-  ``"thread"`` runs shard tasks on the worker threads themselves (the
-  parity oracle, GIL-bound for CPU kernels), ``"process"`` dispatches
-  each task to a per-shard worker process attached zero-copy to the
-  shared-memory ciphertext arena, so shard kernels scale across cores.
-  Worker processes warm-start when a database is adopted, re-attach
-  when the arena is rebuilt, and are respawned (task retried once) if
-  they crash; the thread pool, dedup, cache, scheduling and finalize
-  paths are identical either way.
+* Shard tasks run on ``serve-worker-<i>`` threads of the serving
+  process, started per batch; the calling thread is worker 0.  Threads
+  are the only executor (``docs/perf.md``, "Removed variants", has the
+  measurements against per-shard worker processes).
 """
 
 from __future__ import annotations
@@ -81,16 +76,17 @@ from ..faults import (
     WORKER_CRASH,
     CircuitBreaker,
     FaultInjector,
-    crash_shard_worker,
 )
 from .cache import VariantCipherCache
-from .executor import ProcessShardExecutor, WorkerCrashError, resolve_serve_executor
 from .report import ModelReplay, ServeReport, ShardStats
 from .scheduler import ServeScheduler, ShardTaskTrace
-from .worker import ShardWorkerSpec
 
 #: builds the addition backend for one shard: ``factory(ctx, shard_id)``
 BackendFactory = Callable[[BFVContext, int], AdditionBackend]
+
+
+class WorkerCrashError(RuntimeError):
+    """A shard task was lost to an injected ``worker_crash`` fault."""
 
 
 @dataclass
@@ -104,9 +100,6 @@ class DbShard:
     #: zero-copy view into the database's ciphertext arena
     arena: Optional[CiphertextArena] = None
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    hom_adds: int = 0
-    tasks_executed: int = 0
-    busy_seconds: float = 0.0
 
     @property
     def num_polynomials(self) -> int:
@@ -167,17 +160,8 @@ class ShardedSearchEngine:
         ``config``.  The vectorized backend is what lets decode — one
         ``c1 * s`` negacyclic multiply per result block — keep up with
         the concurrent Hom-Add stage (see ``docs/backends.md``).
-    executor:
-        Shard execution vehicle ("thread" / "process"; None defers to
-        the ``REPRO_SERVE_EXECUTOR`` process default).  "process" runs
-        each shard task in a per-shard worker process holding a
-        zero-copy shared-memory view of the ciphertext arena — the
-        GIL-free path (see ``docs/scaling.md``).  Engines with custom
-        backends the workers can't replicate (anything without
-        ``supports_fused``, e.g. the simulated IFP device) fall back to
-        threads regardless.
     degraded_mode:
-        What a batch does when a shard is unserveable (terminal worker
+        What a batch does when a shard is unserveable (injected worker
         crash, circuit breaker open).  ``"fail"`` (default) propagates
         the failure — the historical behavior.  ``"partial"`` zero-fills
         the dead shard's flag slice and returns matches from the live
@@ -206,7 +190,6 @@ class ShardedSearchEngine:
         cache_capacity: int = 256,
         scheduler: Optional[ServeScheduler] = None,
         poly_backend: Optional[str] = None,
-        executor: Optional[str] = None,
         degraded_mode: str = "fail",
         breaker_threshold: int = 3,
         breaker_cooldown: float = 5.0,
@@ -242,9 +225,6 @@ class ShardedSearchEngine:
         self.scheduler = scheduler or ServeScheduler(
             word_bits=self._word_bits(client.ctx)
         )
-        if executor is not None:
-            resolve_serve_executor(executor)  # validate eagerly
-        self.executor = executor
         if degraded_mode not in ("fail", "partial"):
             raise ValueError(
                 f"degraded_mode must be 'fail' or 'partial', got {degraded_mode!r}"
@@ -258,9 +238,6 @@ class ShardedSearchEngine:
         self.db: Optional[EncryptedDatabase] = None
         self._comparator: Optional[DeterministicComparator] = None
         self._arena_lock = threading.Lock()
-        self._worker_lock = threading.Lock()
-        self._process_executor: Optional[ProcessShardExecutor] = None
-        self._shared_handle = None
 
     @staticmethod
     def _word_bits(ctx: BFVContext) -> int:
@@ -307,17 +284,11 @@ class ShardedSearchEngine:
                 self.config.deterministic_seed,
                 self.client.chunk_width,
             )
-        # Shard boundaries changed: retire the old worker fleet and warm
-        # start a new one so the first batch doesn't pay the spawns.
-        self._shutdown_workers()
-        if self._executor_active() == "process":
-            self._ensure_workers()
 
     def close(self) -> None:
-        """Release serving resources (worker processes, shared arena
-        segments).  Idempotent; wired into ``Session.close`` and hence
-        the net server's SIGTERM drain path."""
-        self._shutdown_workers()
+        """Nothing to release — shard workers are threads that live for
+        one batch.  Kept because ``Session.close`` (and hence the net
+        server's SIGTERM drain path) and ``with`` blocks call it."""
 
     def __enter__(self) -> "ShardedSearchEngine":
         return self
@@ -341,11 +312,7 @@ class ShardedSearchEngine:
         and is resolved once, in the client decode step."""
         if self.db is None or not self.shards:
             raise RuntimeError("outsource or adopt a database first")
-        exec_kind = self._executor_active()
-        workers: Optional[ProcessShardExecutor] = None
-        if exec_kind == "process":
-            workers = self._ensure_workers()
-        elif any(shard.fused for shard in self.shards):
+        if any(shard.fused for shard in self.shards):
             self._ensure_shard_arenas()
 
         # Deduplicate identical queries; duplicates share one job/report.
@@ -378,9 +345,10 @@ class ShardedSearchEngine:
 
         depth_samples: List[int] = []
         traces: List[ShardTaskTrace] = []
+        #: shard_id -> seconds this batch's tasks held the shard
+        busy_seconds = dict.fromkeys((s.shard_id for s in self.shards), 0.0)
         trace_lock = threading.Lock()
         errors: List[BaseException] = []
-        batch_crashes = [0]
         start = time.perf_counter()
 
         def worker() -> None:
@@ -393,7 +361,7 @@ class ShardedSearchEngine:
                 injector = self.fault_injector
                 try:
                     flags_part: Optional[np.ndarray] = None
-                    crashes = 0
+                    busy = 0.0
                     degraded = False
                     events = (
                         injector.step(SITE_SHARD_TASK, shard.shard_id)
@@ -410,29 +378,18 @@ class ShardedSearchEngine:
                         degraded = True
                     else:
                         try:
-                            if crash_injected and workers is not None:
-                                # Real kill: dispatch below observes the
-                                # corpse, respawns, retries — the
-                                # survivable crash path.
-                                crash_shard_worker(workers, shard.shard_id)
                             with shard.lock:
                                 depth_samples.append(tasks.qsize())
-                                if crash_injected and workers is None:
+                                if crash_injected:
                                     raise WorkerCrashError(
                                         f"shard {shard.shard_id}: injected "
                                         "worker crash"
                                     )
-                                flags_part, crashes = self._run_shard_task(
-                                    shard, job, workers
-                                )
-                            if crashes:
-                                with trace_lock:
-                                    batch_crashes[0] += crashes
+                                t0 = time.perf_counter()
+                                flags_part = self._run_shard_task(shard, job)
+                                busy = time.perf_counter() - t0
                             if breaker is not None:
-                                if crashes:
-                                    breaker.record_failure()
-                                else:
-                                    breaker.record_success()
+                                breaker.record_success()
                         except WorkerCrashError:
                             if breaker is not None:
                                 breaker.record_failure()
@@ -457,6 +414,7 @@ class ShardedSearchEngine:
                                     * shard.num_polynomials,
                                 )
                             )
+                            busy_seconds[shard.shard_id] += busy
                         with job.lock:
                             job.flag_parts[shard.shard_id] = flags_part
                             job.remaining -= 1
@@ -501,6 +459,13 @@ class ShardedSearchEngine:
             self.db.ciphertexts[0].serialized_bytes if self.db.ciphertexts else 0,
             [job.index for job in order],
         )
+        # Shard accounting is this batch's: tallied from the tasks that
+        # ran in it, not from counters that live as long as the engine.
+        hom_adds = dict.fromkeys(busy_seconds, 0)
+        tasks_executed = dict.fromkeys(busy_seconds, 0)
+        for trace in traces:
+            hom_adds[trace.shard_id] += trace.hom_adds
+            tasks_executed[trace.shard_id] += 1
         shard_stats = []
         for shard in self.shards:
             channel, die = self.scheduler.placement(shard.shard_id)
@@ -510,16 +475,10 @@ class ShardedSearchEngine:
                     channel=channel,
                     die=die,
                     num_polynomials=shard.num_polynomials,
-                    hom_adds=shard.hom_adds,
-                    tasks_executed=shard.tasks_executed,
-                    busy_seconds=shard.busy_seconds,
+                    hom_adds=hom_adds[shard.shard_id],
+                    tasks_executed=tasks_executed[shard.shard_id],
+                    busy_seconds=busy_seconds[shard.shard_id],
                     modeled_utilization=partial(model.utilization, channel, die),
-                    restarts=(
-                        workers.shard_restarts(shard.shard_id) if workers else 0
-                    ),
-                    alive=(
-                        workers.shard_alive(shard.shard_id) if workers else True
-                    ),
                     breaker=(
                         self._breakers[shard.shard_id].state
                         if shard.shard_id in self._breakers
@@ -545,45 +504,13 @@ class ShardedSearchEngine:
             modeled_makespan=model.makespan,
             modeled_latencies=model.latencies,
             encrypted_db_bytes=self.db.serialized_bytes,
-            executor=exec_kind,
-            worker_restarts=batch_crashes[0],
             sheds=self.scheduler.sheds,
             admit_rejected=self.scheduler.admit_rejected,
             degraded_shards=batch_degraded,
             tenant=self.tenant,
         )
 
-    # -- executor machinery ----------------------------------------------
-
-    def _executor_active(self) -> str:
-        """The executor this batch actually uses.  Custom backends the
-        spawn-fresh workers cannot replicate (anything without
-        ``supports_fused`` — notably the stateful simulated IFP device)
-        silently fall back to threads, so a process-wide
-        ``REPRO_SERVE_EXECUTOR=process`` default never changes what
-        those backends compute."""
-        kind = resolve_serve_executor(self.executor)
-        if kind == "process" and not all(shard.fused for shard in self.shards):
-            return "thread"
-        return kind
-
-    @property
-    def executor_kind(self) -> str:
-        """Resolved executor for the current configuration/shards."""
-        return self._executor_active()
-
-    @property
-    def worker_restarts(self) -> int:
-        """Cumulative worker-process restarts over the engine's life."""
-        workers = self._process_executor
-        return workers.restart_count if workers is not None else 0
-
-    @property
-    def degraded_tasks(self) -> int:
-        """Cumulative shard tasks that survived a worker crash (each one
-        completed on a respawned worker — degraded latency, not data)."""
-        workers = self._process_executor
-        return workers.degraded_tasks if workers is not None else 0
+    # -- circuit breakers ------------------------------------------------
 
     @property
     def degraded_shards(self) -> List[int]:
@@ -598,79 +525,20 @@ class ShardedSearchEngine:
     def breaker_for(self, shard_id: int) -> Optional[CircuitBreaker]:
         return self._breakers.get(shard_id)
 
-    def _worker_specs(self) -> List[ShardWorkerSpec]:
-        det_seed = None
-        pk0 = pk1 = None
-        if self.config.index_mode is IndexMode.SERVER_DETERMINISTIC:
-            det_seed = self.config.deterministic_seed
-            pk0 = np.asarray(self.client.pk.pk0.coeffs)
-            pk1 = np.asarray(self.client.pk.pk1.coeffs)
-        return [
-            ShardWorkerSpec(
-                shard_id=shard.shard_id,
-                start=shard.base_poly,
-                stop=shard.base_poly + shard.num_polynomials,
-                params=self.config.params,
-                poly_backend=self.client.ctx.poly_backend,
-                chunk_width=self.client.chunk_width,
-                sk_coeffs=np.asarray(self.client.sk.s.coeffs),
-                comparator_seed=det_seed,
-                pk0_coeffs=pk0,
-                pk1_coeffs=pk1,
-            )
-            for shard in self.shards
-        ]
-
-    def _ensure_workers(self) -> ProcessShardExecutor:
-        """Spawn (or refresh) the per-shard worker processes against the
-        database arena's shared-memory backing.
-
-        ``share()`` rebinds the parent arena's stack to the shared pages
-        and is idempotent, so the handle only changes when the database
-        rebuilt its arena (``invalidate_caches`` / ``adopt_database``) —
-        exactly when workers must re-attach and parent-side shard slices
-        must be re-cut.
-        """
-        ctx = self.client.ctx
-        arena = self.db.fused_arena(ctx.ring, ctx.params)
-        with self._worker_lock:
-            handle = arena.share()
-            refreshed = handle != self._shared_handle
-            workers = self._process_executor
-            if workers is None:
-                workers = ProcessShardExecutor(self._worker_specs(), handle)
-                self._process_executor = workers
-            elif refreshed:
-                workers.reattach(handle)
-            self._shared_handle = handle
-        # Parent-side slices stay maintained too: they now alias the
-        # same shared pages the workers mapped, and the thread fallback
-        # plus several serve tests read them directly.
-        self._ensure_shard_arenas(force=refreshed)
-        return workers
-
-    def _shutdown_workers(self) -> None:
-        with self._worker_lock:
-            workers, self._process_executor = self._process_executor, None
-            self._shared_handle = None
-        if workers is not None:
-            workers.shutdown()
-
     # -- arena machinery -------------------------------------------------
 
-    def _ensure_shard_arenas(self, force: bool = False) -> None:
+    def _ensure_shard_arenas(self) -> None:
         """Build the database arena once and hand every shard its
         zero-copy row slice.  Re-slices whenever the database rebuilt
         its arena (``EncryptedDatabase.invalidate_caches`` after an
-        in-place mutation) — or on ``force``, when ``share()`` rebound
-        the arena's stack — so shards never serve stale coefficients."""
+        in-place mutation), so shards never serve stale coefficients."""
         with self._arena_lock:
             if not self.shards:
                 return
             ctx = self.client.ctx
             arena = self.db.fused_arena(ctx.ring, ctx.params)
             first = self.shards[0].arena
-            if not force and first is not None and first._parent is arena:
+            if first is not None and first._parent is arena:
                 return
             for shard in self.shards:
                 shard.arena = arena.slice(
@@ -711,25 +579,15 @@ class ShardedSearchEngine:
 
     # -- shard execution -------------------------------------------------
 
-    def _run_shard_task(
-        self,
-        shard: DbShard,
-        job: _QueryJob,
-        workers: Optional[ProcessShardExecutor],
-    ) -> tuple:
+    def _run_shard_task(self, shard: DbShard, job: _QueryJob) -> np.ndarray:
         """One (query, shard) unit: Hom-Add every query variant against
         this shard's slice and extract the match flags.
 
-        Returns ``(flags, crashes)``: the shard's ``(V, shard_polys, n)``
-        boolean slice of the global flag grid, and the worker-process
-        deaths survived on the way (always 0 in-process).  Under the
-        process executor only arena-format arrays cross the pipe — the
-        query stack, the shard-local row map and row residues out, the
-        flag slice back.  Every branch tallies one logical Hom-Add (and,
-        under ``CLIENT_DECRYPT``, one decryption) per (polynomial,
+        Returns the shard's ``(V, shard_polys, n)`` boolean slice of the
+        global flag grid.  Every branch tallies one logical Hom-Add
+        (and, under ``CLIENT_DECRYPT``, one decryption) per (polynomial,
         variant) pair on the context's operation counter.
         """
-        t0 = time.perf_counter()
         ctx = self.client.ctx
         query_arena = self._job_query_arena(job)
         polys = np.arange(
@@ -738,17 +596,9 @@ class ShardedSearchEngine:
             dtype=np.int64,
         )
         row_map = query_arena.row_map(polys)
-        hom_adds = job.prepared.num_variants * shard.num_polynomials
-        crashes = 0
         if shard.fused:
-            if workers is not None:
-                flags, crashes = workers.run_task(
-                    shard.shard_id,
-                    query_arena.stack,
-                    row_map,
-                    query_arena.row_residue,
-                )
-            elif self._comparator is not None:
+            hom_adds = job.prepared.num_variants * shard.num_polynomials
+            if self._comparator is not None:
                 flags = comparator_flag_grid(
                     self._comparator, shard.arena, query_arena, row_map, polys
                 )
@@ -766,10 +616,7 @@ class ShardedSearchEngine:
         else:
             # the adder and ``ctx.decrypt`` count their own operations
             flags = self._pair_flags(shard, query_arena, row_map)
-        shard.busy_seconds += time.perf_counter() - t0
-        shard.hom_adds += hom_adds
-        shard.tasks_executed += 1
-        return flags, crashes
+        return flags
 
     def _pair_flags(
         self, shard: DbShard, query_arena: QueryArena, row_map: np.ndarray

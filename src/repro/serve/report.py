@@ -149,11 +149,6 @@ class ShardStats:
     #: fraction of the modeled makespan the shard's die was busy (the
     #: engine passes a :class:`ModelReplay` accessor, resolved on read)
     modeled_utilization: float = _OnRead()
-    #: worker-process restarts for this shard (0 under the thread
-    #: executor, which has no per-shard process to lose)
-    restarts: int = 0
-    #: worker liveness at batch end (always True for threads)
-    alive: bool = True
     #: circuit-breaker state at batch end ("closed" / "open" / "half-open")
     breaker: str = "closed"
 
@@ -186,11 +181,6 @@ class ServeReport:
     #: resolved on first read like :attr:`modeled_makespan`
     modeled_latencies: Dict[int, float] = _OnRead(dict)
     encrypted_db_bytes: int = 0
-    #: shard executor that served the batch ("thread" / "process")
-    executor: str = "thread"
-    #: worker crashes survived during this batch (each one a single-shard
-    #: restart + task retry; the batch still completed)
-    worker_restarts: int = 0
     #: admission-control sheds in the scheduler's accounting at batch
     #: end (cumulative over the engine's life; recorded by the network
     #: front end's oldest-deadline policy, 0 for purely in-process use)
@@ -199,15 +189,10 @@ class ServeReport:
     #: end (cumulative, like :attr:`sheds`; 0 without a controller)
     admit_rejected: int = 0
     #: shards that contributed nothing to this batch (circuit breaker
-    #: open / terminal worker crash under partial-results mode)
+    #: open / injected worker crash under partial-results mode)
     degraded_shards: List[int] = field(default_factory=list)
     #: tenant id the serving engine ran under ("" = single-tenant)
     tenant: str = ""
-
-    @property
-    def dead_shards(self) -> int:
-        """Shards whose worker was dead at batch end."""
-        return sum(1 for s in self.shards if not s.alive)
 
     # -- aggregate correctness counters ---------------------------------
 
@@ -254,8 +239,6 @@ class ServeReport:
             ("Hom-Adds", self.total_hom_additions),
             ("deduplicated", self.deduplicated_hits),
             ("shards x workers", f"{self.num_shards} x {self.num_workers}"),
-            ("executor", self.executor),
-            ("worker restarts", self.worker_restarts),
             ("sheds (admission)", self.sheds),
             ("admit rejected", self.admit_rejected),
             (
@@ -296,9 +279,9 @@ class ServeReport:
     # -- machine-readable artifact ---------------------------------------
 
     def to_dict(self) -> Dict:
-        """Plain-JSON-types dict: the full report, executor/sheds/
-        restarts and per-shard stats included (bench artifacts + the
-        STATS frame's ``report_json`` field)."""
+        """Plain-JSON-types dict: the full report, sheds and per-shard
+        stats included (bench artifacts + the STATS frame's
+        ``report_json`` field)."""
         return {
             "version": SERVE_REPORT_VERSION,
             "reports": [
@@ -334,8 +317,6 @@ class ServeReport:
                 str(k): v for k, v in self.modeled_latencies.items()
             },
             "encrypted_db_bytes": self.encrypted_db_bytes,
-            "executor": self.executor,
-            "worker_restarts": self.worker_restarts,
             "sheds": self.sheds,
             "admit_rejected": self.admit_rejected,
             "degraded_shards": list(self.degraded_shards),
@@ -369,6 +350,9 @@ class ServeReport:
             for r in obj["reports"]
         ]
         cache = obj["cache"]
+        # artifacts written before 3.0 carry keys that are gone
+        # ("executor", per-shard "restarts" / "alive"); skip them
+        shard_fields = set(ShardStats.__dataclass_fields__)
         return cls(
             reports=reports,
             num_shards=int(obj["num_shards"]),
@@ -389,7 +373,10 @@ class ServeReport:
                     else None
                 ),
             ),
-            shards=[ShardStats(**s) for s in obj.get("shards", [])],
+            shards=[
+                ShardStats(**{k: v for k, v in s.items() if k in shard_fields})
+                for s in obj.get("shards", [])
+            ],
             queue_depth_max=int(obj["queue_depth_max"]),
             queue_depth_mean=float(obj["queue_depth_mean"]),
             modeled_makespan=float(obj["modeled_makespan"]),
@@ -398,8 +385,6 @@ class ServeReport:
                 for k, v in obj.get("modeled_latencies", {}).items()
             },
             encrypted_db_bytes=int(obj["encrypted_db_bytes"]),
-            executor=obj.get("executor", "thread"),
-            worker_restarts=int(obj.get("worker_restarts", 0)),
             sheds=int(obj.get("sheds", 0)),
             admit_rejected=int(obj.get("admit_rejected", 0)),
             degraded_shards=[
@@ -424,8 +409,6 @@ class ServeReport:
                     s.hom_adds,
                     f"{s.wall_utilization(self.wall_seconds) * 100:.0f}%",
                     f"{s.modeled_utilization * 100:.0f}%",
-                    s.restarts,
-                    "up" if s.alive else "DOWN",
                     s.breaker,
                 ]
             )
@@ -439,8 +422,6 @@ class ServeReport:
                 "hom-adds",
                 "wall util",
                 "modeled util",
-                "restarts",
-                "worker",
                 "breaker",
             ),
             rows,

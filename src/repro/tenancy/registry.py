@@ -41,7 +41,7 @@ class TenantSpec:
     """Declarative description of one tenant.
 
     ``engine_kwargs`` flow to the engine constructor on top of the
-    registry-wide defaults (shard count, poly backend, executor...);
+    registry-wide defaults (shard count, poly backend, ...);
     the spec's ``key_seed`` always wins so two tenants can never share
     a keypair by accident.
     """
@@ -123,7 +123,7 @@ class TenantRegistry:
         Engine registry key used for specs that don't name their own.
     engine_kwargs:
         Registry-wide engine defaults every tenant's session is built
-        with (``num_shards=``, ``poly_backend=``, ``executor=``, ...).
+        with (``num_shards=``, ``poly_backend=``, ...).
     """
 
     def __init__(

@@ -4,7 +4,7 @@ Covers the degradation contract (partial results + circuit breaker),
 the service-side fault hooks (shed storms, server connection drops,
 fail-fast admission), client retry/backoff recovery, and the load
 harness's four-term accounting invariant under seeded fault plans
-across executor and target combinations.
+across target combinations.
 """
 
 import time
@@ -66,7 +66,6 @@ def _service(**kwargs):
 class TestPartialResults:
     def test_thread_crash_degrades_then_breaker_recovers(self):
         with _session(
-            executor="thread",
             degraded_mode="partial",
             breaker_threshold=1,
             breaker_cooldown=0.05,
@@ -87,7 +86,6 @@ class TestPartialResults:
 
     def test_open_breaker_gates_shard_without_new_crash(self):
         with _session(
-            executor="thread",
             degraded_mode="partial",
             breaker_threshold=1,
             breaker_cooldown=60.0,
@@ -103,7 +101,7 @@ class TestPartialResults:
             assert injector.summary() == {WORKER_CRASH: 1}
 
     def test_fail_mode_thread_crash_raises(self):
-        with _session(executor="thread", db_bits=_db()) as session:
+        with _session(db_bits=_db()) as session:
             install_engine_injector(
                 session.engine,
                 FaultInjector(FaultPlan().worker_crash(0, shard=1)),
@@ -112,26 +110,6 @@ class TestPartialResults:
                 session.search(QUERY)
             # the crash is single-fire: the next search is clean
             assert session.search(QUERY).matches == (160, 3200)
-
-    def test_process_crash_survives_then_breaker_degrades(self):
-        with _session(
-            executor="process",
-            degraded_mode="partial",
-            breaker_threshold=1,
-            breaker_cooldown=60.0,
-            db_bits=_db(),
-        ) as session:
-            install_engine_injector(
-                session.engine,
-                FaultInjector(FaultPlan().worker_crash(0, shard=1)),
-            )
-            # the real kill is survivable: respawn + retry completes it,
-            # but the breaker records the crash and opens
-            first = session.search(QUERY)
-            assert first.matches == (160, 3200)
-            second = session.search(QUERY)
-            assert second.degraded_shards == (1,)
-            assert second.matches == (160,)
 
 
 class TestServiceFaults:
@@ -231,12 +209,11 @@ SWEEP_KINDS = (WORKER_CRASH, SLOW_SHARD, CONN_DROP, SHED_STORM)
 
 class TestAccountingInvariant:
     """Satellite: offered == completed + shed + admit_rejected + failed
-    for every fault-plan seed x executor x target combination."""
+    for every fault-plan seed x target combination."""
 
     @pytest.mark.parametrize("mode", ["session", "remote"])
-    @pytest.mark.parametrize("executor", ["thread", "process"])
     @pytest.mark.parametrize("seed", [7, 23])
-    def test_four_term_accounting_balances(self, seed, executor, mode):
+    def test_four_term_accounting_balances(self, seed, mode):
         scenario, trace = _trace(n=8, rate=400.0)
         plan = FaultPlan.seeded(
             seed, requests=8, shards=2, faults=4, kinds=SWEEP_KINDS
@@ -244,12 +221,11 @@ class TestAccountingInvariant:
         client_injector = FaultInjector(plan)
         service = None
         if mode == "session":
-            session = _session(executor=executor)
+            session = _session()
             target = SessionTarget(session, owns_session=True)
             install_engine_injector(session.engine, FaultInjector(plan))
         else:
             service = _service(
-                executor=executor,
                 fault_plan=plan,
                 admission=AdmissionController(5.0, initial_target=2),
             )

@@ -10,7 +10,6 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     corrupt_payload,
-    crash_shard_worker,
     install_engine_injector,
 )
 from repro.net.framing import Frame
@@ -120,21 +119,7 @@ class TestFrameHook:
         assert injector.visits(SITE_FRAME_SEND) == 3
 
 
-class _FakeCrashable:
-    def __init__(self):
-        self.crashed = []
-
-    def crash_worker(self, shard_id):
-        self.crashed.append(shard_id)
-
-
 class TestSharedHooks:
-    def test_crash_shard_worker_duck_types(self):
-        executor = _FakeCrashable()
-        assert crash_shard_worker(executor, 1)
-        assert executor.crashed == [1]
-        assert not crash_shard_worker(object(), 0)  # thread executor: no-op
-
     def test_install_engine_injector_unwraps_facades(self):
         class Inner:
             fault_injector = None

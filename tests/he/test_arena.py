@@ -488,55 +488,3 @@ def test_query_arena_rows_and_map_cover_residue_classes():
             assert qa.row_residue[row] == (j * n) % variant.span
     # phases cached per secret key
     assert qa.phases(sk) is qa.phases(sk)
-
-
-# ---------------------------------------------------------------------------
-# OS-shared backing lifecycle
-# ---------------------------------------------------------------------------
-
-
-def test_shared_block_release_claims_exactly_once():
-    """_SharedBlock.release() is an atomic claim: exactly one caller
-    runs the unlink, every later caller (including GC) is a no-op."""
-    from repro.he.arena import _attach_block, _create_block
-
-    block = _create_block((3, 2, 8), "auto")
-    assert block.owned and not block.released
-    assert block.release() is True
-    assert block.released
-    assert block.release() is False  # second release: already claimed
-    # attached (non-owning) blocks never own cleanup
-    other = _create_block((1, 2, 8), "auto")
-    attached = _attach_block(other.kind, other.ref, (1, 2, 8))
-    assert not attached.owned and not attached.released
-    assert attached.release() is False
-    other.release()
-
-
-def test_release_shared_idempotent_and_unlinks_segment():
-    import os
-
-    from repro.he.bfv import BFVContext
-
-    params = BFVParams.test_small(64)
-    ctx = BFVContext(params, seed=5)
-    stack = np.arange(4 * 2 * params.n, dtype=np.int64).reshape(
-        4, 2, params.n
-    )
-    arena = CiphertextArena(ctx.ring, params, stack.copy())
-    handle = arena.share()
-    blocks = list(arena._blocks)
-    if handle.kind == "shm":
-        assert os.path.exists("/dev/shm/" + handle.stack_ref)
-    arena.release_shared()
-    assert all(b.released for b in blocks if b.owned)
-    if handle.kind == "shm":
-        assert not os.path.exists("/dev/shm/" + handle.stack_ref)
-    arena.release_shared()  # idempotent: second call is a no-op
-    assert all(b.release() is False for b in blocks)  # all claimed
-    # local views keep working (pages stay mapped until unmapped) and
-    # a re-share publishes a fresh segment
-    assert np.array_equal(arena.stack, stack)
-    handle2 = arena.share()
-    assert handle2.stack_ref != handle.stack_ref
-    arena.release_shared()

@@ -303,8 +303,8 @@ def test_error_roundtrip_and_exception_mapping():
     )
 
 
-def test_stats_roundtrip():
-    stats = codec.ServiceStats(
+def _stats() -> codec.ServiceStats:
+    return codec.ServiceStats(
         active_connections=3,
         total_connections=11,
         accepted=100,
@@ -319,16 +319,50 @@ def test_stats_roundtrip():
         wall_p99=0.101,
         throughput_qps=812.5,
         cache_hit_rate=0.75,
-        executor="process",
-        worker_restarts=2,
-        dead_shard_degradations=1,
         report_text="== serving batch report ==\n...",
         report_json='{"version": 1, "sheds": 4}',
         admit_rejected=6,
         degraded_shards=1,
         tenants_json='{"alice": {"completed": 40}}',
     )
+
+
+def test_stats_roundtrip():
+    stats = _stats()
     assert codec.decode_stats(codec.encode_stats(stats)) == stats
+
+
+def test_stats_frame_keeps_the_v2_layout_with_reserved_slots():
+    """The bytes a 2.x client's ``decode_stats`` walks: the three slots
+    that described the shard executor are still there, written as
+    0, 0, "thread", and whatever a 2.x server put in them is skipped."""
+    import struct
+
+    def blob(raw: bytes) -> bytes:
+        return struct.pack("<I", len(raw)) + raw
+
+    def layout(restarts: int, degradations: int, executor: bytes) -> bytes:
+        s = _stats()
+        return (
+            struct.pack(
+                "<IQQQQQBQQdddddQQQQ",
+                s.active_connections, s.total_connections, s.accepted,
+                s.completed, s.shed, s.failed, s.draining,
+                s.scheduler_sheds, s.served_queries,
+                s.wall_p50, s.wall_p95, s.wall_p99,
+                s.throughput_qps, s.cache_hit_rate,
+                restarts, degradations,
+                s.admit_rejected, s.degraded_shards,
+            )
+            + blob(executor)
+            + blob(s.report_text.encode())
+            + blob(s.report_json.encode())
+            + blob(s.tenants_json.encode())
+        )
+
+    assert codec.encode_stats(_stats()) == layout(0, 0, b"thread")
+    assert codec.decode_stats(layout(7, 3, b"process")) == _stats()
+    assert codec.decode_stats(layout(0, 0, b"\xff\xfe")) == _stats()
 
 
 def test_hello_roundtrip_and_v1_compat():
@@ -365,8 +399,7 @@ def _text_payloads():
         active_connections=0, total_connections=0, accepted=0, completed=0,
         shed=0, failed=0, draining=False, scheduler_sheds=0, served_queries=0,
         wall_p50=0.0, wall_p95=0.0, wall_p99=0.0, throughput_qps=0.0,
-        cache_hit_rate=0.0, executor="thread", worker_restarts=0,
-        dead_shard_degradations=0, report_text="",
+        cache_hit_rate=0.0, report_text="",
     )
     exact = ExactSearch.from_bits([1, 0, 1])
     wildcard = WildcardSearch((1, 0, 1), (1, 0, 1))
@@ -395,7 +428,7 @@ def _text_payloads():
         cases[f"request-{name}"] = (
             payload, lambda p, ftype=ftype: codec.decode_request(ftype, p)
         )
-    for field in ("executor", "report_text", "report_json", "tenants_json"):
+    for field in ("report_text", "report_json", "tenants_json"):
         cases[f"stats-{field}"] = (
             codec.encode_stats(codec.ServiceStats(**{**stats, field: _MARK})),
             codec.decode_stats,

@@ -77,6 +77,27 @@ def test_byte_identical_results_vs_in_process(fixture_db):
         remote.close()
 
 
+def test_shard_breakdown_is_the_batch_not_the_engine_lifetime(fixture_db):
+    """The same query four times reports the same per-shard work four
+    times, in-process and over TCP — not a running total."""
+    db, query = fixture_db
+    local, remote = _engine_pair(
+        BFVParams.test_small(64), db, num_shards=2, key_seed=31
+    )
+    try:
+        request = repro.api.ExactSearch.from_bits(query)
+        for engine in (local, remote):
+            results = [engine.execute(request) for _ in range(4)]
+            breakdowns = [r.shards for r in results]
+            assert breakdowns == [breakdowns[0]] * 4
+            for r in results:
+                assert [s.tasks_executed for s in r.shards] == [1, 1]
+                assert sum(s.hom_adds for s in r.shards) == r.hom_ops.additions
+    finally:
+        local.close()
+        remote.close()
+
+
 @pytest.mark.parametrize("adder", ["fused", "object"])
 def test_kernel_parity_over_socket(fixture_db, adder):
     """Fused-kernel shards and per-pair-adder shards return identical

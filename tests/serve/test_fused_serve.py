@@ -29,12 +29,11 @@ def _workload(num_polys=6, num_queries=4, seed=41):
     return params, db, queries
 
 
-def _engine(params, kernel, *, num_shards=3, executor=None, **kwargs):
+def _engine(params, kernel, *, num_shards=3, **kwargs):
     return ShardedSearchEngine(
         ClientConfig(params, key_seed=41, **kwargs),
         num_shards=num_shards,
         backend_factory=per_pair_factory if kernel == "object" else None,
-        executor=executor,
     )
 
 
@@ -55,12 +54,35 @@ def test_fused_batch_matches_object_batch_and_report_fields():
     assert all(s.tasks_executed > 0 for s in f.shards)
 
 
-def test_shards_hold_zero_copy_arena_slices():
-    # pinned to the thread executor: the process executor re-shares the
-    # arena into shared memory, where slices view the shm buffer rather
-    # than the parent ndarray
+def test_fused_limb_major_decrypt_matches_object_kernel():
+    """The limb-major decrypt layout must stay bit-identical to the
+    per-pair adder's per-block decryption."""
+    params, db, queries = _workload(num_queries=3, seed=23)
+    results = {}
+    for kernel in ("object", "fused"):
+        with _engine(params, kernel) as engine:
+            engine.outsource(db)
+            results[kernel] = engine.search_batch(queries).matches_per_query()
+    assert results["fused"] == results["object"]
+    assert any(results["fused"])
+
+
+def test_adopt_defers_arena_rows_to_first_query():
+    """Adopt returns with an unbuilt arena; the first query
+    materializes it."""
     params, db, queries = _workload()
-    engine = _engine(params, "fused", executor="thread")
+    with _engine(params, "fused", num_shards=2) as lazy:
+        encrypted = lazy.outsource(db)
+        assert encrypted._arena is None  # adopt paid nothing
+        lazy.search_batch(queries[:1])
+        arena = encrypted._arena
+        assert arena is not None
+        assert arena.fully_built  # the query touched every shard
+
+
+def test_shards_hold_zero_copy_arena_slices():
+    params, db, queries = _workload()
+    engine = _engine(params, "fused")
     engine.outsource(db)
     engine.search_batch(queries[:1])
     arena = engine.db.fused_arena(engine.client.ctx.ring, engine.client.ctx.params)
@@ -171,10 +193,8 @@ def test_invalidate_caches_reslices_shard_arenas():
 
 
 def test_adopt_database_resets_arena_slices():
-    # thread executor: the process executor warm-starts workers at adopt
-    # time, which eagerly re-slices the shard arenas
     params, db, queries = _workload(num_polys=4)
-    engine = _engine(params, "fused", executor="thread")
+    engine = _engine(params, "fused")
     engine.outsource(db)
     engine.search_batch(queries[:1])
     old_arenas = [s.arena for s in engine.shards]
@@ -195,7 +215,7 @@ def _ifp_factory(ctx, shard_id):
     return IFPAdditionBackend(ctx)
 
 
-def _tallies(params, db, queries, *, index_mode, backend_factory, executor):
+def _tallies(params, db, queries, *, index_mode, backend_factory):
     """Everything a batch reports or counts, once clean and once with
     shard 1 lost under partial-results mode."""
     from repro.faults import FaultInjector, FaultPlan
@@ -204,17 +224,14 @@ def _tallies(params, db, queries, *, index_mode, backend_factory, executor):
         ClientConfig(params, key_seed=41, index_mode=index_mode),
         num_shards=3,
         backend_factory=backend_factory,
-        executor=executor,
         degraded_mode="partial",
     ) as engine:
         engine.outsource(db)
-        assert engine.executor_kind == "thread"
         counter = engine.client.ctx.counter
         out = []
         for plan in (FaultPlan(), FaultPlan().worker_crash(0, shard=1)):
             engine.fault_injector = FaultInjector(plan)
             adds, decs = counter.additions, counter.decryptions
-            shard_adds = [s.hom_adds for s in engine.shards]
             report = engine.search_batch(queries + [queries[0]])
             out.append(
                 {
@@ -224,37 +241,32 @@ def _tallies(params, db, queries, *, index_mode, backend_factory, executor):
                     "batch_degraded": report.degraded_shards,
                     "counter_additions": counter.additions - adds,
                     "counter_decryptions": counter.decryptions - decs,
-                    "shard_hom_adds": [
-                        s.hom_adds - before
-                        for s, before in zip(engine.shards, shard_adds)
-                    ],
+                    "shard_hom_adds": [s.hom_adds for s in report.shards],
                 }
             )
         return out
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
 @pytest.mark.parametrize(
     "index_mode", [IndexMode.CLIENT_DECRYPT, IndexMode.SERVER_DETERMINISTIC]
 )
 @pytest.mark.parametrize(
     "backend_factory", [per_pair_factory, _ifp_factory], ids=["cpu", "ifp"]
 )
-def test_per_pair_accounting_equals_fused(backend_factory, index_mode, executor):
+def test_per_pair_accounting_equals_fused(backend_factory, index_mode):
     """A shard whose adder lacks ``supports_fused`` — a plain CPU adder
     or the stateful in-flash device — reports and counts exactly what
     the fused kernels do: matches, per-report Hom-Adds, the context's
     addition/decryption counters, per-shard Hom-Adds and the degraded
-    shard markers.  ``executor="process"`` must resolve to threads."""
+    shard markers."""
     params, db, queries = _workload(num_polys=3, num_queries=2)
     fused = _tallies(
         params, db, queries,
-        index_mode=index_mode, backend_factory=None, executor="thread",
+        index_mode=index_mode, backend_factory=None,
     )
     per_pair = _tallies(
         params, db, queries,
         index_mode=index_mode, backend_factory=backend_factory,
-        executor=executor,
     )
     assert per_pair == fused
     clean, lost = fused

@@ -1,5 +1,5 @@
-"""ServeReport rendering robustness, executor/worker-health surfacing,
-and scheduler shed accounting."""
+"""ServeReport rendering robustness, JSON round trip and scheduler shed
+accounting."""
 
 import numpy as np
 
@@ -44,7 +44,7 @@ class TestEmptyLatencySample:
         assert report.modeled_throughput_qps == 0.0
 
 
-def _shard(shard_id, *, restarts=0, alive=True) -> ShardStats:
+def _shard(shard_id, *, breaker="closed") -> ShardStats:
     return ShardStats(
         shard_id=shard_id,
         channel=0,
@@ -54,43 +54,8 @@ def _shard(shard_id, *, restarts=0, alive=True) -> ShardStats:
         tasks_executed=2,
         busy_seconds=0.01,
         modeled_utilization=0.5,
-        restarts=restarts,
-        alive=alive,
+        breaker=breaker,
     )
-
-
-class TestWorkerHealthSurfacing:
-    def test_defaults_are_thread_executor_and_healthy(self):
-        report = _empty_report()
-        assert report.executor == "thread"
-        assert report.worker_restarts == 0
-        assert report.dead_shards == 0
-        stats = _shard(0)
-        assert stats.restarts == 0 and stats.alive
-
-    def test_summary_table_shows_executor_and_restarts(self):
-        report = _empty_report()
-        report.executor = "process"
-        report.worker_restarts = 3
-        table = report.summary_table()
-        assert "executor" in table and "process" in table
-        assert "worker restarts" in table
-
-    def test_shard_table_shows_restarts_and_liveness(self):
-        report = _empty_report()
-        report.shards = [_shard(0), _shard(1, restarts=2, alive=False)]
-        table = report.shard_table()
-        assert "restarts" in table and "worker" in table
-        assert "DOWN" in table and "up" in table
-
-    def test_dead_shards_counts_down_workers(self):
-        report = _empty_report()
-        report.shards = [
-            _shard(0),
-            _shard(1, alive=False),
-            _shard(2, restarts=1, alive=False),
-        ]
-        assert report.dead_shards == 2
 
 
 class TestPercentileHelper:
@@ -167,14 +132,12 @@ class TestServeReportJsonRoundTrip:
             latencies=[0.01, 0.02],
             deduplicated_hits=1,
             cache=CacheStats(capacity=8, size=3, hits=5, misses=3, evictions=1),
-            shards=[_shard(0, restarts=2), _shard(1, alive=False)],
+            shards=[_shard(0), _shard(1, breaker="open")],
             queue_depth_max=4,
             queue_depth_mean=1.5,
             modeled_makespan=0.05,
             modeled_latencies={0: 0.01, 1: 0.04},
             encrypted_db_bytes=1 << 21,
-            executor="process",
-            worker_restarts=2,
             sheds=7,
         )
 
@@ -185,11 +148,8 @@ class TestServeReportJsonRoundTrip:
 
     def test_operational_fields_survive(self):
         got = ServeReport.from_json(self._full_report().to_json())
-        assert (got.executor, got.worker_restarts, got.sheds) == (
-            "process", 2, 7,
-        )
-        assert got.shards[0].restarts == 2
-        assert not got.shards[1].alive
+        assert got.sheds == 7
+        assert [s.breaker for s in got.shards] == ["closed", "open"]
         assert got.modeled_latencies == {0: 0.01, 1: 0.04}
 
     def test_json_is_plain_types(self):
@@ -211,6 +171,16 @@ class TestServeReportJsonRoundTrip:
             assert "version 9" in str(exc)
         else:
             raise AssertionError("version guard did not fire")
+
+    def test_reads_a_report_written_before_the_executor_fields_went(self):
+        import json
+
+        report = self._full_report()
+        obj = json.loads(report.to_json())
+        obj.update(executor="process", worker_restarts=2)
+        for shard in obj["shards"]:
+            shard.update(restarts=1, alive=False)
+        assert ServeReport.from_dict(obj) == report
 
     def test_live_engine_report_roundtrips(self):
         import numpy as np

@@ -189,6 +189,86 @@ class TestServeMetrics:
         assert sum(s.tasks_executed for s in report.shards) == len(queries) * shards
 
 
+    def test_shard_stats_are_per_batch(self, rng):
+        """Hom-Adds, task counts and busy time describe the batch being
+        reported, so four identical batches report four equal tallies
+        and no shard is busy for longer than the batch took."""
+        db, queries = make_workload(rng, num_queries=1)
+        engine = ShardedSearchEngine(ClientConfig(PARAMS, key_seed=53), num_shards=2)
+        engine.outsource(db)
+        reports = [engine.search_batch(queries[:1]) for _ in range(4)]
+        for report in reports:
+            assert [s.tasks_executed for s in report.shards] == [1, 1]
+            assert (
+                sum(s.hom_adds for s in report.shards)
+                == report.total_hom_additions
+                == reports[0].total_hom_additions
+            )
+            for s in report.shards:
+                assert 0 < s.wall_utilization(report.wall_seconds) <= 1.0
+
+
+class TestNoWorkerProcesses:
+    """Shard tasks run on threads of the serving process and nowhere
+    else: nothing is spawned, nothing is mapped into ``/dev/shm``."""
+
+    def test_engine_lifecycle_spawns_and_maps_nothing(self, rng):
+        import multiprocessing
+        import os
+
+        shm = "/dev/shm"
+        before = set(os.listdir(shm)) if os.path.isdir(shm) else set()
+        db, queries = make_workload(rng)
+        with ShardedSearchEngine(
+            ClientConfig(PARAMS, key_seed=57), num_shards=4
+        ) as engine:
+            encrypted = engine.outsource(db)
+            expected = engine.search_batch(queries).matches_per_query()
+            encrypted.invalidate_caches()
+            engine.adopt_database(encrypted)
+            assert engine.search_batch(queries).matches_per_query() == expected
+            assert multiprocessing.active_children() == []
+            if os.path.isdir(shm):
+                assert set(os.listdir(shm)) <= before
+        assert multiprocessing.active_children() == []
+
+    def test_executor_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            ShardedSearchEngine(
+                ClientConfig(PARAMS, key_seed=57), executor="thread"
+            )
+
+    def test_serving_a_search_never_imports_shared_memory(self):
+        import os
+        import subprocess
+        import sys
+
+        script = "\n".join(
+            [
+                "import sys",
+                "import numpy as np",
+                "import repro",
+                "from repro.he import BFVParams",
+                "db = np.zeros(4096, dtype=np.uint8); db[160:192] = 1",
+                "with repro.open_session('bfv-sharded',",
+                "        params=BFVParams.test_small(64), num_shards=4,",
+                "        key_seed=1, db_bits=db) as session:",
+                "    found = session.search(np.ones(32, dtype=np.uint8)).matches",
+                "assert found == (160,), found",
+                "assert 'multiprocessing.shared_memory' not in sys.modules",
+                "print('served')",
+            ]
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "served" in proc.stdout
+
+
 class TestIfpBackendSharding:
     def test_per_shard_inflash_backends(self, rng):
         """Each shard drives its own simulated in-flash adder (CM-IFP)."""

@@ -1,12 +1,10 @@
-"""Workload parity across adders and shard executors.
+"""Workload parity across adders.
 
 Every scenario stream in :mod:`repro.load` must produce identical
 matches whether a plain CPU adder serves it through the fused kernels
 ("fused") or :class:`tests.oracles.PerPairAdder` forces one ``hom_add``
-per pair ("object"), under either ``executor`` (thread / process; a
-per-pair backend resolves "process" to threads) — the fused kernels and
-the shared-memory process pool are performance paths, never semantic
-ones.  The workload wrappers get the same treatment directly.
+per pair ("object") — the fused kernels are a performance path, never a
+semantic one.  The workload wrappers get the same treatment directly.
 """
 
 import itertools
@@ -26,10 +24,10 @@ from repro.workloads.readmapper import SecureReadMapper
 from tests.oracles import ADDER_KWARGS, PerPairAdder
 
 PARAMS = BFVParams.test_small(64)
-MATRIX = list(itertools.product(["fused", "object"], ["thread", "process"]))
+KERNELS = ["fused", "object"]
 
 
-def _scenario_results(key, kernel, executor, n):
+def _scenario_results(key, kernel, n):
     scenario = SCENARIO_REGISTRY.create(key, seed=13)
     with repro.open_session(
         "bfv-sharded",
@@ -37,7 +35,6 @@ def _scenario_results(key, kernel, executor, n):
         num_shards=2,
         key_seed=13,
         **ADDER_KWARGS[kernel]["bfv-sharded"],
-        executor=executor,
         db_bits=scenario.db_bits(),
     ) as session:
         out = []
@@ -51,32 +48,32 @@ def _scenario_results(key, kernel, executor, n):
 
 
 class TestScenarioParityMatrix:
-    """Same scenario stream, every adder x executor cell, same matches."""
+    """Same scenario stream, either adder, same matches."""
 
-    @pytest.mark.parametrize("kernel,executor", MATRIX)
-    def test_database_matches_oracle(self, kernel, executor):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_database_matches_oracle(self, kernel):
         scenario = SCENARIO_REGISTRY.create("database", seed=13)
         expected = [
             item.expected
             for item in itertools.islice(scenario.requests(), 4)
         ]
-        got = _scenario_results("database", kernel, executor, 4)
+        got = _scenario_results("database", kernel, 4)
         assert got == expected
 
-    @pytest.mark.parametrize("kernel,executor", MATRIX)
-    def test_readmapper_batches_and_wildcards(self, kernel, executor):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_readmapper_batches_and_wildcards(self, kernel):
         # requests 1-4 cover three seed batches plus one wildcard read
         scenario = SCENARIO_REGISTRY.create("readmapper", seed=13)
         expected = [
             item.expected
             for item in itertools.islice(scenario.requests(), 4)
         ]
-        got = _scenario_results("readmapper", kernel, executor, 4)
+        got = _scenario_results("readmapper", kernel, 4)
         assert got == expected
 
     def test_dna_parity_across_kernels(self):
         runs = {
-            kernel: _scenario_results("dna", kernel, "thread", 5)
+            kernel: _scenario_results("dna", kernel, 5)
             for kernel in ("fused", "object")
         }
         assert runs["fused"] == runs["object"]
