@@ -1,6 +1,6 @@
 """Polynomial-backend speedup: reference vs vectorized RNS/NTT.
 
-Three measurements:
+Four measurements:
 
 * negacyclic multiply at the paper modulus (``q = 2**32``) across ring
   degrees — the operation behind every encrypt (``pk0 * u``) and every
@@ -9,12 +9,18 @@ Three measurements:
   where the reference path falls back to Python-int arithmetic;
 * end-to-end serving throughput of :class:`ShardedSearchEngine` under
   each backend (decode decrypts one result block per Hom-Add, so the
-  vectorized multiply directly lifts queries/sec).
+  vectorized multiply directly lifts queries/sec);
+* the ternary product at the paper's parameters (n = 1024,
+  ``q = 2**32``): a cached public-key operand times a fresh ternary
+  mask, on the general 3-limb basis (``*``) and on the 2-limb basis
+  :meth:`~repro.he.poly.RingPoly.mul_by_small` sizes from the mask's
+  checked magnitude — the product under every fresh row.
 
 Runs standalone (``python benchmarks/bench_poly.py``) or under pytest.
-``--quick`` restricts to the n=4096 multiply and **exits non-zero if the
-vectorized backend is not faster than reference** — the CI bench-smoke
-gate.  The acceptance target for this repo is >= 5x on the n=4096
+``--quick`` restricts to the n=4096 multiply and the ternary product and
+**exits non-zero if the vectorized backend is not faster than reference
+or the ternary product not faster than the general one** — the CI
+bench-smoke gate.  The acceptance target for this repo is >= 5x on the n=4096
 multiply; the table records the measured ratio.
 """
 
@@ -87,6 +93,32 @@ def bench_mul(n: int, q: int, reps: int, seed: int = DEFAULT_SEED) -> dict:
         "vectorized_cached_ms": t_cached * 1e3,
         "speedup": t_ref / t_vec,
         "speedup_cached": t_ref / t_cached,
+    }
+
+
+def bench_ternary(n: int, q: int, reps: int, seed: int = DEFAULT_SEED) -> dict:
+    """Cached ``[0, q)`` operand times a fresh ternary one: the general
+    product against the one sized to the ternary bound."""
+    rng = np.random.default_rng(seed + 3)
+    ring = RingContext(n, q, backend="vectorized")
+    pk = ring.random_uniform(rng)
+    u = (rng.integers(-1, 2, size=n, dtype=np.int64)) % q
+    want = pk * _fresh(ring, u)
+    assert pk.mul_by_small(_fresh(ring, u)) == want, (
+        "ternary product diverged — run tests/he/test_backend_parity.py"
+    )
+    backend = ring.backend
+    narrow = backend.basis_for(n * (q - 1))
+    # best of many: each call is a fraction of a millisecond
+    t_general = _time(lambda: pk * _fresh(ring, u), 20 * reps)
+    t_ternary = _time(lambda: pk.mul_by_small(_fresh(ring, u)), 20 * reps)
+    return {
+        "n": n,
+        "general_limbs": len(backend.basis.primes),
+        "ternary_limbs": len(narrow.primes),
+        "general_ms": t_general * 1e3,
+        "ternary_ms": t_ternary * 1e3,
+        "speedup": t_general / t_ternary,
     }
 
 
@@ -170,6 +202,22 @@ def run(quick: bool, seed: int = DEFAULT_SEED) -> int:
         ),
     ]
 
+    ternary = bench_ternary(1024, PAPER_Q, reps, seed)
+    lines += [
+        "",
+        format_table(
+            "Cached operand x fresh ternary, n=1024 q=2**32 (best of %d)"
+            % (20 * reps),
+            ["n", "general limbs", "ternary limbs", "general_ms",
+             "ternary_ms", "speedup"],
+            [[
+                ternary["n"], ternary["general_limbs"],
+                ternary["ternary_limbs"], f"{ternary['general_ms']:.3f}",
+                f"{ternary['ternary_ms']:.3f}", f"{ternary['speedup']:.2f}x",
+            ]],
+        ),
+    ]
+
     if not quick:
         kernel_rows = bench_kernels(4096, reps, seed)
         lines += [
@@ -209,6 +257,14 @@ def run(quick: bool, seed: int = DEFAULT_SEED) -> int:
             file=sys.stderr,
         )
         return 1
+    if ternary["speedup"] <= 1.0:
+        print(
+            f"FAIL: ternary product on {ternary['ternary_limbs']} limbs not "
+            f"faster than the general one on {ternary['general_limbs']} "
+            f"({ternary['speedup']:.2f}x) — the narrow basis is not selected",
+            file=sys.stderr,
+        )
+        return 1
     target = 5.0
     best = max(gate["speedup"], gate["speedup_cached"])
     status = "meets" if best >= target else "BELOW"
@@ -231,8 +287,9 @@ def main() -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="n=4096 multiply only; non-zero exit if vectorized is slower "
-        "than reference (CI gate)",
+        help="n=4096 multiply and the ternary product only; non-zero exit "
+        "if vectorized is slower than reference or the ternary product "
+        "slower than the general one (CI gate)",
     )
     parser.add_argument(
         "--seed", type=int, default=DEFAULT_SEED,

@@ -40,7 +40,8 @@ from typing import Dict, List
 import numpy as np
 
 from ..he.bfv import BFVContext, Ciphertext, Plaintext
-from ..he.keys import PublicKey
+from ..he.keys import PublicKey, SecretKey
+from ..he.poly import RingPoly
 from ..utils.bits import chunk_bits, negate_bits
 from .packing import derive_masking_poly
 
@@ -212,7 +213,8 @@ class QueryPreparer:
         pk: PublicKey,
         *,
         deterministic_seed: int | None = None,
-    ) -> Ciphertext:
+        sk: SecretKey | None = None,
+    ) -> "Ciphertext | tuple[Ciphertext, RingPoly]":
         """Encrypt the (variant, residue-class) query polynomial without
         consulting or populating ``prepared``'s per-query cache.
 
@@ -220,19 +222,27 @@ class QueryPreparer:
         *bounded* LRU cache is the only place variant ciphertexts are
         retained.  ``residue`` stands in for the polynomial base index:
         the coefficient layout only depends on ``poly_index * n`` modulo
-        the variant's span.
+        the variant's span.  A key holder that passes ``sk`` gets
+        ``(ciphertext, phase)`` — the same ciphertext, with its
+        decryption phase from the same pass
+        (:meth:`BFVContext.encrypt_with_phase`).
         """
         variant = prepared.variants[variant_index]
         pt = self.variant_plaintext(variant, residue)
-        if deterministic_seed is None:
-            return self.ctx.encrypt(pt, pk)
-        u = derive_masking_poly(
-            self.ctx,
-            deterministic_seed,
-            "qv",
-            variant_cache_key(variant_index, residue),
-        )
-        return self.ctx.encrypt(pt, pk, noiseless=True, u=u)
+        mask = {}
+        if deterministic_seed is not None:
+            mask = dict(
+                noiseless=True,
+                u=derive_masking_poly(
+                    self.ctx,
+                    deterministic_seed,
+                    "qv",
+                    variant_cache_key(variant_index, residue),
+                ),
+            )
+        if sk is None:
+            return self.ctx.encrypt(pt, pk, **mask)
+        return self.ctx.encrypt_with_phase(pt, pk, sk, **mask)
 
 
 def _periodic_window(query_bits: np.ndarray, start: int, width: int) -> np.ndarray:

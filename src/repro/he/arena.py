@@ -31,6 +31,8 @@ with its own ``c1 * s`` ring multiply.  The arena removes both costs:
   phase lies in one fixed interval of ``[0, q)``, so index generation
   is an add, a modular fold and a compare — no plaintext scaling, no
   division, no arithmetic wider than int64 at any supported modulus.
+  At the paper's ``q = 2**32`` the phase rows are ``uint32`` and the
+  wrapping add *is* the fold.
 
 Every kernel is exact: it produces bit-for-bit the coefficients the
 object path produces (``tests/he/test_arena.py`` enforces this), for
@@ -133,6 +135,39 @@ def center_rows(rows: np.ndarray, q: int) -> np.ndarray:
     """Lift ``[0, q)`` rows to the centered interval ``(-q/2, q/2]``."""
     half = q // 2
     return np.where(rows > half, rows - q, rows)
+
+
+def phase_dtype(q: int) -> np.dtype:
+    """Element type of the phase rows :func:`fused_decrypt_flags`
+    streams: ``uint32`` at ``q = 2**32``, where a wrapping add is the
+    fold mod q, ``int64`` at every other modulus."""
+    return np.dtype(np.uint32 if q == 1 << 32 else np.int64)
+
+
+def row_dtype(q: int) -> np.dtype:
+    """Narrowest unsigned type that holds ``[0, q)`` — the storage type
+    of a cached query row (:func:`stack_fresh_row`)."""
+    for dtype in (np.uint16, np.uint32):
+        if q - 1 <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.uint64)
+
+
+def _as_phase_rows(rows: np.ndarray, q: int) -> np.ndarray:
+    """``rows`` in the kernel's :func:`phase_dtype` (no copy when they
+    already are).  ``uint32`` is the ``q = 2**32`` form only — at any
+    other modulus it is a caller mistake, not data to reinterpret —
+    and rows of any other type must lie in ``[0, q)``."""
+    want = phase_dtype(q)
+    if rows.dtype == np.uint32:
+        if want != np.uint32:
+            raise ValueError(
+                f"uint32 phase rows are the q = 2**32 form, got q={q}"
+            )
+        return rows
+    if rows.size and not (0 <= rows.min() and rows.max() < q):
+        raise ValueError(f"phase rows must lie in [0, q) for q={q}")
+    return rows.astype(want, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +485,8 @@ class CiphertextArena:
 
     def phases(self, sk: "SecretKey") -> np.ndarray:
         """``(num_polys, n)`` decryption phases ``c0 + c1 * s mod q``
-        of the arena rows, computed once per (arena, secret key).
+        of the arena rows, computed once per (arena, secret key), in
+        the kernel's :func:`phase_dtype`.
 
         Decryption is linear, so the phase of any Hom-Add result is the
         sum of these rows and the query-side phases — which is what
@@ -470,7 +506,7 @@ class CiphertextArena:
         with self._lock:
             if self._phase_rows is None or self._phase_sk is not sk:
                 self._phase_rows = np.empty(
-                    (self.num_polys, self.n), dtype=np.int64
+                    (self.num_polys, self.n), dtype=phase_dtype(self.params.q)
                 )
                 self._phase_built = np.zeros(self._num_tiles, dtype=bool)
                 self._phase_sk = sk
@@ -570,9 +606,15 @@ def fused_decrypt_flags(
     and the output row.  Nothing is multiplied by ``t``, so every
     intermediate is below ``2q <= 2**63``.
 
+    At ``q = 2**32`` both phase stacks are ``uint32`` (int64 rows in
+    ``[0, q)`` are narrowed on entry) and unsigned wrap-around *is* the
+    fold: per variant one add and one compare, half the bytes of the
+    int64 body, which stays the only path for every other modulus.
+
     Raises ``ValueError`` unless ``0 < 2**chunk_width - 1 < t`` and
-    ``q <= 2**62``, and ``IndexError`` for a ``row_map`` entry outside
-    ``query_phases``.
+    ``q <= 2**62``, when ``uint32`` rows meet any other modulus or rows
+    of another type leave ``[0, q)``, and ``IndexError`` for a
+    ``row_map`` entry outside ``query_phases``.
     """
     q, t = params.q, params.t
     match = (1 << chunk_width) - 1
@@ -590,11 +632,19 @@ def fused_decrypt_flags(
         0 <= row_map.min() and row_map.max() < len(query_phases)
     ):
         raise IndexError("row_map entry outside query_phases")
-    shifted = query_phases - lo
-    np.add(shifted, q, out=shifted, where=shifted < 0)
+    db_phases = _as_phase_rows(db_phases, q)
+    query_phases = _as_phase_rows(query_phases, q)
     shape = db_phases.shape
     flags = np.empty((num_variants,) + shape, dtype=bool)
-    buf = np.empty(shape, dtype=np.int64)
+    buf = np.empty(shape, dtype=db_phases.dtype)
+    narrow = db_phases.dtype == np.uint32
+    if narrow:
+        # 0 < lo < q and width <= q // 2 + 1 (t >= 2): both fit uint32
+        shifted = query_phases - np.uint32(lo)  # wraps mod 2**32
+        width = np.uint32(width)
+    else:
+        shifted = query_phases - lo
+        np.add(shifted, q, out=shifted, where=shifted < 0)
     pow2 = q & (q - 1) == 0
     wrapped = None if pow2 else np.empty(shape, dtype=bool)
     for v in range(num_variants):
@@ -607,7 +657,9 @@ def fused_decrypt_flags(
             # unbuffered write into ``buf``
             np.take(shifted, rows, axis=0, out=buf, mode="clip")
             np.add(buf, db_phases, out=buf)
-        if pow2:
+        if narrow:
+            np.less(buf, width, out=out)
+        elif pow2:
             np.bitwise_and(buf, q - 1, out=buf)
             np.less(buf, width, out=out)
         else:
@@ -633,8 +685,11 @@ class QueryArena:
     layout of variant ``v`` against database polynomial ``j`` depends on
     ``j`` only through ``residue = (j * n) mod span``, so the row count
     is O(variants), not O(variants x polynomials).  ``rows_for`` supplies
-    the ``(2, n)`` int64 rows (from a freshly encrypted ciphertext, a
-    serving-layer cache, ...).
+    each row: the ``(2, n)`` rows of a ciphertext
+    (:func:`stack_ciphertext`), or the ``(3, n)`` rows of a fresh one
+    with its phase (:func:`stack_fresh_row` — what the serving cache
+    holds), in which case :meth:`phases` reads the phase rows it was
+    handed instead of multiplying by the secret key again.
     """
 
     def __init__(
@@ -652,25 +707,30 @@ class QueryArena:
         row_variant: List[int] = []
         row_residue: List[int] = []
         luts: List[np.ndarray] = []
+        poly_offsets = np.arange(num_polynomials, dtype=np.int64) * n
         for v_idx, variant in enumerate(variants):
             span = variant.span
             lut = np.full(span, -1, dtype=np.intp)
-            # distinct residue classes over the whole database, with a
-            # representative polynomial index for the row factory
-            residues = (np.arange(num_polynomials, dtype=np.int64) * n) % span
-            for j in range(num_polynomials):
-                res = int(residues[j])
-                if lut[res] < 0:
-                    lut[res] = len(rows)
-                    rows.append(np.asarray(rows_for(v_idx, res, j), dtype=np.int64))
-                    row_variant.append(v_idx)
-                    row_residue.append(res)
+            # distinct residue classes over the whole database, in order
+            # of first appearance (the order rows are requested in is
+            # the order fresh ones draw from the client's RNG), each
+            # with the first polynomial index that lands in it
+            residues, first = np.unique(poly_offsets % span, return_index=True)
+            order = np.argsort(first)
+            residues, first = residues[order], first[order]
+            lut[residues] = len(rows) + np.arange(len(residues))
+            for res, j in zip(residues.tolist(), first.tolist()):
+                rows.append(np.asarray(rows_for(v_idx, res, j)))
+                row_variant.append(v_idx)
+                row_residue.append(res)
             luts.append(lut)
         self.num_variants = len(luts)
         self.num_polynomials = num_polynomials
-        self.stack = (
+        #: rows as handed: (num_rows, 2 or 3, n), any integer dtype
+        self._rows = (
             np.stack(rows) if rows else np.empty((0, 2, n), dtype=np.int64)
         )
+        self._stack: np.ndarray | None = None
         self.row_variant = np.asarray(row_variant, dtype=np.intp)
         self.row_residue = np.asarray(row_residue, dtype=np.intp)
         self._luts = luts
@@ -679,7 +739,17 @@ class QueryArena:
 
     @property
     def num_rows(self) -> int:
-        return self.stack.shape[0]
+        return self._rows.shape[0]
+
+    @property
+    def stack(self) -> np.ndarray:
+        """``(num_rows, 2, n)`` int64 ciphertext rows — what the
+        per-pair adder, the comparator and block materialization read
+        (widened from the cached storage type on first use; the fused
+        decrypt path never touches them)."""
+        if self._stack is None:
+            self._stack = self._rows[:, :2].astype(np.int64, copy=False)
+        return self._stack
 
     @property
     def c0(self) -> np.ndarray:
@@ -699,16 +769,23 @@ class QueryArena:
         return out
 
     def phases(self, sk: "SecretKey") -> np.ndarray:
-        """``(num_rows, n)`` decryption phases of the query rows,
-        cached per secret key (one batched multiply per query)."""
+        """``(num_rows, n)`` decryption phases of the query rows in the
+        kernel's :func:`phase_dtype`, cached per secret key.  Rows that
+        came with their phase (computed under the key holder's ``sk``
+        when they were encrypted) are read; bare ciphertext rows pay
+        one batched ``c1 * s`` multiply."""
         with self._lock:
             cached = self._phase_cache
             if cached is not None and cached[0] is sk:
                 return cached[1]
             q = self.params.q
-            phases = add_mod_q(
-                self.c0, mul_rows_by_poly(self.ring, self.c1, sk.s), q
-            )
+            if self._rows.shape[1] == 3:
+                phases = self._rows[:, 2]
+            else:
+                phases = add_mod_q(
+                    self.c0, mul_rows_by_poly(self.ring, self.c1, sk.s), q
+                )
+            phases = phases.astype(phase_dtype(q), copy=False)
             self._phase_cache = (sk, phases)
             return phases
 
@@ -719,6 +796,19 @@ def stack_ciphertext(ct: Ciphertext) -> np.ndarray:
     if ct.size != 2:
         raise ValueError("arena rows require size-2 ciphertexts")
     return np.stack([ct.c0.coeffs, ct.c1.coeffs])
+
+
+def stack_fresh_row(ct: Ciphertext, phase: RingPoly) -> np.ndarray:
+    """A fresh ciphertext and its decryption phase as one ``(3, n)``
+    row — ``c0``, ``c1``, ``c0 + c1 * s`` — in :func:`row_dtype`: the
+    serving cache's entry format (12 KiB at the paper's parameters).
+    The phase is ``delta * m + e``; it belongs on the key holder's
+    side of the trust boundary and never travels with the ciphertext."""
+    if ct.size != 2:
+        raise ValueError("arena rows require size-2 ciphertexts")
+    row = np.empty((3, len(phase.coeffs)), dtype=row_dtype(ct.params.q))
+    row[0], row[1], row[2] = ct.c0.coeffs, ct.c1.coeffs, phase.coeffs
+    return row
 
 
 def unstack_ciphertext(

@@ -22,7 +22,11 @@ are dispatched through a backend object bound to one ``(n, q)`` pair:
   :class:`~repro.he.poly.RingPoly` objects themselves, so repeated
   products against the same polynomial (the database polynomial in the
   serving inner loop, the secret key in batch decryption) transform
-  once and reuse.
+  once and reuse.  A product with a *small* operand — the ternary mask
+  of an encryption, the ternary secret key of a phase — runs on a
+  prefix of those limbs sized from the magnitude it checks on that
+  operand (:meth:`VectorizedBackend.mul_by_small`: two limbs instead
+  of three at the paper's parameters).
 
 Both backends are *exact*: for every supported ``(n, q)`` they return
 bit-identical coefficient vectors (``tests/he/test_backend_parity.py``
@@ -39,6 +43,7 @@ environment variable, else ``"vectorized"``.
 
 from __future__ import annotations
 
+import math
 import os
 from functools import lru_cache
 from typing import TYPE_CHECKING, List, Sequence, Tuple
@@ -466,9 +471,15 @@ class RnsBasis:
     degenerates to the single native limb ``[q]`` and recombination is
     the identity.  Transforms carry all limbs together as ``(k, n)``
     matrices (:class:`_StackedNtt`).
+
+    ``limbs`` asks for exactly that many primes instead — a *narrow*
+    basis for products whose operands are known to be small (a ternary
+    mask or secret key).  Its primes are a prefix of the general
+    basis's; whoever multiplies on it must first check :meth:`fits`
+    against a bound on the exact integer result.
     """
 
-    def __init__(self, n: int, q: int):
+    def __init__(self, n: int, q: int, limbs: int | None = None):
         self.n = n
         self.q = q
         self.native = _is_native_ntt_modulus(n, q)
@@ -477,13 +488,11 @@ class RnsBasis:
             self.modulus = q
         else:
             bound = 2 * n * (q // 2) ** 2
-            count = 1
+            count = limbs or 1
             while True:
                 primes = find_ntt_primes(_LIMB_PRIME_BITS, n, count)
-                modulus = 1
-                for p in primes:
-                    modulus *= p
-                if modulus > bound:
+                modulus = math.prod(primes)
+                if limbs is not None or modulus > bound:
                     break
                 count += 1
             self.primes = tuple(primes)
@@ -554,6 +563,12 @@ class RnsBasis:
         else:
             self._stacked = _StackedNtt(self.plans)
 
+    def fits(self, bound: int) -> bool:
+        """True when every integer of magnitude ``<= bound`` is
+        recovered exactly from its residues (single-limb native
+        arithmetic is mod ``q`` itself, so it always is)."""
+        return self.native or self.modulus > 2 * bound
+
     # -- transforms ------------------------------------------------------
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
@@ -611,6 +626,17 @@ class RnsBasis:
         if self.native:
             return residues[0]
         q = self.q
+        if len(self.primes) == 2:
+            # One Garner step, and M < 2**60: the centered integer fits
+            # int64, so the sign test is one compare and the fold one
+            # mask (two's complement) or one floor-mod.
+            p0, p1 = self.primes
+            digit = (residues[1] - residues[0]) * self._prefix_inv[1] % p1
+            exact = residues[0] + digit * p0
+            exact -= np.where(exact > self.modulus // 2, self.modulus, 0)
+            if self._q_pow2_mask is not None:
+                return exact & (q - 1)
+            return exact % q
         shape = residues.shape[1:]
         digits: List[np.ndarray] = [residues[0]]
         for i in range(1, len(self.primes)):
@@ -690,11 +716,11 @@ class RnsBasis:
 
 
 @lru_cache(maxsize=32)
-def get_rns_basis(n: int, q: int) -> RnsBasis:
+def get_rns_basis(n: int, q: int, limbs: int | None = None) -> RnsBasis:
     """Cached basis lookup — bases are shared across equal rings, which
     also lets NTT caches survive between :class:`RingContext` instances
     with the same ``(n, q)``."""
-    return RnsBasis(n, q)
+    return RnsBasis(n, q, limbs)
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +783,32 @@ class PolyBackend:
         """Polynomial-level multiply hook; lets caching backends stash
         transform-domain representations on the operands."""
         return self.mul(a.coeffs, b.coeffs)
+
+    def mul_by_small(
+        self, polys: Sequence["RingPoly"], small: "RingPoly"
+    ) -> np.ndarray:
+        """``poly * small`` for every ``poly``, as ``(len(polys), n)``
+        coefficient rows, where ``small`` is expected to have small
+        centered coefficients (a ternary mask or secret key).  The same
+        values as :meth:`mul_poly`; a backend may pick cheaper
+        arithmetic from a bound it checks on ``small``."""
+        return np.stack([self.mul_poly(poly, small) for poly in polys])
+
+    def fresh_row(
+        self,
+        pk0: "RingPoly",
+        pk1: "RingPoly",
+        u: "RingPoly",
+        e1: "RingPoly",
+        s: "RingPoly | None" = None,
+    ) -> Tuple[np.ndarray, np.ndarray, "np.ndarray | None"]:
+        """The ring products of one fresh public-key encryption:
+        ``pk0 * u``, ``c1 = pk1 * u + e1`` and, for the key holder who
+        passes ``s``, ``c1 * s`` (else ``None``) — coefficient rows
+        mod q."""
+        pk0_u, pk1_u = self.mul_by_small((pk0, pk1), u)
+        c1 = (pk1_u + e1.coeffs) % self.q
+        return pk0_u, c1, None if s is None else self.mul(c1, s.coeffs)
 
     def scalar_mul(self, coeffs: np.ndarray, scalar: int) -> np.ndarray:
         raise NotImplementedError
@@ -836,19 +888,32 @@ class VectorizedBackend(PolyBackend):
 
     # -- multiply ---------------------------------------------------------
 
-    def _forward_cached(self, poly: "RingPoly") -> np.ndarray:
-        basis = self.basis
-        cache = poly._ntt
-        if cache is not None and cache[0] is basis:
-            return cache[1]
-        transforms = basis.forward(self._lift(poly.coeffs))
-        poly._ntt = (basis, transforms)
+    def _forward_cached(
+        self, poly: "RingPoly", basis: RnsBasis | None = None
+    ) -> np.ndarray:
+        """Limb transforms of ``poly``'s lift on ``basis`` (default: the
+        general basis), kept on the polynomial per basis so a key that
+        enters products on two bases transforms once on each."""
+        if basis is None:
+            basis = self.basis
+        transforms = poly._ntt.get(basis) if poly._ntt else None
+        if transforms is None:
+            transforms = basis.forward(self._lift(poly.coeffs, basis))
+            self._remember(poly, basis, transforms)
         return transforms
 
-    def _lift(self, coeffs: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _remember(poly: "RingPoly", basis: RnsBasis, transforms: np.ndarray) -> None:
+        if poly._ntt is None:
+            poly._ntt = {}
+        poly._ntt[basis] = transforms
+
+    def _lift(self, coeffs: np.ndarray, basis: RnsBasis | None = None) -> np.ndarray:
         """Representation fed to the limb transforms: centered when the
         basis bound requires it, raw [0, q) otherwise."""
-        return self.center(coeffs) if self.basis.center_needed else coeffs
+        if basis is None:
+            basis = self.basis
+        return self.center(coeffs) if basis.center_needed else coeffs
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         basis = self.basis
@@ -856,19 +921,114 @@ class VectorizedBackend(PolyBackend):
 
     def mul_poly(self, a: "RingPoly", b: "RingPoly") -> np.ndarray:
         basis = self.basis
-        a_cache, b_cache = a._ntt, b._ntt
-        if (a_cache is None or a_cache[0] is not basis) and (
-            b_cache is None or b_cache[0] is not basis
-        ) and a is not b:
+        if (
+            not (a._ntt and basis in a._ntt)
+            and not (b._ntt and basis in b._ntt)
+            and a is not b
+        ):
             fa, fb = basis.forward_pair(self._lift(a.coeffs), self._lift(b.coeffs))
-            a._ntt = (basis, fa)
-            b._ntt = (basis, fb)
+            self._remember(a, basis, fa)
+            self._remember(b, basis, fb)
         else:
             fa = self._forward_cached(a)
             fb = self._forward_cached(b)
         return basis.combine_mod_q(
             basis._stacked.inverse_reduced(basis.pointwise(fa, fb))
         )
+
+    # -- small-operand products -------------------------------------------
+
+    def basis_for(self, bound: int) -> RnsBasis:
+        """The basis with the fewest limbs that recovers every integer
+        of magnitude ``<= bound`` exactly: a prefix of the general
+        basis's primes when their product already exceeds ``2 * bound``,
+        else the general basis itself."""
+        general = self.basis
+        for count in range(1, len(general.primes)):
+            narrow = get_rns_basis(self.n, self.q, count)
+            if narrow.fits(bound):
+                return narrow
+        return general
+
+    def _magnitude(self, poly: "RingPoly") -> int:
+        """Largest centered |coefficient| — the checked bound a narrow
+        basis is chosen from (one pass)."""
+        return int(np.abs(self.center(poly.coeffs)).max())
+
+    def mul_by_small(
+        self, polys: Sequence["RingPoly"], small: "RingPoly"
+    ) -> np.ndarray:
+        """Every ``poly * small`` on the narrowest basis the *checked*
+        magnitude of ``small`` allows, sharing its one transform.
+
+        With ``|poly| <= q - 1`` and ``|small| <= m`` (centered, read
+        off the coefficients in one pass) every coefficient of the
+        exact integer product is at most ``n * (q - 1) * m``, so a
+        basis with ``M > 2 * n * (q - 1) * m`` recovers it — two limbs
+        for a ternary mask or key at the paper's parameters
+        (``n * q = 2**42``) where the general ``2 n (q/2)**2 = 2**73``
+        needs three, with a one-step Garner recombination.  A ``small``
+        that is not small gets the general products: nothing wraps.
+        """
+        basis = self.basis_for(self.n * (self.q - 1) * self._magnitude(small))
+        if basis is self.basis:
+            return super().mul_by_small(polys, small)
+        fs = self._forward_cached(small, basis)
+        return self._recombine(
+            basis,
+            [basis.pointwise(self._forward_cached(p, basis), fs) for p in polys],
+        )
+
+    @staticmethod
+    def _recombine(basis: RnsBasis, products: Sequence[np.ndarray]) -> np.ndarray:
+        """``(m, n)`` coefficient rows mod q from ``m`` pointwise
+        products, through one batched inverse transform."""
+        inverse = basis._stacked.inverse_reduced(np.stack(products))
+        return basis.combine_mod_q(np.moveaxis(inverse, 0, 1))
+
+    def fresh_row(
+        self,
+        pk0: "RingPoly",
+        pk1: "RingPoly",
+        u: "RingPoly",
+        e1: "RingPoly",
+        s: "RingPoly | None" = None,
+    ) -> Tuple[np.ndarray, np.ndarray, "np.ndarray | None"]:
+        """With ``s``: all three products of a fresh row from one pass —
+        ``u`` and ``e1`` forward together, ``pk0 u``, ``pk1 u + e1`` and
+        ``(pk1 u + e1) s`` formed pointwise, one batched inverse: 2
+        forward + 3 inverse transforms on the narrow basis.
+
+        ``c1 * s`` is taken from the *integer* ``pk1 * u + e1`` before
+        its reduction mod q (same value mod q), so the basis is sized
+        for that chained product from the checked magnitudes of ``u``
+        and ``s``: ``|pk1 u + e1| <= n (q - 1) |u| + q // 2`` (a
+        centered ``e1`` is at most ``q // 2`` whatever was sampled),
+        times ``n |s|`` — ``n * n * q < M / 2`` for ternary operands and
+        two 2**30 limbs at the paper's parameters.  Operands too large
+        for a narrower basis take the general products; nothing wraps.
+        Without ``s`` (database outsourcing) the row is the two
+        :meth:`mul_by_small` products and ``e1`` is never transformed.
+        """
+        if s is None:
+            return super().fresh_row(pk0, pk1, u, e1)
+        n, q = self.n, self.q
+        c1_bound = n * (q - 1) * self._magnitude(u) + q // 2
+        basis = self.basis_for(n * c1_bound * max(self._magnitude(s), 1))
+        if basis is self.basis:
+            return super().fresh_row(pk0, pk1, u, e1, s)
+        p = basis._stacked.p
+        if e1.is_zero():
+            fu = basis.forward(self.center(u.coeffs))
+            f1 = self._forward_cached(pk1, basis) * fu % p
+        else:
+            fu, fe = basis.forward_pair(
+                self.center(u.coeffs), self.center(e1.coeffs)
+            )
+            f1 = (self._forward_cached(pk1, basis) * fu + fe) % p
+        f0 = self._forward_cached(pk0, basis) * fu % p
+        f2 = f1 * self._forward_cached(s, basis) % p
+        return tuple(self._recombine(basis, (f0, f1, f2)))
 
     def mul_rows_by_poly(self, rows: np.ndarray, poly: "RingPoly") -> np.ndarray:
         """Batched multiply: every ``(m, n)`` coefficient row (values in
@@ -881,8 +1041,7 @@ class VectorizedBackend(PolyBackend):
         """
         basis = self.basis
         f_poly = self._forward_cached(poly)
-        lifted = self.center(rows) if basis.center_needed else rows
-        return basis.mul_rows_by(lifted, f_poly)
+        return basis.mul_rows_by(self._lift(rows), f_poly)
 
     # -- other ops --------------------------------------------------------
 

@@ -139,6 +139,31 @@ class BFVContext:
         deterministic function of the message, which the paper's
         server-side index generation implicitly requires.
         """
+        return self._fresh_row(pt, pk, None, noiseless, u)[0]
+
+    def encrypt_with_phase(
+        self,
+        pt: Plaintext,
+        pk: PublicKey,
+        sk: SecretKey,
+        *,
+        noiseless: bool = False,
+        u: RingPoly | None = None,
+    ) -> tuple[Ciphertext, RingPoly]:
+        """:meth:`encrypt` for the key holder: the same ciphertext from
+        the same RNG draws, plus its :meth:`phase` under ``sk``, formed
+        from the transforms the encryption already holds instead of a
+        second multiply."""
+        return self._fresh_row(pt, pk, sk, noiseless, u)
+
+    def _fresh_row(
+        self,
+        pt: Plaintext,
+        pk: PublicKey,
+        sk: SecretKey | None,
+        noiseless: bool,
+        u: RingPoly | None,
+    ) -> tuple[Ciphertext, RingPoly | None]:
         self.counter.encryptions += 1
         delta = self.params.delta
         m_lifted = self.ring.make(pt.poly.coeffs)  # [0, t) embeds into [0, q)
@@ -151,9 +176,13 @@ class BFVContext:
         else:
             e0 = self.ring.random_error(self._rng, self.params.sigma)
             e1 = self.ring.random_error(self._rng, self.params.sigma)
-        c0 = pk.pk0 * u + e0 + scaled
-        c1 = pk.pk1 * u + e1
-        return Ciphertext(self.params, c0, c1)
+        ring = self.ring
+        pk0_u, c1, c1_s = ring.backend.fresh_row(
+            pk.pk0, pk.pk1, u, e1, None if sk is None else sk.s
+        )
+        c0 = RingPoly(ring, pk0_u) + e0 + scaled
+        ct = Ciphertext(self.params, c0, RingPoly(ring, c1))
+        return ct, None if c1_s is None else c0 + RingPoly(ring, c1_s)
 
     def encrypt_symmetric(self, pt: Plaintext, sk: SecretKey) -> Ciphertext:
         """Secret-key encryption (used by key-switching tests)."""
@@ -164,13 +193,19 @@ class BFVContext:
         c0 = -(a * sk.s) - e + scaled
         return Ciphertext(self.params, c0, a)
 
+    def phase(self, ct: Ciphertext, sk: SecretKey) -> RingPoly:
+        """The decryption phase ``c0 + c1 s [+ c2 s^2]`` in ``R_q`` —
+        ``delta * m`` plus the ciphertext's noise.  Key-holder side
+        only; counts as no operation."""
+        phase = ct.c0 + ct.c1.mul_by_small(sk.s)
+        if ct.c2 is not None:
+            phase = phase + ct.c2 * (sk.s * sk.s)
+        return phase
+
     def decrypt(self, ct: Ciphertext, sk: SecretKey) -> Plaintext:
         """Decrypt: ``round(t/q * (c0 + c1 s [+ c2 s^2])) mod t``."""
         self.counter.decryptions += 1
-        phase = ct.c0 + ct.c1 * sk.s
-        if ct.c2 is not None:
-            phase = phase + ct.c2 * (sk.s * sk.s)
-        coeffs = self._scale_to_plaintext(phase)
+        coeffs = self._scale_to_plaintext(self.phase(ct, sk))
         return Plaintext(self.params, self.plain_ring.make(coeffs))
 
     def _scale_to_plaintext(self, phase: RingPoly) -> np.ndarray:
@@ -296,11 +331,8 @@ class BFVContext:
     def noise_residual(self, ct: Ciphertext, sk: SecretKey) -> int:
         """Max |noise| of the ciphertext: distance of the decryption phase
         from the nearest lattice point ``delta * m``."""
-        phase = ct.c0 + ct.c1 * sk.s
-        if ct.c2 is not None:
-            phase = phase + ct.c2 * (sk.s * sk.s)
         delta = self.params.delta
-        remainders = phase.centered() % delta  # numpy %: always in [0, delta)
+        remainders = self.phase(ct, sk).centered() % delta  # numpy %: always in [0, delta)
         distances = np.minimum(remainders, delta - remainders)
         return int(np.max(distances)) if len(distances) else 0
 

@@ -117,9 +117,10 @@ class RingContext:
 class RingPoly:
     """An element of ``R_q``.  Treat instances as immutable.
 
-    ``_ntt`` holds the backend's cached transform-domain representation
-    (set lazily by the vectorized backend on first multiply); it is an
-    implementation detail and is never serialized or compared.
+    ``_ntt`` holds the backend's cached transform-domain
+    representations, one per limb basis the polynomial has entered a
+    product on (set lazily by the vectorized backend); it is an
+    implementation detail and is never serialized, compared or copied.
     """
 
     __slots__ = ("ring", "coeffs", "_ntt")
@@ -153,6 +154,15 @@ class RingPoly:
         return RingPoly(self.ring, self.ring.backend.mul_poly(self, other))
 
     __rmul__ = __mul__
+
+    def mul_by_small(self, small: "RingPoly") -> "RingPoly":
+        """``self * small`` for a ``small`` with small centered
+        coefficients (a ternary key): the same ring element as ``*``,
+        computed on as few limbs as the checked magnitude allows."""
+        self._check(small)
+        return RingPoly(
+            self.ring, self.ring.backend.mul_by_small((self,), small)[0]
+        )
 
     def scalar_mul(self, scalar: int) -> "RingPoly":
         return RingPoly(self.ring, self.ring.backend.scalar_mul(self.coeffs, scalar))

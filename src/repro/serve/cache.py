@@ -10,13 +10,19 @@ effectiveness.
 
 The cache also doubles as the encryption serialization point: BFV
 encryption draws from the client's (non-thread-safe) RNG, so the miss
-path runs the factory under the cache lock.  Hom-Adds dominate the
-serving cost, so serializing encryption costs little and guarantees each
-key is encrypted at most once per residency.
+path runs the factory under the cache lock, which guarantees each key
+is encrypted at most once per residency.  That serialized miss — fresh
+rows and their phases — is the larger part of a cache-missing search
+(``docs/perf.md``, "Query side sized to its operands"), which is why a
+hit must cost a dictionary lookup and nothing else.
 
 Values are whatever the serving path caches per (query, variant,
-residue-class): the sharded engine stores the stacked ``(2, n)`` int64
-arena rows, the form the broadcast Hom-Add consumes.
+residue-class): the sharded engine stores one
+:func:`~repro.he.arena.stack_fresh_row` entry — the ``c0``, ``c1`` and
+phase rows as a ``(3, n)`` array in the narrowest unsigned type that
+holds ``[0, q)``, 12 KiB at the paper's parameters (256 entries:
+3 MiB).  The phase row is ``delta * m + e``: the cache lives on the key
+holder's side of the trust boundary (``docs/serving.md``).
 
 Byte accounting (multi-tenant serving)
 --------------------------------------

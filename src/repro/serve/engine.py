@@ -17,10 +17,11 @@ Concurrency model
 * A shard executes one task at a time (its lock models the physical
   die-group and protects stateful backends such as
   :class:`~repro.ssd.device.IFPAdditionBackend`).
-* Variant encryption is serialized through the shared bounded LRU
+* Variant encryption (and the phase of each fresh row) is serialized
+  through the shared bounded LRU
   :class:`~repro.serve.cache.VariantCipherCache` (the client RNG is not
-  thread-safe); Hom-Adds — the dominant cost — run concurrently across
-  shards.
+  thread-safe) and is the larger part of a cache-missing search; the
+  Hom-Add kernels run concurrently across shards.
 * The worker completing a query's last shard task finalizes it (index
   generation + decode + verification), so decode of one query overlaps
   the Hom-Adds of the next.
@@ -51,7 +52,7 @@ from ..he.arena import (
     CiphertextArena,
     QueryArena,
     fused_decrypt_flags,
-    stack_ciphertext,
+    stack_fresh_row,
     unstack_ciphertext,
 )
 from ..he.bfv import BFVContext, Ciphertext
@@ -548,8 +549,12 @@ class ShardedSearchEngine:
     def _job_query_arena(self, job: _QueryJob) -> QueryArena:
         """The job's stacked query-variant rows, built by the first
         shard task to need them.  Rows live in the shared
-        :class:`VariantCipherCache` as ``(2, n)`` int64 stacks, so
-        repeated queries across batches skip encryption entirely."""
+        :class:`VariantCipherCache` as :func:`stack_fresh_row` entries
+        — ciphertext rows and the phase row computed once, at the miss
+        — so a repeated query skips encryption *and* the ``c1 * s``
+        multiply: the fused kernel reads the phase row, the per-pair
+        adder and the comparator the ciphertext rows of the same entry.
+        """
         with job.prep_lock:
             if job.query_arena is None:
                 det_seed = None
@@ -557,15 +562,18 @@ class ShardedSearchEngine:
                     det_seed = self.config.deterministic_seed
                 ctx = self.client.ctx
 
+                def fresh_row(v_idx: int, residue: int) -> np.ndarray:
+                    return stack_fresh_row(
+                        *self.client.preparer.encrypt_variant_value(
+                            job.prepared, v_idx, residue, self.client.pk,
+                            deterministic_seed=det_seed, sk=self.client.sk,
+                        )
+                    )
+
                 def rows_for(v_idx: int, residue: int, j: int) -> np.ndarray:
                     return self.cache.get_or_create(
                         (job.key, v_idx, residue),
-                        lambda: stack_ciphertext(
-                            self.client.preparer.encrypt_variant_value(
-                                job.prepared, v_idx, residue, self.client.pk,
-                                deterministic_seed=det_seed,
-                            )
-                        ),
+                        lambda: fresh_row(v_idx, residue),
                     )
 
                 job.query_arena = QueryArena(

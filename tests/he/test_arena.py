@@ -30,7 +30,7 @@ from repro.he.bfv import BFVContext
 from repro.he.keys import generate_keys
 from repro.he.params import BFVParams
 from repro.he.poly import RingContext
-from tests.oracles import scaled_decrypt_flags
+from tests.oracles import int64_decrypt_flags, scaled_decrypt_flags
 
 #: modulus regimes: power-of-two (paper), native NTT prime, odd
 #: composite with RNS limbs, near the 2**62 cap
@@ -205,6 +205,9 @@ def test_fused_flags_exhaustive_over_small_moduli(q, t):
         want = scaled_decrypt_flags(db_phases, query_phases, row_map, params, w)
         assert want.any()
         assert np.array_equal(got, want)
+        assert np.array_equal(
+            int64_decrypt_flags(db_phases, query_phases, row_map, params, w), want
+        )
 
 
 @pytest.mark.parametrize("make_params", [BFVParams.paper, BFVParams.paper_secure])
@@ -212,7 +215,10 @@ def test_fused_flags_on_the_interval_edges_at_paper_moduli(make_params):
     """Sums planted exactly on ``lo - 1, lo, hi - 1, hi`` and across the
     ``q - 1 -> 0`` wrap at the paper's power-of-two modulus and at the
     54-bit prime one (where plaintext scaling overflows int64), through
-    the one-query-row path and the gathered-rows path."""
+    the one-query-row path and the gathered-rows path.  At ``q = 2**32``
+    the kernel that runs is the ``uint32`` one — handed int64 rows
+    (narrowed on entry) and ``uint32`` rows (streamed as they are) — and
+    the int64 body it replaced there is one of its two references."""
     params = make_params()
     q, t, w = params.q, params.t, 16
     match = (1 << w) - 1
@@ -245,6 +251,18 @@ def test_fused_flags_on_the_interval_edges_at_paper_moduli(make_params):
     got = fused_decrypt_flags(db_phases, query_phases, row_map, params, w)
     want = scaled_decrypt_flags(db_phases, query_phases, row_map, params, w)
     assert np.array_equal(got, want)
+    assert np.array_equal(
+        int64_decrypt_flags(db_phases, query_phases, row_map, params, w), want
+    )
+    if q == 1 << 32:
+        narrow = fused_decrypt_flags(
+            db_phases.astype(np.uint32),
+            query_phases.astype(np.uint32),
+            row_map,
+            params,
+            w,
+        )
+        assert np.array_equal(narrow, want)
     on_edges = np.resize(np.array(expected), cols)
     assert np.array_equal(got[0, 0], on_edges)
     for j in range(num_polys):
@@ -262,6 +280,22 @@ def test_fused_flags_reject_what_the_range_test_cannot_hold():
         fused_decrypt_flags(phases, phases, row_map, wide, chunk_width=16)
     with pytest.raises(IndexError):
         fused_decrypt_flags(phases, phases, row_map + 1, paper, chunk_width=16)
+    narrow = phases.astype(np.uint32)
+    with pytest.raises(IndexError):
+        fused_decrypt_flags(narrow, narrow, row_map + 1, paper, chunk_width=16)
+    # the element type and the modulus must agree: uint32 rows are the
+    # q = 2**32 form, anything else holds values in [0, q)
+    odd = BFVParams(n=4, q=(1 << 32) - 5, t=1 << 16, name="odd")
+    for db_rows, query_rows in ((narrow, phases), (phases, narrow)):
+        with pytest.raises(ValueError, match="uint32"):
+            fused_decrypt_flags(db_rows, query_rows, row_map, odd, chunk_width=16)
+    for params in (paper, odd):
+        for bad in (-1, params.q):
+            outside = np.full((1, 4), bad, dtype=np.int64)
+            with pytest.raises(ValueError, match=r"\[0, q\)"):
+                fused_decrypt_flags(outside, phases, row_map, params, chunk_width=16)
+            with pytest.raises(ValueError, match=r"\[0, q\)"):
+                fused_decrypt_flags(phases, outside, row_map, params, chunk_width=16)
 
 
 def test_arena_phase_cache_and_slice_views():
@@ -269,6 +303,7 @@ def test_arena_phase_cache_and_slice_views():
     arena = CiphertextArena.from_ciphertexts(ctx.ring, params, cts)
     phases = arena.phases(sk)
     assert arena.phases(sk) is phases  # cached per sk
+    assert phases.dtype == np.uint32  # q = 2**32: the kernel's element type
     part = arena.slice(1, 4)
     assert part.base_index == 1
     assert part.num_polys == 3
@@ -413,6 +448,7 @@ def test_tiled_phase_build_matches_direct_computation(q):
     want = add_mod_q(stack[:, 0], mul_rows_by_poly(ring, stack[:, 1], s), q)
     got = arena.phases(sk)
     assert np.array_equal(got, want)
+    assert got.dtype == (np.uint32 if q == 1 << 32 else np.int64)
     assert arena.phases(sk) is got  # cached per sk, identity preserved
     assert np.array_equal(arena.slice(3, 6).phases(sk), want[3:6])
 
@@ -488,3 +524,76 @@ def test_query_arena_rows_and_map_cover_residue_classes():
             assert qa.row_residue[row] == (j * n) % variant.span
     # phases cached per secret key
     assert qa.phases(sk) is qa.phases(sk)
+
+
+@pytest.mark.parametrize("num_polys", [1, 7, 40])
+def test_query_arena_asks_for_rows_in_first_appearance_order(num_polys):
+    """The order rows are requested in is the order fresh rows draw
+    from the client's RNG: per variant, each residue class at the first
+    polynomial that lands in it — the polynomial-by-polynomial scan the
+    array form replaced, spelled out."""
+    params, ctx, sk, pk, cts = _setup()
+    from repro.core.query import QueryPreparer
+
+    preparer = QueryPreparer(ctx, 16)
+    rng = np.random.default_rng(num_polys)
+    prepared = preparer.prepare(rng.integers(0, 2, 80).astype(np.uint8))
+    assert len({v.span for v in prepared.variants}) > 1
+    n = params.n
+    want = []
+    for v_idx, variant in enumerate(prepared.variants):
+        seen = set()
+        for j in range(num_polys):
+            residue = (j * n) % variant.span
+            if residue not in seen:
+                seen.add(residue)
+                want.append((v_idx, residue, j))
+    calls = []
+
+    def rows_for(v_idx, residue, j):
+        calls.append((v_idx, residue, j))
+        return np.full((2, n), len(calls), dtype=np.int64)
+
+    qa = QueryArena(ctx.ring, params, prepared.variants, num_polys, rows_for)
+    assert calls == want
+    assert all(type(x) is int for call in calls for x in call)
+    row_map = qa.row_map(np.arange(num_polys))
+    for row, (v_idx, residue, j) in enumerate(want):
+        assert row_map[v_idx, j] == row and qa.stack[row, 0, 0] == row + 1
+
+
+def test_query_arena_reads_the_phase_rows_it_was_handed():
+    """Rows that arrive with their phase (the serving cache's entries)
+    are read, in the kernel's element type, with no transform; bare
+    ciphertext rows still pay the batched multiply, same values."""
+    params, ctx, sk, pk, cts = _setup()
+    from repro.core.query import QueryPreparer
+    from repro.he.arena import stack_fresh_row
+    from tests.oracles import count_transforms
+
+    preparer = QueryPreparer(ctx, 16)
+    rng = np.random.default_rng(12)
+    prepared = preparer.prepare(rng.integers(0, 2, 48).astype(np.uint8))
+    fresh = {}
+
+    def bare(v_idx, residue, j):
+        ct = preparer.encrypt_variant(prepared, v_idx, j, pk)
+        fresh[v_idx, residue] = stack_fresh_row(ct, ctx.phase(ct, sk))
+        return stack_ciphertext(ct)
+
+    computed = QueryArena(ctx.ring, params, prepared.variants, 5, bare)
+    handed = QueryArena(
+        ctx.ring, params, prepared.variants, 5,
+        lambda v_idx, residue, j: fresh[v_idx, residue],
+    )
+    assert all(row.shape == (3, params.n) and row.dtype == np.uint32
+               for row in fresh.values())
+    with count_transforms() as calls:
+        got = handed.phases(sk)
+    assert calls == []
+    assert got.dtype == np.uint32
+    assert np.array_equal(got, computed.phases(sk))
+    assert computed.phases(sk).dtype == np.uint32
+    # the ciphertext rows of the same entries, widened for their readers
+    assert handed.stack.dtype == np.int64
+    assert np.array_equal(handed.stack, computed.stack)

@@ -15,6 +15,10 @@ scaling of every coefficient, and a dense prefix sum over every flag —
 which :func:`repro.he.arena.fused_decrypt_flags` (a range test on the
 phase) and :meth:`repro.core.matcher.ResultDecoder._offsets_for_variant`
 (a run rule on the set indices) must reproduce bit for bit.
+:func:`int64_decrypt_flags` is that range test over int64 rows, the
+body the ``uint32`` kernel replaced at ``q = 2**32``.
+
+:func:`count_transforms` records every limb transform a block runs.
 
 :func:`per_event_phases_run` is the queueing simulator's event loop as
 it was when it rebuilt a request's phase list on every event;
@@ -24,11 +28,13 @@ per request) must give the same floats in the same order.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 
 import numpy as np
 
 from repro.core.matcher import CPUAdditionBackend
+from repro.he import backend as poly_backend
 from repro.he.arena import add_mod_q, center_rows, scale_rows_to_plaintext
 from repro.ssd.queueing import SimulationResult
 
@@ -52,6 +58,44 @@ ADDER_KWARGS = {
 }
 
 
+#: the methods every limb transform goes through, per transform class
+#: (the others are aliases of these or call them)
+_TRANSFORM_LEAVES = {
+    poly_backend._FourStepNtt: (
+        "forward", "forward_batch", "forward_batch_limbmajor", "forward_pair",
+        "inverse_reduced", "inverse_reduced_limbmajor",
+    ),
+    poly_backend._StackedNtt: ("_transform",),
+}
+
+
+@contextlib.contextmanager
+def count_transforms():
+    """Record every limb transform run inside the block as
+    ``(class name, method, limbs, shape of the first array argument)``
+    — what a test asserts when it says "no NTT on this path" or "the
+    same transforms whatever the query says"."""
+    calls = []
+    saved = []
+    for cls, names in _TRANSFORM_LEAVES.items():
+        for name in names:
+            original = getattr(cls, name)
+            saved.append((cls, name, original))
+
+            def wrapper(self, first, *args, _orig=original, _name=name, **kw):
+                calls.append(
+                    (type(self).__name__, _name, len(self.p), np.shape(first))
+                )
+                return _orig(self, first, *args, **kw)
+
+            setattr(cls, name, wrapper)
+    try:
+        yield calls
+    finally:
+        for cls, name, original in saved:
+            setattr(cls, name, original)
+
+
 def scaled_decrypt_flags(db_phases, query_phases, row_map, params, chunk_width):
     """``(V, P, n)`` match flags by plaintext scaling: center each
     summed phase, compute ``round(t * phase / q) mod t`` (object dtype
@@ -70,6 +114,65 @@ def scaled_decrypt_flags(db_phases, query_phases, row_map, params, chunk_width):
         phase = add_mod_q(db_phases, q_phase, q)
         coeffs = scale_rows_to_plaintext(center_rows(phase, q), q, t)
         flags[v] = coeffs == match
+    return flags
+
+
+def int64_decrypt_flags(
+    db_phases: np.ndarray,
+    query_phases: np.ndarray,
+    row_map: np.ndarray,
+    params,
+    chunk_width: int,
+) -> np.ndarray:
+    """:func:`repro.he.arena.fused_decrypt_flags` as it was when int64
+    was its only element type, verbatim: the range test with an int64
+    add, a mask (power-of-two ``q``) or a conditional fold, and a
+    compare.  The reference for the ``uint32`` kernel at ``q = 2**32``,
+    where it is no longer what runs."""
+    q, t = params.q, params.t
+    match = (1 << chunk_width) - 1
+    if not 0 < match < t:
+        raise ValueError(
+            f"match value 2**{chunk_width} - 1 must lie in [1, t) for t={t}"
+        )
+    if q > 1 << 62:
+        raise ValueError(f"phase sums need 2q <= 2**63, got q={q}")
+    lo = -((q // 2 - match * q) // t)
+    hi = -((q // 2 - (match + 1) * q) // t)
+    width = hi - lo
+    num_variants, num_polys = row_map.shape
+    if row_map.size and not (
+        0 <= row_map.min() and row_map.max() < len(query_phases)
+    ):
+        raise IndexError("row_map entry outside query_phases")
+    shifted = query_phases - lo
+    np.add(shifted, q, out=shifted, where=shifted < 0)
+    shape = db_phases.shape
+    flags = np.empty((num_variants,) + shape, dtype=bool)
+    buf = np.empty(shape, dtype=np.int64)
+    pow2 = q & (q - 1) == 0
+    wrapped = None if pow2 else np.empty(shape, dtype=bool)
+    for v in range(num_variants):
+        rows = row_map[v]
+        out = flags[v]
+        if num_polys and (rows == rows[0]).all():
+            np.add(db_phases, shifted[rows[0]], out=buf)
+        else:
+            # bounds were checked above; "clip" only selects numpy's
+            # unbuffered write into ``buf``
+            np.take(shifted, rows, axis=0, out=buf, mode="clip")
+            np.add(buf, db_phases, out=buf)
+        if pow2:
+            np.bitwise_and(buf, q - 1, out=buf)
+            np.less(buf, width, out=out)
+        else:
+            # s in [0, 2q): (s mod q) < width iff s < width or
+            # 0 <= s - q < width; the unsigned view makes the second
+            # test one compare (a negative s - q reads as >= 2**63)
+            np.less(buf, width, out=out)
+            np.subtract(buf, q, out=buf)
+            np.less(buf.view(np.uint64), np.uint64(width), out=wrapped)
+            np.logical_or(out, wrapped, out=out)
     return flags
 
 

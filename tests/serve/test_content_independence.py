@@ -1,0 +1,166 @@
+"""What a search does must not depend on what the query *says*.
+
+The variant cache holds phase rows (``delta * m + e``) next to the
+ciphertext rows, so it is the widest query-dependent state the serving
+path keeps; timing and cache traffic are outputs of the system just as
+the match list is.  For pairs of same-length queries — one that matches
+against one that does not, all zeros against random — a cold search on
+a fresh engine must leave identical operation counts, identical cache
+traffic and run the same kernels and transforms on the same shapes.
+
+Two leaks are documented and asserted as such, not skipped: a
+variant-cache hit and the in-batch dedup both reveal that two queries
+are *equal* (``docs/serving.md``, trust boundary).  Query length and
+variant count are the protocol's stated leakage and are held fixed
+within a pair.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core import ClientConfig, IndexMode
+from repro.he import BFVParams
+from repro.he.backend import get_default_backend
+from repro.serve import ShardedSearchEngine
+from repro.serve import engine as engine_module
+from repro.utils.bits import random_bits
+from tests.oracles import count_transforms, per_pair_factory
+
+QUERY_BITS = 40
+
+#: limb transforms exist on the vectorized backend only; under
+#: REPRO_POLY_BACKEND=reference the transform lists are (equally) empty
+VECTORIZED = get_default_backend() == "vectorized"
+
+
+def _database(params, rng):
+    db = random_bits(5 * params.n * 16, rng)
+    planted = random_bits(QUERY_BITS, rng)
+    db[16 * 21 + 3 : 16 * 21 + 3 + QUERY_BITS] = planted
+    return db, planted
+
+
+def _observe(monkeypatch, params, db, queries, **config):
+    """One batch on a fresh engine: everything an observer of the
+    serving process could count."""
+    backend_factory = config.pop("backend_factory", None)
+    # one worker: two shard threads can both derive a comparator mask
+    # before either caches it, and that race is timing, not content
+    engine = ShardedSearchEngine(
+        ClientConfig(params, key_seed=9, **config),
+        num_shards=2,
+        max_workers=1,
+        backend_factory=backend_factory,
+    )
+    engine.outsource(db)
+    kernel_calls = []
+    real_kernel = engine_module.fused_decrypt_flags
+
+    def recording_kernel(db_phases, query_phases, row_map, *rest):
+        kernel_calls.append(
+            (db_phases.shape, db_phases.dtype.str,
+             query_phases.shape, query_phases.dtype.str, row_map.shape)
+        )
+        return real_kernel(db_phases, query_phases, row_map, *rest)
+
+    monkeypatch.setattr(engine_module, "fused_decrypt_flags", recording_kernel)
+    counter = engine.client.ctx.counter
+    before = counter.snapshot()
+    with count_transforms() as transforms:
+        report = engine.search_batch(queries)
+    monkeypatch.setattr(engine_module, "fused_decrypt_flags", real_kernel)
+    after = counter.snapshot()
+    stats = engine.cache.stats()
+    observed = {
+        "counter": {k: after[k] - before[k] for k in after},
+        "cache": (stats.lookups, stats.misses, stats.hits, stats.evictions,
+                  stats.size, stats.current_bytes),
+        "kernels": sorted(kernel_calls),
+        "transforms": sorted(transforms),
+        "hom_additions": [r.hom_additions for r in report.reports],
+        "variants": [r.num_variants for r in report.reports],
+        "dedup": report.deduplicated_hits,
+    }
+    return engine, report, observed
+
+
+CONFIGS = {
+    "fused": {},
+    "fused-deterministic": {"index_mode": IndexMode.SERVER_DETERMINISTIC},
+    "per-pair": {"backend_factory": per_pair_factory},
+}
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_cold_search_is_the_same_work_whatever_the_query_says(monkeypatch, config):
+    rng = np.random.default_rng(17)
+    params = BFVParams.test_small(128)
+    db, planted = _database(params, rng)
+    absent = planted.copy()
+    absent[::3] ^= 1
+    pairs = {
+        "matching vs non-matching": (planted, absent),
+        "all zeros vs random": (
+            np.zeros(QUERY_BITS, dtype=np.uint8), random_bits(QUERY_BITS, rng),
+        ),
+    }
+    for label, (left, right) in pairs.items():
+        seen = []
+        for query in (left, right):
+            _, report, observed = _observe(
+                monkeypatch, params, db, [query], **dict(CONFIGS[config])
+            )
+            seen.append((report.reports[0].matches, observed))
+        (left_matches, left_seen), (right_matches, right_seen) = seen
+        assert left_seen == right_seen, label
+        assert left_seen["cache"][1] > 0 and left_seen["cache"][2] == 0, label
+        assert bool(left_seen["transforms"]) == VECTORIZED, label
+        if config == "fused":
+            assert len(left_seen["kernels"]) == 2  # one per shard
+        if label.startswith("matching"):
+            assert left_matches and not right_matches  # the answers do differ
+
+
+def test_query_equality_is_the_documented_leak(monkeypatch):
+    """The two exceptions, asserted: repeating a query turns every cache
+    lookup into a hit and runs no transform, and a batch holding the
+    same query twice does the work of one."""
+    rng = np.random.default_rng(23)
+    params = BFVParams.test_small(128)
+    db, planted = _database(params, rng)
+    other = random_bits(QUERY_BITS, rng)
+
+    engine, _, cold = _observe(monkeypatch, params, db, [planted])
+    lookups, misses = cold["cache"][0], cold["cache"][1]
+    assert lookups == misses > 0
+
+    with count_transforms() as transforms:
+        engine.search_batch([planted])
+    stats = engine.cache.stats()
+    assert transforms == []
+    assert (stats.hits, stats.misses) == (misses, misses)
+
+    # a different query of the same length on the same engine is cold again
+    with count_transforms() as transforms:
+        engine.search_batch([other])
+    # (the keys and the database phases were transformed by the first
+    # search; what repeats is the per-row work: (u, e1) forward together,
+    # (pk0 u, c1, c1 s) back together — 2 forward + 3 inverse per miss)
+    if VECTORIZED:
+        assert sorted(set(transforms)) == [
+            ("_FourStepNtt", "forward_pair", 2, (params.n,)),
+            ("_FourStepNtt", "inverse_reduced", 2, (3, 2, params.n)),
+        ]
+        assert len(transforms) == 2 * misses
+    assert engine.cache.stats().misses == 2 * misses
+
+    _, report, twice = _observe(monkeypatch, params, db, [planted, planted])
+    assert twice["dedup"] == 1
+    assert report.reports[0] is report.reports[1]
+    for key in ("counter", "cache", "kernels", "transforms"):
+        assert twice[key] == cold[key], key
+    _, _, distinct = _observe(monkeypatch, params, db, [planted, other])
+    assert distinct["dedup"] == 0
+    assert distinct["cache"][1] == 2 * misses

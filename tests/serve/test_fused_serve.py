@@ -11,9 +11,11 @@ import pytest
 
 from repro.core import ClientConfig, CPUAdditionBackend, IndexMode
 from repro.he import BFVParams
+from repro.he.arena import unstack_ciphertext
 from repro.serve import ShardedSearchEngine
 from repro.utils.bits import random_bits
-from tests.oracles import per_pair_factory
+from repro.serve.cache import entry_nbytes
+from tests.oracles import count_transforms, per_pair_factory
 
 
 def _workload(num_polys=6, num_queries=4, seed=41):
@@ -105,11 +107,54 @@ def test_variant_cache_stores_stacked_rows_under_fused():
     assert stats.misses > 0
     rows = engine.cache.values()
     assert rows and all(isinstance(v, np.ndarray) for v in rows)
-    assert all(v.shape == (2, params.n) for v in rows)
+    # one entry format: c0, c1 and the phase row, q = 2**32 -> uint32
+    assert all(v.shape == (3, params.n) and v.dtype == np.uint32 for v in rows)
+    ctx, sk = engine.client.ctx, engine.client.sk
+    for v in rows:
+        ct = unstack_ciphertext(ctx.ring, ctx.params, v.astype(np.int64))
+        assert np.array_equal(v[2], (ct.c0 + ct.c1 * sk.s).coeffs)
     # repeated batch: every variant row is a cache hit
     misses_before = engine.cache.stats().misses
     engine.search_batch(queries[:2])
     assert engine.cache.stats().misses == misses_before
+
+
+def test_variant_cache_hit_runs_no_transform():
+    """A repeated query is served from the cached phase rows: a
+    dictionary lookup per row, not an NTT round trip (n = 128 is the
+    smallest ring on the four-step transform the paper's n = 1024
+    uses)."""
+    rng = np.random.default_rng(3)
+    params = BFVParams.test_small(128)
+    db = random_bits(4 * params.n * 16, rng)
+    query = random_bits(32, rng)
+    db[16 * 9 : 16 * 9 + 32] = query
+    engine = _engine(params, "fused", num_shards=2)
+    engine.outsource(db)
+    with count_transforms() as cold:
+        first = engine.search_batch([query])
+    if engine.client.ctx.poly_backend == "vectorized":
+        assert cold and {call[0] for call in cold} == {"_FourStepNtt"}
+    misses = engine.cache.stats().misses
+    with count_transforms() as warm:
+        second = engine.search_batch([query])
+    assert warm == []
+    stats = engine.cache.stats()
+    assert stats.misses == misses and stats.hits == misses
+    assert second.matches_per_query() == first.matches_per_query() != [[]]
+
+
+def test_variant_cache_entry_is_twelve_kib_at_paper_parameters():
+    params = BFVParams.paper()
+    rng = np.random.default_rng(4)
+    engine = _engine(params, "fused", num_shards=1)
+    engine.outsource(random_bits(params.n * 16, rng))
+    engine.search_batch([random_bits(32, rng)])
+    rows = engine.cache.values()
+    assert rows and {entry_nbytes(v) for v in rows} == {12 * 1024}
+    stats = engine.cache.stats()
+    assert stats.current_bytes == len(rows) * 12 * 1024
+    assert engine.cache.capacity == 256
 
 
 def test_stateful_backend_forces_object_path():
@@ -148,7 +193,7 @@ def test_stateful_backend_forces_object_path():
     assert all(shard.arena is None for shard in engine.shards)
     rows = engine.cache.values()
     assert rows and all(
-        isinstance(v, np.ndarray) and v.shape == (2, params.n) for v in rows
+        isinstance(v, np.ndarray) and v.shape == (3, params.n) for v in rows
     )
 
 
@@ -181,8 +226,14 @@ def test_invalidate_caches_reslices_shard_arenas():
     engine.db.ciphertexts[0] = engine.client.ctx.encrypt(
         zero_pt, engine.client.pk
     )
+    stale_phases = engine.shards[0].arena.phases(engine.client.sk)
     engine.db.invalidate_caches()
+    assert engine.db._arena is None  # phase rows go with the stack
     after_fused = engine.search_batch(queries[:1]).reports[0].matches
+    fresh_phases = engine.shards[0].arena.phases(engine.client.sk)
+    assert fresh_phases.dtype == stale_phases.dtype == np.uint32
+    assert not np.array_equal(fresh_phases[0], stale_phases[0])
+    assert np.array_equal(fresh_phases[1:], stale_phases[1:])
     object_engine = ShardedSearchEngine(
         client=engine.client, num_shards=2, backend_factory=per_pair_factory
     )
@@ -199,11 +250,16 @@ def test_adopt_database_resets_arena_slices():
     engine.search_batch(queries[:1])
     old_arenas = [s.arena for s in engine.shards]
     assert all(a is not None for a in old_arenas)
+    assert len(engine.cache) > 0
     db2 = engine.client.outsource(db)
     engine.adopt_database(db2)
     assert all(s.arena is None for s in engine.shards)
+    # every cached row — ciphertext rows and phase row, one entry — went
+    assert len(engine.cache) == 0 and engine.cache.stats().current_bytes == 0
+    misses = engine.cache.stats().misses
     report = engine.search_batch(queries[:1])
     assert report.reports[0].matches
+    assert engine.cache.stats().misses > misses
 
 
 # -- accounting on the per-pair branch of the shard task -----------------------
