@@ -22,7 +22,7 @@ same flags asserted.  Runs standalone
 (``python benchmarks/bench_homadd.py``) or under pytest.  ``--quick``
 runs the small and the large grid cell and **exits non-zero if the
 fused kernel is not faster than the object kernel, or at the large cell
-holds less than 3x on the add, 40x on the query path or 2x for the
+holds less than 1.8x on the add, 40x on the query path or 2x for the
 uint32 kernel over the int64 body** — the CI bench-smoke gate.  The acceptance target for this repo is >= 5x on the
 full query path at n=4096 with >= 64 polynomials; the table records the
 measured ratio.
@@ -67,12 +67,16 @@ FULL_GRID = [(1024, 16, 8), (4096, 64, 16), (4096, 128, 16)]
 #: --quick covers both ends: the small cell (object path cheap enough
 #: for tight timing) AND the large memory-bound cell, where the fused
 #: advantage used to collapse to ~1.1x before the tiled add — the CI
-#: gate demands >= 3x there so the regression can't silently return.
+#: gate demands >= 1.8x there so the regression can't silently return.
 QUICK_GRID = [(1024, 16, 8), (4096, 128, 16)]
 
 #: the memory-bound cell's Hom-Add gate (raw broadcast add vs V*P
-#: ctx.add calls, steady-state output buffer)
-LARGE_ADD_GATE = 3.0
+#: ctx.add calls, steady-state output buffer).  The ratio is memory
+#: bandwidth against interpreter speed, so it moves with the host:
+#: 3.5x on the 1-CPU host the tiled add was written on, 2.2-2.5x on the
+#: 2-CPU host of BENCH_16/18 (where 3.0 failed for the wrong reason).
+#: The regression it exists for reads ~1.1x on either.
+LARGE_ADD_GATE = 1.8
 
 #: the same cell's query-path gate (what serving runs: query-phase
 #: multiplies + range-test flags vs V*P add/decrypt/compare).  Plaintext
@@ -313,7 +317,7 @@ def run(quick: bool, seed: int = DEFAULT_SEED) -> int:
             file=sys.stderr,
         )
         return 1
-    # Gates at the large cell: the tiled add must hold >= 3x, the query
+    # Gates at the large cell: the tiled add must hold >= 1.8x, the query
     # path >= 40x, the uint32 kernel >= 2x the int64 body, and the add
     # must not allocate beyond ~the result grid itself.
     for r in rows:

@@ -10,16 +10,16 @@ Four measurements:
 * end-to-end serving throughput of :class:`ShardedSearchEngine` under
   each backend (decode decrypts one result block per Hom-Add, so the
   vectorized multiply directly lifts queries/sec);
-* the ternary product at the paper's parameters (n = 1024,
+* the small-operand product at the paper's parameters (n = 1024,
   ``q = 2**32``): a cached public-key operand times a fresh ternary
-  mask, on the general 3-limb basis (``*``) and on the 2-limb basis
-  :meth:`~repro.he.poly.RingPoly.mul_by_small` sizes from the mask's
-  checked magnitude — the product under every fresh row.
+  mask, on the general 3-limb basis (``*``) and as the exact float64
+  FFT :meth:`~repro.he.poly.RingPoly.mul_by_small` sizes from the
+  mask's checked magnitude — the product under every fresh row.
 
 Runs standalone (``python benchmarks/bench_poly.py``) or under pytest.
-``--quick`` restricts to the n=4096 multiply and the ternary product and
+``--quick`` restricts to the n=4096 multiply and the small product and
 **exits non-zero if the vectorized backend is not faster than reference
-or the ternary product not faster than the general one** — the CI
+or the small product not at least 2x the general one** — the CI
 bench-smoke gate.  The acceptance target for this repo is >= 5x on the n=4096
 multiply; the table records the measured ratio.
 """
@@ -96,9 +96,15 @@ def bench_mul(n: int, q: int, reps: int, seed: int = DEFAULT_SEED) -> dict:
     }
 
 
+#: the small product's gate against the general 3-limb one at paper()
+#: (measured 3.9x on the 2-CPU reference host; below 2x the FFT path is
+#: not what ran)
+SMALL_PRODUCT_GATE = 2.0
+
+
 def bench_ternary(n: int, q: int, reps: int, seed: int = DEFAULT_SEED) -> dict:
     """Cached ``[0, q)`` operand times a fresh ternary one: the general
-    product against the one sized to the ternary bound."""
+    product against the FFT one sized to the ternary bound."""
     rng = np.random.default_rng(seed + 3)
     ring = RingContext(n, q, backend="vectorized")
     pk = ring.random_uniform(rng)
@@ -108,14 +114,14 @@ def bench_ternary(n: int, q: int, reps: int, seed: int = DEFAULT_SEED) -> dict:
         "ternary product diverged — run tests/he/test_backend_parity.py"
     )
     backend = ring.backend
-    narrow = backend.basis_for(n * (q - 1))
+    bits, pieces = backend.fft.plan(1)
     # best of many: each call is a fraction of a millisecond
     t_general = _time(lambda: pk * _fresh(ring, u), 20 * reps)
     t_ternary = _time(lambda: pk.mul_by_small(_fresh(ring, u)), 20 * reps)
     return {
         "n": n,
         "general_limbs": len(backend.basis.primes),
-        "ternary_limbs": len(narrow.primes),
+        "pieces": f"{pieces} x {bits} bit",
         "general_ms": t_general * 1e3,
         "ternary_ms": t_ternary * 1e3,
         "speedup": t_general / t_ternary,
@@ -208,11 +214,11 @@ def run(quick: bool, seed: int = DEFAULT_SEED) -> int:
         format_table(
             "Cached operand x fresh ternary, n=1024 q=2**32 (best of %d)"
             % (20 * reps),
-            ["n", "general limbs", "ternary limbs", "general_ms",
-             "ternary_ms", "speedup"],
+            ["n", "general limbs", "fft pieces", "general_ms",
+             "small_ms", "speedup"],
             [[
                 ternary["n"], ternary["general_limbs"],
-                ternary["ternary_limbs"], f"{ternary['general_ms']:.3f}",
+                ternary["pieces"], f"{ternary['general_ms']:.3f}",
                 f"{ternary['ternary_ms']:.3f}", f"{ternary['speedup']:.2f}x",
             ]],
         ),
@@ -257,11 +263,12 @@ def run(quick: bool, seed: int = DEFAULT_SEED) -> int:
             file=sys.stderr,
         )
         return 1
-    if ternary["speedup"] <= 1.0:
+    if ternary["speedup"] < SMALL_PRODUCT_GATE:
         print(
-            f"FAIL: ternary product on {ternary['ternary_limbs']} limbs not "
-            f"faster than the general one on {ternary['general_limbs']} "
-            f"({ternary['speedup']:.2f}x) — the narrow basis is not selected",
+            f"FAIL: small product ({ternary['pieces']} FFT pieces) only "
+            f"{ternary['speedup']:.2f}x the general one on "
+            f"{ternary['general_limbs']} limbs (gate: {SMALL_PRODUCT_GATE}x)"
+            " — the FFT product is not selected",
             file=sys.stderr,
         )
         return 1
@@ -287,9 +294,9 @@ def main() -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="n=4096 multiply and the ternary product only; non-zero exit "
-        "if vectorized is slower than reference or the ternary product "
-        "slower than the general one (CI gate)",
+        help="n=4096 multiply and the small product only; non-zero exit "
+        "if vectorized is slower than reference or the small product "
+        "under 2x the general one (CI gate)",
     )
     parser.add_argument(
         "--seed", type=int, default=DEFAULT_SEED,

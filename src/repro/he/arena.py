@@ -15,7 +15,7 @@ with its own ``c1 * s`` ring multiply.  The arena removes both costs:
   db x variant product as one broadcast add + one modular fold — no
   per-pair Python objects.
 * :func:`decrypt_batch` pushes *stacked* result rows through one
-  batched NTT pass (``c1`` rows against the cached secret-key
+  batched transform pass (``c1`` rows against the cached secret-key
   transform) instead of one ring multiply per block, and
   :func:`flags_batch` turns the decrypted grid into the boolean
   all-ones match flags in one vectorized compare.
@@ -42,11 +42,10 @@ both polynomial backends.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .backend import VectorizedBackend
 from .bfv import Ciphertext
 from .poly import RingContext, RingPoly
 
@@ -65,8 +64,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: streaming the whole (P, V, 2, n) product through DRAM twice.
 _DEFAULT_TILE_BYTES = 1 << 25
 
-#: rows per lazy-build tile: the granularity at which the stack, the
-#: RNS-limb view and the phase view materialize on first touch.  At the
+#: rows per lazy-build tile: the granularity at which the stack and
+#: the phase view materialize on first touch.  At the
 #: paper's n=4096 one tile is 16 rows x 64 KiB = 1 MiB of ciphertext.
 _BUILD_TILE_ROWS = 16
 
@@ -112,12 +111,7 @@ def mul_rows_by_poly(
     polynomial, mod q — batched on the vectorized backend, a per-row
     loop on any other backend.  Bit-identical to ``m`` scalar products
     either way (both paths compute the exact integer convolution)."""
-    backend = ring.backend
-    if isinstance(backend, VectorizedBackend):
-        return backend.mul_rows_by_poly(rows, poly)
-    if rows.shape[0] == 0:
-        return np.empty((0, ring.n), dtype=np.int64)
-    return np.stack([(ring.make(row) * poly).coeffs for row in rows])
+    return ring.backend.mul_rows_by_poly(rows, poly)
 
 
 def scale_rows_to_plaintext(rows: np.ndarray, q: int, t: int) -> np.ndarray:
@@ -203,10 +197,10 @@ class CiphertextArena:
         self.stack = stack
         self.base_index = base_index
         self._parent = _parent
-        # Reentrant: the phase builder calls back into the limb and
-        # stack builders for the same row range under one lock.
+        # Reentrant: the phase builder calls back into the stack
+        # builder for the same row range under one lock.
         self._lock = threading.RLock()
-        #: rows per lazily-built tile of the stack/limb/phase views
+        #: rows per lazily-built tile of the stack/phase views
         self._build_tile = max(1, int(build_tile))
         #: pending ciphertext list (lazy build); None once materialized
         self._source: "List[Ciphertext] | None" = (
@@ -222,11 +216,6 @@ class CiphertextArena:
         #: (num_polys, n) phase rows, built per tile on first touch
         self._phase_rows: np.ndarray | None = None
         self._phase_built: np.ndarray | None = None
-        #: cached limb-major (k, num_polys, n) RNS view of the c1 rows
-        #: (vectorized backend); built per tile on first touch.  A
-        #: ``None`` built-mask with a non-None array means fully built.
-        self._c1_limbs: np.ndarray | None = None
-        self._limbs_built: np.ndarray | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -348,7 +337,7 @@ class CiphertextArena:
 
     def slice(self, start: int, stop: int) -> "CiphertextArena":
         """Zero-copy sub-arena for rows ``[start, stop)`` — what a
-        serving shard holds.  Phase/limb caches resolve through the
+        serving shard holds.  The phase cache resolves through the
         parent so per-database work is never recomputed per shard."""
         return CiphertextArena(
             self.ring,
@@ -428,61 +417,6 @@ class CiphertextArena:
             return out if out is not None else full[0]
         return full
 
-    def c1_limbs(self) -> Optional[np.ndarray]:
-        """Cached **limb-major** ``(k, num_polys, n)`` RNS forward
-        transforms of the c1 rows (vectorized backend only; ``None``
-        elsewhere).
-
-        This is the arena's transform-domain view: batch decryption
-        multiplies these limbs pointwise against the secret key's
-        cached transform, so the database transforms once per process.
-        Limb-major order matches what the stacked inverse NTT and the
-        CRT recombination consume, so the decrypt pipeline reads the
-        cache contiguously with no transpose.
-        """
-        return self._c1_limbs_range(0, self.num_polys)
-
-    def _c1_limbs_range(self, lo: int, hi: int) -> Optional[np.ndarray]:
-        """Limb view of rows ``[lo, hi)`` — ``(k, hi - lo, n)`` —
-        building only the touched tiles.  Slices resolve through the
-        root so one shard's first query transforms that shard only."""
-        parent = self._parent
-        if parent is not None:
-            off = self.base_index - parent.base_index
-            return parent._c1_limbs_range(off + lo, off + hi)
-        backend = self.ring.backend
-        if not isinstance(backend, VectorizedBackend):
-            return None
-        basis = backend.basis
-        with self._lock:
-            limbs = self._c1_limbs
-            if limbs is None:
-                limbs = np.empty(
-                    (len(basis.primes), self.num_polys, self.n), dtype=np.int64
-                )
-                self._c1_limbs = limbs
-                self._limbs_built = np.zeros(self._num_tiles, dtype=bool)
-            built = self._limbs_built
-            if built is not None:
-                q = self.params.q
-                tile = self._build_tile
-                for t in self._tiles_over(lo, hi):
-                    if built[t]:
-                        continue
-                    r0, r1 = t * tile, min((t + 1) * tile, self.num_polys)
-                    self._ensure_rows(r0, r1)
-                    rows = self.stack[r0:r1, 1]
-                    lifted = (
-                        center_rows(rows, q) if basis.center_needed else rows
-                    )
-                    limbs[:, r0:r1] = basis.forward_batch(
-                        lifted, limb_major=True
-                    )
-                    built[t] = True
-                if built.all():
-                    self._limbs_built = None
-            return limbs[:, lo:hi]
-
     def phases(self, sk: "SecretKey") -> np.ndarray:
         """``(num_polys, n)`` decryption phases ``c0 + c1 * s mod q``
         of the arena rows, computed once per (arena, secret key), in
@@ -513,24 +447,13 @@ class CiphertextArena:
             built = self._phase_built
             if built is not None:
                 q = self.params.q
-                backend = self.ring.backend
-                vectorized = isinstance(backend, VectorizedBackend)
                 tile = self._build_tile
                 for t in self._tiles_over(lo, hi):
                     if built[t]:
                         continue
                     r0, r1 = t * tile, min((t + 1) * tile, self.num_polys)
                     self._ensure_rows(r0, r1)
-                    if vectorized:
-                        basis = backend.basis
-                        limbs = self._c1_limbs_range(r0, r1)
-                        c1_s = basis.mul_transformed_rows(
-                            limbs, backend._forward_cached(sk.s)
-                        )
-                    else:
-                        c1_s = mul_rows_by_poly(
-                            self.ring, self.stack[r0:r1, 1], sk.s
-                        )
+                    c1_s = mul_rows_by_poly(self.ring, self.stack[r0:r1, 1], sk.s)
                     self._phase_rows[r0:r1] = add_mod_q(
                         self.stack[r0:r1, 0], c1_s, q
                     )

@@ -23,10 +23,10 @@ are dispatched through a backend object bound to one ``(n, q)`` pair:
   products against the same polynomial (the database polynomial in the
   serving inner loop, the secret key in batch decryption) transform
   once and reuse.  A product with a *small* operand — the ternary mask
-  of an encryption, the ternary secret key of a phase — runs on a
-  prefix of those limbs sized from the magnitude it checks on that
-  operand (:meth:`VectorizedBackend.mul_by_small`: two limbs instead
-  of three at the paper's parameters).
+  of an encryption, the ternary secret key of a phase — leaves the
+  limbs altogether: it is one exact float64 FFT
+  (:class:`SmallProductFft`), the mod-``q`` operand split into pieces
+  whose width follows the magnitude checked on the small one.
 
 Both backends are *exact*: for every supported ``(n, q)`` they return
 bit-identical coefficient vectors (``tests/he/test_backend_parity.py``
@@ -178,14 +178,9 @@ class _StackedNtt:
         a = (coeffs[None, :] % self.p) * self._psi % self.p
         return self._transform(a, self._tw, self._p3)
 
-    def forward_batch(self, coeffs: np.ndarray) -> np.ndarray:
-        """(m, n) signed coefficient rows -> (m, k, n) limb transforms,
-        all rows and limbs through each butterfly stage at once."""
-        a = (coeffs[:, None, :] % self.p) * self._psi % self.p
-        return self._transform(a, self._tw, self._p3)
-
     def forward_batch_limbmajor(self, coeffs: np.ndarray) -> np.ndarray:
-        """(m, n) signed coefficient rows -> (k, m, n) limb transforms.
+        """(m, n) signed coefficient rows -> (k, m, n) limb transforms,
+        all rows and limbs through each butterfly stage at once.
 
         Limb-major output: each limb's residue matrix is one contiguous
         (m, n) slab, so the pointwise secret-key product and the Garner
@@ -193,9 +188,6 @@ class _StackedNtt:
         striding across the batch axis."""
         a = (coeffs[None, :, :] % self._p3) * self._psi_lm % self._p3
         return self._transform(a, self._tw_lm, self._p4)
-
-    def forward_pair(self, a: np.ndarray, b: np.ndarray):
-        return self.forward(a), self.forward(b)
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
         a = self._transform(values % self.p, self._itw, self._p3)
@@ -377,58 +369,18 @@ class _FourStepNtt:
         z = self._mm_right(y, self._wc)
         return z.reshape(-1, self.n)
 
-    def forward_batch(self, coeffs: np.ndarray) -> np.ndarray:
-        """(m, n) signed coefficient rows -> (m, k, n) transforms.
-
-        The per-limb DFT matrices and twiddles broadcast over the batch
-        axis, so the whole batch rides the same two dgemm chains."""
-        m = coeffs.shape[0]
-        a = (coeffs[:, None, :] % self.p).reshape(m, -1, self.R, self.C)
-        y = self._mm_left(self._wr, a)
-        y = y * self._tw % self._p3
-        z = self._mm_right(y, self._wc)
-        return z.reshape(m, -1, self.n)
-
     def forward_batch_limbmajor(self, coeffs: np.ndarray) -> np.ndarray:
-        """(m, n) signed coefficient rows -> (k, m, n) transforms, with
-        the limb axis leading so each limb's transforms land in one
-        contiguous slab (the arena's decrypt-side layout)."""
+        """(m, n) signed coefficient rows -> (k, m, n) transforms: the
+        per-limb DFT matrices and twiddles broadcast over the batch
+        axis, so the whole batch rides the same two dgemm chains, and
+        the limb axis leads so each limb's transforms land in one
+        contiguous slab."""
         m = coeffs.shape[0]
         a = (coeffs[None, :, :] % self._p3).reshape(-1, m, self.R, self.C)
         y = self._mm_left_lm(self._wr, a)
         y = y * self._tw[:, None] % self._p4
         z = self._mm_right_lm(y, self._wc)
         return z.reshape(-1, m, self.n)
-
-    def forward_pair(self, a: np.ndarray, b: np.ndarray):
-        """Both operands of a product through one batched matmul chain
-        (a fresh multiply transforms two polynomials; stacking them
-        doubles the dgemm batch instead of doubling the dispatches)."""
-        if not hasattr(self, "_pair_tables"):
-            tile = lambda t: np.concatenate([t, t])
-            self._pair_tables = (
-                tuple(tile(m) for m in self._wr),
-                tuple(tile(m) for m in self._wc),
-                tile(self._tw),
-                tile(self.p),
-                tile(self._p3),
-            )
-        wr, wc, tw, p2, p6 = self._pair_tables
-        k = self.p.shape[0]
-        x = np.empty((2 * k, self.n), dtype=np.int64)
-        np.mod(a[None, :], self.p, out=x[:k])
-        np.mod(b[None, :], self.p, out=x[k:])
-        x = x.reshape(-1, self.R, self.C)
-        lo, hi = wr
-        y = np.matmul(hi, (x >> self._SPLIT).astype(np.float64))
-        y += np.matmul(lo, (x & self._MASK).astype(np.float64))
-        y = y.astype(np.int64) % p6
-        y = y * tw % p6
-        lo, hi = wc
-        z = np.matmul((y >> self._SPLIT).astype(np.float64), hi)
-        z += np.matmul((y & self._MASK).astype(np.float64), lo)
-        z = (z.astype(np.int64) % p6).reshape(2, -1, self.n)
-        return z[0], z[1]
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
         return self.inverse_reduced(values % self.p)
@@ -471,15 +423,9 @@ class RnsBasis:
     degenerates to the single native limb ``[q]`` and recombination is
     the identity.  Transforms carry all limbs together as ``(k, n)``
     matrices (:class:`_StackedNtt`).
-
-    ``limbs`` asks for exactly that many primes instead — a *narrow*
-    basis for products whose operands are known to be small (a ternary
-    mask or secret key).  Its primes are a prefix of the general
-    basis's; whoever multiplies on it must first check :meth:`fits`
-    against a bound on the exact integer result.
     """
 
-    def __init__(self, n: int, q: int, limbs: int | None = None):
+    def __init__(self, n: int, q: int):
         self.n = n
         self.q = q
         self.native = _is_native_ntt_modulus(n, q)
@@ -488,11 +434,11 @@ class RnsBasis:
             self.modulus = q
         else:
             bound = 2 * n * (q // 2) ** 2
-            count = limbs or 1
+            count = 1
             while True:
                 primes = find_ntt_primes(_LIMB_PRIME_BITS, n, count)
                 modulus = math.prod(primes)
-                if limbs is not None or modulus > bound:
+                if modulus > bound:
                     break
                 count += 1
             self.primes = tuple(primes)
@@ -563,12 +509,6 @@ class RnsBasis:
         else:
             self._stacked = _StackedNtt(self.plans)
 
-    def fits(self, bound: int) -> bool:
-        """True when every integer of magnitude ``<= bound`` is
-        recovered exactly from its residues (single-limb native
-        arithmetic is mod ``q`` itself, so it always is)."""
-        return self.native or self.modulus > 2 * bound
-
     # -- transforms ------------------------------------------------------
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
@@ -576,30 +516,19 @@ class RnsBasis:
         all limbs at once: ``(n,) -> (k, n)``."""
         return self._stacked.forward(coeffs)
 
-    def forward_batch(
-        self, rows: np.ndarray, limb_major: bool = False
-    ) -> np.ndarray:
-        """Forward NTT of ``m`` coefficient rows in one stacked pass.
-
-        Batch-major (default): ``(m, n) -> (m, k, n)``.  Limb-major:
-        ``(m, n) -> (k, m, n)`` — the arena's RNS-limb view, stored with
-        the limb axis leading so the pointwise products and the Garner
-        recombination (both per-limb loops) read contiguous slabs.
-        """
+    def forward_batch(self, rows: np.ndarray) -> np.ndarray:
+        """Forward NTT of ``m`` coefficient rows in one stacked pass,
+        limb-major: ``(m, n) -> (k, m, n)``, so the pointwise products
+        and the Garner recombination (both per-limb loops) read
+        contiguous slabs."""
         if rows.shape[0] == 0:
-            shape = (
-                (len(self.primes), 0, self.n)
-                if limb_major
-                else (0, len(self.primes), self.n)
-            )
-            return np.empty(shape, dtype=np.int64)
-        if limb_major:
-            return self._stacked.forward_batch_limbmajor(rows)
-        return self._stacked.forward_batch(rows)
+            return np.empty((len(self.primes), 0, self.n), dtype=np.int64)
+        return self._stacked.forward_batch_limbmajor(rows)
 
     def forward_pair(self, a: np.ndarray, b: np.ndarray):
         """Transform both operands of one product in a single batch."""
-        return self._stacked.forward_pair(a, b)
+        both = self.forward_batch(np.stack([a, b]))
+        return both[:, 0], both[:, 1]
 
     def pointwise(self, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
         return fa * fb % self._stacked.p
@@ -626,17 +555,6 @@ class RnsBasis:
         if self.native:
             return residues[0]
         q = self.q
-        if len(self.primes) == 2:
-            # One Garner step, and M < 2**60: the centered integer fits
-            # int64, so the sign test is one compare and the fold one
-            # mask (two's complement) or one floor-mod.
-            p0, p1 = self.primes
-            digit = (residues[1] - residues[0]) * self._prefix_inv[1] % p1
-            exact = residues[0] + digit * p0
-            exact -= np.where(exact > self.modulus // 2, self.modulus, 0)
-            if self._q_pow2_mask is not None:
-                return exact & (q - 1)
-            return exact % q
         shape = residues.shape[1:]
         digits: List[np.ndarray] = [residues[0]]
         for i in range(1, len(self.primes)):
@@ -697,30 +615,132 @@ class RnsBasis:
         """
         if rows.shape[0] == 0:
             return np.empty((0, self.n), dtype=np.int64)
-        return self.mul_transformed_rows(
-            self.forward_batch(rows, limb_major=True), f_poly
-        )
-
-    def mul_transformed_rows(
-        self, limbs: np.ndarray, f_poly: np.ndarray
-    ) -> np.ndarray:
-        """Finish a batched product from already-transformed rows:
-        ``(k, m, n)`` limb-major forward transforms (the arena's cached
-        c1 view) times one transformed polynomial ``(k, n)``, recombined
-        into ``(m, n)`` coefficients mod q."""
-        if limbs.shape[1] == 0:
-            return np.empty((0, self.n), dtype=np.int64)
+        limbs = self.forward_batch(rows)
         prod = limbs * f_poly[:, None, :] % self._stacked.p[..., None]
         inv = self._stacked.inverse_reduced_limbmajor(prod)
         return self.combine_mod_q(inv)
 
 
 @lru_cache(maxsize=32)
-def get_rns_basis(n: int, q: int, limbs: int | None = None) -> RnsBasis:
+def get_rns_basis(n: int, q: int) -> RnsBasis:
     """Cached basis lookup — bases are shared across equal rings, which
     also lets NTT caches survive between :class:`RingContext` instances
     with the same ``(n, q)``."""
-    return RnsBasis(n, q, limbs)
+    return RnsBasis(n, q)
+
+
+# ---------------------------------------------------------------------------
+# Small-operand products: one exact float64 FFT
+# ---------------------------------------------------------------------------
+
+#: the one error-budget constant: the a-priori bound on the float64
+#: error of any coefficient handed to the rounding stays <= 2**-8 ...
+_FFT_ERROR_BITS = 8
+#: ... and a rounded coefficient further than this from its float value
+#: raises instead of returning (1/2 is where rounding would go wrong)
+_FFT_RESIDUAL_GUARD = 1 / 16
+#: pieces narrower than this mean the "small" operand is not small: the
+#: general RNS product takes over
+_MIN_PIECE_BITS = 8
+
+
+class SmallProductFft:
+    """Exact negacyclic products ``a * b`` in ``Z[X]/(X^n + 1)`` where
+    ``b`` is *small*, through a half-size complex float64 FFT.
+
+    Fold ``X^(n/2) -> i``: the real vector ``a`` becomes the complex
+    ``z_j = a_j + i a_(j + n/2)``, an element of
+    ``C[Y]/(Y^(n/2) - i)``; the twist ``z_j e^(i pi j / n)`` turns that
+    ring into the cyclic ``C[Y]/(Y^(n/2) - 1)``, where a product is a
+    pointwise product of ``np.fft`` transforms over ``n/2`` points.
+
+    The float result is rounded to the exact integer.  A-priori
+    (``docs/perf.md``, "Small-operand products"): ``|error| <=
+    3 * 5 (log2(n/2) + 1) 2**-53 * n A B`` per coefficient for
+    ``|a_j| <= A``, ``|b_j| <= B``; :attr:`limit` is the largest
+    ``A * B`` that keeps this ``<= 2**-8``, and a mod-``q`` operand
+    enters as unsigned pieces of ``bits`` bits with
+    ``2**bits * B <= limit`` (:meth:`plan`, a function of ``n``, ``q``
+    and the *checked* magnitude ``B`` alone).  Every inverse checks its
+    largest distance to an integer and raises :class:`ArithmeticError`
+    beyond 1/16.
+    """
+
+    def __init__(self, n: int, q: int):
+        self.n = n
+        self.q = q
+        self.half = half = n // 2
+        self._twist = np.exp(1j * np.pi * np.arange(half) / n)
+        self._untwist = np.conj(self._twist)
+        self.limit = (1 << (53 - _FFT_ERROR_BITS)) // (15 * half.bit_length() * n)
+        self._q_bits = (q - 1).bit_length()
+        #: bit length of the largest exact coefficient of one inverse
+        self._part_bits = (n * self.limit).bit_length()
+
+    def plan(self, magnitude: int) -> "Tuple[int, int] | None":
+        """``(bits, pieces)`` for a mod-``q`` operand against a small
+        one of centered magnitude ``<= magnitude``: the fewest equal
+        pieces within the error budget, or ``None`` when they would be
+        narrower than 8 bits (take the general product)."""
+        widest = (self.limit // max(magnitude, 1)).bit_length() - 1
+        if widest < _MIN_PIECE_BITS:
+            return None
+        pieces = max(-(-self._q_bits // widest), 1)
+        return -(-self._q_bits // pieces), pieces
+
+    def split(self, coeffs: np.ndarray, bits: int, pieces: int) -> np.ndarray:
+        """``(..., n)`` values in ``[0, q)`` -> ``(..., pieces, n)``
+        unsigned ``bits``-bit pieces, least significant first."""
+        shifts = np.arange(pieces, dtype=np.int64)[:, None] * bits
+        return (coeffs[..., None, :] >> shifts) & ((1 << bits) - 1)
+
+    def forward(self, rows: np.ndarray) -> np.ndarray:
+        """``(..., n)`` integer rows -> ``(..., n/2)`` spectra."""
+        half = self.half
+        z = np.empty(rows.shape[:-1] + (half,), dtype=np.complex128)
+        z.real = rows[..., :half]
+        z.imag = rows[..., half:]
+        z *= self._twist
+        return np.fft.fft(z, axis=-1)
+
+    def inverse(self, spectra: np.ndarray) -> np.ndarray:
+        """``(..., n/2)`` product spectra -> ``(..., n)`` exact int64
+        coefficients (rounded, residual guarded)."""
+        z = np.fft.ifft(spectra, axis=-1)
+        z *= self._untwist
+        values = np.concatenate([z.real, z.imag], axis=-1)
+        exact = np.rint(values)
+        values -= exact
+        residual = max(values.max(), -values.min())
+        if not residual <= _FFT_RESIDUAL_GUARD:
+            raise ArithmeticError(
+                f"float64 FFT product left a rounding residual of {residual}"
+                f" (guard {_FFT_RESIDUAL_GUARD}) at n={self.n}"
+            )
+        return exact.astype(np.int64)
+
+    def join(self, parts: np.ndarray, bits: int) -> np.ndarray:
+        """``sum_k parts[..., k, :] * 2**(k * bits) mod q`` for signed
+        exact piece products: wrapping uint64 shifts and one mask at a
+        power-of-two ``q`` (``q`` divides ``2**64``), a
+        :func:`mulmod_scalar` step on the magnitudes elsewhere —
+        overflow-free for every ``q <= 2**62``."""
+        q = self.q
+        pieces = parts.shape[-2]
+        if q & (q - 1) == 0:
+            acc = parts[..., 0, :].astype(np.uint64)
+            for k in range(1, pieces):
+                acc += parts[..., k, :].astype(np.uint64) << np.uint64(k * bits)
+            return (acc & np.uint64(q - 1)).astype(np.int64)
+        acc = parts[..., 0, :] % q
+        vec_bits = min(self._part_bits, self._q_bits)
+        for k in range(1, pieces):
+            part = parts[..., k, :]
+            term = mulmod_scalar(
+                np.abs(part) % q, pow(2, k * bits, q), q, vec_bits=vec_bits
+            )
+            acc = (acc + np.where(part < 0, -term, term)) % q
+        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -760,6 +780,12 @@ class PolyBackend:
             return (arr % self.q).astype(np.int64)
         return arr.astype(np.int64) % self.q
 
+    def fold(self, values: np.ndarray) -> np.ndarray:
+        """int64 values of either sign into ``[0, q)``: a mask at a
+        power-of-two ``q`` (two's complement), one floor-mod elsewhere."""
+        q = self.q
+        return values & (q - 1) if q & (q - 1) == 0 else values % q
+
     def centered(self, coeffs: np.ndarray) -> np.ndarray:
         """Lift ``[0, q)`` to the centered interval ``(-q/2, q/2]``."""
         return np.where(coeffs > self._half, coeffs - self.q, coeffs)
@@ -769,10 +795,6 @@ class PolyBackend:
         if new_modulus.bit_length() > 62:  # pragma: no cover - defensive
             return (lifted.astype(object) % new_modulus).astype(np.int64)
         return lifted % new_modulus
-
-    def center(self, coeffs: np.ndarray) -> np.ndarray:
-        """Alias used by the multiply pipelines."""
-        return self.centered(coeffs)
 
     # -- arithmetic (backend-specific) ------------------------------------
 
@@ -798,17 +820,29 @@ class PolyBackend:
         self,
         pk0: "RingPoly",
         pk1: "RingPoly",
-        u: "RingPoly",
-        e1: "RingPoly",
+        u: np.ndarray,
+        e1: np.ndarray,
         s: "RingPoly | None" = None,
     ) -> Tuple[np.ndarray, np.ndarray, "np.ndarray | None"]:
         """The ring products of one fresh public-key encryption:
         ``pk0 * u``, ``c1 = pk1 * u + e1`` and, for the key holder who
         passes ``s``, ``c1 * s`` (else ``None``) — coefficient rows
-        mod q."""
-        pk0_u, pk1_u = self.mul_by_small((pk0, pk1), u)
-        c1 = (pk1_u + e1.coeffs) % self.q
-        return pk0_u, c1, None if s is None else self.mul(c1, s.coeffs)
+        mod q.  ``u`` and ``e1`` are *centered* int64 coefficient
+        vectors, as the samplers draw them."""
+        u = self.fold(u)
+        c1 = self.fold(self.mul(pk1.coeffs, u) + e1)
+        return (
+            self.mul(pk0.coeffs, u),
+            c1,
+            None if s is None else self.mul(c1, s.coeffs),
+        )
+
+    def mul_rows_by_poly(self, rows: np.ndarray, poly: "RingPoly") -> np.ndarray:
+        """Every ``(m, n)`` coefficient row (values in ``[0, q)``) times
+        one polynomial, mod q."""
+        if rows.shape[0] == 0:
+            return np.empty((0, self.n), dtype=np.int64)
+        return np.stack([self.mul(row, poly.coeffs) for row in rows])
 
     def scalar_mul(self, coeffs: np.ndarray, scalar: int) -> np.ndarray:
         raise NotImplementedError
@@ -878,6 +912,7 @@ class VectorizedBackend(PolyBackend):
     def __init__(self, n: int, q: int):
         super().__init__(n, q)
         self._basis: RnsBasis | None = None
+        self.fft = SmallProductFft(n, q)
         self._auto_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
@@ -888,32 +923,28 @@ class VectorizedBackend(PolyBackend):
 
     # -- multiply ---------------------------------------------------------
 
-    def _forward_cached(
-        self, poly: "RingPoly", basis: RnsBasis | None = None
-    ) -> np.ndarray:
-        """Limb transforms of ``poly``'s lift on ``basis`` (default: the
-        general basis), kept on the polynomial per basis so a key that
-        enters products on two bases transforms once on each."""
-        if basis is None:
-            basis = self.basis
+    def _forward_cached(self, poly: "RingPoly") -> np.ndarray:
+        """Limb transforms of ``poly``'s lift, kept on the polynomial."""
+        basis = self.basis
         transforms = poly._ntt.get(basis) if poly._ntt else None
         if transforms is None:
-            transforms = basis.forward(self._lift(poly.coeffs, basis))
+            transforms = basis.forward(self._lift(poly.coeffs))
             self._remember(poly, basis, transforms)
         return transforms
 
     @staticmethod
-    def _remember(poly: "RingPoly", basis: RnsBasis, transforms: np.ndarray) -> None:
+    def _remember(poly: "RingPoly", key, transforms) -> None:
+        """Keep a transform on ``poly._ntt``: under the basis for limb
+        transforms, under the ``(bits, pieces)`` plan for piece spectra,
+        under ``"small"`` / ``"pair"`` for a small operand's own."""
         if poly._ntt is None:
             poly._ntt = {}
-        poly._ntt[basis] = transforms
+        poly._ntt[key] = transforms
 
-    def _lift(self, coeffs: np.ndarray, basis: RnsBasis | None = None) -> np.ndarray:
+    def _lift(self, coeffs: np.ndarray) -> np.ndarray:
         """Representation fed to the limb transforms: centered when the
         basis bound requires it, raw [0, q) otherwise."""
-        if basis is None:
-            basis = self.basis
-        return self.center(coeffs) if basis.center_needed else coeffs
+        return self.centered(coeffs) if self.basis.center_needed else coeffs
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         basis = self.basis
@@ -938,110 +969,133 @@ class VectorizedBackend(PolyBackend):
 
     # -- small-operand products -------------------------------------------
 
-    def basis_for(self, bound: int) -> RnsBasis:
-        """The basis with the fewest limbs that recovers every integer
-        of magnitude ``<= bound`` exactly: a prefix of the general
-        basis's primes when their product already exceeds ``2 * bound``,
-        else the general basis itself."""
-        general = self.basis
-        for count in range(1, len(general.primes)):
-            narrow = get_rns_basis(self.n, self.q, count)
-            if narrow.fits(bound):
-                return narrow
-        return general
+    def _measured(self, centered: np.ndarray) -> Tuple[int, "np.ndarray | None"]:
+        """``(magnitude, spectrum)`` of a centered vector: the *checked*
+        bound every plan is chosen from, and the transform a small
+        operand enters FFT products with — ``None`` when it is not
+        small enough for any."""
+        magnitude = int(np.abs(centered).max())
+        small = self.fft.plan(magnitude) is not None
+        return magnitude, self.fft.forward(centered) if small else None
 
-    def _magnitude(self, poly: "RingPoly") -> int:
-        """Largest centered |coefficient| — the checked bound a narrow
-        basis is chosen from (one pass)."""
-        return int(np.abs(self.center(poly.coeffs)).max())
+    def _small_spectrum(self, poly: "RingPoly") -> Tuple[int, "np.ndarray | None"]:
+        """:meth:`_measured` of ``poly``'s centered lift, kept on it."""
+        held = poly._ntt.get("small") if poly._ntt else None
+        if held is None:
+            held = self._measured(self.centered(poly.coeffs))
+            self._remember(poly, "small", held)
+        return held
+
+    def _piece_spectra(self, poly: "RingPoly", plan: Tuple[int, int]) -> np.ndarray:
+        """``(pieces, n/2)`` spectra of a mod-``q`` operand split per
+        ``plan``, kept on the polynomial per plan."""
+        spectra = poly._ntt.get(plan) if poly._ntt else None
+        if spectra is None:
+            spectra = self.fft.forward(self.fft.split(poly.coeffs, *plan))
+            self._remember(poly, plan, spectra)
+        return spectra
+
+    def _pair_noise(
+        self, pk0: "RingPoly", pk1: "RingPoly", s: "RingPoly"
+    ) -> Tuple[int, "np.ndarray | None"]:
+        """:meth:`_measured` of ``v = pk0 + pk1 * s`` — for a genuine
+        key pair the key generator's ``-e``, small; a mismatched pair's
+        is not.  Secret-key material: computed by an exact product
+        where ``s`` is, held on ``s`` beside its own spectrum for the
+        one public key it was derived from (another public key
+        recomputes it), dropped with ``s``, never serialized."""
+        held = s._ntt.get("pair") if s._ntt else None
+        if held is None or held[0] is not pk0 or held[1] is not pk1:
+            v = self.fold(pk0.coeffs + self.mul_by_small((pk1,), s)[0])
+            held = (pk0, pk1) + self._measured(self.centered(v))
+            self._remember(s, "pair", held)
+        return held[2:]
 
     def mul_by_small(
         self, polys: Sequence["RingPoly"], small: "RingPoly"
     ) -> np.ndarray:
-        """Every ``poly * small`` on the narrowest basis the *checked*
-        magnitude of ``small`` allows, sharing its one transform.
-
-        With ``|poly| <= q - 1`` and ``|small| <= m`` (centered, read
-        off the coefficients in one pass) every coefficient of the
-        exact integer product is at most ``n * (q - 1) * m``, so a
-        basis with ``M > 2 * n * (q - 1) * m`` recovers it — two limbs
-        for a ternary mask or key at the paper's parameters
-        (``n * q = 2**42``) where the general ``2 n (q/2)**2 = 2**73``
-        needs three, with a one-step Garner recombination.  A ``small``
+        """Every ``poly * small`` through one stacked inverse FFT,
+        sharing ``small``'s one spectrum, with ``poly`` split as the
+        *checked* magnitude of ``small`` allows (two 16-bit pieces for a
+        ternary mask or key at the paper's parameters).  A ``small``
         that is not small gets the general products: nothing wraps.
         """
-        basis = self.basis_for(self.n * (self.q - 1) * self._magnitude(small))
-        if basis is self.basis:
+        magnitude, f_small = self._small_spectrum(small)
+        if f_small is None:
             return super().mul_by_small(polys, small)
-        fs = self._forward_cached(small, basis)
-        return self._recombine(
-            basis,
-            [basis.pointwise(self._forward_cached(p, basis), fs) for p in polys],
-        )
-
-    @staticmethod
-    def _recombine(basis: RnsBasis, products: Sequence[np.ndarray]) -> np.ndarray:
-        """``(m, n)`` coefficient rows mod q from ``m`` pointwise
-        products, through one batched inverse transform."""
-        inverse = basis._stacked.inverse_reduced(np.stack(products))
-        return basis.combine_mod_q(np.moveaxis(inverse, 0, 1))
+        plan = self.fft.plan(magnitude)
+        spectra = np.stack([self._piece_spectra(p, plan) for p in polys])
+        return self.fft.join(self.fft.inverse(spectra * f_small), plan[0])
 
     def fresh_row(
         self,
         pk0: "RingPoly",
         pk1: "RingPoly",
-        u: "RingPoly",
-        e1: "RingPoly",
+        u: np.ndarray,
+        e1: np.ndarray,
         s: "RingPoly | None" = None,
     ) -> Tuple[np.ndarray, np.ndarray, "np.ndarray | None"]:
-        """With ``s``: all three products of a fresh row from one pass —
-        ``u`` and ``e1`` forward together, ``pk0 u``, ``pk1 u + e1`` and
-        ``(pk1 u + e1) s`` formed pointwise, one batched inverse: 2
-        forward + 3 inverse transforms on the narrow basis.
+        """A fresh row from one stacked forward FFT of ``(u, e1)`` and
+        one stacked inverse of ``2 * pieces + 1`` rows: ``pk0 u`` and
+        ``pk1 u`` by pieces, and for the key holder the phase product
+        from ``c1 s = v u + e1 s - pk0 u (mod q)`` with
+        ``v = pk0 + pk1 s`` (:meth:`_pair_noise`) — small times small,
+        one inverse row, no splitting.
 
-        ``c1 * s`` is taken from the *integer* ``pk1 * u + e1`` before
-        its reduction mod q (same value mod q), so the basis is sized
-        for that chained product from the checked magnitudes of ``u``
-        and ``s``: ``|pk1 u + e1| <= n (q - 1) |u| + q // 2`` (a
-        centered ``e1`` is at most ``q // 2`` whatever was sampled),
-        times ``n |s|`` — ``n * n * q < M / 2`` for ternary operands and
-        two 2**30 limbs at the paper's parameters.  Operands too large
-        for a narrower basis take the general products; nothing wraps.
-        Without ``s`` (database outsourcing) the row is the two
-        :meth:`mul_by_small` products and ``e1`` is never transformed.
+        Every width follows a checked magnitude: the piece plan that of
+        ``u``; the phase row needs ``|v| |u| + |e1| |s|`` within the
+        budget, else (an ``e1`` beyond it, a mismatched key pair, a
+        large ``s``) ``c1 s`` is the rows-times-key product of the
+        finished ``c1``; a ``u`` too large for 8-bit pieces takes the
+        general products.  Nothing wraps.  Without ``s`` (database
+        outsourcing) ``e1`` is never transformed.
         """
-        if s is None:
-            return super().fresh_row(pk0, pk1, u, e1)
-        n, q = self.n, self.q
-        c1_bound = n * (q - 1) * self._magnitude(u) + q // 2
-        basis = self.basis_for(n * c1_bound * max(self._magnitude(s), 1))
-        if basis is self.basis:
+        fft = self.fft
+        u_mag = int(np.abs(u).max())
+        plan = fft.plan(u_mag)
+        if plan is None:
             return super().fresh_row(pk0, pk1, u, e1, s)
-        p = basis._stacked.p
-        if e1.is_zero():
-            fu = basis.forward(self.center(u.coeffs))
-            f1 = self._forward_cached(pk1, basis) * fu % p
+        bits, pieces = plan
+        f_v = f_s = None
+        if s is not None:
+            s_mag, f_s = self._small_spectrum(s)
+            v_mag, f_v = self._pair_noise(pk0, pk1, s)
+            # small times small, both terms in one inverse row
+            if v_mag * u_mag + int(np.abs(e1).max()) * s_mag > fft.limit:
+                f_v = None
+        chained = f_v is not None and f_s is not None
+        work = np.empty((2 * pieces + int(chained), fft.half), dtype=np.complex128)
+        if chained:
+            f_u, f_e = fft.forward(np.stack([u, e1]))
+            np.multiply(f_v, f_u, out=work[-1])
+            work[-1] += f_s * f_e
         else:
-            fu, fe = basis.forward_pair(
-                self.center(u.coeffs), self.center(e1.coeffs)
-            )
-            f1 = (self._forward_cached(pk1, basis) * fu + fe) % p
-        f0 = self._forward_cached(pk0, basis) * fu % p
-        f2 = f1 * self._forward_cached(s, basis) % p
-        return tuple(self._recombine(basis, (f0, f1, f2)))
+            f_u = fft.forward(u)
+        np.multiply(self._piece_spectra(pk0, plan), f_u, out=work[:pieces])
+        np.multiply(self._piece_spectra(pk1, plan), f_u, out=work[pieces : 2 * pieces])
+        parts = fft.inverse(work)
+        pk0_u = fft.join(parts[:pieces], bits)
+        c1 = self.fold(fft.join(parts[pieces : 2 * pieces], bits) + e1)
+        if s is None:
+            return pk0_u, c1, None
+        if chained:
+            return pk0_u, c1, self.fold(parts[-1] - pk0_u)
+        return pk0_u, c1, self.mul_rows_by_poly(c1[None], s)[0]
 
     def mul_rows_by_poly(self, rows: np.ndarray, poly: "RingPoly") -> np.ndarray:
-        """Batched multiply: every ``(m, n)`` coefficient row (values in
-        ``[0, q)``) times one polynomial, mod q, bit-identical to ``m``
-        separate :meth:`mul_poly` calls.
-
-        The fixed operand reuses (and populates) the same per-poly NTT
-        cache as the scalar path, so a secret key or public key that has
-        ever entered a product transforms exactly once per process.
-        """
-        basis = self.basis
-        f_poly = self._forward_cached(poly)
-        return basis.mul_rows_by(self._lift(rows), f_poly)
+        """Batched, bit-identical to ``m`` separate :meth:`mul_poly`
+        calls: a small ``poly`` (the secret key of a batch decryption
+        or of the database phases) takes the FFT product, its one
+        spectrum reused; any other the general limb-major pipeline, its
+        NTT cached as on the scalar path."""
+        magnitude, f_poly = self._small_spectrum(poly)
+        if f_poly is None or rows.shape[0] == 0:
+            return self.basis.mul_rows_by(
+                self._lift(rows), self._forward_cached(poly)
+            )
+        plan = self.fft.plan(magnitude)
+        spectra = self.fft.forward(self.fft.split(rows, *plan))
+        return self.fft.join(self.fft.inverse(spectra * f_poly), plan[0])
 
     # -- other ops --------------------------------------------------------
 

@@ -165,24 +165,25 @@ class BFVContext:
         u: RingPoly | None,
     ) -> tuple[Ciphertext, RingPoly | None]:
         self.counter.encryptions += 1
-        delta = self.params.delta
-        m_lifted = self.ring.make(pt.poly.coeffs)  # [0, t) embeds into [0, q)
-        scaled = m_lifted.scalar_mul(delta)
-        if u is None:
-            u = self.ring.random_ternary(self._rng)
+        ring, params = self.ring, self.params
+        backend = ring.backend
+        # the masks stay centered as drawn (u, then e0, then e1): the
+        # backend sizes its products from their magnitudes
+        u = ring.draw_ternary(self._rng) if u is None else u.centered()
         if noiseless:
-            e0 = self.ring.zero()
-            e1 = self.ring.zero()
+            e0 = e1 = np.zeros(params.n, dtype=np.int64)
         else:
-            e0 = self.ring.random_error(self._rng, self.params.sigma)
-            e1 = self.ring.random_error(self._rng, self.params.sigma)
-        ring = self.ring
-        pk0_u, c1, c1_s = ring.backend.fresh_row(
+            e0 = ring.draw_error(self._rng, params.sigma)
+            e1 = ring.draw_error(self._rng, params.sigma)
+        pk0_u, c1, c1_s = backend.fresh_row(
             pk.pk0, pk.pk1, u, e1, None if sk is None else sk.s
         )
-        c0 = RingPoly(ring, pk0_u) + e0 + scaled
-        ct = Ciphertext(self.params, c0, RingPoly(ring, c1))
-        return ct, None if c1_s is None else c0 + RingPoly(ring, c1_s)
+        # delta * m < q for m in [0, t): one add chain, one reduction
+        c0 = backend.fold(pk0_u + e0 + pt.poly.coeffs * params.delta)
+        ct = Ciphertext(params, RingPoly(ring, c0), RingPoly(ring, c1))
+        if c1_s is None:
+            return ct, None
+        return ct, RingPoly(ring, backend.fold(c0 + c1_s))
 
     def encrypt_symmetric(self, pt: Plaintext, sk: SecretKey) -> Ciphertext:
         """Secret-key encryption (used by key-switching tests)."""

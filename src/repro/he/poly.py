@@ -84,15 +84,22 @@ class RingContext:
             coeffs = np.array([int(rng.integers(0, self.q)) for _ in range(self.n)])
         return RingPoly(self, coeffs)
 
+    def draw_ternary(self, rng: np.random.Generator) -> np.ndarray:
+        """Uniform ternary coefficients ({-1, 0, 1}), centered as drawn."""
+        return rng.integers(-1, 2, size=self.n, dtype=np.int64)
+
+    def draw_error(self, rng: np.random.Generator, sigma: float) -> np.ndarray:
+        """Rounded-Gaussian coefficients with std-dev ``sigma``,
+        centered as drawn."""
+        return np.rint(rng.normal(0.0, sigma, size=self.n)).astype(np.int64)
+
     def random_ternary(self, rng: np.random.Generator) -> "RingPoly":
         """Uniform ternary polynomial ({-1, 0, 1}) — the secret-key sampler."""
-        coeffs = rng.integers(-1, 2, size=self.n, dtype=np.int64) % self.q
-        return RingPoly(self, coeffs)
+        return RingPoly(self, self.draw_ternary(rng) % self.q)
 
     def random_error(self, rng: np.random.Generator, sigma: float) -> "RingPoly":
         """Rounded-Gaussian error polynomial with std-dev ``sigma``."""
-        coeffs = np.rint(rng.normal(0.0, sigma, size=self.n)).astype(np.int64) % self.q
-        return RingPoly(self, coeffs)
+        return RingPoly(self, self.draw_error(rng, sigma) % self.q)
 
     # -- arithmetic helpers ---------------------------------------------
 
@@ -118,9 +125,10 @@ class RingPoly:
     """An element of ``R_q``.  Treat instances as immutable.
 
     ``_ntt`` holds the backend's cached transform-domain
-    representations, one per limb basis the polynomial has entered a
-    product on (set lazily by the vectorized backend); it is an
-    implementation detail and is never serialized, compared or copied.
+    representations — limb transforms, FFT spectra — one per form the
+    polynomial has entered a product in (set lazily by the vectorized
+    backend); it is an implementation detail and is never serialized,
+    compared or copied.
     """
 
     __slots__ = ("ring", "coeffs", "_ntt")
@@ -158,7 +166,7 @@ class RingPoly:
     def mul_by_small(self, small: "RingPoly") -> "RingPoly":
         """``self * small`` for a ``small`` with small centered
         coefficients (a ternary key): the same ring element as ``*``,
-        computed on as few limbs as the checked magnitude allows."""
+        computed as narrowly as the checked magnitude allows."""
         self._check(small)
         return RingPoly(
             self.ring, self.ring.backend.mul_by_small((self,), small)[0]

@@ -79,9 +79,9 @@ def test_forward_batch_matches_per_row_forward(n):
     basis = get_rns_basis(n, q)
     rng = np.random.default_rng(n)
     rows = rng.integers(-(q // 2), q // 2, size=(4, n), dtype=np.int64)
-    batch = basis.forward_batch(rows)
+    batch = basis.forward_batch(rows)  # limb-major: (k, m, n)
     for i, row in enumerate(rows):
-        assert np.array_equal(batch[i], basis.forward(row))
+        assert np.array_equal(batch[:, i], basis.forward(row))
 
 
 @given(st.integers(0, 2**62 - 58), st.integers(0, 2**62 - 58))
@@ -403,31 +403,45 @@ def test_hom_add_broadcast_rejects_bad_out():
 @pytest.mark.parametrize("q", MODULI)
 @pytest.mark.parametrize("n", [64, 256])
 def test_forward_batch_limb_major_matches_batch_major(n, q):
+    """The one batched layout left is limb-major; batch-major is the
+    row-by-row transforms stacked (and what a pair of operands is
+    sliced out of)."""
     basis = get_rns_basis(n, q)
     k = len(basis.primes)
     rng = np.random.default_rng(n + q % 101)
     rows = rng.integers(-(q // 2), q // 2, size=(5, n), dtype=np.int64)
-    batch_major = basis.forward_batch(rows)
-    limb_major = basis.forward_batch(rows, limb_major=True)
+    batch_major = np.stack([basis.forward(row) for row in rows])
+    limb_major = basis.forward_batch(rows)
     assert limb_major.shape == (k, 5, n)
     assert np.array_equal(limb_major, np.moveaxis(batch_major, 1, 0))
-    empty = np.empty((0, n), dtype=np.int64)
-    assert basis.forward_batch(empty).shape == (0, k, n)
-    assert basis.forward_batch(empty, limb_major=True).shape == (k, 0, n)
+    for got, want in zip(basis.forward_pair(rows[0], rows[1]), batch_major):
+        assert np.array_equal(got, want)
+    assert basis.forward_batch(np.empty((0, n), dtype=np.int64)).shape == (k, 0, n)
 
 
-def test_arena_c1_limbs_limb_major_layout_and_slices():
+@pytest.mark.parametrize("backend", ["vectorized", "reference"])
+def test_arena_phases_are_c0_plus_the_rows_times_key_product(backend):
+    """The database phase rows are ``c0 + c1 * s`` from the one
+    rows-times-key product, tile by tile; the arena keeps the stack and
+    the phase rows and no transform-domain copy of ``c1`` (slices read
+    the root's phase rows, zero-copy)."""
     params, ctx, sk, pk, cts = _setup()
-    arena = CiphertextArena.from_ciphertexts(ctx.ring, params, cts)
-    limbs = arena.c1_limbs()
-    if limbs is None:
-        pytest.skip("limb view requires the vectorized backend")
-    basis = get_rns_basis(params.n, params.q)
-    assert limbs.shape == (len(basis.primes), len(cts), 64)
-    # slices take the row range on the middle (poly) axis, zero-copy
+    ring = RingContext(params.n, params.q, backend=backend)
+    arena = CiphertextArena.from_ciphertexts(ring, params, cts, build_tile=3)
+    want = add_mod_q(arena.c0, mul_rows_by_poly(ring, arena.c1, sk.s), params.q)
+    reference = RingContext(params.n, params.q, backend="reference")
+    for j, ct in enumerate(cts):
+        slow = reference.make(ct.c0.coeffs) + reference.make(
+            ct.c1.coeffs
+        ) * reference.make(sk.s.coeffs)
+        assert np.array_equal(want[j], slow.coeffs)
     part = arena.slice(1, 4)
-    assert np.shares_memory(part.c1_limbs(), limbs)
-    assert np.array_equal(part.c1_limbs(), limbs[:, 1:4])
+    assert np.array_equal(part.phases(sk), want[1:4])  # builds two tiles
+    phases = arena.phases(sk)
+    assert np.array_equal(phases, want)
+    assert np.shares_memory(part.phases(sk), phases)
+    arrays = [v for v in vars(arena).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) == arena.stack.nbytes + phases.nbytes
 
 
 @pytest.mark.parametrize("q", MODULI)

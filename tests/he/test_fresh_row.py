@@ -1,9 +1,9 @@
 """A fresh row — ``encrypt_with_phase``: the ciphertext ``encrypt``
-returns plus its phase ``c0 + c1 * s`` from the same pass — on the
-vectorized backend's narrow limb basis, against the reference backend's
-plain ``encrypt`` followed by ``c0 + c1 * s`` from the same RNG state.
-Exact arithmetic on both sides: every comparison is ``==`` on the
-coefficient vectors."""
+returns plus its phase ``c0 + c1 * s`` from the same pass — through the
+vectorized backend's small-operand FFT product, against the reference
+backend's plain ``encrypt`` followed by ``c0 + c1 * s`` from the same
+RNG state.  Exact arithmetic on both sides: every comparison is ``==``
+on the coefficient vectors."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.packing import derive_masking_poly
 from repro.he import BFVContext, BFVParams, KeyGenerator
-from repro.he.backend import get_rns_basis
 from repro.he.keys import PublicKey
 from repro.he.poly import RingContext
 from repro.he.primes import find_ntt_prime
@@ -82,10 +81,13 @@ def test_fresh_row_equals_reference_encrypt_then_multiply(name, deterministic):
 
 @pytest.mark.parametrize("name", ["paper", "paper_secure", "odd_q"])
 def test_fresh_row_at_the_operand_bounds(name):
-    """The largest products the narrow basis is sized for: a public key
-    of all ``q - 1`` (and of all ``q // 2``, the largest centered
-    magnitude), masks and secret keys of all ``+1`` / all ``-1`` /
-    alternating signs, an error polynomial at ``+-q // 2``."""
+    """The largest products a fresh row can meet: a public key of all
+    ``q - 1`` (and of all ``q // 2``, the largest centered magnitude),
+    masks and secret keys of all ``+1`` / all ``-1`` / alternating
+    signs, an error polynomial at ``+-q // 2`` (beyond the phase row's
+    budget: ``c1 * s`` is the rows-times-key product there; at
+    ``paper_secure`` the piece products rejoin past ``2**63`` unless
+    the join reduces as it goes)."""
     params = PARAM_SETS[name]()
     n, q = params.n, params.q
     vec = RingContext(n, q, backend="vectorized")
@@ -107,7 +109,8 @@ def test_fresh_row_at_the_operand_bounds(name):
         want_pk_u = ref.make(full) * ref.make(u)
         want_c1 = want_pk_u + ref.make(e1)
         want_c1_s = want_c1 * ref.make(s)
-        polys = [vec.make(x) for x in (full, full, u, e1, s)]
+        # (the masks go in centered, as the samplers draw them)
+        polys = [vec.make(full), vec.make(full), u, e1, vec.make(s)]
         pk0_u, c1, c1_s = vec.backend.fresh_row(*polys)
         assert np.array_equal(pk0_u, want_pk_u.coeffs)
         assert np.array_equal(c1, want_c1.coeffs)
@@ -120,31 +123,78 @@ def test_fresh_row_at_the_operand_bounds(name):
         assert vec.make(c1).mul_by_small(vec.make(s)) == vec.make(want_c1_s.coeffs)
 
 
-def test_narrow_basis_is_two_limbs_at_paper_and_sized_from_the_checked_bound():
+def _ran(calls, cls):
+    return [call for call in calls if call[0] == cls]
+
+
+def test_piece_plan_is_two_pieces_at_paper_and_sized_from_the_checked_bound():
+    """The plan is a function of ``(n, q, checked magnitude)``: the
+    fewest equal pieces whose a-priori error bound
+    ``3 * 5 (log2(n/2) + 1) 2**-53 * n * 2**bits * |small|`` stays
+    ``<= 2**-8``."""
     params = BFVParams.paper()
     n, q = params.n, params.q
-    backend = RingContext(n, q, backend="vectorized").backend
-    general = backend.basis
-    assert len(general.primes) == 3
-    # a [0, q) operand times a ternary one: |coefficient| <= n * (q - 1)
-    narrow = backend.basis_for(n * (q - 1))
-    assert len(narrow.primes) == 2 and narrow.primes == general.primes[:2]
-    assert narrow is get_rns_basis(n, q, 2)
-    # the chained product of a fresh row, (pk1 u + e1) s with ternary u
-    # and s — the documented bound n * n * q < M / 2 — is two limbs too
-    assert backend.basis_for(n * (n * (q - 1) + q // 2)) is narrow
-    assert n * n * q < narrow.modulus // 2
-    assert narrow.fits(n * n * q) and not narrow.fits(narrow.modulus // 2 + 1)
-    # one 2**30 limb is not enough, and a bound no prefix of the general
-    # limbs holds gets the general basis
-    assert not get_rns_basis(n, q, 1).fits(n * (q - 1))
-    assert backend.basis_for(n * (q // 2) ** 2) is general
+    fft = RingContext(n, q, backend="vectorized").backend.fft
+    levels = 10  # log2(512) + 1
+    assert fft.limit == (1 << 45) // (15 * levels * n)
+
+    def bound(bits, magnitude):
+        return 15 * levels * 2.0**-53 * n * 2.0**bits * magnitude
+
+    assert fft.plan(1) == fft.plan(0) == (16, 2)
+    assert bound(16, 1) < 2.0**-19
+    for magnitude in (2, 100, 1000, 3495):
+        assert fft.plan(magnitude) == (16, 2)
+        assert bound(16, magnitude) <= 2.0**-8
+    assert bound(16, 3496) > 2.0**-8
+    assert fft.plan(3496) == (11, 3) and bound(15, 3496) <= 2.0**-8
+    # 8-bit pieces are the narrowest: one past that, the general product
+    last = fft.limit >> 8
+    assert fft.plan(last) == (8, 4) and fft.plan(last + 1) is None
+    assert bound(8, last) <= 2.0**-8 < bound(8, 2 * last)
+    secure = BFVParams.paper_secure()
+    wide = RingContext(secure.n, secure.q, backend="vectorized").backend.fft
+    assert wide.plan(1) == (18, 3) and wide.plan(1000) == (14, 4)
 
 
-@pytest.mark.parametrize("magnitude", [1, 2, 100, 1000, None])
+def test_the_piece_plan_of_a_fresh_row_is_the_same_for_any_two_messages():
+    """Transform calls and shapes of an encryption never follow the
+    message: all zeros, all ``t - 1``, random."""
+    params = BFVParams.paper()
+    ctx, sk, pk = _endpoint(params, "vectorized")
+    ctx.encrypt_with_phase(ctx.plaintext(np.zeros(params.n, dtype=np.int64)), pk, sk)
+    rng = np.random.default_rng(4)
+    seen = []
+    for coeffs in (
+        np.zeros(params.n, dtype=np.int64),
+        np.full(params.n, params.t - 1, dtype=np.int64),
+        rng.integers(0, params.t, size=params.n, dtype=np.int64),
+    ):
+        with count_transforms() as calls:
+            ctx.encrypt_with_phase(ctx.plaintext(coeffs), pk, sk)
+            ctx.encrypt(ctx.plaintext(coeffs), pk)
+        seen.append(calls)
+    assert seen[0] == seen[1] == seen[2]
+    assert seen[0] == [
+        ("SmallProductFft", "forward", 1, (2, params.n)),
+        ("SmallProductFft", "inverse", 1, (5, params.n // 2)),
+        ("SmallProductFft", "forward", 1, (params.n,)),
+        ("SmallProductFft", "inverse", 1, (4, params.n // 2)),
+    ]
+
+
+#: one past the magnitude that still gets 8-bit pieces at ``paper()``
+PAST_THE_PIECE_LIMIT = (((1 << 45) // (15 * 10 * 1024)) >> 8) + 1
+
+
+@pytest.mark.parametrize(
+    "magnitude", [1, 2, 100, 1000, 4000, PAST_THE_PIECE_LIMIT, None]
+)
 def test_larger_masks_take_wider_bases_never_a_wrap(magnitude):
-    """``u`` is whatever the caller passes: the basis follows its
-    checked magnitude, up to the general products for a uniform one."""
+    """``u`` is whatever the caller passes: the splitting follows its
+    checked magnitude — more, narrower pieces for a larger mask — up to
+    the general products for one past the 8-bit-piece limit and for a
+    uniform one."""
     params = BFVParams.paper()
     n, q = params.n, params.q
     vec, vec_sk, vec_pk = _endpoint(params, "vectorized")
@@ -162,18 +212,95 @@ def test_larger_masks_take_wider_bases_never_a_wrap(magnitude):
     )
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
-    narrow = get_rns_basis(n, q, 2)
     with count_transforms() as calls:
         vec.encrypt_with_phase(vec.plaintext(coeffs), vec_pk, vec_sk, u=vec.ring.make(u))
-    if magnitude in (1, 2, 100):
-        # n * n * q * 100 < 2**59 < M / 2: the whole row on two limbs
-        assert narrow in vec_pk.pk0._ntt
-        assert {call[2] for call in calls} == {2}
+    plan = {1: (16, 2), 2: (16, 2), 100: (16, 2), 1000: (16, 2), 4000: (11, 3)}.get(
+        magnitude
+    )
+    assert vec.ring.backend.fft.plan(int(np.abs(vec.ring.make(u).centered()).max())) == plan
+    if plan is not None:
+        # the whole row in one pass: pk0 u and pk1 u by pieces plus the
+        # one small-times-small phase row, and no limb transform
+        assert plan in vec_pk.pk0._ntt and plan in vec_pk.pk1._ntt
+        assert calls == [
+            ("SmallProductFft", "forward", 1, (2, n)),
+            ("SmallProductFft", "inverse", 1, (2 * plan[1] + 1, n // 2)),
+        ]
     else:
-        # the chained product needs the third limb: general products for
-        # the phase, and for a uniform u for pk0 u and pk1 u as well
-        assert 3 in {call[2] for call in calls}
-        assert (narrow in vec_pk.pk0._ntt) == (magnitude == 1000)
+        # not small: the general three-limb products, all three
+        assert {call[2] for call in calls} == {3}
+        assert len(calls) == 6 and not _ran(calls, "SmallProductFft")
+
+
+def test_an_error_polynomial_beyond_the_budget_takes_the_split_product():
+    """The phase row is small times small only while
+    ``|v| |u| + |e1| |s|`` is within the budget — exactly at it the row
+    is chained, one past it ``c1 * s`` is the rows-times-key product of
+    the finished ``c1``; same values either way."""
+    params = BFVParams.paper()
+    n, q = params.n, params.q
+    vec, sk, pk = _endpoint(params, "vectorized")
+    ref = RingContext(n, q, backend="reference")
+    backend = vec.ring.backend
+    v_mag, _ = backend._pair_noise(pk.pk0, pk.pk1, sk.s)
+    assert 0 < v_mag < 64  # the key generator's noise
+    u = np.where(np.arange(n) % 2 == 0, 1, -1)
+    edge = backend.fft.limit - v_mag
+    for e1_mag, chained in ((edge, True), (edge + 1, False)):
+        e1 = np.full(n, e1_mag, dtype=np.int64)
+        with count_transforms() as calls:
+            pk0_u, c1, c1_s = backend.fresh_row(pk.pk0, pk.pk1, u, e1, sk.s)
+        want_c1 = ref.make(pk.pk1.coeffs) * ref.make(u) + ref.make(e1)
+        assert np.array_equal(c1, want_c1.coeffs)
+        assert np.array_equal(c1_s, (want_c1 * ref.make(sk.s.coeffs)).coeffs)
+        assert (("SmallProductFft", "inverse", 1, (5, n // 2)) in calls) == chained
+        assert (("SmallProductFft", "forward", 1, (1, 2, n)) in calls) == (not chained)
+
+
+def test_a_second_public_key_under_one_secret_key_recomputes_the_pair_noise():
+    """``v = pk0 + pk1 * s`` is cached on ``s`` for the public key it
+    was derived from; another public key — genuine, or a mismatched one
+    whose ``v`` is not small — never reads it."""
+    params = BFVParams.paper()
+    ctx, sk, first = _endpoint(params, "vectorized")
+    ref = RingContext(params.n, params.q, backend="reference")
+    second = KeyGenerator(params, seed=99, backend="vectorized").public_key(sk)
+    assert second.pk1 != first.pk1
+    _, _, stranger = _endpoint(params, "vectorized", seed=8)
+    backend = ctx.ring.backend
+    pt = ctx.plaintext(np.arange(params.n) % params.t)
+    for pk, small in ((first, True), (second, True), (stranger, False), (first, True)):
+        ct, phase = ctx.encrypt_with_phase(pt, pk, sk)
+        held = sk.s._ntt["pair"]
+        assert held[0] is pk.pk0 and held[1] is pk.pk1
+        assert (held[3] is not None) == small == (held[2] < 64)
+        want = ref.make(ct.c0.coeffs) + ref.make(ct.c1.coeffs) * ref.make(sk.s.coeffs)
+        assert np.array_equal(phase.coeffs, want.coeffs)
+        with count_transforms() as calls:
+            ctx.encrypt_with_phase(pt, pk, sk)
+        # a mismatched pair multiplies the finished c1 by s instead
+        assert (len(calls) == 2) == small
+    assert backend._pair_noise(first.pk0, first.pk1, sk.s)[0] == held[2]
+
+
+def test_a_perturbed_inverse_raises(monkeypatch):
+    """The rounding-residual guard: an inverse FFT off by 0.2 must not
+    round its way to a flipped coefficient."""
+    params = BFVParams.paper()
+    ctx, sk, pk = _endpoint(params, "vectorized")
+    pt = ctx.plaintext(np.arange(params.n) % params.t)
+    ctx.encrypt_with_phase(pt, pk, sk)
+    real = np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda *a, **kw: real(*a, **kw) + 0.2)
+    for run in (
+        lambda: ctx.encrypt_with_phase(pt, pk, sk),
+        lambda: ctx.encrypt(pt, pk),
+        lambda: ctx.phase(ctx.encrypt(pt, pk), sk),
+    ):
+        with pytest.raises(ArithmeticError, match="residual"):
+            run()
+    monkeypatch.setattr(np.fft, "ifft", real)
+    ctx.encrypt_with_phase(pt, pk, sk)
 
 
 def test_a_large_key_takes_the_general_product():
@@ -189,14 +316,16 @@ def test_a_large_key_takes_the_general_product():
 
 
 def test_keys_hold_one_transform_per_basis():
-    """``pk0`` / ``pk1`` / ``s`` enter products on the narrow basis
-    (fresh rows) and on the general one (everything else); alternating
-    between the two re-transforms none of them."""
+    """``pk0`` / ``pk1`` enter products as piece spectra (fresh rows)
+    and on the general basis (everything else), ``s`` as its own
+    spectrum, the key pair's noise and on the general basis; going back
+    and forth re-transforms none of them."""
     params = BFVParams.paper()
+    n = params.n
     ctx, sk, pk = _endpoint(params, "vectorized")
     backend = ctx.ring.backend
     rng = np.random.default_rng(2)
-    pt = ctx.plaintext(rng.integers(0, params.t, size=params.n, dtype=np.int64))
+    pt = ctx.plaintext(rng.integers(0, params.t, size=n, dtype=np.int64))
     x = ctx.ring.random_uniform(rng)
 
     def one_round():
@@ -205,31 +334,28 @@ def test_keys_hold_one_transform_per_basis():
         return pk.pk0 * x, pk.pk1 * x, sk.s * x
 
     one_round()
-    narrow = get_rns_basis(params.n, params.q, 2)
-    for poly in (pk.pk0, pk.pk1, sk.s):
-        assert set(poly._ntt) == {narrow, backend.basis}
+    plan = (16, 2)
+    assert set(pk.pk0._ntt) == set(pk.pk1._ntt) == {plan, backend.basis}
+    assert set(sk.s._ntt) == {"small", "pair", backend.basis}
+    assert pk.pk0._ntt[plan].shape == (2, n // 2)
     held = {id(poly): dict(poly._ntt) for poly in (pk.pk0, pk.pk1, sk.s)}
     with count_transforms() as calls:
         one_round()
     for poly in (pk.pk0, pk.pk1, sk.s):
-        assert all(poly._ntt[b] is held[id(poly)][b] for b in held[id(poly)])
-    # per round, on two limbs — the fresh row in one pass: (u, e1)
-    # forward together, (pk0 u, c1, c1 s) back together, 2 forward + 3
-    # inverse; encrypt then phase, the same count in four calls: forward
-    # u, inverse (pk0 u, pk1 u), forward c1, inverse c1 s.  On three
-    # limbs (x holds its transform too): an inverse per general product
-    # — and no forward of a key on either basis
-    assert sorted(calls) == sorted(
-        [
-            ("_FourStepNtt", "forward_pair", 2, (params.n,)),
-            ("_FourStepNtt", "inverse_reduced", 2, (3, 2, params.n)),
-            ("_FourStepNtt", "forward", 2, (params.n,)),
-            ("_FourStepNtt", "inverse_reduced", 2, (2, 2, params.n)),
-            ("_FourStepNtt", "forward", 2, (params.n,)),
-            ("_FourStepNtt", "inverse_reduced", 2, (1, 2, params.n)),
-        ]
-        + [("_FourStepNtt", "inverse_reduced", 3, (3, params.n))] * 3
-    )
+        assert all(poly._ntt[key] is held[id(poly)][key] for key in held[id(poly)])
+    # per round — the fresh row in one pass: (u, e1) forward together,
+    # (pk0 u, pk1 u by pieces, the phase row) back together; encrypt:
+    # u forward, the four piece rows back; phase: the pieces of c1
+    # forward, one product back.  On three limbs (x holds its transform
+    # too): an inverse per general product — and no transform of a key
+    assert calls == [
+        ("SmallProductFft", "forward", 1, (2, n)),
+        ("SmallProductFft", "inverse", 1, (5, n // 2)),
+        ("SmallProductFft", "forward", 1, (n,)),
+        ("SmallProductFft", "inverse", 1, (4, n // 2)),
+        ("SmallProductFft", "forward", 1, (2, n)),
+        ("SmallProductFft", "inverse", 1, (1, 2, n // 2)),
+    ] + [("_FourStepNtt", "inverse_reduced", 3, (3, n))] * 3
 
 
 def test_public_key_of_foreign_polys_still_encrypts():

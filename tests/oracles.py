@@ -18,7 +18,8 @@ phase) and :meth:`repro.core.matcher.ResultDecoder._offsets_for_variant`
 :func:`int64_decrypt_flags` is that range test over int64 rows, the
 body the ``uint32`` kernel replaced at ``q = 2**32``.
 
-:func:`count_transforms` records every limb transform a block runs.
+:func:`count_transforms` records every transform a block runs — limb
+NTTs and the small-operand product's FFTs.
 
 :func:`per_event_phases_run` is the queueing simulator's event loop as
 it was when it rebuilt a request's phase list on every event;
@@ -58,23 +59,27 @@ ADDER_KWARGS = {
 }
 
 
-#: the methods every limb transform goes through, per transform class
-#: (the others are aliases of these or call them)
+#: the methods every transform goes through, per transform class (the
+#: others are aliases of these or call them): the limb NTTs of the
+#: general products and the float64 FFTs of the small-operand ones
 _TRANSFORM_LEAVES = {
     poly_backend._FourStepNtt: (
-        "forward", "forward_batch", "forward_batch_limbmajor", "forward_pair",
+        "forward", "forward_batch_limbmajor",
         "inverse_reduced", "inverse_reduced_limbmajor",
     ),
     poly_backend._StackedNtt: ("_transform",),
+    poly_backend.SmallProductFft: ("forward", "inverse"),
 }
 
 
 @contextlib.contextmanager
 def count_transforms():
-    """Record every limb transform run inside the block as
+    """Record every transform run inside the block as
     ``(class name, method, limbs, shape of the first array argument)``
-    — what a test asserts when it says "no NTT on this path" or "the
-    same transforms whatever the query says"."""
+    (an FFT counts as one limb; the leading axes of its shape are the
+    stacked rows and pieces) — what a test asserts when it says "no
+    transform on this path" or "the same transforms whatever the query
+    says"."""
     calls = []
     saved = []
     for cls, names in _TRANSFORM_LEAVES.items():
@@ -83,8 +88,9 @@ def count_transforms():
             saved.append((cls, name, original))
 
             def wrapper(self, first, *args, _orig=original, _name=name, **kw):
+                limbs = len(self.p) if hasattr(self, "p") else 1
                 calls.append(
-                    (type(self).__name__, _name, len(self.p), np.shape(first))
+                    (type(self).__name__, _name, limbs, np.shape(first))
                 )
                 return _orig(self, first, *args, **kw)
 

@@ -30,8 +30,9 @@ from tests.oracles import count_transforms, per_pair_factory
 
 QUERY_BITS = 40
 
-#: limb transforms exist on the vectorized backend only; under
-#: REPRO_POLY_BACKEND=reference the transform lists are (equally) empty
+#: transforms (limb NTTs, small-product FFTs) exist on the vectorized
+#: backend only; under REPRO_POLY_BACKEND=reference the transform lists
+#: are (equally) empty
 VECTORIZED = get_default_backend() == "vectorized"
 
 
@@ -145,13 +146,14 @@ def test_query_equality_is_the_documented_leak(monkeypatch):
     # a different query of the same length on the same engine is cold again
     with count_transforms() as transforms:
         engine.search_batch([other])
-    # (the keys and the database phases were transformed by the first
-    # search; what repeats is the per-row work: (u, e1) forward together,
-    # (pk0 u, c1, c1 s) back together — 2 forward + 3 inverse per miss)
+    # (the keys, the key pair's noise and the database phases were
+    # transformed by the first search; what repeats is the per-row work:
+    # (u, e1) forward together, the piece rows of pk0 u and pk1 u and
+    # the phase row back together — 2 forward + 5 inverse FFTs per miss)
     if VECTORIZED:
         assert sorted(set(transforms)) == [
-            ("_FourStepNtt", "forward_pair", 2, (params.n,)),
-            ("_FourStepNtt", "inverse_reduced", 2, (3, 2, params.n)),
+            ("SmallProductFft", "forward", 1, (2, params.n)),
+            ("SmallProductFft", "inverse", 1, (5, params.n // 2)),
         ]
         assert len(transforms) == 2 * misses
     assert engine.cache.stats().misses == 2 * misses
