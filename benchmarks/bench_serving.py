@@ -2,9 +2,8 @@
 
 One 12-query batch over a 16-polynomial database, served by a fresh
 engine at each shard count.  The table carries two throughputs.  *Wall*
-q/s is the software claim: shard tasks run on worker threads inside one
-interpreter, so it is bounded by the host's cores and the GIL, not by
-the shard count.  *Modeled* q/s, speedup and p99 come from the
+q/s is the software claim: shard tasks run one after another on the
+calling thread, so it does not grow with the shard count.  *Modeled* q/s, speedup and p99 come from the
 discrete-event queueing model of the executed task trace (each shard a
 CM-IFP channel/die group) — the deployment claim, deterministic, and
 read after the timed batch (``ServeReport`` replays the model on first

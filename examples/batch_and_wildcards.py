@@ -34,8 +34,8 @@ def batched_lookups() -> None:
         key_seed=78,
         db_bits=db.flatten_bits(),
     ) as session:
-        # One typed request for the whole batch -> native execution on
-        # the serve worker pool, duplicates deduplicated.
+        # One typed request for the whole batch -> native execution by
+        # the serving engine, duplicates deduplicated.
         report = session.search(
             BatchSearch.from_bit_arrays([db.key_bits(k) for k in mix.keys])
         )

@@ -1,9 +1,9 @@
-"""Concurrent sharded query serving — the production-scale layer,
-driven through the unified API.
+"""Sharded query serving — the production-scale layer, driven through
+the unified API.
 
 The encrypted database is split across four shards, each with its own
-addition backend, and a worker pool executes a deduplicated query batch
-across all shards concurrently.  Results are merged with global offsets
+addition backend, and the engine executes a deduplicated query batch
+shard task by shard task.  Results are merged with global offsets
 (one planted occurrence deliberately straddles a shard boundary) and
 cross-checked against the plaintext oracle — which is just another
 registered engine behind the same facade.

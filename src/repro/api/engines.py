@@ -348,7 +348,6 @@ class ShardedEngine(Engine):
         index_mode: IndexMode = IndexMode.CLIENT_DECRYPT,
         poly_backend: Optional[str] = None,
         cache_capacity: int = 256,
-        max_workers: Optional[int] = None,
         backend_factory: Optional[Callable] = None,
         client: Optional[CipherMatchClient] = None,
         degraded_mode: str = "fail",
@@ -376,7 +375,6 @@ class ShardedEngine(Engine):
             client=client,
             num_shards=num_shards,
             backend_factory=backend_factory,
-            max_workers=max_workers,
             cache_capacity=cache_capacity,
             degraded_mode=degraded_mode,
             breaker_threshold=breaker_threshold,
@@ -431,8 +429,8 @@ class ShardedEngine(Engine):
         )
 
     def _execute_batch(self, request: BatchSearch) -> BatchSearchResult:
-        """Native batch path: the whole batch goes through the serve
-        worker pool in one deduplicated submission."""
+        """Native batch path: the whole batch goes to the serving
+        engine in one deduplicated submission."""
         if self.db_bit_length is None:
             raise RuntimeError("outsource a database first")
         queries = self._batch_queries(request)

@@ -8,8 +8,8 @@ and one outsourced database) and exposes:
   :class:`concurrent.futures.Future`; a background dispatcher drains
   the submission queue, and consecutive exact requests are coalesced
   into one native batch when the engine declares ``batching`` (the
-  sharded engine's worker pool then executes them concurrently with
-  variant-cache sharing and deduplication);
+  sharded engine then executes them as one batch, with variant-cache
+  sharing and deduplication);
 * context-manager lifecycle (``with repro.open_session(...) as s:``) —
   exit drains pending futures and releases the dispatcher thread.
 

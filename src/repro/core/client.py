@@ -8,7 +8,7 @@ database before outsourcing it, prepares encrypted queries, and decodes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -133,16 +133,18 @@ class CipherMatchClient:
     def decode_flags_matrix(
         self,
         prepared: PreparedQuery,
-        flags: np.ndarray,
+        hits: Sequence[np.ndarray],
         db: EncryptedDatabase,
         *,
         verify: VerifyLike = True,
     ) -> List[MatchCandidate]:
-        """Decode a stacked ``(num_variants, num_polys, n)`` flag grid —
-        the fused kernels' native output — with the same offset mapping
-        and verification policy as :meth:`decode_results`."""
+        """Decode the fused kernels' native output — per variant, the
+        sorted flat indices ``j * n + c`` of the set flags of its
+        ``(num_polys, n)`` flag matrix — with the same offset mapping
+        and verification policy as :meth:`decode_results`.  (The name
+        predates the index form; the benchmark's tracer resolves it.)"""
         decoder = ResultDecoder(self.chunk_width, db.n, db.bit_length)
-        candidates = decoder.decode_stacked(prepared, flags)
+        candidates = decoder.decode_hits(prepared, hits)
         return self._maybe_verify(candidates, prepared, verify)
 
     def _maybe_verify(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Protocol
+from typing import Callable, Dict, List, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -146,11 +146,13 @@ class FusedResultSet(SequenceABC):
 
     # -- fused flag extraction --------------------------------------------
 
-    def flags_by_decryption(self, sk) -> np.ndarray:
-        """``(V, P, n)`` boolean match flags via fused batch decryption
-        (CLIENT_DECRYPT index generation).  Counts the same logical
-        decryptions the object path would perform."""
-        flags = fused_decrypt_flags(
+    def flags_by_decryption(self, sk) -> List[np.ndarray]:
+        """Match flags via fused batch decryption (CLIENT_DECRYPT index
+        generation) in the fused kernel's form: per variant, the sorted
+        flat indices of the set flags of its ``(P, n)`` grid row — what
+        :meth:`ResultDecoder.decode_hits` reads.  Counts the same
+        logical decryptions the object path would perform."""
+        hits = fused_decrypt_flags(
             self.arena.phases(sk),
             self.query.phases(sk),
             self.row_map,
@@ -158,7 +160,7 @@ class FusedResultSet(SequenceABC):
             self.db.chunk_width,
         )
         self.ctx.counter.decryptions += len(self)
-        return flags
+        return hits
 
     def flags_by_comparator(self, comparator) -> np.ndarray:
         """``(V, P, n)`` boolean match flags via the batched
@@ -276,43 +278,36 @@ class ResultDecoder:
     ) -> List[MatchCandidate]:
         """``flags_by_block[(variant_index, poly_index)]`` is the boolean
         all-ones flag vector for that result block."""
-        candidates: Dict[int, MatchCandidate] = {}
-        for v_idx, variant in enumerate(prepared.variants):
-            flags = self._global_flags(v_idx, flags_by_block, num_polynomials)
-            self._accumulate(candidates, v_idx, variant, flags, prepared)
-        return sorted(candidates.values(), key=lambda c: c.offset)
-
-    def decode_stacked(
-        self, prepared: PreparedQuery, flags: np.ndarray
-    ) -> List[MatchCandidate]:
-        """Decode a ``(num_variants, num_polys, n)`` flag grid (the
-        fused kernels' output).  Bit-identical to :meth:`decode` on the
-        equivalent per-block dictionary: the per-variant global flag
-        vector is just the grid row flattened in polynomial order."""
-        candidates: Dict[int, MatchCandidate] = {}
-        for v_idx, variant in enumerate(prepared.variants):
-            self._accumulate(
-                candidates, v_idx, variant, flags[v_idx].reshape(-1), prepared
-            )
-        return sorted(candidates.values(), key=lambda c: c.offset)
-
-    def _accumulate(
-        self,
-        candidates: Dict[int, MatchCandidate],
-        v_idx: int,
-        variant: QueryVariant,
-        flags: np.ndarray,
-        prepared: PreparedQuery,
-    ) -> None:
-        for offset in self._offsets_for_variant(variant, flags, prepared):
-            offset = int(offset)
-            existing = candidates.get(offset)
-            if existing is None or (
-                existing.verified is None and not variant.requires_verification
-            ):
-                candidates[offset] = MatchCandidate(
-                    offset=offset, phase=variant.phase, variant_index=v_idx
+        return self.decode_hits(
+            prepared,
+            [
+                np.flatnonzero(
+                    self._global_flags(v_idx, flags_by_block, num_polynomials)
                 )
+                for v_idx in range(prepared.num_variants)
+            ],
+        )
+
+    def decode_hits(
+        self, prepared: PreparedQuery, hits: Sequence[np.ndarray]
+    ) -> List[MatchCandidate]:
+        """Decode from the set flags alone: ``hits[v]`` holds the
+        ascending indices of variant ``v``'s set flags in its global
+        flag vector (polynomial order, ``j * n + c``) — the fused
+        kernels' output, and ``np.flatnonzero`` of what :meth:`decode`
+        assembles from per-block vectors."""
+        candidates: Dict[int, MatchCandidate] = {}
+        for v_idx, variant in enumerate(prepared.variants):
+            for offset in self._offsets_for_variant(variant, hits[v_idx], prepared):
+                offset = int(offset)
+                existing = candidates.get(offset)
+                if existing is None or (
+                    existing.verified is None and not variant.requires_verification
+                ):
+                    candidates[offset] = MatchCandidate(
+                        offset=offset, phase=variant.phase, variant_index=v_idx
+                    )
+        return sorted(candidates.values(), key=lambda c: c.offset)
 
     def _global_flags(
         self,
@@ -329,15 +324,15 @@ class ResultDecoder:
         return np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
 
     def _offsets_for_variant(
-        self, variant: QueryVariant, flags: np.ndarray, prepared: PreparedQuery
+        self, variant: QueryVariant, hits: np.ndarray, prepared: PreparedQuery
     ) -> np.ndarray:
-        """Database bit offsets at which ``variant`` matches, from its
-        global flag vector.
+        """Database bit offsets at which ``variant`` matches, from the
+        sorted indices of the set flags of its global flag vector.
 
         A match is a run of ``span`` consecutive set flags starting at
         a position congruent to the variant's rotation.  Set flags are
         rare (a non-matching coefficient is all-ones with probability
-        ``1/t``), so the run test works on their sorted indices:
+        ``1/t``), so the run test works on their indices alone:
         ``hits[k]`` starts a full run iff the hit ``span - 1`` places
         later is exactly ``span - 1`` positions away.
         """
@@ -345,7 +340,6 @@ class ResultDecoder:
         span = variant.span
         o = variant.query_bit_offset
         y = prepared.bit_length
-        hits = np.flatnonzero(flags)
         heads = hits[: max(len(hits) - span + 1, 0)]
         starts = heads[hits[span - 1 :] - heads == span - 1]
         starts = starts[(starts - variant.rotation) % span == 0]

@@ -41,6 +41,7 @@ both polynomial backends.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
 
@@ -63,6 +64,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: its database tile stay resident in a last-level cache instead of
 #: streaming the whole (P, V, 2, n) product through DRAM twice.
 _DEFAULT_TILE_BYTES = 1 << 25
+
+#: cells per tile of the flag kernel's scratch: the phase tile (256 KiB
+#: of uint32), the summed tile and its flags stay cache-resident while
+#: every variant passes over them
+_FLAG_TILE_CELLS = 1 << 16
 
 #: rows per lazy-build tile: the granularity at which the stack and
 #: the phase view materialize on first touch.  At the
@@ -504,16 +510,25 @@ def fused_decrypt_flags(
     row_map: np.ndarray,
     params: "BFVParams",
     chunk_width: int,
-) -> np.ndarray:
+) -> List[np.ndarray]:
     """Match flags for a whole db x variant Hom-Add grid from
-    precomputed phases.
+    precomputed phases, as the sorted indices of the set ones.
 
     ``db_phases`` is ``(P, n)`` (:meth:`CiphertextArena.phases`),
     ``query_phases`` is ``(R, n)`` (one row per distinct encrypted
     query polynomial) and ``row_map`` is ``(V, P)`` mapping each
-    (variant, polynomial) pair to its query row.  Returns the
-    ``(V, P, n)`` boolean flag grid — bit-identical to decrypting every
-    pair's Hom-Add result and comparing against the match polynomial.
+    (variant, polynomial) pair to its query row.  Returns one array per
+    variant: the ascending flat indices ``j * n + c`` of the
+    coefficients whose Hom-Add result decrypts to the match value —
+    ``np.flatnonzero`` of that variant's ``(P, n)`` slice of the flag
+    grid, bit-identical to decrypting every pair's result and comparing
+    against the match polynomial.  Set flags are rare (a non-matching
+    coefficient is all-ones with probability ``1/t``), so the grid
+    itself is never built: each variant is compared, one
+    ``(tile_polys, n)`` tile at a time, into scratch that the whole call
+    reuses.  The scratch and the work depend on the operand shapes only;
+    the *lengths* of the returned arrays are the decrypted answer and
+    stay with the phases on the key holder's side.
 
     Index generation is a range test on the phase.  A phase ``p`` in
     ``[0, q)`` decrypts to ``round(t*p/q) mod t`` (centering ``p``
@@ -524,9 +539,8 @@ def fused_decrypt_flags(
     ``hi = ceil(((m+1)*q - q//2) / t)``.  ``0 < lo <= hi <= q``, so the
     interval never wraps and ``(p - lo) mod q < hi - lo`` tests it
     with one compare.  ``lo`` is folded into the small query side once
-    per call; per variant the kernel is one add, one fold mod ``q`` and
-    one compare over the ``(P, n)`` grid, written into a scratch buffer
-    and the output row.  Nothing is multiplied by ``t``, so every
+    per call; per variant and tile the kernel is one add, one fold mod
+    ``q`` and one compare.  Nothing is multiplied by ``t``, so every
     intermediate is below ``2q <= 2**63``.
 
     At ``q = 2**32`` both phase stacks are ``uint32`` (int64 rows in
@@ -557,9 +571,6 @@ def fused_decrypt_flags(
         raise IndexError("row_map entry outside query_phases")
     db_phases = _as_phase_rows(db_phases, q)
     query_phases = _as_phase_rows(query_phases, q)
-    shape = db_phases.shape
-    flags = np.empty((num_variants,) + shape, dtype=bool)
-    buf = np.empty(shape, dtype=db_phases.dtype)
     narrow = db_phases.dtype == np.uint32
     if narrow:
         # 0 < lo < q and width <= q // 2 + 1 (t >= 2): both fit uint32
@@ -569,31 +580,48 @@ def fused_decrypt_flags(
         shifted = query_phases - lo
         np.add(shifted, q, out=shifted, where=shifted < 0)
     pow2 = q & (q - 1) == 0
-    wrapped = None if pow2 else np.empty(shape, dtype=bool)
-    for v in range(num_variants):
-        rows = row_map[v]
-        out = flags[v]
-        if num_polys and (rows == rows[0]).all():
-            np.add(db_phases, shifted[rows[0]], out=buf)
-        else:
-            # bounds were checked above; "clip" only selects numpy's
-            # unbuffered write into ``buf``
-            np.take(shifted, rows, axis=0, out=buf, mode="clip")
-            np.add(buf, db_phases, out=buf)
-        if narrow:
-            np.less(buf, width, out=out)
-        elif pow2:
-            np.bitwise_and(buf, q - 1, out=buf)
-            np.less(buf, width, out=out)
-        else:
-            # s in [0, 2q): (s mod q) < width iff s < width or
-            # 0 <= s - q < width; the unsigned view makes the second
-            # test one compare (a negative s - q reads as >= 2**63)
-            np.less(buf, width, out=out)
-            np.subtract(buf, q, out=buf)
-            np.less(buf.view(np.uint64), np.uint64(width), out=wrapped)
-            np.logical_or(out, wrapped, out=out)
-    return flags
+    cols = db_phases.shape[1]
+    tile = max(1, min(num_polys, _FLAG_TILE_CELLS // max(1, cols)))
+    buf_tile = np.empty((tile, cols), dtype=db_phases.dtype)
+    flag_tile = np.empty((tile, cols), dtype=bool)
+    wrapped_tile = None if pow2 else np.empty((tile, cols), dtype=bool)
+    # a variant whose polynomials all read one query row adds that row
+    # to the tile; any other gathers its rows first
+    one_row = (row_map == row_map[:, :1]).all(axis=1)
+    hits: List[List[np.ndarray]] = [[] for _ in range(num_variants)]
+    for p0 in range(0, num_polys, tile):
+        p1 = min(p0 + tile, num_polys)
+        db_tile = db_phases[p0:p1]
+        buf, out = buf_tile[: p1 - p0], flag_tile[: p1 - p0]
+        wrapped = None if pow2 else wrapped_tile[: p1 - p0]
+        for v in range(num_variants):
+            if one_row[v]:
+                np.add(db_tile, shifted[row_map[v, 0]], out=buf)
+            else:
+                # bounds were checked above; "clip" only selects numpy's
+                # unbuffered write into ``buf``
+                np.take(shifted, row_map[v, p0:p1], axis=0, out=buf, mode="clip")
+                np.add(buf, db_tile, out=buf)
+            if narrow:
+                np.less(buf, width, out=out)
+            elif pow2:
+                np.bitwise_and(buf, q - 1, out=buf)
+                np.less(buf, width, out=out)
+            else:
+                # s in [0, 2q): (s mod q) < width iff s < width or
+                # 0 <= s - q < width; the unsigned view makes the second
+                # test one compare (a negative s - q reads as >= 2**63)
+                np.less(buf, width, out=out)
+                np.subtract(buf, q, out=buf)
+                np.less(buf.view(np.uint64), np.uint64(width), out=wrapped)
+                np.logical_or(out, wrapped, out=out)
+            found = np.flatnonzero(out)
+            if p0:
+                found += p0 * cols
+            hits[v].append(found)
+    if num_polys > tile:
+        return [np.concatenate(parts) for parts in hits]
+    return [parts[0] if parts else np.empty(0, dtype=np.intp) for parts in hits]
 
 
 # ---------------------------------------------------------------------------
@@ -629,25 +657,24 @@ class QueryArena:
         rows: List[np.ndarray] = []
         row_variant: List[int] = []
         row_residue: List[int] = []
-        luts: List[np.ndarray] = []
-        poly_offsets = np.arange(num_polynomials, dtype=np.int64) * n
+        first_row: List[int] = []
+        periods: List[int] = []
         for v_idx, variant in enumerate(variants):
             span = variant.span
-            lut = np.full(span, -1, dtype=np.intp)
-            # distinct residue classes over the whole database, in order
-            # of first appearance (the order rows are requested in is
-            # the order fresh ones draw from the client's RNG), each
-            # with the first polynomial index that lands in it
-            residues, first = np.unique(poly_offsets % span, return_index=True)
-            order = np.argsort(first)
-            residues, first = residues[order], first[order]
-            lut[residues] = len(rows) + np.arange(len(residues))
-            for res, j in zip(residues.tolist(), first.tolist()):
-                rows.append(np.asarray(rows_for(v_idx, res, j)))
+            # (j * n) mod span repeats with this period in j and takes a
+            # different value at each j below it: the first polynomials
+            # are the first appearances of the residue classes (the
+            # order rows are requested in is the order fresh ones draw
+            # from the client's RNG)
+            period = span // math.gcd(n, span)
+            first_row.append(len(rows))
+            periods.append(period)
+            for j in range(min(num_polynomials, period)):
+                residue = (j * n) % span
+                rows.append(np.asarray(rows_for(v_idx, residue, j)))
                 row_variant.append(v_idx)
-                row_residue.append(res)
-            luts.append(lut)
-        self.num_variants = len(luts)
+                row_residue.append(residue)
+        self.num_variants = len(periods)
         self.num_polynomials = num_polynomials
         #: rows as handed: (num_rows, 2 or 3, n), any integer dtype
         self._rows = (
@@ -656,7 +683,10 @@ class QueryArena:
         self._stack: np.ndarray | None = None
         self.row_variant = np.asarray(row_variant, dtype=np.intp)
         self.row_residue = np.asarray(row_residue, dtype=np.intp)
-        self._luts = luts
+        #: per variant: its first row and how many polynomials apart two
+        #: uses of one row are — all :meth:`row_map` needs
+        self._first_row = np.asarray(first_row, dtype=np.intp)[:, None]
+        self._period = np.asarray(periods, dtype=np.intp)[:, None]
         self._lock = threading.Lock()
         self._phase_cache: Tuple[object, np.ndarray] | None = None
 
@@ -684,12 +714,8 @@ class QueryArena:
 
     def row_map(self, poly_indices: np.ndarray) -> np.ndarray:
         """``(V, P)`` row index per (variant, global polynomial)."""
-        poly_indices = np.asarray(poly_indices, dtype=np.int64)
-        n = self.ring.n
-        out = np.empty((self.num_variants, len(poly_indices)), dtype=np.intp)
-        for v_idx, lut in enumerate(self._luts):
-            out[v_idx] = lut[(poly_indices * n) % len(lut)]
-        return out
+        poly_indices = np.asarray(poly_indices, dtype=np.intp)
+        return self._first_row + poly_indices % self._period
 
     def phases(self, sk: "SecretKey") -> np.ndarray:
         """``(num_rows, n)`` decryption phases of the query rows in the

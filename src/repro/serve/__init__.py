@@ -3,17 +3,17 @@
 The paper's Figure 9/12 evaluation issues 1000-query batches against
 one encrypted database; the seed reproduction executed them strictly
 sequentially over a single pipeline.  This package turns that into a
-concurrent, sharded serving engine:
+sharded serving engine:
 
 :class:`ShardedSearchEngine`
     Splits an :class:`~repro.core.packing.EncryptedDatabase` into
     contiguous per-shard polynomial slices, places each shard on its own
     :class:`~repro.core.matcher.AdditionBackend` (CPU reference or the
     simulated in-flash backend from :mod:`repro.ssd.device`), and runs a
-    pool of worker threads over queued (query, shard) tasks.  Per-shard
-    result blocks carry global polynomial indices, so merged results —
-    match offsets included — are identical to the sequential pipeline's,
-    even for occurrences spanning shard boundaries.
+    batch as (query, shard) tasks on the calling thread.  Per-shard
+    match-flag indices are merged in global polynomial order, so merged
+    results — match offsets included — are identical to the sequential
+    pipeline's, even for occurrences spanning shard boundaries.
 
 :class:`VariantCipherCache`
     A bounded, thread-safe LRU cache of encrypted query variants shared
@@ -28,8 +28,8 @@ concurrent, sharded serving engine:
 
 :class:`ServeReport`
     Per-query :class:`~repro.core.pipeline.SearchReport` list plus
-    throughput, wall/modeled latency percentiles, queue depth, cache and
-    shard statistics, rendered with the :mod:`repro.eval.tables`
+    throughput, wall/modeled latency percentiles, cache and shard
+    statistics, rendered with the :mod:`repro.eval.tables`
     helpers.
 
 Quickstart

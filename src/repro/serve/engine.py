@@ -1,45 +1,43 @@
-"""Concurrent sharded execution of the Hom-Add secure search.
+"""Sharded execution of the Hom-Add secure search.
 
 :class:`ShardedSearchEngine` splits an :class:`EncryptedDatabase` into
 contiguous per-shard polynomial slices, gives every shard its own
 :class:`AdditionBackend` instance (CPU reference or simulated in-flash),
-and drives a worker pool over a task queue of (query, shard) units.
-Every shard task yields that shard's slice of the boolean match-flag
-grid; finalize stitches the slices in *global* polynomial order, so
-decode is byte-identical to the single-pipeline
+and runs a batch as (query, shard) tasks.  Every shard task yields, per
+query variant, the sorted indices of the set match flags of that
+shard's slice of the flag grid; finalize shifts them to *global*
+polynomial order and concatenates them shard by shard, so decode is
+byte-identical to the single-pipeline
 :class:`~repro.core.pipeline.SecureStringMatchPipeline` — including
 matches that span shard boundaries (the run-detection in
-:class:`~repro.core.matcher.ResultDecoder` operates on the globally
-concatenated flag vector).
+:class:`~repro.core.matcher.ResultDecoder` operates on the indices of
+the globally concatenated flag vector).
 
-Concurrency model
------------------
+Execution model
+---------------
+* Tasks run on the calling thread, query by query and shard by shard;
+  a query is finalized (index merge + decode + verification) right
+  after its last shard task.  Shard parallelism exists in the *modeled*
+  SSD figures, which come from the task traces, not from threads:
+  on 1- and 2-CPU hosts per-batch worker threads bought no wall time on
+  any workload (``docs/perf.md``, "Removed variants").
 * A shard executes one task at a time (its lock models the physical
   die-group and protects stateful backends such as
-  :class:`~repro.ssd.device.IFPAdditionBackend`).
-* Variant encryption (and the phase of each fresh row) is serialized
-  through the shared bounded LRU
-  :class:`~repro.serve.cache.VariantCipherCache` (the client RNG is not
-  thread-safe) and is the larger part of a cache-missing search; the
-  Hom-Add kernels run concurrently across shards.
-* The worker completing a query's last shard task finalizes it (index
-  generation + decode + verification), so decode of one query overlaps
-  the Hom-Adds of the next.
+  :class:`~repro.ssd.device.IFPAdditionBackend` from concurrent
+  callers of one engine).
+* Variant encryption (and the phase of each fresh row) goes through the
+  shared bounded LRU :class:`~repro.serve.cache.VariantCipherCache` and
+  is the larger part of a cache-missing search.
 * A shard whose backend is a plain CPU adder (``supports_fused``)
   holds a zero-copy slice of the database's ciphertext arena and its
   task reduces to a few broadcast kernels (see :mod:`repro.he.arena`).
   A shard whose backend does its own addition (the simulated in-flash
   IFP device) runs one ``backend.hom_add`` per (polynomial, variant)
-  pair instead; both produce the same flag slice.
-* Shard tasks run on ``serve-worker-<i>`` threads of the serving
-  process, started per batch; the calling thread is worker 0.  Threads
-  are the only executor (``docs/perf.md``, "Removed variants", has the
-  measurements against per-shard worker processes).
+  pair instead; both produce the same hits.
 """
 
 from __future__ import annotations
 
-import queue as queue_mod
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -114,22 +112,23 @@ class DbShard:
 
 
 class _QueryJob:
-    """One distinct query in flight across all shards."""
+    """One distinct query of a batch."""
 
     def __init__(self, index: int, query_bits: np.ndarray, key: bytes,
-                 prepared: PreparedQuery, num_shards: int):
+                 prepared: PreparedQuery):
         self.index = index
         self.query_bits = query_bits
         self.key = key
         self.prepared = prepared
-        #: shard_id -> (V, shard_polys, n) flag grid slice
-        self.flag_parts: Dict[int, np.ndarray] = {}
+        #: shard_id -> per variant, the sorted indices of the set flags
+        #: of the shard's ``(shard_polys, n)`` flag slice
+        self.hit_parts: Dict[int, List[np.ndarray]] = {}
         #: shards whose task was skipped/lost under partial-results mode
         self.degraded: set = set()
         self.query_arena: Optional[QueryArena] = None
-        self.remaining = num_shards
-        self.lock = threading.Lock()
-        self.prep_lock = threading.Lock()
+        #: ``(V, P)`` query row per (variant, database polynomial);
+        #: shards read their columns
+        self.row_map: Optional[np.ndarray] = None
         self.finished_at: float = 0.0
         self.report: Optional[SearchReport] = None
 
@@ -150,24 +149,19 @@ class ShardedSearchEngine:
     backend_factory:
         Builds one backend per shard; defaults to fresh
         :class:`CPUAdditionBackend` instances.
-    max_workers:
-        Worker-pool size; defaults to the shard count (more workers than
-        shards cannot help — shards serialize their own tasks).
     cache_capacity:
         Bound on the shared variant-ciphertext LRU cache.
     poly_backend:
         Polynomial-arithmetic backend for the HE layer ("vectorized" /
         "reference"); applied when the engine builds its own client from
-        ``config``.  The vectorized backend is what lets decode — one
-        ``c1 * s`` negacyclic multiply per result block — keep up with
-        the concurrent Hom-Add stage (see ``docs/backends.md``).
+        ``config`` (see ``docs/backends.md``).
     degraded_mode:
         What a batch does when a shard is unserveable (injected worker
         crash, circuit breaker open).  ``"fail"`` (default) propagates
-        the failure — the historical behavior.  ``"partial"`` zero-fills
-        the dead shard's flag slice and returns matches from the live
-        shards, marking the report's ``degraded_shards`` so callers know
-        the result may be incomplete.
+        the failure — the historical behavior.  ``"partial"`` leaves
+        the dead shard's span without a set flag and returns matches
+        from the live shards, marking the report's ``degraded_shards``
+        so callers know the result may be incomplete.
     breaker_threshold / breaker_cooldown:
         Per-shard :class:`repro.faults.CircuitBreaker` tuning: the
         breaker opens after ``breaker_threshold`` consecutive crash-ful
@@ -187,7 +181,6 @@ class ShardedSearchEngine:
         client: Optional[CipherMatchClient] = None,
         num_shards: int = 1,
         backend_factory: Optional[BackendFactory] = None,
-        max_workers: Optional[int] = None,
         cache_capacity: int = 256,
         scheduler: Optional[ServeScheduler] = None,
         poly_backend: Optional[str] = None,
@@ -217,7 +210,6 @@ class ShardedSearchEngine:
         self.backend_factory: BackendFactory = backend_factory or (
             lambda ctx, shard_id: CPUAdditionBackend(ctx)
         )
-        self.max_workers = max_workers
         self.cache = cache if cache is not None else VariantCipherCache(
             cache_capacity
         )
@@ -287,8 +279,8 @@ class ShardedSearchEngine:
             )
 
     def close(self) -> None:
-        """Nothing to release — shard workers are threads that live for
-        one batch.  Kept because ``Session.close`` (and hence the net
+        """Nothing to release — the engine owns no thread, process or
+        file.  Kept because ``Session.close`` (and hence the net
         server's SIGTERM drain path) and ``with`` blocks call it."""
 
     def __enter__(self) -> "ShardedSearchEngine":
@@ -308,9 +300,10 @@ class ShardedSearchEngine:
     def search_batch(
         self, queries: Sequence[np.ndarray], *, verify: VerifyLike = True
     ) -> ServeReport:
-        """Execute a query batch across all shards concurrently.
-        ``verify`` accepts a bool or :class:`repro.verify.VerifyPolicy`
-        and is resolved once, in the client decode step."""
+        """Execute a query batch across all shards, task by task on
+        the calling thread.  ``verify`` accepts a bool or
+        :class:`repro.verify.VerifyPolicy` and is resolved once, in the
+        client decode step."""
         if self.db is None or not self.shards:
             raise RuntimeError("outsource or adopt a database first")
         if any(shard.fused for shard in self.shards):
@@ -331,7 +324,6 @@ class ShardedSearchEngine:
                     query_bits=bits,
                     key=key,
                     prepared=self.client.prepare_query(bits),
-                    num_shards=len(self.shards),
                 )
                 by_key[key] = job
                 jobs.append(job)
@@ -339,116 +331,33 @@ class ShardedSearchEngine:
                 dedup_hits += 1
             order.append(job)
 
-        tasks: "queue_mod.Queue" = queue_mod.Queue()
-        for job in jobs:
-            for shard in self.shards:
-                tasks.put((job, shard))
-
-        depth_samples: List[int] = []
         traces: List[ShardTaskTrace] = []
         #: shard_id -> seconds this batch's tasks held the shard
         busy_seconds = dict.fromkeys((s.shard_id for s in self.shards), 0.0)
-        trace_lock = threading.Lock()
-        errors: List[BaseException] = []
         start = time.perf_counter()
-
-        def worker() -> None:
-            while True:
-                try:
-                    job, shard = tasks.get_nowait()
-                except queue_mod.Empty:
-                    return
-                breaker = self._breakers.get(shard.shard_id)
-                injector = self.fault_injector
-                try:
-                    flags_part: Optional[np.ndarray] = None
-                    busy = 0.0
-                    degraded = False
-                    events = (
-                        injector.step(SITE_SHARD_TASK, shard.shard_id)
-                        if injector is not None
-                        else ()
+        for job in jobs:
+            for shard in self.shards:
+                if not self._admit_shard_task(shard):
+                    job.degraded.add(shard.shard_id)
+                    continue
+                with shard.lock:
+                    t0 = time.perf_counter()
+                    job.hit_parts[shard.shard_id] = self._run_shard_task(shard, job)
+                    busy_seconds[shard.shard_id] += time.perf_counter() - t0
+                self._breakers[shard.shard_id].record_success()
+                # Every batch task enters the model's queue at t=0; the
+                # device model must not inherit the Python driver's
+                # pacing.
+                traces.append(
+                    ShardTaskTrace(
+                        query_index=job.index,
+                        shard_id=shard.shard_id,
+                        hom_adds=job.prepared.num_variants
+                        * shard.num_polynomials,
                     )
-                    for ev in events:
-                        if ev.kind == SLOW_SHARD and ev.delay > 0:
-                            time.sleep(ev.delay)
-                    crash_injected = any(
-                        ev.kind == WORKER_CRASH for ev in events
-                    )
-                    if breaker is not None and not breaker.allow():
-                        degraded = True
-                    else:
-                        try:
-                            with shard.lock:
-                                depth_samples.append(tasks.qsize())
-                                if crash_injected:
-                                    raise WorkerCrashError(
-                                        f"shard {shard.shard_id}: injected "
-                                        "worker crash"
-                                    )
-                                t0 = time.perf_counter()
-                                flags_part = self._run_shard_task(shard, job)
-                                busy = time.perf_counter() - t0
-                            if breaker is not None:
-                                breaker.record_success()
-                        except WorkerCrashError:
-                            if breaker is not None:
-                                breaker.record_failure()
-                            if self.degraded_mode != "partial":
-                                raise
-                            degraded = True
-                    if degraded:
-                        with job.lock:
-                            job.degraded.add(shard.shard_id)
-                            job.remaining -= 1
-                            last = job.remaining == 0
-                    else:
-                        with trace_lock:
-                            traces.append(
-                                # Every batch task enters the queue at t=0;
-                                # the device model must not inherit the
-                                # Python driver's pacing.
-                                ShardTaskTrace(
-                                    query_index=job.index,
-                                    shard_id=shard.shard_id,
-                                    hom_adds=job.prepared.num_variants
-                                    * shard.num_polynomials,
-                                )
-                            )
-                            busy_seconds[shard.shard_id] += busy
-                        with job.lock:
-                            job.flag_parts[shard.shard_id] = flags_part
-                            job.remaining -= 1
-                            last = job.remaining == 0
-                    if last:
-                        # This worker finalizes the query so decode
-                        # overlaps other queries' Hom-Adds.
-                        job.report = self._finalize(job, verify=verify)
-                        job.finished_at = time.perf_counter() - start
-                except BaseException as exc:  # pragma: no cover - propagated
-                    errors.append(exc)
-                    return
-
-        num_workers = min(
-            self.max_workers or len(self.shards),
-            max(1, len(jobs) * len(self.shards)),
-        )
-        # The calling thread is worker 0.  Besides saving a start, this
-        # keeps the process's memory flat: a thread started while the
-        # previous batch's threads are still exiting finds no free glibc
-        # malloc arena and creates one (7-15 MiB of retained high water
-        # each; BENCH_14.json, "rss").
-        threads = [
-            threading.Thread(target=worker, name=f"serve-worker-{i}")
-            for i in range(1, num_workers)
-        ]
-        for t in threads:
-            t.start()
-        worker()
-        for t in threads:
-            t.join()
-        if errors:
-            raise errors[0]
+                )
+            job.report = self._finalize(job, verify=verify)
+            job.finished_at = time.perf_counter() - start
         wall = time.perf_counter() - start
 
         # The device model is an analysis of the batch, not part of
@@ -492,16 +401,11 @@ class ShardedSearchEngine:
         return ServeReport(
             reports=[job.report for job in order],
             num_shards=len(self.shards),
-            num_workers=num_workers,
             wall_seconds=wall,
             latencies=[job.finished_at for job in order],
             deduplicated_hits=dedup_hits,
             cache=self.cache.stats(),
             shards=shard_stats,
-            queue_depth_max=max(depth_samples, default=0),
-            queue_depth_mean=(
-                sum(depth_samples) / len(depth_samples) if depth_samples else 0.0
-            ),
             modeled_makespan=model.makespan,
             modeled_latencies=model.latencies,
             encrypted_db_bytes=self.db.serialized_bytes,
@@ -511,7 +415,36 @@ class ShardedSearchEngine:
             tenant=self.tenant,
         )
 
-    # -- circuit breakers ------------------------------------------------
+    # -- fault stepping + circuit breakers --------------------------------
+
+    def _admit_shard_task(self, shard: DbShard) -> bool:
+        """What happens in front of one shard task: step the
+        ``shard.task`` fault site (slow-shard delays are served here),
+        ask the shard's breaker, and lose the task to an injected worker
+        crash.  ``False`` means the shard contributes nothing to this
+        query (breaker open, or a crash under ``degraded_mode="partial"``);
+        a crash under ``"fail"`` raises :class:`WorkerCrashError`."""
+        breaker = self._breakers[shard.shard_id]
+        injector = self.fault_injector
+        events = (
+            injector.step(SITE_SHARD_TASK, shard.shard_id)
+            if injector is not None
+            else ()
+        )
+        for ev in events:
+            if ev.kind == SLOW_SHARD and ev.delay > 0:
+                time.sleep(ev.delay)
+        if not breaker.allow():
+            return False
+        if any(ev.kind == WORKER_CRASH for ev in events):
+            breaker.record_failure()
+            if self.degraded_mode != "partial":
+                raise WorkerCrashError(
+                    f"shard {shard.shard_id}: injected worker crash"
+                )
+            return False
+        return True
+
 
     @property
     def degraded_shards(self) -> List[int]:
@@ -547,84 +480,82 @@ class ShardedSearchEngine:
                 )
 
     def _job_query_arena(self, job: _QueryJob) -> QueryArena:
-        """The job's stacked query-variant rows, built by the first
-        shard task to need them.  Rows live in the shared
+        """The job's stacked query-variant rows and its row map, built
+        by the first shard task to need them.  Rows live in the shared
         :class:`VariantCipherCache` as :func:`stack_fresh_row` entries
         — ciphertext rows and the phase row computed once, at the miss
         — so a repeated query skips encryption *and* the ``c1 * s``
         multiply: the fused kernel reads the phase row, the per-pair
         adder and the comparator the ciphertext rows of the same entry.
         """
-        with job.prep_lock:
-            if job.query_arena is None:
-                det_seed = None
-                if self.config.index_mode is IndexMode.SERVER_DETERMINISTIC:
-                    det_seed = self.config.deterministic_seed
-                ctx = self.client.ctx
+        if job.query_arena is None:
+            det_seed = None
+            if self.config.index_mode is IndexMode.SERVER_DETERMINISTIC:
+                det_seed = self.config.deterministic_seed
+            ctx = self.client.ctx
 
-                def fresh_row(v_idx: int, residue: int) -> np.ndarray:
-                    return stack_fresh_row(
-                        *self.client.preparer.encrypt_variant_value(
-                            job.prepared, v_idx, residue, self.client.pk,
-                            deterministic_seed=det_seed, sk=self.client.sk,
-                        )
+            def fresh_row(v_idx: int, residue: int) -> np.ndarray:
+                return stack_fresh_row(
+                    *self.client.preparer.encrypt_variant_value(
+                        job.prepared, v_idx, residue, self.client.pk,
+                        deterministic_seed=det_seed, sk=self.client.sk,
                     )
-
-                def rows_for(v_idx: int, residue: int, j: int) -> np.ndarray:
-                    return self.cache.get_or_create(
-                        (job.key, v_idx, residue),
-                        lambda: fresh_row(v_idx, residue),
-                    )
-
-                job.query_arena = QueryArena(
-                    ctx.ring,
-                    ctx.params,
-                    job.prepared.variants,
-                    self.db.num_polynomials,
-                    rows_for,
                 )
-            return job.query_arena
+
+            def rows_for(v_idx: int, residue: int, j: int) -> np.ndarray:
+                return self.cache.get_or_create(
+                    (job.key, v_idx, residue),
+                    lambda: fresh_row(v_idx, residue),
+                )
+
+            job.query_arena = QueryArena(
+                ctx.ring,
+                ctx.params,
+                job.prepared.variants,
+                self.db.num_polynomials,
+                rows_for,
+            )
+            job.row_map = job.query_arena.row_map(
+                np.arange(self.db.num_polynomials)
+            )
+        return job.query_arena
 
     # -- shard execution -------------------------------------------------
 
-    def _run_shard_task(self, shard: DbShard, job: _QueryJob) -> np.ndarray:
+    def _run_shard_task(self, shard: DbShard, job: _QueryJob) -> List[np.ndarray]:
         """One (query, shard) unit: Hom-Add every query variant against
         this shard's slice and extract the match flags.
 
-        Returns the shard's ``(V, shard_polys, n)`` boolean slice of the
-        global flag grid.  Every branch tallies one logical Hom-Add
-        (and, under ``CLIENT_DECRYPT``, one decryption) per (polynomial,
-        variant) pair on the context's operation counter.
+        Returns, per variant, the sorted flat indices of the set flags
+        of the shard's ``(shard_polys, n)`` slice of the flag grid.
+        Every branch tallies one logical Hom-Add (and, under
+        ``CLIENT_DECRYPT``, one decryption) per (polynomial, variant)
+        pair on the context's operation counter.
         """
         ctx = self.client.ctx
         query_arena = self._job_query_arena(job)
-        polys = np.arange(
-            shard.base_poly,
-            shard.base_poly + shard.num_polynomials,
-            dtype=np.int64,
-        )
-        row_map = query_arena.row_map(polys)
-        if shard.fused:
-            hom_adds = job.prepared.num_variants * shard.num_polynomials
-            if self._comparator is not None:
-                flags = comparator_flag_grid(
-                    self._comparator, shard.arena, query_arena, row_map, polys
-                )
-            else:
-                flags = fused_decrypt_flags(
-                    shard.arena.phases(self.client.sk),
-                    query_arena.phases(self.client.sk),
-                    row_map,
-                    ctx.params,
-                    self.client.chunk_width,
-                )
-            ctx.counter.additions += hom_adds
-            if self._comparator is None:
-                ctx.counter.decryptions += hom_adds
-        else:
+        stop = shard.base_poly + shard.num_polynomials
+        row_map = job.row_map[:, shard.base_poly : stop]
+        if not shard.fused:
             # the adder and ``ctx.decrypt`` count their own operations
-            flags = self._pair_flags(shard, query_arena, row_map)
-        return flags
+            return _hits_of(self._pair_flags(shard, query_arena, row_map))
+        hom_adds = job.prepared.num_variants * shard.num_polynomials
+        ctx.counter.additions += hom_adds
+        if self._comparator is not None:
+            return _hits_of(
+                comparator_flag_grid(
+                    self._comparator, shard.arena, query_arena, row_map,
+                    np.arange(shard.base_poly, stop, dtype=np.int64),
+                )
+            )
+        ctx.counter.decryptions += hom_adds
+        return fused_decrypt_flags(
+            shard.arena.phases(self.client.sk),
+            query_arena.phases(self.client.sk),
+            row_map,
+            ctx.params,
+            self.client.chunk_width,
+        )
 
     def _pair_flags(
         self, shard: DbShard, query_arena: QueryArena, row_map: np.ndarray
@@ -661,36 +592,39 @@ class ShardedSearchEngine:
 
     # -- result merge + decode -------------------------------------------
 
-    def _finalize(self, job: _QueryJob, *, verify: bool) -> SearchReport:
-        """Stitch the per-shard flag slices back into the global
-        ``(V, P, n)`` grid (global polynomial order, so cross-shard runs
-        decode exactly like a single-engine pass) and decode.  Degraded
-        shards left no slice; their span stays all-False, so live-shard
-        matches decode normally and dead-shard offsets simply cannot
-        match."""
+    def _finalize(self, job: _QueryJob, *, verify: VerifyLike) -> SearchReport:
+        """Merge the per-shard hits into global flag indices — each
+        shard's shifted by ``base_poly * n``, concatenated in shard
+        order, so they stay sorted and cross-shard runs decode exactly
+        like a single-engine pass — and decode.  Degraded shards left no
+        hits; their span holds no set flag, so live-shard matches decode
+        normally and dead-shard offsets simply cannot match."""
         num_variants = job.prepared.num_variants
-        num_polys = self.db.num_polynomials
-        live_polys = num_polys
-        if job.degraded:
-            flags = np.zeros((num_variants, num_polys, self.db.n), dtype=bool)
-        else:
-            flags = np.empty((num_variants, num_polys, self.db.n), dtype=bool)
-        for shard in self.shards:
-            part = job.flag_parts.get(shard.shard_id)
-            if part is None:
-                live_polys -= shard.num_polynomials
-                continue
-            flags[
-                :, shard.base_poly : shard.base_poly + shard.num_polynomials
-            ] = part
+        live = [s for s in self.shards if s.shard_id in job.hit_parts]
+        hits = []
+        for v in range(num_variants):
+            parts = [
+                job.hit_parts[shard.shard_id][v] + shard.base_poly * self.db.n
+                for shard in live
+            ]
+            hits.append(
+                np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
+            )
         candidates = self.client.decode_flags_matrix(
-            job.prepared, flags, self.db, verify=verify
+            job.prepared, hits, self.db, verify=verify
         )
         return SearchReport(
             matches=[c.offset for c in candidates],
             candidates=candidates,
-            hom_additions=num_variants * live_polys,
+            hom_additions=num_variants
+            * sum(shard.num_polynomials for shard in live),
             num_variants=num_variants,
             encrypted_db_bytes=self.db.serialized_bytes,
             degraded_shards=tuple(sorted(job.degraded)),
         )
+
+
+def _hits_of(flags: np.ndarray) -> List[np.ndarray]:
+    """A ``(V, P, n)`` flag grid in the form shard tasks return: per
+    variant, the sorted flat indices of its set flags."""
+    return [np.flatnonzero(variant_flags) for variant_flags in flags]

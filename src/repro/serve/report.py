@@ -44,10 +44,9 @@ class ModelReplay:
     afterwards, not the traces or the simulated requests.
 
     Traces are replayed in ``(query_index, shard_id)`` order, whatever
-    order the engine's worker threads completed them in: the simulator
-    breaks ready-time ties by submission order, so on shards that share
-    a channel the modeled figures would otherwise depend on host thread
-    timing.
+    order they were recorded in: the simulator breaks ready-time ties
+    by submission order, so on shards that share a channel the modeled
+    figures would otherwise depend on how the host ran the tasks.
     """
 
     def __init__(
@@ -163,15 +162,12 @@ class ServeReport:
     #: per-input-query search reports (duplicates share one object)
     reports: List[SearchReport]
     num_shards: int
-    num_workers: int
     wall_seconds: float
     #: per-query wall latency: batch start -> all shard work merged
     latencies: List[float]
     deduplicated_hits: int
     cache: CacheStats
     shards: List[ShardStats] = field(default_factory=list)
-    queue_depth_max: int = 0
-    queue_depth_mean: float = 0.0
     #: discrete-event queueing model of the same batch on CM-IFP shards
     #: (from the engine: a :class:`ModelReplay` accessor, resolved the
     #: first time it is read)
@@ -238,7 +234,7 @@ class ServeReport:
             ("matches", self.total_matches),
             ("Hom-Adds", self.total_hom_additions),
             ("deduplicated", self.deduplicated_hits),
-            ("shards x workers", f"{self.num_shards} x {self.num_workers}"),
+            ("shards", self.num_shards),
             ("sheds (admission)", self.sheds),
             ("admit rejected", self.admit_rejected),
             (
@@ -261,7 +257,6 @@ class ServeReport:
                 f"{self.cache.size}/{self.cache.capacity} "
                 f"({self.cache.evictions} evicted)",
             ),
-            ("queue depth max/mean", f"{self.queue_depth_max}/{self.queue_depth_mean:.1f}"),
         ]
         return format_table(
             "serving batch report",
@@ -296,7 +291,6 @@ class ServeReport:
                 for r in self.reports
             ],
             "num_shards": self.num_shards,
-            "num_workers": self.num_workers,
             "wall_seconds": self.wall_seconds,
             "latencies": list(self.latencies),
             "deduplicated_hits": self.deduplicated_hits,
@@ -310,8 +304,6 @@ class ServeReport:
                 "max_bytes": self.cache.max_bytes,
             },
             "shards": [asdict(s) for s in self.shards],
-            "queue_depth_max": self.queue_depth_max,
-            "queue_depth_mean": self.queue_depth_mean,
             "modeled_makespan": self.modeled_makespan,
             "modeled_latencies": {
                 str(k): v for k, v in self.modeled_latencies.items()
@@ -350,13 +342,13 @@ class ServeReport:
             for r in obj["reports"]
         ]
         cache = obj["cache"]
-        # artifacts written before 3.0 carry keys that are gone
-        # ("executor", per-shard "restarts" / "alive"); skip them
+        # artifacts written before 4.0 carry keys that are gone
+        # ("executor", "num_workers", "queue_depth_*", per-shard
+        # "restarts" / "alive"); skip them
         shard_fields = set(ShardStats.__dataclass_fields__)
         return cls(
             reports=reports,
             num_shards=int(obj["num_shards"]),
-            num_workers=int(obj["num_workers"]),
             wall_seconds=float(obj["wall_seconds"]),
             latencies=[float(v) for v in obj["latencies"]],
             deduplicated_hits=int(obj["deduplicated_hits"]),
@@ -377,8 +369,6 @@ class ServeReport:
                 ShardStats(**{k: v for k, v in s.items() if k in shard_fields})
                 for s in obj.get("shards", [])
             ],
-            queue_depth_max=int(obj["queue_depth_max"]),
-            queue_depth_mean=float(obj["queue_depth_mean"]),
             modeled_makespan=float(obj["modeled_makespan"]),
             modeled_latencies={
                 int(k): float(v)

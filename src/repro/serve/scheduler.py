@@ -1,6 +1,6 @@
 """Maps executed serving work onto the SSD queueing model.
 
-The sharded engine's worker pool gives *functional* concurrency; this
+The sharded engine gives the *functional* result of a batch; this
 module supplies the *performance* view.  Every (query, shard) task the
 engine executed is replayed as a stream of ``CM_SEARCH`` requests — one
 per Hom-Add, exactly the traffic the paper's CM-IFP device would see —

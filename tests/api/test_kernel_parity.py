@@ -22,7 +22,7 @@ from repro.baselines import find_all_matches
 from repro.core import ClientConfig, IndexMode, SecureStringMatchPipeline
 from repro.core.matcher import FusedResultSet
 from repro.he import BFVParams
-from tests.oracles import ADDER_KWARGS, PerPairAdder, per_pair_factory
+from tests.oracles import ADDER_KWARGS, PerPairAdder, dense_flags, per_pair_factory
 
 #: engines built on the core matcher, with kwargs mirroring
 #: tests/api/test_parity.py (plus per-engine shard counts)
@@ -99,7 +99,11 @@ def test_pipeline_flags_byte_identical(index_mode, master_fixture):
             return prepared, pipe.server.generate_index(blocks)
         assert isinstance(blocks, FusedResultSet) == (pipe is pipes["fused"])
         if isinstance(blocks, FusedResultSet):
-            grid = blocks.flags_by_decryption(pipe.client.sk)
+            grid = dense_flags(
+                blocks.flags_by_decryption(pipe.client.sk),
+                blocks.num_polynomials,
+                pipe.db.n,
+            )
             return prepared, {
                 (v, j): grid[v, j]
                 for v in range(blocks.num_variants)

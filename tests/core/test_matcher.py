@@ -161,12 +161,13 @@ class TestResultDecoder:
                 grid = rng.random((1, polys, n)) < density
                 flat = grid.reshape(-1)
                 want = prefix_sum_offsets(decoder, variant, flat, prepared)
-                got = decoder._offsets_for_variant(variant, flat, prepared)
+                hits = np.flatnonzero(flat)
+                got = decoder._offsets_for_variant(variant, hits, prepared)
                 assert got.dtype == want.dtype and got.tolist() == want.tolist()
                 blocks = {(0, j): grid[0, j] for j in range(polys)}
                 for candidates in (
                     decoder.decode(prepared, blocks, polys),
-                    decoder.decode_stacked(prepared, grid),
+                    decoder.decode_hits(prepared, [hits]),
                 ):
                     assert [c.offset for c in candidates] == want.tolist()
 

@@ -30,11 +30,25 @@ from repro.he.bfv import BFVContext
 from repro.he.keys import generate_keys
 from repro.he.params import BFVParams
 from repro.he.poly import RingContext
-from tests.oracles import int64_decrypt_flags, scaled_decrypt_flags
+from tests.oracles import (
+    dense_decrypt_flags,
+    dense_flags,
+    int64_decrypt_flags,
+    scaled_decrypt_flags,
+)
 
 #: modulus regimes: power-of-two (paper), native NTT prime, odd
 #: composite with RNS limbs, near the 2**62 cap
 MODULI = [1 << 32, 12289, (1 << 40) + 123, (1 << 62) - 57]
+
+
+def _assert_hits_are(hits, dense):
+    """``hits`` is the dense ``(V, P, n)`` grid's set flags: per variant
+    the ascending flat indices, nothing else."""
+    assert len(hits) == len(dense)
+    for found, grid in zip(hits, dense):
+        assert found.dtype == np.intp and found.ndim == 1
+        assert np.array_equal(found, np.flatnonzero(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +177,16 @@ def test_phase_linearity_equals_result_decryption(backend):
         q_row[:, 0], mul_rows_by_poly(ctx.ring, q_row[:, 1], sk.s), params.q
     )
     row_map = np.zeros((1, len(cts)), dtype=np.intp)
-    flags = fused_decrypt_flags(
+    hits = fused_decrypt_flags(
         arena.phases(sk), q_phase, row_map, params, chunk_width=16
     )
-    for j, db_ct in enumerate(cts):
-        result = ctx.add(db_ct, q_ct)
-        want = ctx.decrypt(result, sk).poly.coeffs == (1 << 16) - 1
-        assert np.array_equal(flags[0, j], want)
+    want = np.stack(
+        [
+            ctx.decrypt(ctx.add(db_ct, q_ct), sk).poly.coeffs == (1 << 16) - 1
+            for db_ct in cts
+        ]
+    )
+    _assert_hits_are(hits, want[None])
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +200,9 @@ def test_phase_linearity_equals_result_decryption(backend):
 def test_fused_flags_exhaustive_over_small_moduli(q, t):
     """Every phase in [0, q) against a spread of query phases — every
     sum with and without a wrap past q — for every chunk width the
-    plaintext modulus admits, on power-of-two and odd moduli."""
+    plaintext modulus admits, on power-of-two and odd moduli.  The rows
+    are q coefficients long, so the two polynomials are one scratch tile
+    at the small moduli and one tile each at 65537."""
     params = BFVParams(n=4, q=q, t=t, name="exhaustive")
     rng = np.random.default_rng(q)
     every = np.arange(q, dtype=np.int64)
@@ -204,10 +223,11 @@ def test_fused_flags_exhaustive_over_small_moduli(q, t):
         got = fused_decrypt_flags(db_phases, query_phases, row_map, params, w)
         want = scaled_decrypt_flags(db_phases, query_phases, row_map, params, w)
         assert want.any()
-        assert np.array_equal(got, want)
-        assert np.array_equal(
-            int64_decrypt_flags(db_phases, query_phases, row_map, params, w), want
-        )
+        _assert_hits_are(got, want)
+        for oracle in (dense_decrypt_flags, int64_decrypt_flags):
+            assert np.array_equal(
+                oracle(db_phases, query_phases, row_map, params, w), want
+            )
 
 
 @pytest.mark.parametrize("make_params", [BFVParams.paper, BFVParams.paper_secure])
@@ -248,25 +268,68 @@ def test_fused_flags_on_the_interval_edges_at_paper_moduli(make_params):
     row_map = np.array(
         [[0, 0, 0, 0], [0, 1, 2, 3], [4, 4, 4, 4], [5, 4, 1, 1]], dtype=np.intp
     )
-    got = fused_decrypt_flags(db_phases, query_phases, row_map, params, w)
+    hits = fused_decrypt_flags(db_phases, query_phases, row_map, params, w)
     want = scaled_decrypt_flags(db_phases, query_phases, row_map, params, w)
-    assert np.array_equal(got, want)
-    assert np.array_equal(
-        int64_decrypt_flags(db_phases, query_phases, row_map, params, w), want
-    )
-    if q == 1 << 32:
-        narrow = fused_decrypt_flags(
-            db_phases.astype(np.uint32),
-            query_phases.astype(np.uint32),
-            row_map,
-            params,
-            w,
+    _assert_hits_are(hits, want)
+    for oracle in (dense_decrypt_flags, int64_decrypt_flags):
+        assert np.array_equal(
+            oracle(db_phases, query_phases, row_map, params, w), want
         )
-        assert np.array_equal(narrow, want)
+    if q == 1 << 32:
+        narrow = (db_phases.astype(np.uint32), query_phases.astype(np.uint32))
+        _assert_hits_are(
+            fused_decrypt_flags(*narrow, row_map, params, w), want
+        )
+        assert np.array_equal(
+            dense_decrypt_flags(*narrow, row_map, params, w), want
+        )
+    got = dense_flags(hits, num_polys, cols)
     on_edges = np.resize(np.array(expected), cols)
     assert np.array_equal(got[0, 0], on_edges)
     for j in range(num_polys):
         assert np.array_equal(got[1, j], on_edges)
+
+
+@pytest.mark.parametrize(
+    "q, t, dtype",
+    [
+        (1 << 32, 1 << 16, np.uint32),
+        (1 << 32, 1 << 16, np.int64),
+        (1 << 40, 1 << 16, np.int64),
+        ((1 << 40) + 123, 1 << 16, np.int64),
+        (4099, 4, np.int64),
+    ],
+)
+def test_fused_flags_equal_the_dense_kernel_at_every_tile_split(
+    monkeypatch, q, t, dtype
+):
+    """The three modulus bodies against the dense kernel they were,
+    with the scratch tile shrunk so that it holds every polynomial, a
+    divisor of them, a non-divisor (short last tile) and a single one —
+    on one-row variants and gathered ones, hits present in every tile
+    (t = 4) and in almost none (t = 2**16)."""
+    from repro.he import arena as arena_module
+
+    n, w = 16, 1
+    params = BFVParams(n=n, q=q, t=t, name="tiles")
+    rng = np.random.default_rng(q % 1009)
+    for num_polys in (0, 1, 5, 8):
+        db_phases = rng.integers(0, q, size=(num_polys, n), dtype=np.int64)
+        query_phases = rng.integers(0, q, size=(6, n), dtype=np.int64)
+        row_map = rng.integers(0, 6, size=(4, num_polys)).astype(np.intp)
+        row_map[::2] = row_map[::2, :1]
+        if dtype is np.uint32:
+            db_phases = db_phases.astype(np.uint32)
+            query_phases = query_phases.astype(np.uint32)
+        want = dense_decrypt_flags(db_phases, query_phases, row_map, params, w)
+        assert want.shape == (4, num_polys, n)
+        for tile_polys in (1, 2, 3, 8, 100):
+            monkeypatch.setattr(arena_module, "_FLAG_TILE_CELLS", tile_polys * n)
+            _assert_hits_are(
+                fused_decrypt_flags(db_phases, query_phases, row_map, params, w),
+                want,
+            )
+    assert t > 4 or want.mean() > 0.1
 
 
 def test_fused_flags_reject_what_the_range_test_cannot_hold():
@@ -544,8 +607,10 @@ def test_query_arena_rows_and_map_cover_residue_classes():
 def test_query_arena_asks_for_rows_in_first_appearance_order(num_polys):
     """The order rows are requested in is the order fresh rows draw
     from the client's RNG: per variant, each residue class at the first
-    polynomial that lands in it — the polynomial-by-polynomial scan the
-    array form replaced, spelled out."""
+    polynomial that lands in it — the polynomial-by-polynomial scan
+    spelled out, and the ``np.unique`` + ``argsort`` form the arena ran
+    per variant before it read the order off the period
+    ``span // gcd(n, span)``; the row map against the residue LUT."""
     params, ctx, sk, pk, cts = _setup()
     from repro.core.query import QueryPreparer
 
@@ -562,6 +627,16 @@ def test_query_arena_asks_for_rows_in_first_appearance_order(num_polys):
             if residue not in seen:
                 seen.add(residue)
                 want.append((v_idx, residue, j))
+    poly_offsets = np.arange(num_polys, dtype=np.int64) * n
+    by_unique = []
+    for v_idx, variant in enumerate(prepared.variants):
+        residues, first = np.unique(poly_offsets % variant.span, return_index=True)
+        order = np.argsort(first)
+        by_unique += [
+            (v_idx, res, j)
+            for res, j in zip(residues[order].tolist(), first[order].tolist())
+        ]
+    assert by_unique == want
     calls = []
 
     def rows_for(v_idx, residue, j):
@@ -572,6 +647,14 @@ def test_query_arena_asks_for_rows_in_first_appearance_order(num_polys):
     assert calls == want
     assert all(type(x) is int for call in calls for x in call)
     row_map = qa.row_map(np.arange(num_polys))
+    assert row_map.dtype == np.intp
+    row_of = {(v_idx, residue): row for row, (v_idx, residue, _) in enumerate(want)}
+    for v_idx, variant in enumerate(prepared.variants):
+        assert row_map[v_idx].tolist() == [
+            row_of[v_idx, (j * n) % variant.span] for j in range(num_polys)
+        ]
+    # a shard reads its columns of the one map
+    assert np.array_equal(qa.row_map(np.arange(3, num_polys)), row_map[:, 3:])
     for row, (v_idx, residue, j) in enumerate(want):
         assert row_map[v_idx, j] == row and qa.stack[row, 0, 0] == row + 1
 

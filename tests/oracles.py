@@ -16,7 +16,10 @@ which :func:`repro.he.arena.fused_decrypt_flags` (a range test on the
 phase) and :meth:`repro.core.matcher.ResultDecoder._offsets_for_variant`
 (a run rule on the set indices) must reproduce bit for bit.
 :func:`int64_decrypt_flags` is that range test over int64 rows, the
-body the ``uint32`` kernel replaced at ``q = 2**32``.
+body the ``uint32`` kernel replaced at ``q = 2**32``, and
+:func:`dense_decrypt_flags` the whole kernel as it was when it wrote
+the dense ``(V, P, n)`` grid; the kernel now returns the sorted indices
+of the set flags, which :func:`dense_flags` turns back into a grid.
 
 :func:`count_transforms` records every transform a block runs — limb
 NTTs and the small-operand product's FFTs.
@@ -36,7 +39,12 @@ import numpy as np
 
 from repro.core.matcher import CPUAdditionBackend
 from repro.he import backend as poly_backend
-from repro.he.arena import add_mod_q, center_rows, scale_rows_to_plaintext
+from repro.he.arena import (
+    _as_phase_rows,
+    add_mod_q,
+    center_rows,
+    scale_rows_to_plaintext,
+)
 from repro.ssd.queueing import SimulationResult
 
 
@@ -180,6 +188,88 @@ def int64_decrypt_flags(
             np.less(buf.view(np.uint64), np.uint64(width), out=wrapped)
             np.logical_or(out, wrapped, out=out)
     return flags
+
+
+def dense_decrypt_flags(
+    db_phases: np.ndarray,
+    query_phases: np.ndarray,
+    row_map: np.ndarray,
+    params,
+    chunk_width: int,
+) -> np.ndarray:
+    """:func:`repro.he.arena.fused_decrypt_flags` as it was when it
+    returned the dense ``(V, P, n)`` boolean grid, verbatim — all three
+    modulus bodies (``uint32`` wrap at ``q = 2**32``, int64 mask at any
+    other power of two, the two-compare fold at odd ``q``), one
+    ``(P, n)`` add + compare per variant straight into the output.  The
+    differential oracle for the kernel that returns the set indices:
+    ``hits[v] == np.flatnonzero(dense[v])``."""
+    q, t = params.q, params.t
+    match = (1 << chunk_width) - 1
+    if not 0 < match < t:
+        raise ValueError(
+            f"match value 2**{chunk_width} - 1 must lie in [1, t) for t={t}"
+        )
+    if q > 1 << 62:
+        raise ValueError(f"phase sums need 2q <= 2**63, got q={q}")
+    lo = -((q // 2 - match * q) // t)
+    hi = -((q // 2 - (match + 1) * q) // t)
+    width = hi - lo
+    num_variants, num_polys = row_map.shape
+    if row_map.size and not (
+        0 <= row_map.min() and row_map.max() < len(query_phases)
+    ):
+        raise IndexError("row_map entry outside query_phases")
+    db_phases = _as_phase_rows(db_phases, q)
+    query_phases = _as_phase_rows(query_phases, q)
+    shape = db_phases.shape
+    flags = np.empty((num_variants,) + shape, dtype=bool)
+    buf = np.empty(shape, dtype=db_phases.dtype)
+    narrow = db_phases.dtype == np.uint32
+    if narrow:
+        # 0 < lo < q and width <= q // 2 + 1 (t >= 2): both fit uint32
+        shifted = query_phases - np.uint32(lo)  # wraps mod 2**32
+        width = np.uint32(width)
+    else:
+        shifted = query_phases - lo
+        np.add(shifted, q, out=shifted, where=shifted < 0)
+    pow2 = q & (q - 1) == 0
+    wrapped = None if pow2 else np.empty(shape, dtype=bool)
+    for v in range(num_variants):
+        rows = row_map[v]
+        out = flags[v]
+        if num_polys and (rows == rows[0]).all():
+            np.add(db_phases, shifted[rows[0]], out=buf)
+        else:
+            # bounds were checked above; "clip" only selects numpy's
+            # unbuffered write into ``buf``
+            np.take(shifted, rows, axis=0, out=buf, mode="clip")
+            np.add(buf, db_phases, out=buf)
+        if narrow:
+            np.less(buf, width, out=out)
+        elif pow2:
+            np.bitwise_and(buf, q - 1, out=buf)
+            np.less(buf, width, out=out)
+        else:
+            # s in [0, 2q): (s mod q) < width iff s < width or
+            # 0 <= s - q < width; the unsigned view makes the second
+            # test one compare (a negative s - q reads as >= 2**63)
+            np.less(buf, width, out=out)
+            np.subtract(buf, q, out=buf)
+            np.less(buf.view(np.uint64), np.uint64(width), out=wrapped)
+            np.logical_or(out, wrapped, out=out)
+    return flags
+
+
+def dense_flags(hits, num_polys: int, n: int) -> np.ndarray:
+    """The ``(V, P, n)`` boolean grid whose set flags are ``hits`` (per
+    variant, flat indices ``j * n + c``) — the inverse of what the hit
+    kernels and shard tasks return, for tests that compare block by
+    block."""
+    grid = np.zeros((len(hits), num_polys * n), dtype=bool)
+    for v, found in enumerate(hits):
+        grid[v, found] = True
+    return grid.reshape(len(hits), num_polys, n)
 
 
 def prefix_sum_offsets(decoder, variant, flags, prepared):

@@ -6,7 +6,15 @@ path keeps; timing and cache traffic are outputs of the system just as
 the match list is.  For pairs of same-length queries — one that matches
 against one that does not, all zeros against random — a cold search on
 a fresh engine must leave identical operation counts, identical cache
-traffic and run the same kernels and transforms on the same shapes.
+traffic and run the same kernels and transforms on the same shapes,
+with the same scratch.
+
+The fused kernel returns the *indices* of the set match flags, so the
+lengths of what it returns differ between a matching and a non-matching
+query.  That is not a new channel: the kernel runs on summed decryption
+phases, and how many coefficients decrypt to the match value *is* the
+decrypted answer — it exists on the key holder's side of the trust
+boundary only, with the phases, and is asserted here as exactly that.
 
 Two leaks are documented and asserted as such, not skipped: a
 variant-cache hit and the in-batch dedup both reveal that two queries
@@ -22,11 +30,12 @@ import pytest
 
 from repro.core import ClientConfig, IndexMode
 from repro.he import BFVParams
+from repro.he import arena as arena_module
 from repro.he.backend import get_default_backend
 from repro.serve import ShardedSearchEngine
 from repro.serve import engine as engine_module
 from repro.utils.bits import random_bits
-from tests.oracles import count_transforms, per_pair_factory
+from tests.oracles import count_transforms, dense_decrypt_flags, per_pair_factory
 
 QUERY_BITS = 40
 
@@ -43,20 +52,38 @@ def _database(params, rng):
     return db, planted
 
 
+class _AllocationLog:
+    """Stands in for ``numpy`` inside :mod:`repro.he.arena` and notes
+    every ``np.empty`` made while a kernel call is open: the kernel's
+    scratch."""
+
+    def __init__(self):
+        self.open = False
+        self.scratch = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, dtype=float):
+        if self.open:
+            self.scratch.append((shape, np.dtype(dtype).str))
+        return np.empty(shape, dtype=dtype)
+
+
 def _observe(monkeypatch, params, db, queries, **config):
     """One batch on a fresh engine: everything an observer of the
-    serving process could count."""
+    serving process could count — and, kept apart under ``"answer"``,
+    what only the key holder sees."""
     backend_factory = config.pop("backend_factory", None)
-    # one worker: two shard threads can both derive a comparator mask
-    # before either caches it, and that race is timing, not content
     engine = ShardedSearchEngine(
         ClientConfig(params, key_seed=9, **config),
         num_shards=2,
-        max_workers=1,
         backend_factory=backend_factory,
     )
     engine.outsource(db)
     kernel_calls = []
+    hit_counts = []
+    allocations = _AllocationLog()
     real_kernel = engine_module.fused_decrypt_flags
 
     def recording_kernel(db_phases, query_phases, row_map, *rest):
@@ -64,14 +91,26 @@ def _observe(monkeypatch, params, db, queries, **config):
             (db_phases.shape, db_phases.dtype.str,
              query_phases.shape, query_phases.dtype.str, row_map.shape)
         )
-        return real_kernel(db_phases, query_phases, row_map, *rest)
+        allocations.open = True
+        try:
+            hits = real_kernel(db_phases, query_phases, row_map, *rest)
+        finally:
+            allocations.open = False
+        # the lengths are the decrypted answer: per variant, how many
+        # coefficients of the summed phases decrypt to the match value
+        dense = dense_decrypt_flags(db_phases, query_phases, row_map, *rest)
+        assert [len(found) for found in hits] == dense.sum(axis=(1, 2)).tolist()
+        hit_counts.append(sum(len(found) for found in hits))
+        return hits
 
     monkeypatch.setattr(engine_module, "fused_decrypt_flags", recording_kernel)
+    monkeypatch.setattr(arena_module, "np", allocations)
     counter = engine.client.ctx.counter
     before = counter.snapshot()
     with count_transforms() as transforms:
         report = engine.search_batch(queries)
     monkeypatch.setattr(engine_module, "fused_decrypt_flags", real_kernel)
+    monkeypatch.setattr(arena_module, "np", np)
     after = counter.snapshot()
     stats = engine.cache.stats()
     observed = {
@@ -79,12 +118,13 @@ def _observe(monkeypatch, params, db, queries, **config):
         "cache": (stats.lookups, stats.misses, stats.hits, stats.evictions,
                   stats.size, stats.current_bytes),
         "kernels": sorted(kernel_calls),
+        "scratch": allocations.scratch,
         "transforms": sorted(transforms),
         "hom_additions": [r.hom_additions for r in report.reports],
         "variants": [r.num_variants for r in report.reports],
         "dedup": report.deduplicated_hits,
     }
-    return engine, report, observed
+    return engine, report, observed, sum(hit_counts)
 
 
 CONFIGS = {
@@ -110,18 +150,24 @@ def test_cold_search_is_the_same_work_whatever_the_query_says(monkeypatch, confi
     for label, (left, right) in pairs.items():
         seen = []
         for query in (left, right):
-            _, report, observed = _observe(
+            _, report, observed, hits = _observe(
                 monkeypatch, params, db, [query], **dict(CONFIGS[config])
             )
-            seen.append((report.reports[0].matches, observed))
-        (left_matches, left_seen), (right_matches, right_seen) = seen
+            seen.append((report.reports[0].matches, observed, hits))
+        left_matches, left_seen, left_hits = seen[0]
+        right_matches, right_seen, right_hits = seen[1]
         assert left_seen == right_seen, label
         assert left_seen["cache"][1] > 0 and left_seen["cache"][2] == 0, label
         assert bool(left_seen["transforms"]) == VECTORIZED, label
         if config == "fused":
             assert len(left_seen["kernels"]) == 2  # one per shard
+            # per call: the summed tile, its flags — sized by the shard
+            assert len(left_seen["scratch"]) == 4
         if label.startswith("matching"):
             assert left_matches and not right_matches  # the answers do differ
+            if config == "fused":
+                # ... and so does what the key holder's kernel returns
+                assert left_hits > right_hits
 
 
 def test_query_equality_is_the_documented_leak(monkeypatch):
@@ -133,7 +179,7 @@ def test_query_equality_is_the_documented_leak(monkeypatch):
     db, planted = _database(params, rng)
     other = random_bits(QUERY_BITS, rng)
 
-    engine, _, cold = _observe(monkeypatch, params, db, [planted])
+    engine, _, cold, _ = _observe(monkeypatch, params, db, [planted])
     lookups, misses = cold["cache"][0], cold["cache"][1]
     assert lookups == misses > 0
 
@@ -158,11 +204,11 @@ def test_query_equality_is_the_documented_leak(monkeypatch):
         assert len(transforms) == 2 * misses
     assert engine.cache.stats().misses == 2 * misses
 
-    _, report, twice = _observe(monkeypatch, params, db, [planted, planted])
+    _, report, twice, _ = _observe(monkeypatch, params, db, [planted, planted])
     assert twice["dedup"] == 1
     assert report.reports[0] is report.reports[1]
-    for key in ("counter", "cache", "kernels", "transforms"):
+    for key in ("counter", "cache", "kernels", "scratch", "transforms"):
         assert twice[key] == cold[key], key
-    _, _, distinct = _observe(monkeypatch, params, db, [planted, other])
+    _, _, distinct, _ = _observe(monkeypatch, params, db, [planted, other])
     assert distinct["dedup"] == 0
     assert distinct["cache"][1] == 2 * misses

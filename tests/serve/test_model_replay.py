@@ -245,7 +245,6 @@ def _report_over(scheduler, traces, job_of_query, placements):
     return ServeReport(
         reports=[],
         num_shards=len(placements),
-        num_workers=len(placements),
         wall_seconds=0.1,
         latencies=[],
         deduplicated_hits=0,

@@ -15,7 +15,6 @@ def _empty_report() -> ServeReport:
     return ServeReport(
         reports=[],
         num_shards=4,
-        num_workers=4,
         wall_seconds=0.0,
         latencies=[],
         deduplicated_hits=0,
@@ -127,14 +126,11 @@ class TestServeReportJsonRoundTrip:
                 ),
             ],
             num_shards=2,
-            num_workers=2,
             wall_seconds=0.125,
             latencies=[0.01, 0.02],
             deduplicated_hits=1,
             cache=CacheStats(capacity=8, size=3, hits=5, misses=3, evictions=1),
             shards=[_shard(0), _shard(1, breaker="open")],
-            queue_depth_max=4,
-            queue_depth_mean=1.5,
             modeled_makespan=0.05,
             modeled_latencies={0: 0.01, 1: 0.04},
             encrypted_db_bytes=1 << 21,
@@ -178,6 +174,8 @@ class TestServeReportJsonRoundTrip:
         report = self._full_report()
         obj = json.loads(report.to_json())
         obj.update(executor="process", worker_restarts=2)
+        # and the worker-thread fields that went with the threads in 4.0
+        obj.update(num_workers=2, queue_depth_max=4, queue_depth_mean=1.5)
         for shard in obj["shards"]:
             shard.update(restarts=1, alive=False)
         assert ServeReport.from_dict(obj) == report
