@@ -290,17 +290,19 @@ def _serve_net(args: argparse.Namespace) -> int:
     if args.degraded_mode is not None:
         engine_kwargs["degraded_mode"] = args.degraded_mode
 
-    registry = None
-    if args.tenants:
-        from dataclasses import replace
+    # what the service serves: the CLI's engine as the default tenant,
+    # or one engine stack per --tenants spec
+    source = {"engine": args.engine, **engine_kwargs}
+    try:
+        if args.tenants:
+            from dataclasses import replace
 
-        from repro.tenancy import TenantRegistry, TenantSpec
+            from repro.tenancy import TenantRegistry, TenantSpec
 
-        # one engine stack per tenant, all sharing the CLI's engine
-        # configuration; each spec carries its own key seed + weight
-        tenant_kwargs = dict(engine_kwargs)
-        tenant_kwargs.pop("key_seed", None)  # per-spec, never shared
-        try:
+            # all tenants share the CLI's engine configuration; each
+            # spec carries its own key seed + weight
+            tenant_kwargs = dict(engine_kwargs)
+            tenant_kwargs.pop("key_seed", None)  # per-spec, never shared
             specs = [
                 TenantSpec.parse(text)
                 for text in args.tenants.split(",")
@@ -315,60 +317,42 @@ def _serve_net(args: argparse.Namespace) -> int:
                     )
                     for s in specs
                 ]
-            registry = TenantRegistry(
-                specs,
-                global_cache_bytes=args.tenant_cache_budget,
-                default_engine=args.engine,
-                **tenant_kwargs,
-            )
-        except (TypeError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            source = {
+                "tenants": TenantRegistry(
+                    specs,
+                    global_cache_bytes=args.tenant_cache_budget,
+                    default_engine=args.engine,
+                    **tenant_kwargs,
+                )
+            }
+        service = AsyncSearchService(
+            host=args.host,
+            port=args.port,
+            max_in_flight=args.max_in_flight,
+            admission=args.p99_budget,
+            fault_plan=args.fault_plan or None,
+            **source,
+        )
+    except (TypeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    registry = service.registry
 
     async def main() -> int:
-        if registry is not None:
-            service = AsyncSearchService(
-                host=args.host,
-                port=args.port,
-                max_in_flight=args.max_in_flight,
-                admission=args.p99_budget,
-                fault_plan=args.fault_plan or None,
-                tenants=registry,
-            )
-            if args.db_text:
-                bits = text_to_bits(args.db_text)
-                for tenant_id in registry.ids():
-                    registry.outsource(tenant_id, bits)
-            host, port = await service.start()
-            db_bits = registry.tenants()[0].session.db_bit_length or 0
-            print(
-                f"serving engine {args.engine!r} "
-                f"({args.shards} shards) on {host}:{port} "
-                f"({len(registry)} tenants: {', '.join(registry.ids())}; "
-                f"db: {db_bits} bits outsourced per tenant; "
-                f"SIGTERM drains gracefully)",
-                flush=True,
-            )
-        else:
-            service = AsyncSearchService(
-                args.engine,
-                host=args.host,
-                port=args.port,
-                max_in_flight=args.max_in_flight,
-                admission=args.p99_budget,
-                fault_plan=args.fault_plan or None,
-                **engine_kwargs,
-            )
-            if args.db_text:
-                service.session.outsource(text_to_bits(args.db_text))
-            host, port = await service.start()
-            print(
-                f"serving engine {args.engine!r} "
-                f"({args.shards} shards) on {host}:{port} "
-                f"(db: {service.session.db_bit_length or 0} bits outsourced; "
-                f"SIGTERM drains gracefully)",
-                flush=True,
-            )
+        if args.db_text:
+            bits = text_to_bits(args.db_text)
+            for tenant_id in registry.ids():
+                registry.outsource(tenant_id, bits)
+        host, port = await service.start()
+        db_bits = registry.tenants()[0].session.db_bit_length or 0
+        print(
+            f"serving engine {args.engine!r} "
+            f"({args.shards} shards) on {host}:{port} "
+            f"(tenants: {', '.join(map(repr, registry.ids()))}; "
+            f"db: {db_bits} bits outsourced per tenant; "
+            f"SIGTERM drains gracefully)",
+            flush=True,
+        )
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
             loop.add_signal_handler(sig, service.begin_drain)
@@ -385,8 +369,7 @@ def _serve_net(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if registry is not None:
-            registry.close_all()  # idempotent; covers bind failures
+        registry.close_all()  # idempotent; covers bind failures
 
 
 def _load(args: argparse.Namespace) -> int:

@@ -4,8 +4,9 @@ The socket tier over the unified :mod:`repro.api` facade — the layer a
 deployment actually exposes:
 
 * :class:`AsyncSearchService` — asyncio TCP server; decoded requests
-  dispatch onto one shared :class:`~repro.api.session.Session`, so
-  concurrent connections coalesce into the sharded engine's native
+  dispatch onto their tenant's :class:`~repro.api.session.Session`
+  (one default tenant unless a registry is served), so concurrent
+  connections coalesce into the sharded engine's native
   serve-pool batches.  Bounded per-connection in-flight queues with
   oldest-deadline shedding, graceful drain (SIGTERM -> finish in-flight
   -> exit 0), and a STATS frame serializing the engine's

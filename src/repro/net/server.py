@@ -1,13 +1,16 @@
 """Asyncio TCP front end over the unified search facade.
 
 :class:`AsyncSearchService` puts a real socket between callers and the
-:mod:`repro.api` session layer.  One service owns one
-:class:`~repro.api.session.Session` (``open_session``-style lifecycle:
-the constructor resolves an engine key through the registry, generates
-keys and wires caches), and every connection's requests are dispatched
-onto that session via :meth:`Session.submit` — so concurrent
-connections coalesce into the sharded engine's native serve-pool
-batches exactly like concurrent in-process submitters do.
+:mod:`repro.api` session layer.  One service holds one
+:class:`~repro.tenancy.TenantRegistry`: the one it was given, or a
+registry of one default tenant (id ``""``, what a connection is before
+HELLO names a tenant) around the session it was given or opened
+(``open_session``-style lifecycle: the constructor resolves an engine
+key through the registry, generates keys and wires caches).  Every
+request takes one path — the connection's tenant, admission, the
+weighted fair queue, :meth:`Session.submit` on that tenant's session —
+so concurrent connections coalesce into the sharded engine's native
+serve-pool batches exactly like concurrent in-process submitters do.
 
 Concurrency and flow control
 ----------------------------
@@ -20,16 +23,20 @@ Concurrency and flow control
   serving — is shed: a queued victim is cancelled and answered with an
   ``ERR_SHED`` frame, or the incoming request itself is shed when its
   deadline is the oldest (or the victim already started executing).
-  Sheds are recorded into the backing engine's
-  :class:`~repro.serve.scheduler.ServeScheduler` accounting.
+  Sheds are recorded into the tenant's accounting row and its engine's
+  :class:`~repro.serve.scheduler.ServeScheduler`.
+* **Fair dispatch**: while more than one tenant is registered, at most
+  ``_FAIR_SLOTS`` requests execute at once, so the weighted queue — not
+  arrival order — decides whose request runs next.
 * **Graceful drain**: :meth:`begin_drain` (wired to SIGTERM by
   ``python -m repro serve-net``) stops accepting connections, answers
   new requests with ``ERR_DRAINING``, waits for every in-flight future,
-  then closes the session; :meth:`serve_forever` returns so the process
-  exits 0.
+  then closes the registry (every session but one a caller lent);
+  :meth:`serve_forever` returns so the process exits 0.
 * A ``STATS`` frame answers with the serialized
-  :class:`~repro.net.codec.ServiceStats`: admission counters plus the
-  engine's most recent :class:`~repro.serve.report.ServeReport`.
+  :class:`~repro.net.codec.ServiceStats`: admission counters, one
+  accounting row per tenant that partitions them, and the most recent
+  :class:`~repro.serve.report.ServeReport`.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import json
 import threading
 from concurrent.futures import Future as _ConcurrentFuture
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Union
+from typing import Dict, List, Optional, Set, Union
 
 from ..api.capabilities import CapabilityError
 from ..api.session import Session, open_session
@@ -52,8 +59,10 @@ from ..faults import (
     FaultPlan,
     install_engine_injector,
 )
+from ..eval.tables import percentile
 from ..serve.admission import classify_request, coerce_admission
 from ..tenancy.fairness import WeightedFairQueue
+from ..tenancy.registry import DEFAULT_TENANT, Tenant, TenantRegistry
 from . import codec
 from .framing import (
     PROTOCOL_VERSION,
@@ -67,6 +76,11 @@ from .framing import (
 
 _REQUEST_FRAMES = (FrameType.SEARCH, FrameType.WILDCARD, FrameType.BATCH)
 
+#: requests executing on tenant sessions at once while tenants compete;
+#: small, so a backlogged tenant's next request waits in the fair queue
+#: (where weights order it) and not in a session's FIFO
+_FAIR_SLOTS = 4
+
 
 @dataclass
 class _InFlight:
@@ -74,16 +88,17 @@ class _InFlight:
 
     request_id: int
     deadline: float  # absolute loop time; +inf when none was given
-    #: the session-layer concurrent future; cancellation must target
-    #: this one — its cancel() truthfully fails once the dispatcher
-    #: started executing, whereas cancelling the asyncio wrapper
-    #: "succeeds" even when the work keeps running underneath
+    #: the session-layer concurrent future (None while the request
+    #: still waits in the fair queue); cancellation must target this
+    #: one — its cancel() truthfully fails once the dispatcher started
+    #: executing, whereas cancelling the asyncio wrapper "succeeds"
+    #: even when the work keeps running underneath
     cf_future: Optional["_ConcurrentFuture"] = None
     #: admission class ("exact"/"wildcard"/"batch") when the adaptive
     #: controller admitted this request; None when it is disabled
     admission_class: Optional[str] = None
-    #: the controller that admitted it (a tenant's private controller
-    #: on a multi-tenant service, else the global one); release must
+    #: the controller that admitted it (the tenant's private one when
+    #: its quota sets a p99 budget, else the service's); release must
     #: go back to the same controller
     admission_ctl: Optional[object] = None
     #: loop.time() at admission — feeds the controller's p99 window
@@ -100,9 +115,9 @@ class _Connection:
     tasks: Set["asyncio.Task"] = field(default_factory=set)
     write_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
     closed: bool = False
-    #: tenant this connection authenticated as in HELLO ("" until then,
-    #: and always "" on a single-tenant service)
-    tenant: str = ""
+    #: tenant this connection named in HELLO (until then the default
+    #: tenant, which only a service built around one session has)
+    tenant: str = DEFAULT_TENANT
 
     async def send(self, ftype: FrameType, request_id: int, payload: bytes = b"") -> None:
         if self.closed:
@@ -114,6 +129,29 @@ class _Connection:
             # The peer vanished mid-response; the read loop notices and
             # cleans up.  Responses to a dead peer are not an error.
             self.closed = True
+
+    async def send_error(self, request_id: int, code: int, message: str) -> None:
+        await self.send(
+            FrameType.ERROR, request_id, codec.encode_error(code, message)
+        )
+
+
+def _code_for(exc: BaseException) -> int:
+    return (
+        codec.ERR_CAPABILITY
+        if isinstance(exc, CapabilityError)
+        else codec.ERR_REMOTE
+    )
+
+
+def _inner_engine(tenant: Tenant):
+    """The ShardedSearchEngine behind a tenant's session, if it is one
+    (the only engine with a scheduler and circuit breakers)."""
+    return getattr(tenant.session.engine, "engine", None)
+
+
+def _scheduler(tenant: Tenant):
+    return getattr(_inner_engine(tenant), "scheduler", None)
 
 
 class AsyncSearchService:
@@ -129,44 +167,34 @@ class AsyncSearchService:
         max_in_flight: int = 64,
         admission=None,
         fault_plan=None,
-        tenants=None,
-        fair_concurrency: int = 4,
+        tenants: Optional[TenantRegistry] = None,
         **engine_kwargs,
     ):
-        #: multi-tenant mode: a :class:`~repro.tenancy.TenantRegistry`
-        #: replaces the single owned session — each connection binds to
-        #: one tenant at HELLO, and admitted requests dispatch through a
-        #: weighted fair queue across tenant sessions
-        self.tenants = tenants
-        if tenants is not None:
-            if session is not None or isinstance(engine, Session):
-                raise TypeError(
-                    "pass either a tenant registry or a session, not both"
-                )
-            if engine_kwargs:
-                raise TypeError(
-                    "engine kwargs configure the registry's sessions; "
-                    "build the TenantRegistry with them instead"
-                )
-            self.session = None
-            self._owns_session = False
-        elif isinstance(engine, Session) and session is None:
+        if isinstance(engine, Session) and session is None:
             session = engine
-            self.session = session
-            self._owns_session = False
-        elif session is not None:
-            if engine_kwargs:
-                raise TypeError(
-                    "engine kwargs only apply when the service opens its "
-                    "own session"
-                )
-            self.session = session
-            self._owns_session = False
-        else:
-            self.session = open_session(engine, **engine_kwargs)
-            self._owns_session = True
+        registry = tenants
+        if registry is not None and session is not None:
+            raise TypeError(
+                "pass either a tenant registry or a session, not both"
+            )
+        if engine_kwargs and (registry is not None or session is not None):
+            raise TypeError(
+                "engine kwargs only apply when the service opens its own "
+                "session; build the Session or TenantRegistry with them"
+            )
         if max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
+        if registry is None:
+            owned = session is None
+            if owned:
+                session = open_session(engine, **engine_kwargs)
+            registry = TenantRegistry.around(session, owned=owned)
+        #: who this service serves.  Each connection is one of its
+        #: tenants (named at HELLO, "" before), and every request runs on
+        #: that tenant's session.  Drain closes it: a passed-in registry
+        #: and a session opened here are closed, a passed-in session is
+        #: left to its owner.
+        self.registry: TenantRegistry = registry
         self.host = host
         self.port = port
         self.max_in_flight = max_in_flight
@@ -178,22 +206,19 @@ class AsyncSearchService:
         #: ``quota.p99_budget`` (tenants without a budget fall back to
         #: the global controller above)
         self._tenant_admission: Dict[str, object] = {}
-        #: weighted oldest-deadline fair queue over per-connection
-        #: admission (multi-tenant mode only)
+        #: weighted oldest-deadline fair queue between per-connection
+        #: admission and the tenant sessions
         self._fair = WeightedFairQueue()
-        if fair_concurrency < 1:
-            raise ValueError(
-                f"fair_concurrency must be >= 1, got {fair_concurrency}"
-            )
-        self._fair_slots = fair_concurrency
         self._executing = 0
-        if tenants is not None:
-            for tenant in tenants.tenants():
-                self._fair.add_tenant(tenant.tenant_id, tenant.weight)
-                if tenant.quota.p99_budget is not None:
-                    self._tenant_admission[tenant.tenant_id] = (
-                        coerce_admission(tenant.quota.p99_budget)
-                    )
+        for tenant in self.registry.tenants():
+            self._fair.add_tenant(tenant.tenant_id, tenant.weight)
+            if tenant.quota.p99_budget is not None:
+                self._tenant_admission[tenant.tenant_id] = coerce_admission(
+                    tenant.quota.p99_budget
+                )
+        #: the tenant whose request completed last: its engine holds the
+        #: service's most recent ServeReport
+        self._last_served: Optional[Tenant] = None
         #: deterministic fault schedule replayed by this service (None →
         #: no injection); accepts a :class:`~repro.faults.FaultPlan`, a
         #: spec string (``"conn_drop@3;shed_storm@10:count=4"``), or a
@@ -238,14 +263,9 @@ class AsyncSearchService:
         if self.fault_injector is not None:
             # Thread the schedule into the backing engine (shard.task
             # sites) and the framing layer (frame.send corruption).
-            if self.tenants is not None:
-                for tenant in self.tenants.tenants():
-                    install_engine_injector(
-                        tenant.session.engine, self.fault_injector
-                    )
-            else:
+            for tenant in self.registry.tenants():
                 install_engine_injector(
-                    self.session.engine, self.fault_injector
+                    tenant.session.engine, self.fault_injector
                 )
             if any(
                 ev.site == SITE_FRAME_SEND for ev in self.fault_injector.plan
@@ -291,17 +311,11 @@ class AsyncSearchService:
         if self._frame_hook_installed:
             set_send_fault_hook(None)
             self._frame_hook_installed = False
-        if self._owns_session:
-            # session.close() joins the dispatcher thread; keep the
-            # event loop responsive while it drains.
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.session.close
-            )
-        elif self.tenants is not None:
-            # close_all is idempotent; joins every tenant dispatcher.
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.tenants.close_all
-            )
+        # close_all (idempotent) joins the dispatcher thread of every
+        # session the registry owns; keep the loop responsive meanwhile.
+        await asyncio.get_running_loop().run_in_executor(
+            None, self.registry.close_all
+        )
         if self._drained is not None:
             self._drained.set()
 
@@ -329,99 +343,32 @@ class AsyncSearchService:
 
     # -- stats -----------------------------------------------------------
 
-    def _session_for(self, tenant_id: str = "") -> Session:
-        """The session a tenant's work runs on (the single owned
-        session when no registry is configured)."""
-        if self.tenants is None:
-            return self.session
-        return self.tenants.get(tenant_id).session
-
-    def _scheduler(self, tenant_id: str = ""):
-        """The backing ShardedSearchEngine's scheduler, if there is one."""
-        if self.tenants is not None and (
-            not tenant_id or tenant_id not in self.tenants
-        ):
-            return None
-        engine = self._session_for(tenant_id).engine
-        return getattr(getattr(engine, "engine", None), "scheduler", None)
-
-    def _record_shed(self, tenant_id: str = "") -> None:
+    def _record_shed(self, tenant: Tenant) -> None:
         self.shed += 1
-        scheduler = self._scheduler(tenant_id)
+        tenant.accounting.record_shed()
+        scheduler = _scheduler(tenant)
         if scheduler is not None:
-            scheduler.record_shed(
-                tenant=tenant_id if self.tenants is not None else None
-            )
-        if self.tenants is not None and tenant_id in self.tenants:
-            self.tenants.get(tenant_id).accounting.record_shed()
+            scheduler.record_shed(tenant=tenant.tenant_id)
 
     def stats(self) -> codec.ServiceStats:
-        """Point-in-time operational snapshot (the STATS frame body)."""
-        if self.tenants is not None:
-            return self._stats_multi_tenant()
-        report = getattr(self.session.engine, "last_serve_report", None)
-        scheduler = self._scheduler()
-        if report is not None:
-            p50 = report.latency_percentile(50)
-            p95 = report.latency_percentile(95)
-            p99 = report.latency_percentile(99)
-            throughput = report.throughput_qps
-            cache_hit_rate = report.cache.hit_rate
-            text = report.summary_table()
-            report_json = report.to_json()
-            served = report.num_queries
-        else:
-            p50 = p95 = p99 = throughput = cache_hit_rate = 0.0
-            text = report_json = ""
-            served = 0
-        # Only the sharded engine has circuit breakers; other engines
-        # report none degraded.
-        inner = getattr(self.session.engine, "engine", None)
-        degraded_shards = len(getattr(inner, "degraded_shards", ()) or ())
-        return codec.ServiceStats(
-            active_connections=len(self._connections),
-            total_connections=self.total_connections,
-            accepted=self.accepted,
-            completed=self.completed,
-            shed=self.shed,
-            failed=self.failed,
-            draining=self._draining,
-            scheduler_sheds=0 if scheduler is None else scheduler.sheds,
-            served_queries=served,
-            wall_p50=p50,
-            wall_p95=p95,
-            wall_p99=p99,
-            throughput_qps=throughput,
-            cache_hit_rate=cache_hit_rate,
-            admit_rejected=self.admit_rejected,
-            degraded_shards=degraded_shards,
-            report_text=text,
-            report_json=report_json,
-        )
-
-    def _stats_multi_tenant(self) -> codec.ServiceStats:
-        """Fleet snapshot: aggregates over every tenant, plus the
-        per-tenant breakdown in :attr:`ServiceStats.tenants_json`."""
-        from ..eval.tables import percentile
-
-        rows = self.tenants.accounting_snapshot()
-        merged_window: list = []
-        sched_sheds = sched_admit = 0
-        degraded = served = 0
-        hits = misses = 0
-        text = report_json = ""
-        for tenant in self.tenants.tenants():
-            tid = tenant.tenant_id
-            rows.setdefault(tid, {})
-            rows[tid]["dispatched"] = self._fair.dispatched(tid)
-            rows[tid]["backlog"] = self._fair.backlog(tid)
-            merged_window.extend(tenant.accounting.latency_window())
-            scheduler = self._scheduler(tid)
+        """Point-in-time operational snapshot (the STATS frame body):
+        aggregates over every tenant, the per-tenant rows that partition
+        the counters in :attr:`ServiceStats.tenants_json`, and the most
+        recent serve report."""
+        rows = self.registry.accounting_snapshot()
+        window: List[float] = []
+        sched_sheds = degraded = served = hits = misses = 0
+        for tenant in self.registry.tenants():
+            row = rows.setdefault(tenant.tenant_id, {})
+            row["dispatched"] = self._fair.dispatched(tenant.tenant_id)
+            row["backlog"] = self._fair.backlog(tenant.tenant_id)
+            window.extend(tenant.accounting.latency_window())
+            scheduler = _scheduler(tenant)
             if scheduler is not None:
                 sched_sheds += scheduler.sheds
-                sched_admit += scheduler.admit_rejected
-            inner = getattr(tenant.session.engine, "engine", None)
-            degraded += len(getattr(inner, "degraded_shards", ()) or ())
+            degraded += len(
+                getattr(_inner_engine(tenant), "degraded_shards", ()) or ()
+            )
             if tenant.cache is not None:
                 cache_stats = tenant.cache.stats()
                 hits += cache_stats.hits
@@ -429,9 +376,11 @@ class AsyncSearchService:
             report = getattr(tenant.session.engine, "last_serve_report", None)
             if report is not None:
                 served += report.num_queries
-                if not text:
-                    text = report.summary_table()
-                    report_json = report.to_json()
+        report = None
+        if self._last_served is not None:
+            report = getattr(
+                self._last_served.session.engine, "last_serve_report", None
+            )
         lookups = hits + misses
         return codec.ServiceStats(
             active_connections=len(self._connections),
@@ -443,20 +392,20 @@ class AsyncSearchService:
             draining=self._draining,
             scheduler_sheds=sched_sheds,
             served_queries=served,
-            wall_p50=percentile(merged_window, 50),
-            wall_p95=percentile(merged_window, 95),
-            wall_p99=percentile(merged_window, 99),
-            throughput_qps=0.0,
+            wall_p50=percentile(window, 50),
+            wall_p95=percentile(window, 95),
+            wall_p99=percentile(window, 99),
+            throughput_qps=0.0 if report is None else report.throughput_qps,
             cache_hit_rate=hits / lookups if lookups else 0.0,
             admit_rejected=self.admit_rejected,
             degraded_shards=degraded,
-            report_text=text,
-            report_json=report_json,
+            report_text="" if report is None else report.summary_table(),
+            report_json="" if report is None else report.to_json(),
             tenants_json=json.dumps(rows, sort_keys=True),
         )
 
-    def _welcome(self, tenant_id: str = "") -> codec.Welcome:
-        session = self._session_for(tenant_id)
+    def _welcome(self, tenant: Tenant) -> codec.Welcome:
+        session = tenant.session
         caps = session.capabilities
         return codec.Welcome(
             protocol_version=PROTOCOL_VERSION,
@@ -468,7 +417,7 @@ class AsyncSearchService:
             verify=caps.verify,
             max_query_bits=caps.max_query_bits,
             db_bit_length=session.db_bit_length,
-            tenant=tenant_id,
+            tenant=tenant.tenant_id,
         )
 
     # -- connection handling ---------------------------------------------
@@ -506,22 +455,20 @@ class AsyncSearchService:
                 return
             if frame.type is FrameType.HELLO:
                 _version, hello_tenant = codec.decode_hello(frame.payload)
-                if self.tenants is not None:
-                    if hello_tenant not in self.tenants:
-                        await conn.send(
-                            FrameType.ERROR,
-                            frame.request_id,
-                            codec.encode_error(
-                                codec.ERR_TENANT,
-                                f"unknown tenant {hello_tenant!r}",
-                            ),
-                        )
-                        return
-                    conn.tenant = hello_tenant
+                if hello_tenant not in self.registry:
+                    await conn.send_error(
+                        frame.request_id,
+                        codec.ERR_TENANT,
+                        f"unknown tenant {hello_tenant!r}",
+                    )
+                    return
+                conn.tenant = hello_tenant
                 await conn.send(
                     FrameType.WELCOME,
                     frame.request_id,
-                    codec.encode_welcome(self._welcome(conn.tenant)),
+                    codec.encode_welcome(
+                        self._welcome(self.registry.get(hello_tenant))
+                    ),
                 )
             elif frame.type in _REQUEST_FRAMES:
                 await self._handle_request(conn, frame)
@@ -550,13 +497,10 @@ class AsyncSearchService:
                 await conn.send(FrameType.DRAIN_OK, frame.request_id)
                 return
             else:
-                await conn.send(
-                    FrameType.ERROR,
+                await conn.send_error(
                     frame.request_id,
-                    codec.encode_error(
-                        codec.ERR_BAD_FRAME,
-                        f"unexpected frame type {frame.type.name}",
-                    ),
+                    codec.ERR_BAD_FRAME,
+                    f"unexpected frame type {frame.type.name}",
                 )
 
     # -- request admission + execution -----------------------------------
@@ -592,16 +536,28 @@ class AsyncSearchService:
         if ctl is not None and entry.admission_class is not None:
             ctl.release(entry.admission_class, latency, ok=ok)
 
+    async def _tenant_of(
+        self, conn: _Connection, request_id: int
+    ) -> Optional[Tenant]:
+        """The tenant ``conn`` works as, or None after answering
+        ``ERR_TENANT``: no HELLO named one and this service has no
+        default tenant."""
+        if conn.tenant in self.registry:
+            return self.registry.get(conn.tenant)
+        await conn.send_error(
+            request_id,
+            codec.ERR_TENANT,
+            "connection is not bound to a tenant "
+            "(send HELLO with a tenant id first)",
+        )
+        return None
+
     async def _handle_request(self, conn: _Connection, frame: Frame) -> None:
         if self._step_request_faults(conn):
             return
         if self._draining:
-            await conn.send(
-                FrameType.ERROR,
-                frame.request_id,
-                codec.encode_error(
-                    codec.ERR_DRAINING, "service is draining"
-                ),
+            await conn.send_error(
+                frame.request_id, codec.ERR_DRAINING, "service is draining"
             )
             return
         try:
@@ -609,39 +565,25 @@ class AsyncSearchService:
                 frame.type, frame.payload
             )
         except (FramingError, ValueError) as exc:
-            await conn.send(
-                FrameType.ERROR,
-                frame.request_id,
-                codec.encode_error(codec.ERR_BAD_FRAME, str(exc)),
+            await conn.send_error(
+                frame.request_id, codec.ERR_BAD_FRAME, str(exc)
             )
             return
 
-        # Multi-tenant: every request bills to the connection's HELLO
-        # tenant; a request naming a *different* tenant is rejected (no
-        # cross-tenant submission on someone else's connection).
-        if self.tenants is not None:
-            if not conn.tenant:
-                await conn.send(
-                    FrameType.ERROR,
-                    frame.request_id,
-                    codec.encode_error(
-                        codec.ERR_TENANT,
-                        "connection is not bound to a tenant "
-                        "(send HELLO with a tenant id first)",
-                    ),
-                )
-                return
-            if req_tenant and req_tenant != conn.tenant:
-                await conn.send(
-                    FrameType.ERROR,
-                    frame.request_id,
-                    codec.encode_error(
-                        codec.ERR_TENANT,
-                        f"request tenant {req_tenant!r} does not match "
-                        f"connection tenant {conn.tenant!r}",
-                    ),
-                )
-                return
+        # Every request bills to the connection's tenant; a request
+        # naming a *different* one is rejected (no cross-tenant
+        # submission on someone else's connection).
+        tenant = await self._tenant_of(conn, frame.request_id)
+        if tenant is None:
+            return
+        if req_tenant and req_tenant != conn.tenant:
+            await conn.send_error(
+                frame.request_id,
+                codec.ERR_TENANT,
+                f"request tenant {req_tenant!r} does not match "
+                f"connection tenant {conn.tenant!r}",
+            )
+            return
 
         loop = asyncio.get_running_loop()
         abs_deadline = (
@@ -652,45 +594,36 @@ class AsyncSearchService:
         # retry/backoff without needing a real overload.
         if self._storm_remaining > 0:
             self._storm_remaining -= 1
-            self._record_shed(conn.tenant)
-            await conn.send(
-                FrameType.ERROR,
+            self._record_shed(tenant)
+            await conn.send_error(
                 frame.request_id,
-                codec.encode_error(
-                    codec.ERR_SHED, "request shed by injected shed storm"
-                ),
+                codec.ERR_SHED,
+                "request shed by injected shed storm",
             )
             return
 
         # Adaptive admission: fail-fast before the request consumes an
-        # in-flight slot when its class sits at the AIMD target.  On a
-        # multi-tenant service, tenants with a quota p99 budget run
-        # their own controller (per-tenant admission targets).
+        # in-flight slot when its class sits at the AIMD target.  A
+        # tenant with a quota p99 budget runs its own controller.
         admission = self._tenant_admission.get(conn.tenant, self.admission)
         admission_class: Optional[str] = None
         if admission is not None:
             admission_class = classify_request(request)
             if not admission.try_admit(admission_class):
                 self.admit_rejected += 1
-                scheduler = self._scheduler(conn.tenant)
+                tenant.accounting.record_admit_rejected()
+                scheduler = _scheduler(tenant)
                 if scheduler is not None:
-                    scheduler.record_admit_rejected(
-                        tenant=conn.tenant if self.tenants is not None else None
-                    )
-                if self.tenants is not None:
-                    self.tenants.get(conn.tenant).accounting.record_admit_rejected()
-                await conn.send(
-                    FrameType.ERROR,
+                    scheduler.record_admit_rejected(tenant=conn.tenant)
+                await conn.send_error(
                     frame.request_id,
-                    codec.encode_error(
-                        codec.ERR_ADMIT,
-                        f"admission target reached for class "
-                        f"{admission_class!r}; retry with backoff",
-                    ),
+                    codec.ERR_ADMIT,
+                    f"admission target reached for class "
+                    f"{admission_class!r}; retry with backoff",
                 )
                 return
 
-        if not await self._admit(conn, frame.request_id, abs_deadline):
+        if not await self._admit(conn, tenant, frame.request_id, abs_deadline):
             if admission is not None and admission_class is not None:
                 admission.release(admission_class, None, ok=False)
             return
@@ -699,75 +632,44 @@ class AsyncSearchService:
         entry.admission_ctl = admission
         entry.admitted_at = loop.time()
 
-        if self.tenants is not None:
-            # Fair dispatch: the request waits in the weighted queue;
-            # _pump moves it onto its tenant's session as slots free.
-            tenant = self.tenants.get(conn.tenant)
-            tenant.accounting.record_accepted()
-            self.accepted += 1
-            cost = float(getattr(request, "num_queries", 1) or 1)
-            self._fair.push(
-                conn.tenant,
-                (conn, entry, request, cost),
-                deadline=entry.deadline,
-            )
-            self._pump()
-            return
-
-        try:
-            cf_future = self.session.submit(request)
-        except (CapabilityError, RuntimeError, ValueError, TypeError) as exc:
-            conn.in_flight.pop(frame.request_id, None)
-            self._release_admission(entry, ok=False)
-            code = (
-                codec.ERR_CAPABILITY
-                if isinstance(exc, CapabilityError)
-                else codec.ERR_REMOTE
-            )
-            await conn.send(
-                FrameType.ERROR,
-                frame.request_id,
-                codec.encode_error(code, str(exc)),
-            )
-            return
+        # The request waits in the weighted queue; _pump moves it onto
+        # its tenant's session (at once, unless tenants compete for
+        # the executing slots).
         self.accepted += 1
-        future = asyncio.wrap_future(cf_future, loop=loop)
-        entry.cf_future = cf_future
-        task = asyncio.ensure_future(self._respond(conn, entry, future))
-        conn.tasks.add(task)
-        task.add_done_callback(conn.tasks.discard)
+        tenant.accounting.record_accepted()
+        cost = float(getattr(request, "num_queries", 1) or 1)
+        self._fair.push(
+            conn.tenant, (conn, entry, request, cost), deadline=entry.deadline
+        )
+        self._pump()
 
     def _pump(self) -> None:
-        """Move fair-queue entries onto tenant sessions while executing
-        slots are free.  Runs only on the event loop, so the slot
-        counter needs no lock; every completion re-pumps."""
+        """Move fair-queue entries onto tenant sessions.  Runs only on
+        the event loop, so the slot counter needs no lock; every
+        completion re-pumps."""
         loop = asyncio.get_running_loop()
-        while self._executing < self._fair_slots:
+        # The slot bound is what makes the queue's order matter, and it
+        # costs Session.submit its coalescing beyond _FAIR_SLOTS
+        # requests (5-7x on hot-key pipelined traffic, docs/perf.md): a
+        # lone tenant has nobody to be fair to, so it is not bounded.
+        while len(self.registry) <= 1 or self._executing < _FAIR_SLOTS:
             popped = self._fair.pop(cost=lambda it: it[3])
             if popped is None:
                 return
             tenant_id, (conn, entry, request, _cost) = popped
-            if conn.closed or entry.request_id not in conn.in_flight:
-                continue  # connection died while the request was queued
-            tenant = self.tenants.get(tenant_id)
+            if conn.closed or conn.in_flight.get(entry.request_id) is not entry:
+                continue  # connection died, or the entry was shed while queued
+            tenant = self.registry.get(tenant_id)
             try:
                 cf_future = tenant.session.submit(request)
             except (CapabilityError, RuntimeError, ValueError, TypeError) as exc:
                 conn.in_flight.pop(entry.request_id, None)
                 self._release_admission(entry, ok=False)
-                tenant.accounting.record_failed()
                 self.failed += 1
-                code = (
-                    codec.ERR_CAPABILITY
-                    if isinstance(exc, CapabilityError)
-                    else codec.ERR_REMOTE
+                tenant.accounting.record_failed()
+                task = asyncio.ensure_future(
+                    conn.send_error(entry.request_id, _code_for(exc), str(exc))
                 )
-                send = conn.send(
-                    FrameType.ERROR,
-                    entry.request_id,
-                    codec.encode_error(code, str(exc)),
-                )
-                task = asyncio.ensure_future(send)
                 conn.tasks.add(task)
                 task.add_done_callback(conn.tasks.discard)
                 continue
@@ -775,7 +677,7 @@ class AsyncSearchService:
             future = asyncio.wrap_future(cf_future, loop=loop)
             entry.cf_future = cf_future
             task = asyncio.ensure_future(
-                self._respond(conn, entry, future, tenant=tenant)
+                self._respond(conn, tenant, entry, future)
             )
             conn.tasks.add(task)
             task.add_done_callback(self._make_slot_releaser(conn))
@@ -789,7 +691,11 @@ class AsyncSearchService:
         return _release
 
     async def _admit(
-        self, conn: _Connection, request_id: int, abs_deadline: float
+        self,
+        conn: _Connection,
+        tenant: Tenant,
+        request_id: int,
+        abs_deadline: float,
     ) -> bool:
         """Bounded-in-flight admission with oldest-deadline shedding.
 
@@ -804,106 +710,92 @@ class AsyncSearchService:
             # every queued entry out-deadlines it — or the oldest-
             # deadline victim already started executing, so cancel()
             # fails — the incoming request is the one dropped.
-            if victim is None or victim.deadline >= abs_deadline or not (
-                victim.cf_future is not None and victim.cf_future.cancel()
+            if (
+                victim is None
+                or victim.deadline >= abs_deadline
+                or (
+                    victim.cf_future is not None
+                    and not victim.cf_future.cancel()
+                )
             ):
-                self._record_shed(conn.tenant)
-                await conn.send(
-                    FrameType.ERROR,
+                self._record_shed(tenant)
+                await conn.send_error(
                     request_id,
-                    codec.encode_error(
-                        codec.ERR_SHED,
-                        f"in-flight queue full ({self.max_in_flight}); "
-                        f"request shed by oldest-deadline policy",
-                    ),
+                    codec.ERR_SHED,
+                    f"in-flight queue full ({self.max_in_flight}); "
+                    f"request shed by oldest-deadline policy",
                 )
                 return False
-            # victim.future.cancel() succeeded; its _respond task will
-            # observe the CancelledError and answer ERR_SHED.
-            self._record_shed(conn.tenant)
+            self._record_shed(tenant)
             conn.in_flight.pop(victim.request_id, None)
+            if victim.cf_future is None:
+                # Still in the fair queue, which skips an entry that
+                # left the in-flight set; no _respond task exists yet.
+                await self._answer_shed(conn, victim)
+            # else cancel() succeeded: the victim's _respond task
+            # observes the CancelledError and answers ERR_SHED.
         conn.in_flight[request_id] = _InFlight(
             request_id=request_id, deadline=abs_deadline
         )
         return True
 
+    async def _answer_shed(self, conn: _Connection, entry: _InFlight) -> None:
+        """Free a queued victim's admission slot and tell its client;
+        the shed itself was accounted by the _admit call that chose it."""
+        self._release_admission(entry, ok=False)
+        await conn.send_error(
+            entry.request_id,
+            codec.ERR_SHED,
+            "request shed by oldest-deadline policy while queued",
+        )
+
     async def _respond(
         self,
         conn: _Connection,
+        tenant: Tenant,
         entry: _InFlight,
         future: "asyncio.Future",
-        tenant=None,
     ) -> None:
         request_id = entry.request_id
         try:
             outcome = await future
         except asyncio.CancelledError:
-            # the shed was accounted (globally and per-tenant) by the
-            # _admit call that cancelled this future
             conn.in_flight.pop(request_id, None)
-            self._release_admission(entry, ok=False)
-            await conn.send(
-                FrameType.ERROR,
-                request_id,
-                codec.encode_error(
-                    codec.ERR_SHED,
-                    "request shed by oldest-deadline policy while queued",
-                ),
-            )
+            await self._answer_shed(conn, entry)
             return
         except BaseException as exc:
             conn.in_flight.pop(request_id, None)
             self._release_admission(entry, ok=False)
             self.failed += 1
-            if tenant is not None:
-                tenant.accounting.record_failed()
-            code = (
-                codec.ERR_CAPABILITY
-                if isinstance(exc, CapabilityError)
-                else codec.ERR_REMOTE
-            )
-            await conn.send(
-                FrameType.ERROR,
-                request_id,
-                codec.encode_error(code, f"{type(exc).__name__}: {exc}"),
+            tenant.accounting.record_failed()
+            await conn.send_error(
+                request_id, _code_for(exc), f"{type(exc).__name__}: {exc}"
             )
             return
         conn.in_flight.pop(request_id, None)
         self.completed += 1
+        self._last_served = tenant
         latency = asyncio.get_running_loop().time() - entry.admitted_at
-        if tenant is not None:
-            tenant.accounting.record_completed(latency)
+        tenant.accounting.record_completed(latency)
         self._release_admission(entry, latency)
         ftype, payload = codec.encode_search_outcome(outcome)
         await conn.send(ftype, request_id, payload)
 
     async def _handle_outsource(self, conn: _Connection, frame: Frame) -> None:
         if self._draining:
-            await conn.send(
-                FrameType.ERROR,
-                frame.request_id,
-                codec.encode_error(codec.ERR_DRAINING, "service is draining"),
+            await conn.send_error(
+                frame.request_id, codec.ERR_DRAINING, "service is draining"
             )
             return
-        if self.tenants is not None and not conn.tenant:
-            await conn.send(
-                FrameType.ERROR,
-                frame.request_id,
-                codec.encode_error(
-                    codec.ERR_TENANT,
-                    "connection is not bound to a tenant "
-                    "(send HELLO with a tenant id first)",
-                ),
-            )
+        tenant = await self._tenant_of(conn, frame.request_id)
+        if tenant is None:
             return
-        session = self._session_for(conn.tenant)
+        session = tenant.session
         try:
             db_bits = codec.decode_outsource(frame.payload)
         except (FramingError, ValueError) as exc:
-            await conn.send(
-                FrameType.ERROR,
-                frame.request_id,
-                codec.encode_error(codec.ERR_BAD_FRAME, str(exc)),
+            await conn.send_error(
+                frame.request_id, codec.ERR_BAD_FRAME, str(exc)
             )
             return
         loop = asyncio.get_running_loop()
@@ -913,12 +805,11 @@ class AsyncSearchService:
                 await loop.run_in_executor(None, session.outsource, db_bits)
         except BaseException as exc:
             self.failed += 1
-            await conn.send(
-                FrameType.ERROR,
+            tenant.accounting.record_failed()
+            await conn.send_error(
                 frame.request_id,
-                codec.encode_error(
-                    codec.ERR_REMOTE, f"{type(exc).__name__}: {exc}"
-                ),
+                codec.ERR_REMOTE,
+                f"{type(exc).__name__}: {exc}",
             )
             return
         await conn.send(
@@ -942,9 +833,10 @@ class ServiceThread:
     valid), ``stop()`` drains gracefully and joins the thread.
     """
 
-    def __init__(self, engine="bfv-sharded", *, session=None, **kwargs):
-        self._engine = engine
-        self._session = session
+    def __init__(self, *args, **kwargs):
+        #: :class:`AsyncSearchService` arguments (it is built on the
+        #: loop thread, so ``start()`` surfaces constructor failures)
+        self._args = args
         self._kwargs = kwargs
         self._ready = threading.Event()
         self._address: Optional[tuple[str, int]] = None
@@ -980,9 +872,7 @@ class ServiceThread:
     def _run(self) -> None:
         async def main() -> None:
             try:
-                self._service = AsyncSearchService(
-                    self._engine, session=self._session, **self._kwargs
-                )
+                self._service = AsyncSearchService(*self._args, **self._kwargs)
                 self._loop = asyncio.get_running_loop()
                 self._address = await self._service.start()
             except BaseException as exc:  # surface constructor failures

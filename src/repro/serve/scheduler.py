@@ -66,9 +66,10 @@ class ServeScheduler:
         #: these were never admitted, so no queue slot or deadline was
         #: ever consumed on their behalf.
         self.admit_rejected = 0
-        #: per-tenant breakdown of the two counters above, keyed by
-        #: tenant id ("" when the front end is single-tenant).  Summing
-        #: a column across tenants always reproduces the global counter.
+        #: per-tenant breakdown of the two counters above, keyed by the
+        #: tenant id the front end recorded them under ("" is the
+        #: default tenant).  Summing a column across tenants always
+        #: reproduces the global counter.
         self.tenant_counters: Dict[str, Dict[str, int]] = {}
 
     def _tenant_row(self, tenant: str) -> Dict[str, int]:
@@ -76,19 +77,15 @@ class ServeScheduler:
             tenant, {"sheds": 0, "admit_rejected": 0}
         )
 
-    def record_shed(self, count: int = 1, tenant: Optional[str] = None) -> None:
+    def record_shed(self, count: int = 1, tenant: str = "") -> None:
         """Account ``count`` admission-control rejections."""
         self.sheds += count
-        if tenant is not None:
-            self._tenant_row(tenant)["sheds"] += count
+        self._tenant_row(tenant)["sheds"] += count
 
-    def record_admit_rejected(
-        self, count: int = 1, tenant: Optional[str] = None
-    ) -> None:
+    def record_admit_rejected(self, count: int = 1, tenant: str = "") -> None:
         """Account ``count`` fail-fast admission rejections."""
         self.admit_rejected += count
-        if tenant is not None:
-            self._tenant_row(tenant)["admit_rejected"] += count
+        self._tenant_row(tenant)["admit_rejected"] += count
 
     def placement(self, shard_id: int) -> Tuple[int, int]:
         """(channel, die) for a shard: distinct channels first, so shards

@@ -260,6 +260,14 @@ class SecureIndexChannel:
     @staticmethod
     def _unpack_indices(blob: bytes) -> List[int]:
         count = int.from_bytes(blob[:4], "big")
+        # the count is decrypted, hence untrusted: a wrong key or a
+        # corrupted frame makes it arbitrary, so check before allocating
+        if 4 + 8 * count != len(blob):
+            raise ValueError(
+                f"index batch of {len(blob)} bytes cannot hold the "
+                f"{count} indices its header claims (wrong key or "
+                f"corrupted ciphertext)"
+            )
         return [
             int.from_bytes(blob[4 + 8 * i : 12 + 8 * i], "big")
             for i in range(count)

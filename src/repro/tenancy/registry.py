@@ -31,6 +31,11 @@ from .quota import TenantQuota
 #: broker-managed per-tenant VariantCipherCache)
 _CACHE_AWARE_ENGINES = ("bfv-sharded",)
 
+#: the tenant a connection is before HELLO names one; registered only
+#: by :meth:`TenantRegistry.around` (a :class:`TenantSpec` cannot carry
+#: it), so it exists exactly on a registry built around one session
+DEFAULT_TENANT = ""
+
 
 class UnknownTenantError(KeyError):
     """No tenant registered under the requested id."""
@@ -83,26 +88,25 @@ class Tenant:
 
     def __init__(
         self,
-        spec: TenantSpec,
+        tenant_id: str,
+        quota: TenantQuota,
         session: Session,
         cache: Optional[VariantCipherCache],
+        *,
+        owns_session: bool = True,
     ):
-        self.spec = spec
+        self.tenant_id = tenant_id
+        self.quota = quota
         self.session = session
         self.cache = cache
+        #: False for a session a caller lent to
+        #: :meth:`TenantRegistry.around`: ``close_all`` leaves it open
+        self.owns_session = owns_session
         self.accounting = TenantAccounting()
 
     @property
-    def tenant_id(self) -> str:
-        return self.spec.tenant_id
-
-    @property
-    def quota(self) -> TenantQuota:
-        return self.spec.quota
-
-    @property
     def weight(self) -> float:
-        return self.spec.quota.share_weight
+        return self.quota.share_weight
 
     def cache_bytes(self) -> int:
         return self.cache.current_bytes if self.cache is not None else 0
@@ -156,6 +160,25 @@ class TenantRegistry:
             raise ValueError(f"no tenants in spec {spec_text!r}")
         return cls(specs, **kwargs)
 
+    @classmethod
+    def around(cls, session: Session, *, owned: bool) -> "TenantRegistry":
+        """A registry of one :data:`DEFAULT_TENANT` serving ``session``.
+
+        ``owned`` says whether :meth:`close_all` closes the session
+        (the caller opened it for this registry) or leaves it to the
+        caller who lent it.
+        """
+        registry = cls()
+        cache = getattr(
+            getattr(session.engine, "engine", None), "cache", None
+        )
+        if cache is not None:
+            registry.broker.register(DEFAULT_TENANT, cache)
+        registry._tenants[DEFAULT_TENANT] = Tenant(
+            DEFAULT_TENANT, TenantQuota(), session, cache, owns_session=owned
+        )
+        return registry
+
     # -- registration ------------------------------------------------------
 
     def register(self, spec: TenantSpec) -> Tenant:
@@ -192,7 +215,7 @@ class TenantRegistry:
             self.broker.unregister(spec.tenant_id)
             raise
         session = Session(built, tenant=spec.tenant_id)
-        tenant = Tenant(spec, session, cache)
+        tenant = Tenant(spec.tenant_id, spec.quota, session, cache)
         self._tenants[spec.tenant_id] = tenant
         return tenant
 
@@ -226,12 +249,13 @@ class TenantRegistry:
         self.get(tenant_id).session.outsource(db_bits)
 
     def close_all(self) -> None:
-        """Close every tenant session (idempotent)."""
+        """Close every tenant session this registry owns (idempotent)."""
         if self._closed:
             return
         self._closed = True
         for tenant in self._tenants.values():
-            tenant.session.close()
+            if tenant.owns_session:
+                tenant.session.close()
 
     def __enter__(self) -> "TenantRegistry":
         return self

@@ -8,6 +8,11 @@ reconnect-and-resend, graceful drain, and the stats frame.
 The crypto-heavy lanes use tiny BFV parameters; shedding/ordering
 lanes use the plaintext oracle (optionally slowed) so timing-sensitive
 assertions stay deterministic.
+
+What a service owes every caller however it was built — from an engine
+key, a passed ``Session``, a registry of one or of three tenants — is
+asserted over all four through ``conftest.serve`` / the ``served``
+fixture; ``test_tenant_service.py`` holds what only tenants add.
 """
 
 import threading
@@ -17,17 +22,20 @@ import numpy as np
 import pytest
 
 import repro
-from repro.api import PlaintextEngine, Session
-from repro.api.requests import ExactSearch
+from repro.api import CapabilityError, PlaintextEngine, Session
+from repro.api.requests import WildcardSearch
 from repro.he import BFVParams
 from repro.net import (
     AsyncClient,
     Client,
+    RemoteError,
     RequestShedError,
     ServiceDrainingError,
     ServiceThread,
     parse_address,
 )
+
+from .conftest import KINDS, assert_rows_partition, planted_db, serve
 
 
 class SlowPlaintextEngine(PlaintextEngine):
@@ -42,20 +50,6 @@ class SlowPlaintextEngine(PlaintextEngine):
     def _exact(self, bits, verify):
         time.sleep(self.delay)
         return super()._exact(bits, verify)
-
-
-def _planted_db(num_queries: int, bits: int = 24, seed: int = 7):
-    """A database with one unique planted pattern per query."""
-    rng = np.random.default_rng(seed)
-    db = rng.integers(0, 2, 4096).astype(np.uint8)
-    queries, offsets = [], []
-    for k in range(num_queries):
-        q = rng.integers(0, 2, bits).astype(np.uint8)
-        off = 100 + 200 * k
-        db[off : off + bits] = q
-        queries.append(q)
-        offsets.append(off)
-    return db, queries, offsets
 
 
 @pytest.fixture()
@@ -94,7 +88,7 @@ def test_search_before_outsource_is_a_remote_error(plaintext_service):
 def test_concurrent_clients_get_their_own_results(plaintext_service):
     """N clients x K in-flight queries each: every future resolves with
     the matches of its own query, whatever coalescing happened."""
-    db, queries, offsets = _planted_db(num_queries=12)
+    db, queries, offsets = planted_db(num_queries=12)
     with Client(plaintext_service.address) as seed_client:
         seed_client.outsource(db)
 
@@ -125,15 +119,31 @@ def test_concurrent_clients_get_their_own_results(plaintext_service):
         assert offsets[k] in matches, f"query {k} lost its own result"
 
 
-def test_submission_order_per_connection(plaintext_service):
+def test_welcome_names_tenant_engine_and_db_state(served):
+    db, _, _ = planted_db(num_queries=1)
+    for tenant_id in served.tenant_ids:
+        with served.client(tenant_id) as client:
+            welcome = client.welcome
+            assert welcome.tenant == tenant_id
+            assert welcome.engine == "bfv-sharded"
+            assert welcome.sharded and welcome.batching
+            assert welcome.db_bit_length is None
+            client.outsource(db)
+        # a fresh handshake sees the outsourced length
+        with served.client(tenant_id) as client:
+            assert client.welcome.db_bit_length == len(db)
+
+
+def test_submission_order_per_connection(served):
     """Futures of one client resolve with their own query's result in
     submission order (the Session guarantee, preserved over the wire)."""
-    db, queries, offsets = _planted_db(num_queries=8)
-    with Client(plaintext_service.address, pool_size=1) as client:
-        client.outsource(db)
-        futures = [client.submit(q) for q in queries]
-        for k, future in enumerate(futures):
-            assert offsets[k] in future.result(timeout=30).matches
+    db, queries, offsets = planted_db(num_queries=8)
+    for tenant_id in served.tenant_ids:
+        with served.client(tenant_id, pool_size=1) as client:
+            client.outsource(db)
+            futures = [client.submit(q) for q in queries]
+            for k, future in enumerate(futures):
+                assert offsets[k] in future.result(timeout=30).matches
 
 
 def test_backpressure_sheds_oldest_deadline():
@@ -168,42 +178,36 @@ def test_backpressure_sheds_oldest_deadline():
             assert stats.completed >= 2
 
 
-def test_sheds_feed_serve_scheduler_accounting():
-    """Front-end sheds land in the backing engine's ServeScheduler."""
-    from repro.api import ShardedEngine
-
-    class SlowShardedEngine(ShardedEngine):
-        # sleep *before* the crypto so the admission window is open
-        # while the first request holds the dispatcher
-        key = "slow-sharded"
-
-        def _exact(self, bits, verify):
-            time.sleep(0.4)
-            return super()._exact(bits, verify)
-
-    params = BFVParams.test_small(64)
-    engine = SlowShardedEngine(params=params, num_shards=2, key_seed=5)
-    with ServiceThread(
-        session=Session(engine), max_in_flight=1
-    ) as service:
-        with Client(service.address, pool_size=1) as client:
-            db, queries, offsets = _planted_db(num_queries=2, bits=32)
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_sheds_feed_serve_scheduler_accounting(kind):
+    """Front-end sheds land once in the tenant's accounting row and once
+    in its engine's ServeScheduler (global counter and tenant row)."""
+    with serve(kind, max_in_flight=1) as served:
+        tenant_id = served.tenant_ids[-1]
+        with served.client(tenant_id, pool_size=1) as client:
+            db, queries, offsets = planted_db(num_queries=2)
             client.outsource(db)
+            release = served.hold_engines()
             fut_keep = client.submit(queries[0], deadline=30.0)
-            time.sleep(0.1)  # first request is in flight (sleeping)
+            # the in-flight set is full and the incoming request has
+            # the oldest deadline of the two: it sheds itself
             fut_shed = client.submit(queries[1], deadline=0.01)
             with pytest.raises(RequestShedError):
                 fut_shed.result(timeout=60)
+            release.set()
             assert offsets[0] in fut_keep.result(timeout=60).matches
             stats = client.stats()
-            assert stats.scheduler_sheds == stats.shed == 1
-        scheduler = service.service.session.engine.engine.scheduler
+        assert stats.scheduler_sheds == stats.shed == 1
+        rows = assert_rows_partition(stats)
+        assert rows[tenant_id]["shed"] == 1
+        scheduler = served.scheduler(tenant_id)
         assert scheduler.sheds == 1
+        assert scheduler.tenant_counters[tenant_id]["sheds"] == 1
 
 
 def test_reconnect_after_idle_drop(plaintext_service):
     """A connection dropped while idle is re-established on next use."""
-    db, queries, offsets = _planted_db(num_queries=1)
+    db, queries, offsets = planted_db(num_queries=1)
     with Client(plaintext_service.address, pool_size=1) as client:
         client.outsource(db)
         assert offsets[0] in client.search(queries[0]).matches
@@ -218,7 +222,7 @@ def test_reconnect_resends_in_flight_requests():
     """Requests outstanding on a dropped connection are replayed onto a
     fresh connection and still resolve."""
     engine = SlowPlaintextEngine(0.5)
-    db, queries, offsets = _planted_db(num_queries=1)
+    db, queries, offsets = planted_db(num_queries=1)
     engine.outsource(db)
     with ServiceThread(session=Session(engine)) as service:
         with Client(service.address, pool_size=1) as client:
@@ -233,7 +237,7 @@ def test_reconnect_resends_in_flight_requests():
 def test_async_client(plaintext_service):
     import asyncio
 
-    db, queries, offsets = _planted_db(num_queries=3)
+    db, queries, offsets = planted_db(num_queries=3)
 
     async def main():
         client = await AsyncClient.connect(plaintext_service.address)
@@ -259,7 +263,7 @@ def test_stats_frame_includes_serve_report():
         "bfv-sharded", params=params, num_shards=2, key_seed=6
     ) as service:
         with Client(service.address) as client:
-            db, queries, _ = _planted_db(num_queries=3, bits=32)
+            db, queries, _ = planted_db(num_queries=3, bits=32)
             client.outsource(db)
             client.search_batch(queries)
             stats = client.stats()
@@ -269,9 +273,77 @@ def test_stats_frame_includes_serve_report():
             assert stats.wall_p50 <= stats.wall_p95 <= stats.wall_p99
 
 
+def test_stats_rows_partition_global_counters(served):
+    """STATS carries one accounting row per tenant — the default tenant
+    included — and the rows partition every global counter."""
+    searches = {tid: 3 - i for i, tid in enumerate(served.tenant_ids)}
+    for seed, (tenant_id, count) in enumerate(searches.items(), start=1):
+        db, queries, offsets = planted_db(num_queries=1, seed=seed)
+        with served.client(tenant_id) as client:
+            client.outsource(db)
+            for _ in range(count):
+                assert offsets[0] in client.search(queries[0]).matches
+    with served.client() as client:
+        stats = client.stats()
+    rows = assert_rows_partition(stats)
+    assert set(rows) == set(served.tenant_ids)
+    for tenant_id, count in searches.items():
+        assert rows[tenant_id]["accepted"] == count
+        assert rows[tenant_id]["completed"] == count
+        assert rows[tenant_id]["dispatched"] == count
+        assert rows[tenant_id]["backlog"] == 0
+        assert rows[tenant_id]["p99_ms"] > 0.0
+        assert rows[tenant_id]["cache_bytes"] > 0
+    assert stats.completed == sum(searches.values())
+    # the same fields mean the same thing on every service
+    assert stats.served_queries == len(searches)  # last batch of each
+    assert stats.throughput_qps > 0
+    assert "serving batch report" in stats.report_text
+    assert 0 < stats.wall_p50 <= stats.wall_p95 <= stats.wall_p99
+    assert 0 < stats.cache_hit_rate < 1
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_submit_errors_are_typed_and_counted_once(kind):
+    """A request ``Session.submit`` refuses (capability) and one the
+    engine fails (no database) are answered with their typed error and
+    counted accepted + failed, globally and in the tenant's row."""
+    with serve(kind, engine="bfv-wire") as served:
+        tenant_id = served.tenant_ids[-1]
+        with served.client(tenant_id) as client:
+            with pytest.raises(CapabilityError, match="no wildcard path"):
+                client.search(WildcardSearch((1, 0, 1, 1), (1, 1, 0, 1)))
+            with pytest.raises(RemoteError, match="outsource"):
+                client.search(np.ones(8, dtype=np.uint8))
+            stats = client.stats()
+        assert (stats.accepted, stats.failed, stats.completed) == (2, 2, 0)
+        rows = assert_rows_partition(stats)
+        assert rows[tenant_id]["failed"] == 2
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_drain_closes_what_the_service_opened(kind):
+    """Drain closes the registry: every session the service opened or
+    was handed in a registry, but not a session a caller lent it."""
+    db, queries, offsets = planted_db(num_queries=1)
+    with serve(kind) as served:
+        sessions = [t.session for t in served.registry.tenants()]
+        with served.client() as client:
+            client.outsource(db)
+            assert offsets[0] in client.search(queries[0]).matches
+        served.thread.stop()
+        served.thread.stop()  # idempotent, like close_all underneath
+        for session in sessions:
+            if session is served.lent_session:
+                assert offsets[0] in session.search(queries[0]).matches
+            else:
+                with pytest.raises(RuntimeError, match="closed"):
+                    session.search(queries[0])
+
+
 def test_drain_completes_in_flight_then_rejects():
     engine = SlowPlaintextEngine(0.3)
-    db, queries, offsets = _planted_db(num_queries=1)
+    db, queries, offsets = planted_db(num_queries=1)
     engine.outsource(db)
     with ServiceThread(session=Session(engine)) as service:
         with Client(service.address, pool_size=2) as client:
@@ -294,7 +366,7 @@ def test_drain_completes_in_flight_then_rejects():
 
 def test_open_session_remote_roundtrip(plaintext_service):
     """repro.open_session('remote', address=...) talks to the service."""
-    db, queries, offsets = _planted_db(num_queries=1)
+    db, queries, offsets = planted_db(num_queries=1)
     with repro.open_session(
         "remote", address=plaintext_service.address, db_bits=db
     ) as session:

@@ -8,24 +8,38 @@ identities bound at HELLO and assert:
   and tenant A's key cannot decrypt tenant B's ciphertexts (crypto
   isolation);
 * unknown / unbound / mismatched tenant identities are rejected with
-  the typed ERR_TENANT error;
-* the STATS frame carries per-tenant accounting rows that partition
-  the global counters.
+  the typed ERR_TENANT error, and the default tenant ``""`` exists
+  only on a service built around one session;
+* the slot bound applies only while tenants compete, and a request
+  still waiting in the fair queue is the first thing shed.
+
+The STATS partition and what every service owes its callers live in
+``test_service.py``, over all four constructions.
 """
 
 from __future__ import annotations
 
-import json
+import socket
+import time
 
 import numpy as np
 import pytest
 
-from repro.he import BFVParams
-from repro.net import Client, ServiceThread
+from repro.api.requests import ExactSearch
+from repro.net import Client, RequestShedError, ServiceThread, codec
 from repro.net.codec import TenantRejectedError
+from repro.net.framing import (
+    PROTOCOL_VERSION,
+    Frame,
+    FrameType,
+    read_frame_sync,
+    write_frame_sync,
+)
+from repro.net.server import _FAIR_SLOTS
 from repro.tenancy import TenantRegistry, TenantSpec
 
-PARAMS = BFVParams.test_small(64)
+from .conftest import PARAMS, assert_rows_partition, planted_db, serve
+
 TENANTS = ("alice", "bob", "carol")
 
 
@@ -73,7 +87,7 @@ def test_each_tenant_sees_only_its_own_database(tenant_service):
 
 
 def test_cross_tenant_key_cannot_decrypt(tenant_service):
-    registry = tenant_service.service.tenants
+    registry = tenant_service.service.registry
     clients = {
         tid: registry.get(tid).session.engine.engine.client
         for tid in ("alice", "bob")
@@ -102,34 +116,116 @@ def test_unbound_connection_rejected(tenant_service):
             client.search(np.ones(8, dtype=np.uint8))
 
 
-def test_stats_partition_across_tenants(tenant_service):
-    with ServiceThread(
-        tenants=TenantRegistry(
-            [TenantSpec.parse("a:1"), TenantSpec.parse("b:2")],
-            params=PARAMS,
-            num_shards=1,
-        )
-    ) as service:
-        searches = {"a": 3, "b": 1}
-        for tenant, count in searches.items():
-            db, q, off = _planted_db(ord(tenant) % 7)
-            with Client(service.address, tenant=tenant) as client:
+def _raw_search(address, query, hello_tenant=None) -> Frame:
+    """One SEARCH on a bare socket, after a HELLO only when
+    ``hello_tenant`` is given; returns the first non-WELCOME reply."""
+    with socket.create_connection(address, timeout=10) as sock:
+        if hello_tenant is not None:
+            hello = codec.encode_hello(PROTOCOL_VERSION, hello_tenant)
+            write_frame_sync(sock, Frame(FrameType.HELLO, 1, hello))
+            reply = read_frame_sync(sock)
+            if reply.type is not FrameType.WELCOME:
+                return reply
+        ftype, payload = codec.encode_request(ExactSearch.from_bits(query))
+        write_frame_sync(sock, Frame(ftype, 2, payload))
+        return read_frame_sync(sock)
+
+
+def test_default_tenant_exists_only_around_one_session(tenant_service):
+    """HELLO ``""`` and a request on an un-HELLO'd connection name the
+    default tenant: a registry of named tenants answers both with
+    ERR_TENANT, a service built around one session serves both."""
+    db, queries, offsets = planted_db(num_queries=1)
+    for hello_tenant in (None, ""):
+        reply = _raw_search(tenant_service.address, queries[0], hello_tenant)
+        assert reply.type is FrameType.ERROR
+        assert codec.decode_error(reply.payload)[0] == codec.ERR_TENANT
+    for kind in ("engine-key", "session"):
+        with serve(kind) as served:
+            with served.client() as client:
                 client.outsource(db)
-                for _ in range(count):
-                    assert off in client.search(q).matches
-        with Client(service.address, tenant="a") as client:
+            for hello_tenant in (None, ""):
+                reply = _raw_search(served.address, queries[0], hello_tenant)
+                assert reply.type is FrameType.RESULT
+                assert offsets[0] in codec.decode_result(reply.payload).matches
+            # and it has no other tenant to be
+            with pytest.raises(TenantRejectedError):
+                with Client(served.address, tenant="alice") as client:
+                    client.ping()
+
+
+def _rows_when(served, ready, timeout: float = 20.0) -> dict:
+    """Poll STATS until ``ready(stats)``; returns the tenant rows."""
+    deadline = time.monotonic() + timeout
+    with served.client() as probe:
+        while True:
+            stats = probe.stats()
+            if ready(stats):
+                return assert_rows_partition(stats)
+            assert time.monotonic() < deadline, stats
+            time.sleep(0.02)
+
+
+@pytest.mark.parametrize(
+    "kind, dispatched", [("registry-1", 48), ("registry-3", _FAIR_SLOTS)]
+)
+def test_slot_bound_applies_only_while_tenants_compete(kind, dispatched):
+    """48 requests pipelined on one connection all reach a lone
+    tenant's session together (so ``Session.submit`` can coalesce
+    them); with other tenants registered only ``_FAIR_SLOTS`` do and
+    the rest wait in the fair queue."""
+    db, queries, offsets = planted_db(num_queries=1)
+    with serve(kind) as served:
+        with served.client(pool_size=1) as client:
+            client.outsource(db)
+            release = served.hold_engines()
+            futures = [client.submit(queries[0]) for _ in range(48)]
+            rows = _rows_when(served, lambda stats: stats.accepted == 48)
+            row = rows[served.tenant_ids[0]]
+            assert row["dispatched"] == dispatched
+            assert row["backlog"] == 48 - dispatched
+            release.set()
+            for future in futures:
+                assert offsets[0] in future.result(timeout=60).matches
+
+
+def test_queued_victim_is_shed_before_incoming():
+    """With the in-flight set full, the oldest-deadline entry is shed
+    even while it still waits in the fair queue (it has no session
+    future to cancel yet) — not the incoming request in its place."""
+    db, queries, offsets = planted_db(num_queries=1)
+    in_flight = _FAIR_SLOTS + 2
+    with serve("registry-3", max_in_flight=in_flight) as served:
+        with served.client("alice", pool_size=1) as client:
+            client.outsource(db)
+            release = served.hold_engines()
+            # _FAIR_SLOTS requests take the executing slots; the next
+            # two wait in the fair queue, the first of them with the
+            # oldest deadline of all
+            futures = [
+                client.submit(queries[0], deadline=600.0)
+                for _ in range(_FAIR_SLOTS)
+            ]
+            queued_victim = client.submit(queries[0], deadline=300.0)
+            futures.append(client.submit(queries[0], deadline=600.0))
+            _rows_when(served, lambda stats: stats.accepted == in_flight)
+            futures.append(client.submit(queries[0], deadline=600.0))
+            with pytest.raises(RequestShedError, match="while queued"):
+                queued_victim.result(timeout=60)
+            release.set()
+            for future in futures:
+                assert offsets[0] in future.result(timeout=60).matches
             stats = client.stats()
-        rows = json.loads(stats.tenants_json)
-        assert set(rows) == {"a", "b"}
-        for tenant, count in searches.items():
-            assert rows[tenant]["completed"] == count
-            assert rows[tenant]["accepted"] == count
-        # per-tenant rows partition the global counters
-        assert stats.completed == sum(r["completed"] for r in rows.values())
-        assert stats.accepted == sum(r["accepted"] for r in rows.values())
-        assert stats.shed == sum(r["shed"] for r in rows.values())
-        assert rows["a"]["p99_ms"] >= 0.0
-        assert rows["a"]["cache_bytes"] >= 0
+        # client side: offered == completed + shed + admit_rejected + failed
+        assert in_flight + 1 == len(futures) + 1 + 0 + 0
+        assert (stats.completed, stats.shed, stats.failed) == (len(futures), 1, 0)
+        assert stats.scheduler_sheds == 1 and stats.admit_rejected == 0
+        rows = assert_rows_partition(stats)
+        assert rows["alice"]["shed"] == 1
+        assert rows["alice"]["backlog"] == 0
+        assert served.scheduler("alice").tenant_counters == {
+            "alice": {"sheds": 1, "admit_rejected": 0}
+        }
 
 
 def test_async_client_binds_tenant(tenant_service):

@@ -117,11 +117,11 @@ class TestSecureIndexChannel:
         a = SecureIndexChannel.establish(seed=8)
         b = SecureIndexChannel.establish(seed=9)
         nonce, ct = a.encrypt_indices([42, 43])
-        with pytest.raises(Exception):
-            # either unpacking fails or values are wrong
-            got = b.decrypt_indices(nonce, ct)
-            assert got != [42, 43]
-            raise ValueError
+        # the wrong key decrypts the count field to ~967 M; the length
+        # check must reject it before a list of that size is built
+        with pytest.raises(ValueError, match="wrong key or corrupted"):
+            b.decrypt_indices(nonce, ct)
+        assert a.decrypt_indices(nonce, ct) == [42, 43]
 
     def test_empty_batch(self):
         channel = SecureIndexChannel.establish(seed=10)
