@@ -14,7 +14,7 @@
     python -m repro load --trace trace.jsonl --remote host:port
 
 Every subcommand has ``--help``; ``search`` talks to the unified
-:mod:`repro.api` facade, so ``--engine``/``--shards``/``--poly-backend``
+:mod:`repro.api` facade, so ``--engine``/``--shards``/``--key-seed``
 map directly onto registry keys and engine kwargs, and
 ``--remote host:port`` routes the same request through the
 :mod:`repro.net` client SDK to a running ``serve-net`` service.
@@ -36,9 +36,7 @@ def _demo(args: argparse.Namespace) -> int:
     db = random_bits(4000, rng)
     query = random_bits(32, rng)
     db[1600:1632] = query
-    with repro.open_session(
-        "bfv", poly_backend=args.poly_backend, db_bits=db
-    ) as session:
+    with repro.open_session("bfv", db_bits=db) as session:
         result = session.search(query)
     print(
         f"secure search over {len(db)} encrypted bits: "
@@ -91,8 +89,8 @@ def _search(args: argparse.Namespace) -> int:
         print(f"error: {exc}")
         return 2
     if args.remote is not None:
-        # the server side owns shard/backend/key configuration
-        for name in ("shards", "poly_backend", "key_seed"):
+        # the server side owns shard/key configuration
+        for name in ("shards", "key_seed"):
             if getattr(args, name, None) is not None:
                 print(
                     f"error: --{name.replace('_', '-')} configures a local "
@@ -105,8 +103,6 @@ def _search(args: argparse.Namespace) -> int:
                 print(f"error: engine {args.engine!r} is not sharded")
                 return 2
             engine_kwargs["num_shards"] = args.shards
-        if args.poly_backend is not None:
-            engine_kwargs["poly_backend"] = args.poly_backend
         if args.key_seed is not None and args.engine != "plaintext":
             # every HE engine takes a seed under one of these names
             engine_kwargs[
@@ -251,7 +247,6 @@ def _serve(args: argparse.Namespace) -> int:
         num_shards=args.shards,
         key_seed=11,
         cache_capacity=128,
-        poly_backend=args.poly_backend,
         db_bits=db,
     ) as session:
         session.search_batch(queries)
@@ -283,8 +278,6 @@ def _serve_net(args: argparse.Namespace) -> int:
     from repro.utils.bits import text_to_bits
 
     engine_kwargs = {"num_shards": args.shards}
-    if args.poly_backend is not None:
-        engine_kwargs["poly_backend"] = args.poly_backend
     if args.key_seed is not None:
         engine_kwargs["key_seed"] = args.key_seed
     if args.degraded_mode is not None:
@@ -491,8 +484,6 @@ def _load(args: argparse.Namespace) -> int:
         spec = DEFAULT_REGISTRY.spec(args.engine)
         if spec.capabilities.sharded:
             engine_kwargs["num_shards"] = args.shards
-        if args.poly_backend is not None:
-            engine_kwargs["poly_backend"] = args.poly_backend
         if args.key_seed is not None and args.engine != "plaintext":
             engine_kwargs[
                 "key_seed" if args.engine.startswith("bfv") else "seed"
@@ -579,11 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p_demo = sub.add_parser("demo", help="quick end-to-end secure-search demo")
-    p_demo.add_argument(
-        "--poly-backend",
-        choices=["vectorized", "reference"],
-        help="polynomial-arithmetic backend (default: process default)",
-    )
     p_demo.set_defaults(func=_demo)
 
     p_search = sub.add_parser(
@@ -609,10 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--query", help="ASCII needle to search for")
     p_search.add_argument(
         "--shards", type=int, help="shard count (sharded engines only)"
-    )
-    p_search.add_argument(
-        "--poly-backend", choices=["vectorized", "reference"],
-        help="polynomial-arithmetic backend",
     )
     p_search.add_argument(
         "--key-seed", type=int, help="deterministic key generation seed"
@@ -672,10 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--shards", type=int, default=4, help="shard count (default: 4)"
     )
-    p_serve.add_argument(
-        "--poly-backend", choices=["vectorized", "reference"],
-        help="polynomial-arithmetic backend",
-    )
     p_serve.set_defaults(func=_serve)
 
     p_serve_net = sub.add_parser(
@@ -699,10 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve_net.add_argument(
         "--shards", type=int, default=4, help="shard count (default: 4)"
-    )
-    p_serve_net.add_argument(
-        "--poly-backend", choices=["vectorized", "reference"],
-        help="polynomial-arithmetic backend",
     )
     p_serve_net.add_argument(
         "--key-seed", type=int, help="deterministic key generation seed"
@@ -832,10 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument(
         "--shards", type=int, default=4,
         help="shard count for sharded engines (default: 4)",
-    )
-    p_load.add_argument(
-        "--poly-backend", choices=["vectorized", "reference"],
-        help="polynomial-arithmetic backend",
     )
     p_load.add_argument(
         "--key-seed", type=int, help="deterministic key generation seed"

@@ -238,7 +238,6 @@ class PipelineEngine(Engine):
         chunk_width: Optional[int] = None,
         index_mode: IndexMode = IndexMode.CLIENT_DECRYPT,
         deterministic_seed: Optional[int] = None,
-        poly_backend: Optional[str] = None,
         addition_backend=None,
         pipeline: Optional[SecureStringMatchPipeline] = None,
     ):
@@ -251,7 +250,6 @@ class PipelineEngine(Engine):
                 index_mode=index_mode,
                 deterministic_seed=deterministic_seed,
                 key_seed=key_seed,
-                poly_backend=poly_backend,
             )
             self.pipeline = SecureStringMatchPipeline(config)
         if addition_backend is not None:
@@ -290,14 +288,12 @@ class WireEngine(Engine):
         *,
         key_seed: Optional[int] = None,
         chunk_width: Optional[int] = None,
-        poly_backend: Optional[str] = None,
     ):
         self.session = WireProtocolSession(
             ClientConfig(
                 params or _default_params(),
                 chunk_width=chunk_width,
                 key_seed=key_seed,
-                poly_backend=poly_backend,
             )
         )
         self._db_bits: Optional[int] = None
@@ -346,7 +342,6 @@ class ShardedEngine(Engine):
         key_seed: Optional[int] = None,
         chunk_width: Optional[int] = None,
         index_mode: IndexMode = IndexMode.CLIENT_DECRYPT,
-        poly_backend: Optional[str] = None,
         cache_capacity: int = 256,
         backend_factory: Optional[Callable] = None,
         client: Optional[CipherMatchClient] = None,
@@ -368,7 +363,6 @@ class ShardedEngine(Engine):
                 chunk_width=chunk_width,
                 index_mode=index_mode,
                 key_seed=key_seed,
-                poly_backend=poly_backend,
             )
         self.engine = ShardedSearchEngine(
             config,
@@ -516,13 +510,10 @@ class BooleanEngine(Engine):
         params: Optional[BFVParams] = None,
         *,
         seed: Optional[int] = None,
-        poly_backend: Optional[str] = None,
     ):
         params = params or BFVParams.boolean_baseline(n=128)
-        self.matcher = BooleanMatcher(params, seed, poly_backend=poly_backend)
-        self.sk, self.pk, self.rlk, _ = generate_keys(
-            params, seed, relin=True, backend=poly_backend
-        )
+        self.matcher = BooleanMatcher(params, seed)
+        self.sk, self.pk, self.rlk, _ = generate_keys(params, seed, relin=True)
         self._db = None
         self._db_bits: Optional[int] = None
 
@@ -605,18 +596,14 @@ class YasudaEngine(Engine):
         *,
         max_query_bits: int = 32,
         seed: Optional[int] = None,
-        poly_backend: Optional[str] = None,
     ):
         params = params or BFVParams.arithmetic_baseline(n=128, t=512)
         self.matcher = YasudaMatcher(
             params,
             max_query_bits=max_query_bits,
             seed=seed,
-            poly_backend=poly_backend,
         )
-        self.sk, self.pk, self.rlk, _ = generate_keys(
-            params, seed, relin=True, backend=poly_backend
-        )
+        self.sk, self.pk, self.rlk, _ = generate_keys(params, seed, relin=True)
         self._db = None
         self._db_bits: Optional[int] = None
 
@@ -663,9 +650,8 @@ class KimHomEQEngine(Engine):
         params: Optional[BFVParams] = None,
         *,
         seed: Optional[int] = None,
-        poly_backend: Optional[str] = None,
     ):
-        self.matcher = KimHomEQMatcher(params, seed, poly_backend=poly_backend)
+        self.matcher = KimHomEQMatcher(params, seed)
         self._db = None
         self._db_bits: Optional[int] = None
 
@@ -721,9 +707,8 @@ class BonteEngine(Engine):
         params: Optional[BFVParams] = None,
         *,
         seed: Optional[int] = None,
-        poly_backend: Optional[str] = None,
     ):
-        self.matcher = BonteMatcher(params, seed, poly_backend=poly_backend)
+        self.matcher = BonteMatcher(params, seed)
         self._db_plain: Optional[np.ndarray] = None
         self._windowed: dict[int, object] = {}
 

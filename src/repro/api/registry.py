@@ -83,7 +83,7 @@ class EngineRegistry:
         """Construct the engine registered under ``key``.
 
         Keyword arguments flow straight into the engine constructor
-        (``params=``, ``poly_backend=``, ``num_shards=``, ...), so an
+        (``params=``, ``key_seed=``, ``num_shards=``, ...), so an
         argument an engine does not take fails loudly with the engine's
         own ``TypeError`` rather than being dropped.
         """

@@ -285,7 +285,7 @@ def open_session(
     ``engine`` is a registry key (``"bfv"``, ``"bfv-sharded"``,
     ``"yasuda"``, ...) or an already-built :class:`Engine`.  Keyword
     arguments flow to the engine constructor (``params=``,
-    ``poly_backend=``, ``num_shards=``, ``cache_capacity=``, ...),
+    ``key_seed=``, ``num_shards=``, ``cache_capacity=``, ...),
     which owns key generation and cache wiring.  Passing ``db_bits``
     also outsources the database immediately:
 

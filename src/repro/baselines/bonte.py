@@ -75,16 +75,12 @@ class BonteMatcher:
     name = "Bonte & Iliashenko"
 
     def __init__(
-        self,
-        params: Optional[BFVParams] = None,
-        seed: Optional[int] = None,
-        *,
-        poly_backend: Optional[str] = None,
+        self, params: Optional[BFVParams] = None, seed: Optional[int] = None
     ):
         self.params = params or bonte_params()
         self.encoder = BatchEncoder(self.params)
-        self.ctx = BFVContext(self.params, seed, backend=poly_backend)
-        gen = KeyGenerator(self.params, seed, backend=poly_backend)
+        self.ctx = BFVContext(self.params, seed)
+        gen = KeyGenerator(self.params, seed)
         self.sk: SecretKey = gen.secret_key()
         self.pk: PublicKey = gen.public_key(self.sk)
         self.rlk: RelinKey = gen.relin_key(self.sk)

@@ -53,13 +53,9 @@ class BooleanMatcher:
     name = "Boolean (TFHE-style)"
 
     def __init__(
-        self,
-        params: Optional[BFVParams] = None,
-        seed: Optional[int] = None,
-        *,
-        poly_backend: Optional[str] = None,
+        self, params: Optional[BFVParams] = None, seed: Optional[int] = None
     ):
-        self.bool_ctx = BooleanContext(params, seed, poly_backend=poly_backend)
+        self.bool_ctx = BooleanContext(params, seed)
         self.params = self.bool_ctx.params
         self.stats = BooleanSearchStats()
 

@@ -12,6 +12,8 @@ from typing import List
 
 import numpy as np
 
+from ..utils.bits import matches_at
+
 
 def find_all_matches(db_bits: np.ndarray, query_bits: np.ndarray) -> List[int]:
     """All bit offsets where ``query_bits`` occurs in ``db_bits``."""
@@ -33,16 +35,6 @@ def find_aligned_matches(
     """Matches restricted to offsets that are multiples of ``alignment``
     (chunk-aligned occurrences)."""
     return [p for p in find_all_matches(db_bits, query_bits) if p % alignment == 0]
-
-
-def matches_at(db_bits: np.ndarray, query_bits: np.ndarray, offset: int) -> bool:
-    """Exact-match check at one offset — the verification oracle."""
-    db_bits = np.asarray(db_bits, dtype=np.uint8)
-    query_bits = np.asarray(query_bits, dtype=np.uint8)
-    end = offset + len(query_bits)
-    if offset < 0 or end > len(db_bits):
-        return False
-    return bool(np.array_equal(db_bits[offset:end], query_bits))
 
 
 def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:

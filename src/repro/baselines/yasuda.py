@@ -61,7 +61,6 @@ class YasudaMatcher:
         *,
         max_query_bits: int = 256,
         seed: Optional[int] = None,
-        poly_backend: Optional[str] = None,
     ):
         # Plaintext modulus must exceed any Hamming-distance value the
         # decoder must read, i.e. the query length.
@@ -72,7 +71,7 @@ class YasudaMatcher:
                 f"{max_query_bits} bits"
             )
         self.params = params
-        self.ctx = BFVContext(params, seed=seed, backend=poly_backend)
+        self.ctx = BFVContext(params, seed=seed)
         self.max_query_bits = max_query_bits
         self.ops = YasudaOpCount()
 

@@ -15,8 +15,8 @@ import numpy as np
 from ..he.bfv import BFVContext
 from ..he.keys import KeyGenerator, PublicKey, SecretKey
 from ..he.params import BFVParams
+from ..utils.bits import matches_at
 from ..verify import VerifyLike, want_verify
-from ..baselines.plaintext import matches_at
 from .match_polynomial import IndexMode, flag_matches_by_decryption
 from .matcher import (
     FusedResultSet,
@@ -36,9 +36,6 @@ class ClientConfig:
     index_mode: IndexMode = IndexMode.CLIENT_DECRYPT
     deterministic_seed: Optional[int] = None
     key_seed: Optional[int] = None
-    #: polynomial-arithmetic backend ("vectorized" / "reference"); None
-    #: defers to the process default (see repro.he.backend).
-    poly_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.index_mode is IndexMode.SERVER_DETERMINISTIC and (
@@ -52,12 +49,8 @@ class CipherMatchClient:
 
     def __init__(self, config: ClientConfig):
         self.config = config
-        self.ctx = BFVContext(
-            config.params, seed=config.key_seed, backend=config.poly_backend
-        )
-        keygen = KeyGenerator(
-            config.params, seed=config.key_seed, backend=config.poly_backend
-        )
+        self.ctx = BFVContext(config.params, seed=config.key_seed)
+        keygen = KeyGenerator(config.params, seed=config.key_seed)
         self.sk: SecretKey = keygen.secret_key()
         self.pk: PublicKey = keygen.public_key(self.sk)
         self.packer = DataPacker(self.ctx, config.chunk_width)

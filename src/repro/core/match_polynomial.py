@@ -5,7 +5,7 @@ equals the all-ones value ``2^w - 1``.  The match polynomial ``P_v(x)``
 has every coefficient equal to that value; index generation finds the
 result coefficients that decrypt to it.
 
-Two index-generation modes (see DESIGN.md):
+Two index-generation modes (key holder: docs/serving.md "Trust boundary"):
 
 * ``CLIENT_DECRYPT`` — the client decrypts result ciphertexts and flags
   all-ones coefficients.  Cryptographically sound; same information

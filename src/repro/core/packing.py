@@ -157,9 +157,9 @@ class DataPacker:
         """Encrypt every packed polynomial.
 
         With ``deterministic_seed`` set, encryption is noiseless with
-        masking polynomials derived from the seed (see DESIGN.md): this
-        enables the paper's literal server-side match-polynomial
-        comparison.
+        masking polynomials derived from the seed (``SERVER_DETERMINISTIC``
+        in :mod:`repro.core.match_polynomial`): this enables the paper's
+        literal server-side match-polynomial comparison.
         """
         cts = []
         for j, pt in enumerate(packed.plaintexts):

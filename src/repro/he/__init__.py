@@ -8,13 +8,7 @@ from .arena import (
     decrypt_batch,
     flags_batch,
 )
-from .backend import (
-    PolyBackend,
-    ReferenceBackend,
-    VectorizedBackend,
-    get_default_backend,
-    set_default_backend,
-)
+from .backend import PolyBackend, VectorizedBackend
 from .batch_encoder import BatchEncoder
 from .bfv import BFVContext, Ciphertext, OperationCounter, Plaintext
 from .boolean import BooleanContext, GateCostModel
@@ -67,7 +61,6 @@ __all__ = [
     "Plaintext",
     "PolyBackend",
     "PublicKey",
-    "ReferenceBackend",
     "RelinKey",
     "RingContext",
     "RingPoly",
@@ -82,10 +75,8 @@ __all__ = [
     "deserialize_secret_key",
     "flags_batch",
     "generate_keys",
-    "get_default_backend",
     "serialize_ciphertext",
     "serialize_plaintext",
     "serialize_public_key",
     "serialize_secret_key",
-    "set_default_backend",
 ]

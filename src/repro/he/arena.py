@@ -35,8 +35,8 @@ with its own ``c1 * s`` ring multiply.  The arena removes both costs:
   wrapping add *is* the fold.
 
 Every kernel is exact: it produces bit-for-bit the coefficients the
-object path produces (``tests/he/test_arena.py`` enforces this), for
-both polynomial backends.
+object path produces (``tests/he/test_arena.py`` enforces this, under
+the test oracle's big-int ring arithmetic as well).
 """
 
 from __future__ import annotations

@@ -1,56 +1,43 @@
-"""Pluggable polynomial-arithmetic backends for ``R_q = Z_q[X]/(X^n+1)``.
+"""Exact polynomial arithmetic for ``R_q = Z_q[X]/(X^n+1)``.
 
 The ring operations that dominate every hot path in this repo — the
 negacyclic multiply behind encryption (``pk0 * u``), decryption
 (``c1 * s``), and the deterministic comparator (``pk0 * u_total``) —
-are dispatched through a backend object bound to one ``(n, q)`` pair:
+go through one backend object bound to one ``(n, q)`` pair,
+:class:`VectorizedBackend` — residue-number-system (RNS) arithmetic:
+the operands are decomposed into however many NTT-prime limbs the
+exact product needs (``prod(p_i) > 2 n (q/2)^2``), each limb is
+transformed with the vectorized iterative NTT, and the limbs are
+recombined with a Garner mixed-radix reconstruction that folds
+directly into ``[0, q)`` using int64-safe modular kernels — no
+Python-int arithmetic anywhere on the multiply, scalar-multiply, or
+automorphism path.  Forward NTT limb transforms are cached on the
+:class:`~repro.he.poly.RingPoly` objects themselves, so repeated
+products against the same polynomial (the database polynomial in the
+serving inner loop, the secret key in batch decryption) transform
+once and reuse.  A product with a *small* operand — the ternary mask
+of an encryption, the ternary secret key of a phase — leaves the
+limbs altogether: it is one exact float64 FFT
+(:class:`SmallProductFft`), the mod-``q`` operand split into pieces
+whose width follows the magnitude checked on the small one.
 
-* :class:`ReferenceBackend` — the exact big-int path the repo shipped
-  with.  Multiplication uses a single negacyclic NTT when ``q`` is an
-  NTT-friendly prime below 2**31 and the three-prime CRT convolution
-  otherwise; the final reduction and oversized scalar products go
-  through Python-int (object dtype) arithmetic.  Slow but transparently
-  correct; kept as the oracle the property tests compare against.
-* :class:`VectorizedBackend` — residue-number-system (RNS) arithmetic:
-  the operands are decomposed into however many NTT-prime limbs the
-  exact product needs (``prod(p_i) > 2 n (q/2)^2``), each limb is
-  transformed with the vectorized iterative NTT, and the limbs are
-  recombined with a Garner mixed-radix reconstruction that folds
-  directly into ``[0, q)`` using int64-safe modular kernels — no
-  Python-int arithmetic anywhere on the multiply, scalar-multiply, or
-  automorphism path.  Forward NTT limb transforms are cached on the
-  :class:`~repro.he.poly.RingPoly` objects themselves, so repeated
-  products against the same polynomial (the database polynomial in the
-  serving inner loop, the secret key in batch decryption) transform
-  once and reuse.  A product with a *small* operand — the ternary mask
-  of an encryption, the ternary secret key of a phase — leaves the
-  limbs altogether: it is one exact float64 FFT
-  (:class:`SmallProductFft`), the mod-``q`` operand split into pieces
-  whose width follows the magnitude checked on the small one.
-
-Both backends are *exact*: for every supported ``(n, q)`` they return
-bit-identical coefficient vectors (``tests/he/test_backend_parity.py``
-enforces this property over randomized inputs, including ``q`` near the
-2**62 support cap where the RNS limb path is exercised hardest).
-
-Selection
----------
-``RingContext(n, q, backend=...)`` accepts a backend name or instance.
-When omitted, the process-wide default applies: whatever was installed
-with :func:`set_default_backend`, else the ``REPRO_POLY_BACKEND``
-environment variable, else ``"vectorized"``.
+Every product is *exact*: for every supported ``(n, q)`` it returns the
+coefficient vector of the big-int reference path kept as the oracle in
+``tests/oracles.py``, which ``tests/he/test_backend_parity.py`` compares
+against over randomized inputs, including ``q`` near the 2**62 support
+cap where the RNS limb path is exercised hardest.  :class:`PolyBackend`
+holds the generic exact bodies both build on.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from functools import lru_cache
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
-from .ntt import exact_negacyclic_convolution, get_plan
+from .ntt import get_plan
 from .primes import find_ntt_primes, is_prime, mod_inverse
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (poly -> backend)
@@ -753,9 +740,11 @@ class PolyBackend:
 
     Subclasses implement ``mul`` / ``scalar_mul`` / ``automorphism``;
     the representation changes (``make`` / ``centered`` / ``lift_mod``)
-    are shared because both backends keep coefficients as int64 in
-    ``[0, q)`` (the 2**62 modulus cap guarantees the centered lift fits
-    int64 as well).
+    and the generic product bodies are shared by
+    :class:`VectorizedBackend` (its fallback when an operand is not
+    small) and the test oracle: coefficients are int64 in ``[0, q)``
+    (the 2**62 modulus cap guarantees the centered lift fits int64 as
+    well).
     """
 
     name = "abstract"
@@ -852,48 +841,6 @@ class PolyBackend:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, q={self.q})"
-
-
-class ReferenceBackend(PolyBackend):
-    """The repo's original exact path, kept as the parity oracle.
-
-    Multiplication and the per-index automorphism loop are verbatim the
-    pre-backend implementations; only provably-exact vectorizations are
-    applied (object-dtype numpy reductions instead of Python list
-    comprehensions, per the micro-benchmarks in ``bench_poly.py``).
-    """
-
-    name = "reference"
-
-    def __init__(self, n: int, q: int):
-        super().__init__(n, q)
-        self._plan = get_plan(n, q) if _is_native_ntt_modulus(n, q) else None
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self._plan is not None:
-            return self._plan.multiply(a, b)
-        exact = exact_negacyclic_convolution(a, b)
-        return (exact % self.q).astype(np.int64)
-
-    def scalar_mul(self, coeffs: np.ndarray, scalar: int) -> np.ndarray:
-        q = self.q
-        scalar %= q
-        # int64 products overflow once the combined magnitude reaches 2**63.
-        if scalar.bit_length() + (q - 1).bit_length() < 63:
-            return coeffs * scalar % q
-        return (coeffs.astype(object) * scalar % q).astype(np.int64)
-
-    def automorphism(self, coeffs: np.ndarray, k: int) -> np.ndarray:
-        n, q = self.n, self.q
-        out = np.zeros(n, dtype=np.int64)
-        k = k % (2 * n)
-        for i in range(n):
-            target = i * k % (2 * n)
-            if target < n:
-                out[target] = (out[target] + coeffs[i]) % q
-            else:
-                out[target - n] = (out[target - n] - coeffs[i]) % q
-        return out
 
 
 class VectorizedBackend(PolyBackend):
@@ -1122,63 +1069,3 @@ class VectorizedBackend(PolyBackend):
         out = np.empty(n, dtype=np.int64)
         out[perm] = values
         return out
-
-
-# ---------------------------------------------------------------------------
-# Selection
-# ---------------------------------------------------------------------------
-
-BACKENDS = {
-    ReferenceBackend.name: ReferenceBackend,
-    VectorizedBackend.name: VectorizedBackend,
-}
-
-#: environment override consulted when no explicit choice was made.
-BACKEND_ENV_VAR = "REPRO_POLY_BACKEND"
-
-_default_backend: str | None = None
-
-
-def set_default_backend(name: str | None) -> None:
-    """Install a process-wide default (``None`` restores env/built-in)."""
-    global _default_backend
-    if name is not None and name not in BACKENDS:
-        raise ValueError(
-            f"unknown poly backend {name!r}; available: {sorted(BACKENDS)}"
-        )
-    _default_backend = name
-
-
-def get_default_backend() -> str:
-    if _default_backend is not None:
-        return _default_backend
-    env = os.environ.get(BACKEND_ENV_VAR)
-    if env:
-        if env not in BACKENDS:
-            raise ValueError(
-                f"{BACKEND_ENV_VAR}={env!r} is not a poly backend; "
-                f"available: {sorted(BACKENDS)}"
-            )
-        return env
-    return VectorizedBackend.name
-
-
-def resolve_backend(
-    spec: "str | PolyBackend | None", n: int, q: int
-) -> PolyBackend:
-    """Turn a backend name/instance/None into an instance bound to (n, q)."""
-    if isinstance(spec, PolyBackend):
-        if spec.n != n or spec.q != q:
-            raise ValueError(
-                f"backend {spec!r} is bound to (n={spec.n}, q={spec.q}), "
-                f"cannot serve (n={n}, q={q})"
-            )
-        return spec
-    name = spec if spec is not None else get_default_backend()
-    try:
-        cls = BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown poly backend {name!r}; available: {sorted(BACKENDS)}"
-        ) from None
-    return cls(n, q)

@@ -8,8 +8,9 @@ and for the prior-work comparisons in §3.1.
 
 A ``noiseless`` encryption mode (zero error polynomials, caller-supplied
 masking polynomial ``u``) supports the paper's literal server-side
-"match polynomial" comparison; see ``DESIGN.md`` for the discussion of
-why semantically secure ciphertexts cannot be compared directly.
+"match polynomial" comparison; :mod:`repro.core.match_polynomial`
+describes the two index-generation modes and why semantically secure
+ciphertexts cannot be compared directly.
 """
 
 from __future__ import annotations
@@ -95,22 +96,12 @@ class OperationCounter:
 class BFVContext:
     """All BFV algorithms for one parameter set."""
 
-    def __init__(
-        self,
-        params: BFVParams,
-        seed: int | None = None,
-        backend: str | None = None,
-    ):
+    def __init__(self, params: BFVParams, seed: int | None = None):
         self.params = params
-        self.ring = RingContext(params.n, params.q, backend=backend)
-        self.plain_ring = RingContext(params.n, params.t, backend=backend)
+        self.ring = RingContext(params.n, params.q)
+        self.plain_ring = RingContext(params.n, params.t)
         self._rng = np.random.default_rng(seed)
         self.counter = OperationCounter()
-
-    @property
-    def poly_backend(self) -> str:
-        """Name of the polynomial-arithmetic backend in use."""
-        return self.ring.backend_name
 
     # ------------------------------------------------------------------
     # Encoding (raw coefficient vectors; higher-level packing lives in

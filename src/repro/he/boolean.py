@@ -11,7 +11,7 @@ BFV with plaintext modulus ``t = 2``:
 * ``AND(a, b) = a * b`` — one Hom-Mult + relinearization,
 * a :class:`GateCostModel` carrying TFHE-like per-gate latencies for the
   performance figures (functional runs at small scale; figure-scale
-  numbers come from the cost model, as recorded in DESIGN.md).
+  numbers come from the cost model).
 
 Noise grows with AND depth (BFV is levelled, unlike bootstrapped TFHE);
 :meth:`BooleanContext.and_reduce` therefore balances the reduction tree,
@@ -54,16 +54,12 @@ class BooleanContext:
     """Bit-level homomorphic gates over BFV(t=2) ciphertexts."""
 
     def __init__(
-        self,
-        params: BFVParams | None = None,
-        seed: int | None = None,
-        *,
-        poly_backend: str | None = None,
+        self, params: BFVParams | None = None, seed: int | None = None
     ):
         params = params or BFVParams.boolean_baseline()
         if params.t != 2:
             raise ValueError("Boolean mode requires t = 2")
-        self.ctx = BFVContext(params, seed, backend=poly_backend)
+        self.ctx = BFVContext(params, seed)
         self.params = params
         self._one_pt = self.ctx.plaintext(self._unit_coeffs())
         self.gate_counts = {"xnor": 0, "xor": 0, "and": 0, "or": 0, "not": 0}

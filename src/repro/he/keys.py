@@ -66,14 +66,9 @@ class KeyGenerator:
     and the deterministic index-generation mode rely on.
     """
 
-    def __init__(
-        self,
-        params: BFVParams,
-        seed: int | None = None,
-        backend: str | None = None,
-    ):
+    def __init__(self, params: BFVParams, seed: int | None = None):
         self.params = params
-        self.ring = RingContext(params.n, params.q, backend=backend)
+        self.ring = RingContext(params.n, params.q)
         self._rng = np.random.default_rng(seed)
 
     def secret_key(self) -> SecretKey:
@@ -123,10 +118,9 @@ def generate_keys(
     *,
     relin: bool = False,
     galois_exponents: List[int] | None = None,
-    backend: str | None = None,
 ) -> Tuple[SecretKey, PublicKey, RelinKey | None, GaloisKey | None]:
     """One-call helper used throughout examples and tests."""
-    gen = KeyGenerator(params, seed, backend=backend)
+    gen = KeyGenerator(params, seed)
     sk = gen.secret_key()
     pk = gen.public_key(sk)
     rlk = gen.relin_key(sk) if relin else None

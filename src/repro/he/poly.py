@@ -1,18 +1,12 @@
 """Polynomial ring ``R_q = Z_q[X] / (X^n + 1)``.
 
-:class:`RingContext` owns the (n, q) pair and delegates arithmetic to a
-pluggable :class:`~repro.he.backend.PolyBackend`; :class:`RingPoly` is a
-thin immutable-ish wrapper over a numpy ``int64`` coefficient vector
-reduced to ``[0, q)``.
-
-Backend selection (see :mod:`repro.he.backend` for the contract):
-
-* ``"vectorized"`` (default) — RNS/NTT multiplication with NumPy
-  butterflies and int64-safe CRT recombination; forward transforms are
-  cached on the polynomials so repeated products against the same
-  operand transform once.
-* ``"reference"`` — the original exact big-int path, kept as the
-  correctness oracle for the property-test harness.
+:class:`RingContext` owns the (n, q) pair and delegates arithmetic to
+its :class:`~repro.he.backend.VectorizedBackend` — RNS/NTT
+multiplication with NumPy butterflies and int64-safe CRT recombination;
+forward transforms are cached on the polynomials so repeated products
+against the same operand transform once.  :class:`RingPoly` is a thin
+immutable-ish wrapper over a numpy ``int64`` coefficient vector reduced
+to ``[0, q)``.
 
 Coefficient moduli up to 2**62 are supported so that addition stays in
 int64 without overflow.
@@ -24,15 +18,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .backend import PolyBackend, _is_native_ntt_modulus, resolve_backend
+from .backend import VectorizedBackend, _is_native_ntt_modulus
 
 
 class RingContext:
     """The ring ``Z_q[X]/(X^n+1)`` plus cached multiplication machinery."""
 
-    def __init__(
-        self, n: int, q: int, backend: "str | PolyBackend | None" = None
-    ):
+    def __init__(self, n: int, q: int):
         if n < 2 or n & (n - 1):
             raise ValueError(f"ring degree must be a power of two, got {n}")
         if q < 2:
@@ -41,17 +33,13 @@ class RingContext:
             raise ValueError("moduli above 2**62 are not supported")
         self.n = n
         self.q = q
-        self.backend = resolve_backend(backend, n, q)
+        self.backend = VectorizedBackend(n, q)
         self._native_ntt = _is_native_ntt_modulus(n, q)
 
     @property
     def uses_ntt(self) -> bool:
         """True when ``q`` itself is NTT-friendly (single-limb products)."""
         return self._native_ntt
-
-    @property
-    def backend_name(self) -> str:
-        return self.backend.name
 
     # -- construction ---------------------------------------------------
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -151,10 +151,6 @@ class ShardedSearchEngine:
         :class:`CPUAdditionBackend` instances.
     cache_capacity:
         Bound on the shared variant-ciphertext LRU cache.
-    poly_backend:
-        Polynomial-arithmetic backend for the HE layer ("vectorized" /
-        "reference"); applied when the engine builds its own client from
-        ``config`` (see ``docs/backends.md``).
     degraded_mode:
         What a batch does when a shard is unserveable (injected worker
         crash, circuit breaker open).  ``"fail"`` (default) propagates
@@ -183,7 +179,6 @@ class ShardedSearchEngine:
         backend_factory: Optional[BackendFactory] = None,
         cache_capacity: int = 256,
         scheduler: Optional[ServeScheduler] = None,
-        poly_backend: Optional[str] = None,
         degraded_mode: str = "fail",
         breaker_threshold: int = 3,
         breaker_cooldown: float = 5.0,
@@ -194,14 +189,7 @@ class ShardedSearchEngine:
         if client is None:
             if config is None:
                 raise ValueError("provide a ClientConfig or a client")
-            if poly_backend is not None and config.poly_backend != poly_backend:
-                config = replace(config, poly_backend=poly_backend)
             client = CipherMatchClient(config)
-        elif poly_backend is not None and client.ctx.poly_backend != poly_backend:
-            raise ValueError(
-                "poly_backend conflicts with the supplied client's backend "
-                f"({client.ctx.poly_backend!r} != {poly_backend!r})"
-            )
         self.client = client
         self.config = client.config
         if num_shards < 1:

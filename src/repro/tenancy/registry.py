@@ -127,7 +127,7 @@ class TenantRegistry:
         Engine registry key used for specs that don't name their own.
     engine_kwargs:
         Registry-wide engine defaults every tenant's session is built
-        with (``num_shards=``, ``poly_backend=``, ...).
+        with (``num_shards=``, ``cache_capacity=``, ...).
     """
 
     def __init__(

@@ -75,3 +75,13 @@ def negate_bits(bits: np.ndarray) -> np.ndarray:
 
 def random_bits(length: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2, size=length, dtype=np.int64).astype(np.uint8)
+
+
+def matches_at(db_bits: np.ndarray, query_bits: np.ndarray, offset: int) -> bool:
+    """Exact-match check at one offset — the verification oracle."""
+    db_bits = np.asarray(db_bits, dtype=np.uint8)
+    query_bits = np.asarray(query_bits, dtype=np.uint8)
+    end = offset + len(query_bits)
+    if offset < 0 or end > len(db_bits):
+        return False
+    return bool(np.array_equal(db_bits[offset:end], query_bits))

@@ -14,6 +14,7 @@ import pytest
 import repro
 from repro.api import DEFAULT_REGISTRY, SearchResult
 from repro.baselines import find_all_matches
+from tests.oracles import ARITHMETIC
 
 #: engine-appropriate deterministic seeds / scale kwargs
 ENGINE_KWARGS = {
@@ -77,17 +78,30 @@ def test_sharded_engine_reports_shards(master_fixture):
     assert 1008 in result.matches
 
 
-def test_poly_backend_threads_through_baselines(master_fixture):
-    """The registry kwarg reaches the matcher's HE context (PR-2
-    vectorized backend vs reference), with identical matches."""
+def test_baseline_matches_identical_under_reference_arithmetic(master_fixture):
+    """A baseline's Hom-Mult / relinearisation chain gives the same
+    matches on the oracle's big-int ring arithmetic (context and keys
+    swapped after the engine built them the normal way)."""
     caps = DEFAULT_REGISTRY.spec("yasuda").capabilities
     db_view, query = master_fixture.view(caps)
     results = {}
     for backend in ("vectorized", "reference"):
-        with repro.open_session(
-            "yasuda", db_bits=db_view, seed=16, poly_backend=backend
-        ) as session:
+        with repro.open_session("yasuda", seed=16) as session:
+            engine = session.engine
+            ARITHMETIC[backend](engine.matcher.ctx, engine.sk.s)
+            assert engine.rlk.components[0][0].ring is engine.sk.s.ring
+            session.outsource(db_view)
             results[backend] = list(session.search(query).matches)
-            assert session.engine.matcher.ctx.poly_backend == backend
+            assert engine.matcher.ctx.ring.backend.name == backend
     assert results["vectorized"] == results["reference"]
     assert results["vectorized"] == find_all_matches(db_view, query)
+
+
+def test_a_backend_keyword_is_the_engines_own_type_error():
+    """No engine takes a ring-arithmetic choice: the keyword fails with
+    the constructor's ``TypeError`` naming it, as
+    ``EngineRegistry.create`` promises for any argument an engine does
+    not take."""
+    for key in DEFAULT_REGISTRY.keys():
+        with pytest.raises(TypeError, match="poly_backend"):
+            repro.open_session(key, poly_backend="reference")

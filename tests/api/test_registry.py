@@ -58,6 +58,15 @@ class TestResolution:
         assert main(["search", "--engine", "enigma", "--query", "x"]) == 2
         assert "no engine registered" in capsys.readouterr().out
 
+    def test_cli_has_no_poly_backend_flag(self, capsys):
+        """The five subcommands that took ``--poly-backend`` reject it
+        as argparse rejects any unknown option: usage on stderr, exit 2."""
+        from repro.__main__ import main
+
+        for command in ("demo", "search", "serve", "serve-net", "load"):
+            assert main([command, "--poly-backend", "reference"]) == 2
+            assert "--poly-backend" in capsys.readouterr().err
+
     def test_unknown_engine_kwarg_fails_loudly(self):
         with pytest.raises(TypeError):
             DEFAULT_REGISTRY.create("plaintext", num_shards=4)

@@ -27,13 +27,15 @@ from repro.he.arena import (
 )
 from repro.he.backend import get_rns_basis
 from repro.he.bfv import BFVContext
-from repro.he.keys import generate_keys
+from repro.he.keys import KeyGenerator
 from repro.he.params import BFVParams
 from repro.he.poly import RingContext
 from tests.oracles import (
+    ARITHMETIC,
     dense_decrypt_flags,
     dense_flags,
     int64_decrypt_flags,
+    reference_arithmetic,
     scaled_decrypt_flags,
 )
 
@@ -71,7 +73,7 @@ def test_add_mod_q_matches_numpy_mod(n, q):
 @pytest.mark.parametrize("backend", ["vectorized", "reference"])
 @pytest.mark.parametrize("n", [64, 256])
 def test_mul_rows_by_poly_matches_scalar_products(n, q, backend):
-    ring = RingContext(n, q, backend=backend)
+    ring = ARITHMETIC[backend](RingContext(n, q))
     rng = np.random.default_rng(q % 9973 + n)
     rows = rng.integers(0, q, size=(6, n), dtype=np.int64)
     poly = ring.make(rng.integers(0, q, size=n, dtype=np.int64))
@@ -117,10 +119,12 @@ def test_scale_rows_matches_bfv_scaling(c0, c1):
 # ---------------------------------------------------------------------------
 
 
-def _setup(n=64, seed=11, backend=None):
+def _setup(n=64, seed=11, backend="vectorized"):
     params = BFVParams.test_small(n)
-    ctx = BFVContext(params, seed=seed, backend=backend)
-    sk, pk, _, _ = generate_keys(params, seed, backend=backend)
+    ctx = ARITHMETIC[backend](BFVContext(params, seed=seed))
+    keygen = ARITHMETIC[backend](KeyGenerator(params, seed))
+    sk = keygen.secret_key()
+    pk = keygen.public_key(sk)
     rng = np.random.default_rng(seed)
     pts = [
         ctx.plaintext(rng.integers(0, params.t, size=n, dtype=np.int64))
@@ -489,10 +493,10 @@ def test_arena_phases_are_c0_plus_the_rows_times_key_product(backend):
     the phase rows and no transform-domain copy of ``c1`` (slices read
     the root's phase rows, zero-copy)."""
     params, ctx, sk, pk, cts = _setup()
-    ring = RingContext(params.n, params.q, backend=backend)
+    ring = ARITHMETIC[backend](RingContext(params.n, params.q))
     arena = CiphertextArena.from_ciphertexts(ring, params, cts, build_tile=3)
     want = add_mod_q(arena.c0, mul_rows_by_poly(ring, arena.c1, sk.s), params.q)
-    reference = RingContext(params.n, params.q, backend="reference")
+    reference = reference_arithmetic(RingContext(params.n, params.q))
     for j, ct in enumerate(cts):
         slow = reference.make(ct.c0.coeffs) + reference.make(
             ct.c1.coeffs

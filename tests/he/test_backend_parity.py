@@ -1,7 +1,8 @@
-"""Property-based cross-backend parity for the polynomial ring.
+"""Property-based parity of the polynomial ring with its oracle.
 
-The vectorized RNS/NTT backend must be *bit-for-bit* equal to the
-reference big-int backend on every ring operation, for every supported
+The vectorized RNS/NTT backend — the one arithmetic ``src/`` has — must
+be *bit-for-bit* equal to the reference big-int backend
+(``tests/oracles.py``) on every ring operation, for every supported
 modulus shape: tiny moduli, the paper's power-of-two ``q = 2**32``,
 native NTT primes, odd composite moduli, and moduli near the 2**62
 support cap where the RNS limb count is largest (5 limbs) and the
@@ -18,16 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.he.backend import (
-    ReferenceBackend,
-    VectorizedBackend,
-    get_rns_basis,
-    mulmod_scalar,
-    resolve_backend,
-    set_default_backend,
-)
+from repro.core import ClientConfig
+from repro.he import BFVContext, BFVParams, KeyGenerator, generate_keys
+from repro.he.backend import VectorizedBackend, get_rns_basis, mulmod_scalar
 from repro.he.poly import RingContext
 from repro.he.primes import find_ntt_prime
+from tests.oracles import ReferenceBackend, reference_arithmetic
 
 # Moduli chosen to hit every backend regime:
 #   2                — minimal ring, single limb
@@ -48,10 +45,7 @@ DEGREES = [8, 64]
 
 
 def _rings(n: int, q: int) -> tuple[RingContext, RingContext]:
-    return (
-        RingContext(n, q, backend="reference"),
-        RingContext(n, q, backend="vectorized"),
-    )
+    return reference_arithmetic(RingContext(n, q)), RingContext(n, q)
 
 
 def _random_pair(ref, vec, rng):
@@ -219,48 +213,53 @@ def test_backend_parity_fuzz(seed, n, q):
 
 class TestBackendSelection:
     def test_default_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POLY_BACKEND", raising=False)
-        ring = RingContext(16, 1 << 32)
-        assert ring.backend_name == "vectorized"
+        """One arithmetic, whatever the environment says."""
+        monkeypatch.setenv("REPRO_POLY_BACKEND", "reference")
+        params = BFVParams.test_small(16)
+        ctx = BFVContext(params)
+        for ring in (
+            RingContext(16, 1 << 32),
+            ctx.ring,
+            ctx.plain_ring,
+            KeyGenerator(params).ring,
+        ):
+            assert type(ring.backend) is VectorizedBackend
 
     def test_explicit_instance(self):
-        backend = ReferenceBackend(16, 257)
-        ring = RingContext(16, 257, backend=backend)
-        assert ring.backend is backend
-
-    def test_instance_shape_mismatch_rejected(self):
-        backend = VectorizedBackend(16, 257)
-        with pytest.raises(ValueError, match="bound to"):
-            RingContext(32, 257, backend=backend)
+        """The oracle's ring is an equal ring that really multiplies on
+        the reference backend: its polynomials mix with the default
+        ring's, and its products leave no transform behind."""
+        ref, vec = _rings(16, 257)
+        assert type(ref.backend) is ReferenceBackend
+        assert (ref.backend.n, ref.backend.q) == (16, 257)
+        assert ref == vec and ref.backend is not vec.backend
+        rng = np.random.default_rng(1)
+        ra, va = _random_pair(ref, vec, rng)
+        rb, vb = _random_pair(ref, vec, rng)
+        want = ra * rb
+        assert ra._ntt is None and rb._ntt is None  # ran on the oracle
+        assert va * vb == want and va._ntt is not None
+        assert ra * vb == va * rb == want  # the left operand's ring runs
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown poly backend"):
-            RingContext(16, 257, backend="simd")
-
-    def test_set_default_backend(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POLY_BACKEND", raising=False)
-        try:
-            set_default_backend("reference")
-            assert RingContext(16, 257).backend_name == "reference"
-        finally:
-            set_default_backend(None)
-        assert RingContext(16, 257).backend_name == "vectorized"
-
-    def test_env_var_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POLY_BACKEND", "reference")
-        assert RingContext(16, 257).backend_name == "reference"
-        monkeypatch.setenv("REPRO_POLY_BACKEND", "bogus")
-        with pytest.raises(ValueError, match="REPRO_POLY_BACKEND"):
-            RingContext(16, 257)
-
-    def test_resolve_backend_roundtrip(self):
-        backend = resolve_backend("vectorized", 8, 17)
-        assert resolve_backend(backend, 8, 17) is backend
+        """No constructor takes a backend, by any name or instance."""
+        params = BFVParams.test_small(16)
+        for build in (
+            lambda **kw: RingContext(16, 257, **kw),
+            lambda **kw: BFVContext(params, **kw),
+            lambda **kw: KeyGenerator(params, **kw),
+            lambda **kw: generate_keys(params, 1, **kw),
+        ):
+            for backend in ("simd", "reference", VectorizedBackend(16, 257)):
+                with pytest.raises(TypeError, match="backend"):
+                    build(backend=backend)
+        with pytest.raises(TypeError, match="poly_backend"):
+            ClientConfig(params, poly_backend="reference")
 
 
 class TestNttCaching:
     def test_cache_populated_and_reused(self):
-        ring = RingContext(64, 1 << 32, backend="vectorized")
+        ring = RingContext(64, 1 << 32)
         rng = np.random.default_rng(3)
         a = ring.random_uniform(rng)
         b = ring.random_uniform(rng)
@@ -275,8 +274,8 @@ class TestNttCaching:
     def test_cache_shared_across_equal_rings(self):
         # Bases are lru-cached per (n, q), so a poly transformed in one
         # context reuses its cache in another equal context.
-        r1 = RingContext(64, 1 << 32, backend="vectorized")
-        r2 = RingContext(64, 1 << 32, backend="vectorized")
+        r1 = RingContext(64, 1 << 32)
+        r2 = RingContext(64, 1 << 32)
         assert get_rns_basis(64, 1 << 32) is get_rns_basis(64, 1 << 32)
         rng = np.random.default_rng(4)
         a = r1.random_uniform(rng)
@@ -287,7 +286,7 @@ class TestNttCaching:
         assert a._ntt is cached
 
     def test_copy_does_not_share_cache(self):
-        ring = RingContext(64, 1 << 32, backend="vectorized")
+        ring = RingContext(64, 1 << 32)
         rng = np.random.default_rng(5)
         a = ring.random_uniform(rng)
         b = ring.random_uniform(rng)

@@ -15,7 +15,7 @@ from repro.he import BFVContext, BFVParams, KeyGenerator
 from repro.he.keys import PublicKey
 from repro.he.poly import RingContext
 from repro.he.primes import find_ntt_prime
-from tests.oracles import count_transforms
+from tests.oracles import ARITHMETIC, count_transforms, reference_arithmetic
 
 PARAM_SETS = {
     "paper": BFVParams.paper,
@@ -28,8 +28,8 @@ PARAM_SETS = {
 
 
 def _endpoint(params, backend, seed=7):
-    ctx = BFVContext(params, seed=seed, backend=backend)
-    keygen = KeyGenerator(params, seed=seed, backend=backend)
+    ctx = ARITHMETIC[backend](BFVContext(params, seed=seed))
+    keygen = ARITHMETIC[backend](KeyGenerator(params, seed=seed))
     sk = keygen.secret_key()
     return ctx, sk, keygen.public_key(sk)
 
@@ -70,8 +70,8 @@ def test_fresh_row_equals_reference_encrypt_then_multiply(name, deterministic):
         for g, w in zip(got, want):
             assert g.dtype == np.int64 and np.array_equal(g, w)
     assert vec.counter.snapshot() == ref.counter.snapshot()
-    plain = BFVContext(params, seed=7, backend="vectorized")
-    with_phase = BFVContext(params, seed=7, backend="vectorized")
+    plain = BFVContext(params, seed=7)
+    with_phase = BFVContext(params, seed=7)
     pt = plain.plaintext(np.arange(params.n) % params.t)
     for _ in range(2):
         assert plain.encrypt(pt, vec_pk) == with_phase.encrypt_with_phase(
@@ -90,8 +90,8 @@ def test_fresh_row_at_the_operand_bounds(name):
     the join reduces as it goes)."""
     params = PARAM_SETS[name]()
     n, q = params.n, params.q
-    vec = RingContext(n, q, backend="vectorized")
-    ref = RingContext(n, q, backend="reference")
+    vec = RingContext(n, q)
+    ref = reference_arithmetic(RingContext(n, q))
     ones = np.ones(n, dtype=np.int64)
     signs = np.where(np.arange(n) % 2 == 0, 1, -1)
     # (pk value, mask, e1 value, secret key): same-sign operands stack
@@ -134,7 +134,7 @@ def test_piece_plan_is_two_pieces_at_paper_and_sized_from_the_checked_bound():
     ``<= 2**-8``."""
     params = BFVParams.paper()
     n, q = params.n, params.q
-    fft = RingContext(n, q, backend="vectorized").backend.fft
+    fft = RingContext(n, q).backend.fft
     levels = 10  # log2(512) + 1
     assert fft.limit == (1 << 45) // (15 * levels * n)
 
@@ -153,7 +153,7 @@ def test_piece_plan_is_two_pieces_at_paper_and_sized_from_the_checked_bound():
     assert fft.plan(last) == (8, 4) and fft.plan(last + 1) is None
     assert bound(8, last) <= 2.0**-8 < bound(8, 2 * last)
     secure = BFVParams.paper_secure()
-    wide = RingContext(secure.n, secure.q, backend="vectorized").backend.fft
+    wide = RingContext(secure.n, secure.q).backend.fft
     assert wide.plan(1) == (18, 3) and wide.plan(1000) == (14, 4)
 
 
@@ -240,7 +240,7 @@ def test_an_error_polynomial_beyond_the_budget_takes_the_split_product():
     params = BFVParams.paper()
     n, q = params.n, params.q
     vec, sk, pk = _endpoint(params, "vectorized")
-    ref = RingContext(n, q, backend="reference")
+    ref = reference_arithmetic(RingContext(n, q))
     backend = vec.ring.backend
     v_mag, _ = backend._pair_noise(pk.pk0, pk.pk1, sk.s)
     assert 0 < v_mag < 64  # the key generator's noise
@@ -263,8 +263,8 @@ def test_a_second_public_key_under_one_secret_key_recomputes_the_pair_noise():
     whose ``v`` is not small — never reads it."""
     params = BFVParams.paper()
     ctx, sk, first = _endpoint(params, "vectorized")
-    ref = RingContext(params.n, params.q, backend="reference")
-    second = KeyGenerator(params, seed=99, backend="vectorized").public_key(sk)
+    ref = reference_arithmetic(RingContext(params.n, params.q))
+    second = KeyGenerator(params, seed=99).public_key(sk)
     assert second.pk1 != first.pk1
     _, _, stranger = _endpoint(params, "vectorized", seed=8)
     backend = ctx.ring.backend
@@ -363,7 +363,7 @@ def test_public_key_of_foreign_polys_still_encrypts():
     whichever (equal) ring the key polynomials came from."""
     params = BFVParams.test_small(128)
     ctx, sk, pk = _endpoint(params, "vectorized")
-    other = RingContext(params.n, params.q, backend="vectorized")
+    other = RingContext(params.n, params.q)
     foreign = PublicKey(params, other.make(pk.pk0.coeffs), other.make(pk.pk1.coeffs))
     pt = ctx.plaintext(np.arange(params.n) % params.t)
     assert ctx.decrypt(ctx.encrypt(pt, foreign), sk).poly == pt.poly

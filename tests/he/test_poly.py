@@ -5,6 +5,7 @@ import pytest
 
 from repro.he.poly import RingContext, RingPoly, poly_from_chunks
 from repro.he.primes import find_ntt_prime
+from tests.oracles import ARITHMETIC
 
 
 @pytest.fixture(scope="module")
@@ -213,7 +214,7 @@ class TestWideModulusVectorization:
 
     @pytest.fixture(scope="class", params=["reference", "vectorized"])
     def wide_ring(self, request):
-        return RingContext(16, self.WIDE_Q, backend=request.param)
+        return ARITHMETIC[request.param](RingContext(16, self.WIDE_Q))
 
     def test_scalar_mul_wide_scalar(self, wide_ring):
         q = wide_ring.q

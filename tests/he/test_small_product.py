@@ -59,7 +59,7 @@ def _worst_operands(n, q, magnitude):
 @pytest.mark.parametrize("magnitude", [1, 2, 100, 1000])
 def test_small_product_equals_the_exact_convolution_on_worst_cases(name, magnitude):
     n, q = RINGS[name]()
-    ring = RingContext(n, q, backend="vectorized")
+    ring = RingContext(n, q)
     assert ring.backend.fft.plan(magnitude) is not None
     for big, small in _worst_operands(n, q, magnitude):
         want = _exact(big, small, q)
@@ -78,7 +78,7 @@ def test_one_past_the_piece_limit_takes_the_general_product(name):
     FFT at the very edge of its budget; one more and the operand is not
     small — the RNS product, same value."""
     n, q = RINGS[name]()
-    ring = RingContext(n, q, backend="vectorized")
+    ring = RingContext(n, q)
     fft = ring.backend.fft
     last = min(fft.limit >> 8, q // 2)
     big = np.full(n, q - 1, dtype=np.int64)
@@ -105,7 +105,7 @@ def test_one_past_the_piece_limit_takes_the_general_product(name):
 )
 def test_small_product_property(log_n, q, magnitude, seed):
     n = 1 << log_n
-    ring = RingContext(n, q, backend="vectorized")
+    ring = RingContext(n, q)
     rng = np.random.default_rng(seed)
     big = rng.integers(0, q, size=n, dtype=np.int64)
     magnitude = min(magnitude, q // 2)
@@ -121,7 +121,7 @@ def test_join_rejoins_without_wrapping_near_the_modulus_cap():
     a plain shift-and-add would pass ``2**63``."""
     for q in ((1 << 62) - 57, 1 << 61, BFVParams.paper_secure().q):
         n = 64
-        fft = RingContext(n, q, backend="vectorized").backend.fft
+        fft = RingContext(n, q).backend.fft
         bits, pieces = fft.plan(1)
         top = n << bits  # the largest |coefficient| of one piece product
         for sign in (1, -1):

@@ -1,10 +1,10 @@
-"""Full-pipeline backend regression: outsource -> query -> match ->
-decrypt must produce identical match offsets under the reference and
-vectorized polynomial backends, in both index-generation modes and
-through the sharded serving engine.
+"""Full-pipeline arithmetic regression: outsource -> query -> match ->
+decrypt must produce identical match offsets on the vectorized ring
+arithmetic and on the reference oracle's (``tests/oracles.py``), in both
+index-generation modes and through the sharded serving engine.
 
 The deterministic-index mode is the strongest check here: it compares
-*ciphertexts* coefficient-for-coefficient on the server, so any backend
+*ciphertexts* coefficient-for-coefficient on the server, so any
 divergence anywhere in the encrypt/multiply chain breaks matching
 outright rather than merely perturbing noise.
 """
@@ -19,6 +19,7 @@ from repro.core.match_polynomial import IndexMode
 from repro.he import BFVParams
 from repro.serve import ShardedSearchEngine
 from repro.utils.bits import random_bits
+from tests.oracles import ARITHMETIC, ReferenceBackend
 
 BACKENDS = ("reference", "vectorized")
 
@@ -34,6 +35,15 @@ def _workload():
     return params, db, query
 
 
+def _on(backend, client):
+    """A client built the normal way, computing on ``backend``: the
+    context's two rings and the one its keys were generated on."""
+    ARITHMETIC[backend](client.ctx, client.sk.s)
+    assert client.pk.pk0.ring is client.pk.pk1.ring is client.sk.s.ring
+    for ring in (client.ctx.ring, client.ctx.plain_ring, client.sk.s.ring):
+        assert (type(ring.backend) is ReferenceBackend) == (backend == "reference")
+
+
 @pytest.mark.parametrize(
     "index_mode", [IndexMode.CLIENT_DECRYPT, IndexMode.SERVER_DETERMINISTIC]
 )
@@ -42,14 +52,12 @@ def test_pipeline_matches_identical_across_backends(index_mode):
     results = {}
     for backend in BACKENDS:
         pipeline = SecureStringMatchPipeline(
-            ClientConfig(
-                params, index_mode=index_mode, key_seed=7, poly_backend=backend
-            )
+            ClientConfig(params, index_mode=index_mode, key_seed=7)
         )
+        _on(backend, pipeline.client)
         pipeline.outsource_database(db)
         report = pipeline.search(query)
         results[backend] = report.matches
-        assert pipeline.client.ctx.poly_backend == backend
     assert results["reference"] == results["vectorized"]
     assert len(results["vectorized"]) >= 3  # the planted occurrences
 
@@ -59,10 +67,9 @@ def test_sharded_engine_matches_identical_across_backends():
     batches = {}
     for backend in BACKENDS:
         engine = ShardedSearchEngine(
-            ClientConfig(params, key_seed=7),
-            num_shards=3,
-            poly_backend=backend,
+            ClientConfig(params, key_seed=7), num_shards=3
         )
+        _on(backend, engine.client)
         engine.outsource(db)
         report = engine.search_batch([query, query[:32]])
         batches[backend] = [r.matches for r in report.reports]
@@ -72,18 +79,16 @@ def test_sharded_engine_matches_identical_across_backends():
 
 def test_ciphertexts_bit_identical_under_deterministic_encryption():
     """With noiseless deterministic encryption the entire encrypted
-    database must be byte-identical across backends."""
+    database must be byte-identical on both arithmetics."""
     params, db, _ = _workload()
     encrypted = {}
     for backend in BACKENDS:
         pipeline = SecureStringMatchPipeline(
             ClientConfig(
-                params,
-                index_mode=IndexMode.SERVER_DETERMINISTIC,
-                key_seed=7,
-                poly_backend=backend,
+                params, index_mode=IndexMode.SERVER_DETERMINISTIC, key_seed=7
             )
         )
+        _on(backend, pipeline.client)
         encrypted[backend] = pipeline.outsource_database(db)
     ref, vec = encrypted["reference"], encrypted["vectorized"]
     assert len(ref.ciphertexts) == len(vec.ciphertexts)

@@ -1,5 +1,14 @@
 """Shared test oracles.
 
+:class:`ReferenceBackend` is the ring arithmetic the repo shipped with
+— one native NTT or the three-prime CRT convolution, big-int (object
+dtype) reductions — moved here verbatim when ``src/`` kept only
+:class:`~repro.he.backend.VectorizedBackend`.  No constructor takes it:
+:func:`reference_arithmetic` swaps it onto the rings of a context or
+key generator built the normal way (rings compare by ``(n, q)``, so
+polynomials and keys of either arithmetic interoperate), and every
+product of the production backend must equal its product bit for bit.
+
 :class:`PerPairAdder` is the differential oracle for the fused arena
 kernels: the same CPU additions as
 :class:`~repro.core.matcher.CPUAdditionBackend`, but it declines the
@@ -45,7 +54,84 @@ from repro.he.arena import (
     center_rows,
     scale_rows_to_plaintext,
 )
+from repro.he.backend import PolyBackend, _is_native_ntt_modulus
+from repro.he.ntt import exact_negacyclic_convolution, get_plan
+from repro.he.poly import RingContext
 from repro.ssd.queueing import SimulationResult
+
+
+class ReferenceBackend(PolyBackend):
+    """The repo's original exact path, kept as the parity oracle.
+
+    Multiplication and the per-index automorphism loop are verbatim the
+    pre-backend implementations; only provably-exact vectorizations are
+    applied (object-dtype numpy reductions instead of Python list
+    comprehensions, per the micro-benchmarks in ``bench_poly.py``).
+    """
+
+    name = "reference"
+
+    def __init__(self, n: int, q: int):
+        super().__init__(n, q)
+        self._plan = get_plan(n, q) if _is_native_ntt_modulus(n, q) else None
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self._plan is not None:
+            return self._plan.multiply(a, b)
+        exact = exact_negacyclic_convolution(a, b)
+        return (exact % self.q).astype(np.int64)
+
+    def scalar_mul(self, coeffs: np.ndarray, scalar: int) -> np.ndarray:
+        q = self.q
+        scalar %= q
+        # int64 products overflow once the combined magnitude reaches 2**63.
+        if scalar.bit_length() + (q - 1).bit_length() < 63:
+            return coeffs * scalar % q
+        return (coeffs.astype(object) * scalar % q).astype(np.int64)
+
+    def automorphism(self, coeffs: np.ndarray, k: int) -> np.ndarray:
+        n, q = self.n, self.q
+        out = np.zeros(n, dtype=np.int64)
+        k = k % (2 * n)
+        for i in range(n):
+            target = i * k % (2 * n)
+            if target < n:
+                out[target] = (out[target] + coeffs[i]) % q
+            else:
+                out[target - n] = (out[target - n] - coeffs[i]) % q
+        return out
+
+
+def reference_arithmetic(*holders):
+    """Put every ring of ``holders`` on a :class:`ReferenceBackend`, in
+    place, and return the first holder.  A holder is a ``RingContext``
+    or an object built the normal way that keeps its rings in ``ring`` /
+    ``plain_ring``: a ``BFVContext``, a ``KeyGenerator``, or a key's
+    ``RingPoly`` (every polynomial of one generator shares its ring).
+    Exact arithmetic on both sides, so a swapped context draws, encrypts
+    and decrypts the same bits — through the big-int path."""
+    for holder in holders:
+        if isinstance(holder, RingContext):
+            rings = [holder]
+        else:
+            rings = [
+                getattr(holder, name)
+                for name in ("ring", "plain_ring")
+                if hasattr(holder, name)
+            ]
+        if not rings:
+            raise TypeError(f"{holder!r} holds no ring")
+        for ring in rings:
+            ring.backend = ReferenceBackend(ring.n, ring.q)
+    return holders[0]
+
+
+#: test-parameter label -> what gives holders built the normal way
+#: that ring arithmetic (and returns the first)
+ARITHMETIC = {
+    "vectorized": lambda *holders: holders[0],
+    "reference": reference_arithmetic,
+}
 
 
 class PerPairAdder(CPUAdditionBackend):

@@ -31,18 +31,12 @@ import pytest
 from repro.core import ClientConfig, IndexMode
 from repro.he import BFVParams
 from repro.he import arena as arena_module
-from repro.he.backend import get_default_backend
 from repro.serve import ShardedSearchEngine
 from repro.serve import engine as engine_module
 from repro.utils.bits import random_bits
 from tests.oracles import count_transforms, dense_decrypt_flags, per_pair_factory
 
 QUERY_BITS = 40
-
-#: transforms (limb NTTs, small-product FFTs) exist on the vectorized
-#: backend only; under REPRO_POLY_BACKEND=reference the transform lists
-#: are (equally) empty
-VECTORIZED = get_default_backend() == "vectorized"
 
 
 def _database(params, rng):
@@ -158,7 +152,7 @@ def test_cold_search_is_the_same_work_whatever_the_query_says(monkeypatch, confi
         right_matches, right_seen, right_hits = seen[1]
         assert left_seen == right_seen, label
         assert left_seen["cache"][1] > 0 and left_seen["cache"][2] == 0, label
-        assert bool(left_seen["transforms"]) == VECTORIZED, label
+        assert left_seen["transforms"], label  # equal, and not vacuously
         if config == "fused":
             assert len(left_seen["kernels"]) == 2  # one per shard
             # per call: the summed tile, its flags — sized by the shard
@@ -196,12 +190,11 @@ def test_query_equality_is_the_documented_leak(monkeypatch):
     # transformed by the first search; what repeats is the per-row work:
     # (u, e1) forward together, the piece rows of pk0 u and pk1 u and
     # the phase row back together — 2 forward + 5 inverse FFTs per miss)
-    if VECTORIZED:
-        assert sorted(set(transforms)) == [
-            ("SmallProductFft", "forward", 1, (2, params.n)),
-            ("SmallProductFft", "inverse", 1, (5, params.n // 2)),
-        ]
-        assert len(transforms) == 2 * misses
+    assert sorted(set(transforms)) == [
+        ("SmallProductFft", "forward", 1, (2, params.n)),
+        ("SmallProductFft", "inverse", 1, (5, params.n // 2)),
+    ]
+    assert len(transforms) == 2 * misses
     assert engine.cache.stats().misses == 2 * misses
 
     _, report, twice, _ = _observe(monkeypatch, params, db, [planted, planted])

@@ -133,9 +133,8 @@ def test_variant_cache_hit_runs_no_transform():
     engine.outsource(db)
     with count_transforms() as cold:
         first = engine.search_batch([query])
-    if engine.client.ctx.poly_backend == "vectorized":
-        assert cold and {call[0] for call in cold} == {"SmallProductFft"}
-        assert ("SmallProductFft", "inverse", 1, (5, params.n // 2)) in cold
+    assert cold and {call[0] for call in cold} == {"SmallProductFft"}
+    assert ("SmallProductFft", "inverse", 1, (5, params.n // 2)) in cold
     misses = engine.cache.stats().misses
     with count_transforms() as warm:
         second = engine.search_batch([query])

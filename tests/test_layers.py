@@ -1,0 +1,115 @@
+"""Two contracts on ``src/repro`` read off its syntax trees.
+
+* **No environment reads.**  Nothing under ``src/`` touches
+  ``os.environ`` / ``os.getenv``: behaviour is a function of arguments,
+  never of the process environment (the last ``REPRO_*`` knob,
+  ``REPRO_POLY_BACKEND``, went in 6.0.0).
+* **The algorithm layer imports nothing above it.**  Modules under
+  ``repro.utils``, ``repro.he`` and ``repro.core`` import from ``repro``
+  only ``utils``, ``he``, ``core`` and the policy enum ``verify`` — never
+  a model (``flash``, ``ssd``, ``baselines``, ...) or service
+  (``serve``, ``api``, ``net``, ...) package, at module level or inside
+  a function.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import repro
+
+PACKAGE = Path(repro.__file__).parent
+ALGORITHM_LAYER = ("utils", "he", "core")
+ALLOWED_BELOW = set(ALGORITHM_LAYER) | {"verify"}
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv"}
+
+
+def _modules():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported(path: Path, tree: ast.AST):
+    """Every ``(line, dotted target)`` a module imports, relative forms
+    resolved against its own package."""
+    package = ["repro", *path.relative_to(PACKAGE).parent.parts]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = package[: len(package) - node.level + 1]
+                target = ".".join(base + ([node.module] if node.module else []))
+            else:
+                target = node.module
+            if node.module is None or target == "repro":
+                # ``from . import x`` / ``from repro import x``: the
+                # names are the submodules
+                for alias in node.names:
+                    yield node.lineno, f"{target}.{alias.name}"
+            else:
+                yield node.lineno, target
+
+
+def test_src_reads_no_environment_variable():
+    found = []
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ENVIRONMENT_NAMES
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+            ):
+                found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                for alias in node.names:
+                    if alias.name in ENVIRONMENT_NAMES:
+                        found.append(
+                            f"{path.relative_to(PACKAGE)}:{node.lineno} "
+                            f"from os import {alias.name}"
+                        )
+    assert found == []
+
+
+def test_algorithm_layer_imports_nothing_above_it():
+    upward = []
+    checked = 0
+    for path, tree in _modules():
+        if path.relative_to(PACKAGE).parts[0] not in ALGORITHM_LAYER:
+            continue
+        checked += 1
+        for line, target in _imported(path, tree):
+            parts = target.split(".")
+            if parts[0] != "repro":
+                continue
+            if len(parts) < 2 or parts[1] not in ALLOWED_BELOW:
+                upward.append(f"{path.relative_to(PACKAGE)}:{line} imports {target}")
+    assert checked > 20  # the walk found the layer
+    assert upward == []
+
+
+def test_the_import_walk_resolves_relative_and_local_imports():
+    """The resolver the contract rests on: relative levels, ``from .
+    import``, absolute forms and function-local imports."""
+    source = (
+        "import repro.serve.engine\n"
+        "from ..baselines.plaintext import matches_at\n"
+        "from . import packing\n"
+        "from .. import verify\n"
+        "from repro import api\n"
+        "def f():\n"
+        "    from ..he.poly import RingPoly\n"
+    )
+    path = PACKAGE / "core" / "client.py"
+    got = [target for _, target in _imported(path, ast.parse(source))]
+    assert got == [
+        "repro.serve.engine",
+        "repro.baselines.plaintext",
+        "repro.core.packing",
+        "repro.verify",
+        "repro.api",
+        "repro.he.poly",
+    ]
