@@ -1,6 +1,6 @@
 """Ring-product costs on the one arithmetic ``src/`` has.
 
-Two measurements, each between paths that exist in ``src/``:
+Three measurements, each between paths that exist in ``src/``:
 
 * negacyclic multiply at the paper modulus (``q = 2**32``) across ring
   degrees, cold (both operands fresh) against cached (one operand keeps
@@ -10,12 +10,18 @@ Two measurements, each between paths that exist in ``src/``:
   ``q = 2**32``): a cached public-key operand times a fresh ternary
   mask, on the general 3-limb basis (``*``) and as the exact float64
   FFT :meth:`~repro.he.poly.RingPoly.mul_by_small` sizes from the
-  mask's checked magnitude — the product under every fresh row.
+  mask's checked magnitude — the product under every fresh row;
+* one request's 39 query rows (a 48-bit read) at the paper's
+  parameters: 39 public-key ``encrypt`` calls — what database
+  outsourcing runs per polynomial — against one
+  ``encrypt_symmetric_rows`` pass under the secret key, what the key
+  holder encrypts its queries with.
 
 Runs standalone (``python benchmarks/bench_poly.py``) or under pytest.
 ``--quick`` restricts the multiply to n = 4096 and **exits non-zero if
-the small product is not at least 2x the general one** — the CI
-bench-smoke gate.
+the small product is not at least 2x the general one, or the 39-row
+pass takes more than 0.5x the 39 public-key encryptions** — the CI
+bench-smoke gates.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ import numpy as np
 from _util import emit
 
 from repro.eval.tables import format_table
+from repro.he import BFVContext, BFVParams, KeyGenerator
+from repro.he.arena import unstack_ciphertext
 from repro.he.poly import RingContext, RingPoly
 
 PAPER_Q = 1 << 32
@@ -112,11 +120,59 @@ def bench_ternary(n: int, q: int, reps: int, seed: int = DEFAULT_SEED) -> dict:
     }
 
 
+#: one request's query rows under the secret key against as many
+#: public-key encryptions (measured 0.42-0.43x on the 2-CPU reference
+#: host; above 0.5x the one-pass block encryptor is not what ran)
+QUERY_ROWS_GATE = 0.5
+#: distinct encrypted polynomials of a 48-bit read (scan-inproc-closed)
+QUERY_ROWS = 39
+
+
+def bench_query_rows(reps: int, seed: int = DEFAULT_SEED) -> dict:
+    """``QUERY_ROWS`` plaintext rows at ``paper()``: one public-key
+    ``encrypt`` each against one ``encrypt_symmetric_rows`` pass."""
+    params = BFVParams.paper()
+    ctx = BFVContext(params, seed=seed)
+    keygen = KeyGenerator(params, seed=seed)
+    sk = keygen.secret_key()
+    pk = keygen.public_key(sk)
+    rows = np.random.default_rng(seed + 5).integers(
+        0, params.t, size=(QUERY_ROWS, params.n), dtype=np.int64
+    )
+    plaintexts = [ctx.plaintext(row) for row in rows]
+    # a serving process has freed multi-MiB arrays (arena tiles, kernel
+    # scratch) long before its first query, after which glibc keeps
+    # freed heap instead of trimming it back at 128 KiB; a fresh
+    # process has not, and the pass's 48-96 KiB transients then cost a
+    # few hundred page faults per call, which this gate is not about
+    np.empty(1 << 23, dtype=np.uint8).fill(0)
+    block = ctx.encrypt_symmetric_rows(rows, sk)  # warms the key spectra
+    for pt, row in zip(plaintexts, block):
+        ct = unstack_ciphertext(ctx.ring, params, row.astype(np.int64))
+        assert ctx.decrypt(ct, sk).poly == ctx.decrypt(ctx.encrypt(pt, pk), sk).poly, (
+            "block row diverged — run tests/he/test_symmetric_rows.py"
+        )
+    # alternating, so both sides see the same host: each is a few ms
+    t_public = t_block = float("inf")
+    for _ in range(10 * reps):
+        t_public = min(
+            t_public, _time(lambda: [ctx.encrypt(pt, pk) for pt in plaintexts], 1)
+        )
+        t_block = min(t_block, _time(lambda: ctx.encrypt_symmetric_rows(rows, sk), 1))
+    return {
+        "rows": QUERY_ROWS,
+        "public_ms": t_public * 1e3,
+        "block_ms": t_block * 1e3,
+        "ratio": t_block / t_public,
+    }
+
+
 def run(quick: bool, seed: int = DEFAULT_SEED) -> int:
     reps = 7 if quick else 15
     degrees = [4096] if quick else [1024, 4096, 8192]
     mul_rows = [bench_mul(n, PAPER_Q, reps, seed) for n in degrees]
     ternary = bench_ternary(1024, PAPER_Q, reps, seed)
+    query = bench_query_rows(reps, seed)
 
     lines = [
         format_table(
@@ -140,6 +196,16 @@ def run(quick: bool, seed: int = DEFAULT_SEED) -> int:
                 f"{ternary['ternary_ms']:.3f}", f"{ternary['speedup']:.2f}x",
             ]],
         ),
+        "",
+        format_table(
+            "One request's query rows, n=1024 q=2**32 (best of %d)" % (10 * reps),
+            ["rows", "public-key encrypt x rows, ms",
+             "encrypt_symmetric_rows, ms", "ratio"],
+            [[
+                query["rows"], f"{query['public_ms']:.2f}",
+                f"{query['block_ms']:.2f}", f"{query['ratio']:.2f}x",
+            ]],
+        ),
     ]
     emit("bench_poly", "\n".join(lines))
 
@@ -156,6 +222,19 @@ def run(quick: bool, seed: int = DEFAULT_SEED) -> int:
         f"small product {ternary['speedup']:.2f}x the general one "
         f"(gate: {SMALL_PRODUCT_GATE}x)"
     )
+    if query["ratio"] > QUERY_ROWS_GATE:
+        print(
+            f"FAIL: {query['rows']} query rows in one pass under the secret "
+            f"key took {query['ratio']:.2f}x the time of {query['rows']} "
+            f"public-key encryptions (gate: {QUERY_ROWS_GATE}x)",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        f"{query['rows']} query rows in one pass: {query['ratio']:.2f}x the "
+        f"time of {query['rows']} public-key encryptions "
+        f"(gate: {QUERY_ROWS_GATE}x)"
+    )
     return 0
 
 
@@ -170,8 +249,9 @@ def main() -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="n=4096 multiply and the small product only; non-zero exit "
-        "if the small product is under 2x the general one (CI gate)",
+        help="n=4096 multiply, the small product and the query rows only; "
+        "non-zero exit if the small product is under 2x the general one or "
+        "the one-pass query rows over 0.5x the public-key ones (CI gates)",
     )
     parser.add_argument(
         "--seed", type=int, default=DEFAULT_SEED,

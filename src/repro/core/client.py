@@ -87,7 +87,8 @@ class CipherMatchClient:
         if self.config.index_mode is IndexMode.SERVER_DETERMINISTIC:
             seed = self.config.deterministic_seed
         return self.preparer.encrypt_variant(
-            prepared, variant_index, poly_index, self.pk, deterministic_seed=seed
+            prepared, variant_index, poly_index, self.pk, self.sk,
+            deterministic_seed=seed,
         )
 
     # -- result handling (line 12 and the verification step) -----------

@@ -22,6 +22,7 @@ from ..he.arena import (
     QueryArena,
     add_mod_q,
     fused_decrypt_flags,
+    query_row_layout,
     stack_ciphertext,
 )
 from ..he.bfv import BFVContext, Ciphertext
@@ -254,7 +255,12 @@ class SecureSearchEngine:
             ctx.params,
             prepared.variants,
             db.num_polynomials,
-            lambda v_idx, residue, j: stack_ciphertext(encrypt_variant(v_idx, j)),
+            [
+                stack_ciphertext(encrypt_variant(v_idx, j))
+                for v_idx, _, j in query_row_layout(
+                    prepared.variants, ctx.ring.n, db.num_polynomials
+                )
+            ],
         )
         count = prepared.num_variants * db.num_polynomials
         self.hom_add_count += count

@@ -35,13 +35,14 @@ matching §4.2.2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..he.bfv import BFVContext, Ciphertext, Plaintext
+from ..he.arena import unstack_ciphertext
+from ..he.bfv import BFVContext, Ciphertext
 from ..he.keys import PublicKey, SecretKey
-from ..he.poly import RingPoly
+from ..he.poly import row_dtype
 from ..utils.bits import chunk_bits, negate_bits
 from .packing import derive_masking_poly
 
@@ -169,19 +170,13 @@ class QueryPreparer:
     # Encryption
     # ------------------------------------------------------------------
 
-    def variant_plaintext(
-        self, variant: QueryVariant, poly_chunk_base: int
-    ) -> Plaintext:
-        n = self.ctx.params.n
-        coeffs = variant.coefficient_pattern(n, poly_chunk_base)
-        return self.ctx.plaintext(coeffs)
-
     def encrypt_variant(
         self,
         prepared: PreparedQuery,
         variant_index: int,
         poly_index: int,
         pk: PublicKey,
+        sk: SecretKey,
         *,
         deterministic_seed: int | None = None,
     ) -> Ciphertext:
@@ -196,53 +191,56 @@ class QueryPreparer:
         residue = poly_index * self.ctx.params.n % variant.span
         key = (variant_index, residue)
         if key not in prepared._cipher_cache:
-            prepared._cipher_cache[key] = self.encrypt_variant_value(
-                prepared,
-                variant_index,
-                residue,
-                pk,
-                deterministic_seed=deterministic_seed,
+            (row,) = self.encrypt_variant_value(
+                prepared, [key], pk, sk, deterministic_seed=deterministic_seed
+            )
+            prepared._cipher_cache[key] = unstack_ciphertext(
+                self.ctx.ring, self.ctx.params, row.astype(np.int64)
             )
         return prepared._cipher_cache[key]
 
     def encrypt_variant_value(
         self,
         prepared: PreparedQuery,
-        variant_index: int,
-        residue: int,
+        rows: Sequence[Tuple[int, int]],
         pk: PublicKey,
+        sk: SecretKey,
         *,
         deterministic_seed: int | None = None,
-        sk: SecretKey | None = None,
-    ) -> "Ciphertext | tuple[Ciphertext, RingPoly]":
-        """Encrypt the (variant, residue-class) query polynomial without
-        consulting or populating ``prepared``'s per-query cache.
+    ) -> np.ndarray:
+        """Encrypt the ``(variant, residue class)`` query polynomials
+        in ``rows`` in one pass, without consulting or populating
+        ``prepared``'s per-query cache.
 
-        The serving layer (:mod:`repro.serve`) calls this directly so its
-        *bounded* LRU cache is the only place variant ciphertexts are
-        retained.  ``residue`` stands in for the polynomial base index:
-        the coefficient layout only depends on ``poly_index * n`` modulo
-        the variant's span.  A key holder that passes ``sk`` gets
-        ``(ciphertext, phase)`` — the same ciphertext, with its
-        decryption phase from the same pass
-        (:meth:`BFVContext.encrypt_with_phase`).
+        The serving layer (:mod:`repro.serve`) calls this once per
+        request, with the rows its *bounded* LRU cache is missing, so
+        that cache is the only place they are retained.  ``residue``
+        stands in for the polynomial base index: the coefficient layout
+        only depends on ``poly_index * n`` modulo the variant's span.
+
+        The client holds both keys, so its queries are encrypted under
+        ``sk``: the ``(R, 3, n)`` block of
+        :meth:`BFVContext.encrypt_symmetric_rows` — ``c0``, ``c1`` and
+        the phase ``delta * m - e``.  With ``deterministic_seed`` the
+        rows are instead *defined* as a function of ``pk`` and the
+        shared seed (the comparator predicts ``pk0 * u``): the noiseless
+        public-key encryption database outsourcing uses, ``(R, 2, n)``,
+        no phase.  Either block is in :func:`~repro.he.poly.row_dtype`.
         """
-        variant = prepared.variants[variant_index]
-        pt = self.variant_plaintext(variant, residue)
-        mask = {}
-        if deterministic_seed is not None:
-            mask = dict(
-                noiseless=True,
-                u=derive_masking_poly(
-                    self.ctx,
-                    deterministic_seed,
-                    "qv",
-                    variant_cache_key(variant_index, residue),
-                ),
+        ctx, n = self.ctx, self.ctx.params.n
+        plain = np.empty((len(rows), n), dtype=np.int64)
+        for out, (v_idx, residue) in zip(plain, rows):
+            out[:] = prepared.variants[v_idx].coefficient_pattern(n, residue)
+        if deterministic_seed is None:
+            return ctx.encrypt_symmetric_rows(plain, sk)
+        block = np.empty((len(rows), 2, n), dtype=row_dtype(ctx.params.q))
+        for out, coeffs, (v_idx, residue) in zip(block, plain, rows):
+            u = derive_masking_poly(
+                ctx, deterministic_seed, "qv", variant_cache_key(v_idx, residue)
             )
-        if sk is None:
-            return self.ctx.encrypt(pt, pk, **mask)
-        return self.ctx.encrypt_with_phase(pt, pk, sk, **mask)
+            ct = ctx.encrypt(ctx.plaintext(coeffs), pk, noiseless=True, u=u)
+            out[0], out[1] = ct.c0.coeffs, ct.c1.coeffs
+        return block
 
 
 def _periodic_window(query_bits: np.ndarray, start: int, width: int) -> np.ndarray:

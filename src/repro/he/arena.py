@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
@@ -142,15 +142,6 @@ def phase_dtype(q: int) -> np.dtype:
     streams: ``uint32`` at ``q = 2**32``, where a wrapping add is the
     fold mod q, ``int64`` at every other modulus."""
     return np.dtype(np.uint32 if q == 1 << 32 else np.int64)
-
-
-def row_dtype(q: int) -> np.dtype:
-    """Narrowest unsigned type that holds ``[0, q)`` — the storage type
-    of a cached query row (:func:`stack_fresh_row`)."""
-    for dtype in (np.uint16, np.uint32):
-        if q - 1 <= np.iinfo(dtype).max:
-            return np.dtype(dtype)
-    return np.dtype(np.uint64)
 
 
 def _as_phase_rows(rows: np.ndarray, q: int) -> np.ndarray:
@@ -629,18 +620,38 @@ def fused_decrypt_flags(
 # ---------------------------------------------------------------------------
 
 
+def query_row_layout(
+    variants: Sequence, n: int, num_polynomials: int
+) -> List[Tuple[int, int, int]]:
+    """``(variant, residue, first polynomial)`` of every distinct
+    encrypted query polynomial of a prepared query, in the order
+    :class:`QueryArena` stacks them (and fresh ones draw from the
+    client's RNG).  ``(j * n) mod span`` repeats with period
+    ``span / gcd(n, span)`` in ``j`` and takes a different value at
+    each ``j`` below it: the first polynomials are the first
+    appearances of a variant's residue classes."""
+    layout = []
+    for v_idx, variant in enumerate(variants):
+        span = variant.span
+        period = span // math.gcd(n, span)
+        for j in range(min(num_polynomials, period)):
+            layout.append((v_idx, (j * n) % span, j))
+    return layout
+
+
 class QueryArena:
     """Stacked encrypted query variants for one prepared query.
 
     One row per *distinct* encrypted query polynomial — the coefficient
     layout of variant ``v`` against database polynomial ``j`` depends on
     ``j`` only through ``residue = (j * n) mod span``, so the row count
-    is O(variants), not O(variants x polynomials).  ``rows_for`` supplies
-    each row: the ``(2, n)`` rows of a ciphertext
-    (:func:`stack_ciphertext`), or the ``(3, n)`` rows of a fresh one
-    with its phase (:func:`stack_fresh_row` — what the serving cache
-    holds), in which case :meth:`phases` reads the phase rows it was
-    handed instead of multiplying by the secret key again.
+    is O(variants), not O(variants x polynomials).  ``rows`` holds them
+    in :func:`query_row_layout` order: the ``(2, n)`` rows of a
+    ciphertext (:func:`stack_ciphertext`), or the ``(3, n)`` rows of one
+    encrypted under the key holder's secret key with its phase
+    (:meth:`~repro.he.bfv.BFVContext.encrypt_symmetric_rows` — what the
+    serving cache holds), in which case :meth:`phases` reads the phase
+    rows it was handed instead of multiplying by the secret key.
     """
 
     def __init__(
@@ -649,44 +660,33 @@ class QueryArena:
         params: "BFVParams",
         variants: Sequence,
         num_polynomials: int,
-        rows_for: Callable[[int, int, int], np.ndarray],
+        rows: Sequence[np.ndarray],
     ):
         self.ring = ring
         self.params = params
         n = ring.n
-        rows: List[np.ndarray] = []
-        row_variant: List[int] = []
-        row_residue: List[int] = []
-        first_row: List[int] = []
-        periods: List[int] = []
-        for v_idx, variant in enumerate(variants):
-            span = variant.span
-            # (j * n) mod span repeats with this period in j and takes a
-            # different value at each j below it: the first polynomials
-            # are the first appearances of the residue classes (the
-            # order rows are requested in is the order fresh ones draw
-            # from the client's RNG)
-            period = span // math.gcd(n, span)
-            first_row.append(len(rows))
-            periods.append(period)
-            for j in range(min(num_polynomials, period)):
-                residue = (j * n) % span
-                rows.append(np.asarray(rows_for(v_idx, residue, j)))
-                row_variant.append(v_idx)
-                row_residue.append(residue)
-        self.num_variants = len(periods)
+        layout = query_row_layout(variants, n, num_polynomials)
+        if len(rows) != len(layout):
+            raise ValueError(
+                f"expected {len(layout)} query rows, got {len(rows)}"
+            )
+        self.num_variants = len(variants)
         self.num_polynomials = num_polynomials
         #: rows as handed: (num_rows, 2 or 3, n), any integer dtype
         self._rows = (
-            np.stack(rows) if rows else np.empty((0, 2, n), dtype=np.int64)
+            np.stack(rows) if layout else np.empty((0, 2, n), dtype=np.int64)
         )
         self._stack: np.ndarray | None = None
-        self.row_variant = np.asarray(row_variant, dtype=np.intp)
-        self.row_residue = np.asarray(row_residue, dtype=np.intp)
+        self.row_variant = np.asarray([v for v, _, _ in layout], dtype=np.intp)
+        self.row_residue = np.asarray([r for _, r, _ in layout], dtype=np.intp)
         #: per variant: its first row and how many polynomials apart two
         #: uses of one row are — all :meth:`row_map` needs
-        self._first_row = np.asarray(first_row, dtype=np.intp)[:, None]
-        self._period = np.asarray(periods, dtype=np.intp)[:, None]
+        self._first_row = np.searchsorted(
+            self.row_variant, np.arange(self.num_variants)
+        )[:, None]
+        self._period = np.asarray(
+            [v.span // math.gcd(n, v.span) for v in variants], dtype=np.intp
+        )[:, None]
         self._lock = threading.Lock()
         self._phase_cache: Tuple[object, np.ndarray] | None = None
 
@@ -720,9 +720,9 @@ class QueryArena:
     def phases(self, sk: "SecretKey") -> np.ndarray:
         """``(num_rows, n)`` decryption phases of the query rows in the
         kernel's :func:`phase_dtype`, cached per secret key.  Rows that
-        came with their phase (computed under the key holder's ``sk``
-        when they were encrypted) are read; bare ciphertext rows pay
-        one batched ``c1 * s`` multiply."""
+        came with their phase (``delta * m - e``, formed when the key
+        holder encrypted them under ``sk``) are read; bare ciphertext
+        rows pay one batched ``c1 * s`` multiply."""
         with self._lock:
             cached = self._phase_cache
             if cached is not None and cached[0] is sk:
@@ -745,19 +745,6 @@ def stack_ciphertext(ct: Ciphertext) -> np.ndarray:
     if ct.size != 2:
         raise ValueError("arena rows require size-2 ciphertexts")
     return np.stack([ct.c0.coeffs, ct.c1.coeffs])
-
-
-def stack_fresh_row(ct: Ciphertext, phase: RingPoly) -> np.ndarray:
-    """A fresh ciphertext and its decryption phase as one ``(3, n)``
-    row — ``c0``, ``c1``, ``c0 + c1 * s`` — in :func:`row_dtype`: the
-    serving cache's entry format (12 KiB at the paper's parameters).
-    The phase is ``delta * m + e``; it belongs on the key holder's
-    side of the trust boundary and never travels with the ciphertext."""
-    if ct.size != 2:
-        raise ValueError("arena rows require size-2 ciphertexts")
-    row = np.empty((3, len(phase.coeffs)), dtype=row_dtype(ct.params.q))
-    row[0], row[1], row[2] = ct.c0.coeffs, ct.c1.coeffs, phase.coeffs
-    return row
 
 
 def unstack_ciphertext(

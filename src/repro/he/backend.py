@@ -806,25 +806,14 @@ class PolyBackend:
         return np.stack([self.mul_poly(poly, small) for poly in polys])
 
     def fresh_row(
-        self,
-        pk0: "RingPoly",
-        pk1: "RingPoly",
-        u: np.ndarray,
-        e1: np.ndarray,
-        s: "RingPoly | None" = None,
-    ) -> Tuple[np.ndarray, np.ndarray, "np.ndarray | None"]:
+        self, pk0: "RingPoly", pk1: "RingPoly", u: np.ndarray, e1: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """The ring products of one fresh public-key encryption:
-        ``pk0 * u``, ``c1 = pk1 * u + e1`` and, for the key holder who
-        passes ``s``, ``c1 * s`` (else ``None``) — coefficient rows
-        mod q.  ``u`` and ``e1`` are *centered* int64 coefficient
-        vectors, as the samplers draw them."""
+        ``pk0 * u`` and ``c1 = pk1 * u + e1`` — coefficient rows mod q.
+        ``u`` and ``e1`` are *centered* int64 coefficient vectors, as
+        the samplers draw them."""
         u = self.fold(u)
-        c1 = self.fold(self.mul(pk1.coeffs, u) + e1)
-        return (
-            self.mul(pk0.coeffs, u),
-            c1,
-            None if s is None else self.mul(c1, s.coeffs),
-        )
+        return self.mul(pk0.coeffs, u), self.fold(self.mul(pk1.coeffs, u) + e1)
 
     def mul_rows_by_poly(self, rows: np.ndarray, poly: "RingPoly") -> np.ndarray:
         """Every ``(m, n)`` coefficient row (values in ``[0, q)``) times
@@ -883,7 +872,7 @@ class VectorizedBackend(PolyBackend):
     def _remember(poly: "RingPoly", key, transforms) -> None:
         """Keep a transform on ``poly._ntt``: under the basis for limb
         transforms, under the ``(bits, pieces)`` plan for piece spectra,
-        under ``"small"`` / ``"pair"`` for a small operand's own."""
+        under ``"small"`` for a small operand's own."""
         if poly._ntt is None:
             poly._ntt = {}
         poly._ntt[key] = transforms
@@ -942,22 +931,6 @@ class VectorizedBackend(PolyBackend):
             self._remember(poly, plan, spectra)
         return spectra
 
-    def _pair_noise(
-        self, pk0: "RingPoly", pk1: "RingPoly", s: "RingPoly"
-    ) -> Tuple[int, "np.ndarray | None"]:
-        """:meth:`_measured` of ``v = pk0 + pk1 * s`` — for a genuine
-        key pair the key generator's ``-e``, small; a mismatched pair's
-        is not.  Secret-key material: computed by an exact product
-        where ``s`` is, held on ``s`` beside its own spectrum for the
-        one public key it was derived from (another public key
-        recomputes it), dropped with ``s``, never serialized."""
-        held = s._ntt.get("pair") if s._ntt else None
-        if held is None or held[0] is not pk0 or held[1] is not pk1:
-            v = self.fold(pk0.coeffs + self.mul_by_small((pk1,), s)[0])
-            held = (pk0, pk1) + self._measured(self.centered(v))
-            self._remember(s, "pair", held)
-        return held[2:]
-
     def mul_by_small(
         self, polys: Sequence["RingPoly"], small: "RingPoly"
     ) -> np.ndarray:
@@ -975,59 +948,28 @@ class VectorizedBackend(PolyBackend):
         return self.fft.join(self.fft.inverse(spectra * f_small), plan[0])
 
     def fresh_row(
-        self,
-        pk0: "RingPoly",
-        pk1: "RingPoly",
-        u: np.ndarray,
-        e1: np.ndarray,
-        s: "RingPoly | None" = None,
-    ) -> Tuple[np.ndarray, np.ndarray, "np.ndarray | None"]:
-        """A fresh row from one stacked forward FFT of ``(u, e1)`` and
-        one stacked inverse of ``2 * pieces + 1`` rows: ``pk0 u`` and
-        ``pk1 u`` by pieces, and for the key holder the phase product
-        from ``c1 s = v u + e1 s - pk0 u (mod q)`` with
-        ``v = pk0 + pk1 s`` (:meth:`_pair_noise`) — small times small,
-        one inverse row, no splitting.
-
-        Every width follows a checked magnitude: the piece plan that of
-        ``u``; the phase row needs ``|v| |u| + |e1| |s|`` within the
-        budget, else (an ``e1`` beyond it, a mismatched key pair, a
-        large ``s``) ``c1 s`` is the rows-times-key product of the
-        finished ``c1``; a ``u`` too large for 8-bit pieces takes the
-        general products.  Nothing wraps.  Without ``s`` (database
-        outsourcing) ``e1`` is never transformed.
+        self, pk0: "RingPoly", pk1: "RingPoly", u: np.ndarray, e1: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """A fresh row from one forward FFT of ``u`` and one stacked
+        inverse of ``2 * pieces`` rows: ``pk0 u`` and ``pk1 u`` by
+        pieces, the width following the checked magnitude of ``u``; a
+        ``u`` too large for 8-bit pieces takes the general products.
+        Nothing wraps, and ``e1`` is never transformed.
         """
         fft = self.fft
-        u_mag = int(np.abs(u).max())
-        plan = fft.plan(u_mag)
+        plan = fft.plan(int(np.abs(u).max()))
         if plan is None:
-            return super().fresh_row(pk0, pk1, u, e1, s)
+            return super().fresh_row(pk0, pk1, u, e1)
         bits, pieces = plan
-        f_v = f_s = None
-        if s is not None:
-            s_mag, f_s = self._small_spectrum(s)
-            v_mag, f_v = self._pair_noise(pk0, pk1, s)
-            # small times small, both terms in one inverse row
-            if v_mag * u_mag + int(np.abs(e1).max()) * s_mag > fft.limit:
-                f_v = None
-        chained = f_v is not None and f_s is not None
-        work = np.empty((2 * pieces + int(chained), fft.half), dtype=np.complex128)
-        if chained:
-            f_u, f_e = fft.forward(np.stack([u, e1]))
-            np.multiply(f_v, f_u, out=work[-1])
-            work[-1] += f_s * f_e
-        else:
-            f_u = fft.forward(u)
+        f_u = fft.forward(u)
+        work = np.empty((2 * pieces, fft.half), dtype=np.complex128)
         np.multiply(self._piece_spectra(pk0, plan), f_u, out=work[:pieces])
-        np.multiply(self._piece_spectra(pk1, plan), f_u, out=work[pieces : 2 * pieces])
+        np.multiply(self._piece_spectra(pk1, plan), f_u, out=work[pieces:])
         parts = fft.inverse(work)
-        pk0_u = fft.join(parts[:pieces], bits)
-        c1 = self.fold(fft.join(parts[pieces : 2 * pieces], bits) + e1)
-        if s is None:
-            return pk0_u, c1, None
-        if chained:
-            return pk0_u, c1, self.fold(parts[-1] - pk0_u)
-        return pk0_u, c1, self.mul_rows_by_poly(c1[None], s)[0]
+        return (
+            fft.join(parts[:pieces], bits),
+            self.fold(fft.join(parts[pieces:], bits) + e1),
+        )
 
     def mul_rows_by_poly(self, rows: np.ndarray, poly: "RingPoly") -> np.ndarray:
         """Batched, bit-identical to ``m`` separate :meth:`mul_poly`

@@ -23,7 +23,15 @@ import numpy as np
 from .keys import GaloisKey, PublicKey, RelinKey, SecretKey
 from .ntt import exact_negacyclic_convolution
 from .params import BFVParams
-from .poly import RingContext, RingPoly
+from .poly import RingContext, RingPoly, row_dtype
+
+#: rows per pass of :meth:`BFVContext.encrypt_symmetric_rows`: enough
+#: to amortize the NumPy dispatch of a pass, few enough that its
+#: transients stay cache-resident and the largest — ``(rows, pieces,
+#: n)`` 8-byte cells, 96 KiB at the paper's parameters — stays under
+#: the allocator's 128 KiB mmap threshold (``docs/perf.md``, "Queries
+#: under the secret key, one pass per request": the tile sweep)
+_SYMMETRIC_TILE_ROWS = 6
 
 
 @dataclass
@@ -130,31 +138,6 @@ class BFVContext:
         deterministic function of the message, which the paper's
         server-side index generation implicitly requires.
         """
-        return self._fresh_row(pt, pk, None, noiseless, u)[0]
-
-    def encrypt_with_phase(
-        self,
-        pt: Plaintext,
-        pk: PublicKey,
-        sk: SecretKey,
-        *,
-        noiseless: bool = False,
-        u: RingPoly | None = None,
-    ) -> tuple[Ciphertext, RingPoly]:
-        """:meth:`encrypt` for the key holder: the same ciphertext from
-        the same RNG draws, plus its :meth:`phase` under ``sk``, formed
-        from the transforms the encryption already holds instead of a
-        second multiply."""
-        return self._fresh_row(pt, pk, sk, noiseless, u)
-
-    def _fresh_row(
-        self,
-        pt: Plaintext,
-        pk: PublicKey,
-        sk: SecretKey | None,
-        noiseless: bool,
-        u: RingPoly | None,
-    ) -> tuple[Ciphertext, RingPoly | None]:
         self.counter.encryptions += 1
         ring, params = self.ring, self.params
         backend = ring.backend
@@ -166,24 +149,62 @@ class BFVContext:
         else:
             e0 = ring.draw_error(self._rng, params.sigma)
             e1 = ring.draw_error(self._rng, params.sigma)
-        pk0_u, c1, c1_s = backend.fresh_row(
-            pk.pk0, pk.pk1, u, e1, None if sk is None else sk.s
-        )
+        pk0_u, c1 = backend.fresh_row(pk.pk0, pk.pk1, u, e1)
         # delta * m < q for m in [0, t): one add chain, one reduction
         c0 = backend.fold(pk0_u + e0 + pt.poly.coeffs * params.delta)
-        ct = Ciphertext(params, RingPoly(ring, c0), RingPoly(ring, c1))
-        if c1_s is None:
-            return ct, None
-        return ct, RingPoly(ring, backend.fold(c0 + c1_s))
+        return Ciphertext(params, RingPoly(ring, c0), RingPoly(ring, c1))
+
+    def encrypt_symmetric_rows(
+        self, plain_rows: np.ndarray, sk: SecretKey
+    ) -> np.ndarray:
+        """Secret-key encryption of a block of plaintext rows — what
+        the key holder encrypts its queries with.
+
+        ``plain_rows`` is ``(R, n)`` with coefficients in ``[0, t)``.
+        Returns the ``(R, 3, n)`` block, in :func:`~repro.he.poly.row_dtype`,
+        of ``c0``, ``c1`` and the decryption phase of every row:
+        ``c1 = a`` uniform, ``phase = delta * m - e`` with no product at
+        all, ``c0 = phase - a * s`` — one small-operand product per row
+        (``a`` by pieces against the cached spectrum of ``s``, sized
+        from its checked magnitude), one Gaussian draw.  The same RLWE
+        assumption as :meth:`encrypt`, whose ``(pk0, pk1)`` is one such
+        pair.  ``a`` then ``e`` are drawn, and the products run,
+        ``_SYMMETRIC_TILE_ROWS`` rows at a time.
+        """
+        params, ring = self.params, self.ring
+        backend = ring.backend
+        plain_rows = np.asarray(plain_rows, dtype=np.int64)
+        if plain_rows.ndim != 2 or plain_rows.shape[1] != params.n:
+            raise ValueError(
+                f"expected (rows, {params.n}) plaintext rows, got {plain_rows.shape}"
+            )
+        if plain_rows.size and not (
+            0 <= plain_rows.min() and plain_rows.max() < params.t
+        ):
+            raise ValueError(f"plaintext coefficients must lie in [0, {params.t})")
+        rows = len(plain_rows)
+        self.counter.encryptions += rows
+        block = np.empty((rows, 3, params.n), dtype=row_dtype(params.q))
+        for r0 in range(0, rows, _SYMMETRIC_TILE_ROWS):
+            tile = block[r0 : r0 + _SYMMETRIC_TILE_ROWS]
+            a = ring.draw_uniform(self._rng, len(tile))
+            e = ring.draw_error(self._rng, params.sigma, len(tile))
+            # delta * m < q for m in [0, t)
+            phase = backend.fold(plain_rows[r0 : r0 + len(tile)] * params.delta - e)
+            tile[:, 0] = backend.fold(phase - backend.mul_rows_by_poly(a, sk.s))
+            tile[:, 1] = a
+            tile[:, 2] = phase
+        return block
 
     def encrypt_symmetric(self, pt: Plaintext, sk: SecretKey) -> Ciphertext:
-        """Secret-key encryption (used by key-switching tests)."""
-        self.counter.encryptions += 1
-        a = self.ring.random_uniform(self._rng)
-        e = self.ring.random_error(self._rng, self.params.sigma)
-        scaled = self.ring.make(pt.poly.coeffs).scalar_mul(self.params.delta)
-        c0 = -(a * sk.s) - e + scaled
-        return Ciphertext(self.params, c0, a)
+        """Secret-key encryption of one plaintext: the one-row call of
+        :meth:`encrypt_symmetric_rows`."""
+        c0, c1, _ = self.encrypt_symmetric_rows(pt.poly.coeffs[None], sk)[0].astype(
+            np.int64
+        )
+        return Ciphertext(
+            self.params, RingPoly(self.ring, c0), RingPoly(self.ring, c1)
+        )
 
     def phase(self, ct: Ciphertext, sk: SecretKey) -> RingPoly:
         """The decryption phase ``c0 + c1 s [+ c2 s^2]`` in ``R_q`` —

@@ -52,6 +52,14 @@ class NoiseBounds:
         ``B * sqrt(2n + 1)``, which the measured-noise tests verify."""
         return self.b_err * math.sqrt(2 * self.params.n + 1)
 
+    @property
+    def fresh_symmetric(self) -> float:
+        """Fresh secret-key encryption (the key holder's query rows):
+        the phase is ``delta * m - e``, one error sample and no
+        product, so the bound is :attr:`b_err` itself — no
+        ``sqrt(2n + 1)`` factor."""
+        return self.b_err
+
     def after_adds(self, count: int) -> float:
         """Addition is linear: noise grows by at most the sum of the
         operands' noise (a conservative envelope — independent noise

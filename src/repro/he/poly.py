@@ -65,21 +65,25 @@ class RingContext:
         coeffs[deg] = (sign * coefficient) % self.q
         return RingPoly(self, coeffs)
 
+    def draw_uniform(self, rng: np.random.Generator, rows: int) -> np.ndarray:
+        """``(rows, n)`` uniform coefficients in ``[0, q)`` (q <= 2**62
+        fits the int64 sampler)."""
+        return rng.integers(0, self.q, size=(rows, self.n), dtype=np.int64)
+
     def random_uniform(self, rng: np.random.Generator) -> "RingPoly":
-        if self.q <= (1 << 63) - 1:
-            coeffs = rng.integers(0, self.q, size=self.n, dtype=np.int64)
-        else:  # pragma: no cover - q capped at 2**62 above
-            coeffs = np.array([int(rng.integers(0, self.q)) for _ in range(self.n)])
-        return RingPoly(self, coeffs)
+        return RingPoly(self, self.draw_uniform(rng, 1)[0])
 
     def draw_ternary(self, rng: np.random.Generator) -> np.ndarray:
         """Uniform ternary coefficients ({-1, 0, 1}), centered as drawn."""
         return rng.integers(-1, 2, size=self.n, dtype=np.int64)
 
-    def draw_error(self, rng: np.random.Generator, sigma: float) -> np.ndarray:
+    def draw_error(
+        self, rng: np.random.Generator, sigma: float, rows: int | None = None
+    ) -> np.ndarray:
         """Rounded-Gaussian coefficients with std-dev ``sigma``,
-        centered as drawn."""
-        return np.rint(rng.normal(0.0, sigma, size=self.n)).astype(np.int64)
+        centered as drawn: one polynomial, or a ``(rows, n)`` block."""
+        size = self.n if rows is None else (rows, self.n)
+        return np.rint(rng.normal(0.0, sigma, size=size)).astype(np.int64)
 
     def random_ternary(self, rng: np.random.Generator) -> "RingPoly":
         """Uniform ternary polynomial ({-1, 0, 1}) — the secret-key sampler."""
@@ -222,6 +226,15 @@ class RingPoly:
     def __repr__(self) -> str:
         head = ", ".join(str(int(c)) for c in self.coeffs[:4])
         return f"RingPoly(n={self.ring.n}, q={self.ring.q}, coeffs=[{head}, ...])"
+
+
+def row_dtype(q: int) -> np.dtype:
+    """Narrowest unsigned type that holds ``[0, q)`` — the storage type
+    of a cached query row."""
+    for dtype in (np.uint16, np.uint32):
+        if q - 1 <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.uint64)
 
 
 def poly_from_chunks(ring: RingContext, chunks: Iterable[int]) -> RingPoly:

@@ -8,21 +8,25 @@ used variant ciphertexts under a hard entry bound and reports
 hit/miss/eviction statistics so the serving report can surface cache
 effectiveness.
 
-The cache also doubles as the encryption serialization point: BFV
+The cache also doubles as the encryption serialization point: query
 encryption draws from the client's (non-thread-safe) RNG, so the miss
 path runs the factory under the cache lock, which guarantees each key
-is encrypted at most once per residency.  That serialized miss — fresh
-rows and their phases — is the larger part of a cache-missing search
-(``docs/perf.md``, "Query side sized to its operands"), which is why a
-hit must cost a dictionary lookup and nothing else.
+is encrypted at most once per residency.  A request asks for all of its
+keys in one :meth:`~VariantCipherCache.get_or_create` call — one lock
+round trip, one factory call that encrypts every missing row in one
+pass (``docs/perf.md``, "Queries under the secret key, one pass per
+request") — and a hit costs a dictionary lookup and nothing else: no
+transform, no draw.
 
 Values are whatever the serving path caches per (query, variant,
-residue-class): the sharded engine stores one
-:func:`~repro.he.arena.stack_fresh_row` entry — the ``c0``, ``c1`` and
-phase rows as a ``(3, n)`` array in the narrowest unsigned type that
-holds ``[0, q)``, 12 KiB at the paper's parameters (256 entries:
-3 MiB).  The phase row is ``delta * m + e``: the cache lives on the key
-holder's side of the trust boundary (``docs/serving.md``).
+residue-class).  The sharded engine stores one row of
+:meth:`~repro.he.bfv.BFVContext.encrypt_symmetric_rows` per entry — the
+``c0``, ``c1`` and phase rows as a ``(3, n)`` array in the narrowest
+unsigned type that holds ``[0, q)``, 12 KiB at the paper's parameters
+(256 entries: 3 MiB) — and, in ``SERVER_DETERMINISTIC`` mode, the
+``(2, n)`` ciphertext rows alone.  The phase row is ``delta * m - e``:
+the cache lives on the key holder's side of the trust boundary
+(``docs/serving.md``).
 
 Byte accounting (multi-tenant serving)
 --------------------------------------
@@ -42,7 +46,7 @@ import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional, Tuple, TypeVar
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 V = TypeVar("V")
 
@@ -126,9 +130,9 @@ class VariantCipherCache:
         "coldest entry across tenants" a meaningful comparison;
         defaults to a private counter.
     on_insert:
-        Called with this cache *after* a miss inserts a value (outside
-        the cache lock) — the broker's hook to apply cross-tenant
-        pressure without entangling locks.
+        Called with this cache *after* a call inserted values — once
+        per call, outside the cache lock — the broker's hook to apply
+        cross-tenant pressure without entangling locks.
     """
 
     def __init__(
@@ -162,32 +166,51 @@ class VariantCipherCache:
         with self._lock:
             return [entry.value for entry in self._entries.values()]
 
-    def get_or_create(self, key: Hashable, factory: Callable[[], V]) -> V:
-        """Return the cached value for ``key``, creating it on miss.
+    def get_or_create(
+        self,
+        keys: Sequence[Hashable],
+        factory: Callable[[List[Hashable]], Sequence[V]],
+    ) -> List[V]:
+        """Return the cached values for ``keys`` (distinct, in order),
+        creating the missing ones in one ``factory(missing_keys)`` call.
 
         The factory runs under the cache lock (see module docstring), so
-        it must not re-enter the cache.
+        it must not re-enter the cache.  Bounds are enforced — and
+        ``on_insert`` runs — once, after every created value is in: the
+        call returns all of its values even when it inserts more than
+        the cache holds.
         """
-        inserted = False
+        if len(set(keys)) != len(keys):
+            raise ValueError("the keys of one call must be distinct")
+        values: List[V] = [None] * len(keys)  # type: ignore[list-item]
+        missing: List[int] = []
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
+            for i, key in enumerate(keys):
+                entry = self._entries.get(key)
+                if entry is None:
+                    missing.append(i)
+                    continue
                 self._entries.move_to_end(key)
                 entry.last_touch = self._clock()
-                self.hits += 1
-                value = entry.value
-            else:
-                self.misses += 1
-                value = factory()
-                self._entries[key] = _Entry(
-                    value, entry_nbytes(value), self._clock()
-                )
-                self.current_bytes += self._entries[key].nbytes
+                values[i] = entry.value
+            self.hits += len(keys) - len(missing)
+            if missing:
+                self.misses += len(missing)
+                created = factory([keys[i] for i in missing])
+                if len(created) != len(missing):
+                    raise ValueError(
+                        f"factory made {len(created)} values for "
+                        f"{len(missing)} missing keys"
+                    )
+                for i, value in zip(missing, created):
+                    entry = _Entry(value, entry_nbytes(value), self._clock())
+                    self._entries[keys[i]] = entry
+                    self.current_bytes += entry.nbytes
+                    values[i] = value
                 self._evict_over_bounds_locked()
-                inserted = True
-        if inserted and self._on_insert is not None:
+        if missing and self._on_insert is not None:
             self._on_insert(self)
-        return value  # type: ignore[return-value]
+        return values
 
     def _evict_over_bounds_locked(self) -> None:
         while len(self._entries) > self.capacity:

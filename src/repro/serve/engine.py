@@ -25,9 +25,9 @@ Execution model
   die-group and protects stateful backends such as
   :class:`~repro.ssd.device.IFPAdditionBackend` from concurrent
   callers of one engine).
-* Variant encryption (and the phase of each fresh row) goes through the
-  shared bounded LRU :class:`~repro.serve.cache.VariantCipherCache` and
-  is the larger part of a cache-missing search.
+* Variant encryption — under the client's secret key, one pass over
+  the rows a request is missing — goes through the shared bounded LRU
+  :class:`~repro.serve.cache.VariantCipherCache`.
 * A shard whose backend is a plain CPU adder (``supports_fused``)
   holds a zero-copy slice of the database's ciphertext arena and its
   task reduces to a few broadcast kernels (see :mod:`repro.he.arena`).
@@ -50,7 +50,7 @@ from ..he.arena import (
     CiphertextArena,
     QueryArena,
     fused_decrypt_flags,
-    stack_fresh_row,
+    query_row_layout,
     unstack_ciphertext,
 )
 from ..he.bfv import BFVContext, Ciphertext
@@ -470,42 +470,42 @@ class ShardedSearchEngine:
     def _job_query_arena(self, job: _QueryJob) -> QueryArena:
         """The job's stacked query-variant rows and its row map, built
         by the first shard task to need them.  Rows live in the shared
-        :class:`VariantCipherCache` as :func:`stack_fresh_row` entries
-        — ciphertext rows and the phase row computed once, at the miss
-        — so a repeated query skips encryption *and* the ``c1 * s``
-        multiply: the fused kernel reads the phase row, the per-pair
+        :class:`VariantCipherCache` — under ``CLIENT_DECRYPT`` the
+        ``(3, n)`` ciphertext rows and phase row of a query polynomial
+        encrypted under the client's secret key — and one locked call
+        asks for all of the request's rows and encrypts the missing
+        ones in one pass, so a repeated query skips encryption
+        altogether: the fused kernel reads the phase row, the per-pair
         adder and the comparator the ciphertext rows of the same entry.
         """
         if job.query_arena is None:
             det_seed = None
             if self.config.index_mode is IndexMode.SERVER_DETERMINISTIC:
                 det_seed = self.config.deterministic_seed
-            ctx = self.client.ctx
+            ctx, client = self.client.ctx, self.client
+            num_polys = self.db.num_polynomials
 
-            def fresh_row(v_idx: int, residue: int) -> np.ndarray:
-                return stack_fresh_row(
-                    *self.client.preparer.encrypt_variant_value(
-                        job.prepared, v_idx, residue, self.client.pk,
-                        deterministic_seed=det_seed, sk=self.client.sk,
+            def encrypt(missing: list) -> List[np.ndarray]:
+                block = client.preparer.encrypt_variant_value(
+                    job.prepared, [key[1:] for key in missing],
+                    client.pk, client.sk, deterministic_seed=det_seed,
+                )
+                # each entry owns its memory: evicting one frees it
+                return [row.copy() for row in block]
+
+            rows = self.cache.get_or_create(
+                [
+                    (job.key, v_idx, residue)
+                    for v_idx, residue, _ in query_row_layout(
+                        job.prepared.variants, ctx.ring.n, num_polys
                     )
-                )
-
-            def rows_for(v_idx: int, residue: int, j: int) -> np.ndarray:
-                return self.cache.get_or_create(
-                    (job.key, v_idx, residue),
-                    lambda: fresh_row(v_idx, residue),
-                )
-
+                ],
+                encrypt,
+            )
             job.query_arena = QueryArena(
-                ctx.ring,
-                ctx.params,
-                job.prepared.variants,
-                self.db.num_polynomials,
-                rows_for,
+                ctx.ring, ctx.params, job.prepared.variants, num_polys, rows
             )
-            job.row_map = job.query_arena.row_map(
-                np.arange(self.db.num_polynomials)
-            )
+            job.row_map = job.query_arena.row_map(np.arange(num_polys))
         return job.query_arena
 
     # -- shard execution -------------------------------------------------

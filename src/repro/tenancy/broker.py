@@ -20,9 +20,9 @@ it the way a shared buffer pool would:
   if only floor bytes remain, the broker stops even while over budget.
 
 The broker hooks each cache's ``on_insert`` callback, so pressure is
-applied synchronously on the insert that caused the overflow (no
-background sweeper, no window where the fleet is unboundedly over
-budget by more than one entry).
+applied synchronously on the call that caused the overflow, once after
+its inserts (no background sweeper, no window where the fleet is over
+budget by more than one request's rows).
 """
 
 from __future__ import annotations

@@ -107,23 +107,23 @@ class TestVariantEncryption:
     def test_encrypted_variant_decrypts_to_pattern(self, ctx, preparer, keys, rng):
         sk, pk = keys
         prepared = preparer.prepare(random_bits(32, rng))
-        ct = preparer.encrypt_variant(prepared, 0, 0, pk)
+        ct = preparer.encrypt_variant(prepared, 0, 0, pk, sk)
         pt = ctx.decrypt(ct, sk)
-        expected = preparer.variant_plaintext(prepared.variants[0], 0)
-        assert np.array_equal(pt.poly.coeffs, expected.poly.coeffs)
+        expected = prepared.variants[0].coefficient_pattern(ctx.params.n, 0)
+        assert np.array_equal(pt.poly.coeffs, expected)
 
     def test_cache_by_residue(self, preparer, keys, rng):
-        _, pk = keys
+        sk, pk = keys
         prepared = preparer.prepare(random_bits(16, rng))  # span 1 everywhere
-        ct0 = preparer.encrypt_variant(prepared, 0, 0, pk)
-        ct1 = preparer.encrypt_variant(prepared, 0, 5, pk)
+        ct0 = preparer.encrypt_variant(prepared, 0, 0, pk, sk)
+        ct1 = preparer.encrypt_variant(prepared, 0, 5, pk, sk)
         assert ct0 is ct1  # same residue class -> cached object
 
     def test_cache_distinguishes_variants(self, preparer, keys, rng):
-        _, pk = keys
+        sk, pk = keys
         prepared = preparer.prepare(random_bits(16, rng))
-        ct0 = preparer.encrypt_variant(prepared, 0, 0, pk)
-        ct1 = preparer.encrypt_variant(prepared, 1, 0, pk)
+        ct0 = preparer.encrypt_variant(prepared, 0, 0, pk, sk)
+        ct1 = preparer.encrypt_variant(prepared, 1, 0, pk, sk)
         assert ct0 is not ct1
 
 

@@ -169,7 +169,9 @@ class TestServiceFaults:
                 client.close()
 
     def test_request_timeout_bounds_the_caller(self):
-        with _service() as service:
+        # the first shard task stalls 50 ms, so the 0.1 ms bound expires
+        # however fast a search is and whichever thread runs first
+        with _service(fault_plan=FaultPlan().slow_shard(0, shard=0)) as service:
             client = Client(service.address)
             try:
                 client.outsource(_db())

@@ -23,6 +23,7 @@ from repro.he.arena import (
     fused_decrypt_flags,
     mul_rows_by_poly,
     scale_rows_to_plaintext,
+    query_row_layout,
     stack_ciphertext,
 )
 from repro.he.backend import get_rns_basis
@@ -585,16 +586,17 @@ def test_query_arena_rows_and_map_cover_residue_classes():
     preparer = QueryPreparer(ctx, 16)
     rng = np.random.default_rng(8)
     prepared = preparer.prepare(rng.integers(0, 2, 48).astype(np.uint8))
-    calls = []
-
-    def rows_for(v_idx, residue, j):
-        calls.append((v_idx, residue))
-        ct = preparer.encrypt_variant(prepared, v_idx, j, pk)
-        return stack_ciphertext(ct)
-
     num_polys = 7
-    qa = QueryArena(ctx.ring, params, prepared.variants, num_polys, rows_for)
-    assert len(calls) == len(set(calls)) == qa.num_rows  # one row per class
+    layout = query_row_layout(prepared.variants, params.n, num_polys)
+    rows = [
+        stack_ciphertext(preparer.encrypt_variant(prepared, v_idx, j, pk, sk))
+        for v_idx, _, j in layout
+    ]
+    qa = QueryArena(ctx.ring, params, prepared.variants, num_polys, rows)
+    classes = [(v_idx, residue) for v_idx, residue, _ in layout]
+    assert len(classes) == len(set(classes)) == qa.num_rows  # one row per class
+    with pytest.raises(ValueError, match="query rows"):
+        QueryArena(ctx.ring, params, prepared.variants, num_polys, rows[1:])
     row_map = qa.row_map(np.arange(num_polys))
     assert row_map.shape == (prepared.num_variants, num_polys)
     n = ctx.params.n
@@ -609,9 +611,9 @@ def test_query_arena_rows_and_map_cover_residue_classes():
 
 @pytest.mark.parametrize("num_polys", [1, 7, 40])
 def test_query_arena_asks_for_rows_in_first_appearance_order(num_polys):
-    """The order rows are requested in is the order fresh rows draw
-    from the client's RNG: per variant, each residue class at the first
-    polynomial that lands in it — the polynomial-by-polynomial scan
+    """The order rows are laid out in (``query_row_layout``) is the
+    order fresh rows draw from the client's RNG: per variant, each
+    residue class at the first polynomial that lands in it — the polynomial-by-polynomial scan
     spelled out, and the ``np.unique`` + ``argsort`` form the arena ran
     per variant before it read the order off the period
     ``span // gcd(n, span)``; the row map against the residue LUT."""
@@ -641,15 +643,11 @@ def test_query_arena_asks_for_rows_in_first_appearance_order(num_polys):
             for res, j in zip(residues[order].tolist(), first[order].tolist())
         ]
     assert by_unique == want
-    calls = []
-
-    def rows_for(v_idx, residue, j):
-        calls.append((v_idx, residue, j))
-        return np.full((2, n), len(calls), dtype=np.int64)
-
-    qa = QueryArena(ctx.ring, params, prepared.variants, num_polys, rows_for)
-    assert calls == want
-    assert all(type(x) is int for call in calls for x in call)
+    layout = query_row_layout(prepared.variants, n, num_polys)
+    assert layout == want
+    assert all(type(x) is int for entry in layout for x in entry)
+    rows = [np.full((2, n), row + 1, dtype=np.int64) for row in range(len(layout))]
+    qa = QueryArena(ctx.ring, params, prepared.variants, num_polys, rows)
     row_map = qa.row_map(np.arange(num_polys))
     assert row_map.dtype == np.intp
     row_of = {(v_idx, residue): row for row, (v_idx, residue, _) in enumerate(want)}
@@ -669,26 +667,22 @@ def test_query_arena_reads_the_phase_rows_it_was_handed():
     ciphertext rows still pay the batched multiply, same values."""
     params, ctx, sk, pk, cts = _setup()
     from repro.core.query import QueryPreparer
-    from repro.he.arena import stack_fresh_row
     from tests.oracles import count_transforms
 
     preparer = QueryPreparer(ctx, 16)
     rng = np.random.default_rng(12)
     prepared = preparer.prepare(rng.integers(0, 2, 48).astype(np.uint8))
-    fresh = {}
-
-    def bare(v_idx, residue, j):
-        ct = preparer.encrypt_variant(prepared, v_idx, j, pk)
-        fresh[v_idx, residue] = stack_fresh_row(ct, ctx.phase(ct, sk))
-        return stack_ciphertext(ct)
-
-    computed = QueryArena(ctx.ring, params, prepared.variants, 5, bare)
-    handed = QueryArena(
-        ctx.ring, params, prepared.variants, 5,
-        lambda v_idx, residue, j: fresh[v_idx, residue],
+    fresh = preparer.encrypt_variant_value(
+        prepared,
+        [entry[:2] for entry in query_row_layout(prepared.variants, params.n, 5)],
+        pk, sk,
     )
-    assert all(row.shape == (3, params.n) and row.dtype == np.uint32
-               for row in fresh.values())
+    assert fresh.shape[1:] == (3, params.n) and fresh.dtype == np.uint32
+    handed = QueryArena(ctx.ring, params, prepared.variants, 5, list(fresh))
+    computed = QueryArena(
+        ctx.ring, params, prepared.variants, 5,
+        [row[:2].astype(np.int64) for row in fresh],
+    )
     with count_transforms() as calls:
         got = handed.phases(sk)
     assert calls == []

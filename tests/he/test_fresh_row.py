@@ -1,9 +1,10 @@
-"""A fresh row — ``encrypt_with_phase``: the ciphertext ``encrypt``
-returns plus its phase ``c0 + c1 * s`` from the same pass — through the
-vectorized backend's small-operand FFT product, against the reference
-backend's plain ``encrypt`` followed by ``c0 + c1 * s`` from the same
-RNG state.  Exact arithmetic on both sides: every comparison is ``==``
-on the coefficient vectors."""
+"""A fresh public-key row — ``encrypt``, what database outsourcing and
+the deterministic mode's query masks run — through the vectorized
+backend's small-operand FFT product, and its phase ``c0 + c1 * s``
+after the fact, against the reference backend's from the same RNG
+state.  Exact arithmetic on both sides: every comparison is ``==`` on
+the coefficient vectors.  (The key holder's query rows are encrypted
+under the secret key: ``tests/he/test_symmetric_rows.py``.)"""
 
 from __future__ import annotations
 
@@ -35,9 +36,8 @@ def _endpoint(params, backend, seed=7):
 
 
 def _fresh_row(ctx, sk, pk, pt, **kwargs):
-    ct, phase = ctx.encrypt_with_phase(pt, pk, sk, **kwargs)
-    assert ctx.phase(ct, sk) == phase  # the after-the-fact form agrees
-    return ct.c0.coeffs, ct.c1.coeffs, phase.coeffs
+    ct = ctx.encrypt(pt, pk, **kwargs)
+    return ct.c0.coeffs, ct.c1.coeffs, ctx.phase(ct, sk).coeffs
 
 
 def _reference_row(ctx, sk, pk, pt, **kwargs):
@@ -49,8 +49,8 @@ def _reference_row(ctx, sk, pk, pt, **kwargs):
 @pytest.mark.parametrize("deterministic", [False, True])
 def test_fresh_row_equals_reference_encrypt_then_multiply(name, deterministic):
     """Same seed, same draws: ``(c0, c1, phase)`` bit-identical, noisy
-    and in the deterministic mode's noiseless form with a derived ``u``;
-    plain ``encrypt`` draws and returns the same ciphertext."""
+    and in the deterministic mode's noiseless form with a derived
+    ``u``."""
     params = PARAM_SETS[name]()
     vec, vec_sk, vec_pk = _endpoint(params, "vectorized")
     ref, ref_sk, ref_pk = _endpoint(params, "reference")
@@ -70,13 +70,6 @@ def test_fresh_row_equals_reference_encrypt_then_multiply(name, deterministic):
         for g, w in zip(got, want):
             assert g.dtype == np.int64 and np.array_equal(g, w)
     assert vec.counter.snapshot() == ref.counter.snapshot()
-    plain = BFVContext(params, seed=7)
-    with_phase = BFVContext(params, seed=7)
-    pt = plain.plaintext(np.arange(params.n) % params.t)
-    for _ in range(2):
-        assert plain.encrypt(pt, vec_pk) == with_phase.encrypt_with_phase(
-            pt, vec_pk, vec_sk
-        )[0]
 
 
 @pytest.mark.parametrize("name", ["paper", "paper_secure", "odd_q"])
@@ -84,10 +77,9 @@ def test_fresh_row_at_the_operand_bounds(name):
     """The largest products a fresh row can meet: a public key of all
     ``q - 1`` (and of all ``q // 2``, the largest centered magnitude),
     masks and secret keys of all ``+1`` / all ``-1`` / alternating
-    signs, an error polynomial at ``+-q // 2`` (beyond the phase row's
-    budget: ``c1 * s`` is the rows-times-key product there; at
-    ``paper_secure`` the piece products rejoin past ``2**63`` unless
-    the join reduces as it goes)."""
+    signs, an error polynomial at ``+-q // 2`` (at ``paper_secure`` the
+    piece products rejoin past ``2**63`` unless the join reduces as it
+    goes)."""
     params = PARAM_SETS[name]()
     n, q = params.n, params.q
     vec = RingContext(n, q)
@@ -110,14 +102,7 @@ def test_fresh_row_at_the_operand_bounds(name):
         want_c1 = want_pk_u + ref.make(e1)
         want_c1_s = want_c1 * ref.make(s)
         # (the masks go in centered, as the samplers draw them)
-        polys = [vec.make(full), vec.make(full), u, e1, vec.make(s)]
-        pk0_u, c1, c1_s = vec.backend.fresh_row(*polys)
-        assert np.array_equal(pk0_u, want_pk_u.coeffs)
-        assert np.array_equal(c1, want_c1.coeffs)
-        assert np.array_equal(c1_s, want_c1_s.coeffs)
-        # without the key: the same two rows, and the phase after the fact
-        pk0_u, c1, none = vec.backend.fresh_row(*polys[:4])
-        assert none is None
+        pk0_u, c1 = vec.backend.fresh_row(vec.make(full), vec.make(full), u, e1)
         assert np.array_equal(pk0_u, want_pk_u.coeffs)
         assert np.array_equal(c1, want_c1.coeffs)
         assert vec.make(c1).mul_by_small(vec.make(s)) == vec.make(want_c1_s.coeffs)
@@ -158,11 +143,14 @@ def test_piece_plan_is_two_pieces_at_paper_and_sized_from_the_checked_bound():
 
 
 def test_the_piece_plan_of_a_fresh_row_is_the_same_for_any_two_messages():
-    """Transform calls and shapes of an encryption never follow the
-    message: all zeros, all ``t - 1``, random."""
+    """Transform calls and shapes of an encryption — under the public
+    key or the secret key — never follow the message: all zeros, all
+    ``t - 1``, random."""
     params = BFVParams.paper()
     ctx, sk, pk = _endpoint(params, "vectorized")
-    ctx.encrypt_with_phase(ctx.plaintext(np.zeros(params.n, dtype=np.int64)), pk, sk)
+    zeros = np.zeros(params.n, dtype=np.int64)
+    ctx.encrypt_symmetric_rows(zeros[None], sk)  # the keys' spectra, once
+    ctx.encrypt(ctx.plaintext(zeros), pk)
     rng = np.random.default_rng(4)
     seen = []
     for coeffs in (
@@ -171,13 +159,13 @@ def test_the_piece_plan_of_a_fresh_row_is_the_same_for_any_two_messages():
         rng.integers(0, params.t, size=params.n, dtype=np.int64),
     ):
         with count_transforms() as calls:
-            ctx.encrypt_with_phase(ctx.plaintext(coeffs), pk, sk)
+            ctx.encrypt_symmetric_rows(coeffs[None], sk)
             ctx.encrypt(ctx.plaintext(coeffs), pk)
         seen.append(calls)
     assert seen[0] == seen[1] == seen[2]
     assert seen[0] == [
-        ("SmallProductFft", "forward", 1, (2, params.n)),
-        ("SmallProductFft", "inverse", 1, (5, params.n // 2)),
+        ("SmallProductFft", "forward", 1, (1, 2, params.n)),
+        ("SmallProductFft", "inverse", 1, (1, 2, params.n // 2)),
         ("SmallProductFft", "forward", 1, (params.n,)),
         ("SmallProductFft", "inverse", 1, (4, params.n // 2)),
     ]
@@ -213,74 +201,23 @@ def test_larger_masks_take_wider_bases_never_a_wrap(magnitude):
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
     with count_transforms() as calls:
-        vec.encrypt_with_phase(vec.plaintext(coeffs), vec_pk, vec_sk, u=vec.ring.make(u))
+        vec.encrypt(vec.plaintext(coeffs), vec_pk, u=vec.ring.make(u))
     plan = {1: (16, 2), 2: (16, 2), 100: (16, 2), 1000: (16, 2), 4000: (11, 3)}.get(
         magnitude
     )
     assert vec.ring.backend.fft.plan(int(np.abs(vec.ring.make(u).centered()).max())) == plan
     if plan is not None:
-        # the whole row in one pass: pk0 u and pk1 u by pieces plus the
-        # one small-times-small phase row, and no limb transform
+        # the whole row in one pass: pk0 u and pk1 u by pieces, and no
+        # limb transform
         assert plan in vec_pk.pk0._ntt and plan in vec_pk.pk1._ntt
         assert calls == [
-            ("SmallProductFft", "forward", 1, (2, n)),
-            ("SmallProductFft", "inverse", 1, (2 * plan[1] + 1, n // 2)),
+            ("SmallProductFft", "forward", 1, (n,)),
+            ("SmallProductFft", "inverse", 1, (2 * plan[1], n // 2)),
         ]
     else:
-        # not small: the general three-limb products, all three
+        # not small: the general three-limb products, both
         assert {call[2] for call in calls} == {3}
-        assert len(calls) == 6 and not _ran(calls, "SmallProductFft")
-
-
-def test_an_error_polynomial_beyond_the_budget_takes_the_split_product():
-    """The phase row is small times small only while
-    ``|v| |u| + |e1| |s|`` is within the budget — exactly at it the row
-    is chained, one past it ``c1 * s`` is the rows-times-key product of
-    the finished ``c1``; same values either way."""
-    params = BFVParams.paper()
-    n, q = params.n, params.q
-    vec, sk, pk = _endpoint(params, "vectorized")
-    ref = reference_arithmetic(RingContext(n, q))
-    backend = vec.ring.backend
-    v_mag, _ = backend._pair_noise(pk.pk0, pk.pk1, sk.s)
-    assert 0 < v_mag < 64  # the key generator's noise
-    u = np.where(np.arange(n) % 2 == 0, 1, -1)
-    edge = backend.fft.limit - v_mag
-    for e1_mag, chained in ((edge, True), (edge + 1, False)):
-        e1 = np.full(n, e1_mag, dtype=np.int64)
-        with count_transforms() as calls:
-            pk0_u, c1, c1_s = backend.fresh_row(pk.pk0, pk.pk1, u, e1, sk.s)
-        want_c1 = ref.make(pk.pk1.coeffs) * ref.make(u) + ref.make(e1)
-        assert np.array_equal(c1, want_c1.coeffs)
-        assert np.array_equal(c1_s, (want_c1 * ref.make(sk.s.coeffs)).coeffs)
-        assert (("SmallProductFft", "inverse", 1, (5, n // 2)) in calls) == chained
-        assert (("SmallProductFft", "forward", 1, (1, 2, n)) in calls) == (not chained)
-
-
-def test_a_second_public_key_under_one_secret_key_recomputes_the_pair_noise():
-    """``v = pk0 + pk1 * s`` is cached on ``s`` for the public key it
-    was derived from; another public key — genuine, or a mismatched one
-    whose ``v`` is not small — never reads it."""
-    params = BFVParams.paper()
-    ctx, sk, first = _endpoint(params, "vectorized")
-    ref = reference_arithmetic(RingContext(params.n, params.q))
-    second = KeyGenerator(params, seed=99).public_key(sk)
-    assert second.pk1 != first.pk1
-    _, _, stranger = _endpoint(params, "vectorized", seed=8)
-    backend = ctx.ring.backend
-    pt = ctx.plaintext(np.arange(params.n) % params.t)
-    for pk, small in ((first, True), (second, True), (stranger, False), (first, True)):
-        ct, phase = ctx.encrypt_with_phase(pt, pk, sk)
-        held = sk.s._ntt["pair"]
-        assert held[0] is pk.pk0 and held[1] is pk.pk1
-        assert (held[3] is not None) == small == (held[2] < 64)
-        want = ref.make(ct.c0.coeffs) + ref.make(ct.c1.coeffs) * ref.make(sk.s.coeffs)
-        assert np.array_equal(phase.coeffs, want.coeffs)
-        with count_transforms() as calls:
-            ctx.encrypt_with_phase(pt, pk, sk)
-        # a mismatched pair multiplies the finished c1 by s instead
-        assert (len(calls) == 2) == small
-    assert backend._pair_noise(first.pk0, first.pk1, sk.s)[0] == held[2]
+        assert len(calls) == 4 and not _ran(calls, "SmallProductFft")
 
 
 def test_a_perturbed_inverse_raises(monkeypatch):
@@ -289,18 +226,18 @@ def test_a_perturbed_inverse_raises(monkeypatch):
     params = BFVParams.paper()
     ctx, sk, pk = _endpoint(params, "vectorized")
     pt = ctx.plaintext(np.arange(params.n) % params.t)
-    ctx.encrypt_with_phase(pt, pk, sk)
+    ct = ctx.encrypt(pt, pk)
     real = np.fft.ifft
     monkeypatch.setattr(np.fft, "ifft", lambda *a, **kw: real(*a, **kw) + 0.2)
     for run in (
-        lambda: ctx.encrypt_with_phase(pt, pk, sk),
+        lambda: ctx.encrypt_symmetric_rows(pt.poly.coeffs[None], sk),
         lambda: ctx.encrypt(pt, pk),
-        lambda: ctx.phase(ctx.encrypt(pt, pk), sk),
+        lambda: ctx.phase(ct, sk),
     ):
         with pytest.raises(ArithmeticError, match="residual"):
             run()
     monkeypatch.setattr(np.fft, "ifft", real)
-    ctx.encrypt_with_phase(pt, pk, sk)
+    ctx.encrypt_symmetric_rows(pt.poly.coeffs[None], sk)
 
 
 def test_a_large_key_takes_the_general_product():
@@ -318,8 +255,8 @@ def test_a_large_key_takes_the_general_product():
 def test_keys_hold_one_transform_per_basis():
     """``pk0`` / ``pk1`` enter products as piece spectra (fresh rows)
     and on the general basis (everything else), ``s`` as its own
-    spectrum, the key pair's noise and on the general basis; going back
-    and forth re-transforms none of them."""
+    spectrum and on the general basis; going back and forth
+    re-transforms none of them."""
     params = BFVParams.paper()
     n = params.n
     ctx, sk, pk = _endpoint(params, "vectorized")
@@ -329,28 +266,28 @@ def test_keys_hold_one_transform_per_basis():
     x = ctx.ring.random_uniform(rng)
 
     def one_round():
-        ctx.encrypt_with_phase(pt, pk, sk)
+        ctx.encrypt_symmetric_rows(pt.poly.coeffs[None], sk)
         ctx.phase(ctx.encrypt(pt, pk), sk)
         return pk.pk0 * x, pk.pk1 * x, sk.s * x
 
     one_round()
     plan = (16, 2)
     assert set(pk.pk0._ntt) == set(pk.pk1._ntt) == {plan, backend.basis}
-    assert set(sk.s._ntt) == {"small", "pair", backend.basis}
+    assert set(sk.s._ntt) == {"small", backend.basis}
     assert pk.pk0._ntt[plan].shape == (2, n // 2)
     held = {id(poly): dict(poly._ntt) for poly in (pk.pk0, pk.pk1, sk.s)}
     with count_transforms() as calls:
         one_round()
     for poly in (pk.pk0, pk.pk1, sk.s):
         assert all(poly._ntt[key] is held[id(poly)][key] for key in held[id(poly)])
-    # per round — the fresh row in one pass: (u, e1) forward together,
-    # (pk0 u, pk1 u by pieces, the phase row) back together; encrypt:
-    # u forward, the four piece rows back; phase: the pieces of c1
-    # forward, one product back.  On three limbs (x holds its transform
-    # too): an inverse per general product — and no transform of a key
+    # per round — a query row under the secret key: the pieces of a
+    # forward, one product back; encrypt: u forward, the four piece
+    # rows back; phase: the pieces of c1 forward, one product back.  On
+    # three limbs (x holds its transform too): an inverse per general
+    # product — and no transform of a key
     assert calls == [
-        ("SmallProductFft", "forward", 1, (2, n)),
-        ("SmallProductFft", "inverse", 1, (5, n // 2)),
+        ("SmallProductFft", "forward", 1, (1, 2, n)),
+        ("SmallProductFft", "inverse", 1, (1, 2, n // 2)),
         ("SmallProductFft", "forward", 1, (n,)),
         ("SmallProductFft", "inverse", 1, (4, n // 2)),
         ("SmallProductFft", "forward", 1, (2, n)),

@@ -146,9 +146,10 @@ class TestSessionTarget:
 
 class TestRemoteTargetShedding:
     def test_overload_sheds_and_accounting_balances(self):
-        # max_in_flight=1 on one connection: a 500 req/s burst against a
-        # real bfv-sharded engine must shed, never fail, and balance
-        scenario, trace = _trace(key="database", n=10, rate=500.0)
+        # max_in_flight=1 on one connection: a 5,000 req/s burst (0.2 ms
+        # apart, well under one search) against a real bfv-sharded
+        # engine must shed, never fail, and balance
+        scenario, trace = _trace(key="database", n=10, rate=5000.0)
         with ServiceThread(
             "bfv-sharded",
             params=BFVParams.test_small(64),

@@ -1,6 +1,6 @@
 """What a search does must not depend on what the query *says*.
 
-The variant cache holds phase rows (``delta * m + e``) next to the
+The variant cache holds phase rows (``delta * m - e``) next to the
 ciphertext rows, so it is the widest query-dependent state the serving
 path keeps; timing and cache traffic are outputs of the system just as
 the match list is.  For pairs of same-length queries — one that matches
@@ -31,6 +31,7 @@ import pytest
 from repro.core import ClientConfig, IndexMode
 from repro.he import BFVParams
 from repro.he import arena as arena_module
+from repro.he.bfv import _SYMMETRIC_TILE_ROWS as TILE
 from repro.serve import ShardedSearchEngine
 from repro.serve import engine as engine_module
 from repro.utils.bits import random_bits
@@ -114,6 +115,9 @@ def _observe(monkeypatch, params, db, queries, **config):
         "kernels": sorted(kernel_calls),
         "scratch": allocations.scratch,
         "transforms": sorted(transforms),
+        # how far the client's RNG ran: the draws of a miss pass follow
+        # the row count, never the plaintext
+        "rng": engine.client.ctx._rng.bit_generator.state["state"],
         "hom_additions": [r.hom_additions for r in report.reports],
         "variants": [r.num_variants for r in report.reports],
         "dedup": report.deduplicated_hits,
@@ -186,21 +190,23 @@ def test_query_equality_is_the_documented_leak(monkeypatch):
     # a different query of the same length on the same engine is cold again
     with count_transforms() as transforms:
         engine.search_batch([other])
-    # (the keys, the key pair's noise and the database phases were
-    # transformed by the first search; what repeats is the per-row work:
-    # (u, e1) forward together, the piece rows of pk0 u and pk1 u and
-    # the phase row back together — 2 forward + 5 inverse FFTs per miss)
-    assert sorted(set(transforms)) == [
-        ("SmallProductFft", "forward", 1, (2, params.n)),
-        ("SmallProductFft", "inverse", 1, (5, params.n // 2)),
+    # (the secret key and the database phases were transformed by the
+    # first search; what repeats is the miss pass: the two 16-bit pieces
+    # of every row's uniform ``a`` forward, its ``a * s`` back, a tile
+    # of rows at a time — 2 forward + 2 inverse FFTs per miss, shapes a
+    # function of the number of missing rows and ``n`` alone)
+    tiles = [TILE] * (misses // TILE) + [misses % TILE] * bool(misses % TILE)
+    assert transforms == [
+        ("SmallProductFft", direction, 1, (rows, 2, width))
+        for rows in tiles
+        for direction, width in (("forward", params.n), ("inverse", params.n // 2))
     ]
-    assert len(transforms) == 2 * misses
     assert engine.cache.stats().misses == 2 * misses
 
     _, report, twice, _ = _observe(monkeypatch, params, db, [planted, planted])
     assert twice["dedup"] == 1
     assert report.reports[0] is report.reports[1]
-    for key in ("counter", "cache", "kernels", "scratch", "transforms"):
+    for key in ("counter", "cache", "kernels", "scratch", "transforms", "rng"):
         assert twice[key] == cold[key], key
     _, _, distinct, _ = _observe(monkeypatch, params, db, [planted, other])
     assert distinct["dedup"] == 0

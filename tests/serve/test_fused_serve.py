@@ -9,9 +9,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines import find_all_matches
 from repro.core import ClientConfig, CPUAdditionBackend, IndexMode
 from repro.he import BFVParams
 from repro.he.arena import unstack_ciphertext
+from repro.he.bfv import _SYMMETRIC_TILE_ROWS as TILE
+from repro.he.noise import NoiseBounds
 from repro.serve import ShardedSearchEngine
 from repro.utils.bits import random_bits
 from repro.serve.cache import entry_nbytes
@@ -107,12 +110,18 @@ def test_variant_cache_stores_stacked_rows_under_fused():
     assert stats.misses > 0
     rows = engine.cache.values()
     assert rows and all(isinstance(v, np.ndarray) for v in rows)
-    # one entry format: c0, c1 and the phase row, q = 2**32 -> uint32
+    # one entry format: c0, c1 and the phase row, q = 2**32 -> uint32;
+    # each entry owns its memory, so evicting one frees it
     assert all(v.shape == (3, params.n) and v.dtype == np.uint32 for v in rows)
+    assert all(v.base is None for v in rows)
     ctx, sk = engine.client.ctx, engine.client.sk
     for v in rows:
         ct = unstack_ciphertext(ctx.ring, ctx.params, v.astype(np.int64))
         assert np.array_equal(v[2], (ct.c0 + ct.c1 * sk.s).coeffs)
+        # rows 0-1 are a ciphertext under sk of a negated-query pattern:
+        # the phase row is delta * m - e with |e| under the fresh bound
+        noise = ctx.noise_residual(ct, sk)
+        assert 0 < noise <= NoiseBounds(params).fresh_symmetric
     # repeated batch: every variant row is a cache hit
     misses_before = engine.cache.stats().misses
     engine.search_batch(queries[:2])
@@ -120,10 +129,12 @@ def test_variant_cache_stores_stacked_rows_under_fused():
 
 
 def test_variant_cache_hit_runs_no_transform():
-    """A repeated query is served from the cached phase rows: a
-    dictionary lookup per row, not a transform round trip.  A cold one
-    does run transforms — the counter sees the FFTs of the fresh rows
-    and of the database phases, so "none" below is not vacuous."""
+    """A repeated query is served from the cached phase rows: one
+    locked dictionary pass, no transform round trip **and no draw from
+    the client's RNG**.  A cold one does run transforms — the counter
+    sees the FFTs of the miss pass and of the database phases, so
+    "none" below is not vacuous — whose shapes follow the number of
+    missing rows and ``n`` alone."""
     rng = np.random.default_rng(3)
     params = BFVParams.test_small(128)
     db = random_bits(4 * params.n * 16, rng)
@@ -131,17 +142,100 @@ def test_variant_cache_hit_runs_no_transform():
     db[16 * 9 : 16 * 9 + 32] = query
     engine = _engine(params, "fused", num_shards=2)
     engine.outsource(db)
+    client_rng = engine.client.ctx._rng
+    drawn = client_rng.bit_generator.state
     with count_transforms() as cold:
         first = engine.search_batch([query])
     assert cold and {call[0] for call in cold} == {"SmallProductFft"}
-    assert ("SmallProductFft", "inverse", 1, (5, params.n // 2)) in cold
     misses = engine.cache.stats().misses
+    tiles = [(TILE, 2)] * (misses // TILE) + [(misses % TILE, 2)] * bool(misses % TILE)
+    assert [call[3] for call in cold if call[1] == "inverse"][: len(tiles)] == [
+        tile + (params.n // 2,) for tile in tiles
+    ]
+    assert client_rng.bit_generator.state != drawn
+    drawn = client_rng.bit_generator.state
     with count_transforms() as warm:
         second = engine.search_batch([query])
     assert warm == []
+    assert client_rng.bit_generator.state == drawn
     stats = engine.cache.stats()
     assert stats.misses == misses and stats.hits == misses
     assert second.matches_per_query() == first.matches_per_query() != [[]]
+
+
+@pytest.mark.parametrize(
+    "kernel, config",
+    [
+        ("fused", {}),
+        ("object", {}),
+        ("fused", {"index_mode": IndexMode.SERVER_DETERMINISTIC}),
+    ],
+    ids=["fused", "per-pair", "deterministic"],
+)
+def test_partial_hit_encrypts_only_the_missing_rows(kernel, config):
+    """A capacity-4 cache under 17-row requests: every request gets all
+    of its rows (bounds are enforced after the inserts), the last four
+    stay, so a repeat is a *partial* hit — 4 rows resident, 13 encrypted
+    again in one pass — and answers stay the plaintext oracle's."""
+    params, db, queries = _workload(num_queries=2)
+    engine = ShardedSearchEngine(
+        ClientConfig(params, key_seed=41, **config),
+        num_shards=3,
+        cache_capacity=4,
+        backend_factory=per_pair_factory if kernel == "object" else None,
+    )
+    engine.outsource(db)
+    want = [find_all_matches(db, q) for q in queries]
+    rows = engine.client.prepare_query(queries[0]).num_variants
+    assert rows == 17
+    counter = engine.client.ctx.counter
+    entry = 3 if not config else 2
+    for round_, (hits, misses) in enumerate([(0, 17), (4, 13), (4, 13)]):
+        before = engine.cache.stats()
+        encrypted = counter.encryptions
+        report = engine.search_batch([queries[0]])
+        assert report.matches_per_query() == want[:1] != [[]]
+        after = engine.cache.stats()
+        assert (after.hits - before.hits, after.misses - before.misses) == (hits, misses)
+        assert counter.encryptions - encrypted == misses
+        assert after.size == 4 and after.evictions - before.evictions == misses - (
+            4 if round_ == 0 else 0
+        )
+        values = engine.cache.values()
+        assert all(v.shape == (entry, params.n) for v in values)
+        assert after.current_bytes == sum(entry_nbytes(v) for v in values)
+    # another query evicts them all: alternating two is a full miss each
+    assert engine.search_batch([queries[1]]).matches_per_query() == want[1:]
+    before = engine.cache.stats()
+    assert engine.search_batch(queries).matches_per_query() == want
+    after = engine.cache.stats()
+    assert (after.hits - before.hits, after.misses - before.misses) == (0, 34)
+
+
+def test_deterministic_mode_caches_ciphertext_rows_and_never_forms_a_phase():
+    """``SERVER_DETERMINISTIC`` query rows are a function of ``pk`` and
+    the shared seed — the noiseless public-key encryption outsourcing
+    uses — and the comparator reads ``c0`` rows only: the entries are
+    ``(2, n)``, nothing multiplies by the secret key, nothing is drawn
+    from the client's RNG."""
+    params, db, queries = _workload()
+    engine = _engine(params, "fused", index_mode=IndexMode.SERVER_DETERMINISTIC)
+    engine.outsource(db)
+    client = engine.client
+    drawn = client.ctx._rng.bit_generator.state
+    report = engine.search_batch(queries[:1])
+    assert report.matches_per_query() == [find_all_matches(db, queries[0])]
+    assert client.ctx._rng.bit_generator.state == drawn
+    # the secret key never entered a phase product (its limb transform
+    # is the key generator's)
+    assert "small" not in client.sk.s._ntt
+    rows = engine.cache.values()
+    assert rows and all(v.shape == (2, params.n) and v.dtype == np.uint32 for v in rows)
+    assert engine.cache.stats().current_bytes == len(rows) * 2 * params.n * 4
+    prepared = client.prepare_query(queries[0])
+    for v_idx in (0, 5):
+        ct = client.encrypt_variant(prepared, v_idx, 0)
+        assert any(np.array_equal(v[0], ct.c0.coeffs) for v in rows)
 
 
 def test_variant_cache_entry_is_twelve_kib_at_paper_parameters():

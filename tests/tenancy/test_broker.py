@@ -28,8 +28,13 @@ def _value(words: int) -> np.ndarray:
     return np.zeros(words, dtype=np.int64)
 
 
-def _fill(cache, key, words):
-    cache.get_or_create(key, lambda: _value(words))
+def _fill(cache, key, words, rows=1):
+    """One call inserting ``rows`` entries of ``words`` words each (a
+    request's rows go in together; the broker rebalances once after)."""
+    cache.get_or_create(
+        [(key, row) for row in range(rows)],
+        lambda missing: [_value(words) for _ in missing],
+    )
 
 
 # -- deterministic behavior ---------------------------------------------------
@@ -64,7 +69,7 @@ def test_evicts_globally_coldest_tenant_first():
     assert len(cold) == 1 and len(hot) == 2
     # a re-touch rejuvenates: cold's survivor outlives hot's oldest,
     # so the next overflow evicts from hot instead
-    cold.get_or_create("c1", lambda: _value(2))  # hit -> new tick
+    _fill(cold, "c1", 2)  # hit -> new tick
     _fill(cold, "c2", 2)
     assert broker.pressure_evictions["hot"] == 1
     assert len(cold) == 2 and len(hot) == 1
@@ -112,6 +117,7 @@ _SCHEDULE = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=2),  # tenant index
         st.integers(min_value=1, max_value=8),  # entry size in words
+        st.integers(min_value=1, max_value=5),  # entries in the one call
     ),
     min_size=1,
     max_size=60,
@@ -138,9 +144,9 @@ def test_budget_and_floor_invariants(schedule, budget_words, floors):
         for i, tid in enumerate(tenant_ids)
     }
     reached_floor = {tid: False for tid in tenant_ids}
-    for step, (idx, words) in enumerate(schedule):
+    for step, (idx, words, rows) in enumerate(schedule):
         tid = tenant_ids[idx]
-        _fill(caches[tid], ("k", step), words)
+        _fill(caches[tid], ("k", step), words, rows)
         for i, other in enumerate(tenant_ids):
             cache, floor = caches[other], floors[i] * WORD
             if cache.current_bytes >= floor:
@@ -163,13 +169,14 @@ def test_budget_and_floor_invariants(schedule, budget_words, floors):
 @given(schedule=_SCHEDULE, budget_words=st.integers(min_value=4, max_value=64))
 def test_zero_floors_always_respect_budget(schedule, budget_words):
     """With no floors, the budget holds unconditionally after every
-    insert (a single oversized entry is evicted immediately)."""
+    call, however many rows it inserted (a single oversized entry is
+    evicted immediately)."""
     broker = TenantCacheBroker(global_budget_bytes=budget_words * WORD)
     caches = [
         broker.create_cache(f"t{i}", capacity=10_000) for i in range(3)
     ]
-    for step, (idx, words) in enumerate(schedule):
-        _fill(caches[idx], ("k", step), words)
+    for step, (idx, words, rows) in enumerate(schedule):
+        _fill(caches[idx], ("k", step), words, rows)
         assert broker.total_bytes() <= budget_words * WORD
 
 
@@ -186,9 +193,10 @@ def test_pressure_victims_are_globally_coldest(schedule):
     #: mirror of resident entries: {tenant: [(tick, nbytes)...]} oldest-first
     model = {i: [] for i in range(3)}
     tick = 0
-    for step, (idx, words) in enumerate(schedule):
-        tick += 1
-        model[idx].append((tick, words * WORD))
+    for step, (idx, words, rows) in enumerate(schedule):
+        for _ in range(rows):
+            tick += 1
+            model[idx].append((tick, words * WORD))
         # replay the broker's eviction loop on the mirror
         while sum(nb for rows in model.values() for _, nb in rows) > budget:
             candidates = [
@@ -196,7 +204,7 @@ def test_pressure_victims_are_globally_coldest(schedule):
             ]
             coldest_tick, coldest_tenant = min(candidates)
             model[coldest_tenant].pop(0)
-        _fill(caches[idx], ("k", step), words)
+        _fill(caches[idx], ("k", step), words, rows)
         for i in range(3):
             assert len(caches[i]) == len(model[i]), (
                 f"step {step}: tenant {i} resident-count diverged from "
