@@ -5,7 +5,6 @@ from .client import CipherMatchClient, ClientConfig
 from .match_polynomial import IndexMode, match_plaintext, match_value
 from .matcher import (
     CPUAdditionBackend,
-    FusedResultSet,
     MatchCandidate,
     ResultBlock,
     ResultDecoder,
@@ -34,7 +33,6 @@ __all__ = [
     "DataPacker",
     "EncryptedDatabase",
     "FootprintReport",
-    "FusedResultSet",
     "IndexMode",
     "MatchCandidate",
     "PackedDatabase",

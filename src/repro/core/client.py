@@ -8,23 +8,18 @@ database before outsourcing it, prepares encrypted queries, and decodes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..he.bfv import BFVContext
+from ..he.arena import QueryArena, query_row_layout
+from ..he.bfv import BFVContext, Ciphertext
 from ..he.keys import KeyGenerator, PublicKey, SecretKey
 from ..he.params import BFVParams
 from ..utils.bits import matches_at
 from ..verify import VerifyLike, want_verify
 from .match_polynomial import IndexMode, flag_matches_by_decryption
-from .matcher import (
-    FusedResultSet,
-    MatchCandidate,
-    ResultBlock,
-    ResultDecoder,
-    verify_candidates,
-)
+from .matcher import MatchCandidate, ResultDecoder, verify_candidates
 from .packing import DataPacker, EncryptedDatabase, PackedDatabase
 from .query import PreparedQuery, QueryPreparer
 
@@ -67,11 +62,18 @@ class CipherMatchClient:
         self._db_bits = np.asarray(bits, dtype=np.uint8)
         return self.packer.pack(self._db_bits)
 
-    def encrypt_database(self, packed: PackedDatabase) -> EncryptedDatabase:
-        seed = None
+    @property
+    def masking_seed(self) -> Optional[int]:
+        """The shared masking seed under ``SERVER_DETERMINISTIC``, else
+        ``None`` (ordinary randomized encryption)."""
         if self.config.index_mode is IndexMode.SERVER_DETERMINISTIC:
-            seed = self.config.deterministic_seed
-        return self.packer.encrypt(packed, self.pk, deterministic_seed=seed)
+            return self.config.deterministic_seed
+        return None
+
+    def encrypt_database(self, packed: PackedDatabase) -> EncryptedDatabase:
+        return self.packer.encrypt(
+            packed, self.pk, deterministic_seed=self.masking_seed
+        )
 
     def outsource(self, bits: np.ndarray) -> EncryptedDatabase:
         """Pack + encrypt in one call (what a deployment would do)."""
@@ -83,46 +85,42 @@ class CipherMatchClient:
         return self.preparer.prepare(query_bits)
 
     def encrypt_variant(self, prepared: PreparedQuery, variant_index: int, poly_index: int):
-        seed = None
-        if self.config.index_mode is IndexMode.SERVER_DETERMINISTIC:
-            seed = self.config.deterministic_seed
         return self.preparer.encrypt_variant(
             prepared, variant_index, poly_index, self.pk, self.sk,
-            deterministic_seed=seed,
+            deterministic_seed=self.masking_seed,
+        )
+
+    def query_arena(
+        self, prepared: PreparedQuery, num_polynomials: int
+    ) -> QueryArena:
+        """Every distinct encrypted query polynomial of ``prepared``,
+        stacked for the fused cells in one
+        :meth:`QueryPreparer.encrypt_variant_value` pass: ``(3, n)``
+        rows with their phase under ``CLIENT_DECRYPT`` (the phase row
+        stays with the key holder), ``(2, n)`` ciphertext rows for the
+        server's comparator under ``SERVER_DETERMINISTIC``."""
+        ctx = self.ctx
+        layout = query_row_layout(prepared.variants, ctx.ring.n, num_polynomials)
+        block = self.preparer.encrypt_variant_value(
+            prepared, [(v_idx, residue) for v_idx, residue, _ in layout],
+            self.pk, self.sk, deterministic_seed=self.masking_seed,
+        )
+        return QueryArena(
+            ctx.ring, ctx.params, prepared.variants, num_polynomials, block
         )
 
     # -- result handling (line 12 and the verification step) -----------
 
-    def decode_results(
-        self,
-        prepared: PreparedQuery,
-        blocks: List[ResultBlock],
-        db: EncryptedDatabase,
-        *,
-        verify: VerifyLike = True,
-    ) -> List[MatchCandidate]:
-        """Flag all-ones coefficients (decrypting under CLIENT_DECRYPT),
-        map them to bit offsets, optionally verify against the client's
-        own plaintext copy.
-
-        ``verify`` accepts a bool or a :class:`repro.verify.VerifyPolicy`
-        — this is the single place the whole pipeline family resolves
-        the policy to a decision.
-        """
-        if isinstance(blocks, FusedResultSet):
-            return self.decode_flags_matrix(
-                prepared, blocks.flags_by_decryption(self.sk), db, verify=verify
-            )
-        flags: Dict[tuple, np.ndarray] = {}
-        for block in blocks:
-            flags[(block.variant_index, block.poly_index)] = (
-                flag_matches_by_decryption(
-                    self.ctx, block.ciphertext, self.sk, self.chunk_width
-                )
-            )
-        decoder = ResultDecoder(self.chunk_width, db.n, db.bit_length)
-        candidates = decoder.decode(prepared, flags, db.num_polynomials)
-        return self._maybe_verify(candidates, prepared, verify)
+    def flag_matches(
+        self, result: Ciphertext, poly_index: int, variant_cache_key: int
+    ) -> np.ndarray:
+        """Match flags of one Hom-Add result block by decryption, with
+        the signature of :meth:`DeterministicComparator.flag_matches`
+        (:func:`~.matcher.block_hits` calls either; decryption needs no
+        position)."""
+        return flag_matches_by_decryption(
+            self.ctx, result, self.sk, self.chunk_width
+        )
 
     def decode_flags_matrix(
         self,
@@ -132,37 +130,20 @@ class CipherMatchClient:
         *,
         verify: VerifyLike = True,
     ) -> List[MatchCandidate]:
-        """Decode the fused kernels' native output — per variant, the
+        """Decode what every search cell returns — per variant, the
         sorted flat indices ``j * n + c`` of the set flags of its
-        ``(num_polys, n)`` flag matrix — with the same offset mapping
-        and verification policy as :meth:`decode_results`.  (The name
-        predates the index form; the benchmark's tracer resolves it.)"""
+        ``(num_polys, n)`` flag matrix — to bit offsets, optionally
+        verified against the client's own plaintext copy.  (The name
+        predates the index form; the benchmark's tracer resolves it.)
+
+        ``verify`` accepts a bool or a :class:`repro.verify.VerifyPolicy`
+        — this is the single place the whole pipeline family resolves
+        the policy to a decision."""
         decoder = ResultDecoder(self.chunk_width, db.n, db.bit_length)
         candidates = decoder.decode_hits(prepared, hits)
-        return self._maybe_verify(candidates, prepared, verify)
-
-    def _maybe_verify(
-        self,
-        candidates: List[MatchCandidate],
-        prepared: PreparedQuery,
-        verify: VerifyLike,
-    ) -> List[MatchCandidate]:
         if want_verify(verify) and self._db_bits is not None:
             return verify_candidates(
                 candidates,
                 lambda off: matches_at(self._db_bits, prepared.query_bits, off),
             )
         return candidates
-
-    def decode_server_flags(
-        self,
-        prepared: PreparedQuery,
-        flags: Dict[tuple, np.ndarray],
-        db: EncryptedDatabase,
-        *,
-        verify: VerifyLike = True,
-    ) -> List[MatchCandidate]:
-        """Decode match flags the server produced (deterministic mode)."""
-        decoder = ResultDecoder(self.chunk_width, db.n, db.bit_length)
-        candidates = decoder.decode(prepared, flags, db.num_polynomials)
-        return self._maybe_verify(candidates, prepared, verify)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from enum import Enum
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -155,10 +155,3 @@ class DeterministicComparator:
         target = match_value(self.chunk_width) * self.ctx.params.delta
         expected = add_mod_q(add_mod_q(db_rows, q_rows, q), np.int64(target % q), q)
         return result_c0 == expected
-
-
-def combine_flag_blocks(blocks: List[np.ndarray]) -> np.ndarray:
-    """Concatenate per-polynomial flag vectors into one global vector."""
-    if not blocks:
-        return np.zeros(0, dtype=bool)
-    return np.concatenate(blocks)

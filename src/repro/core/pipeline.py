@@ -19,10 +19,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..he.arena import fused_decrypt_flags
 from ..verify import VerifyLike
 from .client import CipherMatchClient, ClientConfig
 from .match_polynomial import IndexMode
-from .matcher import AdditionBackend, MatchCandidate
+from .matcher import AdditionBackend, MatchCandidate, block_hits
 from .packing import EncryptedDatabase
 from .server import CipherMatchServer
 
@@ -49,10 +50,13 @@ class SearchReport:
 class SecureStringMatchPipeline:
     """Client + server wired together for in-process experiments.
 
-    The server searches through the fused arena kernels when ``backend``
-    is a plain CPU adder and per (polynomial, variant) pair when it does
-    its own addition (see :class:`CipherMatchServer`); matches are
-    bit-identical either way.
+    A search is one of four cells, picked by ``server.fused`` (a plain
+    CPU adder) and the index mode, with bit-identical matches.  Per
+    pair: the server adds, then the client decrypts the blocks or the
+    server's comparator flags them.  Fused: the comparator runs over the
+    ciphertext arena, or — ``CLIENT_DECRYPT`` — the key holder adds
+    *phases* (docs/serving.md "Trust boundary": ``sk`` never enters
+    ``self.server``).
     """
 
     def __init__(
@@ -90,20 +94,32 @@ class SecureStringMatchPipeline:
         prepared = self.client.prepare_query(np.asarray(query_bits, dtype=np.uint8))
         adds_before = self.server.hom_add_count
 
-        blocks = self.server.search(
-            prepared,
-            lambda v_idx, j: self.client.encrypt_variant(prepared, v_idx, j),
-        )
-
-        if self.config.index_mode is IndexMode.SERVER_DETERMINISTIC:
-            flags = self.server.generate_index(blocks)
-            candidates = self.client.decode_server_flags(
-                prepared, flags, self.db, verify=verify
+        client, server, db = self.client, self.server, self.db
+        deterministic = self.config.index_mode is IndexMode.SERVER_DETERMINISTIC
+        if not server.fused:
+            blocks = server.search(
+                prepared, lambda v_idx, j: client.encrypt_variant(prepared, v_idx, j)
             )
+            if deterministic:
+                hits = server.generate_index(blocks, prepared.num_variants)
+            else:
+                hits = block_hits(blocks, client.flag_matches, prepared.num_variants)
+        elif deterministic:
+            hits = server.search_index(client.query_arena(prepared, db.num_polynomials))
         else:
-            candidates = self.client.decode_results(
-                prepared, blocks, self.db, verify=verify
+            ctx = client.ctx
+            query = client.query_arena(prepared, db.num_polynomials)
+            pairs = prepared.num_variants * db.num_polynomials
+            server.tally_hom_adds(pairs)
+            ctx.counter.decryptions += pairs
+            hits = fused_decrypt_flags(
+                db.fused_arena(ctx.ring, ctx.params).phases(client.sk),
+                query.phases(client.sk),
+                query.row_map(np.arange(db.num_polynomials)),
+                ctx.params,
+                client.chunk_width,
             )
+        candidates = client.decode_flags_matrix(prepared, hits, db, verify=verify)
 
         return SearchReport(
             matches=[c.offset for c in candidates],

@@ -26,7 +26,7 @@ import numpy as np
 from ..he.serialize import deserialize_ciphertext, serialize_ciphertext
 from ..verify import VerifyLike
 from .client import CipherMatchClient, ClientConfig
-from .matcher import MatchCandidate, ResultBlock
+from .matcher import MatchCandidate, ResultBlock, block_hits
 from .packing import EncryptedDatabase
 from .query import PreparedQuery
 from .server import CipherMatchServer
@@ -227,7 +227,8 @@ class WireProtocolSession:
         self.stats.query_upload = len(upload)
         variants = decode_query_variants(upload, self.server.ctx)
 
-        # server: Hom-Add search using only deserialized material
+        # server: Hom-Add search using only deserialized material, one
+        # result block per pair (blocks are what crosses the wire)
         blocks = self.server.search(prepared, lambda v, j: variants[(v, j)])
 
         # server -> client: result blocks
@@ -236,6 +237,7 @@ class WireProtocolSession:
         restored = decode_result_blocks(download, self.client.ctx)
 
         assert self.server.db is not None
-        return self.client.decode_results(
-            prepared, restored, self.server.db, verify=verify
+        hits = block_hits(restored, self.client.flag_matches, prepared.num_variants)
+        return self.client.decode_flags_matrix(
+            prepared, hits, self.server.db, verify=verify
         )

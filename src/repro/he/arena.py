@@ -697,9 +697,9 @@ class QueryArena:
     @property
     def stack(self) -> np.ndarray:
         """``(num_rows, 2, n)`` int64 ciphertext rows — what the
-        per-pair adder, the comparator and block materialization read
-        (widened from the cached storage type on first use; the fused
-        decrypt path never touches them)."""
+        per-pair adder and the comparator read (widened from the cached
+        storage type on first use; the fused decrypt path never touches
+        them)."""
         if self._stack is None:
             self._stack = self._rows[:, :2].astype(np.int64, copy=False)
         return self._stack

@@ -53,22 +53,20 @@ from ..he.arena import (
     query_row_layout,
     unstack_ciphertext,
 )
-from ..he.bfv import BFVContext, Ciphertext
+from ..he.bfv import BFVContext
 from ..verify import VerifyLike
 from ..core.client import CipherMatchClient, ClientConfig
-from ..core.match_polynomial import (
-    DeterministicComparator,
-    IndexMode,
-    flag_matches_by_decryption,
-)
+from ..core.match_polynomial import DeterministicComparator, IndexMode
 from ..core.matcher import (
     AdditionBackend,
     CPUAdditionBackend,
-    comparator_flag_grid,
+    SecureSearchEngine,
+    block_hits,
+    comparator_hits,
 )
 from ..core.packing import EncryptedDatabase
 from ..core.pipeline import SearchReport
-from ..core.query import PreparedQuery, variant_cache_key
+from ..core.query import PreparedQuery
 from ..faults import (
     SLOW_SHARD,
     SITE_SHARD_TASK,
@@ -90,19 +88,16 @@ class WorkerCrashError(RuntimeError):
 
 @dataclass
 class DbShard:
-    """A contiguous slice of the encrypted database bound to one backend."""
+    """A contiguous polynomial range of the encrypted database bound to
+    one backend."""
 
     shard_id: int
     base_poly: int
-    ciphertexts: List[Ciphertext]
+    num_polynomials: int
     backend: AdditionBackend
     #: zero-copy view into the database's ciphertext arena
     arena: Optional[CiphertextArena] = None
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    @property
-    def num_polynomials(self) -> int:
-        return len(self.ciphertexts)
 
     @property
     def fused(self) -> bool:
@@ -245,7 +240,7 @@ class ShardedSearchEngine:
             DbShard(
                 shard_id=i,
                 base_poly=int(bounds[i]),
-                ciphertexts=db.ciphertexts[int(bounds[i]) : int(bounds[i + 1])],
+                num_polynomials=int(bounds[i + 1]) - int(bounds[i]),
                 backend=self.backend_factory(self.client.ctx, i),
             )
             for i in range(effective)
@@ -479,16 +474,13 @@ class ShardedSearchEngine:
         adder and the comparator the ciphertext rows of the same entry.
         """
         if job.query_arena is None:
-            det_seed = None
-            if self.config.index_mode is IndexMode.SERVER_DETERMINISTIC:
-                det_seed = self.config.deterministic_seed
             ctx, client = self.client.ctx, self.client
             num_polys = self.db.num_polynomials
 
             def encrypt(missing: list) -> List[np.ndarray]:
                 block = client.preparer.encrypt_variant_value(
                     job.prepared, [key[1:] for key in missing],
-                    client.pk, client.sk, deterministic_seed=det_seed,
+                    client.pk, client.sk, deterministic_seed=client.masking_seed,
                 )
                 # each entry owns its memory: evicting one frees it
                 return [row.copy() for row in block]
@@ -525,16 +517,29 @@ class ShardedSearchEngine:
         stop = shard.base_poly + shard.num_polynomials
         row_map = job.row_map[:, shard.base_poly : stop]
         if not shard.fused:
+            # one genuine ``backend.hom_add`` per pair — the only path a
+            # stateful backend (the simulated in-flash device) can run;
             # the adder and ``ctx.decrypt`` count their own operations
-            return _hits_of(self._pair_flags(shard, query_arena, row_map))
+            query_cts = [
+                unstack_ciphertext(ctx.ring, ctx.params, row)
+                for row in query_arena.stack
+            ]
+            blocks = SecureSearchEngine(shard.backend).search(
+                self.db, job.prepared,
+                lambda v_idx, j: query_cts[job.row_map[v_idx, j]],
+                range(shard.base_poly, stop),
+            )
+            index_unit = self.client if self._comparator is None else self._comparator
+            return block_hits(
+                blocks, index_unit.flag_matches, job.prepared.num_variants,
+                shard.base_poly,
+            )
         hom_adds = job.prepared.num_variants * shard.num_polynomials
         ctx.counter.additions += hom_adds
         if self._comparator is not None:
-            return _hits_of(
-                comparator_flag_grid(
-                    self._comparator, shard.arena, query_arena, row_map,
-                    np.arange(shard.base_poly, stop, dtype=np.int64),
-                )
+            return comparator_hits(
+                self._comparator, shard.arena, query_arena, row_map,
+                np.arange(shard.base_poly, stop, dtype=np.int64),
             )
         ctx.counter.decryptions += hom_adds
         return fused_decrypt_flags(
@@ -544,39 +549,6 @@ class ShardedSearchEngine:
             ctx.params,
             self.client.chunk_width,
         )
-
-    def _pair_flags(
-        self, shard: DbShard, query_arena: QueryArena, row_map: np.ndarray
-    ) -> np.ndarray:
-        """The shard's flag slice through its own adder: one genuine
-        ``backend.hom_add`` per (polynomial, variant) pair, then
-        per-block flag extraction — the only path a stateful backend
-        (the simulated in-flash device) can run, and the oracle the
-        broadcast kernels are tested against."""
-        ctx = self.client.ctx
-        query_cts = [
-            unstack_ciphertext(ctx.ring, ctx.params, row)
-            for row in query_arena.stack
-        ]
-        num_variants, num_polys = row_map.shape
-        flags = np.empty((num_variants, num_polys, ctx.ring.n), dtype=bool)
-        for v_idx in range(num_variants):
-            for local_j, db_ct in enumerate(shard.ciphertexts):
-                row = row_map[v_idx, local_j]
-                result = shard.backend.hom_add(db_ct, query_cts[row])
-                if self._comparator is not None:
-                    flags[v_idx, local_j] = self._comparator.flag_matches(
-                        result,
-                        shard.base_poly + local_j,
-                        variant_cache_key(
-                            v_idx, int(query_arena.row_residue[row])
-                        ),
-                    )
-                else:
-                    flags[v_idx, local_j] = flag_matches_by_decryption(
-                        ctx, result, self.client.sk, self.client.chunk_width
-                    )
-        return flags
 
     # -- result merge + decode -------------------------------------------
 
@@ -610,9 +582,3 @@ class ShardedSearchEngine:
             encrypted_db_bytes=self.db.serialized_bytes,
             degraded_shards=tuple(sorted(job.degraded)),
         )
-
-
-def _hits_of(flags: np.ndarray) -> List[np.ndarray]:
-    """A ``(V, P, n)`` flag grid in the form shard tasks return: per
-    variant, the sorted flat indices of its set flags."""
-    return [np.flatnonzero(variant_flags) for variant_flags in flags]

@@ -101,6 +101,16 @@ class SSDController:
         self._record(FlashOp.PROGRAM_PAGE, ppa)
         return ppa
 
+    def cm_trim(self) -> None:
+        """Discard the whole CIPHERMATCH region: forget its mappings,
+        restart slot allocation and erase the blocks that held slots."""
+        for ppa in self.ftl.release_ciphermatch_region():
+            plane = self.flash.plane(ppa.plane_index(self.flash.geometry))
+            block = plane.block(ppa.block)
+            if block.programmed.any():  # several slots share a block
+                block.erase()
+                self._record(FlashOp.ERASE_BLOCK, ppa)
+
     def cm_read(self, lpn: int) -> np.ndarray:
         """CM-read / page fault path: read ``word_bits`` wordlines and
         transpose back to the horizontal layout."""

@@ -2,10 +2,11 @@
 addition backend that plugs into the secure-search engine.
 
 ``IFPAdditionBackend`` is the hardware-software codesign seam: the
-:class:`repro.core.matcher.SecureSearchEngine` calls ``hom_add`` and the
-addition actually executes inside the simulated NAND planes via
-``bop_add`` — coefficient-wise addition mod ``2**32`` on vertical data
-is exactly BFV Hom-Add for the paper's ``q = 2**32``.
+per-pair search cell (:meth:`repro.core.matcher.SecureSearchEngine.search`,
+the one loop the pipeline's server and every serving shard run) calls
+``hom_add`` and the addition executes inside the simulated NAND planes
+via ``bop_add`` — coefficient-wise addition mod ``2**32`` on vertical
+data is exactly BFV Hom-Add for the paper's ``q = 2**32``.
 """
 
 from __future__ import annotations
@@ -67,10 +68,11 @@ class CipherMatchSSD:
 class IFPAdditionBackend:
     """Executes BFV Hom-Add inside the simulated flash (CM-IFP).
 
-    Database ciphertexts are written to the CIPHERMATCH region once (on
-    first use) and stay resident; every ``hom_add`` streams the query
-    ciphertext's coefficients through ``bop_add``.  Requires a
-    power-of-two coefficient modulus matching the vertical word width.
+    Database ciphertexts are written to the CIPHERMATCH region on first
+    use and stay resident until :meth:`release_database`; every
+    ``hom_add`` streams the query ciphertext's coefficients through
+    ``bop_add``.  Requires a power-of-two coefficient modulus matching
+    the vertical word width.
     """
 
     def __init__(self, ctx: BFVContext, ssd: Optional[CipherMatchSSD] = None):
@@ -89,7 +91,10 @@ class IFPAdditionBackend:
         )
         if self.ssd.config.controller.word_bits != word_bits:
             raise ValueError("SSD word width does not match ciphertext modulus")
-        self._resident: Dict[int, List[int]] = {}
+        #: ``id`` of a resident ciphertext -> (the ciphertext, its
+        #: logical pages); holding the object keeps its ``id`` from
+        #: being reused by another ciphertext while the entry lives
+        self._resident: Dict[int, Tuple[Ciphertext, List[int]]] = {}
         self.hom_add_count = 0
 
     # -- placement -----------------------------------------------------------
@@ -100,7 +105,7 @@ class IFPAdditionBackend:
     def _ensure_resident(self, ct: Ciphertext) -> List[int]:
         key = id(ct)
         if key in self._resident:
-            return self._resident[key]
+            return self._resident[key][1]
         words = self._ciphertext_words(ct)
         per_slot = self.ssd.controller.words_per_slot
         num_slots = -(-len(words) // per_slot)
@@ -108,8 +113,15 @@ class IFPAdditionBackend:
         for slot, lpn in enumerate(lpns):
             chunk = words[slot * per_slot : (slot + 1) * per_slot]
             self.ssd.controller.cm_write(lpn, chunk)
-        self._resident[key] = lpns
+        self._resident[key] = (ct, lpns)
         return lpns
+
+    def release_database(self) -> None:
+        """Drop every resident ciphertext and reclaim its flash: the
+        server calls this when a new database replaces the stored one
+        (:meth:`repro.core.server.CipherMatchServer.store_database`)."""
+        self._resident.clear()
+        self.ssd.controller.cm_trim()
 
     # -- the AdditionBackend protocol ------------------------------------------
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..flash.cell_array import FlashGeometry
 
@@ -128,10 +128,13 @@ class FlashTranslationLayer:
         """Allocate the next vertical slot, striped channel-first."""
         if self._next_slot >= self.total_ciphermatch_slots():
             raise RuntimeError("CIPHERMATCH region full")
-        g = self.geometry
-        slot = self._next_slot
+        ppa = self._slot_address(self._next_slot)
         self._next_slot += 1
+        self.tables[Region.CIPHERMATCH].bind(lpn, ppa)
+        return ppa
 
+    def _slot_address(self, slot: int) -> PhysicalAddress:
+        g = self.geometry
         plane_flat = slot % g.total_planes
         per_plane_slot = slot // g.total_planes
         block = per_plane_slot // self.slots_per_block()
@@ -142,15 +145,22 @@ class FlashTranslationLayer:
         die = (plane_flat % per_channel) // g.planes_per_die
         plane = plane_flat % g.planes_per_die
 
-        ppa = PhysicalAddress(
+        return PhysicalAddress(
             channel=channel,
             die=die,
             plane=plane,
             block=block,
             wordline=slot_in_block * self.word_bits,
         )
-        self.tables[Region.CIPHERMATCH].bind(lpn, ppa)
-        return ppa
+
+    def release_ciphermatch_region(self) -> List[PhysicalAddress]:
+        """Unbind every CIPHERMATCH page and allocate from slot 0 again.
+        Returns the slots handed out so far; the caller erases their
+        blocks before anything is programmed there again."""
+        used = [self._slot_address(slot) for slot in range(self._next_slot)]
+        self.tables[Region.CIPHERMATCH] = MappingTable()
+        self._next_slot = 0
+        return used
 
     def allocate_conventional(self, lpn: int) -> PhysicalAddress:
         g = self.geometry

@@ -3,8 +3,8 @@
 The acceptance bar of the fused arena kernels: every registered engine
 built on the core CIPHERMATCH matcher (the pipeline, the wire protocol
 and the sharded serving engine) produces *identical*
-``MatchCandidate``/match lists — and, at the flag level, byte-identical
-decrypted flag vectors — whether a plain CPU adder runs the fused
+``MatchCandidate``/match lists — and, at the flag level, identical
+hit lists — whether a plain CPU adder runs the fused
 kernels ("fused") or :class:`tests.oracles.PerPairAdder` forces one
 ``hom_add`` object per pair ("object"), including deterministic-seed
 (server-side index generation) mode and merges that span shard
@@ -20,9 +20,15 @@ import repro
 from repro.api import DEFAULT_REGISTRY
 from repro.baselines import find_all_matches
 from repro.core import ClientConfig, IndexMode, SecureStringMatchPipeline
-from repro.core.matcher import FusedResultSet
+from repro.core.match_polynomial import flag_matches_by_decryption
 from repro.he import BFVParams
-from tests.oracles import ADDER_KWARGS, PerPairAdder, dense_flags, per_pair_factory
+from repro.he.arena import fused_decrypt_flags
+from tests.oracles import (
+    ADDER_KWARGS,
+    PerPairAdder,
+    hits_of_blocks,
+    per_pair_factory,
+)
 
 #: engines built on the core matcher, with kwargs mirroring
 #: tests/api/test_parity.py (plus per-engine shard counts)
@@ -73,11 +79,13 @@ def test_hom_op_tally_identical_across_kernels(key, master_fixture):
     "index_mode", [IndexMode.CLIENT_DECRYPT, IndexMode.SERVER_DETERMINISTIC]
 )
 def test_pipeline_flags_byte_identical(index_mode, master_fixture):
-    """At the flag level: the fused kernels produce byte-identical
-    decrypted/compared flag vectors for every (variant, polynomial)
-    result block, in both index-generation modes."""
+    """At the flag level: the fused cell and the per-pair cell set the
+    same flags for every (variant, polynomial) result block — their hit
+    lists are equal element for element — in both index-generation
+    modes, and decode to the same candidates."""
     db_bits = master_fixture.db_bits
     query = master_fixture.query_bits
+    deterministic = index_mode is IndexMode.SERVER_DETERMINISTIC
     pipes = {}
     for kernel in ("object", "fused"):
         pipe = SecureStringMatchPipeline(
@@ -88,51 +96,58 @@ def test_pipeline_flags_byte_identical(index_mode, master_fixture):
         if kernel == "object":
             pipe.server.engine.backend = PerPairAdder(pipe.client.ctx)
         pipe.outsource_database(db_bits)
+        assert pipe.server.fused == (kernel == "fused")
         pipes[kernel] = pipe
 
-    def flags_of(pipe):
-        prepared = pipe.client.prepare_query(query)
+    def per_pair_hits(pipe):
+        client = pipe.client
+        prepared = client.prepare_query(query)
         blocks = pipe.server.search(
-            prepared, lambda v, j: pipe.client.encrypt_variant(prepared, v, j)
+            prepared, lambda v, j: client.encrypt_variant(prepared, v, j)
         )
-        if index_mode is IndexMode.SERVER_DETERMINISTIC:
-            return prepared, pipe.server.generate_index(blocks)
-        assert isinstance(blocks, FusedResultSet) == (pipe is pipes["fused"])
-        if isinstance(blocks, FusedResultSet):
-            grid = dense_flags(
-                blocks.flags_by_decryption(pipe.client.sk),
-                blocks.num_polynomials,
-                pipe.db.n,
-            )
-            return prepared, {
-                (v, j): grid[v, j]
-                for v in range(blocks.num_variants)
-                for j in range(blocks.num_polynomials)
-            }
-        from repro.core.match_polynomial import flag_matches_by_decryption
+        if deterministic:
+            return prepared, pipe.server.generate_index(blocks, prepared.num_variants)
+        return prepared, hits_of_blocks(
+            {
+                (b.variant_index, b.poly_index): flag_matches_by_decryption(
+                    client.ctx, b.ciphertext, client.sk, 16
+                )
+                for b in blocks
+            },
+            prepared.num_variants,
+            pipe.db.n,
+        )
 
-        return prepared, {
-            (b.variant_index, b.poly_index): flag_matches_by_decryption(
-                pipe.client.ctx, b.ciphertext, pipe.client.sk, 16
-            )
-            for b in blocks
-        }
+    def fused_hits(pipe):
+        client, ctx = pipe.client, pipe.client.ctx
+        prepared = client.prepare_query(query)
+        arena = client.query_arena(prepared, pipe.db.num_polynomials)
+        if deterministic:
+            return prepared, pipe.server.search_index(arena)
+        return prepared, fused_decrypt_flags(
+            pipe.db.fused_arena(ctx.ring, ctx.params).phases(client.sk),
+            arena.phases(client.sk),
+            arena.row_map(np.arange(pipe.db.num_polynomials)),
+            ctx.params,
+            16,
+        )
 
-    prep_o, flags_o = flags_of(pipes["object"])
-    prep_f, flags_f = flags_of(pipes["fused"])
-    assert flags_o.keys() == flags_f.keys()
-    for key in flags_o:
-        assert np.asarray(flags_o[key]).tobytes() == np.asarray(
-            flags_f[key]
-        ).tobytes(), f"flag vector diverged for block {key}"
+    prep_o, hits_o = per_pair_hits(pipes["object"])
+    prep_f, hits_f = fused_hits(pipes["fused"])
+    assert len(hits_o) == len(hits_f) == prep_o.num_variants
+    assert any(len(found) for found in hits_o)
+    for v_idx, (found_o, found_f) in enumerate(zip(hits_o, hits_f)):
+        assert found_o.tolist() == found_f.tolist(), (
+            f"flags diverged for variant {v_idx}"
+        )
     # and the decoded candidate lists agree in every field
-    dec_o = pipes["object"].client.decode_server_flags(
-        prep_o, flags_o, pipes["object"].db, verify=False
+    dec_o = pipes["object"].client.decode_flags_matrix(
+        prep_o, hits_o, pipes["object"].db, verify=False
     )
-    dec_f = pipes["fused"].client.decode_server_flags(
-        prep_f, flags_f, pipes["fused"].db, verify=False
+    dec_f = pipes["fused"].client.decode_flags_matrix(
+        prep_f, hits_f, pipes["fused"].db, verify=False
     )
-    assert dec_o == dec_f
+    assert dec_o == dec_f and dec_o
 
 
 def test_candidate_lists_identical_with_and_without_verify(master_fixture):

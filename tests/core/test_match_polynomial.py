@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.match_polynomial import (
     DeterministicComparator,
-    combine_flag_blocks,
     flag_matches_by_decryption,
     match_plaintext,
     match_value,
@@ -122,14 +121,3 @@ class TestDeterministicComparator:
         result = ctx.add(enc_db.ciphertexts[0], q_ct)
         comparator = DeterministicComparator(ctx, pk, seed=2, chunk_width=16)
         assert not comparator.flag_matches(result, 0, 0).any()
-
-
-class TestCombineFlagBlocks:
-    def test_concatenation(self):
-        a = np.array([True, False])
-        b = np.array([False, True])
-        combined = combine_flag_blocks([a, b])
-        assert list(combined) == [True, False, False, True]
-
-    def test_empty(self):
-        assert len(combine_flag_blocks([])) == 0

@@ -15,7 +15,7 @@ from repro.core.client import CipherMatchClient
 from repro.core.query import PreparedQuery, QueryVariant
 from repro.he import BFVParams
 from repro.utils.bits import random_bits
-from tests.oracles import prefix_sum_offsets
+from tests.oracles import hits_of_blocks, prefix_sum_offsets
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,8 @@ class TestSecureSearchEngine:
         prepared = client.prepare_query(random_bits(16, rng))
         engine = SecureSearchEngine(CPUAdditionBackend(client.ctx))
         blocks = engine.search(
-            db, prepared, lambda v, j: client.encrypt_variant(prepared, v, j)
+            db, prepared, lambda v, j: client.encrypt_variant(prepared, v, j),
+            range(3),
         )
         assert engine.hom_add_count == 3 * 16
         assert len(blocks) == 3 * 16
@@ -40,16 +41,20 @@ class TestSecureSearchEngine:
         prepared = client.prepare_query(random_bits(16, rng))
         engine = SecureSearchEngine(CPUAdditionBackend(client.ctx))
         blocks = engine.search(
-            db, prepared, lambda v, j: client.encrypt_variant(prepared, v, j)
+            db, prepared, lambda v, j: client.encrypt_variant(prepared, v, j),
+            range(1),
         )
         assert {b.poly_index for b in blocks} == {0}
         assert {b.variant_index for b in blocks} == set(range(16))
 
 
 class TestResultDecoder:
-    def _decode_single(self, client, prepared, flags_by_block, db_bits_len, polys=1):
-        decoder = ResultDecoder(16, client.ctx.params.n, db_bits_len)
-        return decoder.decode(prepared, flags_by_block, polys)
+    def _decode_single(self, client, prepared, flags_by_block, db_bits_len):
+        n = client.ctx.params.n
+        decoder = ResultDecoder(16, n, db_bits_len)
+        return decoder.decode_hits(
+            prepared, hits_of_blocks(flags_by_block, prepared.num_variants, n)
+        )
 
     def test_phase0_offset_mapping(self, client, rng):
         prepared = client.prepare_query(random_bits(16, rng))
@@ -124,7 +129,9 @@ class TestResultDecoder:
             (v0, 1): np.eye(1, n, 2, dtype=bool)[0],
         }
         decoder = ResultDecoder(16, n, 16 * 3 * n)
-        candidates = decoder.decode(prepared, flags, 2)
+        candidates = decoder.decode_hits(
+            prepared, hits_of_blocks(flags, prepared.num_variants, n)
+        )
         assert [c.offset for c in candidates] == [(n + 2) * 16]
 
     @pytest.mark.parametrize("density", [0.05, 0.5, 0.9, 1.0])
@@ -134,7 +141,8 @@ class TestResultDecoder:
         reference, for every rotation and every vector length 0-40 —
         vectors shorter than the span, fewer hits than the span, runs
         longer than the span, a run touching the last index and the
-        all-True vector included — through both decode entry points."""
+        all-True vector included — from the flat hits and from hits
+        assembled block by block."""
         w = 4
         rng = np.random.default_rng(round(density * 100) * 10 + span)
         for rotation in range(span):
@@ -166,7 +174,7 @@ class TestResultDecoder:
                 assert got.dtype == want.dtype and got.tolist() == want.tolist()
                 blocks = {(0, j): grid[0, j] for j in range(polys)}
                 for candidates in (
-                    decoder.decode(prepared, blocks, polys),
+                    decoder.decode_hits(prepared, hits_of_blocks(blocks, 1, n)),
                     decoder.decode_hits(prepared, [hits]),
                 ):
                     assert [c.offset for c in candidates] == want.tolist()

@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 
 from repro.baselines import find_all_matches
-from repro.core import ClientConfig, IndexMode, SecureStringMatchPipeline
+from repro.core import (
+    ClientConfig,
+    IndexMode,
+    QueryPreparer,
+    SecureStringMatchPipeline,
+)
 from repro.he import BFVParams
+from repro.he.arena import query_row_layout
 from repro.utils.bits import random_bits
+from tests.oracles import count_transforms
 
 PARAMS = BFVParams.test_small(64)
 
@@ -141,7 +148,60 @@ class TestDeterministicIndexMode:
         pipe = make_pipeline(72, IndexMode.CLIENT_DECRYPT)
         pipe.outsource_database(random_bits(500, rng))
         with pytest.raises(RuntimeError):
-            pipe.server.generate_index([])
+            pipe.server.generate_index([], 0)
+
+
+class TestFusedCell:
+    """What a fused ``CLIENT_DECRYPT`` search costs on the query side —
+    the serving engine's miss path (tests/serve/test_fused_serve.py),
+    without its cache."""
+
+    def _planted(self, rng):
+        db = random_bits(3 * PARAMS.n * 16, rng)
+        queries = [random_bits(48, rng) for _ in range(2)]
+        db[160:208] = queries[0]
+        db[1203:1251] = queries[1]
+        return db, queries
+
+    def test_one_encryption_pass_and_no_query_side_product(self, rng, monkeypatch):
+        db, (warm, query) = self._planted(rng)
+        pipe = make_pipeline(90)
+        pipe.outsource_database(db)
+        assert pipe.server.fused
+        pipe.search(warm)  # builds the database's phase rows
+        passes = []
+        encrypt = QueryPreparer.encrypt_variant_value
+
+        def spy(self, prepared, rows, *args, **kwargs):
+            block = encrypt(self, prepared, rows, *args, **kwargs)
+            passes.append((len(rows), block.shape))
+            return block
+
+        monkeypatch.setattr(QueryPreparer, "encrypt_variant_value", spy)
+        with count_transforms() as whole:
+            report = pipe.search(query)
+        assert report.matches == find_all_matches(db, query) == [1203]
+        rows = len(
+            query_row_layout(pipe.client.prepare_query(query).variants, PARAMS.n, 3)
+        )
+        assert passes == [(rows, (rows, 3, PARAMS.n))] and rows == 39
+        # every transform of the search is the encryption pass's own:
+        # the phase rows it returned are read, never recomputed as c1 * s
+        twin = make_pipeline(90).client
+        twin.query_arena(twin.prepare_query(warm), 3)  # the key's spectrum
+        with count_transforms() as alone:
+            twin.query_arena(twin.prepare_query(query), 3)
+        assert whole == alone != []
+
+    def test_rng_draws_do_not_depend_on_query_content(self, rng):
+        db, queries = self._planted(rng)
+        states = []
+        for query in queries:
+            pipe = make_pipeline(91)
+            pipe.outsource_database(db)
+            assert pipe.search(query).matches == find_all_matches(db, query)
+            states.append(pipe.client.ctx._rng.bit_generator.state)
+        assert states[0] == states[1]
 
 
 class TestReports:

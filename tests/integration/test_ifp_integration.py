@@ -8,6 +8,7 @@ from repro.baselines import find_all_matches
 from repro.core import ClientConfig, IndexMode, SecureStringMatchPipeline
 from repro.he import BFVParams
 from repro.ssd import IFPAdditionBackend
+from repro.ssd.ftl import Region
 from repro.utils.bits import random_bits
 
 PARAMS = BFVParams.test_small(64)
@@ -62,6 +63,45 @@ class TestIFPSearchCorrectness:
         assert 960 in r2.matches
         # the encrypted database stays resident: no new flash programs
         assert writes_after_q2 == writes_after_q1
+
+
+    @pytest.mark.parametrize(
+        "mode", [IndexMode.CLIENT_DECRYPT, IndexMode.SERVER_DETERMINISTIC]
+    )
+    def test_reoutsourcing_replaces_the_resident_database(self, rng, mode):
+        """The flash holds the database the server stores, not every
+        database it ever stored: 12 re-outsource + search rounds (the
+        functional region has 16 slots, a database takes 2) stay the
+        oracle's and residency stays one database."""
+        pipe, backend = ifp_pipeline(18, mode)
+        ftl = backend.ssd.controller.ftl
+        for _ in range(12):
+            db = random_bits(2000, rng)
+            q = random_bits(32, rng)
+            db[160:192] = q
+            db[1203:1235] = q
+            stored = pipe.outsource_database(db)
+            assert pipe.search(q).matches == find_all_matches(db, q)
+            assert pipe.search(q).matches == find_all_matches(db, q)
+            assert len(backend._resident) == stored.num_polynomials == 2
+            assert all(
+                any(ct is kept for kept in stored.ciphertexts)
+                for ct, _ in backend._resident.values()
+            )
+            assert ftl._next_slot == len(ftl.tables[Region.CIPHERMATCH]) == 2
+
+    def test_reoutsourcing_through_the_session_facade(self, rng):
+        import repro
+
+        with repro.open_session(
+            "bfv", params=PARAMS, key_seed=19, addition_backend=IFPAdditionBackend
+        ) as session:
+            for _ in range(12):
+                db = random_bits(2000, rng)
+                q = random_bits(32, rng)
+                db[480:512] = q
+                session.outsource(db)
+                assert list(session.search(q).matches) == find_all_matches(db, q)
 
 
 class TestIFPCostAccounting:

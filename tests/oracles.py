@@ -28,7 +28,8 @@ phase) and :meth:`repro.core.matcher.ResultDecoder._offsets_for_variant`
 body the ``uint32`` kernel replaced at ``q = 2**32``, and
 :func:`dense_decrypt_flags` the whole kernel as it was when it wrote
 the dense ``(V, P, n)`` grid; the kernel now returns the sorted indices
-of the set flags, which :func:`dense_flags` turns back into a grid.
+of the set flags, which :func:`dense_flags` turns back into a grid and
+:func:`hits_of_blocks` builds from per-block flag vectors.
 
 :func:`count_transforms` records every transform a block runs — limb
 NTTs and the small-operand product's FFTs.
@@ -356,6 +357,20 @@ def dense_flags(hits, num_polys: int, n: int) -> np.ndarray:
     for v, found in enumerate(hits):
         grid[v, found] = True
     return grid.reshape(len(hits), num_polys, n)
+
+
+def hits_of_blocks(flags_by_block, num_variants: int, n: int):
+    """Per-block flag vectors, ``{(variant, poly): (n,) bool}``, in the
+    form every search cell returns and ``ResultDecoder.decode_hits``
+    reads: per variant, the sorted flat indices ``j * n + c`` of the set
+    flags.  A block that is absent has no set flag."""
+    found = [[] for _ in range(num_variants)]
+    for (v, j), flags in sorted(flags_by_block.items()):
+        found[v].append(np.flatnonzero(flags) + j * n)
+    return [
+        np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
+        for parts in found
+    ]
 
 
 def prefix_sum_offsets(decoder, variant, flags, prepared):

@@ -18,7 +18,7 @@ from repro.he.noise import NoiseBounds
 from repro.serve import ShardedSearchEngine
 from repro.utils.bits import random_bits
 from repro.serve.cache import entry_nbytes
-from tests.oracles import count_transforms, per_pair_factory
+from tests.oracles import PerPairAdder, count_transforms, per_pair_factory
 
 
 def _workload(num_polys=6, num_queries=4, seed=41):
@@ -289,6 +289,44 @@ def test_stateful_backend_forces_object_path():
     assert rows and all(
         isinstance(v, np.ndarray) and v.shape == (3, params.n) for v in rows
     )
+
+
+@pytest.mark.parametrize(
+    "index_mode", [IndexMode.CLIENT_DECRYPT, IndexMode.SERVER_DETERMINISTIC]
+)
+def test_per_pair_shard_task_touches_only_its_own_range(index_mode):
+    """A shard is a polynomial range, not a second list of the
+    database: its task hands its adder exactly the stored ciphertexts of
+    that range — each once per variant — and nothing of a neighbour's."""
+    params, db, queries = _workload(num_polys=5)
+    touched = {}
+
+    class RecordingAdder(PerPairAdder):
+        def __init__(self, ctx, shard_id):
+            super().__init__(ctx)
+            self.stored = touched.setdefault(shard_id, [])
+
+        def hom_add(self, a, b):
+            self.stored.append(a)
+            return super().hom_add(a, b)
+
+    engine = ShardedSearchEngine(
+        ClientConfig(params, key_seed=41, index_mode=index_mode),
+        num_shards=3,
+        backend_factory=RecordingAdder,
+    )
+    encrypted = engine.outsource(db)
+    report = engine.search_batch(queries[:1])
+    assert report.matches_per_query() == [find_all_matches(db, queries[0])] != [[]]
+    variants = report.reports[0].num_variants
+    assert [s.num_polynomials for s in engine.shards] == [1, 2, 2]
+    for shard in engine.shards:
+        own = encrypted.ciphertexts[
+            shard.base_poly : shard.base_poly + shard.num_polynomials
+        ]
+        assert [id(ct) for ct in touched[shard.shard_id]] == [
+            id(ct) for ct in own
+        ] * variants
 
 
 def test_fused_deterministic_mode_uses_comparator_batch():
