@@ -194,7 +194,7 @@ def bench_cell(
     def fused_db_phases():
         # the once-per-outsourcing cost: c0 + c1 * s over all db rows
         return add_mod_q(
-            arena.c0, mul_rows_by_poly(ctx.ring, arena.c1, sk.s), q
+            arena.c0_rows(), mul_rows_by_poly(ctx.ring, arena.stack[:, 1], sk.s), q
         )
 
     db_phases = fused_db_phases()

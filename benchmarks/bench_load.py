@@ -211,7 +211,6 @@ def resilience_lanes(
             )
             slo_chaos = ScenarioSlo.from_run(trace_chaos, run_chaos)
             server_fired = service.service.fault_injector.summary()
-            stats = target.stats()
         finally:
             target.close()
 
@@ -251,7 +250,7 @@ def resilience_lanes(
                 f"(fired: {fired or 'nothing'})"
             )
 
-    return slo_burst, slo_chaos, stats, budget, fired
+    return slo_burst, slo_chaos, budget, fired
 
 
 def tenant_lanes(scenario_key: str, seed: int, quick: bool, failures: list):
@@ -447,7 +446,6 @@ def run_tenant(quick: bool, seed: int) -> int:
             for t in tenant_ids
             if t in lanes
         ],
-        scheduler_sheds=int(stats.get("scheduler_sheds", 0) or 0),
         tenants=rows,
     )
     emit("tenant_slo", report.table())
@@ -530,8 +528,6 @@ def run(quick: bool, seed: int) -> int:
                 scenario, PoissonArrivals(), rate_hi, max_requests=n_over
             )
             slo_hi = ScenarioSlo.from_run(trace_hi, run_trace(trace_hi, target))
-
-            stats = target.stats()
         finally:
             target.close()
 
@@ -588,13 +584,12 @@ def run(quick: bool, seed: int) -> int:
             dataclasses.replace(slo_lo, scenario="database @0.4x"),
             dataclasses.replace(slo_hi, scenario="database @5x"),
         ],
-        scheduler_sheds=int(stats.get("scheduler_sheds", 0) or 0),
     )
     emit("load_slo", report.table())
     (OUT_DIR / "load_slo.json").write_text(report.to_json() + "\n")
 
     # -- resilience lanes: MMPP burst + seeded chaos replay ---------------
-    slo_burst, slo_chaos, chaos_stats, budget, fired = resilience_lanes(
+    slo_burst, slo_chaos, budget, fired = resilience_lanes(
         "database", seed, quick, sustainable, mean_latency, failures
     )
     chaos_report = LoadReport(
@@ -606,7 +601,6 @@ def run(quick: bool, seed: int) -> int:
             dataclasses.replace(slo_burst, scenario="database mmpp-burst"),
             dataclasses.replace(slo_chaos, scenario="database chaos-replay"),
         ],
-        scheduler_sheds=int(chaos_stats.get("scheduler_sheds", 0) or 0),
     )
     emit("chaos_slo", chaos_report.table())
     chaos_json = chaos_report.to_dict()

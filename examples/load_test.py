@@ -73,7 +73,6 @@ def drive(trace: LoadTrace) -> LoadReport:
         scenario.check(target.capabilities, target.describe())
         target.outsource(scenario.db_bits())
         run = run_trace(trace, target)
-        stats = target.stats()
     finally:
         target.close()
     report = LoadReport(
@@ -82,7 +81,6 @@ def drive(trace: LoadTrace) -> LoadReport:
         rate=trace.rate,
         seed=trace.seed,
         scenarios=[ScenarioSlo.from_run(trace, run)],
-        scheduler_sheds=stats["scheduler_sheds"],
     )
     print(report.table())
     return report

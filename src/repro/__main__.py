@@ -533,7 +533,6 @@ def _load(args: argparse.Namespace) -> int:
         rate=rate,
         seed=seed,
         scenarios=slos,
-        scheduler_sheds=int(stats.get("scheduler_sheds", 0) or 0),
         tenants=dict(stats.get("tenants", {}) or {}),
     )
     print(report.table())

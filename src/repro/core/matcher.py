@@ -105,19 +105,22 @@ def comparator_hits(
     arena: CiphertextArena,
     query: QueryArena,
     row_map: np.ndarray,
-    poly_indices: np.ndarray,
+    polys: range,
 ) -> List[np.ndarray]:
-    """Deterministic-mode index generation for a whole (or shard-sliced)
-    db x variant grid: broadcast Hom-Add of the c0 rows plus the
-    batched comparator, one variant at a time, each reduced to the
-    sorted flat indices of its set flags before the next is formed —
-    the single home of the fused comparator math for both the pipeline
-    and the serving shards.
+    """Deterministic-mode index generation for the db x variant grid of
+    the database polynomials ``polys`` (the whole database, or one
+    serving shard's range; ``row_map`` is ``(V, len(polys))``):
+    broadcast Hom-Add of the c0 rows plus the batched comparator, one
+    variant at a time, each reduced to the sorted flat indices of its
+    set flags before the next is formed — the single home of the fused
+    comparator math for both the pipeline and the serving shards.
     """
     q = arena.params.q
+    db_c0 = arena.c0_rows(polys.start, polys.stop)
+    poly_indices = np.arange(polys.start, polys.stop, dtype=np.int64)
     hits = []
     for v_idx, rows in enumerate(row_map):
-        result_c0 = add_mod_q(arena.c0, query.c0[rows], q)
+        result_c0 = add_mod_q(db_c0, query.c0[rows], q)
         hits.append(
             np.flatnonzero(
                 comparator.flag_matches_batch(

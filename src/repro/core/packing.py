@@ -99,10 +99,10 @@ class EncryptedDatabase:
         """The database's :class:`~repro.he.arena.CiphertextArena` —
         the stacked ``(num_polys, 2, n)`` storage the fused search
         kernels broadcast over.  Created lazily: construction validates
-        and allocates, but rows/limbs/phases materialize per build tile
-        on first touch (so outsourcing pays nothing up front and each
-        serving shard builds only its own rows).  Cached on the
-        database."""
+        and allocates, but rows and phases materialize per build tile on
+        first touch (outsourcing pays nothing up front; a serving shard
+        builds only its own range).  Cached on the database; racing
+        first callers may each build one, all equivalent, one kept."""
         arena = self._arena
         if arena is None or arena.ring != ring:
             arena = CiphertextArena.from_ciphertexts(

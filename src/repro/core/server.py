@@ -102,7 +102,7 @@ class CipherMatchServer:
         """:meth:`search` + :meth:`generate_index` as broadcast kernels
         over the ciphertext arena: same hits, same Hom-Add tally."""
         comparator = self._armed()
-        polys = np.arange(self.db.num_polynomials)
+        polys = range(self.db.num_polynomials)
         self.tally_hom_adds(query.num_variants * len(polys))
         arena = self.db.fused_arena(self.ctx.ring, self.ctx.params)
         return comparator_hits(comparator, arena, query, query.row_map(polys), polys)

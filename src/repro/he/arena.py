@@ -9,8 +9,9 @@ with its own ``c1 * s`` ring multiply.  The arena removes both costs:
 
 * :class:`CiphertextArena` stores a whole encrypted database as one
   ``(num_polys, 2, n)`` int64 array (row ``[j, 0]`` is ``c0`` of the
-  j-th polynomial, ``[j, 1]`` is ``c1``), built once at outsourcing
-  time.  Slicing it for a serving shard is a zero-copy view.
+  j-th polynomial, ``[j, 1]`` is ``c1``), built tile by tile on first
+  touch.  A serving shard is a row *range* of it: the accessors take
+  ``[lo, hi)``, build only that range's tiles and return zero-copy views.
 * :meth:`CiphertextArena.hom_add_broadcast` performs the entire
   db x variant product as one broadcast add + one modular fold — no
   per-pair Python objects.
@@ -170,9 +171,7 @@ class CiphertextArena:
     """A stack of size-2 ciphertexts as one contiguous int64 array.
 
     ``stack[j, 0]`` / ``stack[j, 1]`` are the ``c0`` / ``c1``
-    coefficient rows of the j-th ciphertext.  ``base_index`` records
-    which global polynomial the first row corresponds to, so shard
-    slices keep reporting global indices.
+    coefficient rows of the j-th ciphertext.
     """
 
     def __init__(
@@ -180,8 +179,6 @@ class CiphertextArena:
         ring: RingContext,
         params: "BFVParams",
         stack: np.ndarray,
-        base_index: int = 0,
-        _parent: "CiphertextArena | None" = None,
         _source: "Sequence[Ciphertext] | None" = None,
         build_tile: int = _BUILD_TILE_ROWS,
     ):
@@ -192,8 +189,6 @@ class CiphertextArena:
         self.ring = ring
         self.params = params
         self.stack = stack
-        self.base_index = base_index
-        self._parent = _parent
         # Reentrant: the phase builder calls back into the stack
         # builder for the same row range under one lock.
         self._lock = threading.RLock()
@@ -222,7 +217,6 @@ class CiphertextArena:
         ring: RingContext,
         params: "BFVParams",
         ciphertexts: Sequence[Ciphertext],
-        base_index: int = 0,
         *,
         lazy: bool = False,
         build_tile: int = _BUILD_TILE_ROWS,
@@ -234,7 +228,7 @@ class CiphertextArena:
         materialize per :attr:`build tile <_build_tile>` the first time
         a kernel touches them — so outsourcing a database costs nothing
         up front and a shard's first query builds only that shard's
-        rows.  Shape validation stays eager either way.
+        range.  Shape validation stays eager either way.
         """
         n = ring.n
         for ct in ciphertexts:
@@ -243,13 +237,12 @@ class CiphertextArena:
         stack = np.empty((len(ciphertexts), 2, n), dtype=np.int64)
         if lazy:
             return cls(
-                ring, params, stack, base_index,
-                _source=ciphertexts, build_tile=build_tile,
+                ring, params, stack, _source=ciphertexts, build_tile=build_tile
             )
         for j, ct in enumerate(ciphertexts):
             stack[j, 0] = ct.c0.coeffs
             stack[j, 1] = ct.c1.coeffs
-        return cls(ring, params, stack, base_index, build_tile=build_tile)
+        return cls(ring, params, stack, build_tile=build_tile)
 
     # -- lazy build --------------------------------------------------------
 
@@ -263,15 +256,10 @@ class CiphertextArena:
         return range(lo // tile, (hi - 1) // tile + 1) if hi > lo else range(0)
 
     def _ensure_rows(self, lo: int, hi: int) -> None:
-        """Materialize stack rows ``[lo, hi)`` (local indices) from the
-        pending ciphertext list; no-op once built or for eager arenas.
-        Slices delegate to the root, so one shard's touch never builds
-        another shard's rows."""
-        parent = self._parent
-        if parent is not None:
-            off = self.base_index - parent.base_index
-            parent._ensure_rows(off + lo, off + hi)
-            return
+        """Materialize stack rows ``[lo, hi)`` from the pending
+        ciphertext list; no-op once built or for eager arenas.  Only the
+        tiles covering the range are built, so one shard's touch never
+        builds another shard's rows."""
         if self._source is None or hi <= lo:
             return
         with self._lock:
@@ -291,21 +279,9 @@ class CiphertextArena:
             if built.all():
                 self._source = None
 
-    def ensure_built(self) -> None:
-        """Force this arena's full row range to materialize (for slices:
-        just their rows, through the root)."""
-        self._ensure_rows(0, self.num_polys)
-
     @property
     def fully_built(self) -> bool:
-        """True once every row of this arena's range is materialized."""
-        parent = self._parent
-        if parent is not None:
-            off = self.base_index - parent.base_index
-            if parent._source is None:
-                return True
-            built = parent._built
-            return all(built[t] for t in parent._tiles_over(off, off + self.num_polys))
+        """True once every row is materialized."""
         return self._source is None
 
     # -- views -------------------------------------------------------------
@@ -318,31 +294,12 @@ class CiphertextArena:
     def n(self) -> int:
         return self.stack.shape[2]
 
-    @property
-    def c0(self) -> np.ndarray:
-        """``(num_polys, n)`` view of the c0 rows (no copy; forces a
-        lazy arena's rows to materialize)."""
-        self._ensure_rows(0, self.num_polys)
-        return self.stack[:, 0]
-
-    @property
-    def c1(self) -> np.ndarray:
-        """``(num_polys, n)`` view of the c1 rows (no copy; forces a
-        lazy arena's rows to materialize)."""
-        self._ensure_rows(0, self.num_polys)
-        return self.stack[:, 1]
-
-    def slice(self, start: int, stop: int) -> "CiphertextArena":
-        """Zero-copy sub-arena for rows ``[start, stop)`` — what a
-        serving shard holds.  The phase cache resolves through the
-        parent so per-database work is never recomputed per shard."""
-        return CiphertextArena(
-            self.ring,
-            self.params,
-            self.stack[start:stop],
-            base_index=self.base_index + start,
-            _parent=self,
-        )
+    def c0_rows(self, lo: int = 0, hi: "int | None" = None) -> np.ndarray:
+        """``(hi - lo, n)`` view of the c0 rows ``[lo, hi)``, default all
+        (no copy; materializes a lazy arena's tiles under the range)."""
+        hi = self.num_polys if hi is None else hi
+        self._ensure_rows(lo, hi)
+        return self.stack[lo:hi, 0]
 
     def ciphertext(self, j: int) -> Ciphertext:
         """Materialize row ``j`` back into a ciphertext object (copies,
@@ -414,26 +371,22 @@ class CiphertextArena:
             return out if out is not None else full[0]
         return full
 
-    def phases(self, sk: "SecretKey") -> np.ndarray:
-        """``(num_polys, n)`` decryption phases ``c0 + c1 * s mod q``
-        of the arena rows, computed once per (arena, secret key), in
-        the kernel's :func:`phase_dtype`.
+    def phases(
+        self, sk: "SecretKey", lo: int = 0, hi: "int | None" = None
+    ) -> np.ndarray:
+        """``(hi - lo, n)`` decryption phases ``c0 + c1 * s mod q`` of
+        rows ``[lo, hi)`` (default: all), in the kernel's
+        :func:`phase_dtype`.  Each tile is computed once per (arena,
+        secret key) and only the tiles under the range are built, so a
+        shard's task never pays for the whole database; the result is
+        the cached array (full range) or a view of it.
 
         Decryption is linear, so the phase of any Hom-Add result is the
         sum of these rows and the query-side phases — which is what
         lets :func:`fused_decrypt_flags` decrypt the whole db x variant
         grid with broadcast adds instead of per-block multiplies.
         """
-        return self._phases_range(sk, 0, self.num_polys)
-
-    def _phases_range(self, sk: "SecretKey", lo: int, hi: int) -> np.ndarray:
-        """Phase rows ``[lo, hi)``, building only the touched tiles (so
-        a shard slice never pays for the whole database).  A full-range
-        call on a fully-built root returns the cached array itself."""
-        parent = self._parent
-        if parent is not None:
-            off = self.base_index - parent.base_index
-            return parent._phases_range(sk, off + lo, off + hi)
+        hi = self.num_polys if hi is None else hi
         with self._lock:
             if self._phase_rows is None or self._phase_sk is not sk:
                 self._phase_rows = np.empty(

@@ -156,16 +156,6 @@ class SessionTarget(LoadTarget):
         # trace but nothing enforces them on this path.
         return self.session.submit(request)
 
-    def stats(self) -> Dict[str, object]:
-        inner = getattr(self.session.engine, "engine", None)
-        scheduler = getattr(inner, "scheduler", None)
-        return {
-            "scheduler_sheds": 0 if scheduler is None else scheduler.sheds,
-            "admit_rejected": (
-                0 if scheduler is None else scheduler.admit_rejected
-            ),
-        }
-
     def close(self) -> None:
         if self._owns:
             self.session.close()
@@ -216,7 +206,6 @@ class RemoteTarget(LoadTarget):
         except ValueError:
             tenants = {}
         return {
-            "scheduler_sheds": s.scheduler_sheds,
             "service_shed": s.shed,
             "service_completed": s.completed,
             "service_failed": s.failed,

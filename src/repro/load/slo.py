@@ -100,8 +100,6 @@ class LoadReport:
     rate: float
     seed: int
     scenarios: List[ScenarioSlo] = field(default_factory=list)
-    #: admission-control sheds in ServeScheduler accounting
-    scheduler_sheds: int = 0
     #: per-tenant accounting rows from a multi-tenant service's STATS
     #: frame ({} against single-tenant targets)
     tenants: Dict[str, Dict] = field(default_factory=dict)
@@ -163,8 +161,6 @@ class LoadReport:
             f"target {self.target}; arrival {self.arrival} @ {self.rate:.1f} "
             f"req/s nominal; seed {self.seed}"
         )
-        if self.scheduler_sheds:
-            note += f"; {self.scheduler_sheds} scheduler sheds"
         return format_table(
             "open-loop load SLO report",
             (
@@ -228,7 +224,6 @@ class LoadReport:
             rate=float(obj["rate"]),
             seed=int(obj["seed"]),
             scenarios=scenarios,
-            scheduler_sheds=int(obj.get("scheduler_sheds", 0)),
             tenants=dict(obj.get("tenants", {})),
             version=version,
         )

@@ -572,8 +572,6 @@ class ServiceStats:
     shed: int
     failed: int
     draining: bool
-    #: admission-control sheds recorded into ServeScheduler accounting
-    scheduler_sheds: int
     served_queries: int
     wall_p50: float
     wall_p95: float
@@ -601,13 +599,14 @@ def encode_stats(stats: ServiceStats) -> bytes:
     w.u64(stats.accepted).u64(stats.completed)
     w.u64(stats.shed).u64(stats.failed)
     w.u8(1 if stats.draining else 0)
-    w.u64(stats.scheduler_sheds).u64(stats.served_queries)
+    w.u64(0).u64(stats.served_queries)  # 0: reserved, see below
     w.f64(stats.wall_p50).f64(stats.wall_p95).f64(stats.wall_p99)
     w.f64(stats.throughput_qps).f64(stats.cache_hit_rate)
     # Reserved: three slots that described the shard executor until 3.0
-    # (worker_restarts, dead_shard_degradations, executor name).  Written
+    # (worker_restarts, dead_shard_degradations, executor name), written
     # as 0, 0, "thread" — what every 2.x server without worker processes
-    # sent — and skipped on read.  Dropping them changes the layout, so
+    # sent — and the one above (ServeScheduler's copy of ``shed`` until
+    # 9.0), all skipped on read.  Dropping one changes the layout, so
     # they go when CMN1 v1 parsing does.
     w.u64(0).u64(0)
     w.u64(stats.admit_rejected).u64(stats.degraded_shards)
@@ -628,7 +627,9 @@ def decode_stats(payload: bytes) -> ServiceStats:
         shed=r.u64(),
         failed=r.u64(),
         draining=bool(r.u8()),
-        scheduler_sheds=r.u64(),
+    )
+    r.u64()  # reserved, see encode_stats
+    fields.update(
         served_queries=r.u64(),
         wall_p50=r.f64(),
         wall_p95=r.f64(),

@@ -16,15 +16,15 @@ Concurrency and flow control
 ----------------------------
 * The event loop only ever decodes frames and moves futures; all
   cryptography runs on the session dispatcher thread (queries) or the
-  default executor (database outsourcing).
+  default executor (database outsourcing; rendering the last serve
+  report into a STATS answer, whose first read replays the device model).
 * **Admission control**: each connection holds a bounded in-flight set
   (``max_in_flight``).  When a request arrives over a full set, the
   entry with the *oldest deadline* — the one least likely to be worth
   serving — is shed: a queued victim is cancelled and answered with an
   ``ERR_SHED`` frame, or the incoming request itself is shed when its
   deadline is the oldest (or the victim already started executing).
-  Sheds are recorded into the tenant's accounting row and its engine's
-  :class:`~repro.serve.scheduler.ServeScheduler`.
+  A shed is counted once here and once in the tenant's accounting row.
 * **Fair dispatch**: while more than one tenant is registered, at most
   ``_FAIR_SLOTS`` requests execute at once, so the weighted queue — not
   arrival order — decides whose request runs next.
@@ -45,7 +45,8 @@ import asyncio
 import json
 import threading
 from concurrent.futures import Future as _ConcurrentFuture
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Union
 
 from ..api.capabilities import CapabilityError
@@ -59,10 +60,10 @@ from ..faults import (
     FaultPlan,
     install_engine_injector,
 )
-from ..eval.tables import percentile
 from ..serve.admission import classify_request, coerce_admission
 from ..tenancy.fairness import WeightedFairQueue
 from ..tenancy.registry import DEFAULT_TENANT, Tenant, TenantRegistry
+from ..utils.stats import percentile
 from . import codec
 from .framing import (
     PROTOCOL_VERSION,
@@ -146,12 +147,23 @@ def _code_for(exc: BaseException) -> int:
 
 def _inner_engine(tenant: Tenant):
     """The ShardedSearchEngine behind a tenant's session, if it is one
-    (the only engine with a scheduler and circuit breakers)."""
+    (the only engine with circuit breakers)."""
     return getattr(tenant.session.engine, "engine", None)
 
 
-def _scheduler(tenant: Tenant):
-    return getattr(_inner_engine(tenant), "scheduler", None)
+def _with_report(stats: codec.ServiceStats, report) -> codec.ServiceStats:
+    """``stats`` with the fields rendered from the most recent serve
+    report.  Their first read runs that batch's device-model replay —
+    tens of milliseconds — so the STATS handler calls this off the event
+    loop (``ModelReplay``'s lock makes a racing second reader safe)."""
+    if report is None:
+        return stats
+    return replace(
+        stats,
+        throughput_qps=report.throughput_qps,
+        report_text=report.summary_table(),
+        report_json=report.to_json(),
+    )
 
 
 class AsyncSearchService:
@@ -234,6 +246,11 @@ class AsyncSearchService:
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Set[_Connection] = set()
         self._outsource_lock = asyncio.Lock()
+        #: renders STATS answers off the loop, on its own thread, not the
+        #: default pool: a STATS just before an OUTSOURCE races that pool
+        #: into a second worker, and outsourcing on two threads keeps two
+        #: malloc arenas at the encryption peak (+16 MiB RSS, hotset-churn)
+        self._stats_executor = ThreadPoolExecutor(1, "repro-net-stats")
         self._draining = False
         self._drained: Optional[asyncio.Event] = None
         # admission counters (the STATS frame serializes these)
@@ -340,32 +357,33 @@ class AsyncSearchService:
         for conn in list(self._connections):
             await self._close_connection(conn)
         await asyncio.sleep(0.05)
+        self._stats_executor.shutdown()  # no handler is left to use it
 
     # -- stats -----------------------------------------------------------
 
     def _record_shed(self, tenant: Tenant) -> None:
+        """A shed is counted here and in the tenant's row, nowhere else."""
         self.shed += 1
         tenant.accounting.record_shed()
-        scheduler = _scheduler(tenant)
-        if scheduler is not None:
-            scheduler.record_shed(tenant=tenant.tenant_id)
 
     def stats(self) -> codec.ServiceStats:
         """Point-in-time operational snapshot (the STATS frame body):
         aggregates over every tenant, the per-tenant rows that partition
         the counters in :attr:`ServiceStats.tenants_json`, and the most
         recent serve report."""
+        return _with_report(*self._stats_parts())
+
+    def _stats_parts(self):
+        """The snapshot without its report fields, and the report they
+        render from; every read of loop-owned state happens here."""
         rows = self.registry.accounting_snapshot()
         window: List[float] = []
-        sched_sheds = degraded = served = hits = misses = 0
+        degraded = served = hits = misses = 0
         for tenant in self.registry.tenants():
             row = rows.setdefault(tenant.tenant_id, {})
             row["dispatched"] = self._fair.dispatched(tenant.tenant_id)
             row["backlog"] = self._fair.backlog(tenant.tenant_id)
             window.extend(tenant.accounting.latency_window())
-            scheduler = _scheduler(tenant)
-            if scheduler is not None:
-                sched_sheds += scheduler.sheds
             degraded += len(
                 getattr(_inner_engine(tenant), "degraded_shards", ()) or ()
             )
@@ -390,19 +408,17 @@ class AsyncSearchService:
             shed=self.shed,
             failed=self.failed,
             draining=self._draining,
-            scheduler_sheds=sched_sheds,
             served_queries=served,
             wall_p50=percentile(window, 50),
             wall_p95=percentile(window, 95),
             wall_p99=percentile(window, 99),
-            throughput_qps=0.0 if report is None else report.throughput_qps,
+            throughput_qps=0.0,
             cache_hit_rate=hits / lookups if lookups else 0.0,
             admit_rejected=self.admit_rejected,
             degraded_shards=degraded,
-            report_text="" if report is None else report.summary_table(),
-            report_json="" if report is None else report.to_json(),
+            report_text="",
             tenants_json=json.dumps(rows, sort_keys=True),
-        )
+        ), report
 
     def _welcome(self, tenant: Tenant) -> codec.Welcome:
         session = tenant.session
@@ -483,10 +499,13 @@ class AsyncSearchService:
                 task.add_done_callback(conn.tasks.discard)
                 await task
             elif frame.type is FrameType.STATS:
+                stats = await asyncio.get_running_loop().run_in_executor(
+                    self._stats_executor, _with_report, *self._stats_parts()
+                )
                 await conn.send(
                     FrameType.STATS_RESULT,
                     frame.request_id,
-                    codec.encode_stats(self.stats()),
+                    codec.encode_stats(stats),
                 )
             elif frame.type is FrameType.PING:
                 await conn.send(FrameType.PONG, frame.request_id)
@@ -612,9 +631,6 @@ class AsyncSearchService:
             if not admission.try_admit(admission_class):
                 self.admit_rejected += 1
                 tenant.accounting.record_admit_rejected()
-                scheduler = _scheduler(tenant)
-                if scheduler is not None:
-                    scheduler.record_admit_rejected(tenant=conn.tenant)
                 await conn.send_error(
                     frame.request_id,
                     codec.ERR_ADMIT,

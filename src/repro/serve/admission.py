@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Mapping, Optional, Union
 
-from ..eval.tables import percentile
+from ..utils.stats import percentile
 
 #: request classes the controller budgets separately
 ADMISSION_CLASSES = ("exact", "wildcard", "batch")

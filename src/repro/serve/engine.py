@@ -29,8 +29,9 @@ Execution model
   the rows a request is missing — goes through the shared bounded LRU
   :class:`~repro.serve.cache.VariantCipherCache`.
 * A shard whose backend is a plain CPU adder (``supports_fused``)
-  holds a zero-copy slice of the database's ciphertext arena and its
-  task reduces to a few broadcast kernels (see :mod:`repro.he.arena`).
+  reads its polynomial range from the database's one ciphertext arena
+  and its task reduces to a few broadcast kernels (see
+  :mod:`repro.he.arena`).
   A shard whose backend does its own addition (the simulated in-flash
   IFP device) runs one ``backend.hom_add`` per (polynomial, variant)
   pair instead; both produce the same hits.
@@ -47,7 +48,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..he.arena import (
-    CiphertextArena,
     QueryArena,
     fused_decrypt_flags,
     query_row_layout,
@@ -95,8 +95,6 @@ class DbShard:
     base_poly: int
     num_polynomials: int
     backend: AdditionBackend
-    #: zero-copy view into the database's ciphertext arena
-    arena: Optional[CiphertextArena] = None
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
@@ -173,7 +171,6 @@ class ShardedSearchEngine:
         num_shards: int = 1,
         backend_factory: Optional[BackendFactory] = None,
         cache_capacity: int = 256,
-        scheduler: Optional[ServeScheduler] = None,
         degraded_mode: str = "fail",
         breaker_threshold: int = 3,
         breaker_cooldown: float = 5.0,
@@ -198,9 +195,7 @@ class ShardedSearchEngine:
         )
         #: tenant label stamped into every ServeReport ("" = single-tenant)
         self.tenant = tenant
-        self.scheduler = scheduler or ServeScheduler(
-            word_bits=self._word_bits(client.ctx)
-        )
+        self.scheduler = ServeScheduler(word_bits=self._word_bits(client.ctx))
         if degraded_mode not in ("fail", "partial"):
             raise ValueError(
                 f"degraded_mode must be 'fail' or 'partial', got {degraded_mode!r}"
@@ -213,7 +208,6 @@ class ShardedSearchEngine:
         self.shards: List[DbShard] = []
         self.db: Optional[EncryptedDatabase] = None
         self._comparator: Optional[DeterministicComparator] = None
-        self._arena_lock = threading.Lock()
 
     @staticmethod
     def _word_bits(ctx: BFVContext) -> int:
@@ -289,8 +283,6 @@ class ShardedSearchEngine:
         client decode step."""
         if self.db is None or not self.shards:
             raise RuntimeError("outsource or adopt a database first")
-        if any(shard.fused for shard in self.shards):
-            self._ensure_shard_arenas()
 
         # Deduplicate identical queries; duplicates share one job/report.
         jobs: List[_QueryJob] = []
@@ -314,31 +306,37 @@ class ShardedSearchEngine:
                 dedup_hits += 1
             order.append(job)
 
+        # Shard accounting is this batch's: tallied where each task
+        # runs, not read from counters that live as long as the engine.
         traces: List[ShardTaskTrace] = []
-        #: shard_id -> seconds this batch's tasks held the shard
-        busy_seconds = dict.fromkeys((s.shard_id for s in self.shards), 0.0)
+        stats = {
+            shard.shard_id: ShardStats(
+                shard.shard_id,
+                *self.scheduler.placement(shard.shard_id),
+                num_polynomials=shard.num_polynomials,
+                hom_adds=0,
+                tasks_executed=0,
+                busy_seconds=0.0,
+                modeled_utilization=0.0,  # bound to the replay below
+            )
+            for shard in self.shards
+        }
         start = time.perf_counter()
         for job in jobs:
             for shard in self.shards:
                 if not self._admit_shard_task(shard):
                     job.degraded.add(shard.shard_id)
                     continue
+                tally = stats[shard.shard_id]
                 with shard.lock:
                     t0 = time.perf_counter()
                     job.hit_parts[shard.shard_id] = self._run_shard_task(shard, job)
-                    busy_seconds[shard.shard_id] += time.perf_counter() - t0
+                    tally.busy_seconds += time.perf_counter() - t0
                 self._breakers[shard.shard_id].record_success()
-                # Every batch task enters the model's queue at t=0; the
-                # device model must not inherit the Python driver's
-                # pacing.
-                traces.append(
-                    ShardTaskTrace(
-                        query_index=job.index,
-                        shard_id=shard.shard_id,
-                        hom_adds=job.prepared.num_variants
-                        * shard.num_polynomials,
-                    )
-                )
+                hom_adds = job.prepared.num_variants * shard.num_polynomials
+                tally.hom_adds += hom_adds
+                tally.tasks_executed += 1
+                traces.append(ShardTaskTrace(job.index, shard.shard_id, hom_adds))
             job.report = self._finalize(job, verify=verify)
             job.finished_at = time.perf_counter() - start
         wall = time.perf_counter() - start
@@ -352,33 +350,11 @@ class ShardedSearchEngine:
             self.db.ciphertexts[0].serialized_bytes if self.db.ciphertexts else 0,
             [job.index for job in order],
         )
-        # Shard accounting is this batch's: tallied from the tasks that
-        # ran in it, not from counters that live as long as the engine.
-        hom_adds = dict.fromkeys(busy_seconds, 0)
-        tasks_executed = dict.fromkeys(busy_seconds, 0)
-        for trace in traces:
-            hom_adds[trace.shard_id] += trace.hom_adds
-            tasks_executed[trace.shard_id] += 1
-        shard_stats = []
-        for shard in self.shards:
-            channel, die = self.scheduler.placement(shard.shard_id)
-            shard_stats.append(
-                ShardStats(
-                    shard_id=shard.shard_id,
-                    channel=channel,
-                    die=die,
-                    num_polynomials=shard.num_polynomials,
-                    hom_adds=hom_adds[shard.shard_id],
-                    tasks_executed=tasks_executed[shard.shard_id],
-                    busy_seconds=busy_seconds[shard.shard_id],
-                    modeled_utilization=partial(model.utilization, channel, die),
-                    breaker=(
-                        self._breakers[shard.shard_id].state
-                        if shard.shard_id in self._breakers
-                        else "closed"
-                    ),
-                )
+        for tally in stats.values():
+            tally.modeled_utilization = partial(
+                model.utilization, tally.channel, tally.die
             )
+            tally.breaker = self._breakers[tally.shard_id].state
 
         batch_degraded = sorted({sid for job in jobs for sid in job.degraded})
         return ServeReport(
@@ -388,12 +364,10 @@ class ShardedSearchEngine:
             latencies=[job.finished_at for job in order],
             deduplicated_hits=dedup_hits,
             cache=self.cache.stats(),
-            shards=shard_stats,
+            shards=list(stats.values()),
             modeled_makespan=model.makespan,
             modeled_latencies=model.latencies,
             encrypted_db_bytes=self.db.serialized_bytes,
-            sheds=self.scheduler.sheds,
-            admit_rejected=self.scheduler.admit_rejected,
             degraded_shards=batch_degraded,
             tenant=self.tenant,
         )
@@ -428,7 +402,6 @@ class ShardedSearchEngine:
             return False
         return True
 
-
     @property
     def degraded_shards(self) -> List[int]:
         """Shards whose circuit breaker is currently not closed (the
@@ -439,28 +412,7 @@ class ShardedSearchEngine:
             if breaker.state != "closed"
         )
 
-    def breaker_for(self, shard_id: int) -> Optional[CircuitBreaker]:
-        return self._breakers.get(shard_id)
-
     # -- arena machinery -------------------------------------------------
-
-    def _ensure_shard_arenas(self) -> None:
-        """Build the database arena once and hand every shard its
-        zero-copy row slice.  Re-slices whenever the database rebuilt
-        its arena (``EncryptedDatabase.invalidate_caches`` after an
-        in-place mutation), so shards never serve stale coefficients."""
-        with self._arena_lock:
-            if not self.shards:
-                return
-            ctx = self.client.ctx
-            arena = self.db.fused_arena(ctx.ring, ctx.params)
-            first = self.shards[0].arena
-            if first is not None and first._parent is arena:
-                return
-            for shard in self.shards:
-                shard.arena = arena.slice(
-                    shard.base_poly, shard.base_poly + shard.num_polynomials
-                )
 
     def _job_query_arena(self, job: _QueryJob) -> QueryArena:
         """The job's stacked query-variant rows and its row map, built
@@ -534,16 +486,19 @@ class ShardedSearchEngine:
                 blocks, index_unit.flag_matches, job.prepared.num_variants,
                 shard.base_poly,
             )
+        # the database's one arena (rebuilt after ``invalidate_caches``):
+        # nothing per shard to go stale; a range builds only its own tiles
+        arena = self.db.fused_arena(ctx.ring, ctx.params)
         hom_adds = job.prepared.num_variants * shard.num_polynomials
         ctx.counter.additions += hom_adds
         if self._comparator is not None:
             return comparator_hits(
-                self._comparator, shard.arena, query_arena, row_map,
-                np.arange(shard.base_poly, stop, dtype=np.int64),
+                self._comparator, arena, query_arena, row_map,
+                range(shard.base_poly, stop),
             )
         ctx.counter.decryptions += hom_adds
         return fused_decrypt_flags(
-            shard.arena.phases(self.client.sk),
+            arena.phases(self.client.sk, shard.base_poly, stop),
             query_arena.phases(self.client.sk),
             row_map,
             ctx.params,

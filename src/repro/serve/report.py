@@ -24,7 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.matcher import MatchCandidate
 from ..core.pipeline import SearchReport
-from ..eval.tables import format_bytes, format_table, percentile
+from ..eval.tables import format_bytes, format_table
+from ..utils.stats import percentile
 from .cache import CacheStats
 from .scheduler import ServeScheduler, ShardTaskTrace
 
@@ -177,13 +178,6 @@ class ServeReport:
     #: resolved on first read like :attr:`modeled_makespan`
     modeled_latencies: Dict[int, float] = _OnRead(dict)
     encrypted_db_bytes: int = 0
-    #: admission-control sheds in the scheduler's accounting at batch
-    #: end (cumulative over the engine's life; recorded by the network
-    #: front end's oldest-deadline policy, 0 for purely in-process use)
-    sheds: int = 0
-    #: fail-fast rejects by the adaptive admission controller at batch
-    #: end (cumulative, like :attr:`sheds`; 0 without a controller)
-    admit_rejected: int = 0
     #: shards that contributed nothing to this batch (circuit breaker
     #: open / injected worker crash under partial-results mode)
     degraded_shards: List[int] = field(default_factory=list)
@@ -235,8 +229,6 @@ class ServeReport:
             ("Hom-Adds", self.total_hom_additions),
             ("deduplicated", self.deduplicated_hits),
             ("shards", self.num_shards),
-            ("sheds (admission)", self.sheds),
-            ("admit rejected", self.admit_rejected),
             (
                 "degraded shards",
                 ",".join(map(str, self.degraded_shards)) or "none",
@@ -274,9 +266,9 @@ class ServeReport:
     # -- machine-readable artifact ---------------------------------------
 
     def to_dict(self) -> Dict:
-        """Plain-JSON-types dict: the full report, sheds and per-shard
-        stats included (bench artifacts + the STATS frame's
-        ``report_json`` field)."""
+        """Plain-JSON-types dict: the full report, per-shard stats
+        included (bench artifacts + the STATS frame's ``report_json``
+        field)."""
         return {
             "version": SERVE_REPORT_VERSION,
             "reports": [
@@ -309,8 +301,6 @@ class ServeReport:
                 str(k): v for k, v in self.modeled_latencies.items()
             },
             "encrypted_db_bytes": self.encrypted_db_bytes,
-            "sheds": self.sheds,
-            "admit_rejected": self.admit_rejected,
             "degraded_shards": list(self.degraded_shards),
             "tenant": self.tenant,
         }
@@ -342,9 +332,10 @@ class ServeReport:
             for r in obj["reports"]
         ]
         cache = obj["cache"]
-        # artifacts written before 4.0 carry keys that are gone
-        # ("executor", "num_workers", "queue_depth_*", per-shard
-        # "restarts" / "alive"); skip them
+        # older artifacts carry keys that are gone (before 4.0:
+        # "executor", "num_workers", "queue_depth_*", per-shard
+        # "restarts" / "alive"; before 9.0: "sheds", "admit_rejected");
+        # skip them
         shard_fields = set(ShardStats.__dataclass_fields__)
         return cls(
             reports=reports,
@@ -375,8 +366,6 @@ class ServeReport:
                 for k, v in obj.get("modeled_latencies", {}).items()
             },
             encrypted_db_bytes=int(obj["encrypted_db_bytes"]),
-            sheds=int(obj.get("sheds", 0)),
-            admit_rejected=int(obj.get("admit_rejected", 0)),
             degraded_shards=[
                 int(s) for s in obj.get("degraded_shards", [])
             ],

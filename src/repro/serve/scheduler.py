@@ -14,6 +14,11 @@ The replay is not on the request path: ``search_batch`` only records
 the traces, and :class:`repro.serve.report.ModelReplay` — the one
 caller of :meth:`ServeScheduler.simulate` — runs it when a modeled
 figure of the report is first read.
+
+This module is the device model and nothing else: placement and replay
+are functions of ``(geometry, timings, word_bits)``, no mutable state.
+What a front end sheds or rejects never reaches the device and is
+counted where it happens (the service, and that tenant's accounting row).
 """
 
 from __future__ import annotations
@@ -38,10 +43,6 @@ class ShardTaskTrace:
     query_index: int
     shard_id: int
     hom_adds: int
-    #: submission time relative to batch start (wall clock, seconds);
-    #: used as the request arrival so bursty submission shows up as
-    #: queueing delay in the model.
-    submitted_at: float = 0.0
 
 
 class ServeScheduler:
@@ -56,36 +57,6 @@ class ServeScheduler:
         self.geometry = geometry or FlashGeometry()
         self.timings = timings or FlashTimings()
         self.word_bits = word_bits
-        #: queries dropped by a serving front end's admission control
-        #: (e.g. repro.net oldest-deadline shedding) — work the device
-        #: model never saw, accounted here so capacity planning can
-        #: compare executed vs offered load.
-        self.sheds = 0
-        #: queries rejected fail-fast by the adaptive admission
-        #: controller (ERR_ADMIT) — distinct from queue-pressure sheds:
-        #: these were never admitted, so no queue slot or deadline was
-        #: ever consumed on their behalf.
-        self.admit_rejected = 0
-        #: per-tenant breakdown of the two counters above, keyed by the
-        #: tenant id the front end recorded them under ("" is the
-        #: default tenant).  Summing a column across tenants always
-        #: reproduces the global counter.
-        self.tenant_counters: Dict[str, Dict[str, int]] = {}
-
-    def _tenant_row(self, tenant: str) -> Dict[str, int]:
-        return self.tenant_counters.setdefault(
-            tenant, {"sheds": 0, "admit_rejected": 0}
-        )
-
-    def record_shed(self, count: int = 1, tenant: str = "") -> None:
-        """Account ``count`` admission-control rejections."""
-        self.sheds += count
-        self._tenant_row(tenant)["sheds"] += count
-
-    def record_admit_rejected(self, count: int = 1, tenant: str = "") -> None:
-        """Account ``count`` fail-fast admission rejections."""
-        self.admit_rejected += count
-        self._tenant_row(tenant)["admit_rejected"] += count
 
     def placement(self, shard_id: int) -> Tuple[int, int]:
         """(channel, die) for a shard: distinct channels first, so shards
@@ -94,19 +65,18 @@ class ServeScheduler:
         slot = shard_id % pairs
         return slot % self.geometry.channels, slot // self.geometry.channels
 
-    def _pages_per_hom_add(self, ciphertext_bytes: int) -> int:
-        return max(1, -(-ciphertext_bytes // self.timings.page_bytes))
-
     def simulate(
         self, traces: List[ShardTaskTrace], ciphertext_bytes: int
     ) -> SimulationResult:
         """Replay executed tasks through the discrete-event simulator.
+        Every task of a batch enters the model's queue at t = 0: the
+        device model must not inherit the Python driver's pacing.
 
         ``ciphertext_bytes`` is the serialized size of one result
         ciphertext (sets the page count streamed per Hom-Add).
         """
         sim = SsdQueueingSimulator(self.geometry, self.timings, self.word_bits)
-        pages = self._pages_per_hom_add(ciphertext_bytes)
+        pages = max(1, -(-ciphertext_bytes // self.timings.page_bytes))
         for trace in traces:
             channel, die = self.placement(trace.shard_id)
             for _ in range(trace.hom_adds):
@@ -115,7 +85,6 @@ class ServeScheduler:
                         kind=RequestKind.CM_SEARCH,
                         channel=channel,
                         die=die,
-                        arrival=trace.submitted_at,
                         pages=pages,
                         tag=f"q{trace.query_index}",
                     )

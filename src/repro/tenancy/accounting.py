@@ -15,7 +15,7 @@ import threading
 from collections import deque
 from typing import Deque, Dict
 
-from ..eval.tables import percentile
+from ..utils.stats import percentile
 
 
 class TenantAccounting:

@@ -38,6 +38,7 @@ from repro.load import (
 from repro.net import Client, ServiceThread
 from repro.net.codec import AdmissionRejectedError, RequestTimeoutError
 from repro.serve import AdmissionController
+from tests.net.conftest import assert_rows_partition
 
 PARAMS = BFVParams.test_small(64)
 QUERY = np.ones(32, dtype=np.uint8)
@@ -125,6 +126,7 @@ class TestServiceFaults:
             assert service.service.fault_injector.summary() == {SHED_STORM: 1}
         assert all(r.matches == (160, 3200) for r in results)
         assert stats.shed == 2  # the storm's victims, before their retries
+        assert assert_rows_partition(stats)[""]["shed"] == 2
         assert stats.completed == 4
 
     def test_server_conn_drop_recovered_by_replay(self):
@@ -158,6 +160,8 @@ class TestServiceFaults:
                 assert rejected >= 1  # target 1 against an 8-wide burst
                 stats = client.stats()
                 assert stats.admit_rejected == rejected
+                rows = assert_rows_partition(stats)
+                assert rows[""]["admit_rejected"] == rejected
                 snapshot = controller.snapshot()["exact"]
                 assert snapshot["rejected"] == rejected
                 # bounded retry with backoff turns rejections into wins

@@ -161,7 +161,7 @@ def test_hom_add_broadcast_matches_ctx_add(backend):
 def test_decrypt_batch_matches_ctx_decrypt(backend):
     params, ctx, sk, pk, cts = _setup(backend=backend)
     arena = CiphertextArena.from_ciphertexts(ctx.ring, params, cts)
-    dec = decrypt_batch(ctx.ring, params, arena.c0, arena.c1, sk)
+    dec = decrypt_batch(ctx.ring, params, arena.c0_rows(), arena.stack[:, 1], sk)
     for j, ct in enumerate(cts):
         assert np.array_equal(dec[j], ctx.decrypt(ct, sk).poly.coeffs)
     flags = flags_batch(dec, chunk_width=16)
@@ -372,14 +372,13 @@ def test_arena_phase_cache_and_slice_views():
     phases = arena.phases(sk)
     assert arena.phases(sk) is phases  # cached per sk
     assert phases.dtype == np.uint32  # q = 2**32: the kernel's element type
-    part = arena.slice(1, 4)
-    assert part.base_index == 1
-    assert part.num_polys == 3
-    # slices share memory with the parent stack and its phase cache
-    assert part.stack.base is arena.stack
-    assert np.array_equal(part.phases(sk), phases[1:4])
-    ct = part.ciphertext(0)
-    assert ct == cts[1]
+    # a range is a view of the cached rows and of the stack, not a copy
+    part = arena.phases(sk, 1, 4)
+    assert part.shape == (3, params.n)
+    assert part.base is phases and np.array_equal(part, phases[1:4])
+    assert arena.c0_rows(1, 4).base is arena.stack
+    assert np.array_equal(arena.c0_rows(1, 4), arena.stack[1:4, 0])
+    assert arena.ciphertext(1) == cts[1]
 
 
 def test_arena_rejects_bad_shapes():
@@ -491,23 +490,24 @@ def test_forward_batch_limb_major_matches_batch_major(n, q):
 def test_arena_phases_are_c0_plus_the_rows_times_key_product(backend):
     """The database phase rows are ``c0 + c1 * s`` from the one
     rows-times-key product, tile by tile; the arena keeps the stack and
-    the phase rows and no transform-domain copy of ``c1`` (slices read
-    the root's phase rows, zero-copy)."""
+    the phase rows and no transform-domain copy of ``c1`` (a range reads
+    the same phase rows, zero-copy)."""
     params, ctx, sk, pk, cts = _setup()
     ring = ARITHMETIC[backend](RingContext(params.n, params.q))
     arena = CiphertextArena.from_ciphertexts(ring, params, cts, build_tile=3)
-    want = add_mod_q(arena.c0, mul_rows_by_poly(ring, arena.c1, sk.s), params.q)
+    want = add_mod_q(
+        arena.c0_rows(), mul_rows_by_poly(ring, arena.stack[:, 1], sk.s), params.q
+    )
     reference = reference_arithmetic(RingContext(params.n, params.q))
     for j, ct in enumerate(cts):
         slow = reference.make(ct.c0.coeffs) + reference.make(
             ct.c1.coeffs
         ) * reference.make(sk.s.coeffs)
         assert np.array_equal(want[j], slow.coeffs)
-    part = arena.slice(1, 4)
-    assert np.array_equal(part.phases(sk), want[1:4])  # builds two tiles
+    assert np.array_equal(arena.phases(sk, 1, 4), want[1:4])  # builds two tiles
     phases = arena.phases(sk)
     assert np.array_equal(phases, want)
-    assert np.shares_memory(part.phases(sk), phases)
+    assert np.shares_memory(arena.phases(sk, 1, 4), phases)
     arrays = [v for v in vars(arena).values() if isinstance(v, np.ndarray)]
     assert sum(a.nbytes for a in arrays) == arena.stack.nbytes + phases.nbytes
 
@@ -532,7 +532,7 @@ def test_tiled_phase_build_matches_direct_computation(q):
     assert np.array_equal(got, want)
     assert got.dtype == (np.uint32 if q == 1 << 32 else np.int64)
     assert arena.phases(sk) is got  # cached per sk, identity preserved
-    assert np.array_equal(arena.slice(3, 6).phases(sk), want[3:6])
+    assert np.array_equal(arena.phases(sk, 3, 6), want[3:6])
 
 
 @pytest.mark.parametrize("backend", ["vectorized", "reference"])
@@ -543,13 +543,12 @@ def test_lazy_arena_matches_eager(backend):
         ctx.ring, params, cts, lazy=True, build_tile=2
     )
     assert not lazy.fully_built
-    # touching a slice builds only the tiles covering its rows
-    part = lazy.slice(1, 4)
-    assert np.array_equal(part.phases(sk), eager.phases(sk)[1:4])
-    assert part.fully_built
+    # touching a range builds only the tiles covering its rows
+    assert np.array_equal(lazy.phases(sk, 1, 4), eager.phases(sk)[1:4])
+    assert list(lazy._built) == [True, True, False]
     assert not lazy.fully_built  # the last tile (row 4) is untouched
     assert lazy.ciphertext(4) == cts[4]
-    lazy.ensure_built()
+    lazy.c0_rows()  # the full range builds the rest
     assert lazy.fully_built
     assert lazy._source is None  # pending list dropped once built
     assert np.array_equal(lazy.stack, eager.stack)
@@ -570,7 +569,7 @@ def test_lazy_arena_kernels_build_on_first_touch():
     assert np.array_equal(
         lazy.hom_add_broadcast(query), eager.hom_add_broadcast(query)
     )
-    assert np.array_equal(lazy.c0, eager.c0)  # property forces the build
+    assert np.array_equal(lazy.c0_rows(), eager.c0_rows())  # forces the build
     assert lazy.fully_built
 
 

@@ -7,6 +7,7 @@ import pytest
 import repro
 from repro.he import BFVParams
 from repro.load import (
+    ADMIT_REJECTED,
     COMPLETED,
     FAILED,
     SHED,
@@ -134,15 +135,6 @@ class TestSessionTarget:
         assert all(o.matched_expected for o in run.outcomes)
         assert all(o.latency_seconds > 0 for o in run.outcomes)
 
-    def test_stats_surface_scheduler_fields(self):
-        session = repro.open_session("plaintext")
-        target = SessionTarget(session, owns_session=True)
-        try:
-            stats = target.stats()
-        finally:
-            target.close()
-        assert set(stats) == {"scheduler_sheds", "admit_rejected"}
-
 
 class TestRemoteTargetShedding:
     def test_overload_sheds_and_accounting_balances(self):
@@ -170,8 +162,15 @@ class TestRemoteTargetShedding:
         assert run.count(FAILED) == 0
         assert run.count(SHED) > 0
         assert run.count(COMPLETED) >= 1
-        # the service counted the same sheds the client observed
-        assert stats["scheduler_sheds"] == run.count(SHED)
+        # the service counted the sheds the client observed, once, and
+        # the tenant rows partition that count
+        assert stats["service_shed"] == run.count(SHED)
+        assert stats["admit_rejected"] == run.count(ADMIT_REJECTED) == 0
+        for counter, total in (
+            ("shed", stats["service_shed"]),
+            ("admit_rejected", stats["admit_rejected"]),
+        ):
+            assert sum(row[counter] for row in stats["tenants"].values()) == total
         assert stats["service_completed"] == run.count(COMPLETED)
         completed = [o for o in run.outcomes if o.status == COMPLETED]
         assert all(o.matched_expected for o in completed)

@@ -61,7 +61,6 @@ class TestLoadReport:
             rate=25.0,
             seed=9,
             scenarios=[slo],
-            scheduler_sheds=1,
         )
 
     def test_aggregates(self):
@@ -74,7 +73,7 @@ class TestLoadReport:
         table = self._report().table()
         assert "open-loop load SLO report" in table
         assert "database" in table
-        assert "1 scheduler sheds" in table
+        assert "target in-process:bfv-sharded; arrival poisson" in table
         assert "shed rate" in table
 
     def test_json_roundtrip_identity(self):
@@ -104,15 +103,16 @@ class TestLoadReport:
     def test_reads_reports_written_with_the_executor_keys(self):
         """Reports written before 3.0 — the committed
         ``benchmarks/out/*_slo.json`` among them — carry ``executor`` /
-        ``worker_restarts``; they must still load."""
+        ``worker_restarts``, and every one before 9.0 a
+        ``scheduler_sheds``; they must still load."""
         import json
         from pathlib import Path
 
         obj = json.loads(self._report().to_json())
-        obj.update(executor="process", worker_restarts=1)
+        obj.update(executor="process", worker_restarts=1, scheduler_sheds=1)
         assert LoadReport.from_dict(obj) == self._report()
         out = Path(__file__).resolve().parents[2] / "benchmarks" / "out"
-        for name in ("load_slo.json", "chaos_slo.json"):
+        for name in ("load_slo.json", "chaos_slo.json", "tenant_slo.json"):
             committed = json.loads((out / name).read_text())
             report = LoadReport.from_dict(committed)
             assert report.offered == committed["totals"]["offered"]

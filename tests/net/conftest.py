@@ -2,8 +2,8 @@
 
 ``test_service.py`` and ``test_tenant_service.py`` both drive a live
 loopback service; the behaviours a service owes every caller (welcome
-contents, per-connection ordering, oldest-deadline shedding into the
-``ServeScheduler``, the STATS partition, drain and session ownership)
+contents, per-connection ordering, oldest-deadline shedding counted
+once, the STATS partition, drain and session ownership)
 are asserted once, over all four constructions, through :func:`serve`.
 """
 
@@ -56,9 +56,6 @@ class Served:
         if tenant_id is None:
             tenant_id = self.tenant_ids[0]
         return Client(self.address, tenant=tenant_id, **kwargs)
-
-    def scheduler(self, tenant_id: str):
-        return self.registry.get(tenant_id).session.engine.engine.scheduler
 
     def hold_engines(self) -> threading.Event:
         """Park every engine's next ``execute`` until the returned event
@@ -130,7 +127,9 @@ def planted_db(num_queries: int, bits: int = 32, seed: int = 7, size: int = 4096
 
 
 def assert_rows_partition(stats) -> dict:
-    """The per-tenant rows are a partition of the global counters."""
+    """The per-tenant rows are a partition of the global counters: the
+    service and the tenant's row are the only two places an outcome —
+    a shed and an admit-reject included — is counted."""
     rows = json.loads(stats.tenants_json)
     for counter in ("accepted", "completed", "shed", "failed", "admit_rejected"):
         assert getattr(stats, counter) == sum(

@@ -312,7 +312,6 @@ def _stats() -> codec.ServiceStats:
         shed=4,
         failed=1,
         draining=True,
-        scheduler_sheds=4,
         served_queries=95,
         wall_p50=0.011,
         wall_p95=0.045,
@@ -320,7 +319,7 @@ def _stats() -> codec.ServiceStats:
         throughput_qps=812.5,
         cache_hit_rate=0.75,
         report_text="== serving batch report ==\n...",
-        report_json='{"version": 1, "sheds": 4}',
+        report_json='{"version": 1, "num_shards": 4}',
         admit_rejected=6,
         degraded_shards=1,
         tenants_json='{"alice": {"completed": 40}}',
@@ -334,21 +333,25 @@ def test_stats_roundtrip():
 
 def test_stats_frame_keeps_the_v2_layout_with_reserved_slots():
     """The bytes a 2.x client's ``decode_stats`` walks: the three slots
-    that described the shard executor are still there, written as
-    0, 0, "thread", and whatever a 2.x server put in them is skipped."""
+    that described the shard executor and the one that carried the
+    scheduler's copy of ``shed`` (until 9.0) are still there, written as
+    0, 0, "thread" and 0, and whatever an older server put in them is
+    skipped."""
     import struct
 
     def blob(raw: bytes) -> bytes:
         return struct.pack("<I", len(raw)) + raw
 
-    def layout(restarts: int, degradations: int, executor: bytes) -> bytes:
+    def layout(
+        restarts: int, degradations: int, executor: bytes, sched_sheds: int = 0
+    ) -> bytes:
         s = _stats()
         return (
             struct.pack(
                 "<IQQQQQBQQdddddQQQQ",
                 s.active_connections, s.total_connections, s.accepted,
                 s.completed, s.shed, s.failed, s.draining,
-                s.scheduler_sheds, s.served_queries,
+                sched_sheds, s.served_queries,
                 s.wall_p50, s.wall_p95, s.wall_p99,
                 s.throughput_qps, s.cache_hit_rate,
                 restarts, degradations,
@@ -361,7 +364,7 @@ def test_stats_frame_keeps_the_v2_layout_with_reserved_slots():
         )
 
     assert codec.encode_stats(_stats()) == layout(0, 0, b"thread")
-    assert codec.decode_stats(layout(7, 3, b"process")) == _stats()
+    assert codec.decode_stats(layout(7, 3, b"process", 4)) == _stats()
     assert codec.decode_stats(layout(0, 0, b"\xff\xfe")) == _stats()
 
 
@@ -397,7 +400,7 @@ def _text_payloads():
     )
     stats = dict(
         active_connections=0, total_connections=0, accepted=0, completed=0,
-        shed=0, failed=0, draining=False, scheduler_sheds=0, served_queries=0,
+        shed=0, failed=0, draining=False, served_queries=0,
         wall_p50=0.0, wall_p95=0.0, wall_p99=0.0, throughput_qps=0.0,
         cache_hit_rate=0.0, report_text="",
     )

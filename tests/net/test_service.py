@@ -2,7 +2,7 @@
 
 Covers the tentpole's operational guarantees: concurrent-client
 submission ordering, bounded-in-flight backpressure with
-oldest-deadline shedding (fed into ServeScheduler accounting),
+oldest-deadline shedding (each shed counted once),
 reconnect-and-resend, graceful drain, and the stats frame.
 
 The crypto-heavy lanes use tiny BFV parameters; shedding/ordering
@@ -15,6 +15,7 @@ asserted over all four through ``conftest.serve`` / the ``served``
 fixture; ``test_tenant_service.py`` holds what only tenants add.
 """
 
+import json
 import threading
 import time
 
@@ -174,19 +175,39 @@ def test_backpressure_sheds_oldest_deadline():
             assert fut_d.result(timeout=30).matches == ()
 
             stats = client.stats()
-            assert stats.shed == 2
+            # the two RequestShedErrors above, nothing else, and the
+            # default tenant's row carries both
+            assert (stats.shed, stats.admit_rejected) == (2, 0)
+            assert assert_rows_partition(stats)[""]["shed"] == 2
             assert stats.completed >= 2
+
+
+def _timeless(report_json: str) -> dict:
+    """A ``ServeReport.to_dict()`` without its wall-clock fields and
+    the cache snapshot (cumulative by design: the benchmark reads it)."""
+    report = json.loads(report_json)
+    for key in ("wall_seconds", "latencies", "cache"):
+        del report[key]
+    for shard in report["shards"]:
+        del shard["busy_seconds"]
+    return report
 
 
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_sheds_feed_serve_scheduler_accounting(kind):
-    """Front-end sheds land once in the tenant's accounting row and once
-    in its engine's ServeScheduler (global counter and tenant row)."""
+    """A front-end shed is counted once by the service and once in the
+    shedding tenant's accounting row — the client saw one
+    ``RequestShedError``, both read 1 — and nowhere else: the report of
+    a batch carries no number that depends on what the engine saw before
+    it, so the same batch served before and after the shed reports the
+    same."""
     with serve(kind, max_in_flight=1) as served:
         tenant_id = served.tenant_ids[-1]
         with served.client(tenant_id, pool_size=1) as client:
             db, queries, offsets = planted_db(num_queries=2)
             client.outsource(db)
+            assert offsets[0] in client.search(queries[0]).matches
+            before = client.stats()
             release = served.hold_engines()
             fut_keep = client.submit(queries[0], deadline=30.0)
             # the in-flight set is full and the incoming request has
@@ -197,12 +218,13 @@ def test_sheds_feed_serve_scheduler_accounting(kind):
             release.set()
             assert offsets[0] in fut_keep.result(timeout=60).matches
             stats = client.stats()
-        assert stats.scheduler_sheds == stats.shed == 1
+        assert (before.shed, stats.shed, stats.admit_rejected) == (0, 1, 0)
         rows = assert_rows_partition(stats)
-        assert rows[tenant_id]["shed"] == 1
-        scheduler = served.scheduler(tenant_id)
-        assert scheduler.sheds == 1
-        assert scheduler.tenant_counters[tenant_id]["sheds"] == 1
+        assert {tid: row["shed"] for tid, row in rows.items()} == {
+            tid: int(tid == tenant_id) for tid in served.tenant_ids
+        }
+        assert _timeless(stats.report_json) == _timeless(before.report_json)
+        assert "sheds" not in _timeless(stats.report_json)
 
 
 def test_reconnect_after_idle_drop(plaintext_service):
@@ -271,6 +293,51 @@ def test_stats_frame_includes_serve_report():
             assert stats.throughput_qps > 0
             assert "serving batch report" in stats.report_text
             assert stats.wall_p50 <= stats.wall_p95 <= stats.wall_p99
+
+
+def test_stats_renders_the_report_off_the_event_loop(monkeypatch):
+    """The first STATS after a batch reads that batch's modeled figures,
+    which runs its device-model replay.  That happens on an executor
+    thread, never on the event loop: while a replay is blocked, a PING
+    on another connection is still answered."""
+    from repro.net.framing import FrameType
+    from repro.serve.scheduler import ServeScheduler
+
+    entered, release = threading.Event(), threading.Event()
+    ran_on = []
+    simulate = ServeScheduler.simulate
+
+    def blocked(self, traces, ciphertext_bytes):
+        ran_on.append(threading.current_thread().name)
+        entered.set()
+        release.wait(10)
+        return simulate(self, traces, ciphertext_bytes)
+
+    monkeypatch.setattr(ServeScheduler, "simulate", blocked)
+    with ServiceThread(
+        "bfv-sharded", params=BFVParams.test_small(64), num_shards=2, key_seed=6
+    ) as service:
+        with Client(service.address, pool_size=1) as client, Client(
+            service.address, pool_size=1
+        ) as other:
+            db, queries, _ = planted_db(num_queries=1)
+            client.outsource(db)
+            client.search(queries[0])
+            other.ping()  # connected before the replay blocks
+            assert ran_on == []  # serving the batch replayed nothing
+            pending = client._submit_frame(FrameType.STATS, b"", idempotent=True)
+            try:
+                assert entered.wait(10)
+                other._submit_frame(
+                    FrameType.PING, b"", idempotent=True
+                ).result(timeout=3)
+            finally:
+                release.set()
+            stats = pending.result(timeout=30)
+            # the lazy replay survived the executor hop, and ran once
+            assert json.loads(stats.report_json)["modeled_makespan"] > 0
+            assert client.stats().report_json == stats.report_json
+    assert len(ran_on) == 1 and ran_on[0].startswith("repro-net-stats")
 
 
 def test_stats_rows_partition_global_counters(served):

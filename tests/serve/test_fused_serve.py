@@ -1,5 +1,5 @@
 """Fused-kernel behavior specific to the sharded serving engine:
-arena slices on shards, stacked variant rows in the LRU cache, fused
+shards as ranges of the one database arena, stacked variant rows in the LRU cache, fused
 accounting in the serve report, and the per-pair path for backends that
 do their own addition ("object" below: :class:`tests.oracles.PerPairAdder`
 shards)."""
@@ -16,6 +16,7 @@ from repro.he.arena import unstack_ciphertext
 from repro.he.bfv import _SYMMETRIC_TILE_ROWS as TILE
 from repro.he.noise import NoiseBounds
 from repro.serve import ShardedSearchEngine
+from repro.serve.engine import _QueryJob
 from repro.utils.bits import random_bits
 from repro.serve.cache import entry_nbytes
 from tests.oracles import PerPairAdder, count_transforms, per_pair_factory
@@ -86,19 +87,34 @@ def test_adopt_defers_arena_rows_to_first_query():
 
 
 def test_shards_hold_zero_copy_arena_slices():
-    params, db, queries = _workload()
+    """A shard is a range of the database's one arena: its rows are
+    views of the cached phase rows, and its first task builds only the
+    tiles under its own range."""
+    params, db, queries = _workload(num_polys=40)
     engine = _engine(params, "fused")
     engine.outsource(db)
-    engine.search_batch(queries[:1])
-    arena = engine.db.fused_arena(engine.client.ctx.ring, engine.client.ctx.params)
+    ctx, sk = engine.client.ctx, engine.client.sk
+    arena = engine.db.fused_arena(ctx.ring, ctx.params)
+    job = _QueryJob(0, queries[0], b"", engine.client.prepare_query(queries[0]))
     base = 0
     for shard in engine.shards:
-        assert shard.arena is not None
-        assert shard.arena.base_index == shard.base_poly == base
-        assert shard.arena.num_polys == shard.num_polynomials
-        assert shard.arena.stack.base is arena.stack  # view, not copy
-        base += shard.num_polynomials
-    assert base == engine.db.num_polynomials
+        assert not arena.fully_built  # until the last range is touched
+        assert shard.base_poly == base
+        engine._run_shard_task(shard, job)
+        stop = base + shard.num_polynomials
+        tiles = arena._tiles_over(0, stop)
+        assert arena._built is None or (
+            arena._built[: tiles.stop].all() and not arena._built[tiles.stop :].any()
+        )
+        base = stop
+    assert base == engine.db.num_polynomials and arena.fully_built
+    phases = arena.phases(sk)
+    for shard in engine.shards:
+        stop = shard.base_poly + shard.num_polynomials
+        rows = arena.phases(sk, shard.base_poly, stop)
+        assert rows.base is phases  # view, not copy
+        assert np.array_equal(rows, phases[shard.base_poly : stop])
+    assert not hasattr(engine.shards[0], "arena")
 
 
 def test_variant_cache_stores_stacked_rows_under_fused():
@@ -284,7 +300,7 @@ def test_stateful_backend_forces_object_path():
     assert not any(shard.fused for shard in engine.shards)
     report = engine.search_batch(queries[:1])
     assert sum(b.calls for b in backends) == report.reports[0].hom_additions > 0
-    assert all(shard.arena is None for shard in engine.shards)
+    assert engine.db._arena is None  # a stateful backend builds no arena
     rows = engine.cache.values()
     assert rows and all(
         isinstance(v, np.ndarray) and v.shape == (3, params.n) for v in rows
@@ -346,7 +362,8 @@ def test_fused_deterministic_mode_uses_comparator_batch():
 
 def test_invalidate_caches_reslices_shard_arenas():
     """After in-place mutation + invalidate_caches(), fused shards must
-    re-slice the rebuilt arena instead of serving stale coefficients."""
+    read the rebuilt arena instead of serving stale coefficients — they
+    hold nothing of their own that could go stale."""
     params, db, queries = _workload(num_polys=4)
     engine = _engine(params, "fused", num_shards=2)
     engine.outsource(db)
@@ -358,11 +375,19 @@ def test_invalidate_caches_reslices_shard_arenas():
     engine.db.ciphertexts[0] = engine.client.ctx.encrypt(
         zero_pt, engine.client.pk
     )
-    stale_phases = engine.shards[0].arena.phases(engine.client.sk)
+    first = engine.shards[0]
+    ctx, sk = engine.client.ctx, engine.client.sk
+
+    def shard_phases():
+        return engine.db.fused_arena(ctx.ring, ctx.params).phases(
+            sk, first.base_poly, first.base_poly + first.num_polynomials
+        )
+
+    stale_phases = shard_phases()
     engine.db.invalidate_caches()
     assert engine.db._arena is None  # phase rows go with the stack
     after_fused = engine.search_batch(queries[:1]).reports[0].matches
-    fresh_phases = engine.shards[0].arena.phases(engine.client.sk)
+    fresh_phases = shard_phases()
     assert fresh_phases.dtype == stale_phases.dtype == np.uint32
     assert not np.array_equal(fresh_phases[0], stale_phases[0])
     assert np.array_equal(fresh_phases[1:], stale_phases[1:])
@@ -380,18 +405,29 @@ def test_adopt_database_resets_arena_slices():
     engine = _engine(params, "fused")
     engine.outsource(db)
     engine.search_batch(queries[:1])
-    old_arenas = [s.arena for s in engine.shards]
-    assert all(a is not None for a in old_arenas)
+    ctx, sk = engine.client.ctx, engine.client.sk
+    old_arena = engine.db._arena
+    assert old_arena is not None and old_arena.fully_built
     assert len(engine.cache) > 0
     db2 = engine.client.outsource(db)
     engine.adopt_database(db2)
-    assert all(s.arena is None for s in engine.shards)
+    # no per-shard state to reset: the new database has no arena yet and
+    # the shards are fresh ranges over it
+    assert db2._arena is None
+    assert [(s.base_poly, s.num_polynomials) for s in engine.shards] == [
+        (0, 1), (1, 1), (2, 2)
+    ]
     # every cached row — ciphertext rows and phase row, one entry — went
     assert len(engine.cache) == 0 and engine.cache.stats().current_bytes == 0
     misses = engine.cache.stats().misses
     report = engine.search_batch(queries[:1])
     assert report.reports[0].matches
     assert engine.cache.stats().misses > misses
+    # fresh encryption randomness: the re-adopted database serves fresh
+    # phases, not the first database's
+    fresh = db2._arena
+    assert fresh is not old_arena and fresh.fully_built
+    assert not np.array_equal(fresh.phases(sk), old_arena.phases(sk))
 
 
 # -- accounting on the per-pair branch of the shard task -----------------------

@@ -1,11 +1,11 @@
-"""ServeReport rendering robustness, JSON round trip and scheduler shed
-accounting."""
+"""ServeReport rendering robustness, JSON round trip, and the scheduler
+as a device model with no state of its own."""
 
 import numpy as np
 
 from repro.serve.cache import CacheStats
 from repro.serve.report import ServeReport, ShardStats
-from repro.serve.scheduler import ServeScheduler
+from repro.serve.scheduler import ServeScheduler, ShardTaskTrace
 from repro.utils.stats import percentile
 
 
@@ -75,20 +75,18 @@ class TestPercentileHelper:
         assert percentile(values, 100) == 0.4
 
 
-class TestSchedulerShedAccounting:
-    def test_record_shed_accumulates(self):
+class TestSchedulerIsTheDeviceModel:
+    def test_holds_no_mutable_state(self):
+        """Sheds and admit-rejects are counted by the service and the
+        tenant's accounting row, never here: the scheduler is its three
+        model parameters, and replaying leaves it as it was."""
         scheduler = ServeScheduler()
-        assert scheduler.sheds == 0
-        scheduler.record_shed()
-        scheduler.record_shed(3)
-        assert scheduler.sheds == 4
-
-    def test_sheds_do_not_disturb_simulation(self):
-        scheduler = ServeScheduler()
-        scheduler.record_shed(5)
-        result = scheduler.simulate([], ciphertext_bytes=0)
-        assert result.makespan == 0.0
-        assert scheduler.sheds == 5
+        before = dict(vars(scheduler))
+        assert set(before) == {"geometry", "timings", "word_bits"}
+        assert scheduler.simulate([], ciphertext_bytes=0).makespan == 0.0
+        traces = [ShardTaskTrace(query_index=0, shard_id=1, hom_adds=3)]
+        assert scheduler.simulate(traces, ciphertext_bytes=8192).makespan > 0
+        assert vars(scheduler) == before
 
 
 class TestServeReportJsonRoundTrip:
@@ -134,7 +132,7 @@ class TestServeReportJsonRoundTrip:
             modeled_makespan=0.05,
             modeled_latencies={0: 0.01, 1: 0.04},
             encrypted_db_bytes=1 << 21,
-            sheds=7,
+            degraded_shards=[1],
         )
 
     def test_roundtrip_identity(self):
@@ -144,7 +142,7 @@ class TestServeReportJsonRoundTrip:
 
     def test_operational_fields_survive(self):
         got = ServeReport.from_json(self._full_report().to_json())
-        assert got.sheds == 7
+        assert got.degraded_shards == [1]
         assert [s.breaker for s in got.shards] == ["closed", "open"]
         assert got.modeled_latencies == {0: 0.01, 1: 0.04}
 
@@ -153,7 +151,7 @@ class TestServeReportJsonRoundTrip:
 
         obj = json.loads(self._full_report().to_json())
         assert obj["version"] == 1
-        assert obj["sheds"] == 7
+        assert obj["degraded_shards"] == [1]
         assert obj["reports"][0]["matches"] == [160, 512]
 
     def test_version_guard(self):
@@ -178,6 +176,8 @@ class TestServeReportJsonRoundTrip:
         obj.update(num_workers=2, queue_depth_max=4, queue_depth_mean=1.5)
         for shard in obj["shards"]:
             shard.update(restarts=1, alive=False)
+        # and the scheduler's engine-lifetime counters that went in 9.0
+        obj.update(sheds=7, admit_rejected=2)
         assert ServeReport.from_dict(obj) == report
 
     def test_live_engine_report_roundtrips(self):

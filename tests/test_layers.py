@@ -1,4 +1,4 @@
-"""Two contracts on ``src/repro`` read off its syntax trees.
+"""Three contracts on ``src/repro`` read off its syntax trees.
 
 * **No environment reads.**  Nothing under ``src/`` touches
   ``os.environ`` / ``os.getenv``: behaviour is a function of arguments,
@@ -10,6 +10,12 @@
   a model (``flash``, ``ssd``, ``baselines``, ...) or service
   (``serve``, ``api``, ``net``, ...) package, at module level or inside
   a function.
+* **The serving stack reaches the model layer through two doors.**
+  Within ``serve``, ``net``, ``tenancy`` and ``faults`` only
+  ``serve/scheduler.py`` — the device model — imports ``flash`` /
+  ``ssd``, and only ``serve/report.py`` imports ``eval`` (``api`` and
+  ``load`` still import engines and tables eagerly; they join the rule
+  with the lazy registry).
 """
 
 from __future__ import annotations
@@ -22,6 +28,15 @@ import repro
 PACKAGE = Path(repro.__file__).parent
 ALGORITHM_LAYER = ("utils", "he", "core")
 ALLOWED_BELOW = set(ALGORITHM_LAYER) | {"verify"}
+SERVING_STACK = ("serve", "net", "tenancy", "faults")
+MODEL_LAYER = {"flash", "ssd", "ndp", "eval", "tfhe", "baselines"}
+#: module -> the model packages it may import, each with its reason
+MODEL_DOORS = {
+    # placement + replay: the one place served work meets the SSD model
+    "serve/scheduler.py": {"flash", "ssd"},
+    # renders its tables with the paper-figure formatter, nothing else
+    "serve/report.py": {"eval"},
+}
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv"}
 
 
@@ -89,6 +104,25 @@ def test_algorithm_layer_imports_nothing_above_it():
                 upward.append(f"{path.relative_to(PACKAGE)}:{line} imports {target}")
     assert checked > 20  # the walk found the layer
     assert upward == []
+
+
+def test_serving_stack_reaches_the_model_layer_through_two_doors():
+    stray = []
+    used = {}
+    for path, tree in _modules():
+        rel = path.relative_to(PACKAGE)
+        if rel.parts[0] not in SERVING_STACK:
+            continue
+        for line, target in _imported(path, tree):
+            parts = target.split(".")
+            if parts[0] != "repro" or len(parts) < 2 or parts[1] not in MODEL_LAYER:
+                continue
+            if parts[1] in MODEL_DOORS.get(rel.as_posix(), ()):
+                used.setdefault(rel.as_posix(), set()).add(parts[1])
+            else:
+                stray.append(f"{rel}:{line} imports {target}")
+    assert stray == []
+    assert used == MODEL_DOORS  # no door left open that nothing walks through
 
 
 def test_the_import_walk_resolves_relative_and_local_imports():
