@@ -1,7 +1,7 @@
 """Ablation: the Boolean substrate — real TFHE bootstrapping vs the BFV
 stand-in, and homomorphic addition in TFHE gates vs in-flash latch ops.
 
-This quantifies two DESIGN.md claims:
+This quantifies two design claims:
 
 * the stand-in preserves the Boolean approach's *circuit* (identical
   gate counts) while real TFHE adds one bootstrap per binary gate;

@@ -1,5 +1,5 @@
 """Ablation: IFP design choices — geometry parallelism, SLC vs TLC
-reads, and software vs hardware transposition (DESIGN.md bench list)."""
+reads, and software vs hardware transposition (design bench list)."""
 
 import numpy as np
 import pytest

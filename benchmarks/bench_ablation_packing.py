@@ -1,4 +1,4 @@
-"""Ablation: packing chunk width (DESIGN.md design-choice bench).
+"""Ablation: packing chunk width (design-choice bench).
 
 Sweeps the bits-per-coefficient packing width from 1 (the arithmetic
 baseline's density) to 16 (CIPHERMATCH) and reports the encrypted

@@ -22,7 +22,7 @@ one ciphertext as ``sum_k indicator_k * X^k``.
 Kim et al. additionally use Frobenius-map rotations to lower the
 exponentiation depth for extension-field slots; with a prime-field
 alphabet the Frobenius is the identity, so the square-and-multiply
-ladder here is the full cost — DESIGN.md records this substitution.
+ladder here is the full cost.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ packing of the arithmetic baseline.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -22,6 +23,9 @@ from ..he.encoder import ChunkPackEncoder
 from ..he.keys import PublicKey
 from ..he.poly import RingPoly
 from ..utils.bits import chunk_bits
+
+#: serialises first calls to :meth:`EncryptedDatabase.fused_arena`
+_ARENA_LOCK = threading.Lock()
 
 
 @dataclass
@@ -102,14 +106,15 @@ class EncryptedDatabase:
         and allocates, but rows and phases materialize per build tile on
         first touch (outsourcing pays nothing up front; a serving shard
         builds only its own range).  Cached on the database; racing
-        first callers may each build one, all equivalent, one kept."""
-        arena = self._arena
-        if arena is None or arena.ring != ring:
-            arena = CiphertextArena.from_ciphertexts(
-                ring, params, self.ciphertexts, lazy=True
-            )
-            self._arena = arena
-        return arena
+        first callers get the one arena, so each tile is paid for once."""
+        with _ARENA_LOCK:
+            arena = self._arena
+            if arena is None or arena.ring != ring:
+                arena = CiphertextArena.from_ciphertexts(
+                    ring, params, self.ciphertexts, lazy=True
+                )
+                self._arena = arena
+            return arena
 
 
 @dataclass

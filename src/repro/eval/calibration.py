@@ -13,7 +13,6 @@ Every constant is tagged with its provenance:
   simulator; neither is available, so where a constant folds together
   unmodelled software overheads we fit it to one anchor point of the
   named figure and let every other point be *predicted* by the model.
-  EXPERIMENTS.md tabulates paper-vs-model for all points.
 """
 
 from __future__ import annotations
@@ -157,7 +156,7 @@ class HardwareFamilyCalibration:
     # in flash (32 x 32.22 uJ over a 32768-coefficient page wave); the
     # fitted effective value below is ~3x lower, consistent with the
     # paper's energy ratios exceeding what a single socket-power figure
-    # reproduces.  EXPERIMENTS.md records both.
+    # reproduces.
     e_ifp_per_coeff: float = 11.7e-9  # [calibrated: Fig 11 @ y=16]
     e_pum_per_coeff: float = 54.0e-9  # [calibrated: Fig 11 @ y=16]
     e_pum_ssd_per_coeff: float = 47.6e-9  # [Fig 11 obs. 2: ~1.06x vs PuM]

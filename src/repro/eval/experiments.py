@@ -39,7 +39,7 @@ def table1() -> str:
         ["approach", "work", "exec time", "scalable", "SIMD", "flexible query"],
         rows,
         paper_note="CIPHERMATCH row added; *exact detection guaranteed for "
-        "queries covering >= 1 full chunk per phase (see DESIGN.md)",
+        "queries covering >= 1 full chunk per phase",
     )
 
 

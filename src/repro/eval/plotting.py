@@ -2,8 +2,7 @@
 
 The tables in :mod:`repro.eval.tables` carry the exact numbers; these
 charts make the *shape* of each figure (who wins, where the crossover
-falls) visible directly in terminal output, which is how EXPERIMENTS.md
-compares measured curves against the paper's plots.
+falls) visible directly in terminal output, next to the paper's plots.
 """
 
 from __future__ import annotations

@@ -46,8 +46,7 @@ class FlashEnergies:
 
 
 #: Table 3's quoted per-channel bit-add energy.  Our Eqn-11 value lands
-#: within ~15% (the paper does not spell out its page accounting);
-#: EXPERIMENTS.md records both.
+#: within ~15% (the paper does not spell out its page accounting).
 PAPER_E_BIT_ADD = 32.22e-6
 
 

@@ -71,6 +71,13 @@ _DEFAULT_TILE_BYTES = 1 << 25
 #: every variant passes over them
 _FLAG_TILE_CELLS = 1 << 16
 
+#: variants per block of the flag kernel: one gather, add and compare
+_FLAG_BLOCK_VARIANTS = 4
+
+#: scans per block before the ``q = 2**32`` screen takes the exact test
+#: (a 2**18-cell block holds ~8 false candidates at ``t = 2**16``)
+_FLAG_SCAN_CAP = 32
+
 #: rows per lazy-build tile: the granularity at which the stack and
 #: the phase view materialize on first touch.  At the
 #: paper's n=4096 one tile is 16 rows x 64 KiB = 1 MiB of ciphertext.
@@ -448,6 +455,28 @@ def flags_batch(plaintext_rows: np.ndarray, chunk_width: int) -> np.ndarray:
     return plaintext_rows == (1 << chunk_width) - 1
 
 
+def _find_set(flags: np.ndarray, end: int, cap: int) -> "List[int] | None":
+    """The set flags in ``flags[:end]`` (``flags[end]`` set) by at most
+    ``cap`` short-circuiting ``argmax`` scans, or ``None``."""
+    found, pos = [], 0
+    for _ in range(cap):
+        pos += int(flags[pos : end + 1].argmax())
+        if pos == end:
+            return found
+        found.append(pos)
+        pos += 1
+    return None
+
+
+def _block_sum(rows_from, rows, db_tile, out) -> None:
+    """Flat ``out = rows_from[rows] + db_tile`` over a ``(v, p)`` block
+    (``"clip"`` only selects numpy's unbuffered write into ``out``)."""
+    v, p = rows.shape
+    np.take(rows_from, rows, axis=0, mode="clip", out=out.reshape(v, p, -1))
+    by_variant = out.reshape(v, -1)
+    np.add(by_variant, db_tile.reshape(-1), out=by_variant)
+
+
 def fused_decrypt_flags(
     db_phases: np.ndarray,
     query_phases: np.ndarray,
@@ -468,11 +497,11 @@ def fused_decrypt_flags(
     grid, bit-identical to decrypting every pair's result and comparing
     against the match polynomial.  Set flags are rare (a non-matching
     coefficient is all-ones with probability ``1/t``), so the grid
-    itself is never built: each variant is compared, one
+    itself is never built: a block of variants is compared against one
     ``(tile_polys, n)`` tile at a time, into scratch that the whole call
-    reuses.  The scratch and the work depend on the operand shapes only;
-    the *lengths* of the returned arrays are the decrypted answer and
-    stay with the phases on the key holder's side.
+    reuses.  The scratch depends on the operand shapes only; the scans
+    and the *lengths* of the returned arrays are the decrypted answer
+    and stay with the phases on the key holder's side.
 
     Index generation is a range test on the phase.  A phase ``p`` in
     ``[0, q)`` decrypts to ``round(t*p/q) mod t`` (centering ``p``
@@ -483,14 +512,16 @@ def fused_decrypt_flags(
     ``hi = ceil(((m+1)*q - q//2) / t)``.  ``0 < lo <= hi <= q``, so the
     interval never wraps and ``(p - lo) mod q < hi - lo`` tests it
     with one compare.  ``lo`` is folded into the small query side once
-    per call; per variant and tile the kernel is one add, one fold mod
-    ``q`` and one compare.  Nothing is multiplied by ``t``, so every
-    intermediate is below ``2q <= 2**63``.
+    per call; per variant and tile the exact test is one gather, one
+    add, one fold mod ``q`` and one compare.  Nothing is multiplied by ``t``,
+    so every intermediate is below ``2q <= 2**63``.
 
     At ``q = 2**32`` both phase stacks are ``uint32`` (int64 rows in
-    ``[0, q)`` are narrowed on entry) and unsigned wrap-around *is* the
-    fold: per variant one add and one compare, half the bytes of the
-    int64 body, which stays the only path for every other modulus.
+    ``[0, q)`` are narrowed on entry), wrap-around *is* the fold, and a
+    block is first screened on its 16-bit high halves, which pass every
+    hit (``docs/perf.md``); up to :data:`_FLAG_SCAN_CAP` scans collect
+    the candidates, which one gather confirms.  A block with more (a hit
+    storm) and every later block of the call take the exact test.
 
     Raises ``ValueError`` unless ``0 < 2**chunk_width - 1 < t`` and
     ``q <= 2**62``, when ``uint32`` rows meet any other modulus or rows
@@ -519,53 +550,92 @@ def fused_decrypt_flags(
     if narrow:
         # 0 < lo < q and width <= q // 2 + 1 (t >= 2): both fit uint32
         shifted = query_phases - np.uint32(lo)  # wraps mod 2**32
+        # x < width needs (hi16(D) + hi16(S) + 1) mod 2**16 < W + 2
+        screen_width = np.uint16(((width - 1) >> 16) + 2)
         width = np.uint32(width)
     else:
         shifted = query_phases - lo
         np.add(shifted, q, out=shifted, where=shifted < 0)
     pow2 = q & (q - 1) == 0
     cols = db_phases.shape[1]
+    span = num_polys * cols
     tile = max(1, min(num_polys, _FLAG_TILE_CELLS // max(1, cols)))
-    buf_tile = np.empty((tile, cols), dtype=db_phases.dtype)
-    flag_tile = np.empty((tile, cols), dtype=bool)
-    wrapped_tile = None if pow2 else np.empty((tile, cols), dtype=bool)
-    # a variant whose polynomials all read one query row adds that row
-    # to the tile; any other gathers its rows first
-    one_row = (row_map == row_map[:, :1]).all(axis=1)
+    block = max(1, min(num_variants, _FLAG_BLOCK_VARIANTS))
+    cells = block * tile * cols
+    sums = np.empty(tile * cols, dtype=db_phases.dtype)
+    flags = np.empty(cells + 1, dtype=bool)
+    wrapped = None if pow2 else np.empty(tile * cols, dtype=bool)
+    if narrow:
+        high = np.empty((num_polys, cols), dtype=np.uint16)
+        np.right_shift(db_phases, 16, out=high, casting="unsafe")
+        query_high = np.empty(shifted.shape, dtype=np.uint16)
+        np.right_shift(shifted, 16, out=query_high, casting="unsafe")
+        np.add(query_high, np.uint16(1), out=query_high)  # wraps mod 2**16
+        screened = np.empty(cells, dtype=np.uint16)
+        blocks = -(-num_polys // tile) * -(-num_variants // block)
+        candidates = np.empty(blocks * _FLAG_SCAN_CAP, dtype=np.intp)
+        count = 0
+    screening = narrow
     hits: List[List[np.ndarray]] = [[] for _ in range(num_variants)]
     for p0 in range(0, num_polys, tile):
         p1 = min(p0 + tile, num_polys)
-        db_tile = db_phases[p0:p1]
-        buf, out = buf_tile[: p1 - p0], flag_tile[: p1 - p0]
-        wrapped = None if pow2 else wrapped_tile[: p1 - p0]
-        for v in range(num_variants):
-            if one_row[v]:
-                np.add(db_tile, shifted[row_map[v, 0]], out=buf)
-            else:
-                # bounds were checked above; "clip" only selects numpy's
-                # unbuffered write into ``buf``
-                np.take(shifted, row_map[v, p0:p1], axis=0, out=buf, mode="clip")
-                np.add(buf, db_tile, out=buf)
-            if narrow:
-                np.less(buf, width, out=out)
-            elif pow2:
-                np.bitwise_and(buf, q - 1, out=buf)
-                np.less(buf, width, out=out)
-            else:
-                # s in [0, 2q): (s mod q) < width iff s < width or
-                # 0 <= s - q < width; the unsigned view makes the second
-                # test one compare (a negative s - q reads as >= 2**63)
-                np.less(buf, width, out=out)
-                np.subtract(buf, q, out=buf)
-                np.less(buf.view(np.uint64), np.uint64(width), out=wrapped)
-                np.logical_or(out, wrapped, out=out)
-            found = np.flatnonzero(out)
-            if p0:
-                found += p0 * cols
-            hits[v].append(found)
-    if num_polys > tile:
-        return [np.concatenate(parts) for parts in hits]
-    return [parts[0] if parts else np.empty(0, dtype=np.intp) for parts in hits]
+        tile_cells = (p1 - p0) * cols
+        for v0 in range(0, num_variants, block):
+            v1 = min(v0 + block, num_variants)
+            rows, end = row_map[v0:v1, p0:p1], (v1 - v0) * tile_cells
+            if screening:
+                _block_sum(query_high, rows, high[p0:p1], screened[:end])
+                np.less(screened[:end], screen_width, out=flags[:end])
+                flags[end] = True
+                found = _find_set(flags, end, _FLAG_SCAN_CAP)
+                if found is not None:
+                    # key v * P * n + j * n + c of the cell at flat ``at``
+                    base, skip = v0 * span + p0 * cols, span - tile_cells
+                    for at in found:
+                        candidates[count] = base + at + at // tile_cells * skip
+                        count += 1
+                    continue
+                screening = False  # a hit storm: the rest of the call is exact
+            # the exact test, a variant at a time: its tile stays in cache
+            buf, out = sums[:tile_cells], flags[:tile_cells]
+            for v in range(v0, v1):
+                _block_sum(shifted, rows[v - v0 : v - v0 + 1], db_phases[p0:p1], buf)
+                if narrow:
+                    np.less(buf, width, out=out)
+                elif pow2:
+                    np.bitwise_and(buf, q - 1, out=buf)
+                    np.less(buf, width, out=out)
+                else:
+                    # s in [0, 2q): (s mod q) < width iff s < width or
+                    # 0 <= s - q < width; the unsigned view makes the
+                    # second test one compare (s - q < 0 reads >= 2**63)
+                    np.less(buf, width, out=out)
+                    np.subtract(buf, q, out=buf)
+                    np.less(buf.view(np.uint64), np.uint64(width), out=wrapped[:tile_cells])
+                    np.logical_or(out, wrapped[:tile_cells], out=out)
+                found = np.flatnonzero(out)
+                if p0:
+                    found += p0 * cols
+                hits[v].append(found)
+    if narrow:
+        # sorted keys order the candidates by variant, then index
+        keys = np.sort(candidates[:count])
+        owner, at = np.divmod(keys, max(1, span))
+        j, c = np.divmod(at, max(1, cols))
+        kept = db_phases[j, c] + shifted[row_map[owner, j], c] < width
+        owner, at = owner[kept], at[kept]
+        cuts = np.searchsorted(owner, np.arange(num_variants + 1))
+        for v, parts in enumerate(hits):
+            part = at[cuts[v] : cuts[v + 1]]
+            if not parts:
+                parts.append(part)
+            elif len(part):  # exact blocks and candidates: interleave
+                hits[v] = [np.sort(np.concatenate(parts + [part]))]
+    return [
+        np.concatenate(parts) if len(parts) > 1
+        else parts[0] if parts else np.empty(0, dtype=np.intp)
+        for parts in hits
+    ]
 
 
 # ---------------------------------------------------------------------------

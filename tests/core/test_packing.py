@@ -1,14 +1,19 @@
 """Unit tests for the CIPHERMATCH data packing scheme (§4.2.1)."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from repro.core import packing as packing_module
 from repro.core.packing import (
     DataPacker,
     derive_masking_poly,
     pack_reference_chunks,
 )
 from repro.he import BFVContext, BFVParams, KeyGenerator
+from repro.he import arena as arena_module
 from repro.utils.bits import random_bits
 
 
@@ -89,6 +94,54 @@ class TestEncrypt:
         _, pk = keys
         enc = packer.encrypt(packer.pack(random_bits(10, rng)), pk)
         assert enc.serialized_bytes == ctx.params.ciphertext_bytes
+
+
+class TestFusedArena:
+    def test_racing_first_callers_share_one_arena(
+        self, ctx, packer, keys, rng, monkeypatch
+    ):
+        """Two threads asking for a database's arena at once get the same
+        object, so each build tile's key product runs once: the second
+        caller waits for the first one's construction instead of building
+        and paying for an arena of its own."""
+        sk, pk = keys
+        enc = packer.encrypt(packer.pack(random_bits(40 * 64 * 16, rng)), pk)
+        assert enc.num_polynomials == 40
+        real_build = packing_module.CiphertextArena.from_ciphertexts
+
+        def slow_build(*args, **kwargs):
+            time.sleep(0.05)  # hold the window between check and store open
+            return real_build(*args, **kwargs)
+
+        products = []
+        real_product = arena_module.mul_rows_by_poly
+
+        def counting_product(ring, rows, poly):
+            products.append(len(rows))
+            return real_product(ring, rows, poly)
+
+        monkeypatch.setattr(
+            packing_module.CiphertextArena, "from_ciphertexts", slow_build
+        )
+        monkeypatch.setattr(arena_module, "mul_rows_by_poly", counting_product)
+        barrier = threading.Barrier(2, timeout=30)
+        arenas = []
+
+        def racer():
+            barrier.wait()
+            arena = enc.fused_arena(ctx.ring, ctx.params)
+            arena.phases(sk)
+            arenas.append(arena)
+
+        threads = [threading.Thread(target=racer) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(arenas) == 2 and arenas[0] is arenas[1] is enc._arena
+        tile = arena_module._BUILD_TILE_ROWS
+        assert products == [tile, tile, 40 - 2 * tile]
 
 
 class TestFootprint:

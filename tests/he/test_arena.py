@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.he import arena as arena_module
 from repro.he.arena import (
     CiphertextArena,
     QueryArena,
@@ -38,6 +39,7 @@ from tests.oracles import (
     int64_decrypt_flags,
     reference_arithmetic,
     scaled_decrypt_flags,
+    uint32_decrypt_flags,
 )
 
 #: modulus regimes: power-of-two (paper), native NTT prime, odd
@@ -240,10 +242,10 @@ def test_fused_flags_on_the_interval_edges_at_paper_moduli(make_params):
     """Sums planted exactly on ``lo - 1, lo, hi - 1, hi`` and across the
     ``q - 1 -> 0`` wrap at the paper's power-of-two modulus and at the
     54-bit prime one (where plaintext scaling overflows int64), through
-    the one-query-row path and the gathered-rows path.  At ``q = 2**32``
-    the kernel that runs is the ``uint32`` one — handed int64 rows
+    one-query-row variants and gathered ones.  At ``q = 2**32`` the
+    kernel that runs is the high-half screen — handed int64 rows
     (narrowed on entry) and ``uint32`` rows (streamed as they are) — and
-    the int64 body it replaced there is one of its two references."""
+    the ``uint32`` and int64 bodies it replaced there are references."""
     params = make_params()
     q, t, w = params.q, params.t, 16
     match = (1 << w) - 1
@@ -285,6 +287,7 @@ def test_fused_flags_on_the_interval_edges_at_paper_moduli(make_params):
         _assert_hits_are(
             fused_decrypt_flags(*narrow, row_map, params, w), want
         )
+        _assert_hits_are(uint32_decrypt_flags(*narrow, row_map, params, w), want)
         assert np.array_equal(
             dense_decrypt_flags(*narrow, row_map, params, w), want
         )
@@ -364,6 +367,145 @@ def test_fused_flags_reject_what_the_range_test_cannot_hold():
                 fused_decrypt_flags(outside, phases, row_map, params, chunk_width=16)
             with pytest.raises(ValueError, match=r"\[0, q\)"):
                 fused_decrypt_flags(phases, outside, row_map, params, chunk_width=16)
+
+
+# ---------------------------------------------------------------------------
+# The q = 2**32 high-half screen against the kernels it replaced
+# ---------------------------------------------------------------------------
+
+
+def _window(q, t, w):
+    """``(lo, width)`` of the range test for chunk width ``w``."""
+    match = (1 << w) - 1
+    lo = -((q // 2 - match * q) // t)
+    return lo, -((q // 2 - (match + 1) * q) // t) - lo
+
+
+def _screen_case(rng, t, w, n, num_polys, num_variants, period, mode):
+    """``uint32`` phases and a row map in which variant ``v`` reads row
+    ``v * period + j % period`` (period 1 is a one-row variant).
+    ``"near"`` plants, for every row, the sum on one cell of its first
+    polynomial just inside or outside the window or the screen's
+    ``(W + 2) * 2**16`` bound, or across the ``2**32`` wrap; ``"storm"``
+    makes every cell of the first half of the polynomials a hit."""
+    q = 1 << 32
+    lo, width = _window(q, t, w)
+    db = rng.integers(0, q, size=(num_polys, n), dtype=np.uint64)
+    query = rng.integers(0, q, size=(num_variants * period, n), dtype=np.uint64)
+    row_map = (
+        np.arange(num_variants)[:, None] * period
+        + np.arange(num_polys)[None, :] % period
+    ).astype(np.intp)
+    screen = (((width - 1) >> 16) + 2) << 16
+    if mode == "near" and num_polys:
+        edges = [0, width - 1, width, screen - 1, screen, q - 1, q - (1 << 16)]
+        for row in range(len(query)):
+            j = row % period if row % period < num_polys else 0
+            c = int(rng.integers(n))
+            x = (int(rng.choice(edges)) + int(rng.integers(-2, 3))) % q
+            query[row, c] = (x + lo - int(db[j, c])) % q
+    elif mode == "storm" and num_polys:
+        db[: (num_polys + 1) // 2] = db[0]
+        sums = rng.integers(0, width, size=query.shape, dtype=np.uint64)
+        query = (sums + lo + q - db[0]) % q
+    return db.astype(np.uint32), query.astype(np.uint32), row_map
+
+
+@given(
+    log_t=st.integers(2, 16),
+    data=st.data(),
+    n=st.sampled_from([4, 16, 64]),
+    num_polys=st.integers(0, 9),
+    tile_polys=st.integers(1, 4),
+    num_variants=st.integers(1, 11),
+    period=st.sampled_from([1, 2, 3]),
+    mode=st.sampled_from(["random", "near", "storm"]),
+    cap=st.sampled_from([1, 3, 64]),
+    seed=st.integers(0, 2**31),
+)
+@settings(max_examples=150, deadline=None)
+def test_hypothesis_high_half_screen_equals_both_oracles(
+    log_t, data, n, num_polys, tile_polys, num_variants, period, mode, cap, seed
+):
+    """The screened kernel returns the hits of the ``uint32`` body it
+    replaced and of the int64 body before that, for every ``t`` from 4
+    to 2**16 (so ``W + 2`` from 2 to 2**14 + 1) and every chunk width it
+    admits, across tile boundaries, block sizes that do not divide the
+    variants, one-row and periodic row maps, near-window sums and hit
+    storms, and scan caps that send some blocks to the exact test."""
+    t = 1 << log_t
+    w = data.draw(st.integers(1, log_t), label="chunk_width")
+    params = BFVParams(n=n, q=1 << 32, t=t, name="screen")
+    rng = np.random.default_rng(seed)
+    db, query, row_map = _screen_case(
+        rng, t, w, n, num_polys, num_variants, period, mode
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arena_module, "_FLAG_TILE_CELLS", tile_polys * n)
+        patch.setattr(arena_module, "_FLAG_SCAN_CAP", cap)
+        hits = fused_decrypt_flags(db, query, row_map, params, w)
+    dense = int64_decrypt_flags(
+        db.astype(np.int64), query.astype(np.int64), row_map, params, w
+    )
+    _assert_hits_are(hits, dense)
+    for found, old in zip(hits, uint32_decrypt_flags(db, query, row_map, params, w)):
+        assert np.array_equal(found, old)
+    if mode == "storm" and num_polys:
+        assert all(len(found) >= n for found in hits)
+
+
+class _CountingFlags(np.ndarray):
+    """A view of the kernel's flag block that counts ``argmax`` scans."""
+
+    scans = 0
+
+    def argmax(self, *args, **kwargs):
+        _CountingFlags.scans += 1
+        return super().argmax(*args, **kwargs)
+
+
+def test_a_hit_storm_never_scans_past_the_cap(monkeypatch):
+    """Every cell a hit: the first block runs ``_FLAG_SCAN_CAP`` scans,
+    then it and every later block of the call take the exact test; a
+    quiet grid runs one scan per candidate and one to find the stop in
+    every block, and takes the exact test nowhere."""
+    n, num_polys, num_variants, tile_polys = 64, 8, 9, 3
+    params = BFVParams(n=n, q=1 << 32, t=1 << 16, name="storm")
+    rng = np.random.default_rng(3)
+    real_find = arena_module._find_set
+    per_block = []
+
+    def counting_find(flags, end, cap):
+        _CountingFlags.scans = 0
+        found = real_find(flags.view(_CountingFlags), end, cap)
+        per_block.append((_CountingFlags.scans, found))
+        return found
+
+    monkeypatch.setattr(arena_module, "_find_set", counting_find)
+    monkeypatch.setattr(arena_module, "_FLAG_TILE_CELLS", tile_polys * n)
+    cap = arena_module._FLAG_SCAN_CAP
+    blocks = -(-num_polys // tile_polys) * -(-num_variants // 4)
+    lo, width = _window(params.q, params.t, 16)
+    for storm in (True, False):
+        per_block.clear()
+        db, query, row_map = _screen_case(
+            rng, params.t, 16, n, num_polys, num_variants, 2, "random"
+        )
+        if storm:  # one database row everywhere, every sum in the window
+            db[:] = db[0]
+            query[:] = (lo + np.arange(n) - db[0].astype(np.int64)) % (1 << 32)
+        hits = fused_decrypt_flags(db, query, row_map, params, 16)
+        for found, old in zip(
+            hits, uint32_decrypt_flags(db, query, row_map, params, 16)
+        ):
+            assert np.array_equal(found, old)
+        if storm:
+            assert all(len(found) == num_polys * n for found in hits)
+            assert per_block == [(cap, None)]
+        else:
+            assert len(per_block) == blocks
+            assert all(found is not None for _, found in per_block)
+            assert all(scans == len(found) + 1 for scans, found in per_block)
 
 
 def test_arena_phase_cache_and_slice_views():

@@ -25,7 +25,9 @@ which :func:`repro.he.arena.fused_decrypt_flags` (a range test on the
 phase) and :meth:`repro.core.matcher.ResultDecoder._offsets_for_variant`
 (a run rule on the set indices) must reproduce bit for bit.
 :func:`int64_decrypt_flags` is that range test over int64 rows, the
-body the ``uint32`` kernel replaced at ``q = 2**32``, and
+body the ``uint32`` kernel replaced at ``q = 2**32``,
+:func:`uint32_decrypt_flags` that tiled ``uint32`` kernel, which the
+16-bit high-half screen replaced in turn, and
 :func:`dense_decrypt_flags` the whole kernel as it was when it wrote
 the dense ``(V, P, n)`` grid; the kernel now returns the sorted indices
 of the set flags, which :func:`dense_flags` turns back into a grid and
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import contextlib
 import heapq
+from typing import List
 
 import numpy as np
 
@@ -275,6 +278,96 @@ def int64_decrypt_flags(
             np.less(buf.view(np.uint64), np.uint64(width), out=wrapped)
             np.logical_or(out, wrapped, out=out)
     return flags
+
+
+#: the scratch tile :func:`uint32_decrypt_flags` was written with
+_FLAG_TILE_CELLS = 1 << 16
+
+
+def uint32_decrypt_flags(
+    db_phases: np.ndarray,
+    query_phases: np.ndarray,
+    row_map: np.ndarray,
+    params,
+    chunk_width: int,
+) -> List[np.ndarray]:
+    """The ``q = 2**32`` flag kernel as it was before the 16-bit
+    high-half screen, verbatim: per variant and ``(tile_polys, n)`` tile
+    one ``uint32`` add (one query row broadcast, or the rows gathered
+    first), one compare and one ``np.flatnonzero``, with the int64 body
+    beside it for every other modulus.  The reference for
+    :func:`repro.he.arena.fused_decrypt_flags`, which screens blocks of
+    variants on the high halves and confirms the candidates in 32 bits:
+    it returns the same sorted hit indices."""
+    q, t = params.q, params.t
+    match = (1 << chunk_width) - 1
+    if not 0 < match < t:
+        raise ValueError(
+            f"match value 2**{chunk_width} - 1 must lie in [1, t) for t={t}"
+        )
+    if q > 1 << 62:
+        raise ValueError(f"phase sums need 2q <= 2**63, got q={q}")
+    lo = -((q // 2 - match * q) // t)
+    hi = -((q // 2 - (match + 1) * q) // t)
+    width = hi - lo
+    num_variants, num_polys = row_map.shape
+    if row_map.size and not (
+        0 <= row_map.min() and row_map.max() < len(query_phases)
+    ):
+        raise IndexError("row_map entry outside query_phases")
+    db_phases = _as_phase_rows(db_phases, q)
+    query_phases = _as_phase_rows(query_phases, q)
+    narrow = db_phases.dtype == np.uint32
+    if narrow:
+        # 0 < lo < q and width <= q // 2 + 1 (t >= 2): both fit uint32
+        shifted = query_phases - np.uint32(lo)  # wraps mod 2**32
+        width = np.uint32(width)
+    else:
+        shifted = query_phases - lo
+        np.add(shifted, q, out=shifted, where=shifted < 0)
+    pow2 = q & (q - 1) == 0
+    cols = db_phases.shape[1]
+    tile = max(1, min(num_polys, _FLAG_TILE_CELLS // max(1, cols)))
+    buf_tile = np.empty((tile, cols), dtype=db_phases.dtype)
+    flag_tile = np.empty((tile, cols), dtype=bool)
+    wrapped_tile = None if pow2 else np.empty((tile, cols), dtype=bool)
+    # a variant whose polynomials all read one query row adds that row
+    # to the tile; any other gathers its rows first
+    one_row = (row_map == row_map[:, :1]).all(axis=1)
+    hits: List[List[np.ndarray]] = [[] for _ in range(num_variants)]
+    for p0 in range(0, num_polys, tile):
+        p1 = min(p0 + tile, num_polys)
+        db_tile = db_phases[p0:p1]
+        buf, out = buf_tile[: p1 - p0], flag_tile[: p1 - p0]
+        wrapped = None if pow2 else wrapped_tile[: p1 - p0]
+        for v in range(num_variants):
+            if one_row[v]:
+                np.add(db_tile, shifted[row_map[v, 0]], out=buf)
+            else:
+                # bounds were checked above; "clip" only selects numpy's
+                # unbuffered write into ``buf``
+                np.take(shifted, row_map[v, p0:p1], axis=0, out=buf, mode="clip")
+                np.add(buf, db_tile, out=buf)
+            if narrow:
+                np.less(buf, width, out=out)
+            elif pow2:
+                np.bitwise_and(buf, q - 1, out=buf)
+                np.less(buf, width, out=out)
+            else:
+                # s in [0, 2q): (s mod q) < width iff s < width or
+                # 0 <= s - q < width; the unsigned view makes the second
+                # test one compare (a negative s - q reads as >= 2**63)
+                np.less(buf, width, out=out)
+                np.subtract(buf, q, out=buf)
+                np.less(buf.view(np.uint64), np.uint64(width), out=wrapped)
+                np.logical_or(out, wrapped, out=out)
+            found = np.flatnonzero(out)
+            if p0:
+                found += p0 * cols
+            hits[v].append(found)
+    if num_polys > tile:
+        return [np.concatenate(parts) for parts in hits]
+    return [parts[0] if parts else np.empty(0, dtype=np.intp) for parts in hits]
 
 
 def dense_decrypt_flags(

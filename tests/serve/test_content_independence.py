@@ -15,6 +15,9 @@ query.  That is not a new channel: the kernel runs on summed decryption
 phases, and how many coefficients decrypt to the match value *is* the
 decrypted answer — it exists on the key holder's side of the trust
 boundary only, with the phases, and is asserted here as exactly that.
+So is the number of scans the kernel's finder runs at ``q = 2**32``: it
+follows the count of high-half candidates, which, like the returned
+lengths, exists only on the key holder's side with the phases.
 
 Two leaks are documented and asserted as such, not skipped: a
 variant-cache hit and the in-batch dedup both reveal that two queries
@@ -159,8 +162,10 @@ def test_cold_search_is_the_same_work_whatever_the_query_says(monkeypatch, confi
         assert left_seen["transforms"], label  # equal, and not vacuously
         if config == "fused":
             assert len(left_seen["kernels"]) == 2  # one per shard
-            # per call: the summed tile, its flags — sized by the shard
-            assert len(left_seen["scratch"]) == 4
+            # per call, sized by the shard: the exact block's sums and
+            # its flags, the two high-half stacks, the screened block
+            # and the candidate slots
+            assert len(left_seen["scratch"]) == 12
         if label.startswith("matching"):
             assert left_matches and not right_matches  # the answers do differ
             if config == "fused":

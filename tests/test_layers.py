@@ -1,4 +1,5 @@
-"""Three contracts on ``src/repro`` read off its syntax trees.
+"""Four contracts on ``src/repro``, the first three read off its syntax
+trees.
 
 * **No environment reads.**  Nothing under ``src/`` touches
   ``os.environ`` / ``os.getenv``: behaviour is a function of arguments,
@@ -16,11 +17,15 @@
   ``ssd``, and only ``serve/report.py`` imports ``eval`` (``api`` and
   ``load`` still import engines and tables eagerly; they join the rule
   with the lazy registry).
+* **No dangling document names.**  Every ``*.md`` file that a module
+  under ``src/`` names — a path such as ``docs/perf.md`` from the repo
+  root, or a bare file name found anywhere in the repo — exists.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import repro
@@ -38,6 +43,9 @@ MODEL_DOORS = {
     "serve/report.py": {"eval"},
 }
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv"}
+#: the repo root (``src/repro`` -> ``src`` -> root) and a markdown name
+ROOT = PACKAGE.parents[1]
+MARKDOWN_NAME = re.compile(r"[\w./-]*\w\.md\b")
 
 
 def _modules():
@@ -123,6 +131,42 @@ def test_serving_stack_reaches_the_model_layer_through_two_doors():
                 stray.append(f"{rel}:{line} imports {target}")
     assert stray == []
     assert used == MODEL_DOORS  # no door left open that nothing walks through
+
+
+def _dangling_markdown(text: str, have) -> list:
+    """The ``*.md`` names in ``text`` that no file of ``have`` (repo-root
+    relative posix paths) answers: a path must be one of them, a bare
+    name the last part of one."""
+    names = {path.rsplit("/", 1)[-1] for path in have}
+    return [
+        name
+        for name in MARKDOWN_NAME.findall(text)
+        if name not in (have if "/" in name else names)
+    ]
+
+
+def test_src_names_only_markdown_files_the_repo_has():
+    have = {path.relative_to(ROOT).as_posix() for path in ROOT.rglob("*.md")}
+    assert "docs/perf.md" in have  # the walk found the repo's documents
+    dangling = []
+    named = 0
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for line_no, line in enumerate(path.read_text().splitlines(), 1):
+            if not MARKDOWN_NAME.search(line):
+                continue
+            named += len(MARKDOWN_NAME.findall(line))
+            dangling += [
+                f"{path.relative_to(PACKAGE)}:{line_no} names {name}"
+                for name in _dangling_markdown(line, have)
+            ]
+    assert named > 10  # and the names in src/
+    assert dangling == []
+
+
+def test_the_markdown_rule_tells_paths_from_bare_names():
+    have = {"docs/perf.md", "README.md"}
+    text = "see docs/perf.md, README.md, DESIGN.md and docs/gone.md."
+    assert _dangling_markdown(text, have) == ["DESIGN.md", "docs/gone.md"]
 
 
 def test_the_import_walk_resolves_relative_and_local_imports():
