@@ -11,11 +11,10 @@ Three measurements, each between paths that exist in ``src/``:
   mask, on the general 3-limb basis (``*``) and as the exact float64
   FFT :meth:`~repro.he.poly.RingPoly.mul_by_small` sizes from the
   mask's checked magnitude — the product under every fresh row;
-* one request's 39 query rows (a 48-bit read) at the paper's
-  parameters: 39 public-key ``encrypt`` calls — what database
-  outsourcing runs per polynomial — against one
-  ``encrypt_symmetric_rows`` pass under the secret key, what the key
-  holder encrypts its queries with.
+* 39 query rows at the paper's parameters: 39 public-key ``encrypt``
+  calls — what database outsourcing runs per polynomial — against one
+  ``encrypt_symmetric_rows`` pass over the same 39 rows under the
+  secret key, what the key holder encrypts its queries with.
 
 Runs standalone (``python benchmarks/bench_poly.py``) or under pytest.
 ``--quick`` restricts the multiply to n = 4096 and **exits non-zero if
@@ -124,7 +123,9 @@ def bench_ternary(n: int, q: int, reps: int, seed: int = DEFAULT_SEED) -> dict:
 #: public-key encryptions (measured 0.42-0.43x on the 2-CPU reference
 #: host; above 0.5x the one-pass block encryptor is not what ran)
 QUERY_ROWS_GATE = 0.5
-#: distinct encrypted polynomials of a 48-bit read (scan-inproc-closed)
+#: rows per pass, fixed so the gate compares like with like across
+#: versions (a 48-bit read encrypted 39 when the gate was set; since
+#: one row per variant it encrypts 33)
 QUERY_ROWS = 39
 
 

@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..he.arena import QueryArena, query_row_layout
+from ..he.arena import QueryArena
 from ..he.bfv import BFVContext, Ciphertext
 from ..he.keys import KeyGenerator, PublicKey, SecretKey
 from ..he.params import BFVParams
@@ -90,29 +90,25 @@ class CipherMatchClient:
             deterministic_seed=self.masking_seed,
         )
 
-    def query_arena(
-        self, prepared: PreparedQuery, num_polynomials: int
-    ) -> QueryArena:
-        """Every distinct encrypted query polynomial of ``prepared``,
+    def query_arena(self, prepared: PreparedQuery) -> QueryArena:
+        """Every distinct encrypted query polynomial of ``prepared`` —
+        one per variant, :func:`~repro.he.arena.query_row_layout` —
         stacked for the fused cells in one
         :meth:`QueryPreparer.encrypt_variant_value` pass: ``(3, n)``
         rows with their phase under ``CLIENT_DECRYPT`` (the phase row
         stays with the key holder), ``(2, n)`` ciphertext rows for the
         server's comparator under ``SERVER_DETERMINISTIC``."""
         ctx = self.ctx
-        layout = query_row_layout(prepared.variants, ctx.ring.n, num_polynomials)
         block = self.preparer.encrypt_variant_value(
-            prepared, [(v_idx, residue) for v_idx, residue, _ in layout],
+            prepared, range(prepared.num_variants),
             self.pk, self.sk, deterministic_seed=self.masking_seed,
         )
-        return QueryArena(
-            ctx.ring, ctx.params, prepared.variants, num_polynomials, block
-        )
+        return QueryArena(ctx.ring, ctx.params, prepared.variants, block)
 
     # -- result handling (line 12 and the verification step) -----------
 
     def flag_matches(
-        self, result: Ciphertext, poly_index: int, variant_cache_key: int
+        self, result: Ciphertext, poly_index: int, query_row: int
     ) -> np.ndarray:
         """Match flags of one Hom-Add result block by decryption, with
         the signature of :meth:`DeterministicComparator.flag_matches`

@@ -79,11 +79,9 @@ class DeterministicComparator:
         self._query_mask: Dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
 
-    def expected_match_c0(
-        self, db_poly_index: int, variant_cache_key: int
-    ) -> np.ndarray:
+    def expected_match_c0(self, db_poly_index: int, query_row: int) -> np.ndarray:
         u_db = derive_masking_poly(self.ctx, self.seed, "db", db_poly_index)
-        u_q = derive_masking_poly(self.ctx, self.seed, "qv", variant_cache_key)
+        u_q = derive_masking_poly(self.ctx, self.seed, "qv", query_row)
         u_total = u_db + u_q
         mask = self.pk.pk0 * u_total
         delta = self.ctx.params.delta
@@ -94,9 +92,9 @@ class DeterministicComparator:
         self,
         result: Ciphertext,
         db_poly_index: int,
-        variant_cache_key: int,
+        query_row: int,
     ) -> np.ndarray:
-        expected = self.expected_match_c0(db_poly_index, variant_cache_key)
+        expected = self.expected_match_c0(db_poly_index, query_row)
         return result.c0.coeffs == expected
 
     # -- stacked-array path (fused search kernel) -----------------------
@@ -135,13 +133,13 @@ class DeterministicComparator:
         self,
         result_c0: np.ndarray,
         db_poly_indices: np.ndarray,
-        variant_cache_keys: np.ndarray,
+        query_rows: np.ndarray,
     ) -> np.ndarray:
         """Batched :meth:`flag_matches` over stacked result rows.
 
         ``result_c0`` holds the ``(m, n)`` c0 rows of Hom-Add results;
         row ``i`` came from database polynomial ``db_poly_indices[i]``
-        and the query variant keyed ``variant_cache_keys[i]``.  The
+        and query row ``query_rows[i]``.  The
         expected match ciphertext distributes over the mask sum
         (``pk0 * (u_db + u_q) = pk0 * u_db + pk0 * u_q mod q``), so the
         whole comparison is two gathers, two modular adds and one
@@ -150,7 +148,7 @@ class DeterministicComparator:
         q = self.ctx.params.q
         db_rows = self._mask_rows(self._db_mask, "db", np.asarray(db_poly_indices))
         q_rows = self._mask_rows(
-            self._query_mask, "qv", np.asarray(variant_cache_keys)
+            self._query_mask, "qv", np.asarray(query_rows)
         )
         target = match_value(self.chunk_width) * self.ctx.params.delta
         expected = add_mod_q(add_mod_q(db_rows, q_rows, q), np.int64(target % q), q)

@@ -16,15 +16,10 @@ from typing import Callable, Dict, List, Optional, Protocol, Sequence
 
 import numpy as np
 
-from ..he.arena import CiphertextArena, QueryArena, add_mod_q
+from ..he.arena import CiphertextArena, QueryArena, add_mod_q, query_row_layout
 from ..he.bfv import BFVContext, Ciphertext
 from .packing import EncryptedDatabase
-from .query import (
-    PreparedQuery,
-    QueryVariant,
-    variant_cache_key,
-    variant_cache_keys,
-)
+from .query import PreparedQuery
 
 
 class AdditionBackend(Protocol):
@@ -53,7 +48,7 @@ class ResultBlock:
 
     poly_index: int
     variant_index: int
-    variant_cache_key: int
+    query_row: int
     ciphertext: Ciphertext
 
 
@@ -78,7 +73,7 @@ def block_hits(
     — the form every search cell returns and
     :meth:`ResultDecoder.decode_hits` reads.
 
-    ``flags_of(ciphertext, poly_index, variant_cache_key)`` is one
+    ``flags_of(ciphertext, poly_index, query_row)`` is one
     block's boolean flag vector: decryption on the key holder's side
     (:meth:`CipherMatchClient.flag_matches`), the comparator's
     prediction on the server's
@@ -89,7 +84,7 @@ def block_hits(
     parts: List[List[np.ndarray]] = [[] for _ in range(num_variants)]
     for block in blocks:
         flags = flags_of(
-            block.ciphertext, block.poly_index, block.variant_cache_key
+            block.ciphertext, block.poly_index, block.query_row
         )
         parts[block.variant_index].append(
             np.flatnonzero(flags) + (block.poly_index - base_poly) * len(flags)
@@ -110,27 +105,23 @@ def comparator_hits(
     """Deterministic-mode index generation for the db x variant grid of
     the database polynomials ``polys`` (the whole database, or one
     serving shard's range; ``row_map`` is ``(V, len(polys))``):
-    broadcast Hom-Add of the c0 rows plus the batched comparator, one
-    variant at a time, each reduced to the sorted flat indices of its
-    set flags before the next is formed — the single home of the fused
-    comparator math for both the pipeline and the serving shards.
+    broadcast Hom-Add of the c0 rows plus the batched comparator, whose
+    query masks are keyed by the query row, one variant at a time, each
+    reduced to the sorted flat indices of its set flags before the next
+    is formed — the single home of the fused comparator math for both
+    the pipeline and the serving shards.
     """
     q = arena.params.q
     db_c0 = arena.c0_rows(polys.start, polys.stop)
     poly_indices = np.arange(polys.start, polys.stop, dtype=np.int64)
-    hits = []
-    for v_idx, rows in enumerate(row_map):
-        result_c0 = add_mod_q(db_c0, query.c0[rows], q)
-        hits.append(
-            np.flatnonzero(
-                comparator.flag_matches_batch(
-                    result_c0,
-                    poly_indices,
-                    variant_cache_keys(v_idx, query.row_residue[rows]),
-                )
+    return [
+        np.flatnonzero(
+            comparator.flag_matches_batch(
+                add_mod_q(db_c0, query.c0[rows], q), poly_indices, rows
             )
         )
-    return hits
+        for rows in row_map
+    ]
 
 
 class SecureSearchEngine:
@@ -155,18 +146,17 @@ class SecureSearchEngine:
         only sees ciphertexts).
         """
         blocks = []
-        n = db.n
-        for v_idx, variant in enumerate(prepared.variants):
-            for j in polys:
+        row_map = query_row_layout(prepared.variants, db.n, polys)
+        for v_idx, rows in enumerate(row_map.tolist()):
+            for j, row in zip(polys, rows):
                 query_ct = encrypt_variant(v_idx, j)
                 result = self.backend.hom_add(db.ciphertexts[j], query_ct)
                 self.hom_add_count += 1
-                residue = (j * n) % variant.span
                 blocks.append(
                     ResultBlock(
                         poly_index=j,
                         variant_index=v_idx,
-                        variant_cache_key=variant_cache_key(v_idx, residue),
+                        query_row=row,
                         ciphertext=result,
                     )
                 )
@@ -188,43 +178,51 @@ class ResultDecoder:
         ascending indices of variant ``v``'s set flags in its global
         flag vector (polynomial order, ``j * n + c``) — what every
         search cell returns (:func:`block_hits`, :func:`comparator_hits`,
-        :func:`~repro.he.arena.fused_decrypt_flags`)."""
-        candidates: Dict[int, MatchCandidate] = {}
-        for v_idx, variant in enumerate(prepared.variants):
-            for offset in self._offsets_for_variant(variant, hits[v_idx], prepared):
-                offset = int(offset)
-                existing = candidates.get(offset)
-                if existing is None or (
-                    existing.verified is None and not variant.requires_verification
-                ):
-                    candidates[offset] = MatchCandidate(
-                        offset=offset, phase=variant.phase, variant_index=v_idx
-                    )
-        return sorted(candidates.values(), key=lambda c: c.offset)
+        :func:`~repro.he.arena.fused_decrypt_flags`).  One array pass
+        over every variant's hits at once.
 
-    def _offsets_for_variant(
-        self, variant: QueryVariant, hits: np.ndarray, prepared: PreparedQuery
-    ) -> np.ndarray:
-        """Database bit offsets at which ``variant`` matches, from the
-        sorted indices of the set flags of its global flag vector.
-
-        A match is a run of ``span`` consecutive set flags starting at
-        a position congruent to the variant's rotation.  Set flags are
-        rare (a non-matching coefficient is all-ones with probability
-        ``1/t``), so the run test works on their indices alone:
-        ``hits[k]`` starts a full run iff the hit ``span - 1`` places
-        later is exactly ``span - 1`` positions away.
+        A match of variant ``v`` is a run of ``span`` consecutive set
+        flags starting at a position congruent to its rotation.  Set
+        flags are rare (a non-matching coefficient is all-ones with
+        probability ``1/t``), so the run test works on their indices
+        alone: a hit starts a full run iff the hit ``span - 1`` places
+        later is still ``v``'s and exactly ``span - 1`` positions away.
+        When several variants find one offset, its candidate names the
+        last of them that needs no verification, else the first.
         """
-        w = self.chunk_width
-        span = variant.span
-        o = variant.query_bit_offset
-        y = prepared.bit_length
-        heads = hits[: max(len(hits) - span + 1, 0)]
-        starts = heads[hits[span - 1 :] - heads == span - 1]
-        starts = starts[(starts - variant.rotation) % span == 0]
-        offsets = starts * w - o
-        offsets = offsets[(offsets >= 0) & (offsets + y <= self.db_bit_length)]
-        return offsets.astype(np.int64)
+        num = prepared.num_variants
+
+        def per_variant(attr: str) -> np.ndarray:
+            values = (getattr(v, attr) for v in prepared.variants)
+            return np.fromiter(values, dtype=np.int64, count=num)
+
+        span, rotation = per_variant("span"), per_variant("rotation")
+        counts = np.fromiter(map(len, hits), dtype=np.int64, count=num)
+        flat = np.concatenate(hits, dtype=np.int64, casting="unsafe")
+        owner = np.repeat(np.arange(num), counts)
+        width = span[owner]
+        last = np.arange(len(flat)) + width - 1
+        heads = np.flatnonzero(last < len(flat))
+        last = last[heads]
+        heads = heads[
+            (owner[last] == owner[heads]) & (flat[last] - flat[heads] == width[heads] - 1)
+        ]
+        starts, owner = flat[heads], owner[heads]
+        aligned = (starts - rotation[owner]) % span[owner] == 0
+        starts, owner = starts[aligned], owner[aligned]
+        offsets = starts * self.chunk_width - per_variant("query_bit_offset")[owner]
+        inside = (offsets >= 0) & (offsets + prepared.bit_length <= self.db_bit_length)
+        offsets, owner = offsets[inside], owner[inside]
+        # the surviving (offset, variant) pairs are few, one per match
+        # and variant that finds it, and come in variant order
+        variants = prepared.variants
+        candidates: Dict[int, MatchCandidate] = {}
+        for offset, v_idx in zip(offsets.tolist(), owner.tolist()):
+            if offset not in candidates or not variants[v_idx].requires_verification:
+                candidates[offset] = MatchCandidate(
+                    offset=offset, phase=variants[v_idx].phase, variant_index=v_idx
+                )
+        return sorted(candidates.values(), key=lambda c: c.offset)
 
 
 def verify_candidates(

@@ -105,10 +105,10 @@ class SecureStringMatchPipeline:
             else:
                 hits = block_hits(blocks, client.flag_matches, prepared.num_variants)
         elif deterministic:
-            hits = server.search_index(client.query_arena(prepared, db.num_polynomials))
+            hits = server.search_index(client.query_arena(prepared))
         else:
             ctx = client.ctx
-            query = client.query_arena(prepared, db.num_polynomials)
+            query = client.query_arena(prepared)
             pairs = prepared.num_variants * db.num_polynomials
             server.tally_hom_adds(pairs)
             ctx.counter.decryptions += pairs

@@ -136,7 +136,7 @@ def encode_result_blocks(blocks: List[ResultBlock]) -> bytes:
     frames = []
     for block in blocks:
         header += _BLOCK_HEADER.pack(
-            block.poly_index, block.variant_index, block.variant_cache_key
+            block.poly_index, block.variant_index, block.query_row
         )
         frames.append(serialize_ciphertext(block.ciphertext))
     return bytes(header) + _pack_frames(frames)
@@ -156,10 +156,10 @@ def decode_result_blocks(data: bytes, ctx) -> List[ResultBlock]:
         ResultBlock(
             poly_index=poly,
             variant_index=variant,
-            variant_cache_key=key,
+            query_row=row,
             ciphertext=deserialize_ciphertext(frame, ctx),
         )
-        for (poly, variant, key), frame in zip(metas, frames)
+        for (poly, variant, row), frame in zip(metas, frames)
     ]
 
 

@@ -30,12 +30,21 @@ run starting at any chunk index detectable.  The total Hom-Add count per
 database polynomial is ``sum over phases of max(span_s, 1)`` — for the
 paper's headline case (y = w = 16) this is exactly ``w`` = 16 variants,
 matching §4.2.2.
+
+Query rows
+----------
+An encrypted query row is named by its plaintext, ``(phase, shift)``:
+the variants of one phase share a pattern, so a query encrypts one row
+per variant whatever the database size — 33 for a 48-bit read at
+``w = 16``, 185 for a 200-bit one (:func:`~repro.he.arena.query_row_layout`).
+The row index is the key a row is cached under and, under
+``SERVER_DETERMINISTIC``, the label its masking polynomial derives from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -73,7 +82,8 @@ class PreparedQuery:
     query_bits: np.ndarray
     chunk_width: int
     variants: List[QueryVariant]
-    _cipher_cache: Dict[tuple, Ciphertext] = field(default_factory=dict)
+    #: per-pair encryptions, keyed by query row
+    _cipher_cache: Dict[int, Ciphertext] = field(default_factory=dict)
 
     @property
     def bit_length(self) -> int:
@@ -83,23 +93,22 @@ class PreparedQuery:
     def num_variants(self) -> int:
         return len(self.variants)
 
-    def homomorphic_additions_per_polynomial(self) -> int:
-        return len(self.variants)
-
-
-def variant_cache_key(variant_index: int, residue: int) -> int:
-    """Cache key for one (variant, residue-class) encrypted query
-    polynomial.  The encrypted variant depends on the database polynomial
-    index ``j`` only through ``residue = (j * n) mod span``, so this key
-    identifies the ciphertext everywhere it is cached or predicted (the
-    deterministic comparator derives its masking polynomial from it)."""
-    return variant_index * 1009 + residue
-
-
-def variant_cache_keys(variant_index: int, residues: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`variant_cache_key` over a residue array (the
-    fused kernels key whole result rows at once)."""
-    return variant_index * 1009 + np.asarray(residues)
+    def row_plaintexts(self, rows: Sequence[int], n: int) -> np.ndarray:
+        """``(len(rows), n)`` plaintext coefficients of the query rows
+        ``rows`` (module docstring, "Query rows"): row ``r`` is
+        ``variants[r]`` laid over database polynomial 0.  One gather
+        over the phase patterns laid end to end — a phase's pattern
+        starts at its first variant's index, ``r - rotation``."""
+        patterns = np.concatenate(
+            [v.pattern_chunks for v in self.variants if v.rotation == 0]
+        )
+        rows = np.asarray(rows, dtype=np.intp)
+        rotation = np.asarray([v.rotation for v in self.variants])[rows, None]
+        span = np.asarray([v.span for v in self.variants])[rows, None]
+        at = np.arange(n) - rotation  # the one (rows, n) index array
+        np.remainder(at, span, out=at)
+        at += rows[:, None] - rotation
+        return patterns[at]
 
 
 def guaranteed_phases(query_bits: int, chunk_width: int) -> List[int]:
@@ -182,62 +191,57 @@ class QueryPreparer:
     ) -> Ciphertext:
         """Encrypted query polynomial for one (variant, db-polynomial).
 
-        The coefficient layout depends on the database polynomial only
-        through ``(poly_index * n) mod span``, so ciphertexts are cached
-        per residue class — a query is encrypted O(variants) times, not
-        O(variants * polynomials).
+        Pairs that read the same query row share one ciphertext, cached
+        per row — a query is encrypted once per variant, not once per
+        (variant, polynomial) pair.
         """
-        variant = prepared.variants[variant_index]
-        residue = poly_index * self.ctx.params.n % variant.span
-        key = (variant_index, residue)
-        if key not in prepared._cipher_cache:
-            (row,) = self.encrypt_variant_value(
-                prepared, [key], pk, sk, deterministic_seed=deterministic_seed
+        # query_row_layout's formula for one pair
+        v = prepared.variants[variant_index]
+        shift = (v.rotation - poly_index * self.ctx.params.n) % v.span
+        row = variant_index - v.rotation + shift
+        if row not in prepared._cipher_cache:
+            (value,) = self.encrypt_variant_value(
+                prepared, [row], pk, sk, deterministic_seed=deterministic_seed
             )
-            prepared._cipher_cache[key] = unstack_ciphertext(
-                self.ctx.ring, self.ctx.params, row.astype(np.int64)
+            prepared._cipher_cache[row] = unstack_ciphertext(
+                self.ctx.ring, self.ctx.params, value.astype(np.int64)
             )
-        return prepared._cipher_cache[key]
+        return prepared._cipher_cache[row]
 
     def encrypt_variant_value(
         self,
         prepared: PreparedQuery,
-        rows: Sequence[Tuple[int, int]],
+        rows: Sequence[int],
         pk: PublicKey,
         sk: SecretKey,
         *,
         deterministic_seed: int | None = None,
     ) -> np.ndarray:
-        """Encrypt the ``(variant, residue class)`` query polynomials
-        in ``rows`` in one pass, without consulting or populating
-        ``prepared``'s per-query cache.
+        """Encrypt the query rows ``rows`` (indices in
+        :func:`~repro.he.arena.query_row_layout` order) in one pass,
+        without consulting or populating ``prepared``'s per-query cache.
 
         The serving layer (:mod:`repro.serve`) calls this once per
         request, with the rows its *bounded* LRU cache is missing, so
-        that cache is the only place they are retained.  ``residue``
-        stands in for the polynomial base index: the coefficient layout
-        only depends on ``poly_index * n`` modulo the variant's span.
+        that cache is the only place they are retained.
 
         The client holds both keys, so its queries are encrypted under
         ``sk``: the ``(R, 3, n)`` block of
         :meth:`BFVContext.encrypt_symmetric_rows` — ``c0``, ``c1`` and
         the phase ``delta * m - e``.  With ``deterministic_seed`` the
         rows are instead *defined* as a function of ``pk`` and the
-        shared seed (the comparator predicts ``pk0 * u``): the noiseless
-        public-key encryption database outsourcing uses, ``(R, 2, n)``,
-        no phase.  Either block is in :func:`~repro.he.poly.row_dtype`.
+        shared seed (the comparator predicts ``pk0 * u``, ``u`` derived
+        from the row index): the noiseless public-key encryption
+        database outsourcing uses, ``(R, 2, n)``, no phase.  Either
+        block is in :func:`~repro.he.poly.row_dtype`.
         """
         ctx, n = self.ctx, self.ctx.params.n
-        plain = np.empty((len(rows), n), dtype=np.int64)
-        for out, (v_idx, residue) in zip(plain, rows):
-            out[:] = prepared.variants[v_idx].coefficient_pattern(n, residue)
+        plain = prepared.row_plaintexts(rows, n)
         if deterministic_seed is None:
             return ctx.encrypt_symmetric_rows(plain, sk)
         block = np.empty((len(rows), 2, n), dtype=row_dtype(ctx.params.q))
-        for out, coeffs, (v_idx, residue) in zip(block, plain, rows):
-            u = derive_masking_poly(
-                ctx, deterministic_seed, "qv", variant_cache_key(v_idx, residue)
-            )
+        for out, coeffs, row in zip(block, plain, rows):
+            u = derive_masking_poly(ctx, deterministic_seed, "qv", int(row))
             ct = ctx.encrypt(ctx.plaintext(coeffs), pk, noiseless=True, u=u)
             out[0], out[1] = ct.c0.coeffs, ct.c1.coeffs
         return block

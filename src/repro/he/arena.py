@@ -42,7 +42,6 @@ the test oracle's big-int ring arithmetic as well).
 
 from __future__ import annotations
 
-import math
 import threading
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
@@ -468,6 +467,26 @@ def _find_set(flags: np.ndarray, end: int, cap: int) -> "List[int] | None":
     return None
 
 
+def _confirm_candidates(hits, keys, db_phases, shifted, row_map, width) -> None:
+    """The ``q = 2**32`` kernel's exact test of its screened candidates
+    (keys ``v * P * n + j * n + c``): one gather of their phases, then
+    each variant's confirmed indices join its ``hits``.  Everything this
+    allocates is sized by the candidates, the decrypted answer."""
+    num_polys, cols = db_phases.shape
+    # sorted keys order the candidates by variant, then index
+    owner, at = np.divmod(np.sort(keys), max(1, num_polys * cols))
+    j, c = np.divmod(at, max(1, cols))
+    kept = db_phases[j, c] + shifted[row_map[owner, j], c] < width
+    owner, at = owner[kept], at[kept]
+    cuts = np.searchsorted(owner, np.arange(len(hits) + 1))
+    for v, parts in enumerate(hits):
+        part = at[cuts[v] : cuts[v + 1]]
+        if not parts:
+            parts.append(part)
+        elif len(part):  # exact blocks and candidates: interleave
+            hits[v] = [np.sort(np.concatenate(parts + [part]))]
+
+
 def _block_sum(rows_from, rows, db_tile, out) -> None:
     """Flat ``out = rows_from[rows] + db_tile`` over a ``(v, p)`` block
     (``"clip"`` only selects numpy's unbuffered write into ``out``)."""
@@ -499,9 +518,11 @@ def fused_decrypt_flags(
     coefficient is all-ones with probability ``1/t``), so the grid
     itself is never built: a block of variants is compared against one
     ``(tile_polys, n)`` tile at a time, into scratch that the whole call
-    reuses.  The scratch depends on the operand shapes only; the scans
-    and the *lengths* of the returned arrays are the decrypted answer
-    and stay with the phases on the key holder's side.
+    reuses.  The scratch depends on the operand shapes only.  The
+    decrypted answer — the returned hits, the finder's scans
+    (:func:`_find_set`) and the candidate-confirm gathers
+    (:func:`_confirm_candidates`) — is what varies with the query, and
+    it stays with the phases on the key holder's side.
 
     Index generation is a range test on the phase.  A phase ``p`` in
     ``[0, q)`` decrypts to ``round(t*p/q) mod t`` (centering ``p``
@@ -618,19 +639,9 @@ def fused_decrypt_flags(
                     found += p0 * cols
                 hits[v].append(found)
     if narrow:
-        # sorted keys order the candidates by variant, then index
-        keys = np.sort(candidates[:count])
-        owner, at = np.divmod(keys, max(1, span))
-        j, c = np.divmod(at, max(1, cols))
-        kept = db_phases[j, c] + shifted[row_map[owner, j], c] < width
-        owner, at = owner[kept], at[kept]
-        cuts = np.searchsorted(owner, np.arange(num_variants + 1))
-        for v, parts in enumerate(hits):
-            part = at[cuts[v] : cuts[v + 1]]
-            if not parts:
-                parts.append(part)
-            elif len(part):  # exact blocks and candidates: interleave
-                hits[v] = [np.sort(np.concatenate(parts + [part]))]
+        _confirm_candidates(
+            hits, candidates[:count], db_phases, shifted, row_map, width
+        )
     return [
         np.concatenate(parts) if len(parts) > 1
         else parts[0] if parts else np.empty(0, dtype=np.intp)
@@ -644,32 +655,36 @@ def fused_decrypt_flags(
 
 
 def query_row_layout(
-    variants: Sequence, n: int, num_polynomials: int
-) -> List[Tuple[int, int, int]]:
-    """``(variant, residue, first polynomial)`` of every distinct
-    encrypted query polynomial of a prepared query, in the order
-    :class:`QueryArena` stacks them (and fresh ones draw from the
-    client's RNG).  ``(j * n) mod span`` repeats with period
-    ``span / gcd(n, span)`` in ``j`` and takes a different value at
-    each ``j`` below it: the first polynomials are the first
-    appearances of a variant's residue classes."""
-    layout = []
-    for v_idx, variant in enumerate(variants):
-        span = variant.span
-        period = span // math.gcd(n, span)
-        for j in range(min(num_polynomials, period)):
-            layout.append((v_idx, (j * n) % span, j))
-    return layout
+    variants: Sequence, n: int, poly_indices: Sequence[int]
+) -> np.ndarray:
+    """``(V, len(poly_indices))`` query row of every (variant, database
+    polynomial) pair: the row :class:`QueryArena` stacks, the row a
+    fresh request encrypts (and draws from the client's RNG for) and the
+    key it is cached under.
+
+    Variant ``v`` against polynomial ``j`` reads its phase's pattern at
+    ``(j*n + c - rotation) mod span``, so the encrypted row is named by
+    ``(phase, shift)`` with ``shift = (j*n - rotation) mod span``.  A
+    phase's variants are its ``span`` rotations in order, starting at
+    index ``v - rotation``, and against polynomial 0 they read its
+    ``span`` shifts, each once: row ``r`` is what variant ``r`` adds to
+    polynomial 0, ``(variants[r].phase, -variants[r].rotation mod
+    span)`` — one row per variant, in the order the first polynomial
+    asks for them — and ``row = v - rotation + (rotation - j*n) mod
+    span``."""
+    rotation = np.asarray([v.rotation for v in variants], dtype=np.intp)[:, None]
+    span = np.asarray([v.span for v in variants], dtype=np.intp)[:, None]
+    first = np.arange(len(variants))[:, None] - rotation
+    polys = np.asarray(poly_indices, dtype=np.intp)
+    return first + (rotation - polys * n) % span
 
 
 class QueryArena:
-    """Stacked encrypted query variants for one prepared query.
+    """Stacked encrypted query rows for one prepared query.
 
-    One row per *distinct* encrypted query polynomial — the coefficient
-    layout of variant ``v`` against database polynomial ``j`` depends on
-    ``j`` only through ``residue = (j * n) mod span``, so the row count
-    is O(variants), not O(variants x polynomials).  ``rows`` holds them
-    in :func:`query_row_layout` order: the ``(2, n)`` rows of a
+    One row per *distinct* encrypted query polynomial, which is one per
+    variant (:func:`query_row_layout`), whatever the database size.
+    ``rows`` holds them in that order: the ``(2, n)`` rows of a
     ciphertext (:func:`stack_ciphertext`), or the ``(3, n)`` rows of one
     encrypted under the key holder's secret key with its phase
     (:meth:`~repro.he.bfv.BFVContext.encrypt_symmetric_rows` — what the
@@ -682,34 +697,21 @@ class QueryArena:
         ring: RingContext,
         params: "BFVParams",
         variants: Sequence,
-        num_polynomials: int,
         rows: Sequence[np.ndarray],
     ):
         self.ring = ring
         self.params = params
-        n = ring.n
-        layout = query_row_layout(variants, n, num_polynomials)
-        if len(rows) != len(layout):
+        if len(rows) != len(variants):
             raise ValueError(
-                f"expected {len(layout)} query rows, got {len(rows)}"
+                f"expected {len(variants)} query rows, got {len(rows)}"
             )
+        self.variants = variants
         self.num_variants = len(variants)
-        self.num_polynomials = num_polynomials
         #: rows as handed: (num_rows, 2 or 3, n), any integer dtype
         self._rows = (
-            np.stack(rows) if layout else np.empty((0, 2, n), dtype=np.int64)
+            np.stack(rows) if len(rows) else np.empty((0, 2, ring.n), dtype=np.int64)
         )
         self._stack: np.ndarray | None = None
-        self.row_variant = np.asarray([v for v, _, _ in layout], dtype=np.intp)
-        self.row_residue = np.asarray([r for _, r, _ in layout], dtype=np.intp)
-        #: per variant: its first row and how many polynomials apart two
-        #: uses of one row are — all :meth:`row_map` needs
-        self._first_row = np.searchsorted(
-            self.row_variant, np.arange(self.num_variants)
-        )[:, None]
-        self._period = np.asarray(
-            [v.span // math.gcd(n, v.span) for v in variants], dtype=np.intp
-        )[:, None]
         self._lock = threading.Lock()
         self._phase_cache: Tuple[object, np.ndarray] | None = None
 
@@ -735,10 +737,9 @@ class QueryArena:
     def c1(self) -> np.ndarray:
         return self.stack[:, 1]
 
-    def row_map(self, poly_indices: np.ndarray) -> np.ndarray:
+    def row_map(self, poly_indices: Sequence[int]) -> np.ndarray:
         """``(V, P)`` row index per (variant, global polynomial)."""
-        poly_indices = np.asarray(poly_indices, dtype=np.intp)
-        return self._first_row + poly_indices % self._period
+        return query_row_layout(self.variants, self.ring.n, poly_indices)
 
     def phases(self, sk: "SecretKey") -> np.ndarray:
         """``(num_rows, n)`` decryption phases of the query rows in the

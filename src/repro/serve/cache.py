@@ -1,9 +1,8 @@
 """Bounded, thread-safe LRU cache for encrypted query variants.
 
-A query batch re-encrypts the same (query, variant, residue-class)
-polynomial once per shard touch unless something caches it, and a
-serving process that stays up for millions of queries cannot keep an
-unbounded dict.  :class:`VariantCipherCache` keeps the most recently
+A query batch re-encrypts the same (query, row) polynomial once per
+shard touch unless something caches it, and a serving process that
+stays up for millions of queries cannot keep an unbounded dict.  :class:`VariantCipherCache` keeps the most recently
 used variant ciphertexts under a hard entry bound and reports
 hit/miss/eviction statistics so the serving report can surface cache
 effectiveness.
@@ -18,8 +17,9 @@ pass (``docs/perf.md``, "Queries under the secret key, one pass per
 request") — and a hit costs a dictionary lookup and nothing else: no
 transform, no draw.
 
-Values are whatever the serving path caches per (query, variant,
-residue-class).  The sharded engine stores one row of
+Values are whatever the serving path caches per (query, row) — one
+row per query variant (:func:`~repro.he.arena.query_row_layout`).  The
+sharded engine stores one row of
 :meth:`~repro.he.bfv.BFVContext.encrypt_symmetric_rows` per entry — the
 ``c0``, ``c1`` and phase rows as a ``(3, n)`` array in the narrowest
 unsigned type that holds ``[0, q)``, 12 KiB at the paper's parameters

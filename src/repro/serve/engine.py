@@ -47,12 +47,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..he.arena import (
-    QueryArena,
-    fused_decrypt_flags,
-    query_row_layout,
-    unstack_ciphertext,
-)
+from ..he.arena import QueryArena, fused_decrypt_flags, unstack_ciphertext
 from ..he.bfv import BFVContext
 from ..verify import VerifyLike
 from ..core.client import CipherMatchClient, ClientConfig
@@ -427,29 +422,23 @@ class ShardedSearchEngine:
         """
         if job.query_arena is None:
             ctx, client = self.client.ctx, self.client
-            num_polys = self.db.num_polynomials
 
             def encrypt(missing: list) -> List[np.ndarray]:
                 block = client.preparer.encrypt_variant_value(
-                    job.prepared, [key[1:] for key in missing],
+                    job.prepared, [row for _, row in missing],
                     client.pk, client.sk, deterministic_seed=client.masking_seed,
                 )
                 # each entry owns its memory: evicting one frees it
                 return [row.copy() for row in block]
 
             rows = self.cache.get_or_create(
-                [
-                    (job.key, v_idx, residue)
-                    for v_idx, residue, _ in query_row_layout(
-                        job.prepared.variants, ctx.ring.n, num_polys
-                    )
-                ],
+                [(job.key, row) for row in range(job.prepared.num_variants)],
                 encrypt,
             )
             job.query_arena = QueryArena(
-                ctx.ring, ctx.params, job.prepared.variants, num_polys, rows
+                ctx.ring, ctx.params, job.prepared.variants, rows
             )
-            job.row_map = job.query_arena.row_map(np.arange(num_polys))
+            job.row_map = job.query_arena.row_map(range(self.db.num_polynomials))
         return job.query_arena
 
     # -- shard execution -------------------------------------------------

@@ -121,7 +121,7 @@ def test_pipeline_flags_byte_identical(index_mode, master_fixture):
     def fused_hits(pipe):
         client, ctx = pipe.client, pipe.client.ctx
         prepared = client.prepare_query(query)
-        arena = client.query_arena(prepared, pipe.db.num_polynomials)
+        arena = client.query_arena(prepared)
         if deterministic:
             return prepared, pipe.server.search_index(arena)
         return prepared, fused_decrypt_flags(

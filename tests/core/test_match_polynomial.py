@@ -82,7 +82,7 @@ class TestDeterministicComparator:
         result = ctx.add(enc_db.ciphertexts[0], q_ct)
 
         comparator = DeterministicComparator(ctx, pk, seed, 16)
-        flags = comparator.flag_matches(result, db_poly_index=0, variant_cache_key=0)
+        flags = comparator.flag_matches(result, db_poly_index=0, query_row=0)
         assert flags.all()
 
     def test_no_false_positives(self, setup, rng):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     ClientConfig,
@@ -170,8 +172,6 @@ class TestResultDecoder:
                 flat = grid.reshape(-1)
                 want = prefix_sum_offsets(decoder, variant, flat, prepared)
                 hits = np.flatnonzero(flat)
-                got = decoder._offsets_for_variant(variant, hits, prepared)
-                assert got.dtype == want.dtype and got.tolist() == want.tolist()
                 blocks = {(0, j): grid[0, j] for j in range(polys)}
                 for candidates in (
                     decoder.decode_hits(prepared, hits_of_blocks(blocks, 1, n)),
@@ -190,3 +190,95 @@ class TestVerifyCandidates:
 
     def test_empty(self):
         assert verify_candidates([], lambda off: True) == []
+
+
+def _dict_loop_decode(decoder, prepared, hits):
+    """The decoder as it was before it became one array pass: a run test
+    per variant, then a dict keyed by offset that a variant needing no
+    verification overwrites and any other leaves alone."""
+    candidates = {}
+    for v_idx, variant in enumerate(prepared.variants):
+        span, found = variant.span, np.asarray(hits[v_idx], dtype=np.int64)
+        heads = found[: max(len(found) - span + 1, 0)]
+        starts = heads[found[span - 1 :] - heads == span - 1]
+        starts = starts[(starts - variant.rotation) % span == 0]
+        offsets = starts * decoder.chunk_width - variant.query_bit_offset
+        offsets = offsets[
+            (offsets >= 0) & (offsets + prepared.bit_length <= decoder.db_bit_length)
+        ]
+        for offset in offsets.tolist():
+            if offset not in candidates or not variant.requires_verification:
+                candidates[offset] = MatchCandidate(offset, variant.phase, v_idx)
+    return sorted(candidates.values(), key=lambda c: c.offset)
+
+
+class TestCandidateChoice:
+    """When several variants find one offset, the candidate names the
+    last of them that needs no verification, else the first."""
+
+    @staticmethod
+    def _variant(phase, verify, span=1, rotation=0, offset=0):
+        return QueryVariant(
+            phase=phase,
+            rotation=rotation,
+            span=span,
+            pattern_chunks=np.zeros(span, dtype=np.int64),
+            query_bit_offset=offset,
+            requires_verification=verify,
+        )
+
+    @pytest.mark.parametrize(
+        "verify, chosen",
+        [
+            ((True, True, True), 0),
+            ((True, False, True), 1),
+            ((False, True, False), 2),
+            ((False, False, True), 1),
+            ((True, True, False), 2),
+        ],
+    )
+    def test_rule(self, verify, chosen):
+        variants = [self._variant(v_idx, flag) for v_idx, flag in enumerate(verify)]
+        prepared = PreparedQuery(np.zeros(4, dtype=np.uint8), 4, variants)
+        decoder = ResultDecoder(4, 8, 64)
+        hits = [np.array([3, 5])] * len(variants)
+        got = decoder.decode_hits(prepared, hits)
+        assert [(c.offset, c.phase, c.variant_index) for c in got] == [
+            (12, chosen, chosen), (20, chosen, chosen)
+        ]
+        assert got == _dict_loop_decode(decoder, prepared, hits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_one_pass_equals_the_dict_loop(self, data):
+        """Byte-identical ``MatchCandidate`` lists — offset, phase and
+        ``variant_index``, as Python ints — over drawn variant sets whose
+        offsets collide, and drawn hits."""
+        w = 4
+        variants = []
+        for phase in range(data.draw(st.integers(1, 6))):
+            span = data.draw(st.integers(1, 3))
+            variants.append(self._variant(
+                phase,
+                data.draw(st.booleans()),
+                span,
+                data.draw(st.integers(0, span - 1)),
+                data.draw(st.integers(0, 2 * w)),
+            ))
+        total = data.draw(st.integers(0, 40))
+        hits = [
+            np.array(sorted(data.draw(st.sets(st.integers(0, total - 1)))
+                            if total else []), dtype=np.intp)
+            for _ in variants
+        ]
+        prepared = PreparedQuery(
+            np.zeros(data.draw(st.integers(1, 12)), dtype=np.uint8), w, variants
+        )
+        decoder = ResultDecoder(w, 8, data.draw(st.integers(0, total * w + w)))
+        got = decoder.decode_hits(prepared, hits)
+        want = _dict_loop_decode(decoder, prepared, hits)
+        assert got == want
+        assert all(
+            type(x) is int
+            for c in got for x in (c.offset, c.phase, c.variant_index)
+        )

@@ -12,7 +12,6 @@ from repro.core import (
     SecureStringMatchPipeline,
 )
 from repro.he import BFVParams
-from repro.he.arena import query_row_layout
 from repro.utils.bits import random_bits
 from tests.oracles import count_transforms
 
@@ -181,16 +180,14 @@ class TestFusedCell:
         with count_transforms() as whole:
             report = pipe.search(query)
         assert report.matches == find_all_matches(db, query) == [1203]
-        rows = len(
-            query_row_layout(pipe.client.prepare_query(query).variants, PARAMS.n, 3)
-        )
-        assert passes == [(rows, (rows, 3, PARAMS.n))] and rows == 39
+        rows = pipe.client.prepare_query(query).num_variants
+        assert passes == [(rows, (rows, 3, PARAMS.n))] and rows == 33
         # every transform of the search is the encryption pass's own:
         # the phase rows it returned are read, never recomputed as c1 * s
         twin = make_pipeline(90).client
-        twin.query_arena(twin.prepare_query(warm), 3)  # the key's spectrum
+        twin.query_arena(twin.prepare_query(warm))  # the key's spectrum
         with count_transforms() as alone:
-            twin.query_arena(twin.prepare_query(query), 3)
+            twin.query_arena(twin.prepare_query(query))
         assert whole == alone != []
 
     def test_rng_draws_do_not_depend_on_query_content(self, rng):

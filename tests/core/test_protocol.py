@@ -95,7 +95,7 @@ class TestQueryResultTransfer:
         restored = decode_result_blocks(encode_result_blocks(blocks), client.ctx)
         assert restored[0].poly_index == 0
         assert restored[0].variant_index == 0
-        assert restored[0].variant_cache_key == 17
+        assert restored[0].query_row == 17
         assert restored[0].ciphertext == ct
 
 

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.query import QueryPreparer, _periodic_window, guaranteed_phases
 from repro.he import BFVContext, BFVParams, KeyGenerator
+from repro.he.arena import query_row_layout
 from repro.utils.bits import chunk_bits, negate_bits, random_bits
 
 
@@ -137,3 +140,42 @@ class TestPeriodicWindow:
         q = np.array([1, 0, 0], dtype=np.uint8)
         window = _periodic_window(q, 1, 4)
         assert list(window) == [0, 0, 1, 0]
+
+
+class TestQueryRows:
+    """One encrypted row per ``(phase, shift)`` plaintext: as many rows
+    as variants, whatever the database size."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bits=st.integers(1, 208),
+        n=st.sampled_from([64, 1024]),
+        num_polys=st.integers(1, 300),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_pair_reads_its_own_plaintext(self, preparer, bits, n, num_polys, seed):
+        prepared = preparer.prepare(random_bits(bits, np.random.default_rng(seed)))
+        row_map = query_row_layout(prepared.variants, n, range(num_polys))
+        rows = prepared.row_plaintexts(range(prepared.num_variants), n)
+        assert row_map.shape == (prepared.num_variants, num_polys)
+        assert len(rows) == prepared.num_variants
+        assert sorted(set(row_map.ravel().tolist())) == list(range(len(rows)))
+        for v_idx, variant in enumerate(prepared.variants):
+            # (j * n) mod span repeats with a period dividing span, and
+            # so must the row
+            j = np.arange(num_polys)
+            assert np.array_equal(row_map[v_idx], row_map[v_idx, j % variant.span])
+            for j in range(min(num_polys, variant.span)):
+                assert np.array_equal(
+                    rows[row_map[v_idx, j]],
+                    variant.coefficient_pattern(n, j * n % variant.span),
+                )
+
+    @pytest.mark.parametrize(
+        "bits, rows", [(24, 16), (40, 25), (48, 33), (64, 49), (80, 65),
+                       (104, 89), (200, 185)],
+    )
+    def test_rows_per_read(self, preparer, bits, rows):
+        """``docs/perf.md``'s rows-per-read table at ``w = 16``."""
+        prepared = preparer.prepare(np.zeros(bits, dtype=np.uint8))
+        assert prepared.num_variants == rows

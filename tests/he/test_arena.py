@@ -721,31 +721,35 @@ def test_lazy_arena_kernels_build_on_first_touch():
 
 
 def test_query_arena_rows_and_map_cover_residue_classes():
+    """One row per variant covers every (variant, residue class): the
+    row of each pair holds the plaintext the variant lays over that
+    polynomial, and the per-pair encryption of the pair is that row."""
     params, ctx, sk, pk, cts = _setup()
     from repro.core.query import QueryPreparer
 
     preparer = QueryPreparer(ctx, 16)
     rng = np.random.default_rng(8)
     prepared = preparer.prepare(rng.integers(0, 2, 48).astype(np.uint8))
-    num_polys = 7
-    layout = query_row_layout(prepared.variants, params.n, num_polys)
+    num_polys, n = 7, params.n
+    row_map = query_row_layout(prepared.variants, n, range(num_polys))
+    # row r is what variant r adds to polynomial 0
+    assert row_map[:, 0].tolist() == list(range(prepared.num_variants))
     rows = [
-        stack_ciphertext(preparer.encrypt_variant(prepared, v_idx, j, pk, sk))
-        for v_idx, _, j in layout
+        stack_ciphertext(preparer.encrypt_variant(prepared, v_idx, 0, pk, sk))
+        for v_idx in range(prepared.num_variants)
     ]
-    qa = QueryArena(ctx.ring, params, prepared.variants, num_polys, rows)
-    classes = [(v_idx, residue) for v_idx, residue, _ in layout]
-    assert len(classes) == len(set(classes)) == qa.num_rows  # one row per class
+    qa = QueryArena(ctx.ring, params, prepared.variants, rows)
+    assert qa.num_rows == prepared.num_variants == 33
     with pytest.raises(ValueError, match="query rows"):
-        QueryArena(ctx.ring, params, prepared.variants, num_polys, rows[1:])
-    row_map = qa.row_map(np.arange(num_polys))
-    assert row_map.shape == (prepared.num_variants, num_polys)
-    n = ctx.params.n
+        QueryArena(ctx.ring, params, prepared.variants, rows[1:])
+    assert np.array_equal(qa.row_map(np.arange(num_polys)), row_map)
+    plain = prepared.row_plaintexts(range(qa.num_rows), n)
     for v_idx, variant in enumerate(prepared.variants):
         for j in range(num_polys):
             row = row_map[v_idx, j]
-            assert qa.row_variant[row] == v_idx
-            assert qa.row_residue[row] == (j * n) % variant.span
+            assert np.array_equal(plain[row], variant.coefficient_pattern(n, j * n))
+            ct = preparer.encrypt_variant(prepared, v_idx, j, pk, sk)
+            assert np.array_equal(stack_ciphertext(ct), rows[row])
     # phases cached per secret key
     assert qa.phases(sk) is qa.phases(sk)
 
@@ -753,11 +757,10 @@ def test_query_arena_rows_and_map_cover_residue_classes():
 @pytest.mark.parametrize("num_polys", [1, 7, 40])
 def test_query_arena_asks_for_rows_in_first_appearance_order(num_polys):
     """The order rows are laid out in (``query_row_layout``) is the
-    order fresh rows draw from the client's RNG: per variant, each
-    residue class at the first polynomial that lands in it — the polynomial-by-polynomial scan
-    spelled out, and the ``np.unique`` + ``argsort`` form the arena ran
-    per variant before it read the order off the period
-    ``span // gcd(n, span)``; the row map against the residue LUT."""
+    order fresh rows draw from the client's RNG: the ``(phase, shift)``
+    plaintexts in the order they first appear when the pairs are
+    scanned polynomial by polynomial — every one of them at polynomial
+    0, one per variant — and the row map against that lookup."""
     params, ctx, sk, pk, cts = _setup()
     from repro.core.query import QueryPreparer
 
@@ -766,40 +769,28 @@ def test_query_arena_asks_for_rows_in_first_appearance_order(num_polys):
     prepared = preparer.prepare(rng.integers(0, 2, 80).astype(np.uint8))
     assert len({v.span for v in prepared.variants}) > 1
     n = params.n
+
+    def identity(variant, j):
+        return variant.phase, (j * n - variant.rotation) % variant.span
+
     want = []
-    for v_idx, variant in enumerate(prepared.variants):
-        seen = set()
-        for j in range(num_polys):
-            residue = (j * n) % variant.span
-            if residue not in seen:
-                seen.add(residue)
-                want.append((v_idx, residue, j))
-    poly_offsets = np.arange(num_polys, dtype=np.int64) * n
-    by_unique = []
-    for v_idx, variant in enumerate(prepared.variants):
-        residues, first = np.unique(poly_offsets % variant.span, return_index=True)
-        order = np.argsort(first)
-        by_unique += [
-            (v_idx, res, j)
-            for res, j in zip(residues[order].tolist(), first[order].tolist())
-        ]
-    assert by_unique == want
-    layout = query_row_layout(prepared.variants, n, num_polys)
-    assert layout == want
-    assert all(type(x) is int for entry in layout for x in entry)
-    rows = [np.full((2, n), row + 1, dtype=np.int64) for row in range(len(layout))]
-    qa = QueryArena(ctx.ring, params, prepared.variants, num_polys, rows)
+    for j in range(num_polys):
+        for variant in prepared.variants:
+            if identity(variant, j) not in want:
+                want.append(identity(variant, j))
+    assert len(want) == prepared.num_variants
+    row_of = {key: row for row, key in enumerate(want)}
+    rows = [np.full((2, n), row + 1, dtype=np.int64) for row in range(len(want))]
+    qa = QueryArena(ctx.ring, params, prepared.variants, rows)
     row_map = qa.row_map(np.arange(num_polys))
     assert row_map.dtype == np.intp
-    row_of = {(v_idx, residue): row for row, (v_idx, residue, _) in enumerate(want)}
     for v_idx, variant in enumerate(prepared.variants):
         assert row_map[v_idx].tolist() == [
-            row_of[v_idx, (j * n) % variant.span] for j in range(num_polys)
+            row_of[identity(variant, j)] for j in range(num_polys)
         ]
     # a shard reads its columns of the one map
     assert np.array_equal(qa.row_map(np.arange(3, num_polys)), row_map[:, 3:])
-    for row, (v_idx, residue, j) in enumerate(want):
-        assert row_map[v_idx, j] == row and qa.stack[row, 0, 0] == row + 1
+    assert qa.stack[:, 0, 0].tolist() == [row + 1 for row in range(len(want))]
 
 
 def test_query_arena_reads_the_phase_rows_it_was_handed():
@@ -814,14 +805,12 @@ def test_query_arena_reads_the_phase_rows_it_was_handed():
     rng = np.random.default_rng(12)
     prepared = preparer.prepare(rng.integers(0, 2, 48).astype(np.uint8))
     fresh = preparer.encrypt_variant_value(
-        prepared,
-        [entry[:2] for entry in query_row_layout(prepared.variants, params.n, 5)],
-        pk, sk,
+        prepared, range(prepared.num_variants), pk, sk
     )
     assert fresh.shape[1:] == (3, params.n) and fresh.dtype == np.uint32
-    handed = QueryArena(ctx.ring, params, prepared.variants, 5, list(fresh))
+    handed = QueryArena(ctx.ring, params, prepared.variants, list(fresh))
     computed = QueryArena(
-        ctx.ring, params, prepared.variants, 5,
+        ctx.ring, params, prepared.variants,
         [row[:2].astype(np.int64) for row in fresh],
     )
     with count_transforms() as calls:

@@ -22,7 +22,7 @@ receive it through their ordinary backend parameters
 index-generation tail computed the long way — full BFV plaintext
 scaling of every coefficient, and a dense prefix sum over every flag —
 which :func:`repro.he.arena.fused_decrypt_flags` (a range test on the
-phase) and :meth:`repro.core.matcher.ResultDecoder._offsets_for_variant`
+phase) and :meth:`repro.core.matcher.ResultDecoder.decode_hits`
 (a run rule on the set indices) must reproduce bit for bit.
 :func:`int64_decrypt_flags` is that range test over int64 rows, the
 body the ``uint32`` kernel replaced at ``q = 2**32``,
@@ -34,7 +34,9 @@ of the set flags, which :func:`dense_flags` turns back into a grid and
 :func:`hits_of_blocks` builds from per-block flag vectors.
 
 :func:`count_transforms` records every transform a block runs — limb
-NTTs and the small-operand product's FFTs.
+NTTs and the small-operand product's FFTs — and
+:func:`numpy_allocations` every numpy array allocation, with the frame
+that made it.
 
 :func:`per_event_phases_run` is the queueing simulator's event loop as
 it was when it rebuilt a request's phase list on every event;
@@ -45,7 +47,9 @@ per request) must give the same floats in the same order.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import heapq
+import sys
 from typing import List
 
 import numpy as np
@@ -198,6 +202,106 @@ def count_transforms():
     finally:
         for cls, name, original in saved:
             setattr(cls, name, original)
+
+
+# -- numpy allocations ---------------------------------------------------------
+
+
+class _Allocator(ctypes.Structure):
+    _fields_ = [("ctx", ctypes.c_void_p), ("malloc", ctypes.c_void_p),
+                ("calloc", ctypes.c_void_p), ("realloc", ctypes.c_void_p),
+                ("free", ctypes.c_void_p)]
+
+
+class _Handler(ctypes.Structure):  # numpy's ``PyDataMem_Handler``
+    _fields_ = [("name", ctypes.c_char * 127), ("version", ctypes.c_uint8),
+                ("allocator", _Allocator)]
+
+
+_SIGNATURES = {
+    "malloc": (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t),
+    "calloc": (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t),
+    "realloc": (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t),
+}
+#: the recorders of the open :func:`numpy_allocations` blocks
+_RECORDERS: list = []
+#: built once, kept for the life of the process: an array allocated
+#: under the handler holds a reference to its capsule and frees through
+#: it, so neither may ever go away
+_LOGGING_HANDLER: list = []
+
+
+def _logging_handler():
+    """A numpy memory handler (NEP 49) that reports every allocation to
+    the innermost open :func:`numpy_allocations` block and then calls
+    numpy's default allocator; its ``free`` *is* the default's, so an
+    array that outlives the block frees without calling into Python."""
+    if _LOGGING_HANDLER:
+        return _LOGGING_HANDLER[0]
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    api = ctypes.pythonapi
+    api.PyCapsule_GetPointer.restype = ctypes.c_void_p
+    api.PyCapsule_GetPointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+    api.PyCapsule_New.restype = ctypes.py_object
+    api.PyCapsule_New.argtypes = [ctypes.c_void_p, ctypes.c_char_p, ctypes.c_void_p]
+    table = ctypes.cast(
+        api.PyCapsule_GetPointer(umath._ARRAY_API, None),
+        ctypes.POINTER(ctypes.c_void_p),
+    )
+    # numpy C-API slots 304 and 306: PyDataMem_SetHandler and
+    # PyDataMem_DefaultHandler (stable since numpy 1.22)
+    set_handler = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.py_object)(table[304])
+    default = ctypes.cast(
+        api.PyCapsule_GetPointer(
+            ctypes.cast(table[306], ctypes.POINTER(ctypes.py_object))[0],
+            b"mem_handler",
+        ),
+        ctypes.POINTER(_Handler),
+    )[0].allocator
+
+    def logging(kind):
+        # numpy may allocate with the GIL released: the callback takes
+        # it, and the default allocator is called without letting go
+        allocate = ctypes.PYFUNCTYPE(*_SIGNATURES[kind])(getattr(default, kind))
+
+        def callback(ctx, *args):
+            if _RECORDERS:
+                nbytes = args[0] * args[1] if kind == "calloc" else args[-1]
+                _RECORDERS[-1](kind, nbytes, sys._getframe(1))
+            return allocate(ctx, *args)
+
+        return ctypes.CFUNCTYPE(*_SIGNATURES[kind])(callback)
+
+    callbacks = [logging(kind) for kind in _SIGNATURES]
+    handler = _Handler(b"test_allocation_log", 1, _Allocator(
+        default.ctx, *(ctypes.cast(cb, ctypes.c_void_p) for cb in callbacks),
+        default.free,
+    ))
+    name = ctypes.c_char_p(b"mem_handler")
+    capsule = api.PyCapsule_New(ctypes.addressof(handler), name, None)
+    _LOGGING_HANDLER.append((capsule, set_handler, (handler, name, callbacks)))
+    return _LOGGING_HANDLER[0]
+
+
+@contextlib.contextmanager
+def numpy_allocations(record):
+    """Call ``record(kind, nbytes, frame)`` for every numpy array
+    allocation this thread makes inside the block — ``kind`` is
+    ``"malloc"``, ``"calloc"`` or ``"realloc"`` and ``frame`` the Python
+    frame that was running, which for a ufunc result, ``astype``, fancy
+    indexing or ``np.zeros`` alike is the line that asked for it (or a
+    frame of numpy's own Python wrappers below it)."""
+    capsule, set_handler, _ = _logging_handler()
+    _RECORDERS.append(record)
+    previous = set_handler(capsule)
+    try:
+        yield
+    finally:
+        set_handler(previous)
+        _RECORDERS.pop()
 
 
 def scaled_decrypt_flags(db_phases, query_phases, row_map, params, chunk_width):

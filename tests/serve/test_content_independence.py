@@ -7,7 +7,8 @@ the match list is.  For pairs of same-length queries — one that matches
 against one that does not, all zeros against random — a cold search on
 a fresh engine must leave identical operation counts, identical cache
 traffic and run the same kernels and transforms on the same shapes,
-with the same scratch.
+allocating the same numpy arrays, in the same order, from the kernel
+module and the query-layout code.
 
 The fused kernel returns the *indices* of the set match flags, so the
 lengths of what it returns differ between a matching and a non-matching
@@ -15,9 +16,10 @@ query.  That is not a new channel: the kernel runs on summed decryption
 phases, and how many coefficients decrypt to the match value *is* the
 decrypted answer — it exists on the key holder's side of the trust
 boundary only, with the phases, and is asserted here as exactly that.
-So is the number of scans the kernel's finder runs at ``q = 2**32``: it
-follows the count of high-half candidates, which, like the returned
-lengths, exists only on the key holder's side with the phases.
+So is the number of scans the kernel's finder runs at ``q = 2**32``, and
+what the candidate-confirm gathers allocate: both follow the count of
+high-half candidates, which, like the returned lengths, exists only on
+the key holder's side with the phases.
 
 Two leaks are documented and asserted as such, not skipped: a
 variant-cache hit and the in-batch dedup both reveal that two queries
@@ -28,17 +30,26 @@ within a pair.
 
 from __future__ import annotations
 
+import collections
+import os
+
 import numpy as np
 import pytest
 
 from repro.core import ClientConfig, IndexMode
 from repro.he import BFVParams
+from repro.core import query as query_module
 from repro.he import arena as arena_module
 from repro.he.bfv import _SYMMETRIC_TILE_ROWS as TILE
 from repro.serve import ShardedSearchEngine
 from repro.serve import engine as engine_module
 from repro.utils.bits import random_bits
-from tests.oracles import count_transforms, dense_decrypt_flags, per_pair_factory
+from tests.oracles import (
+    count_transforms,
+    dense_decrypt_flags,
+    numpy_allocations,
+    per_pair_factory,
+)
 
 QUERY_BITS = 40
 
@@ -51,27 +62,38 @@ def _database(params, rng):
 
 
 class _AllocationLog:
-    """Stands in for ``numpy`` inside :mod:`repro.he.arena` and notes
-    every ``np.empty`` made while a kernel call is open: the kernel's
-    scratch."""
+    """Every numpy array the search allocates from the kernel module
+    (:mod:`repro.he.arena`) or the query-layout code
+    (:mod:`repro.core.query`), in order, as ``(function, kind, bytes)``
+    — whatever made it: ``np.empty``, ``np.zeros``, a ufunc result,
+    ``astype``, fancy indexing.  An allocation belongs to the first
+    frame outside numpy's own package.  What the kernel docstring names
+    as the decrypted answer — the finder's scans and the
+    candidate-confirm gathers, which also build the returned hits — is
+    kept apart under ``answer``."""
+
+    FILES = frozenset({arena_module.__file__, query_module.__file__})
+    ANSWER = frozenset({"_find_set", "_confirm_candidates"})
+    NUMPY = os.path.dirname(np.__file__) + os.sep
 
     def __init__(self):
-        self.open = False
+        self.open = True
         self.scratch = []
+        self.answer = []
 
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def empty(self, shape, dtype=float):
-        if self.open:
-            self.scratch.append((shape, np.dtype(dtype).str))
-        return np.empty(shape, dtype=dtype)
+    def __call__(self, kind, nbytes, frame):
+        while frame is not None and frame.f_code.co_filename.startswith(self.NUMPY):
+            frame = frame.f_back
+        if self.open and frame is not None and frame.f_code.co_filename in self.FILES:
+            name = frame.f_code.co_name
+            log = self.answer if name in self.ANSWER else self.scratch
+            log.append((name, kind, nbytes))
 
 
 def _observe(monkeypatch, params, db, queries, **config):
     """One batch on a fresh engine: everything an observer of the
-    serving process could count — and, kept apart under ``"answer"``,
-    what only the key holder sees."""
+    serving process could count — and, returned apart, the hit count
+    only the key holder sees."""
     backend_factory = config.pop("backend_factory", None)
     engine = ShardedSearchEngine(
         ClientConfig(params, key_seed=9, **config),
@@ -89,26 +111,22 @@ def _observe(monkeypatch, params, db, queries, **config):
             (db_phases.shape, db_phases.dtype.str,
              query_phases.shape, query_phases.dtype.str, row_map.shape)
         )
-        allocations.open = True
-        try:
-            hits = real_kernel(db_phases, query_phases, row_map, *rest)
-        finally:
-            allocations.open = False
+        hits = real_kernel(db_phases, query_phases, row_map, *rest)
         # the lengths are the decrypted answer: per variant, how many
         # coefficients of the summed phases decrypt to the match value
+        allocations.open = False  # the oracle's own arrays are not the search's
         dense = dense_decrypt_flags(db_phases, query_phases, row_map, *rest)
+        allocations.open = True
         assert [len(found) for found in hits] == dense.sum(axis=(1, 2)).tolist()
         hit_counts.append(sum(len(found) for found in hits))
         return hits
 
     monkeypatch.setattr(engine_module, "fused_decrypt_flags", recording_kernel)
-    monkeypatch.setattr(arena_module, "np", allocations)
     counter = engine.client.ctx.counter
     before = counter.snapshot()
-    with count_transforms() as transforms:
+    with count_transforms() as transforms, numpy_allocations(allocations):
         report = engine.search_batch(queries)
     monkeypatch.setattr(engine_module, "fused_decrypt_flags", real_kernel)
-    monkeypatch.setattr(arena_module, "np", np)
     after = counter.snapshot()
     stats = engine.cache.stats()
     observed = {
@@ -160,12 +178,18 @@ def test_cold_search_is_the_same_work_whatever_the_query_says(monkeypatch, confi
         assert left_seen == right_seen, label
         assert left_seen["cache"][1] > 0 and left_seen["cache"][2] == 0, label
         assert left_seen["transforms"], label  # equal, and not vacuously
+        # not vacuous: the miss pass lays out its rows, and the fused
+        # kernel's scratch is logged with it
+        made_by = {name for name, _, _ in left_seen["scratch"]}
+        assert "row_plaintexts" in made_by, label
         if config == "fused":
             assert len(left_seen["kernels"]) == 2  # one per shard
-            # per call, sized by the shard: the exact block's sums and
-            # its flags, the two high-half stacks, the screened block
-            # and the candidate slots
-            assert len(left_seen["scratch"]) == 12
+            # per call, whatever the shard's size: 26 arrays made by the
+            # kernel body (its sums, flags, high-half stacks, screened
+            # block, candidate slots and their scalar temporaries) and 6
+            # by its block sums
+            made = collections.Counter(name for name, _, _ in left_seen["scratch"])
+            assert (made["fused_decrypt_flags"], made["_block_sum"]) == (2 * 26, 2 * 6)
         if label.startswith("matching"):
             assert left_matches and not right_matches  # the answers do differ
             if config == "fused":

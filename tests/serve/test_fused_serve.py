@@ -501,3 +501,40 @@ def test_per_pair_accounting_equals_fused(backend_factory, index_mode):
         clean["counter_additions"] if decrypting else 0
     )
     assert 0 < lost["counter_additions"] < clean["counter_additions"]
+
+
+@pytest.mark.parametrize("bits", [64, 80, 200])
+def test_every_cell_answers_long_reads_like_the_oracle(bits):
+    """The three search cells read one layout — a row per variant — and
+    each returns the plaintext oracle's answers for reads whose phases
+    have spans up to 12, including a match that straddles the boundary
+    between two shards (two shards over five polynomials: the second
+    starts at polynomial 2, bit 2 * 64 * 16)."""
+    rng = np.random.default_rng(bits)
+    params = BFVParams.test_small(64)
+    db = random_bits(5 * params.n * 16, rng)
+    query = random_bits(bits, rng)
+    boundary = 2 * params.n * 16
+    for at in (boundary - bits // 2 + 3, 16 * 7, 16 * 200 + 5):
+        db[at : at + bits] = query
+    want = find_all_matches(db, query)
+    assert len(want) >= 3
+    assert any(at < boundary < at + bits for at in want)
+    cells = {
+        "fused": {},
+        "comparator": {"index_mode": IndexMode.SERVER_DETERMINISTIC},
+        "per-pair": {"backend_factory": per_pair_factory},
+    }
+    for label, config in cells.items():
+        factory = config.pop("backend_factory", None)
+        engine = ShardedSearchEngine(
+            ClientConfig(params, key_seed=43, **config),
+            num_shards=2,
+            backend_factory=factory,
+        )
+        engine.outsource(db)
+        assert [s.base_poly for s in engine.shards] == [0, 2]
+        report = engine.search(query)
+        assert report.matches == want, label
+        stats = engine.cache.stats()
+        assert stats.lookups == stats.misses == report.num_variants, label
