@@ -23,7 +23,7 @@ RNG = np.random.default_rng(3)
 def arith_setup():
     params = BFVParams.arithmetic_baseline(n=256, t=1024)
     matcher = YasudaMatcher(params, max_query_bits=32, seed=8)
-    sk, pk, rlk, _ = generate_keys(params, seed=8, relin=True)
+    sk, pk, rlk = generate_keys(params, seed=8, relin=True)
     db_ct = matcher.encrypt_database(random_bits(200, RNG), pk).ciphertexts[0]
     q_ct, mask_ct, y = matcher.encrypt_query(random_bits(32, RNG), pk)
     return matcher, db_ct, q_ct, mask_ct, y, rlk
@@ -33,7 +33,7 @@ def arith_setup():
 def add_setup():
     params = BFVParams.arithmetic_baseline(n=256, t=1024)
     ctx = BFVContext(params, seed=9)
-    _, pk, _, _ = generate_keys(params, seed=9)
+    _, pk, _ = generate_keys(params, seed=9)
     m = np.arange(256) % params.t
     ct1 = ctx.encrypt(ctx.plaintext(m), pk)
     ct2 = ctx.encrypt(ctx.plaintext(m), pk)

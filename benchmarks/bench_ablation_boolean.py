@@ -80,7 +80,7 @@ def _equivalence_table() -> str:
     t_matches = tfhe.search(tfhe.encrypt_database(db_bits), query)
 
     standin = BooleanMatcher(seed=6)
-    sk, pk, rlk, _ = generate_keys(standin.params, seed=6, relin=True)
+    sk, pk, rlk = generate_keys(standin.params, seed=6, relin=True)
     s_matches = standin.search(
         standin.encrypt_database(db_bits, pk), query, pk, sk, rlk
     )

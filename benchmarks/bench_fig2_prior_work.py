@@ -33,7 +33,7 @@ def test_boolean_matcher_small_db(benchmark, bool_setup=None):
     §3.1 observation that even 32 bytes take seconds under per-bit HE."""
     params = BFVParams.boolean_baseline(n=128)
     matcher = BooleanMatcher(params, seed=1)
-    sk, pk, rlk, _ = generate_keys(params, seed=1, relin=True)
+    sk, pk, rlk = generate_keys(params, seed=1, relin=True)
     db_bits = random_bits(24, RNG)
     q = db_bits[4:10].copy()
     enc = matcher.encrypt_database(db_bits, pk)
@@ -45,7 +45,7 @@ def test_arithmetic_matcher_small_db(benchmark):
     """Functional arithmetic-approach (2 Hom-Mult + 3 Hom-Add) search."""
     params = BFVParams.arithmetic_baseline(n=256, t=1024)
     matcher = YasudaMatcher(params, max_query_bits=32, seed=2)
-    sk, pk, rlk, _ = generate_keys(params, seed=2, relin=True)
+    sk, pk, rlk = generate_keys(params, seed=2, relin=True)
     db_bits = random_bits(256, RNG)
     q = db_bits[64:96].copy()
     enc = matcher.encrypt_database(db_bits, pk)
@@ -74,7 +74,7 @@ def test_emit_fig2b_measured_comparison(benchmark):
     # Boolean: 24-bit db, 6-bit query (per-bit ciphertexts are costly)
     params_b = BFVParams.boolean_baseline(n=128)
     mb = BooleanMatcher(params_b, seed=4)
-    skb, pkb, rlkb, _ = generate_keys(params_b, seed=4, relin=True)
+    skb, pkb, rlkb = generate_keys(params_b, seed=4, relin=True)
     db_b = random_bits(24, RNG)
     enc_b = mb.encrypt_database(db_b, pkb)
     t0 = time.perf_counter()
@@ -85,7 +85,7 @@ def test_emit_fig2b_measured_comparison(benchmark):
     # Arithmetic: 256-bit db
     params_a = BFVParams.arithmetic_baseline(n=256, t=1024)
     ma = YasudaMatcher(params_a, max_query_bits=32, seed=5)
-    ska, pka, rlka, _ = generate_keys(params_a, seed=5, relin=True)
+    ska, pka, rlka = generate_keys(params_a, seed=5, relin=True)
     db_a = random_bits(256, RNG)
     enc_a = ma.encrypt_database(db_a, pka)
     t0 = time.perf_counter()

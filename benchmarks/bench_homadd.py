@@ -162,7 +162,7 @@ DEFAULT_SEED = 17
 def _setup(n: int, num_polys: int, num_variants: int, seed: int = DEFAULT_SEED):
     params = BFVParams(n=n, q=PAPER_Q, t=PAPER_T, name=f"bench-n{n}")
     ctx = BFVContext(params, seed=seed)
-    sk, pk, _, _ = generate_keys(params, seed)
+    sk, pk, _ = generate_keys(params, seed)
     rng = np.random.default_rng(seed)
     db_cts = [
         ctx.encrypt(

@@ -53,7 +53,7 @@ def main() -> None:
     # --- arithmetic baseline on a slice of the genome -------------------
     params = BFVParams.arithmetic_baseline(n=256, t=1024)
     yasuda = YasudaMatcher(params, max_query_bits=48, seed=12)
-    sk, pk, rlk, _ = generate_keys(params, seed=12, relin=True)
+    sk, pk, rlk = generate_keys(params, seed=12, relin=True)
     slice_bits = genome_bits[:1000]
     enc_db = yasuda.encrypt_database(slice_bits, pk)
     read0 = slice_bits[200:248].copy()  # a 24-base read from the slice

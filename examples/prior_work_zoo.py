@@ -37,7 +37,7 @@ def main() -> None:
 
     # [33]/[17] Boolean approach, BFV stand-in (per-bit gates).
     boolean = BooleanMatcher(seed=2)
-    sk, pk, rlk, _ = generate_keys(boolean.params, seed=2, relin=True)
+    sk, pk, rlk = generate_keys(boolean.params, seed=2, relin=True)
     enc_db = boolean.encrypt_database(db_bits, pk)
     matches = boolean.search(enc_db, query, pk, sk, rlk)
     rows.append(("Pradel/Aziz [33,17] (BFV stand-in)", matches,
@@ -54,7 +54,7 @@ def main() -> None:
 
     # [27] Yasuda et al.: Hamming distance with Hom-Mult.
     yasuda = YasudaMatcher(seed=2)
-    y_sk, y_pk, y_rlk, _ = generate_keys(yasuda.params, seed=2, relin=True)
+    y_sk, y_pk, y_rlk = generate_keys(yasuda.params, seed=2, relin=True)
     y_db = yasuda.encrypt_database(db_bits, y_pk)
     matches = yasuda.search(y_db, query, y_pk, y_sk, y_rlk)
     mult = yasuda.ctx.counter.multiplications

@@ -61,7 +61,7 @@ def matcher_comparison() -> None:
     tfhe_matches = tfhe_matcher.search(tfhe_db, query)
 
     standin = BooleanMatcher(seed=7)
-    sk, pk, rlk, _ = generate_keys(standin.params, seed=7, relin=True)
+    sk, pk, rlk = generate_keys(standin.params, seed=7, relin=True)
     bfv_db = standin.encrypt_database(db_bits, pk)
     bfv_matches = standin.search(bfv_db, query, pk, sk, rlk)
 

@@ -6,7 +6,7 @@ Subpackages
 -----------
 ``repro.he``
     From-scratch BFV homomorphic encryption (Ring-LWE, NTT backend),
-    packing encoders, SIMD batching, Boolean mode, noise diagnostics.
+    the packing encoder, SIMD batching, Boolean mode, noise diagnostics.
 ``repro.tfhe``
     From-scratch TFHE with real gate bootstrapping (the Boolean
     baseline's native scheme) plus word-level homomorphic circuits.
@@ -52,7 +52,7 @@ Quickstart
 (160,)
 """
 
-__version__ = "10.0.0"
+__version__ = "11.0.0"
 
 from . import baselines, core, eval, flash, he, ndp, ssd, tfhe, workloads  # noqa: F401
 from . import api  # noqa: F401  (depends on the subpackages above)

@@ -60,20 +60,6 @@ class Capabilities:
     practical_db_bits: Optional[int] = None
     exact_query_bits: int = 1
 
-    def query_bits_for_parity(self, requested: int) -> int:
-        """Clamp a fixture query length to what this engine supports."""
-        limit = requested
-        for cap in (self.max_query_bits, self.practical_query_bits):
-            if cap is not None:
-                limit = min(limit, cap)
-        return limit
-
-    def db_bits_for_parity(self, requested: int) -> int:
-        """Clamp a fixture database length to a practical size."""
-        if self.practical_db_bits is None:
-            return requested
-        return min(requested, self.practical_db_bits)
-
     # -- request validation ---------------------------------------------
 
     def check(self, request: SearchRequest, engine_key: str) -> None:

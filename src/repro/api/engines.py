@@ -513,7 +513,7 @@ class BooleanEngine(Engine):
     ):
         params = params or BFVParams.boolean_baseline(n=128)
         self.matcher = BooleanMatcher(params, seed)
-        self.sk, self.pk, self.rlk, _ = generate_keys(params, seed, relin=True)
+        self.sk, self.pk, self.rlk = generate_keys(params, seed, relin=True)
         self._db = None
         self._db_bits: Optional[int] = None
 
@@ -603,7 +603,7 @@ class YasudaEngine(Engine):
             max_query_bits=max_query_bits,
             seed=seed,
         )
-        self.sk, self.pk, self.rlk, _ = generate_keys(params, seed, relin=True)
+        self.sk, self.pk, self.rlk = generate_keys(params, seed, relin=True)
         self._db = None
         self._db_bits: Optional[int] = None
 

@@ -14,13 +14,8 @@ Arithmetic approach: :class:`YasudaMatcher` [27] (Hamming distance),
 from .bonte import BonteEncryptedDatabase, BonteMatcher, bonte_params
 from .boolean_match import BooleanEncryptedDatabase, BooleanMatcher
 from .kim_homeq import KimEncryptedDatabase, KimHomEQMatcher, homeq_params
-from .plaintext import (
-    PlaintextMatcher,
-    find_aligned_matches,
-    find_all_matches,
-    hamming_distance,
-    matches_at,
-)
+from ..utils.bits import matches_at
+from .plaintext import find_all_matches
 from .tfhe_boolean import TfheBooleanMatcher, TfheEncryptedDatabase
 from .yasuda import YasudaEncryptedDatabase, YasudaMatcher
 
@@ -31,15 +26,12 @@ __all__ = [
     "BooleanMatcher",
     "KimEncryptedDatabase",
     "KimHomEQMatcher",
-    "PlaintextMatcher",
     "TfheBooleanMatcher",
     "TfheEncryptedDatabase",
     "YasudaEncryptedDatabase",
     "YasudaMatcher",
     "bonte_params",
-    "find_aligned_matches",
     "find_all_matches",
-    "hamming_distance",
     "homeq_params",
     "matches_at",
 ]

@@ -16,10 +16,6 @@ in every slot.  Then per ciphertext
     diff      = windows - query          (slot-wise)
     indicator = 1 - diff**(t-1)          (Fermat equality, depth
                                           ceil(log2(t-1)) — constant)
-
-An optional rotation-based compression folds each ciphertext's slot
-indicators into slot 0 as a match count, mirroring the compression step
-of the original paper.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ import numpy as np
 
 from ..he.batch_encoder import BatchEncoder
 from ..he.bfv import BFVContext, Ciphertext
-from ..he.keys import GaloisKey, KeyGenerator, PublicKey, RelinKey, SecretKey
+from ..he.keys import KeyGenerator, PublicKey, RelinKey, SecretKey
 from ..he.params import BFVParams
 
 
@@ -84,9 +80,6 @@ class BonteMatcher:
         self.sk: SecretKey = gen.secret_key()
         self.pk: PublicKey = gen.public_key(self.sk)
         self.rlk: RelinKey = gen.relin_key(self.sk)
-        self.glk: GaloisKey = gen.galois_key(
-            self.sk, self.encoder.rotation_exponents()
-        )
         self.stats = BonteSearchStats()
 
     # -- window packing ---------------------------------------------------
@@ -176,52 +169,3 @@ class BonteMatcher:
                 if offset < db.total_windows and int(v) == 1:
                     matches.append(offset)
         return matches
-
-    def match_count_ciphertext(
-        self, db_ct: Ciphertext, query_ct: Ciphertext
-    ) -> Ciphertext:
-        """Compression step: fold slot indicators into a total count in
-        every slot of row sums via log2(n/2) rotations plus the column
-        swap (the result's slot 0 holds the count for this batch)."""
-        acc = self.match_ciphertext(db_ct, query_ct)
-        steps = 1
-        while steps < self.params.n // 2:
-            rotated = self.ctx.apply_galois(
-                acc, self.encoder.row_rotation_exponent(steps), self.glk
-            )
-            acc = self.ctx.add(acc, rotated)
-            self.stats.automorphisms += 1
-            self.stats.additions += 1
-            steps *= 2
-        swapped = self.ctx.apply_galois(
-            acc, self.encoder.column_swap_exponent(), self.glk
-        )
-        self.stats.automorphisms += 1
-        self.stats.additions += 1
-        return self.ctx.add(acc, swapped)
-
-    def count_matches(self, db: BonteEncryptedDatabase, query_bits) -> int:
-        """Total match count via the compressed path."""
-        query_ct = self.encrypt_query(query_bits)
-        total = 0
-        for i, db_ct in enumerate(db.ciphertexts):
-            counted = self.match_count_ciphertext(db_ct, query_ct)
-            slots = self.encoder.decode(self.ctx.decrypt(counted, self.sk))
-            count = int(slots[0])
-            # Padding sentinels never equal a real window value, but the
-            # final partial batch can still overcount if the sentinel
-            # matches; the encoder pads with t-1 which needs window_bits
-            # = log2(t) to be reachable — excluded by max_window_bits.
-            total += count
-        return total
-
-    # -- cost accounting ---------------------------------------------------
-
-    @classmethod
-    def multiplications_for(
-        cls, db_bits: int, query_bits: int, n: int = 8, t: int = 17
-    ) -> int:
-        """Hom-Mult count for a full batched search (figure input)."""
-        windows = max(db_bits - query_bits + 1, 0)
-        batches = -(-windows // n)
-        return batches * max((t - 1).bit_length() - 1, 1)

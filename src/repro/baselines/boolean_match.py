@@ -19,7 +19,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..he.bfv import Ciphertext
-from ..he.boolean import BooleanContext, GateCostModel
+from ..he.boolean import BooleanContext
 from ..he.keys import PublicKey, RelinKey, SecretKey
 from ..he.params import BFVParams
 
@@ -111,15 +111,3 @@ class BooleanMatcher:
         """Total gate count for a full traversal (Figure 2b/7 input)."""
         alignments = max(db_bits - query_bits + 1, 0)
         return alignments * (2 * query_bits - 1)
-
-    def footprint_bytes(self, db_bits: int) -> int:
-        """One ciphertext per database bit."""
-        coeff_bytes = (self.params.log_q + 7) // 8
-        return db_bits * 2 * self.params.n * coeff_bytes
-
-    @staticmethod
-    def modelled_footprint_bytes(
-        db_bits: int, cost_model: GateCostModel
-    ) -> int:
-        """Footprint under the TFHE cost model (LWE ciphertext per bit)."""
-        return db_bits * cost_model.ciphertext_bytes

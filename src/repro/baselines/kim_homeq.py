@@ -64,9 +64,6 @@ class KimSearchStats:
     plain_multiplications: int = 0
     additions: int = 0
 
-    def reset(self) -> None:
-        self.__init__()
-
 
 class KimHomEQMatcher:
     """Equality-circuit string matcher over an ``F_t`` alphabet.
@@ -196,12 +193,3 @@ class KimHomEQMatcher:
         coeffs = self.ctx.decrypt(compressed, self.sk).poly.coeffs
         limit = db.length - len(query) + 1
         return [k for k in range(limit) if int(coeffs[k]) == 1]
-
-    # -- cost accounting ---------------------------------------------------
-
-    @classmethod
-    def multiplications_for(cls, db_chars: int, query_chars: int, t: int = 5) -> int:
-        """Hom-Mult count for a full compressed search (figure input)."""
-        per_power = max((t - 1).bit_length() - 1, 1)  # squarings for x^(t-1)
-        alignments = max(db_chars - query_chars + 1, 0)
-        return alignments * (query_chars * per_power + per_power)

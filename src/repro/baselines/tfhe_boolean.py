@@ -121,12 +121,3 @@ class TfheBooleanMatcher:
         stand-in, so the figure models apply unchanged)."""
         alignments = max(db_bits - query_bits + 1, 0)
         return alignments * (2 * query_bits - 1)
-
-    def footprint_bytes(self, db_bits: int) -> int:
-        """One LWE ciphertext per database bit."""
-        return db_bits * self.params.lwe_ciphertext_bytes
-
-    def expansion_factor(self, db_bits: int) -> float:
-        """Encrypted-bytes / plaintext-bytes ratio for the database."""
-        plain_bytes = max(db_bits // 8, 1)
-        return self.footprint_bytes(db_bits) / plain_bytes

@@ -192,17 +192,3 @@ class YasudaMatcher:
         return sorted(set(matches))
 
     # -- cost accounting ---------------------------------------------------
-
-    @staticmethod
-    def ops_per_block() -> tuple[int, int]:
-        """(multiplications, additions) per database ciphertext — the
-        numbers behind Figure 2c's 98.2%/1.8% latency split."""
-        return 2, 3
-
-    def footprint_bytes(self, db_bits: int) -> int:
-        """Encrypted database size under 1-bit-per-coefficient packing."""
-        n = self.params.n
-        stride = n - (self.max_query_bits - 1)
-        blocks = max(1, -(-max(db_bits - (self.max_query_bits - 1), 1) // stride))
-        coeff_bytes = (self.params.log_q + 7) // 8
-        return blocks * 2 * n * coeff_bytes

@@ -2,7 +2,7 @@
 packing plus Hom-Add-only secure exact string matching."""
 
 from .client import CipherMatchClient, ClientConfig
-from .match_polynomial import IndexMode, match_plaintext, match_value
+from .match_polynomial import IndexMode, match_value
 from .matcher import (
     CPUAdditionBackend,
     MatchCandidate,
@@ -46,7 +46,6 @@ __all__ = [
     "SecureStringMatchPipeline",
     "WildcardPattern",
     "guaranteed_phases",
-    "match_plaintext",
     "match_value",
     "verify_candidates",
 ]

@@ -25,7 +25,7 @@ from typing import Dict
 import numpy as np
 
 from ..he.arena import add_mod_q, mul_rows_by_poly
-from ..he.bfv import BFVContext, Ciphertext, Plaintext
+from ..he.bfv import BFVContext, Ciphertext
 from ..he.keys import PublicKey, SecretKey
 from .packing import derive_masking_poly
 
@@ -38,12 +38,6 @@ class IndexMode(Enum):
 def match_value(chunk_width: int) -> int:
     """The all-ones chunk value ``2^w - 1`` that signals a match."""
     return (1 << chunk_width) - 1
-
-
-def match_plaintext(ctx: BFVContext, chunk_width: int) -> Plaintext:
-    """``P_v(x) = v x^{n-1} + ... + v`` with ``v = 2^w - 1``."""
-    coeffs = np.full(ctx.params.n, match_value(chunk_width), dtype=np.int64)
-    return ctx.plaintext(coeffs)
 
 
 def flag_matches_by_decryption(

@@ -22,7 +22,6 @@ from ..he.bfv import BFVContext, Ciphertext, Plaintext
 from ..he.encoder import ChunkPackEncoder
 from ..he.keys import PublicKey
 from ..he.poly import RingPoly
-from ..utils.bits import chunk_bits
 
 #: serialises first calls to :meth:`EncryptedDatabase.fused_arena`
 _ARENA_LOCK = threading.Lock()
@@ -126,10 +125,6 @@ class FootprintReport:
     encrypted_bytes: int
     scheme: str = "ciphermatch"
 
-    @property
-    def expansion_factor(self) -> float:
-        return self.encrypted_bytes / max(self.raw_bytes, 1)
-
 
 class DataPacker:
     """Packs and encrypts binary databases with the CIPHERMATCH scheme."""
@@ -138,10 +133,6 @@ class DataPacker:
         self.ctx = ctx
         self.encoder = ChunkPackEncoder(ctx, chunk_width)
         self.chunk_width = self.encoder.chunk_width
-
-    @property
-    def bits_per_polynomial(self) -> int:
-        return self.ctx.params.n * self.chunk_width
 
     def pack(self, bits: np.ndarray) -> PackedDatabase:
         message = self.encoder.encode(np.asarray(bits, dtype=np.uint8))
@@ -208,7 +199,3 @@ def derive_masking_poly(
     rng = np.random.default_rng(material)
     return ctx.ring.random_ternary(rng)
 
-
-def pack_reference_chunks(bits: np.ndarray, chunk_width: int) -> np.ndarray:
-    """Plain (non-HE) chunking used by tests as the packing oracle."""
-    return chunk_bits(np.asarray(bits, dtype=np.uint8), chunk_width)

@@ -67,13 +67,6 @@ class QueryVariant:
     query_bit_offset: int  # o: first query bit covered by the interior
     requires_verification: bool
 
-    def coefficient_pattern(self, n: int, poly_chunk_base: int) -> np.ndarray:
-        """Negated pattern laid out over the ``n`` coefficients of the
-        database polynomial whose first chunk has global index
-        ``poly_chunk_base``."""
-        idx = (poly_chunk_base + np.arange(n) - self.rotation) % self.span
-        return self.pattern_chunks[idx]
-
 
 @dataclass
 class PreparedQuery:

@@ -49,10 +49,6 @@ class WildcardPattern:
     def literal_bits(self) -> int:
         return sum(s.length for s in self.segments)
 
-    @property
-    def wildcard_bits(self) -> int:
-        return self.total_bits - self.literal_bits
-
     @staticmethod
     def from_bits(
         bits: Sequence[int], mask: Sequence[int]

@@ -16,7 +16,6 @@ from .calibration import (
 from .experiments import ALL_EXPERIMENTS, headline_summary
 from .models import SoftwareCostModel, SoftwareSystem
 from .plotting import (
-    bar_chart,
     crossover_points,
     grouped_bar_chart,
     line_chart,
@@ -26,7 +25,6 @@ from .runner import run
 from .tables import format_bytes, format_table, geometric_mean, percentile
 
 __all__ = [
-    "bar_chart",
     "crossover_points",
     "grouped_bar_chart",
     "line_chart",

@@ -71,7 +71,7 @@ def table1_functional() -> str:
     rows = []
 
     boolean = BooleanMatcher(seed=2)
-    sk, pk, rlk, _ = generate_keys(boolean.params, seed=2, relin=True)
+    sk, pk, rlk = generate_keys(boolean.params, seed=2, relin=True)
     found = boolean.search(boolean.encrypt_database(db_bits, pk), query, pk, sk, rlk)
     rows.append(
         ["Pradel/Aziz [33,17]", found == oracle, f"{boolean.stats.total_gates} gates"]
@@ -84,7 +84,7 @@ def table1_functional() -> str:
     )
 
     yasuda = YasudaMatcher(seed=2)
-    y_sk, y_pk, y_rlk, _ = generate_keys(yasuda.params, seed=2, relin=True)
+    y_sk, y_pk, y_rlk = generate_keys(yasuda.params, seed=2, relin=True)
     found = yasuda.search(
         yasuda.encrypt_database(db_bits, y_pk), query, y_pk, y_sk, y_rlk
     )

@@ -11,44 +11,6 @@ import math
 from typing import Dict, List, Optional, Sequence
 
 
-def bar_chart(
-    title: str,
-    labels: Sequence[str],
-    values: Sequence[float],
-    *,
-    width: int = 50,
-    log_scale: bool = False,
-    value_format: str = "{:.1f}",
-) -> str:
-    """Horizontal bar chart, one bar per (label, value)."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must have equal length")
-    if not labels:
-        raise ValueError("empty chart")
-    if any(v < 0 for v in values):
-        raise ValueError("bar charts require non-negative values")
-
-    if log_scale:
-        floor = min((v for v in values if v > 0), default=1.0)
-        scaled = [
-            math.log10(v / floor) + 1.0 if v > 0 else 0.0 for v in values
-        ]
-    else:
-        scaled = list(values)
-    peak = max(scaled) or 1.0
-
-    label_w = max(len(str(lab)) for lab in labels)
-    lines = [f"== {title} =="]
-    for label, value, s in zip(labels, values, scaled):
-        bar = "#" * max(int(round(s / peak * width)), 1 if value > 0 else 0)
-        lines.append(
-            f"{str(label).rjust(label_w)} | {bar} {value_format.format(value)}"
-        )
-    if log_scale:
-        lines.append(f"{'':>{label_w}}   (log scale)")
-    return "\n".join(lines)
-
-
 def grouped_bar_chart(
     title: str,
     groups: Sequence[str],

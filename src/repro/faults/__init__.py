@@ -27,7 +27,6 @@ from .breaker import (
     HALF_OPEN,
     OPEN,
     CircuitBreaker,
-    ShardDegradedError,
 )
 from .inject import (
     FaultInjector,
@@ -74,7 +73,6 @@ __all__ = [
     "SITE_SERVER_REQUEST",
     "SITE_SHARD_TASK",
     "SLOW_SHARD",
-    "ShardDegradedError",
     "WORKER_CRASH",
     "corrupt_payload",
     "decorrelated_jitter",

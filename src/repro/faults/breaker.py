@@ -19,14 +19,6 @@ OPEN = "open"
 HALF_OPEN = "half-open"
 
 
-class ShardDegradedError(RuntimeError):
-    """A shard task was skipped because its circuit breaker is open."""
-
-    def __init__(self, shard_id: int, reason: str = "circuit open"):
-        super().__init__(f"shard {shard_id} degraded: {reason}")
-        self.shard_id = shard_id
-
-
 class CircuitBreaker:
     """Thread-safe three-state breaker.
 
@@ -63,11 +55,6 @@ class CircuitBreaker:
         with self._lock:
             self._maybe_half_open()
             return self._state
-
-    @property
-    def consecutive_failures(self) -> int:
-        with self._lock:
-            return self._failures
 
     def allow(self) -> bool:
         with self._lock:

@@ -71,10 +71,6 @@ class FaultInjector:
                 hits.append(event)
         return tuple(hits)
 
-    def visits(self, site: str, target: int = -1) -> int:
-        with self._lock:
-            return self._counters.get((site, target), 0)
-
     @property
     def pending(self) -> Tuple[FaultEvent, ...]:
         """Events scheduled but not yet fired."""

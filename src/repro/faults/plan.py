@@ -31,9 +31,8 @@ a compact CLI spec (``"worker_crash@3:shard=1;shed_storm@30:count=4"``).
 from __future__ import annotations
 
 import json
-import random
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, Optional, Tuple
 
 # -- fault kinds --------------------------------------------------------------
 
@@ -190,47 +189,6 @@ class FaultPlan:
         starting at its ``at``-th decoded request."""
         return self.extend(FaultEvent(SHED_STORM, at, count=count))
 
-    # -- generators -----------------------------------------------------------
-
-    @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        *,
-        requests: int = 32,
-        shards: int = 2,
-        faults: int = 4,
-        kinds: Optional[Iterable[str]] = None,
-    ) -> "FaultPlan":
-        """A deterministic random schedule: ``faults`` events drawn
-        from ``kinds`` with ordinals below ``requests`` (shard-site
-        ordinals are kept small since each request fans out to every
-        shard).  Same seed → same plan, byte for byte."""
-        rng = random.Random(seed)
-        pool = tuple(kinds) if kinds is not None else FAULT_KINDS
-        for kind in pool:
-            if kind not in FAULT_KINDS:
-                raise FaultPlanError(f"unknown fault kind {kind!r}")
-        plan = cls()
-        for _ in range(faults):
-            kind = rng.choice(pool)
-            at = rng.randrange(max(1, requests))
-            if kind == WORKER_CRASH:
-                plan = plan.worker_crash(at, shard=rng.randrange(max(1, shards)))
-            elif kind == SLOW_SHARD:
-                plan = plan.slow_shard(
-                    at,
-                    shard=rng.randrange(max(1, shards)),
-                    delay=round(rng.uniform(0.005, 0.05), 4),
-                )
-            elif kind == CONN_DROP:
-                plan = plan.connection_drop(at)
-            elif kind == CORRUPT_FRAME:
-                plan = plan.corrupt_frame(at, seed=rng.randrange(1 << 16))
-            else:
-                plan = plan.shed_storm(at, count=rng.randint(1, 3))
-        return plan
-
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
@@ -258,26 +216,6 @@ class FaultPlan:
         return cls.from_dict(payload)
 
     # -- compact CLI spec -----------------------------------------------------
-
-    def to_spec(self) -> str:
-        """Inverse of :meth:`parse` for events expressible in it."""
-        parts: List[str] = []
-        for ev in self.events:
-            opts: List[str] = []
-            if ev.site == SITE_SHARD_TASK and ev.target >= 0:
-                opts.append(f"shard={ev.target}")
-            if ev.kind == CONN_DROP:
-                side = "client" if ev.site == SITE_CLIENT_REQUEST else "server"
-                opts.append(f"side={side}")
-            if ev.kind == SLOW_SHARD:
-                opts.append(f"delay={ev.delay}")
-            if ev.kind == SHED_STORM:
-                opts.append(f"count={ev.count}")
-            if ev.kind == CORRUPT_FRAME and ev.seed:
-                opts.append(f"seed={ev.seed}")
-            tail = ":" + ",".join(opts) if opts else ""
-            parts.append(f"{ev.kind}@{ev.at}{tail}")
-        return ";".join(parts)
 
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
@@ -342,20 +280,6 @@ class FaultPlan:
         return cls.parse(spec)
 
     # -- plumbing -------------------------------------------------------------
-
-    def for_site(self, site: str) -> Tuple[FaultEvent, ...]:
-        return tuple(ev for ev in self.events if ev.site == site)
-
-    def retarget(self, site: str, target: int) -> "FaultPlan":
-        """Pin every ``site`` event with an unscoped target to ``target``."""
-        return FaultPlan(
-            tuple(
-                replace(ev, target=target)
-                if ev.site == site and ev.target < 0
-                else ev
-                for ev in self.events
-            )
-        )
 
     def __len__(self) -> int:
         return len(self.events)

@@ -46,10 +46,6 @@ class BackoffState:
         )
         return self._prev
 
-    @property
-    def exhausted(self) -> bool:
-        return self.attempt + 1 >= self.policy.max_attempts
-
 
 @dataclass(frozen=True)
 class RetryPolicy:

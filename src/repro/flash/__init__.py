@@ -8,13 +8,6 @@ from .commands import CommandLog, FlashCommand, FlashOp
 from .energy import PAPER_E_BIT_ADD, EnergyLedger, FlashEnergies
 from .latch import NUM_D_LATCHES, LatchTrace, PlaneLatches
 from .microprogram import BitSerialAdder, vertical_to_words, words_to_vertical
-from .reliability import (
-    EspModel,
-    FaultInjector,
-    UnreliableBlock,
-    WearTracker,
-    adder_error_probability,
-)
 from .timing import PAPER_T_BIT_ADD, FlashTimings, TimingLedger
 
 __all__ = [
@@ -25,8 +18,6 @@ __all__ = [
     "CommandLog",
     "Die",
     "EnergyLedger",
-    "EspModel",
-    "FaultInjector",
     "FlashArray",
     "FlashCommand",
     "FlashEnergies",
@@ -40,9 +31,6 @@ __all__ = [
     "Plane",
     "PlaneLatches",
     "TimingLedger",
-    "UnreliableBlock",
-    "WearTracker",
-    "adder_error_probability",
     "vertical_to_words",
     "words_to_vertical",
 ]

@@ -51,15 +51,6 @@ class FlashGeometry:
         """Bitlines operating concurrently across the whole SSD."""
         return self.total_planes * self.bitlines_per_plane
 
-    def capacity_bytes(self, mode: CellMode = CellMode.TLC) -> int:
-        cells = (
-            self.total_planes
-            * self.blocks_per_plane
-            * self.wordlines_per_block
-            * self.bitlines_per_plane
-        )
-        return cells * mode.value // 8
-
     @staticmethod
     def functional(num_bitlines: int = 256, wordlines: int = 64) -> "FlashGeometry":
         """A tiny geometry for functional simulation in tests."""
@@ -134,14 +125,3 @@ class Plane:
                 self.geometry.wordlines_per_block, self.num_bitlines, mode
             )
         return self._blocks[index]
-
-    def read_to_latch(self, block_index: int, wordline: int) -> None:
-        """Flash read: cells -> S-latch (charges SLC/TLC latency)."""
-        block = self.block(block_index)
-        self.latches.sense(
-            block.read_wordline(wordline), slc=(block.mode is CellMode.SLC)
-        )
-
-    def program_from_host(self, block_index: int, wordline: int, bits: np.ndarray) -> None:
-        block = self.block(block_index)
-        block.program_wordline(wordline, bits)

@@ -67,19 +67,3 @@ class FlashArray:
 
     def plane(self, index: int) -> Plane:
         return self.planes()[index]
-
-    @property
-    def num_planes(self) -> int:
-        return self.geometry.total_planes
-
-    def parallel_makespan(
-        self, per_plane_seconds: float, planes_used: int
-    ) -> float:
-        """Wall-clock time for ``planes_used`` planes each spending
-        ``per_plane_seconds``: latch operations across planes are fully
-        parallel, so the makespan is the per-plane time times the number
-        of sequential *waves* needed."""
-        if planes_used <= 0:
-            return 0.0
-        waves = -(-planes_used // self.num_planes)
-        return per_plane_seconds * waves

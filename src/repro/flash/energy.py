@@ -41,9 +41,6 @@ class FlashEnergies:
         """Eqn 11: ``Ebop_add + 2 Edma + Eindex_gen``."""
         return self.e_bop_add + 2 * self.e_dma + self.e_index_gen_per_page
 
-    def e_word_add(self, word_bits: int = 32) -> float:
-        return word_bits * self.e_bit_add
-
 
 #: Table 3's quoted per-channel bit-add energy.  Our Eqn-11 value lands
 #: within ~15% (the paper does not spell out its page accounting).
@@ -76,10 +73,3 @@ class EnergyLedger:
 
     def charge_dma(self) -> None:
         self.charge("dma", self.energies.e_dma)
-
-    def charge_index_gen(self) -> None:
-        self.charge("index_gen", self.energies.e_index_gen_per_page)
-
-    def reset(self) -> None:
-        self.counts.clear()
-        self.total_joules = 0.0

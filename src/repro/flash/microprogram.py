@@ -90,16 +90,6 @@ class BitSerialAdder:
         for i in range(self.word_bits):
             block.program_wordline(wl_offset + i, matrix[i])
 
-    def load_words(
-        self, block_index: int, count: int, wl_offset: int = 0
-    ) -> np.ndarray:
-        """Read operand A back (uses plain flash reads; for tests)."""
-        block = self.plane.block(block_index)
-        matrix = np.stack(
-            [block.read_wordline(wl_offset + i) for i in range(self.word_bits)]
-        )
-        return vertical_to_words(matrix, count)
-
     # -- the µ-program ---------------------------------------------------------
 
     def add(
@@ -136,7 +126,3 @@ class BitSerialAdder:
         return vertical_to_words(sum_matrix, len(np.asarray(b_words)))
 
     # -- cost accounting ---------------------------------------------------
-
-    def expected_op_counts(self) -> dict:
-        """Micro-op counts one full word addition should charge."""
-        return {op: n * self.word_bits for op, n in self.OPS_PER_BIT.items()}

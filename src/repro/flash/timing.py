@@ -86,7 +86,3 @@ class TimingLedger:
 
     def charge_dma(self) -> None:
         self.charge("dma", self.timings.t_dma)
-
-    def reset(self) -> None:
-        self.counts.clear()
-        self.total_seconds = 0.0

@@ -285,11 +285,6 @@ class CiphertextArena:
             if built.all():
                 self._source = None
 
-    @property
-    def fully_built(self) -> bool:
-        """True once every row is materialized."""
-        return self._source is None
-
     # -- views -------------------------------------------------------------
 
     @property
@@ -714,10 +709,6 @@ class QueryArena:
         self._stack: np.ndarray | None = None
         self._lock = threading.Lock()
         self._phase_cache: Tuple[object, np.ndarray] | None = None
-
-    @property
-    def num_rows(self) -> int:
-        return self._rows.shape[0]
 
     @property
     def stack(self) -> np.ndarray:

@@ -739,7 +739,7 @@ class PolyBackend:
     """Arithmetic strategy bound to one ``(n, q)`` pair.
 
     Subclasses implement ``mul`` / ``scalar_mul`` / ``automorphism``;
-    the representation changes (``make`` / ``centered`` / ``lift_mod``)
+    the representation changes (``make`` / ``centered``)
     and the generic product bodies are shared by
     :class:`VectorizedBackend` (its fallback when an operand is not
     small) and the test oracle: coefficients are int64 in ``[0, q)``
@@ -778,12 +778,6 @@ class PolyBackend:
     def centered(self, coeffs: np.ndarray) -> np.ndarray:
         """Lift ``[0, q)`` to the centered interval ``(-q/2, q/2]``."""
         return np.where(coeffs > self._half, coeffs - self.q, coeffs)
-
-    def lift_mod(self, coeffs: np.ndarray, new_modulus: int) -> np.ndarray:
-        lifted = self.centered(coeffs)
-        if new_modulus.bit_length() > 62:  # pragma: no cover - defensive
-            return (lifted.astype(object) % new_modulus).astype(np.int64)
-        return lifted % new_modulus
 
     # -- arithmetic (backend-specific) ------------------------------------
 

@@ -4,17 +4,13 @@ When the plaintext modulus ``t`` is a prime with ``t = 1 mod 2n``, the
 plaintext ring ``Z_t[X]/(X^n + 1)`` splits by CRT into ``n`` independent
 copies of ``Z_t`` — the *slots*.  Encoding places one ``Z_t`` value per
 slot; Hom-Add and Hom-Mult then act slot-wise, which is the "SIMD
-batching" of Aziz et al. [17] and Bonte & Iliashenko [29] (Table 1), and
-slot rotations are realized by Galois automorphisms.
+batching" of Aziz et al. [17] and Bonte & Iliashenko [29] (Table 1).
 
 Slot order follows the SEAL convention: slots form a ``2 x n/2`` matrix
 whose row ``r``, column ``j`` entry lives at the evaluation point
-``psi**(+-3**j)`` (``psi`` a primitive ``2n``-th root of unity mod t).
-The automorphism ``X -> X**(3**s)`` then rotates both rows left by ``s``
-and ``X -> X**(2n-1)`` swaps the rows, so
-:meth:`BatchEncoder.row_rotation_exponent` /
-:meth:`BatchEncoder.column_swap_exponent` give the Galois exponents to
-pass to :meth:`repro.he.bfv.BFVContext.apply_galois`.
+``psi**(+-3**j)`` (``psi`` a primitive ``2n``-th root of unity mod t),
+the order in which the automorphism ``X -> X**(3**s)`` would rotate both
+rows left by ``s``.
 """
 
 from __future__ import annotations
@@ -97,33 +93,3 @@ class BatchEncoder:
         """Recover the slot values of a plaintext."""
         native = self._plan.forward(pt.poly.coeffs.astype(np.int64))
         return native[self._slot_to_pos].copy()
-
-    # ------------------------------------------------------------------
-    # Rotation exponents (for BFVContext.apply_galois)
-    # ------------------------------------------------------------------
-
-    def row_rotation_exponent(self, steps: int) -> int:
-        """Galois exponent that rotates both slot rows left by ``steps``."""
-        steps %= self.n // 2
-        return pow(3, steps, 2 * self.n)
-
-    def column_swap_exponent(self) -> int:
-        """Galois exponent (``-1`` mod 2n) that swaps the two slot rows."""
-        return 2 * self.n - 1
-
-    def rotation_exponents(self, max_steps: int | None = None) -> list[int]:
-        """All row-rotation exponents up to ``max_steps`` plus the column
-        swap — the set to pass to ``KeyGenerator.galois_key``."""
-        limit = max_steps if max_steps is not None else self.n // 2 - 1
-        exps = {self.row_rotation_exponent(s) for s in range(1, limit + 1)}
-        exps.add(self.column_swap_exponent())
-        return sorted(exps)
-
-    @staticmethod
-    def batching_params(n: int = 128, q_bits: int = 120) -> BFVParams:
-        """A batching-friendly preset: ``t = 257`` splits fully for any
-        ``n <= 128`` (``2n`` divides 256); ``q`` is sized by the caller
-        for the circuit depth at hand."""
-        if n > 128:
-            raise ValueError("t = 257 batches only up to n = 128")
-        return BFVParams(n=n, q=1 << q_bits, t=257, name=f"batch-n{n}")

@@ -2,9 +2,9 @@
 
 This is the scheme the paper builds on (§2.1).  The pieces CIPHERMATCH
 itself needs are encryption and coefficient-wise homomorphic addition
-(Eq. 4); homomorphic multiplication + relinearization and Galois
-automorphisms are implemented for the arithmetic and Boolean baselines
-and for the prior-work comparisons in §3.1.
+(Eq. 4); homomorphic multiplication + relinearization are implemented
+for the arithmetic and Boolean baselines and for the prior-work
+comparisons in §3.1.
 
 A ``noiseless`` encryption mode (zero error polynomials, caller-supplied
 masking polynomial ``u``) supports the paper's literal server-side
@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .keys import GaloisKey, PublicKey, RelinKey, SecretKey
+from .keys import PublicKey, RelinKey, SecretKey
 from .ntt import exact_negacyclic_convolution
 from .params import BFVParams
 from .poly import RingContext, RingPoly, row_dtype
@@ -40,9 +40,6 @@ class Plaintext:
 
     params: BFVParams
     poly: RingPoly  # lives in R_t
-
-    def coefficients(self) -> np.ndarray:
-        return self.poly.coeffs.copy()
 
 
 @dataclass
@@ -90,12 +87,8 @@ class OperationCounter:
         self.multiplications = 0
         self.plain_multiplications = 0
         self.relinearizations = 0
-        self.automorphisms = 0
         self.encryptions = 0
         self.decryptions = 0
-
-    def reset(self) -> None:
-        self.__init__()
 
     def snapshot(self) -> dict:
         return dict(vars(self))
@@ -195,16 +188,6 @@ class BFVContext:
             tile[:, 1] = a
             tile[:, 2] = phase
         return block
-
-    def encrypt_symmetric(self, pt: Plaintext, sk: SecretKey) -> Ciphertext:
-        """Secret-key encryption of one plaintext: the one-row call of
-        :meth:`encrypt_symmetric_rows`."""
-        c0, c1, _ = self.encrypt_symmetric_rows(pt.poly.coeffs[None], sk)[0].astype(
-            np.int64
-        )
-        return Ciphertext(
-            self.params, RingPoly(self.ring, c0), RingPoly(self.ring, c1)
-        )
 
     def phase(self, ct: Ciphertext, sk: SecretKey) -> RingPoly:
         """The decryption phase ``c0 + c1 s [+ c2 s^2]`` in ``R_q`` —
@@ -311,21 +294,6 @@ class BFVContext:
             c1 = c1 + a * digit
         return Ciphertext(self.params, c0, c1)
 
-    def apply_galois(self, ct: Ciphertext, k: int, glk: GaloisKey) -> Ciphertext:
-        """Homomorphic ``X -> X^k`` automorphism via key switching."""
-        if not glk.supports(k):
-            raise ValueError(f"no Galois key for exponent {k}")
-        self.counter.automorphisms += 1
-        c0 = ct.c0.automorphism(k)
-        c1_mapped = ct.c1.automorphism(k)
-        out0 = c0
-        out1 = self.ring.zero()
-        digits = self._decompose(c1_mapped, glk.base_bits, len(glk.components[k]))
-        for digit, (body, a) in zip(digits, glk.components[k]):
-            out0 = out0 + body * digit
-            out1 = out1 + a * digit
-        return Ciphertext(self.params, out0, out1)
-
     def _decompose(
         self, poly: RingPoly, base_bits: int, num_digits: int
     ) -> list[RingPoly]:
@@ -348,13 +316,3 @@ class BFVContext:
         remainders = self.phase(ct, sk).centered() % delta  # numpy %: always in [0, delta)
         distances = np.minimum(remainders, delta - remainders)
         return int(np.max(distances)) if len(distances) else 0
-
-    def noise_budget_bits(self, ct: Ciphertext, sk: SecretKey) -> float:
-        """Remaining noise budget in bits (<= 0 means decryption may fail)."""
-        import math
-
-        residual = self.noise_residual(ct, sk)
-        half_delta = self.params.delta / 2
-        if residual == 0:
-            return math.log2(half_delta)
-        return math.log2(half_delta) - math.log2(residual)

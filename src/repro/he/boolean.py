@@ -46,9 +46,6 @@ class GateCostModel:
     def time_for_gates(self, gates: float, batching: float = 1.0) -> float:
         return gates * self.gate_latency_s / max(batching, 1.0)
 
-    def energy_for_gates(self, gates: float, batching: float = 1.0) -> float:
-        return gates * self.gate_energy_j / max(batching, 1.0)
-
 
 class BooleanContext:
     """Bit-level homomorphic gates over BFV(t=2) ciphertexts."""
@@ -81,9 +78,6 @@ class BooleanContext:
 
     def decrypt_bit(self, ct: Ciphertext, sk: SecretKey) -> int:
         return int(self.ctx.decrypt(ct, sk).poly.coeffs[0]) & 1
-
-    def decrypt_bits(self, cts: Sequence[Ciphertext], sk: SecretKey) -> np.ndarray:
-        return np.array([self.decrypt_bit(ct, sk) for ct in cts], dtype=np.uint8)
 
     # -- gates -------------------------------------------------------------
 
@@ -127,7 +121,3 @@ class BooleanContext:
 
     def total_gates(self) -> int:
         return sum(self.gate_counts.values())
-
-    def reset_gate_counts(self) -> None:
-        for key in self.gate_counts:
-            self.gate_counts[key] = 0

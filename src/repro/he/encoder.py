@@ -1,14 +1,11 @@
-"""Plaintext encoders: how application bits become BFV plaintext
+"""Plaintext encoder: how application bits become BFV plaintext
 polynomials.
 
-Three schemes, matching the three approaches the paper compares:
-
-* :class:`ChunkPackEncoder` — the CIPHERMATCH memory-efficient packing
-  (§4.2.1): ``w``-bit chunks per coefficient (w = 16 for the paper set).
-* :class:`BitPackEncoder` — the state-of-the-art arithmetic packing
-  (Yasuda et al.): one bit per coefficient, 16x less dense.
-* :class:`SingleBitEncoder` — the Boolean approach: one bit per whole
-  plaintext/ciphertext.
+:class:`ChunkPackEncoder` is the CIPHERMATCH memory-efficient packing
+(§4.2.1): ``w``-bit chunks per coefficient (w = 16 for the paper set).
+The baselines pack their own way: one bit per coefficient
+(:mod:`repro.baselines.yasuda`) or one bit per ciphertext
+(:mod:`repro.baselines.boolean_match`).
 """
 
 from __future__ import annotations
@@ -49,10 +46,6 @@ class ChunkPackEncoder:
                 f"chunk width {self.chunk_width} outside [1, {max_width}] for t={ctx.params.t}"
             )
 
-    @property
-    def bits_per_polynomial(self) -> int:
-        return self.ctx.params.n * self.chunk_width
-
     def encode(self, bits: np.ndarray) -> EncodedMessage:
         """Pack a bit vector into ceil(L/n) plaintext polynomials."""
         chunks = chunk_bits(bits, self.chunk_width)
@@ -71,83 +64,3 @@ class ChunkPackEncoder:
         )
         bits = unchunk_bits(chunks, message.chunk_width)
         return bits[: message.bit_length]
-
-    def encoded_bytes(self, bit_length: int) -> int:
-        """Serialized plaintext footprint of a ``bit_length``-bit string."""
-        n, w = self.ctx.params.n, self.chunk_width
-        num_chunks = -(-bit_length // w)
-        num_polys = max(1, -(-num_chunks // n))
-        return num_polys * self.ctx.params.plaintext_bytes
-
-
-class BitPackEncoder:
-    """Arithmetic-baseline packing: one data bit per coefficient."""
-
-    def __init__(self, ctx: BFVContext):
-        self.ctx = ctx
-
-    @property
-    def bits_per_polynomial(self) -> int:
-        return self.ctx.params.n
-
-    def encode(self, bits: np.ndarray) -> EncodedMessage:
-        bits = np.asarray(bits, dtype=np.int64)
-        n = self.ctx.params.n
-        plaintexts = []
-        for start in range(0, max(len(bits), 1), n):
-            block = bits[start : start + n]
-            coeffs = np.zeros(n, dtype=np.int64)
-            coeffs[: len(block)] = block
-            plaintexts.append(self.ctx.plaintext(coeffs))
-        return EncodedMessage(plaintexts, len(bits), 1)
-
-    def decode(self, message: EncodedMessage) -> np.ndarray:
-        coeffs = np.concatenate([pt.poly.coeffs for pt in message.plaintexts])
-        return coeffs[: message.bit_length].astype(np.uint8)
-
-    def encode_reversed(self, bits: np.ndarray) -> Plaintext:
-        """Yasuda-style reversed encoding of a query: ``sum b_i X^{n-i}``.
-
-        Multiplying a databases's ``sum d_j X^j`` by the reversed query
-        puts the correlation of every alignment into separate result
-        coefficients — this is the trick that lets the arithmetic
-        baseline evaluate all shifts with one multiplication.
-        """
-        n = self.ctx.params.n
-        bits = np.asarray(bits, dtype=np.int64)
-        if len(bits) > n:
-            raise ValueError("query longer than ring dimension")
-        coeffs = np.zeros(n, dtype=np.int64)
-        t = self.ctx.params.t
-        for i, b in enumerate(bits):
-            if b:
-                if i == 0:
-                    coeffs[0] = 1
-                else:
-                    # X^{n-i} == -X^{n-i} wraps sign under X^n + 1
-                    coeffs[n - i] = (t - 1) % t
-        return self.ctx.plaintext(coeffs)
-
-
-class SingleBitEncoder:
-    """Boolean-approach encoding: one bit in coefficient 0 of its own
-    plaintext (and hence its own ciphertext after encryption)."""
-
-    def __init__(self, ctx: BFVContext):
-        if ctx.params.t != 2:
-            raise ValueError("Boolean encoding requires plaintext modulus t = 2")
-        self.ctx = ctx
-
-    def encode(self, bits: np.ndarray) -> List[Plaintext]:
-        out = []
-        n = self.ctx.params.n
-        for b in np.asarray(bits, dtype=np.int64):
-            coeffs = np.zeros(n, dtype=np.int64)
-            coeffs[0] = int(b) & 1
-            out.append(self.ctx.plaintext(coeffs))
-        return out
-
-    def decode(self, plaintexts: List[Plaintext]) -> np.ndarray:
-        return np.array(
-            [int(pt.poly.coeffs[0]) & 1 for pt in plaintexts], dtype=np.uint8
-        )

@@ -1,15 +1,14 @@
-"""Key material for the BFV scheme: secret, public, relinearization and
-Galois keys, plus the generator that samples them.
+"""Key material for the BFV scheme: secret, public and relinearization
+keys, plus the generator that samples them.
 
 Relinearization keys use base-``T`` digit decomposition (``T = 2**w``):
-``rlk[i] = (-(a_i * s + e_i) + T^i * s^2,  a_i)``.  Galois keys are the
-same construction with ``s(X^k)`` in place of ``s^2``.
+``rlk[i] = (-(a_i * s + e_i) + T^i * s^2,  a_i)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -45,20 +44,6 @@ class RelinKey:
         return len(self.components)
 
 
-@dataclass
-class GaloisKey:
-    """Key-switching keys for automorphisms ``X -> X^k`` (one per k)."""
-
-    params: BFVParams
-    base_bits: int
-    components: Dict[int, List[Tuple[RingPoly, RingPoly]]] = field(
-        default_factory=dict
-    )
-
-    def supports(self, k: int) -> bool:
-        return k in self.components
-
-
 class KeyGenerator:
     """Samples all key material for a parameter set.
 
@@ -85,17 +70,6 @@ class KeyGenerator:
         components = self._key_switch_components(sk, s_squared, base_bits)
         return RelinKey(self.params, base_bits, components)
 
-    def galois_key(
-        self, sk: SecretKey, exponents: List[int], base_bits: int = 16
-    ) -> GaloisKey:
-        key = GaloisKey(self.params, base_bits)
-        for k in exponents:
-            if k % 2 == 0:
-                raise ValueError(f"Galois exponent must be odd, got {k}")
-            s_mapped = sk.s.automorphism(k)
-            key.components[k] = self._key_switch_components(sk, s_mapped, base_bits)
-        return key
-
     def _key_switch_components(
         self, sk: SecretKey, target: RingPoly, base_bits: int
     ) -> List[Tuple[RingPoly, RingPoly]]:
@@ -117,12 +91,10 @@ def generate_keys(
     seed: int | None = None,
     *,
     relin: bool = False,
-    galois_exponents: List[int] | None = None,
-) -> Tuple[SecretKey, PublicKey, RelinKey | None, GaloisKey | None]:
+) -> Tuple[SecretKey, PublicKey, RelinKey | None]:
     """One-call helper used throughout examples and tests."""
     gen = KeyGenerator(params, seed)
     sk = gen.secret_key()
     pk = gen.public_key(sk)
     rlk = gen.relin_key(sk) if relin else None
-    glk = gen.galois_key(sk, galois_exponents) if galois_exponents else None
-    return sk, pk, rlk, glk
+    return sk, pk, rlk

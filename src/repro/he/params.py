@@ -12,22 +12,9 @@ are also supported and are slightly faster for Hom-Mult-heavy baselines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .primes import find_ntt_prime
-
-#: Security-level guidance distilled from the HE standard (Albrecht et
-#: al. 2018, Table 1, ternary secret): max log2(q) for 128-bit security
-#: at each ring dimension.  Used only to annotate/validate parameter
-#: choices; this repo is a systems reproduction, not a crypto product.
-HE_STANDARD_MAX_LOGQ_128 = {
-    1024: 27,
-    2048: 54,
-    4096: 109,
-    8192: 218,
-    16384: 438,
-    32768: 881,
-}
 
 
 @dataclass(frozen=True)
@@ -83,18 +70,6 @@ class BFVParams:
         coeff_bytes = ((self.t - 1).bit_length() + 7) // 8
         return self.n * coeff_bytes
 
-    @property
-    def expansion_factor(self) -> float:
-        """Encrypted-size / packed-plaintext-size ratio (paper: 4x lower bound)."""
-        data_bits = self.n * self.plaintext_bits_per_coeff
-        cipher_bits = 2 * self.n * self.log_q
-        return cipher_bits / data_bits
-
-    def meets_128_bit_security(self) -> bool:
-        """True when (n, q) is within the HE-standard 128-bit envelope."""
-        limit = HE_STANDARD_MAX_LOGQ_128.get(self.n)
-        return limit is not None and self.log_q <= limit
-
     # ------------------------------------------------------------------
     # Presets
     # ------------------------------------------------------------------
@@ -111,12 +86,6 @@ class BFVParams:
         growth).
         """
         return BFVParams(n=1024, q=1 << 32, t=1 << 16, name="paper-n1024")
-
-    @staticmethod
-    def paper_secure() -> "BFVParams":
-        """An HE-standard 128-bit secure set with the same 16-bit packing."""
-        q = find_ntt_prime(54, 2048)
-        return BFVParams(n=2048, q=q, t=1 << 16, name="secure-n2048")
 
     @staticmethod
     def test_small(n: int = 64) -> "BFVParams":
@@ -141,30 +110,3 @@ class BFVParams:
         q = find_ntt_prime(60 if n >= 1024 else 45, 2 * n)
         return BFVParams(n=n, q=q, t=2, name=f"boolean-n{n}")
 
-
-@dataclass
-class SecurityReport:
-    """Summary of how a parameter set relates to the HE standard."""
-
-    params: BFVParams
-    standard_limit_logq: int | None = field(default=None)
-
-    def __post_init__(self) -> None:
-        self.standard_limit_logq = HE_STANDARD_MAX_LOGQ_128.get(self.params.n)
-
-    @property
-    def within_standard(self) -> bool:
-        return (
-            self.standard_limit_logq is not None
-            and self.params.log_q <= self.standard_limit_logq
-        )
-
-    def describe(self) -> str:
-        limit = self.standard_limit_logq
-        if limit is None:
-            return f"{self.params.name}: n={self.params.n} not in HE-standard table"
-        verdict = "within" if self.within_standard else "EXCEEDS"
-        return (
-            f"{self.params.name}: log q = {self.params.log_q}, "
-            f"128-bit limit for n={self.params.n} is {limit} ({verdict} standard)"
-        )

@@ -14,11 +14,11 @@ int64 without overflow.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .backend import VectorizedBackend, _is_native_ntt_modulus
+from .backend import VectorizedBackend
 
 
 class RingContext:
@@ -34,12 +34,6 @@ class RingContext:
         self.n = n
         self.q = q
         self.backend = VectorizedBackend(n, q)
-        self._native_ntt = _is_native_ntt_modulus(n, q)
-
-    @property
-    def uses_ntt(self) -> bool:
-        """True when ``q`` itself is NTT-friendly (single-limb products)."""
-        return self._native_ntt
 
     # -- construction ---------------------------------------------------
 
@@ -197,21 +191,10 @@ class RingPoly:
         """
         return self.ring.backend.centered(self.coeffs)
 
-    def lift_mod(self, new_modulus: int) -> np.ndarray:
-        """Centered lift reduced into ``[0, new_modulus)`` (int64)."""
-        return self.ring.backend.lift_mod(self.coeffs, new_modulus)
-
-    def infinity_norm(self) -> int:
-        """Max |coefficient| of the centered representative."""
-        return int(np.max(np.abs(self.centered())))
-
     # -- misc --------------------------------------------------------------
 
     def copy(self) -> "RingPoly":
         return RingPoly(self.ring, self.coeffs.copy())
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -235,17 +218,3 @@ def row_dtype(q: int) -> np.dtype:
         if q - 1 <= np.iinfo(dtype).max:
             return np.dtype(dtype)
     return np.dtype(np.uint64)
-
-
-def poly_from_chunks(ring: RingContext, chunks: Iterable[int]) -> RingPoly:
-    """Build a polynomial whose i-th coefficient is the i-th chunk value."""
-    values = list(chunks)
-    if len(values) > ring.n:
-        raise ValueError("more chunks than ring coefficients")
-    coeffs = np.zeros(ring.n, dtype=np.int64)
-    if values:
-        # Object dtype keeps oversized chunk values exact (numpy would
-        # otherwise promote beyond-int64 Python ints to lossy float64).
-        reduced = np.array(values, dtype=object) % ring.q
-        coeffs[: len(values)] = reduced.astype(np.int64)
-    return RingPoly(ring, coeffs)

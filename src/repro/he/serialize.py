@@ -1,4 +1,4 @@
-"""Wire-format serialization for ciphertexts, plaintexts and keys.
+"""Wire-format serialization for ciphertexts.
 
 The client-server protocol ships ciphertexts both ways; this module
 provides a compact, self-describing byte format so the repo's protocol
@@ -10,7 +10,7 @@ footprint accounting (`BFVParams.ciphertext_bytes`) reports.
 Format (all integers little-endian):
 
     magic  b"CMR1"
-    kind   1 byte   (1=ciphertext, 2=plaintext, 3=secret key, 4=public key)
+    kind   1 byte   (1=ciphertext)
     n      4 bytes
     q      8 bytes
     t      8 bytes
@@ -25,16 +25,12 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .bfv import BFVContext, Ciphertext, Plaintext
-from .keys import PublicKey, SecretKey
+from .bfv import BFVContext, Ciphertext
 from .params import BFVParams
 from .poly import RingPoly
 
 _MAGIC = b"CMR1"
 _KIND_CIPHERTEXT = 1
-_KIND_PLAINTEXT = 2
-_KIND_SECRET_KEY = 3
-_KIND_PUBLIC_KEY = 4
 
 _HEADER = struct.Struct("<4sBIQQB")
 
@@ -93,9 +89,6 @@ def _check_params(params: BFVParams, n: int, q: int, t: int) -> None:
         )
 
 
-# -- ciphertexts -------------------------------------------------------------
-
-
 def serialize_ciphertext(ct: Ciphertext) -> bytes:
     polys = [ct.c0.coeffs, ct.c1.coeffs]
     if ct.c2 is not None:
@@ -118,57 +111,4 @@ def deserialize_ciphertext(blob: bytes, ctx: BFVContext) -> Ciphertext:
         RingPoly(ctx.ring, polys[0]),
         RingPoly(ctx.ring, polys[1]),
         RingPoly(ctx.ring, polys[2]) if count == 3 else None,
-    )
-
-
-# -- plaintexts ---------------------------------------------------------------
-
-
-def serialize_plaintext(pt: Plaintext) -> bytes:
-    return _header(_KIND_PLAINTEXT, pt.params, 1) + _pack_polys(
-        [pt.poly.coeffs], pt.params.t
-    )
-
-
-def deserialize_plaintext(blob: bytes, ctx: BFVContext) -> Plaintext:
-    kind, n, q, t, count, payload = _parse_header(blob)
-    if kind != _KIND_PLAINTEXT:
-        raise ValueError(f"expected plaintext blob, got kind {kind}")
-    _check_params(ctx.params, n, q, t)
-    polys = _unpack_polys(payload, count, n, t)
-    return Plaintext(ctx.params, ctx.plain_ring.make(polys[0]))
-
-
-# -- keys ----------------------------------------------------------------------
-
-
-def serialize_secret_key(sk: SecretKey) -> bytes:
-    return _header(_KIND_SECRET_KEY, sk.params, 1) + _pack_polys(
-        [sk.s.coeffs], sk.params.q
-    )
-
-
-def deserialize_secret_key(blob: bytes, ctx: BFVContext) -> SecretKey:
-    kind, n, q, t, count, payload = _parse_header(blob)
-    if kind != _KIND_SECRET_KEY:
-        raise ValueError(f"expected secret-key blob, got kind {kind}")
-    _check_params(ctx.params, n, q, t)
-    polys = _unpack_polys(payload, count, n, q)
-    return SecretKey(ctx.params, RingPoly(ctx.ring, polys[0]))
-
-
-def serialize_public_key(pk: PublicKey) -> bytes:
-    return _header(_KIND_PUBLIC_KEY, pk.params, 2) + _pack_polys(
-        [pk.pk0.coeffs, pk.pk1.coeffs], pk.params.q
-    )
-
-
-def deserialize_public_key(blob: bytes, ctx: BFVContext) -> PublicKey:
-    kind, n, q, t, count, payload = _parse_header(blob)
-    if kind != _KIND_PUBLIC_KEY:
-        raise ValueError(f"expected public-key blob, got kind {kind}")
-    _check_params(ctx.params, n, q, t)
-    polys = _unpack_polys(payload, count, n, q)
-    return PublicKey(
-        ctx.params, RingPoly(ctx.ring, polys[0]), RingPoly(ctx.ring, polys[1])
     )

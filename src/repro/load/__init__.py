@@ -47,7 +47,6 @@ from .harness import (
     RequestOutcome,
     SessionTarget,
     generate_trace,
-    replay_requests,
     run_trace,
 )
 from .scenarios import (
@@ -96,7 +95,6 @@ __all__ = [
     "TraceEvent",
     "UnknownScenarioError",
     "generate_trace",
-    "replay_requests",
     "resolve_arrival",
     "run_trace",
 ]

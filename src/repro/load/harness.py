@@ -35,7 +35,7 @@ import time
 import zlib
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -397,8 +397,3 @@ def run_trace(
             )
     wall = time.perf_counter() - start
     return LoadRun(outcomes=outcomes, wall_seconds=wall)
-
-
-def replay_requests(trace: LoadTrace) -> Sequence[TraceEvent]:
-    """The deterministic request sequence of a trace (replay surface)."""
-    return tuple(trace.events)

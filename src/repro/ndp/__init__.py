@@ -1,6 +1,6 @@
-"""Near-data-processing models: the SIMDRAM PuM engine, the
-memory-hierarchy data-movement model (Figure 3), and the performance and
-energy models of the four evaluated systems (Figures 10-12)."""
+"""Near-data-processing models: the memory-hierarchy data-movement model
+(Figure 3) and the performance and energy models of the four evaluated
+systems (Figures 10-12)."""
 
 from .datamovement import ComputeSite, TransferLatencyModel
 from .energymodel import HardwareEnergyModel
@@ -10,7 +10,6 @@ from .perfmodel import (
     OverheadReport,
     WorkloadPoint,
 )
-from .simdram import SimdramEngine, SimdramSubarray, SimdramTimings, majority3
 
 __all__ = [
     "ComputeSite",
@@ -18,10 +17,6 @@ __all__ = [
     "HardwarePerformanceModel",
     "HardwareSystem",
     "OverheadReport",
-    "SimdramEngine",
-    "SimdramSubarray",
-    "SimdramTimings",
     "TransferLatencyModel",
     "WorkloadPoint",
-    "majority3",
 ]

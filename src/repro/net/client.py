@@ -549,9 +549,6 @@ class Client:
             FrameType.STATS, b"", idempotent=True
         ).result()
 
-    def ping(self) -> None:
-        self._submit_frame(FrameType.PING, b"", idempotent=True).result()
-
     def drain(self) -> None:
         """Ask the service to drain gracefully; returns when it has."""
         self._submit_frame(FrameType.DRAIN, b"", idempotent=False).result()

@@ -96,10 +96,6 @@ def set_send_fault_hook(hook: Optional[Callable[[Frame], Frame]]) -> None:
     _send_fault_hook = hook
 
 
-def get_send_fault_hook() -> Optional[Callable[[Frame], Frame]]:
-    return _send_fault_hook
-
-
 def _apply_send_fault(frame: Frame) -> Frame:
     hook = _send_fault_hook
     if hook is None:
@@ -134,25 +130,6 @@ def decode_header(header: bytes) -> tuple[FrameType, int, int]:
     except ValueError:
         raise FramingError(f"unknown frame type {ftype}") from None
     return ftype, request_id, length
-
-
-def decode_frame(blob: bytes) -> Frame:
-    """Decode one complete frame from an in-memory buffer."""
-    if len(blob) < HEADER_BYTES:
-        raise FramingError("truncated frame header")
-    ftype, request_id, length = decode_header(blob[:HEADER_BYTES])
-    payload = blob[HEADER_BYTES : HEADER_BYTES + length]
-    if len(payload) != length:
-        raise FramingError(
-            f"truncated payload: header promises {length} bytes, "
-            f"got {len(payload)}"
-        )
-    if len(blob) != HEADER_BYTES + length:
-        raise FramingError("trailing bytes after frame payload")
-    return Frame(ftype, request_id, payload)
-
-
-# -- asyncio stream helpers ---------------------------------------------------
 
 
 async def read_frame(reader) -> Frame | None:

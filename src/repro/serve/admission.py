@@ -218,11 +218,6 @@ class AdmissionController:
                 for cls, state in self._classes.items()
             }
 
-    def target_for(self, cls: str) -> Optional[int]:
-        with self._lock:
-            state = self._classes.get(cls)
-            return int(state.target) if state is not None else None
-
 
 def coerce_admission(
     value: Union[None, BudgetLike, AdmissionController],

@@ -1,14 +1,11 @@
 """SSD system model: dual-region FTL, data transposition, index
-generation, controller command handling, host interface, and the
+generation, controller command handling, host interface and the
 assembled CM-IFP device with its in-flash Hom-Add backend."""
 
 from .aes import AES, SecureIndexChannel, aes_ctr
 from .controller import ControllerConfig, SearchOutcome, SSDController
-from .gc import GarbageCollector, GcStats, SlotState
 from .device import CipherMatchSSD, IFPAdditionBackend, SSDConfig
-from .dram import InternalDram
 from .ftl import FlashTranslationLayer, MappingTable, PhysicalAddress, Region
-from .host import HostPager, PagerConfig, PagerStats
 from .index_gen import IndexGenCosts, IndexGenerationUnit
 from .interface import (
     HostCommand,
@@ -35,25 +32,18 @@ __all__ = [
     "simulate_cm_search",
     "AES",
     "CipherMatchSSD",
-    "GarbageCollector",
-    "GcStats",
     "SecureIndexChannel",
-    "SlotState",
     "aes_ctr",
     "ControllerConfig",
     "DataTranspositionUnit",
     "FlashTranslationLayer",
     "HostCommand",
     "HostCommandKind",
-    "HostPager",
-    "PagerConfig",
-    "PagerStats",
     "HostInterfaceLayer",
     "HostResponse",
     "IFPAdditionBackend",
     "IndexGenCosts",
     "IndexGenerationUnit",
-    "InternalDram",
     "MappingTable",
     "PhysicalAddress",
     "Region",

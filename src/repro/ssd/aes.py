@@ -47,10 +47,6 @@ _SBOX = [
     0xB0, 0x54, 0xBB, 0x16,
 ]
 
-_INV_SBOX = [0] * 256
-for _i, _v in enumerate(_SBOX):
-    _INV_SBOX[_v] = _i
-
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36, 0x6C, 0xD8]
 
 
@@ -129,21 +125,6 @@ class AES:
         self._add_round_key(state, self.nr)
         return self._from_state(state)
 
-    def decrypt_block(self, block: bytes) -> bytes:
-        if len(block) != 16:
-            raise ValueError("AES block must be 16 bytes")
-        state = self._to_state(block)
-        self._add_round_key(state, self.nr)
-        for rnd in range(self.nr - 1, 0, -1):
-            self._inv_shift_rows(state)
-            self._inv_sub_bytes(state)
-            self._add_round_key(state, rnd)
-            self._inv_mix_columns(state)
-        self._inv_shift_rows(state)
-        self._inv_sub_bytes(state)
-        self._add_round_key(state, 0)
-        return self._from_state(state)
-
     # -- round transforms -------------------------------------------------------
 
     @staticmethod
@@ -153,20 +134,9 @@ class AES:
                 state[r][c] = _SBOX[state[r][c]]
 
     @staticmethod
-    def _inv_sub_bytes(state) -> None:
-        for r in range(4):
-            for c in range(4):
-                state[r][c] = _INV_SBOX[state[r][c]]
-
-    @staticmethod
     def _shift_rows(state) -> None:
         for r in range(1, 4):
             state[r] = state[r][r:] + state[r][:r]
-
-    @staticmethod
-    def _inv_shift_rows(state) -> None:
-        for r in range(1, 4):
-            state[r] = state[r][-r:] + state[r][:-r]
 
     @staticmethod
     def _mix_columns(state) -> None:
@@ -176,23 +146,6 @@ class AES:
             state[1][c] = a[0] ^ _gf_mul(a[1], 2) ^ _gf_mul(a[2], 3) ^ a[3]
             state[2][c] = a[0] ^ a[1] ^ _gf_mul(a[2], 2) ^ _gf_mul(a[3], 3)
             state[3][c] = _gf_mul(a[0], 3) ^ a[1] ^ a[2] ^ _gf_mul(a[3], 2)
-
-    @staticmethod
-    def _inv_mix_columns(state) -> None:
-        for c in range(4):
-            a = [state[r][c] for r in range(4)]
-            state[0][c] = (
-                _gf_mul(a[0], 14) ^ _gf_mul(a[1], 11) ^ _gf_mul(a[2], 13) ^ _gf_mul(a[3], 9)
-            )
-            state[1][c] = (
-                _gf_mul(a[0], 9) ^ _gf_mul(a[1], 14) ^ _gf_mul(a[2], 11) ^ _gf_mul(a[3], 13)
-            )
-            state[2][c] = (
-                _gf_mul(a[0], 13) ^ _gf_mul(a[1], 9) ^ _gf_mul(a[2], 14) ^ _gf_mul(a[3], 11)
-            )
-            state[3][c] = (
-                _gf_mul(a[0], 11) ^ _gf_mul(a[1], 13) ^ _gf_mul(a[2], 9) ^ _gf_mul(a[3], 14)
-            )
 
 
 def aes_ctr(key: bytes, nonce: bytes, data: bytes) -> bytes:
@@ -218,7 +171,6 @@ def aes_ctr(key: bytes, nonce: bytes, data: bytes) -> bytes:
 # ---------------------------------------------------------------------------
 
 AES_UNIT_LATENCY_PER_BLOCK = 12.6e-9  # §7.2, 22 nm synthesis
-AES_UNIT_AREA_MM2 = 0.13
 
 
 @dataclass

@@ -19,7 +19,6 @@ from ..flash.cell_array import CellMode
 from ..flash.chip import FlashArray
 from ..flash.commands import CommandLog, FlashCommand, FlashOp
 from ..flash.microprogram import BitSerialAdder
-from .dram import InternalDram
 from .ftl import FlashTranslationLayer, PhysicalAddress, Region
 from .index_gen import IndexGenerationUnit
 from .transpose import DataTranspositionUnit
@@ -51,7 +50,6 @@ class SSDController:
             self.config.word_bits, hardware=self.config.hardware_transposition
         )
         self.index_gen = IndexGenerationUnit()
-        self.dram = InternalDram()
         self.log = CommandLog()
         self._adders: Dict[int, BitSerialAdder] = {}
 
@@ -161,43 +159,6 @@ class SSDController:
             indices = self.index_gen.indices_from_flags(flags)
         return SearchOutcome(sums=sums, flags=flags, match_indices=indices)
 
-    def cm_search_parallel(
-        self,
-        lpns: list,
-        query_words: np.ndarray,
-        *,
-        match_value: Optional[int] = None,
-    ) -> "ParallelSearchOutcome":
-        """CM-search across many slots, modelling plane parallelism.
-
-        All slots execute the same ``bop_add`` µ-program; slots on
-        *different* planes run concurrently, so the wall-clock makespan
-        is the per-slot latency times the number of sequential waves
-        (slots that collide on a plane serialize).  The functional sums
-        are exact regardless.
-        """
-        outcomes = []
-        plane_loads: Dict[int, int] = {}
-        for lpn in lpns:
-            ppa = self.ftl.lookup(Region.CIPHERMATCH, lpn)
-            if ppa is None:
-                raise KeyError(f"no CIPHERMATCH mapping for lpn {lpn}")
-            plane_index = ppa.plane_index(self.flash.geometry)
-            plane_loads[plane_index] = plane_loads.get(plane_index, 0) + 1
-            outcomes.append(
-                self.cm_search(lpn, query_words, match_value=match_value)
-            )
-        word_bits = self.config.word_bits
-        timings = self.flash.timing.timings
-        per_slot = word_bits * timings.t_bit_add + timings.t_latch_transfer
-        waves = max(plane_loads.values(), default=0)
-        return ParallelSearchOutcome(
-            outcomes=outcomes,
-            waves=waves,
-            makespan_seconds=waves * per_slot,
-            planes_used=len(plane_loads),
-        )
-
     # -- conventional-region operations ----------------------------------------
 
     def conventional_write(self, lpn: int, page_bits: np.ndarray) -> PhysicalAddress:
@@ -231,16 +192,3 @@ class SearchOutcome:
     flags: Optional[np.ndarray]
     match_indices: List[int]
 
-
-@dataclass
-class ParallelSearchOutcome:
-    """Result of a multi-slot CM-search with the parallelism model."""
-
-    outcomes: List[SearchOutcome]
-    waves: int
-    makespan_seconds: float
-    planes_used: int
-
-    @property
-    def all_sums(self) -> np.ndarray:
-        return np.concatenate([o.sums for o in self.outcomes])

@@ -59,9 +59,6 @@ class MappingTable:
     def bind(self, lpn: int, ppa: PhysicalAddress) -> None:
         self._map[lpn] = ppa
 
-    def unbind(self, lpn: int) -> None:
-        self._map.pop(lpn, None)
-
     def __len__(self) -> int:
         return len(self._map)
 
@@ -91,30 +88,6 @@ class FlashTranslationLayer:
         self.block_boundary = max(1, int(geometry.blocks_per_plane * ciphermatch_fraction))
         self._next_slot = 0
         self._next_conventional = 0
-
-    # -- capacity accounting (the §6.3 storage-overhead numbers) ----------
-
-    def region_capacity_bytes(self, region: Region) -> int:
-        g = self.geometry
-        page_bytes = g.page_bytes
-        if region is Region.CIPHERMATCH:
-            blocks = self.block_boundary
-            bits_per_cell = 1  # SLC mode
-        else:
-            blocks = g.blocks_per_plane - self.block_boundary
-            bits_per_cell = 3  # TLC mode
-        return (
-            g.total_planes * blocks * g.wordlines_per_block * page_bytes * bits_per_cell
-        )
-
-    def capacity_loss_fraction(self) -> float:
-        """Capacity lost by running part of the SSD in SLC mode."""
-        g = self.geometry
-        full_tlc = g.total_planes * g.blocks_per_plane * g.wordlines_per_block * g.page_bytes * 3
-        actual = self.region_capacity_bytes(Region.CONVENTIONAL) + self.region_capacity_bytes(
-            Region.CIPHERMATCH
-        )
-        return 1.0 - actual / full_tlc
 
     # -- allocation ---------------------------------------------------------
 
@@ -189,14 +162,3 @@ class FlashTranslationLayer:
 
     def lookup(self, region: Region, lpn: int) -> Optional[PhysicalAddress]:
         return self.tables[region].lookup(lpn)
-
-    # -- fault-path cost model (§4.3.2 items 2-3) ---------------------------
-
-    def page_fault_read_latency(self, t_read: float) -> float:
-        """Host read of a CIPHERMATCH-region page: ``word_bits`` wordline
-        reads (transposition overlaps with them)."""
-        return self.word_bits * t_read
-
-    def mapping_dram_overhead_bytes(self, ssd_capacity_bytes: int) -> int:
-        """~0.1% of capacity for L2P caching (§2.3)."""
-        return ssd_capacity_bytes // 1000

@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..flash.cell_array import FlashGeometry
 from ..flash.timing import FlashTimings
-from ..utils.stats import percentile
 
 
 class RequestKind(Enum):
@@ -74,19 +73,6 @@ class SimulationResult:
         if not self.requests:
             return 0.0
         return sum(r.latency for r in self.requests) / len(self.requests)
-
-    @property
-    def max_latency(self) -> float:
-        return max((r.latency for r in self.requests), default=0.0)
-
-    def percentile_latency(self, pct: float) -> float:
-        """Latency at percentile ``pct`` (0-100, nearest-rank)."""
-        return percentile([r.latency for r in self.requests], pct)
-
-    def channel_utilization(self, channel: int) -> float:
-        if self.makespan == 0:
-            return 0.0
-        return self.channel_busy.get(channel, 0.0) / self.makespan
 
     def die_utilization(self, channel: int, die: int) -> float:
         if self.makespan == 0:

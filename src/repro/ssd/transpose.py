@@ -72,10 +72,3 @@ class DataTranspositionUnit:
         """Bit-plane matrix -> horizontal words."""
         self._charge(1)
         return vertical_to_words(matrix, count)
-
-    def overlap_penalty(self, read_latency: float | None = None) -> float:
-        """Extra latency per page that cannot be hidden under the read."""
-        read = (
-            self.costs.flash_read_latency if read_latency is None else read_latency
-        )
-        return max(0.0, self.latency_per_page - read)

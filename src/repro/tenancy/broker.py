@@ -106,16 +106,6 @@ class TenantCacheBroker:
 
     # -- accounting --------------------------------------------------------
 
-    def total_bytes(self) -> int:
-        with self._lock:
-            caches = list(self._caches.values())
-        return sum(cache.current_bytes for cache, _ in caches)
-
-    def tenant_bytes(self, tenant_id: str) -> int:
-        with self._lock:
-            cache, _ = self._caches[tenant_id]
-        return cache.current_bytes
-
     def floor_bytes(self, tenant_id: str) -> int:
         with self._lock:
             return self._caches[tenant_id][1]

@@ -108,9 +108,6 @@ class Tenant:
     def weight(self) -> float:
         return self.quota.share_weight
 
-    def cache_bytes(self) -> int:
-        return self.cache.current_bytes if self.cache is not None else 0
-
 
 class TenantRegistry:
     """Tenant id -> (keypair, database, quotas) over shared budgets.
@@ -145,20 +142,6 @@ class TenantRegistry:
         self._closed = False
         for spec in specs:
             self.register(spec)
-
-    @classmethod
-    def from_spec(
-        cls, spec_text: str, **kwargs
-    ) -> "TenantRegistry":
-        """Build a registry from a CLI spec: ``id:seed[:weight],...``."""
-        specs = [
-            TenantSpec.parse(token)
-            for token in spec_text.split(",")
-            if token.strip()
-        ]
-        if not specs:
-            raise ValueError(f"no tenants in spec {spec_text!r}")
-        return cls(specs, **kwargs)
 
     @classmethod
     def around(cls, session: Session, *, owned: bool) -> "TenantRegistry":

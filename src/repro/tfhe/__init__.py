@@ -22,14 +22,6 @@ from .circuits import EncryptedWord, TfheArithmetic
 from .gates import TFHEContext
 from .lwe import LweKey, LweSample
 from .params import TFHEParams
-from .serialize import (
-    deserialize_lwe_key,
-    deserialize_lwe_sample,
-    deserialize_lwe_samples,
-    serialize_lwe_key,
-    serialize_lwe_sample,
-    serialize_lwe_samples,
-)
 from .tgsw import TGswKey, TGswSample, cmux, external_product
 from .tlwe import TLweKey, TLweSample
 
@@ -47,11 +39,5 @@ __all__ = [
     "TLweSample",
     "TfheArithmetic",
     "cmux",
-    "deserialize_lwe_key",
-    "deserialize_lwe_sample",
-    "deserialize_lwe_samples",
     "external_product",
-    "serialize_lwe_key",
-    "serialize_lwe_sample",
-    "serialize_lwe_samples",
 ]

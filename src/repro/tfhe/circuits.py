@@ -20,7 +20,7 @@ layout of §4.3.1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .gates import TFHEContext
 from .lwe import LweSample
@@ -89,76 +89,9 @@ class TfheArithmetic:
         # final carry dropped: mod-2**W addition, like bop_add.
         return EncryptedWord(out)
 
-    # -- comparison / equality ---------------------------------------------
-
-    def equals(self, a: EncryptedWord, b: EncryptedWord) -> LweSample:
-        """Encrypted equality bit: AND-reduce of per-bit XNOR — the
-        Boolean string-match kernel at word level."""
-        if a.width != b.width:
-            raise ValueError("width mismatch")
-        eq_bits = [
-            self.ctx.xnor(bit_a, bit_b) for bit_a, bit_b in zip(a.bits, b.bits)
-        ]
-        return self.ctx.and_reduce(eq_bits)
-
-    def is_all_ones(self, word: EncryptedWord) -> LweSample:
-        """Encrypted all-ones test — the match-polynomial check of
-        Algorithm 1's index generation, performed without decryption."""
-        return self.ctx.and_reduce(list(word.bits))
-
-    def less_than(self, a: EncryptedWord, b: EncryptedWord) -> LweSample:
-        """Encrypted unsigned ``a < b`` via MSB-first borrow chain:
-        ``lt = (~a_i & b_i) | (eq_i & lt_rest)`` bit by bit."""
-        if a.width != b.width:
-            raise ValueError("width mismatch")
-        lt = self.ctx.encrypt(0)
-        for bit_a, bit_b in zip(a.bits, b.bits):  # LSB -> MSB
-            a_lt_b = self.ctx.and_(self.ctx.not_(bit_a), bit_b)
-            eq = self.ctx.xnor(bit_a, bit_b)
-            keep = self.ctx.and_(eq, lt)
-            lt = self.ctx.or_(a_lt_b, keep)
-        return lt
-
-    def mux_word(
-        self, selector: LweSample, when_one: EncryptedWord, when_zero: EncryptedWord
-    ) -> EncryptedWord:
-        """Word-level encrypted multiplexer."""
-        if when_one.width != when_zero.width:
-            raise ValueError("width mismatch")
-        return EncryptedWord(
-            [
-                self.ctx.mux(selector, one, zero)
-                for one, zero in zip(when_one.bits, when_zero.bits)
-            ]
-        )
-
     # -- cost accounting ---------------------------------------------------
 
     @staticmethod
     def gates_per_add(width: int) -> int:
         """5 binary gates per full adder (2 XOR, 2 AND, 1 OR)."""
         return 5 * width
-
-    @staticmethod
-    def gates_per_equals(width: int) -> int:
-        return 2 * width - 1  # width XNORs + (width-1) ANDs
-
-
-def homomorphic_hom_add(
-    arithmetic: TfheArithmetic,
-    stored_words: Sequence[int],
-    query_words: Sequence[int],
-    width: int = 8,
-) -> List[int]:
-    """Reference flow: the CIPHERMATCH Hom-Add step executed entirely in
-    TFHE — encrypt both coefficient vectors bitwise, ripple-add each
-    pair, decrypt the sums.  Demonstrates (at painful gate cost) that
-    the Boolean approach *can* express the arithmetic approach's
-    primitive, quantifying why the paper moves the addition into flash
-    instead."""
-    out = []
-    for stored, query in zip(stored_words, query_words):
-        a = arithmetic.encrypt_word(stored % (1 << width), width)
-        b = arithmetic.encrypt_word(query % (1 << width), width)
-        out.append(arithmetic.decrypt_word(arithmetic.add(a, b)))
-    return out

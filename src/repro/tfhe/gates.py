@@ -49,11 +49,9 @@ class TFHEContext:
             "nand": 0,
             "and": 0,
             "or": 0,
-            "nor": 0,
             "xor": 0,
             "xnor": 0,
             "not": 0,
-            "mux": 0,
         }
         self.bootstrap_count = 0
 
@@ -67,9 +65,6 @@ class TFHEContext:
 
     def decrypt(self, sample: LweSample) -> int:
         return lwe_decrypt_bit(sample, self.lwe_key)
-
-    def decrypt_bits(self, samples) -> np.ndarray:
-        return np.array([self.decrypt(s) for s in samples], dtype=np.uint8)
 
     # -- gate plumbing -----------------------------------------------------
 
@@ -98,11 +93,6 @@ class TFHEContext:
         self.gate_counts["or"] += 1
         return self._bootstrap(self._trivial(1, 8) + a + b)
 
-    def nor(self, a: LweSample, b: LweSample) -> LweSample:
-        """NOR: bootstrap(-1/8 - a - b)."""
-        self.gate_counts["nor"] += 1
-        return self._bootstrap(self._trivial(-1, 8) - a - b)
-
     def xor(self, a: LweSample, b: LweSample) -> LweSample:
         """XOR: bootstrap(1/4 + 2(a + b))."""
         self.gate_counts["xor"] += 1
@@ -117,13 +107,6 @@ class TFHEContext:
         """NOT is free: negate the sample (no bootstrap)."""
         self.gate_counts["not"] += 1
         return -a
-
-    def mux(self, sel: LweSample, c: LweSample, d: LweSample) -> LweSample:
-        """MUX(sel, c, d) = sel ? c : d — two bootstraps plus an OR."""
-        self.gate_counts["mux"] += 1
-        picked_c = self._bootstrap(self._trivial(-1, 8) + sel + c)
-        picked_d = self._bootstrap(self._trivial(-1, 8) - sel + d)
-        return self._bootstrap(self._trivial(1, 8) + picked_c + picked_d)
 
     # -- reductions ----------------------------------------------------------
 
@@ -146,8 +129,3 @@ class TFHEContext:
 
     def total_gates(self) -> int:
         return sum(self.gate_counts.values())
-
-    def reset_gate_counts(self) -> None:
-        for key in self.gate_counts:
-            self.gate_counts[key] = 0
-        self.bootstrap_count = 0

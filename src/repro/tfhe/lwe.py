@@ -74,10 +74,6 @@ class LweSample:
         """Multiply by a small known integer (used by XOR's factor 2)."""
         return LweSample(np.mod(self.a * k, TORUS_MOD), (self.b * k) % TORUS_MOD)
 
-    def add_constant(self, mu: int) -> "LweSample":
-        """Add a public torus constant to the body."""
-        return LweSample(self.a.copy(), (self.b + mu) % TORUS_MOD)
-
     @staticmethod
     def trivial(mu: int, n: int) -> "LweSample":
         """Noiseless encryption of ``mu`` under any key: ``a = 0``."""
@@ -104,12 +100,6 @@ def lwe_phase(sample: LweSample, key: LweKey) -> int:
 def lwe_decrypt_bit(sample: LweSample, key: LweKey) -> int:
     """Decrypt a gate-level sample: positive phase -> 1, negative -> 0."""
     return 1 if from_torus(lwe_phase(sample, key)) > 0 else 0
-
-
-def lwe_noise(sample: LweSample, key: LweKey, mu: int) -> float:
-    """Absolute noise of a sample known to encrypt ``mu`` (torus units)."""
-    phase = lwe_phase(sample, key)
-    return abs(from_torus((phase - mu) % TORUS_MOD))
 
 
 def encrypt_bit(bit: int, key: LweKey, rng: np.random.Generator) -> LweSample:

@@ -63,26 +63,10 @@ class TFHEParams:
         return 1 << self.bg_bit
 
     @property
-    def extracted_lwe_n(self) -> int:
-        """Dimension of the LWE key extracted from a TLWE sample."""
-        return self.tlwe_k * self.tlwe_n
-
-    @property
     def lwe_ciphertext_bytes(self) -> int:
         """Serialized size of one gate-level LWE ciphertext (4 bytes per
         torus element, ``lwe_n`` mask elements plus the body)."""
         return 4 * (self.lwe_n + 1)
-
-    @property
-    def bootstrapping_key_tgsw_count(self) -> int:
-        """Number of TGSW samples in the bootstrapping key (one per LWE
-        key bit)."""
-        return self.lwe_n
-
-    @property
-    def blind_rotate_external_products(self) -> int:
-        """External products per bootstrap — the dominant cost term."""
-        return self.lwe_n
 
     # ------------------------------------------------------------------
     # Presets

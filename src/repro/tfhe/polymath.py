@@ -60,12 +60,6 @@ def rotate_by_xai(poly: np.ndarray, a: int) -> np.ndarray:
     return np.mod(out, TORUS_MOD)
 
 
-def rotate_by_xai_minus_one(poly: np.ndarray, a: int) -> np.ndarray:
-    """Compute ``(X**a - 1) * poly`` mod ``X^N + 1`` — the update term
-    used by blind rotation's CMux ladder."""
-    return np.mod(rotate_by_xai(poly, a) - poly, TORUS_MOD)
-
-
 def gadget_decompose(poly: np.ndarray, bg_bit: int, levels: int) -> list[np.ndarray]:
     """Signed base-``2**bg_bit`` decomposition of a torus polynomial.
 
@@ -89,11 +83,3 @@ def gadget_decompose(poly: np.ndarray, bg_bit: int, levels: int) -> list[np.ndar
         digit = ((shifted >> (32 - i * bg_bit)) & mask) - half_bg
         digits.append(digit.astype(np.int64))
     return digits
-
-
-def gadget_recompose(digits: list[np.ndarray], bg_bit: int) -> np.ndarray:
-    """Inverse of :func:`gadget_decompose` up to truncation error."""
-    total = np.zeros(len(digits[0]), dtype=np.int64)
-    for i, digit in enumerate(digits, start=1):
-        total = (total + (digit << (32 - i * bg_bit))) % TORUS_MOD
-    return total

@@ -131,11 +131,3 @@ def tlwe_encrypt(
     sample = tlwe_encrypt_zero(key, rng, alpha)
     sample.b = (sample.b + np.asarray(mu_poly, dtype=np.int64)) % TORUS_MOD
     return sample
-
-
-def tlwe_phase(sample: TLweSample, key: TLweKey) -> np.ndarray:
-    """``b - sum a_i z_i`` — message polynomial plus noise."""
-    phase = sample.b.copy()
-    for p in range(sample.k):
-        phase = (phase - negacyclic_convolve_small(key.z[p], sample.a[p])) % TORUS_MOD
-    return phase

@@ -31,17 +31,6 @@ def from_torus(value: int) -> float:
     return value / TORUS_MOD
 
 
-def torus_distance(a: int, b: int) -> int:
-    """Circular distance ``|a - b|`` on the 32-bit torus."""
-    diff = (int(a) - int(b)) % TORUS_MOD
-    return min(diff, TORUS_MOD - diff)
-
-
-def reduce_torus(arr: np.ndarray) -> np.ndarray:
-    """Reduce an int64 array into canonical torus range ``[0, 2**32)``."""
-    return np.mod(arr, TORUS_MOD)
-
-
 def gaussian_torus(rng: np.random.Generator, alpha: float, size) -> np.ndarray:
     """Gaussian torus noise with standard deviation ``alpha`` (torus
     units), rounded to the 32-bit grid.  ``alpha = 0`` yields zeros."""

@@ -15,31 +15,8 @@ def bytes_to_bits(data: bytes) -> np.ndarray:
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
 
 
-def bits_to_bytes(bits: np.ndarray) -> bytes:
-    """Inverse of :func:`bytes_to_bits`; pads the tail with zero bits."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    return np.packbits(bits).tobytes()
-
-
 def text_to_bits(text: str, encoding: str = "ascii") -> np.ndarray:
     return bytes_to_bits(text.encode(encoding))
-
-
-def int_to_bits(value: int, width: int) -> np.ndarray:
-    """Fixed-width big-endian bit vector of ``value``."""
-    if value < 0:
-        raise ValueError("only non-negative values supported")
-    if value >= 1 << width:
-        raise ValueError(f"{value} does not fit in {width} bits")
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
-
-
-def bits_to_int(bits: np.ndarray) -> int:
-    """Big-endian interpretation of a bit vector."""
-    out = 0
-    for b in np.asarray(bits, dtype=np.uint8):
-        out = (out << 1) | int(b)
-    return out
 
 
 def chunk_bits(bits: np.ndarray, chunk_width: int) -> np.ndarray:

@@ -13,7 +13,6 @@ from .biometric import (
 from .database import (
     DatabaseWorkloadGenerator,
     KeyValueDatabase,
-    PaperDatabaseScale,
     QueryMix,
     Record,
 )
@@ -22,9 +21,7 @@ from .dna import (
     BITS_PER_BASE,
     DnaWorkload,
     DnaWorkloadGenerator,
-    PaperDnaScale,
     PlantedRead,
-    bits_to_sequence,
     random_genome,
     sequence_to_bits,
 )
@@ -53,12 +50,9 @@ __all__ = [
     "DnaWorkload",
     "DnaWorkloadGenerator",
     "KeyValueDatabase",
-    "PaperDatabaseScale",
-    "PaperDnaScale",
     "PlantedRead",
     "QueryMix",
     "Record",
-    "bits_to_sequence",
     "random_genome",
     "sequence_to_bits",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -58,9 +58,6 @@ class KeyValueDatabase:
     def key_bits(self, key: str) -> np.ndarray:
         padded = key.encode("ascii").ljust(self.key_bytes, b"\0")[: self.key_bytes]
         return bytes_to_bits(padded)
-
-    def key_offset_bits(self, record_index: int) -> int:
-        return record_index * self.record_bits
 
     def lookup(self, key: str) -> Optional[Record]:
         for rec in self.records:
@@ -129,17 +126,3 @@ class DatabaseWorkloadGenerator:
                 keys.append(key)
                 expected.append(None)
         return QueryMix(keys, expected)
-
-
-@dataclass(frozen=True)
-class PaperDatabaseScale:
-    """The paper-scale encrypted-search descriptor (§5.3)."""
-
-    plaintext_sizes_bytes: Tuple[int, ...] = tuple(
-        s * 1024**3 for s in (2, 4, 8, 16, 32)
-    )
-    encrypted_sizes_bytes: Tuple[int, ...] = tuple(
-        s * 1024**3 for s in (8, 16, 32, 64, 128)
-    )
-    num_queries: int = 1000
-    query_bits: int = 16

@@ -20,7 +20,6 @@ from ..utils.rng import SeedLike, as_generator
 
 #: 2-bit base encoding, fixed by convention (A=00, C=01, G=10, T=11).
 BASE_TO_BITS = {"A": (0, 0), "C": (0, 1), "G": (1, 0), "T": (1, 1)}
-BITS_TO_BASE = {v: k for k, v in BASE_TO_BITS.items()}
 BASES = "ACGT"
 BITS_PER_BASE = 2
 
@@ -38,16 +37,6 @@ def sequence_to_bits(sequence: str) -> np.ndarray:
     return out
 
 
-def bits_to_sequence(bits: np.ndarray) -> str:
-    bits = np.asarray(bits, dtype=np.uint8)
-    if len(bits) % BITS_PER_BASE:
-        raise ValueError("bit vector length must be even")
-    return "".join(
-        BITS_TO_BASE[(int(bits[2 * i]), int(bits[2 * i + 1]))]
-        for i in range(len(bits) // BITS_PER_BASE)
-    )
-
-
 def random_genome(num_bases: int, rng: SeedLike) -> str:
     """``rng`` accepts a Generator or a deterministic int seed."""
     indices = as_generator(rng).integers(0, 4, size=num_bases)
@@ -62,10 +51,6 @@ class PlantedRead:
     @property
     def position_bits(self) -> int:
         return self.position_bases * BITS_PER_BASE
-
-    @property
-    def length_bits(self) -> int:
-        return len(self.sequence) * BITS_PER_BASE
 
 
 @dataclass
@@ -131,17 +116,3 @@ class DnaWorkloadGenerator:
         if len(reads) < num_reads:
             raise RuntimeError("could not place all reads without overlap")
         return DnaWorkload("".join(genome), reads)
-
-
-@dataclass(frozen=True)
-class PaperDnaScale:
-    """The paper-scale DNA workload descriptor (§5.3): a 32 GB database
-    that grows to 128 GB encrypted; query sizes 16-256 bits."""
-
-    plaintext_bytes: int = 32 * 1024**3
-    encrypted_bytes: int = 128 * 1024**3
-    query_bits_range: Tuple[int, ...] = (16, 32, 64, 128, 256)
-
-    @property
-    def num_bases(self) -> int:
-        return self.plaintext_bytes * 8 // BITS_PER_BASE

@@ -42,10 +42,6 @@ class Seed:
     def read_offset_bits(self) -> int:
         return self.read_offset_bases * BITS_PER_BASE
 
-    @property
-    def length_bases(self) -> int:
-        return len(self.sequence)
-
 
 class SeedExtractor:
     """Cuts reads into fixed-length, non-overlapping seeds.
@@ -95,10 +91,6 @@ class MappingResult:
     @property
     def best(self) -> Optional[MappingCandidate]:
         return self.candidates[0] if self.candidates else None
-
-    @property
-    def mapped(self) -> bool:
-        return bool(self.candidates)
 
     @property
     def confident(self) -> bool:
@@ -172,9 +164,6 @@ class SecureReadMapper:
             seeds_searched=len(seeds),
             hom_additions=hom_adds,
         )
-
-    def map_reads(self, reads: List[str]) -> List[MappingResult]:
-        return [self.map_read(read) for read in reads]
 
     def verify(self, result: MappingResult) -> Optional[int]:
         """Client-side final verification: the first candidate whose

@@ -3,8 +3,8 @@
 `master_fixture` is THE shared parity fixture: one database and one
 planted 32-bit query.  Engines with scheme- or scale-limited
 capabilities see deterministic *views* of the same fixture — the query
-clamped to `Capabilities.query_bits_for_parity`, the database to
-`Capabilities.db_bits_for_parity` — so every registered engine is
+clamped to the engine's `max_query_bits` / `practical_query_bits`, the
+database to its `practical_db_bits` — so every registered engine is
 exercised against `baselines.plaintext.find_all_matches` on the same
 underlying data.
 """
@@ -24,8 +24,13 @@ class MasterFixture:
 
     def view(self, capabilities, query_request_bits: int = 32):
         """(db view, query view) clamped to one engine's capabilities."""
-        qbits = capabilities.query_bits_for_parity(query_request_bits)
-        dbits = capabilities.db_bits_for_parity(len(self.db_bits))
+        qbits = query_request_bits
+        for cap in (capabilities.max_query_bits, capabilities.practical_query_bits):
+            if cap is not None:
+                qbits = min(qbits, cap)
+        dbits = len(self.db_bits)
+        if capabilities.practical_db_bits is not None:
+            dbits = min(dbits, capabilities.practical_db_bits)
         return self.db_bits[:dbits].copy(), self.query_bits[:qbits].copy()
 
 

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from repro.baselines import BooleanMatcher, find_all_matches
-from repro.he import BFVParams, GateCostModel, generate_keys
+from repro.he import BFVParams, generate_keys
 from repro.utils.bits import random_bits
 
 
 @pytest.fixture(scope="module")
 def setup(bool_params):
     matcher = BooleanMatcher(bool_params, seed=33)
-    sk, pk, rlk, _ = generate_keys(bool_params, seed=33, relin=True)
+    sk, pk, rlk = generate_keys(bool_params, seed=33, relin=True)
     return matcher, sk, pk, rlk
 
 
@@ -21,15 +21,12 @@ class TestEncryption:
         db = matcher.encrypt_database(random_bits(10, rng), pk)
         assert db.bit_length == 10
 
-    def test_footprint_blowup(self, setup):
-        matcher, _, _, _ = setup
+    def test_footprint_blowup(self, setup, rng):
+        matcher, _, pk, _ = setup
         # >200x expansion over raw bytes
         raw = 8  # bytes
-        assert matcher.footprint_bytes(raw * 8) / raw > 200
-
-    def test_modelled_footprint(self):
-        model = GateCostModel()
-        assert BooleanMatcher.modelled_footprint_bytes(64, model) == 64 * 2048
+        db = matcher.encrypt_database(random_bits(raw * 8, rng), pk)
+        assert db.serialized_bytes / raw > 200
 
 
 class TestSearch:
@@ -66,7 +63,7 @@ class TestGateAccounting:
 
     def test_stats_track_search(self, bool_params, rng):
         matcher = BooleanMatcher(bool_params, seed=34)
-        sk, pk, rlk, _ = generate_keys(bool_params, seed=34, relin=True)
+        sk, pk, rlk = generate_keys(bool_params, seed=34, relin=True)
         db_bits = random_bits(10, rng)
         db = matcher.encrypt_database(db_bits, pk)
         matcher.search(db, random_bits(4, rng), pk, sk, rlk)

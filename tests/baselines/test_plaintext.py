@@ -1,15 +1,8 @@
 """Unit tests for the plaintext reference matcher."""
 
 import numpy as np
-import pytest
 
-from repro.baselines import (
-    PlaintextMatcher,
-    find_aligned_matches,
-    find_all_matches,
-    hamming_distance,
-    matches_at,
-)
+from repro.baselines import find_all_matches, matches_at
 from repro.utils.bits import random_bits
 
 
@@ -50,14 +43,6 @@ class TestFindAllMatches:
         assert find_all_matches(db, q) == naive
 
 
-class TestAlignedMatches:
-    def test_filters_to_multiples(self):
-        db = np.ones(40, dtype=np.uint8)
-        q = np.ones(8, dtype=np.uint8)
-        aligned = find_aligned_matches(db, q, 16)
-        assert aligned == [0, 16, 32]
-
-
 class TestMatchesAt:
     def test_hit(self, rng):
         db = random_bits(100, rng)
@@ -71,33 +56,3 @@ class TestMatchesAt:
         db = random_bits(20, rng)
         assert not matches_at(db, db[15:20], 16)
         assert not matches_at(db, db[:5], -1)
-
-
-class TestHammingDistance:
-    def test_zero_for_equal(self, rng):
-        a = random_bits(32, rng)
-        assert hamming_distance(a, a) == 0
-
-    def test_counts_differences(self):
-        a = np.array([0, 0, 1, 1], dtype=np.uint8)
-        b = np.array([0, 1, 1, 0], dtype=np.uint8)
-        assert hamming_distance(a, b) == 2
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            hamming_distance(np.zeros(3), np.zeros(4))
-
-
-class TestPlaintextMatcher:
-    def test_search(self, rng):
-        db = random_bits(100, rng)
-        q = db[32:48].copy()
-        matcher = PlaintextMatcher(db)
-        assert 32 in matcher.search(q)
-
-    def test_oracle(self, rng):
-        db = random_bits(100, rng)
-        q = db[10:20].copy()
-        oracle = PlaintextMatcher(db).oracle(q)
-        assert oracle(10)
-        assert not oracle(11) or np.array_equal(db[11:21], q)

@@ -6,7 +6,6 @@ import pytest
 from repro.core.match_polynomial import (
     DeterministicComparator,
     flag_matches_by_decryption,
-    match_plaintext,
     match_value,
 )
 from repro.core.packing import DataPacker, derive_masking_poly
@@ -30,11 +29,6 @@ class TestMatchValue:
 
     def test_8bit(self):
         assert match_value(8) == 0xFF
-
-    def test_match_plaintext_all_ones(self, setup):
-        _, ctx, _, _ = setup
-        pt = match_plaintext(ctx, 16)
-        assert all(int(c) == 0xFFFF for c in pt.poly.coeffs)
 
 
 class TestDecryptionFlags:

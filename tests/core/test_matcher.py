@@ -27,7 +27,7 @@ def client():
 
 class TestSecureSearchEngine:
     def test_one_add_per_poly_per_variant(self, client, rng):
-        db_bits = random_bits(3 * client.packer.bits_per_polynomial, rng)
+        db_bits = random_bits(3 * client.ctx.params.n * client.packer.chunk_width, rng)
         db = client.outsource(db_bits)
         prepared = client.prepare_query(random_bits(16, rng))
         engine = SecureSearchEngine(CPUAdditionBackend(client.ctx))

@@ -7,14 +7,10 @@ import numpy as np
 import pytest
 
 from repro.core import packing as packing_module
-from repro.core.packing import (
-    DataPacker,
-    derive_masking_poly,
-    pack_reference_chunks,
-)
+from repro.core.packing import DataPacker, derive_masking_poly
 from repro.he import BFVContext, BFVParams, KeyGenerator
 from repro.he import arena as arena_module
-from repro.utils.bits import random_bits
+from repro.utils.bits import chunk_bits, random_bits
 
 
 @pytest.fixture(scope="module")
@@ -38,12 +34,12 @@ class TestPack:
     def test_chunk_values_match_reference(self, packer, rng):
         bits = random_bits(400, rng)
         packed = packer.pack(bits)
-        ref = pack_reference_chunks(bits, 16)
+        ref = chunk_bits(bits, 16)
         for i, expected in enumerate(ref):
             assert packed.chunk(i) == int(expected)
 
     def test_num_polynomials(self, packer, rng):
-        per_poly = packer.bits_per_polynomial
+        per_poly = packer.ctx.params.n * packer.chunk_width
         assert packer.pack(random_bits(per_poly, rng)).num_polynomials == 1
         assert packer.pack(random_bits(per_poly + 1, rng)).num_polynomials == 2
 
@@ -147,8 +143,8 @@ class TestFusedArena:
 class TestFootprint:
     def test_expansion_factor_is_4x(self, packer):
         # one full polynomial of data: 64 coeffs * 16 bits = 128 bytes
-        report = packer.footprint(packer.bits_per_polynomial)
-        assert report.expansion_factor == pytest.approx(4.0)
+        report = packer.footprint(packer.ctx.params.n * packer.chunk_width)
+        assert report.encrypted_bytes == 4 * report.raw_bytes
 
     def test_small_database_quantized(self, packer):
         # 1 byte still needs a whole ciphertext

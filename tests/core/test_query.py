@@ -9,6 +9,7 @@ from repro.core.query import QueryPreparer, _periodic_window, guaranteed_phases
 from repro.he import BFVContext, BFVParams, KeyGenerator
 from repro.he.arena import query_row_layout
 from repro.utils.bits import chunk_bits, negate_bits, random_bits
+from tests.oracles import coefficient_pattern
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +82,7 @@ class TestVariantGeneration:
     def test_coefficient_pattern_periodicity(self, preparer, rng):
         prepared = preparer.prepare(random_bits(64, rng))
         v = next(v for v in prepared.variants if v.span == 4 and v.rotation == 1)
-        pattern = v.coefficient_pattern(64, poly_chunk_base=0)
+        pattern = coefficient_pattern(v, 64, poly_chunk_base=0)
         # coefficient i holds pattern chunk (i - rotation) mod span
         for i in range(64):
             assert pattern[i] == v.pattern_chunks[(i - 1) % 4]
@@ -112,7 +113,7 @@ class TestVariantEncryption:
         prepared = preparer.prepare(random_bits(32, rng))
         ct = preparer.encrypt_variant(prepared, 0, 0, pk, sk)
         pt = ctx.decrypt(ct, sk)
-        expected = prepared.variants[0].coefficient_pattern(ctx.params.n, 0)
+        expected = coefficient_pattern(prepared.variants[0], ctx.params.n, 0)
         assert np.array_equal(pt.poly.coeffs, expected)
 
     def test_cache_by_residue(self, preparer, keys, rng):
@@ -168,7 +169,7 @@ class TestQueryRows:
             for j in range(min(num_polys, variant.span)):
                 assert np.array_equal(
                     rows[row_map[v_idx, j]],
-                    variant.coefficient_pattern(n, j * n % variant.span),
+                    coefficient_pattern(variant, n, j * n % variant.span),
                 )
 
     @pytest.mark.parametrize(

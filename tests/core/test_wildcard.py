@@ -23,7 +23,7 @@ class TestPatternParsing:
         assert p.segments[1].bits == (0, 0, 1, 1)
         assert p.segments[1].offset_bits == 4
         assert p.total_bits == 8
-        assert p.wildcard_bits == 2
+        assert p.total_bits - p.literal_bits == 2
 
     def test_trailing_segment(self):
         p = WildcardPattern.from_bits([1, 1, 1], [0, 1, 1])

@@ -1,62 +1,13 @@
 """Tests for the ASCII chart renderers."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.eval.plotting import (
-    bar_chart,
     crossover_points,
     grouped_bar_chart,
     line_chart,
     sparkline,
 )
-
-
-class TestBarChart:
-    def test_basic_render(self):
-        out = bar_chart("test", ["a", "bb"], [1.0, 2.0])
-        lines = out.splitlines()
-        assert lines[0] == "== test =="
-        assert "a" in lines[1] and "1.0" in lines[1]
-        assert "2.0" in lines[2]
-
-    def test_longest_bar_is_max_value(self):
-        out = bar_chart("t", ["x", "y"], [10.0, 5.0], width=20)
-        bars = [line.count("#") for line in out.splitlines()[1:]]
-        assert bars[0] == 20 and bars[1] == 10
-
-    def test_zero_value_gets_no_bar(self):
-        out = bar_chart("t", ["x", "y"], [0.0, 5.0])
-        assert out.splitlines()[1].count("#") == 0
-
-    def test_log_scale_compresses(self):
-        linear = bar_chart("t", ["a", "b"], [1.0, 1000.0], width=30)
-        log = bar_chart("t", ["a", "b"], [1.0, 1000.0], width=30, log_scale=True)
-        lin_bars = [line.count("#") for line in linear.splitlines()[1:3]]
-        log_bars = [line.count("#") for line in log.splitlines()[1:3]]
-        assert lin_bars[0] / lin_bars[1] < log_bars[0] / log_bars[1]
-        assert "(log scale)" in log
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            bar_chart("t", ["a"], [1.0, 2.0])
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            bar_chart("t", [], [])
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            bar_chart("t", ["a"], [-1.0])
-
-    @given(st.lists(st.floats(min_value=0.01, max_value=1e6), min_size=1, max_size=10))
-    @settings(max_examples=25, deadline=None)
-    def test_never_exceeds_width(self, values):
-        labels = [str(i) for i in range(len(values))]
-        out = bar_chart("t", labels, values, width=30)
-        for line in out.splitlines()[1:]:
-            assert line.count("#") <= 31  # rounding tolerance
 
 
 class TestGroupedBarChart:

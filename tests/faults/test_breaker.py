@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import CLOSED, HALF_OPEN, OPEN, CircuitBreaker, ShardDegradedError
+from repro.faults import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 
 
 class FakeClock:
@@ -29,7 +29,6 @@ def breaker(clock):
 def test_starts_closed_and_allows(breaker):
     assert breaker.state == CLOSED
     assert breaker.allow()
-    assert breaker.consecutive_failures == 0
 
 
 def test_opens_at_threshold(breaker):
@@ -101,8 +100,3 @@ def test_ctor_validation(clock):
     with pytest.raises(ValueError):
         CircuitBreaker(cooldown=-1.0, clock=clock)
 
-
-def test_degraded_error_carries_shard_id():
-    err = ShardDegradedError(3)
-    assert err.shard_id == 3
-    assert "shard 3" in str(err)

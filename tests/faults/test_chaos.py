@@ -39,6 +39,7 @@ from repro.net import Client, ServiceThread
 from repro.net.codec import AdmissionRejectedError, RequestTimeoutError
 from repro.serve import AdmissionController
 from tests.net.conftest import assert_rows_partition
+from tests.oracles import seeded_plan
 
 PARAMS = BFVParams.test_small(64)
 QUERY = np.ones(32, dtype=np.uint8)
@@ -221,7 +222,7 @@ class TestAccountingInvariant:
     @pytest.mark.parametrize("seed", [7, 23])
     def test_four_term_accounting_balances(self, seed, mode):
         scenario, trace = _trace(n=8, rate=400.0)
-        plan = FaultPlan.seeded(
+        plan = seeded_plan(
             seed, requests=8, shards=2, faults=4, kinds=SWEEP_KINDS
         )
         client_injector = FaultInjector(plan)

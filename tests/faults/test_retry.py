@@ -58,18 +58,6 @@ class TestBackoff:
         d2 = [policy.begin(seed=2).next_delay() for _ in range(3)]
         assert d1 != d2
 
-    def test_exhausted_counts_total_attempts(self):
-        policy = RetryPolicy(max_attempts=3)
-        state = policy.begin()
-        assert not state.exhausted  # attempt 1 of 3 in flight
-        state.next_delay()
-        assert not state.exhausted  # attempt 2 of 3
-        state.next_delay()
-        assert state.exhausted  # attempt 3 is the last
-
-    def test_single_attempt_policy_starts_exhausted(self):
-        assert RetryPolicy(max_attempts=1).begin().exhausted
-
 
 class TestRetryable:
     def test_default_set_used_when_unset(self):

@@ -30,18 +30,3 @@ class TestHierarchy:
                 array.geometry.dies_per_channel * array.geometry.planes_per_die
             )
 
-
-class TestMakespan:
-    def test_fits_in_one_wave(self, array):
-        assert array.parallel_makespan(1e-3, array.num_planes) == pytest.approx(1e-3)
-
-    def test_two_waves(self, array):
-        assert array.parallel_makespan(1e-3, array.num_planes + 1) == pytest.approx(
-            2e-3
-        )
-
-    def test_zero_planes(self, array):
-        assert array.parallel_makespan(1e-3, 0) == 0.0
-
-    def test_single_plane(self, array):
-        assert array.parallel_makespan(5e-4, 1) == pytest.approx(5e-4)

@@ -78,19 +78,13 @@ class TestLedgers:
         )
         assert ledger.counts == {"read": 1, "xor": 1, "dma": 1}
 
-    def test_timing_ledger_reset(self):
-        ledger = TimingLedger()
-        ledger.charge_read()
-        ledger.reset()
-        assert ledger.total_seconds == 0.0 and ledger.counts == {}
-
     def test_energy_ledger_accumulates(self):
         ledger = EnergyLedger()
         ledger.charge_read()
-        ledger.charge_index_gen()
+        ledger.charge_dma()
         e = ledger.energies
         assert ledger.total_joules == pytest.approx(
-            e.e_read_slc + e.e_index_gen_per_page
+            e.e_read_slc + e.e_dma
         )
 
     def test_energy_per_kb_ops_scale_with_page(self):

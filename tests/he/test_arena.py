@@ -34,9 +34,11 @@ from repro.he.params import BFVParams
 from repro.he.poly import RingContext
 from tests.oracles import (
     ARITHMETIC,
+    coefficient_pattern,
     dense_decrypt_flags,
     dense_flags,
     int64_decrypt_flags,
+    paper_secure_params,
     reference_arithmetic,
     scaled_decrypt_flags,
     uint32_decrypt_flags,
@@ -237,7 +239,9 @@ def test_fused_flags_exhaustive_over_small_moduli(q, t):
             )
 
 
-@pytest.mark.parametrize("make_params", [BFVParams.paper, BFVParams.paper_secure])
+@pytest.mark.parametrize(
+    "make_params", [BFVParams.paper, paper_secure_params], ids=["paper", "paper_secure"]
+)
 def test_fused_flags_on_the_interval_edges_at_paper_moduli(make_params):
     """Sums planted exactly on ``lo - 1, lo, hi - 1, hi`` and across the
     ``q - 1 -> 0`` wrap at the paper's power-of-two modulus and at the
@@ -684,14 +688,13 @@ def test_lazy_arena_matches_eager(backend):
     lazy = CiphertextArena.from_ciphertexts(
         ctx.ring, params, cts, lazy=True, build_tile=2
     )
-    assert not lazy.fully_built
+    assert lazy._source is not None
     # touching a range builds only the tiles covering its rows
     assert np.array_equal(lazy.phases(sk, 1, 4), eager.phases(sk)[1:4])
     assert list(lazy._built) == [True, True, False]
-    assert not lazy.fully_built  # the last tile (row 4) is untouched
+    assert lazy._source is not None  # the last tile (row 4) is untouched
     assert lazy.ciphertext(4) == cts[4]
     lazy.c0_rows()  # the full range builds the rest
-    assert lazy.fully_built
     assert lazy._source is None  # pending list dropped once built
     assert np.array_equal(lazy.stack, eager.stack)
     assert np.array_equal(lazy.phases(sk), eager.phases(sk))
@@ -712,7 +715,7 @@ def test_lazy_arena_kernels_build_on_first_touch():
         lazy.hom_add_broadcast(query), eager.hom_add_broadcast(query)
     )
     assert np.array_equal(lazy.c0_rows(), eager.c0_rows())  # forces the build
-    assert lazy.fully_built
+    assert lazy._source is None
 
 
 # ---------------------------------------------------------------------------
@@ -739,15 +742,15 @@ def test_query_arena_rows_and_map_cover_residue_classes():
         for v_idx in range(prepared.num_variants)
     ]
     qa = QueryArena(ctx.ring, params, prepared.variants, rows)
-    assert qa.num_rows == prepared.num_variants == 33
+    assert qa.stack.shape[0] == prepared.num_variants == 33
     with pytest.raises(ValueError, match="query rows"):
         QueryArena(ctx.ring, params, prepared.variants, rows[1:])
     assert np.array_equal(qa.row_map(np.arange(num_polys)), row_map)
-    plain = prepared.row_plaintexts(range(qa.num_rows), n)
+    plain = prepared.row_plaintexts(range(qa.stack.shape[0]), n)
     for v_idx, variant in enumerate(prepared.variants):
         for j in range(num_polys):
             row = row_map[v_idx, j]
-            assert np.array_equal(plain[row], variant.coefficient_pattern(n, j * n))
+            assert np.array_equal(plain[row], coefficient_pattern(variant, n, j * n))
             ct = preparer.encrypt_variant(prepared, v_idx, j, pk, sk)
             assert np.array_equal(stack_ciphertext(ct), rows[row])
     # phases cached per secret key

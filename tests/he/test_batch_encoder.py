@@ -11,9 +11,18 @@ from repro.he.keys import generate_keys
 from repro.he.params import BFVParams
 
 
+def batching_params(n: int = 128, q_bits: int = 120) -> BFVParams:
+    """A batching-friendly set: ``t = 257`` splits fully for any
+    ``n <= 128`` (``2n`` divides 256); ``q`` is sized by the caller for
+    the circuit depth at hand."""
+    if n > 128:
+        raise ValueError("t = 257 batches only up to n = 128")
+    return BFVParams(n=n, q=1 << q_bits, t=257, name=f"batch-n{n}")
+
+
 @pytest.fixture(scope="module")
 def params():
-    return BatchEncoder.batching_params(n=64, q_bits=60)
+    return batching_params(n=64, q_bits=60)
 
 
 @pytest.fixture(scope="module")
@@ -27,11 +36,8 @@ def ctx(params):
 
 
 @pytest.fixture(scope="module")
-def keys(params, encoder):
-    sk, pk, rlk, glk = generate_keys(
-        params, seed=0, relin=True, galois_exponents=encoder.rotation_exponents()
-    )
-    return sk, pk, rlk, glk
+def keys(params):
+    return generate_keys(params, seed=0, relin=True)
 
 
 class TestConstruction:
@@ -46,7 +52,7 @@ class TestConstruction:
 
     def test_preset_bounds(self):
         with pytest.raises(ValueError):
-            BatchEncoder.batching_params(n=256)
+            batching_params(n=256)
 
     def test_slot_order_is_permutation(self, encoder):
         assert sorted(encoder._slot_to_pos) == list(range(encoder.n))
@@ -77,7 +83,7 @@ class TestEncodeDecode:
     @given(st.lists(st.integers(min_value=0, max_value=256), min_size=1, max_size=64))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_random(self, values):
-        params = BatchEncoder.batching_params(n=64, q_bits=60)
+        params = batching_params(n=64, q_bits=60)
         encoder = BatchEncoder(params)
         ctx = BFVContext(params, seed=1)
         decoded = encoder.decode(encoder.encode(values, ctx))
@@ -86,7 +92,7 @@ class TestEncodeDecode:
 
 class TestSlotSemantics:
     def test_addition_is_slotwise(self, encoder, ctx, keys):
-        sk, pk, _, _ = keys
+        sk, pk, _ = keys
         a = np.arange(64)
         b = (np.arange(64) * 3 + 1) % 257
         ca = ctx.encrypt(encoder.encode(a, ctx), pk)
@@ -95,7 +101,7 @@ class TestSlotSemantics:
         assert np.array_equal(decoded, (a + b) % 257)
 
     def test_multiplication_is_slotwise(self, encoder, ctx, keys):
-        sk, pk, rlk, _ = keys
+        sk, pk, rlk = keys
         a = np.arange(64)
         b = (np.arange(64) + 2) % 257
         ca = ctx.encrypt(encoder.encode(a, ctx), pk)
@@ -104,7 +110,7 @@ class TestSlotSemantics:
         assert np.array_equal(decoded, (a * b) % 257)
 
     def test_plain_multiplication_is_slotwise(self, encoder, ctx, keys):
-        sk, pk, _, _ = keys
+        sk, pk, _ = keys
         a = np.arange(64)
         b = np.full(64, 5)
         ca = ctx.encrypt(encoder.encode(a, ctx), pk)
@@ -112,57 +118,3 @@ class TestSlotSemantics:
             ctx.decrypt(ctx.multiply_plain(ca, encoder.encode(b, ctx)), sk)
         )
         assert np.array_equal(decoded, (a * 5) % 257)
-
-
-class TestRotations:
-    def test_row_rotation(self, encoder, ctx, keys):
-        sk, pk, _, glk = keys
-        a = np.arange(64)
-        ca = ctx.encrypt(encoder.encode(a, ctx), pk)
-        rotated = ctx.apply_galois(ca, encoder.row_rotation_exponent(1), glk)
-        decoded = encoder.decode(ctx.decrypt(rotated, sk))
-        expected = np.concatenate([np.roll(a[:32], -1), np.roll(a[32:], -1)])
-        assert np.array_equal(decoded, expected)
-
-    def test_row_rotation_multiple_steps(self, encoder, ctx, keys):
-        sk, pk, _, glk = keys
-        a = np.arange(64)
-        ca = ctx.encrypt(encoder.encode(a, ctx), pk)
-        rotated = ctx.apply_galois(ca, encoder.row_rotation_exponent(5), glk)
-        decoded = encoder.decode(ctx.decrypt(rotated, sk))
-        expected = np.concatenate([np.roll(a[:32], -5), np.roll(a[32:], -5)])
-        assert np.array_equal(decoded, expected)
-
-    def test_column_swap(self, encoder, ctx, keys):
-        sk, pk, _, glk = keys
-        a = np.arange(64)
-        ca = ctx.encrypt(encoder.encode(a, ctx), pk)
-        swapped = ctx.apply_galois(ca, encoder.column_swap_exponent(), glk)
-        decoded = encoder.decode(ctx.decrypt(swapped, sk))
-        assert np.array_equal(decoded, np.concatenate([a[32:], a[:32]]))
-
-    def test_rotation_exponent_wraps(self, encoder):
-        assert encoder.row_rotation_exponent(32) == encoder.row_rotation_exponent(0)
-
-    def test_rotation_exponents_cover_requested(self, encoder):
-        exps = encoder.rotation_exponents(3)
-        assert encoder.row_rotation_exponent(1) in exps
-        assert encoder.row_rotation_exponent(3) in exps
-        assert encoder.column_swap_exponent() in exps
-
-    def test_total_sum_via_rotations(self, encoder, ctx, keys):
-        """Classic all-slots sum: log2(n/2) rotations + column swap."""
-        sk, pk, _, glk = keys
-        a = np.arange(64)
-        acc = ctx.encrypt(encoder.encode(a, ctx), pk)
-        steps = 1
-        while steps < 32:
-            acc = ctx.add(
-                acc, ctx.apply_galois(acc, encoder.row_rotation_exponent(steps), glk)
-            )
-            steps *= 2
-        acc = ctx.add(
-            acc, ctx.apply_galois(acc, encoder.column_swap_exponent(), glk)
-        )
-        decoded = encoder.decode(ctx.decrypt(acc, sk))
-        assert decoded[0] == int(a.sum()) % 257

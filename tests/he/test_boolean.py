@@ -27,7 +27,7 @@ class TestBitEncryption:
         bctx, sk, pk, _ = bool_setup
         bits = [1, 0, 1, 1, 0]
         cts = bctx.encrypt_bits(bits, pk)
-        assert list(bctx.decrypt_bits(cts, sk)) == bits
+        assert [bctx.decrypt_bit(ct, sk) for ct in cts] == bits
 
     def test_rejects_non_boolean_params(self):
         with pytest.raises(ValueError):
@@ -106,8 +106,6 @@ class TestGateAccounting:
         assert bctx.gate_counts["and"] == 1
         assert bctx.gate_counts["not"] == 1
         assert bctx.total_gates() == 3
-        bctx.reset_gate_counts()
-        assert bctx.total_gates() == 0
 
 
 class TestGateCostModel:
@@ -124,7 +122,3 @@ class TestGateCostModel:
     def test_batching_floor(self):
         m = GateCostModel()
         assert m.time_for_gates(100, batching=0.5) == m.time_for_gates(100)
-
-    def test_energy(self):
-        m = GateCostModel()
-        assert m.energy_for_gates(10) == pytest.approx(10 * m.gate_energy_j)

@@ -1,15 +1,9 @@
-"""Unit tests for the three packing encoders."""
+"""Unit tests for the CIPHERMATCH packing encoder."""
 
 import numpy as np
 import pytest
 
-from repro.he import (
-    BFVContext,
-    BFVParams,
-    BitPackEncoder,
-    ChunkPackEncoder,
-    SingleBitEncoder,
-)
+from repro.he import BFVContext, BFVParams, ChunkPackEncoder
 from repro.utils.bits import random_bits
 
 
@@ -26,7 +20,7 @@ class TestChunkPackEncoder:
 
     def test_roundtrip_multiple_polynomials(self, ctx, rng):
         enc = ChunkPackEncoder(ctx)
-        bits = random_bits(3 * enc.bits_per_polynomial + 17, rng)
+        bits = random_bits(3 * ctx.params.n * enc.chunk_width + 17, rng)
         msg = enc.encode(bits)
         assert msg.num_polynomials == 4
         assert np.array_equal(enc.decode(msg), bits)
@@ -61,77 +55,3 @@ class TestChunkPackEncoder:
         msg = enc.encode(np.zeros(0, dtype=np.uint8))
         assert msg.num_polynomials == 1
         assert len(enc.decode(msg)) == 0
-
-    def test_encoded_bytes_accounting(self, ctx):
-        enc = ChunkPackEncoder(ctx)
-        one_poly_bits = enc.bits_per_polynomial
-        assert enc.encoded_bytes(one_poly_bits) == ctx.params.plaintext_bytes
-        assert enc.encoded_bytes(one_poly_bits + 1) == 2 * ctx.params.plaintext_bytes
-
-    def test_bits_per_polynomial(self, ctx):
-        assert ChunkPackEncoder(ctx).bits_per_polynomial == 64 * 16
-
-
-class TestBitPackEncoder:
-    def test_roundtrip(self, ctx, rng):
-        enc = BitPackEncoder(ctx)
-        bits = random_bits(200, rng)
-        assert np.array_equal(enc.decode(enc.encode(bits)), bits)
-
-    def test_one_bit_per_coefficient(self, ctx):
-        enc = BitPackEncoder(ctx)
-        bits = np.array([1, 0, 1, 1], dtype=np.uint8)
-        msg = enc.encode(bits)
-        assert list(msg.plaintexts[0].poly.coeffs[:4]) == [1, 0, 1, 1]
-
-    def test_16x_denser_than_chunked(self, ctx):
-        assert (
-            ChunkPackEncoder(ctx).bits_per_polynomial
-            == 16 * BitPackEncoder(ctx).bits_per_polynomial
-        )
-
-    def test_reversed_encoding_structure(self, ctx):
-        enc = BitPackEncoder(ctx)
-        bits = np.array([1, 0, 1], dtype=np.uint8)
-        pt = enc.encode_reversed(bits)
-        n, t = ctx.params.n, ctx.params.t
-        assert int(pt.poly.coeffs[0]) == 1  # b0 at x^0
-        assert int(pt.poly.coeffs[n - 2]) == (t - 1) % t  # -b2 at x^(n-2)
-        assert int(pt.poly.coeffs[n - 1]) == 0  # b1 = 0
-
-    def test_reversed_encoding_rejects_long_query(self, ctx):
-        enc = BitPackEncoder(ctx)
-        with pytest.raises(ValueError):
-            enc.encode_reversed(np.ones(ctx.params.n + 1, dtype=np.uint8))
-
-    def test_reversed_correlation_property(self, ctx, rng):
-        # d(x) * qrev(x) coefficient k == correlation at alignment k
-        enc = BitPackEncoder(ctx)
-        n = ctx.params.n
-        d_bits = random_bits(n, rng)
-        q_bits = random_bits(5, rng)
-        d_poly = ctx.plain_ring.make(d_bits.astype(np.int64))
-        q_poly = enc.encode_reversed(q_bits).poly
-        product = d_poly * q_poly
-        for k in range(0, n - 5):
-            expected = int(np.dot(d_bits[k : k + 5], q_bits))
-            assert int(product.coeffs[k]) == expected % ctx.params.t
-
-
-class TestSingleBitEncoder:
-    @pytest.fixture(scope="class")
-    def bctx(self, bool_params):
-        return BFVContext(bool_params, seed=2)
-
-    def test_requires_t2(self, ctx):
-        with pytest.raises(ValueError):
-            SingleBitEncoder(ctx)
-
-    def test_roundtrip(self, bctx, rng):
-        enc = SingleBitEncoder(bctx)
-        bits = random_bits(20, rng)
-        assert np.array_equal(enc.decode(enc.encode(bits)), bits)
-
-    def test_one_plaintext_per_bit(self, bctx):
-        enc = SingleBitEncoder(bctx)
-        assert len(enc.encode(np.array([1, 0, 1], dtype=np.uint8))) == 3

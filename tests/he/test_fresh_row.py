@@ -16,11 +16,16 @@ from repro.he import BFVContext, BFVParams, KeyGenerator
 from repro.he.keys import PublicKey
 from repro.he.poly import RingContext
 from repro.he.primes import find_ntt_prime
-from tests.oracles import ARITHMETIC, count_transforms, reference_arithmetic
+from tests.oracles import (
+    ARITHMETIC,
+    count_transforms,
+    paper_secure_params,
+    reference_arithmetic,
+)
 
 PARAM_SETS = {
     "paper": BFVParams.paper,
-    "paper_secure": BFVParams.paper_secure,
+    "paper_secure": paper_secure_params,
     "odd_q": lambda: BFVParams(n=256, q=(1 << 40) - 87, t=1 << 16, name="odd"),
     "native_prime": lambda: BFVParams(
         n=64, q=find_ntt_prime(30, 64), t=1 << 8, name="native"
@@ -137,7 +142,7 @@ def test_piece_plan_is_two_pieces_at_paper_and_sized_from_the_checked_bound():
     last = fft.limit >> 8
     assert fft.plan(last) == (8, 4) and fft.plan(last + 1) is None
     assert bound(8, last) <= 2.0**-8 < bound(8, 2 * last)
-    secure = BFVParams.paper_secure()
+    secure = paper_secure_params()
     wide = RingContext(secure.n, secure.q).backend.fft
     assert wide.plan(1) == (18, 3) and wide.plan(1000) == (14, 4)
 

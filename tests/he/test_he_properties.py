@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.he import BFVContext, BFVParams, ChunkPackEncoder, KeyGenerator
 from repro.he.poly import RingContext
-from repro.utils.bits import bits_to_int, chunk_bits, int_to_bits, unchunk_bits
+from repro.utils.bits import chunk_bits, unchunk_bits
 
 PARAMS = BFVParams.test_small(16)
 CTX = BFVContext(PARAMS, seed=1)
@@ -85,12 +85,6 @@ def test_encoder_roundtrip(bits):
     enc = ChunkPackEncoder(CTX)
     bits = np.array(bits, dtype=np.uint8)
     assert np.array_equal(enc.decode(enc.encode(bits)), bits)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=(1 << 16) - 1))
-def test_int_bits_roundtrip(value):
-    assert bits_to_int(int_to_bits(value, 16)) == value
 
 
 @settings(max_examples=25, deadline=None)

@@ -14,7 +14,7 @@ from repro.he.params import BFVParams
 def setup():
     params = BFVParams.test_small(64)
     ctx = BFVContext(params, seed=17)
-    sk, pk, rlk, _ = generate_keys(params, seed=17, relin=True)
+    sk, pk, rlk = generate_keys(params, seed=17, relin=True)
     return params, ctx, sk, pk, rlk
 
 
@@ -43,7 +43,7 @@ class TestBounds:
     def test_mult_bound_holds(self):
         params = BFVParams.arithmetic_baseline(n=64)
         ctx = BFVContext(params, seed=3)
-        sk, pk, rlk, _ = generate_keys(params, seed=3, relin=True)
+        sk, pk, rlk = generate_keys(params, seed=3, relin=True)
         bounds = NoiseBounds(params)
         rng = np.random.default_rng(3)
         a = ctx.encrypt(ctx.plaintext(rng.integers(0, 4, params.n)), pk)
@@ -95,7 +95,7 @@ class TestBudgets:
         and verify decryption stays correct."""
         params = BFVParams.test_small(64)
         ctx = BFVContext(params, seed=9)
-        sk, pk, _, _ = generate_keys(params, seed=9)
+        sk, pk, _ = generate_keys(params, seed=9)
         est = NoiseBudgetEstimator(params)
         runs = min(est.max_sequential_additions() // 2, 50)
         rng = np.random.default_rng(5)
@@ -103,7 +103,7 @@ class TestBudgets:
         acc = ctx.encrypt(ctx.plaintext(values[0]), pk)
         for i in range(1, runs + 1):
             acc = ctx.add(acc, ctx.encrypt(ctx.plaintext(values[i]), pk))
-        decrypted = ctx.decrypt(acc, sk).coefficients()
+        decrypted = ctx.decrypt(acc, sk).poly.coeffs
         assert np.array_equal(decrypted, values.sum(axis=0) % params.t)
 
 

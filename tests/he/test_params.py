@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.he.params import HE_STANDARD_MAX_LOGQ_128, BFVParams, SecurityReport
+from repro.he.params import BFVParams
 
 
 class TestPaperParams:
@@ -22,19 +22,13 @@ class TestPaperParams:
 
     def test_expansion_factor_is_4x(self):
         # the paper's headline: encrypted data is 4x the packed plaintext
-        assert BFVParams.paper().expansion_factor == pytest.approx(4.0)
+        p = BFVParams.paper()
+        assert p.ciphertext_bytes == 4 * p.plaintext_bytes
 
     def test_ciphertext_bytes(self):
         p = BFVParams.paper()
         # 2 polynomials x 1024 coefficients x 33-bit -> 5 bytes each
         assert p.ciphertext_bytes == 2 * 1024 * ((p.log_q + 7) // 8)
-
-    def test_paper_set_trades_security_for_presentation(self):
-        # n=1024 allows log q <= 27 at 128 bits; the paper set uses 33
-        assert not BFVParams.paper().meets_128_bit_security()
-
-    def test_secure_preset_meets_standard(self):
-        assert BFVParams.paper_secure().meets_128_bit_security()
 
 
 class TestValidation:
@@ -56,7 +50,7 @@ class TestPresets:
         p = BFVParams.test_small(64)
         assert p.n == 64
         assert p.plaintext_bits_per_coeff == 16
-        assert p.expansion_factor == pytest.approx(4.0)
+        assert p.ciphertext_bytes == 4 * p.plaintext_bytes
 
     def test_arithmetic_baseline_has_mult_headroom(self):
         p = BFVParams.arithmetic_baseline(n=256, t=1024)
@@ -70,22 +64,3 @@ class TestPresets:
         with pytest.raises(AttributeError):
             p.n = 2048
 
-
-class TestSecurityReport:
-    def test_within_standard(self):
-        rep = SecurityReport(BFVParams.paper_secure())
-        assert rep.within_standard
-        assert "within" in rep.describe()
-
-    def test_exceeds_standard(self):
-        rep = SecurityReport(BFVParams.paper())
-        assert not rep.within_standard
-        assert "EXCEEDS" in rep.describe()
-
-    def test_unknown_ring_dimension(self):
-        rep = SecurityReport(BFVParams(n=64, q=1 << 32, t=1 << 16))
-        assert not rep.within_standard
-        assert "not in" in rep.describe()
-
-    def test_table_covers_standard_dimensions(self):
-        assert set(HE_STANDARD_MAX_LOGQ_128) == {1024, 2048, 4096, 8192, 16384, 32768}

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.he.poly import RingContext, RingPoly, poly_from_chunks
+from repro.he.backend import _is_native_ntt_modulus
+from repro.he.poly import RingContext, RingPoly
 from repro.he.primes import find_ntt_prime
-from tests.oracles import ARITHMETIC
+from tests.oracles import ARITHMETIC, lift_mod
 
 
 @pytest.fixture(scope="module")
@@ -21,10 +22,10 @@ def ntt_ring():
 
 class TestRingContext:
     def test_power_of_two_modulus_skips_ntt(self, ring):
-        assert not ring.uses_ntt
+        assert not _is_native_ntt_modulus(ring.n, ring.q)
 
     def test_ntt_prime_uses_ntt(self, ntt_ring):
-        assert ntt_ring.uses_ntt
+        assert _is_native_ntt_modulus(ntt_ring.n, ntt_ring.q)
 
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError):
@@ -67,7 +68,7 @@ class TestRingContext:
     def test_random_error_magnitude(self, ring):
         rng = np.random.default_rng(0)
         p = ring.random_error(rng, 3.2)
-        assert p.infinity_norm() < 30  # ~9 sigma
+        assert np.abs(p.centered()).max() < 30  # ~9 sigma
 
 
 class TestRingPolyArithmetic:
@@ -85,7 +86,7 @@ class TestRingPolyArithmetic:
     def test_neg(self, ring):
         rng = np.random.default_rng(3)
         a = ring.random_uniform(rng)
-        assert (a + (-a)).is_zero()
+        assert not (a + (-a)).coeffs.any()
 
     def test_ring_mismatch_raises(self, ring, ntt_ring):
         with pytest.raises(ValueError):
@@ -183,20 +184,8 @@ class TestRepresentation:
 
     def test_lift_mod(self, ring):
         a = ring.make([1, ring.q - 1] + [0] * 14)  # 1 and -1
-        lifted = a.lift_mod(7)
+        lifted = lift_mod(a, 7)
         assert lifted[0] == 1 and lifted[1] == 6  # -1 mod 7
-
-    def test_infinity_norm(self, ring):
-        a = ring.make([5, ring.q - 3] + [0] * 14)
-        assert a.infinity_norm() == 5
-
-    def test_poly_from_chunks(self, ring):
-        p = poly_from_chunks(ring, [1, 2, 3])
-        assert list(p.coeffs[:4]) == [1, 2, 3, 0]
-
-    def test_poly_from_chunks_overflow(self, ring):
-        with pytest.raises(ValueError):
-            poly_from_chunks(ring, range(17))
 
     def test_copy_is_independent(self, ring):
         a = ring.make(np.arange(16))

@@ -17,11 +17,11 @@ from repro.he.arena import mul_rows_by_poly
 from repro.he.ntt import exact_negacyclic_convolution
 from repro.he.poly import RingContext
 from repro.he.primes import find_ntt_prime
-from tests.oracles import count_transforms
+from tests.oracles import count_transforms, paper_secure_params
 
 RINGS = {
     "paper": lambda: (BFVParams.paper().n, BFVParams.paper().q),
-    "paper_secure": lambda: (BFVParams.paper_secure().n, BFVParams.paper_secure().q),
+    "paper_secure": lambda: (paper_secure_params().n, paper_secure_params().q),
     "odd_q": lambda: (256, (1 << 40) - 87),
     "native_prime": lambda: (64, find_ntt_prime(30, 64)),
     "n64": lambda: (64, 1 << 32),
@@ -119,7 +119,7 @@ def test_small_product_property(log_n, q, magnitude, seed):
 def test_join_rejoins_without_wrapping_near_the_modulus_cap():
     """Signed piece products at their largest, rejoined at moduli where
     a plain shift-and-add would pass ``2**63``."""
-    for q in ((1 << 62) - 57, 1 << 61, BFVParams.paper_secure().q):
+    for q in ((1 << 62) - 57, 1 << 61, paper_secure_params().q):
         n = 64
         fft = RingContext(n, q).backend.fft
         bits, pieces = fft.plan(1)

@@ -18,7 +18,12 @@ from repro.he import bfv as bfv_module
 from repro.he.arena import unstack_ciphertext
 from repro.he.noise import NoiseBounds
 from repro.he.poly import RingPoly
-from tests.oracles import ARITHMETIC, count_transforms
+from tests.oracles import (
+    ARITHMETIC,
+    count_transforms,
+    encrypt_symmetric,
+    noise_budget_bits,
+)
 
 TILE = bfv_module._SYMMETRIC_TILE_ROWS
 
@@ -110,7 +115,7 @@ def test_encrypt_symmetric_is_the_one_row_call():
     block, _ = _endpoint("paper")
     coeffs = np.arange(one.params.n) % one.params.t
     for _ in range(2):
-        ct = one.encrypt_symmetric(one.plaintext(coeffs), sk)
+        ct = encrypt_symmetric(one, one.plaintext(coeffs), sk)
         row = block.encrypt_symmetric_rows(coeffs[None], sk)[0]
         assert ct == _ciphertext(block, row)
         assert ct.c0.coeffs.dtype == np.int64
@@ -197,4 +202,4 @@ def test_hom_add_of_a_database_row_and_a_query_row_stays_under_the_bounds():
     assert 0 < worst_query <= bounds.fresh_symmetric
     assert worst_query < worst_sum <= bounds.fresh + bounds.fresh_symmetric
     # a query row's budget: log2((delta / 2) / noise), ~11.5 bits here
-    assert ctx.noise_budget_bits(query_ct, sk) > 10
+    assert noise_budget_bits(ctx, query_ct, sk) > 10

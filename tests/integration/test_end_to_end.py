@@ -37,7 +37,7 @@ class TestThreeWayAgreement:
         # arithmetic baseline: all alignments
         params = BFVParams.arithmetic_baseline(n=128, t=512)
         yasuda = YasudaMatcher(params, max_query_bits=16, seed=2)
-        sk, pk, rlk, _ = generate_keys(params, seed=2, relin=True)
+        sk, pk, rlk = generate_keys(params, seed=2, relin=True)
         enc = yasuda.encrypt_database(db, pk)
         assert yasuda.search(enc, q, pk, sk, rlk) == expected
 
@@ -46,7 +46,7 @@ class TestThreeWayAgreement:
         q = db[8:13].copy()
         expected = find_all_matches(db, q)
         matcher = BooleanMatcher(bool_params, seed=3)
-        sk, pk, rlk, _ = generate_keys(bool_params, seed=3, relin=True)
+        sk, pk, rlk = generate_keys(bool_params, seed=3, relin=True)
         enc = matcher.encrypt_database(db, pk)
         assert matcher.search(enc, q, pk, sk, rlk) == expected
 
@@ -69,7 +69,7 @@ class TestOperationMixContrast:
     def test_arithmetic_baseline_multiplies(self, rng):
         params = BFVParams.arithmetic_baseline(n=128, t=512)
         matcher = YasudaMatcher(params, max_query_bits=16, seed=5)
-        sk, pk, rlk, _ = generate_keys(params, seed=5, relin=True)
+        sk, pk, rlk = generate_keys(params, seed=5, relin=True)
         enc = matcher.encrypt_database(random_bits(100, rng), pk)
         matcher.search(enc, random_bits(16, rng), pk, sk, rlk)
         assert matcher.ctx.counter.multiplications == 2
@@ -77,20 +77,22 @@ class TestOperationMixContrast:
     def test_footprint_ordering(self, rng):
         """CIPHERMATCH encrypted footprint < arithmetic < Boolean for
         the same database."""
-        db_bits = 16 * 1024  # 2 KB plaintext
+        db = random_bits(256, rng)
 
         pipe = SecureStringMatchPipeline(
             ClientConfig(BFVParams.test_small(64), key_seed=6)
         )
-        enc = pipe.outsource_database(random_bits(db_bits, rng))
-        cm_bytes = enc.serialized_bytes
+        cm_bytes = pipe.outsource_database(db).serialized_bytes
 
         params = BFVParams.arithmetic_baseline(n=1024, t=1024)
-        yasuda = YasudaMatcher(params, max_query_bits=256, seed=6)
-        arith_bytes = yasuda.footprint_bytes(db_bits)
+        yasuda = YasudaMatcher(params, max_query_bits=64, seed=6)
+        _, pk, _ = generate_keys(params, seed=6)
+        arith_bytes = yasuda.encrypt_database(db, pk).serialized_bytes
 
-        boolean = BooleanMatcher(BFVParams.boolean_baseline(n=128), seed=6)
-        bool_bytes = boolean.footprint_bytes(db_bits)
+        params = BFVParams.boolean_baseline(n=128)
+        boolean = BooleanMatcher(params, seed=6)
+        _, pk, _ = generate_keys(params, seed=6)
+        bool_bytes = boolean.encrypt_database(db, pk).serialized_bytes
 
         assert cm_bytes < arith_bytes < bool_bytes
 

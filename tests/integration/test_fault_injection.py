@@ -91,16 +91,6 @@ class TestFaultPropagation:
         expected = (stored[2] ^ (1 << 7)) + query[2] & 0xFFFFFFFF
         assert faulty[2] == expected
 
-    def test_stuck_at_fault_rate_model(self):
-        """The closed-form adder error probability is monotone in RBER
-        and matches the zero-error ESP expectation."""
-        from repro.flash.reliability import adder_error_probability
-
-        assert adder_error_probability(32, 1000, 0.0) == 0.0
-        low = adder_error_probability(32, 1000, 1e-12)
-        high = adder_error_probability(32, 1000, 1e-6)
-        assert 0 < low < high < 1
-
     def test_wear_is_search_independent(self):
         """Repeated searches never erase/program the CM region — the
         §4.3.1 lifetime argument, observed on the functional simulator."""

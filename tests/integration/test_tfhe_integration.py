@@ -8,10 +8,6 @@ from repro.baselines import TfheBooleanMatcher, find_all_matches
 from repro.core import ClientConfig, SecureStringMatchPipeline
 from repro.he import BFVParams
 from repro.tfhe import TFHEParams
-from repro.tfhe.serialize import (
-    deserialize_lwe_samples,
-    serialize_lwe_samples,
-)
 from repro.workloads import DnaWorkloadGenerator, sequence_to_bits
 
 
@@ -45,29 +41,6 @@ class TestTfheOnDna:
         oracle = find_all_matches(db_bits, query)
         assert tfhe_matches == oracle
         assert cm_matches == oracle
-
-
-class TestWireFormatRoundTrip:
-    def test_database_survives_serialization(self):
-        """Encrypt -> serialize -> deserialize -> search still matches:
-        the client-server boundary works for the Boolean protocol."""
-        matcher = TfheBooleanMatcher(TFHEParams.test_tiny(), seed=9)
-        db_bits = np.array([1, 0, 1, 1, 0, 1], dtype=np.uint8)
-        db = matcher.encrypt_database(db_bits)
-        wire = serialize_lwe_samples(db.bit_ciphertexts)
-        restored = deserialize_lwe_samples(wire)
-        from repro.baselines.tfhe_boolean import TfheEncryptedDatabase
-
-        matches = matcher.search(
-            TfheEncryptedDatabase(restored), np.array([1, 1], dtype=np.uint8)
-        )
-        assert matches == find_all_matches(db_bits, np.array([1, 1]))
-
-    def test_wire_size_equals_footprint(self):
-        matcher = TfheBooleanMatcher(TFHEParams.test_tiny(), seed=9)
-        db = matcher.encrypt_database(np.ones(10, dtype=np.uint8))
-        wire = serialize_lwe_samples(db.bit_ciphertexts)
-        assert len(wire) == 13 + db.serialized_bytes
 
 
 class TestReadMapperWithDnaText:

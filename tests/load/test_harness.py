@@ -18,7 +18,6 @@ from repro.load import (
     RemoteTarget,
     SessionTarget,
     generate_trace,
-    replay_requests,
     run_trace,
 )
 from repro.net import Client, ServiceThread
@@ -53,7 +52,7 @@ class TestGenerateTrace:
         assert (trace.scenario, trace.seed, trace.arrival) == (
             scenario.key, scenario.seed, "constant",
         )
-        assert len(replay_requests(trace)) == trace.num_requests
+        assert len(trace.events) == trace.num_requests
 
 
 class _StubTarget(LoadTarget):

@@ -30,7 +30,7 @@ from repro.net.framing import (
     Frame,
     FrameType,
     FramingError,
-    decode_frame,
+    decode_header,
     encode_frame,
     read_frame_sync,
     write_frame_sync,
@@ -38,6 +38,14 @@ from repro.net.framing import (
 from repro.verify import VerifyPolicy
 
 # -- frame layer -------------------------------------------------------------
+
+
+def decode_frame(blob: bytes) -> Frame:
+    """One complete frame from an in-memory buffer, through the header
+    parser the readers use."""
+    ftype, request_id, length = decode_header(blob[:HEADER_BYTES])
+    assert len(blob) == HEADER_BYTES + length
+    return Frame(ftype, request_id, blob[HEADER_BYTES:])
 
 
 @settings(max_examples=30, deadline=None)
@@ -108,20 +116,26 @@ def test_clean_eof_returns_none():
 def test_bad_magic_raises():
     blob = b"XXXX" + encode_frame(Frame(FrameType.PING, 0))[4:]
     with pytest.raises(FramingError, match="magic"):
-        decode_frame(blob)
+        decode_header(blob[:HEADER_BYTES])
 
 
 def test_truncated_payload_raises():
     blob = encode_frame(Frame(FrameType.RESULT, 9, b"abcdef"))
-    with pytest.raises(FramingError, match="truncated"):
-        decode_frame(blob[: HEADER_BYTES + 3])
+    a, b = socket.socketpair()
+    try:
+        a.sendall(blob[: HEADER_BYTES + 3])
+        a.close()
+        with pytest.raises(ConnectionError, match="3 of 6 bytes unread"):
+            read_frame_sync(b)
+    finally:
+        b.close()
 
 
 def test_unknown_frame_type_raises():
     blob = bytearray(encode_frame(Frame(FrameType.PING, 0)))
     blob[4] = 250
     with pytest.raises(FramingError, match="unknown frame type"):
-        decode_frame(bytes(blob))
+        decode_header(bytes(blob[:HEADER_BYTES]))
 
 
 def test_oversized_length_prefix_rejected():
@@ -129,7 +143,7 @@ def test_oversized_length_prefix_rejected():
 
     header = struct.pack("<4sBQI", b"CMN1", 1, 0, (1 << 30) + 1)
     with pytest.raises(FramingError, match="exceeds bound"):
-        decode_frame(header)
+        decode_header(header)
 
 
 # -- request payloads --------------------------------------------------------

@@ -323,7 +323,8 @@ def test_stats_renders_the_report_off_the_event_loop(monkeypatch):
             db, queries, _ = planted_db(num_queries=1)
             client.outsource(db)
             client.search(queries[0])
-            other.ping()  # connected before the replay blocks
+            other._submit_frame(FrameType.PING, b"", idempotent=True).result()
+            # connected before the replay blocks
             assert ran_on == []  # serving the batch replayed nothing
             pending = client._submit_frame(FrameType.STATS, b"", idempotent=True)
             try:

@@ -151,7 +151,7 @@ def test_default_tenant_exists_only_around_one_session(tenant_service):
             # and it has no other tenant to be
             with pytest.raises(TenantRejectedError):
                 with Client(served.address, tenant="alice") as client:
-                    client.ping()
+                    client.stats()
 
 
 def _rows_when(served, ready, timeout: float = 20.0) -> dict:

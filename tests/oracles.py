@@ -38,6 +38,34 @@ NTTs and the small-operand product's FFTs — and
 :func:`numpy_allocations` every numpy array allocation, with the frame
 that made it.
 
+:func:`coefficient_pattern` is a query variant's negated pattern laid
+out over one database polynomial the long way, one modular index per
+coefficient — the row :meth:`repro.core.query.PreparedQuery.row_plaintexts`
+gathers for that (variant, polynomial) pair.
+
+:func:`lift_mod` is a polynomial's centered lift reduced into
+``[0, m)``, the change of modulus both backends must agree on.
+
+:func:`encrypt_symmetric` is the one-row call of
+:meth:`repro.he.bfv.BFVContext.encrypt_symmetric_rows` as a
+:class:`~repro.he.bfv.Ciphertext`, and :func:`noise_budget_bits` the
+bits of noise budget a ciphertext has left, read off
+:meth:`~repro.he.bfv.BFVContext.noise_residual`.
+
+:func:`torus_distance`, :func:`tlwe_phase` and
+:func:`gadget_recompose` read TFHE samples back the long way: the
+circular distance on the 32-bit torus, the ``b - sum a_i z_i`` phase
+of a ring sample, and the inverse of the gadget decomposition.
+
+:func:`seeded_plan` draws a deterministic random
+:class:`~repro.faults.FaultPlan` (same seed, same plan) for the chaos
+sweeps and the plan round-trip properties.
+
+:func:`paper_secure_params` is a parameter set the product and
+encryption tests cover beside ``BFVParams.paper()``: ``n = 2048`` under
+a 54-bit NTT prime (the HE standard's 128-bit envelope at that ring
+dimension), with the same 16-bit packing.
+
 :func:`per_event_phases_run` is the queueing simulator's event loop as
 it was when it rebuilt a request's phase list on every event;
 :meth:`repro.ssd.queueing.SsdQueueingSimulator.run` (phases built once
@@ -49,12 +77,23 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import heapq
+import math
+import random
 import sys
-from typing import List
+from typing import Iterable, List, Optional
 
 import numpy as np
 
 from repro.core.matcher import CPUAdditionBackend
+from repro.faults import (
+    CONN_DROP,
+    CORRUPT_FRAME,
+    FAULT_KINDS,
+    SLOW_SHARD,
+    WORKER_CRASH,
+    FaultPlan,
+    FaultPlanError,
+)
 from repro.he import backend as poly_backend
 from repro.he.arena import (
     _as_phase_rows,
@@ -64,8 +103,13 @@ from repro.he.arena import (
 )
 from repro.he.backend import PolyBackend, _is_native_ntt_modulus
 from repro.he.ntt import exact_negacyclic_convolution, get_plan
-from repro.he.poly import RingContext
+from repro.he.bfv import Ciphertext
+from repro.he.params import BFVParams
+from repro.he.poly import RingContext, RingPoly
+from repro.he.primes import find_ntt_prime
 from repro.ssd.queueing import SimulationResult
+from repro.tfhe.params import TORUS_MOD
+from repro.tfhe.polymath import negacyclic_convolve_small
 
 
 class ReferenceBackend(PolyBackend):
@@ -594,6 +638,99 @@ def prefix_sum_offsets(decoder, variant, flags, prepared):
     offsets = starts * w - o
     offsets = offsets[(offsets >= 0) & (offsets + y <= decoder.db_bit_length)]
     return offsets.astype(np.int64)
+
+
+def coefficient_pattern(variant, n: int, poly_chunk_base: int) -> np.ndarray:
+    """``variant``'s negated pattern over the ``n`` coefficients of the
+    database polynomial whose first chunk has global index
+    ``poly_chunk_base``: coefficient ``i`` holds pattern chunk
+    ``(poly_chunk_base + i - rotation) mod span``."""
+    idx = (poly_chunk_base + np.arange(n) - variant.rotation) % variant.span
+    return variant.pattern_chunks[idx]
+
+
+def lift_mod(poly, new_modulus: int) -> np.ndarray:
+    """Centered lift of ``poly`` reduced into ``[0, new_modulus)``."""
+    return poly.centered() % new_modulus
+
+
+def encrypt_symmetric(ctx, pt, sk) -> Ciphertext:
+    """Secret-key encryption of one plaintext: a one-row block."""
+    row = ctx.encrypt_symmetric_rows(pt.poly.coeffs[None], sk)[0]
+    c0, c1, _ = row.astype(np.int64)
+    return Ciphertext(ctx.params, RingPoly(ctx.ring, c0), RingPoly(ctx.ring, c1))
+
+
+def noise_budget_bits(ctx, ct, sk) -> float:
+    """Remaining noise budget in bits (<= 0 means decryption may fail)."""
+    half_delta = ctx.params.delta / 2
+    residual = ctx.noise_residual(ct, sk)
+    return math.log2(half_delta) - (math.log2(residual) if residual else 0.0)
+
+
+def torus_distance(a: int, b: int) -> int:
+    """Circular distance ``|a - b|`` on the 32-bit torus."""
+    diff = (int(a) - int(b)) % TORUS_MOD
+    return min(diff, TORUS_MOD - diff)
+
+
+def tlwe_phase(sample, key) -> np.ndarray:
+    """``b - sum a_i z_i`` — message polynomial plus noise."""
+    phase = sample.b.copy()
+    for p in range(sample.k):
+        phase = (phase - negacyclic_convolve_small(key.z[p], sample.a[p])) % TORUS_MOD
+    return phase
+
+
+def gadget_recompose(digits, bg_bit: int) -> np.ndarray:
+    """Inverse of :func:`repro.tfhe.polymath.gadget_decompose` up to
+    truncation error."""
+    total = np.zeros(len(digits[0]), dtype=np.int64)
+    for i, digit in enumerate(digits, start=1):
+        total = (total + (digit << (32 - i * bg_bit))) % TORUS_MOD
+    return total
+
+
+def seeded_plan(
+    seed: int,
+    *,
+    requests: int = 32,
+    shards: int = 2,
+    faults: int = 4,
+    kinds: Optional[Iterable[str]] = None,
+) -> FaultPlan:
+    """``faults`` events drawn from ``kinds`` with ordinals below
+    ``requests`` (shard-site ordinals are kept small since each request
+    fans out to every shard).  Same seed, same plan, byte for byte."""
+    rng = random.Random(seed)
+    pool = tuple(kinds) if kinds is not None else FAULT_KINDS
+    for kind in pool:
+        if kind not in FAULT_KINDS:
+            raise FaultPlanError(f"unknown fault kind {kind!r}")
+    plan = FaultPlan()
+    for _ in range(faults):
+        kind = rng.choice(pool)
+        at = rng.randrange(max(1, requests))
+        if kind == WORKER_CRASH:
+            plan = plan.worker_crash(at, shard=rng.randrange(max(1, shards)))
+        elif kind == SLOW_SHARD:
+            plan = plan.slow_shard(
+                at,
+                shard=rng.randrange(max(1, shards)),
+                delay=round(rng.uniform(0.005, 0.05), 4),
+            )
+        elif kind == CONN_DROP:
+            plan = plan.connection_drop(at)
+        elif kind == CORRUPT_FRAME:
+            plan = plan.corrupt_frame(at, seed=rng.randrange(1 << 16))
+        else:
+            plan = plan.shed_storm(at, count=rng.randint(1, 3))
+    return plan
+
+
+def paper_secure_params() -> BFVParams:
+    """``n = 2048``, a 54-bit NTT prime ``q``, ``t = 2**16``."""
+    return BFVParams(n=2048, q=find_ntt_prime(54, 2048), t=1 << 16, name="secure-n2048")
 
 
 def per_event_phases_run(sim):

@@ -83,7 +83,7 @@ def test_adopt_defers_arena_rows_to_first_query():
         lazy.search_batch(queries[:1])
         arena = encrypted._arena
         assert arena is not None
-        assert arena.fully_built  # the query touched every shard
+        assert arena._source is None  # the query touched every shard
 
 
 def test_shards_hold_zero_copy_arena_slices():
@@ -98,7 +98,7 @@ def test_shards_hold_zero_copy_arena_slices():
     job = _QueryJob(0, queries[0], b"", engine.client.prepare_query(queries[0]))
     base = 0
     for shard in engine.shards:
-        assert not arena.fully_built  # until the last range is touched
+        assert arena._source is not None  # until the last range is touched
         assert shard.base_poly == base
         engine._run_shard_task(shard, job)
         stop = base + shard.num_polynomials
@@ -107,7 +107,7 @@ def test_shards_hold_zero_copy_arena_slices():
             arena._built[: tiles.stop].all() and not arena._built[tiles.stop :].any()
         )
         base = stop
-    assert base == engine.db.num_polynomials and arena.fully_built
+    assert base == engine.db.num_polynomials and arena._source is None
     phases = arena.phases(sk)
     for shard in engine.shards:
         stop = shard.base_poly + shard.num_polynomials
@@ -407,7 +407,7 @@ def test_adopt_database_resets_arena_slices():
     engine.search_batch(queries[:1])
     ctx, sk = engine.client.ctx, engine.client.sk
     old_arena = engine.db._arena
-    assert old_arena is not None and old_arena.fully_built
+    assert old_arena is not None and old_arena._source is None
     assert len(engine.cache) > 0
     db2 = engine.client.outsource(db)
     engine.adopt_database(db2)
@@ -426,7 +426,7 @@ def test_adopt_database_resets_arena_slices():
     # fresh encryption randomness: the re-adopted database serves fresh
     # phases, not the first database's
     fresh = db2._arena
-    assert fresh is not old_arena and fresh.fully_built
+    assert fresh is not old_arena and fresh._source is None
     assert not np.array_equal(fresh.phases(sk), old_arena.phases(sk))
 
 

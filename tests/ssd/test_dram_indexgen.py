@@ -1,47 +1,9 @@
-"""Unit tests for the internal DRAM model and the index-generation unit."""
+"""Unit tests for the index-generation unit."""
 
 import numpy as np
 import pytest
 
-from repro.ssd import IndexGenerationUnit, InternalDram
-
-
-class TestInternalDram:
-    def test_allocate_and_read(self):
-        dram = InternalDram(capacity_bytes=1024)
-        arr = np.zeros(64, dtype=np.uint8)
-        dram.allocate("buf", arr)
-        assert dram.contains("buf")
-        assert dram.read("buf") is arr
-        assert dram.used_bytes == 64
-
-    def test_capacity_enforced(self):
-        dram = InternalDram(capacity_bytes=100)
-        with pytest.raises(MemoryError):
-            dram.allocate("big", np.zeros(200, dtype=np.uint8))
-
-    def test_replace_frees_old(self):
-        dram = InternalDram(capacity_bytes=100)
-        dram.allocate("x", np.zeros(80, dtype=np.uint8))
-        dram.allocate("x", np.zeros(60, dtype=np.uint8))  # replacement fits
-        assert dram.used_bytes == 60
-
-    def test_free(self):
-        dram = InternalDram(capacity_bytes=100)
-        dram.allocate("x", np.zeros(50, dtype=np.uint8))
-        dram.free("x")
-        assert dram.used_bytes == 0
-        assert not dram.contains("x")
-
-    def test_free_missing_is_noop(self):
-        InternalDram().free("nothing")
-
-    def test_transfer_time(self):
-        dram = InternalDram(bandwidth_bytes_per_s=1e9)
-        assert dram.transfer_time(1e9) == pytest.approx(1.0)
-
-    def test_default_capacity_2gb(self):
-        assert InternalDram().capacity_bytes == 2 * 1024**3
+from repro.ssd import IndexGenerationUnit
 
 
 class TestIndexGenerationUnit:

@@ -19,16 +19,6 @@ class TestRegions:
     def test_block_boundary(self, ftl):
         assert ftl.block_boundary == 2  # half of 4 blocks/plane
 
-    def test_capacity_split(self, ftl):
-        cm = ftl.region_capacity_bytes(Region.CIPHERMATCH)
-        conv = ftl.region_capacity_bytes(Region.CONVENTIONAL)
-        # conventional runs TLC (3 bits/cell), CM runs SLC (1 bit/cell)
-        assert conv == 3 * cm
-
-    def test_capacity_loss(self, ftl):
-        # half the blocks drop from 3 bits to 1 bit: lose 1/3 of total
-        assert ftl.capacity_loss_fraction() == pytest.approx(1 / 3)
-
     def test_fraction_validation(self):
         with pytest.raises(ValueError):
             FlashTranslationLayer(FlashGeometry.functional(), ciphermatch_fraction=1.5)
@@ -85,11 +75,3 @@ class TestConventionalAllocation:
         cm = ftl.lookup(Region.CIPHERMATCH, 1)
         conv = ftl.lookup(Region.CONVENTIONAL, 1)
         assert cm != conv
-
-
-class TestFaultPathModel:
-    def test_page_fault_latency_is_wordbits_reads(self, ftl):
-        assert ftl.page_fault_read_latency(22.5e-6) == pytest.approx(32 * 22.5e-6)
-
-    def test_mapping_overhead_is_0_1_percent(self, ftl):
-        assert ftl.mapping_dram_overhead_bytes(2 * 1024**4) == 2 * 1024**4 // 1000

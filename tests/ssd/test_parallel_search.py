@@ -1,67 +1,4 @@
-"""Tests for parallel multi-slot CM-search and the CLI entry point."""
-
-import numpy as np
-import pytest
-
-from repro.ssd import CipherMatchSSD, SSDConfig
-
-
-@pytest.fixture()
-def ssd():
-    return CipherMatchSSD(SSDConfig.functional(num_bitlines=128, word_bits=32))
-
-
-class TestParallelSearch:
-    def _fill(self, ssd, rng, num_slots):
-        data = []
-        for lpn in range(num_slots):
-            words = rng.integers(0, 1 << 32, 20).astype(np.int64)
-            ssd.controller.cm_write(lpn, words)
-            data.append(words)
-        return data
-
-    def test_sums_exact_across_slots(self, ssd, rng):
-        data = self._fill(ssd, rng, 3)
-        q = rng.integers(0, 1 << 32, 20).astype(np.int64)
-        outcome = ssd.controller.cm_search_parallel([0, 1, 2], q)
-        for words, slot_outcome in zip(data, outcome.outcomes):
-            assert np.array_equal(slot_outcome.sums[:20], (words + q) % (1 << 32))
-
-    def test_one_wave_when_slots_on_distinct_planes(self, ssd, rng):
-        # the FTL stripes slots plane-first: the first total_planes lpns
-        # land on distinct planes
-        planes = ssd.flash.geometry.total_planes
-        self._fill(ssd, rng, planes)
-        q = rng.integers(0, 1 << 32, 20).astype(np.int64)
-        outcome = ssd.controller.cm_search_parallel(list(range(planes)), q)
-        assert outcome.waves == 1
-        assert outcome.planes_used == planes
-
-    def test_second_wave_when_planes_collide(self, ssd, rng):
-        planes = ssd.flash.geometry.total_planes
-        self._fill(ssd, rng, planes + 1)
-        q = rng.integers(0, 1 << 32, 20).astype(np.int64)
-        outcome = ssd.controller.cm_search_parallel(list(range(planes + 1)), q)
-        assert outcome.waves == 2
-
-    def test_makespan_scales_with_waves(self, ssd, rng):
-        planes = ssd.flash.geometry.total_planes
-        self._fill(ssd, rng, 2 * planes)
-        q = rng.integers(0, 1 << 32, 20).astype(np.int64)
-        one = ssd.controller.cm_search_parallel(list(range(planes)), q)
-        two = ssd.controller.cm_search_parallel(list(range(2 * planes)), q)
-        assert two.makespan_seconds == pytest.approx(2 * one.makespan_seconds)
-
-    def test_unknown_lpn_raises(self, ssd, rng):
-        q = rng.integers(0, 1 << 32, 4).astype(np.int64)
-        with pytest.raises(KeyError):
-            ssd.controller.cm_search_parallel([99], q)
-
-    def test_all_sums_concatenate(self, ssd, rng):
-        self._fill(ssd, rng, 2)
-        q = rng.integers(0, 1 << 32, 20).astype(np.int64)
-        outcome = ssd.controller.cm_search_parallel([0, 1], q)
-        assert len(outcome.all_sums) == 2 * len(outcome.outcomes[0].sums)
+"""Tests for the CLI entry point."""
 
 
 class TestCli:

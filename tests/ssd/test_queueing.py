@@ -132,18 +132,6 @@ class TestStatistics:
             sim.submit(IoRequest(RequestKind.READ, channel=0, die=i % 2))
         result = sim.run()
         assert 0.0 < result.die_utilization(0, 0) <= 1.0
-        assert 0.0 < result.channel_utilization(0) <= 1.0
-        assert result.channel_utilization(1) == 0.0
-
-    def test_percentile_latency(self, geometry, timings):
-        sim = SsdQueueingSimulator(geometry, timings)
-        for _ in range(10):
-            sim.submit(IoRequest(RequestKind.READ, channel=0, die=0))
-        result = sim.run()
-        assert result.percentile_latency(100) == pytest.approx(result.max_latency)
-        assert result.percentile_latency(50) <= result.max_latency
-        with pytest.raises(ValueError):
-            result.percentile_latency(0)
 
     def test_empty_run(self, geometry):
         sim = SsdQueueingSimulator(geometry)

@@ -57,12 +57,5 @@ class TestOverlapAnalysis:
             hardware=True, read_latency=costs.znand_read_latency
         )
 
-    def test_overlap_penalty(self):
-        unit = DataTranspositionUnit()
-        assert unit.overlap_penalty() == 0.0
-        assert unit.overlap_penalty(read_latency=3e-6) == pytest.approx(
-            13.6e-6 - 3e-6
-        )
-
     def test_hw_area(self):
         assert TranspositionCosts().hardware_area_mm2 == 0.24

@@ -24,6 +24,10 @@ from repro.tenancy import TenantCacheBroker
 WORD = 8  # np.int64 itemsize: entry sizes below are in 8-byte words
 
 
+def _total_bytes(broker) -> int:
+    return sum(row["cache_bytes"] for row in broker.snapshot().values())
+
+
 def _value(words: int) -> np.ndarray:
     return np.zeros(words, dtype=np.int64)
 
@@ -59,11 +63,11 @@ def test_evicts_globally_coldest_tenant_first():
     _fill(cold, "c0", 2)
     _fill(cold, "c1", 2)
     _fill(hot, "h0", 2)  # fleet at budget: 6 words
-    assert broker.total_bytes() == 6 * WORD
+    assert _total_bytes(broker) == 6 * WORD
     # the overflow insert lands on hot; the victim must be cold's
     # oldest entry, not anything of hot's
     _fill(hot, "h1", 2)
-    assert broker.total_bytes() <= 6 * WORD
+    assert _total_bytes(broker) <= 6 * WORD
     assert broker.pressure_evictions["cold"] == 1
     assert broker.pressure_evictions["hot"] == 0
     assert len(cold) == 1 and len(hot) == 2
@@ -87,7 +91,7 @@ def test_floor_is_inviolable_even_over_budget():
     # only "other" can yield; once it is empty the broker stops even
     # though the fleet still sits at floor bytes over... at the floor
     assert other.current_bytes == 0
-    assert broker.total_bytes() == 4 * WORD
+    assert _total_bytes(broker) == 4 * WORD
 
 
 def test_budget_none_disables_pressure():
@@ -154,7 +158,7 @@ def test_budget_and_floor_invariants(schedule, budget_words, floors):
             # floors win forever: once at/above floor, never below it
             if reached_floor[other]:
                 assert cache.current_bytes >= floor
-        total = broker.total_bytes()
+        total = _total_bytes(broker)
         if total > budget_words * WORD:
             # over budget only when no eviction is floor-legal
             for i, other in enumerate(tenant_ids):
@@ -177,7 +181,7 @@ def test_zero_floors_always_respect_budget(schedule, budget_words):
     ]
     for step, (idx, words, rows) in enumerate(schedule):
         _fill(caches[idx], ("k", step), words, rows)
-        assert broker.total_bytes() <= budget_words * WORD
+        assert _total_bytes(broker) <= budget_words * WORD
 
 
 @settings(max_examples=40, deadline=None)

@@ -156,9 +156,8 @@ def test_close_all_idempotent_and_context_manager():
 
 
 def test_from_spec_and_accounting_snapshot():
-    with TenantRegistry.from_spec(
-        "a:1,b:2:3.0", params=PARAMS, num_shards=1
-    ) as reg:
+    specs = [TenantSpec.parse("a:1"), TenantSpec.parse("b:2:3.0")]
+    with TenantRegistry(specs, params=PARAMS, num_shards=1) as reg:
         assert set(reg.ids()) == {"a", "b"}
         reg.get("a").accounting.record_accepted()
         reg.get("a").accounting.record_completed(0.010)
@@ -169,5 +168,3 @@ def test_from_spec_and_accounting_snapshot():
         for row in rows.values():
             assert {"cache_bytes", "cache_floor_bytes",
                     "pressure_evictions"} <= set(row)
-    with pytest.raises(ValueError):
-        TenantRegistry.from_spec("  ,  ", params=PARAMS)

@@ -1,4 +1,4 @@
-"""Four contracts on ``src/repro``, the first three read off its syntax
+"""Five contracts on ``src/repro``, all but the fourth read off its syntax
 trees.
 
 * **No environment reads.**  Nothing under ``src/`` touches
@@ -20,6 +20,18 @@ trees.
 * **No dangling document names.**  Every ``*.md`` file that a module
   under ``src/`` names — a path such as ``docs/perf.md`` from the repo
   root, or a bare file name found anywhere in the repo — exists.
+* **Every public name has a reader outside ``tests/``.**  Each public
+  module-level name and each public method of a public class is read
+  somewhere in ``src/``, ``examples/`` or ``benchmarks/`` outside its
+  own definition: a loaded name or attribute, an import, a ``getattr``
+  spelling or a dotted-name string such as the tracer's
+  ``"repro.core.client:CipherMatchClient.prepare_query"``.  An
+  ``__init__`` re-export or an ``__all__`` entry is not a reader.
+  Names match by spelling, so a read of any ``x.search`` keeps every
+  ``search`` method; the rule errs towards keeping code.  It is not
+  transitive either: a name read only by an unread name passes until
+  that reader goes.  The few exceptions are listed with their reasons
+  in :data:`UNREAD_ALLOWED`.
 """
 
 from __future__ import annotations
@@ -190,4 +202,172 @@ def test_the_import_walk_resolves_relative_and_local_imports():
         "repro.verify",
         "repro.api",
         "repro.he.poly",
+    ]
+
+
+#: the trees whose code reads a public name of ``src/repro``
+READER_ROOTS = ("src/", "examples/", "benchmarks/")
+#: ``"repro.core.client:CipherMatchClient.prepare_query"`` and the like
+DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(?:[.:][A-Za-z_]\w*)+")
+#: calls whose second argument names an attribute: ``getattr(obj, "x")``
+SPELLING_CALLS = ("getattr", "hasattr")
+#: names with no reader outside ``tests/`` that stay, each with its
+#: reason: ``"module.py"`` covers every name the module defines
+UNREAD_ALLOWED = {
+    "he/noise.py": (
+        "ROADMAP item 2(3): the fresh-noise bounds test_symmetric_rows "
+        "checks, to be asserted at outsource time or deleted there"
+    ),
+    "he/arena.py:decrypt_batch": (
+        "ROADMAP item 3: the client half of the keyless adder lane"
+    ),
+    "he/arena.py:flags_batch": (
+        "ROADMAP item 3: the client half of the keyless adder lane"
+    ),
+    "core/packing.py:EncryptedDatabase.invalidate_caches": (
+        "cache coherence: a caller that edits ciphertexts in place must "
+        "drop the arena and the byte count built from the old ones"
+    ),
+    "he/poly.py:RingPoly.automorphism": (
+        "ROADMAP item 7: the last piece of the Galois path, kept with its "
+        "40 backend-parity and ring-law tests so that one change does not "
+        "retire more than 200 tests; the next deletion step removes it"
+    ),
+}
+
+
+def _definitions(tree: ast.Module):
+    """``(name, node)`` for each public module-level name and each public
+    method of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_"):
+                continue
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(
+                        item, (ast.FunctionDef, ast.AsyncFunctionDef)
+                    ) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    yield target.id, node
+
+
+def _reads(path: str, tree: ast.Module):
+    """``(token, line)`` for every name the module reads: loaded names and
+    attributes, imported names (not an ``__init__`` re-export), the name
+    a ``getattr`` / ``hasattr`` call spells out, and the parts of
+    dotted-name strings (not an ``__all__`` entry, which has no dot)."""
+    reexports = path.endswith("__init__.py")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom) and not reexports:
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in SPELLING_CALLS:
+            name = node.args[1] if len(node.args) > 1 else None
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                yield name.value, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if DOTTED_NAME.fullmatch(node.value):
+                for token in re.split(r"[.:]", node.value):
+                    yield token, node.lineno
+
+
+def _unread_names(sources: dict, package: str = "src/repro/") -> list:
+    """``"module.py:Name"`` / ``"module.py:Class.method"`` for every public
+    name defined under ``package`` that no file under
+    :data:`READER_ROOTS` reads outside the definition's own lines.
+    ``sources`` maps repo-relative posix paths to their text."""
+    trees = {path: ast.parse(text, filename=path) for path, text in sources.items()}
+    readers = {}  # token -> [(path, line)], indexed once
+    for path, tree in trees.items():
+        if path.startswith(READER_ROOTS):
+            for token, line in _reads(path, tree):
+                readers.setdefault(token, []).append((path, line))
+    unread = []
+    for path, tree in trees.items():
+        if not path.startswith(package):
+            continue
+        for name, node in _definitions(tree):
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                where != path or line not in own
+                for where, line in readers.get(name.rsplit(".", 1)[-1], ())
+            ):
+                unread.append(f"{path[len(package):]}:{name}")
+    return sorted(unread)
+
+
+def _repo_sources() -> dict:
+    return {
+        path.relative_to(ROOT).as_posix(): path.read_text()
+        for root in READER_ROOTS
+        for path in sorted((ROOT / root).rglob("*.py"))
+    }
+
+
+def _allowance(name: str):
+    """The :data:`UNREAD_ALLOWED` entry that covers ``name``, if any."""
+    module = name.split(":")[0]
+    return name if name in UNREAD_ALLOWED else module if module in UNREAD_ALLOWED else None
+
+
+def test_every_public_name_has_a_reader_outside_tests():
+    unread = _unread_names(_repo_sources())
+    assert len(UNREAD_ALLOWED) <= 10
+    assert [name for name in unread if _allowance(name) is None] == []
+    # and no allowance outlives the names it was written for
+    assert {_allowance(name) for name in unread} - {None} == set(UNREAD_ALLOWED)
+
+
+def test_the_reader_index_counts_code_outside_tests_only():
+    """The resolver the reachability contract rests on, over a synthetic
+    tree: own bodies, re-exports and ``__all__`` read nothing; a dotted
+    string and an example do; a test does not."""
+    sources = {
+        "src/repro/pkg/__init__.py": (
+            "from .mod import exported, listed\n"
+            '__all__ = ["exported", "listed"]\n'
+        ),
+        "src/repro/pkg/mod.py": (
+            "def recursive(n):\n"
+            "    return recursive(n - 1) if n else 0\n"
+            "def exported():\n"
+            "    pass\n"
+            "def listed():\n"
+            "    pass\n"
+            "def by_example():\n"
+            "    pass\n"
+            "def tested():\n"
+            "    pass\n"
+            "class Traced:\n"
+            "    def method(self):\n"
+            "        return self.method\n"
+            "    def looked_up(self):\n"
+            "        pass\n"
+            "    def _private(self):\n"
+            "        pass\n"
+            "CONSTANT = 1\n"
+        ),
+        "benchmarks/trace.py": (
+            'TARGETS = ["repro.pkg.mod:Traced.method", "CONSTANT"]\n'
+            'hook = getattr(object(), "looked_up", None)\n'
+        ),
+        "examples/demo.py": "from repro.pkg.mod import by_example\nby_example()\n",
+        "tests/test_mod.py": "from repro.pkg.mod import tested\ntested()\n",
+    }
+    assert _unread_names(sources) == [
+        "pkg/mod.py:CONSTANT",  # a bare string is no dotted name
+        "pkg/mod.py:exported",
+        "pkg/mod.py:listed",
+        "pkg/mod.py:recursive",
+        "pkg/mod.py:tested",
     ]

@@ -30,10 +30,6 @@ class TestTruthTables:
         assert ctx.decrypt(ctx.or_(ctx.encrypt(a), ctx.encrypt(b))) == (a | b)
 
     @pytest.mark.parametrize("a,b", BINARY_CASES)
-    def test_nor(self, ctx, a, b):
-        assert ctx.decrypt(ctx.nor(ctx.encrypt(a), ctx.encrypt(b))) == (1 - (a | b))
-
-    @pytest.mark.parametrize("a,b", BINARY_CASES)
     def test_xor(self, ctx, a, b):
         assert ctx.decrypt(ctx.xor(ctx.encrypt(a), ctx.encrypt(b))) == (a ^ b)
 
@@ -44,11 +40,6 @@ class TestTruthTables:
     @pytest.mark.parametrize("a", [0, 1])
     def test_not(self, ctx, a):
         assert ctx.decrypt(ctx.not_(ctx.encrypt(a))) == 1 - a
-
-    @pytest.mark.parametrize("sel,c,d", [(s, c, d) for s in (0, 1) for c in (0, 1) for d in (0, 1)])
-    def test_mux(self, ctx, sel, c, d):
-        out = ctx.mux(ctx.encrypt(sel), ctx.encrypt(c), ctx.encrypt(d))
-        assert ctx.decrypt(out) == (c if sel else d)
 
 
 class TestCircuits:
@@ -128,24 +119,16 @@ class TestBookkeeping:
         ctx.and_(ctx.encrypt(1), ctx.encrypt(1))
         assert ctx.bootstrap_count == 1
 
-    def test_reset(self):
-        ctx = TFHEContext(TFHEParams.test_tiny(), seed=9)
-        ctx.or_(ctx.encrypt(0), ctx.encrypt(0))
-        ctx.reset_gate_counts()
-        assert ctx.total_gates() == 0
-        assert ctx.bootstrap_count == 0
-
     def test_encrypt_decrypt_vector(self):
         ctx = TFHEContext(TFHEParams.test_tiny(), seed=2)
         bits = [1, 0, 1, 1, 0]
-        assert list(ctx.decrypt_bits(ctx.encrypt_bits(bits))) == bits
+        assert [ctx.decrypt(s) for s in ctx.encrypt_bits(bits)] == bits
 
 
 class TestParams:
     def test_tfhe_lib_preset_shape(self):
         p = TFHEParams.tfhe_lib()
         assert p.lwe_n == 630 and p.tlwe_n == 1024
-        assert p.blind_rotate_external_products == 630
 
     def test_invalid_ring_dimension(self):
         with pytest.raises(ValueError):

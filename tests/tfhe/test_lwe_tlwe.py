@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tfhe.lwe import (
-    MU_BIT,
     LweKey,
     LweSample,
     encrypt_bit,
     lwe_decrypt_bit,
     lwe_encrypt,
-    lwe_noise,
     lwe_phase,
 )
 from repro.tfhe.params import TORUS_MOD, TFHEParams
@@ -21,9 +19,9 @@ from repro.tfhe.tlwe import (
     TLweSample,
     tlwe_encrypt,
     tlwe_encrypt_zero,
-    tlwe_phase,
 )
-from repro.tfhe.torus import to_torus, torus_distance
+from repro.tfhe.torus import from_torus, to_torus
+from tests.oracles import tlwe_phase, torus_distance
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +58,8 @@ class TestLwe:
     def test_noise_metric_small(self, lwe_key, rng):
         mu = to_torus(1, 8)
         ct = lwe_encrypt(mu, lwe_key, rng)
-        assert lwe_noise(ct, lwe_key, mu) < 2.0 ** -10
+        noise = abs(from_torus((lwe_phase(ct, lwe_key) - mu) % TORUS_MOD))
+        assert noise < 2.0 ** -10
 
     def test_trivial_sample_phase_is_message(self, lwe_key):
         ct = LweSample.trivial(12345, lwe_key.n)
@@ -91,11 +90,6 @@ class TestLwe:
         assert torus_distance(
             lwe_phase(ct.scale(2), lwe_key), to_torus(1, 8)
         ) < TORUS_MOD // 32
-
-    def test_add_constant(self, lwe_key, rng):
-        ct = lwe_encrypt(0, lwe_key, rng)
-        shifted = ct.add_constant(MU_BIT)
-        assert torus_distance(lwe_phase(shifted, lwe_key), MU_BIT) < TORUS_MOD // 64
 
     def test_copy_is_independent(self, lwe_key, rng):
         ct = lwe_encrypt(0, lwe_key, rng)
@@ -194,4 +188,4 @@ class TestSampleExtraction:
 
     def test_extracted_dimension(self, params, tlwe_key, rng):
         ct = tlwe_encrypt_zero(tlwe_key, rng)
-        assert ct.extract_lwe(0).n == params.extracted_lwe_n
+        assert ct.extract_lwe(0).n == params.tlwe_k * params.tlwe_n

@@ -23,7 +23,6 @@ _GATES = {
     "or": (lambda a, b: a | b, lambda ca, cb: _CTX.or_(ca, cb)),
     "xor": (lambda a, b: a ^ b, lambda ca, cb: _CTX.xor(ca, cb)),
     "nand": (lambda a, b: 1 - (a & b), lambda ca, cb: _CTX.nand(ca, cb)),
-    "nor": (lambda a, b: 1 - (a | b), lambda ca, cb: _CTX.nor(ca, cb)),
     "xnor": (lambda a, b: 1 - (a ^ b), lambda ca, cb: _CTX.xnor(ca, cb)),
 }
 

@@ -13,8 +13,9 @@ from repro.tfhe.bootstrap import (
 from repro.tfhe.lwe import MU_BIT, LweKey, lwe_encrypt, lwe_phase
 from repro.tfhe.params import TORUS_MOD, TFHEParams
 from repro.tfhe.tgsw import TGswKey, cmux, external_product, tgsw_encrypt
-from repro.tfhe.tlwe import TLweSample, tlwe_encrypt, tlwe_phase
-from repro.tfhe.torus import from_torus, to_torus, torus_distance
+from repro.tfhe.tlwe import TLweSample, tlwe_encrypt
+from repro.tfhe.torus import from_torus, to_torus
+from tests.oracles import tlwe_phase, torus_distance
 
 
 @pytest.fixture(scope="module")

@@ -8,19 +8,17 @@ from hypothesis import strategies as st
 from repro.tfhe.params import TORUS_MOD
 from repro.tfhe.polymath import (
     gadget_decompose,
-    gadget_recompose,
     negacyclic_convolve_small,
     rotate_by_xai,
-    rotate_by_xai_minus_one,
 )
 from repro.tfhe.torus import (
     from_torus,
     gaussian_torus,
     mod_switch,
     to_torus,
-    torus_distance,
     uniform_torus,
 )
+from tests.oracles import gadget_recompose, torus_distance
 
 
 class TestTorus:
@@ -109,12 +107,6 @@ class TestRotate:
         once = rotate_by_xai(rotate_by_xai(poly, a), b)
         combined = rotate_by_xai(poly, a + b)
         assert np.array_equal(once, combined)
-
-    def test_rotate_minus_one_matches_definition(self):
-        rng = np.random.default_rng(1)
-        poly = rng.integers(0, TORUS_MOD, 16, dtype=np.int64)
-        expected = (rotate_by_xai(poly, 5) - poly) % TORUS_MOD
-        assert np.array_equal(rotate_by_xai_minus_one(poly, 5), expected)
 
 
 class TestConvolve:

@@ -1,14 +1,10 @@
 """Unit tests for the bit-vector helpers."""
 
 import numpy as np
-import pytest
 
 from repro.utils.bits import (
-    bits_to_bytes,
-    bits_to_int,
     bytes_to_bits,
     chunk_bits,
-    int_to_bits,
     negate_bits,
     random_bits,
     text_to_bits,
@@ -19,7 +15,7 @@ from repro.utils.bits import (
 class TestByteConversion:
     def test_roundtrip(self):
         data = b"\x00\xff\xa5\x12"
-        assert bits_to_bytes(bytes_to_bits(data)) == data
+        assert np.packbits(bytes_to_bits(data)).tobytes() == data
 
     def test_msb_first(self):
         bits = bytes_to_bits(b"\x80")
@@ -30,24 +26,6 @@ class TestByteConversion:
 
     def test_text(self):
         assert len(text_to_bits("abc")) == 24
-
-
-class TestIntConversion:
-    @pytest.mark.parametrize("value,width", [(0, 8), (255, 8), (0xABCD, 16), (1, 1)])
-    def test_roundtrip(self, value, width):
-        assert bits_to_int(int_to_bits(value, width)) == value
-
-    def test_big_endian(self):
-        bits = int_to_bits(0b100, 3)
-        assert list(bits) == [1, 0, 0]
-
-    def test_overflow_raises(self):
-        with pytest.raises(ValueError):
-            int_to_bits(256, 8)
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            int_to_bits(-1, 8)
 
 
 class TestChunking:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workloads import DatabaseWorkloadGenerator, PaperDatabaseScale
+from repro.workloads import DatabaseWorkloadGenerator
 
 
 @pytest.fixture(scope="module")
@@ -26,14 +26,14 @@ class TestKeyValueDatabase:
     def test_key_at_expected_offset(self, db):
         bits = db.flatten_bits()
         for i in (0, 7, 19):
-            off = db.key_offset_bits(i)
+            off = i * db.record_bits
             key_bits = db.key_bits(db.records[i].key)
             assert np.array_equal(bits[off : off + len(key_bits)], key_bits)
 
     def test_key_offsets_chunk_aligned(self, db):
         # 24-byte records: every key offset is a multiple of 16 bits
         for i in range(len(db.records)):
-            assert db.key_offset_bits(i) % 16 == 0
+            assert i * db.record_bits % 16 == 0
 
     def test_lookup(self, db):
         rec = db.records[3]
@@ -70,12 +70,3 @@ class TestQueryMix:
         gen = DatabaseWorkloadGenerator(seed=13)
         mix = gen.query_mix(db, num_queries=20, hit_fraction=1.0)
         assert mix.num_hits == 20
-
-
-class TestPaperScale:
-    def test_descriptor(self):
-        scale = PaperDatabaseScale()
-        assert scale.num_queries == 1000
-        assert scale.query_bits == 16
-        for pt, enc in zip(scale.plaintext_sizes_bytes, scale.encrypted_sizes_bytes):
-            assert enc == 4 * pt

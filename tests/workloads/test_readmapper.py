@@ -35,7 +35,6 @@ class TestSeedExtractor:
     def test_seed_bit_offsets(self):
         seed = Seed("ACGT", read_offset_bases=4)
         assert seed.read_offset_bits == 8
-        assert seed.length_bases == 4
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +54,7 @@ class TestMapping:
         m, workload = mapper
         for read in workload.reads:
             result = m.map_read(read.sequence)
-            assert result.mapped
+            assert result.candidates
             positions = [c.position_bases for c in result.candidates]
             assert read.position_bases in positions
             top = result.best
@@ -87,12 +86,6 @@ class TestMapping:
         result = m.map_read(workload.reads[0].sequence)
         assert result.seeds_searched == 2  # 16 bases / 8-base seeds
 
-    def test_map_reads_batch(self, mapper):
-        m, workload = mapper
-        results = m.map_reads([r.sequence for r in workload.reads[:2]])
-        assert len(results) == 2
-        assert m.reads_mapped >= 2
-
     def test_verify_rejects_wrong_candidates(self, mapper):
         m, _ = mapper
         fake = MappingResult(
@@ -103,7 +96,7 @@ class TestMapping:
         )
         assert m.verify(fake) is None
         assert fake.best is None
-        assert not fake.mapped
+        assert not fake.candidates
 
 
 class TestVoteSemantics:
