@@ -5,7 +5,7 @@ Boots the asyncio search service on a loopback socket around a 4-shard
 
 1. the sync :class:`repro.net.Client` (search, future-based submit,
    native batch, the STATS frame);
-2. the asyncio :class:`repro.net.AsyncClient`;
+2. the same client from an event loop, awaiting its futures;
 3. the ``"remote"`` engine through ``repro.open_session`` — the same
    facade call that runs in-process engines, now crossing real TCP.
 
@@ -23,7 +23,7 @@ import numpy as np
 import repro
 from repro.baselines import find_all_matches
 from repro.he import BFVParams
-from repro.net import AsyncClient, Client, ServiceThread
+from repro.net import Client, ServiceThread
 from repro.utils.bits import random_bits
 
 
@@ -74,16 +74,15 @@ def main() -> int:
                 f"{stats.throughput_qps:.1f} q/s"
             )
 
-        # -- async client -----------------------------------------------
-        print("\nAsyncClient: concurrent submits on an event loop")
+        # -- the same client on an event loop ---------------------------
+        print("\nClient futures awaited on an event loop")
 
         async def async_lane():
-            client = await AsyncClient.connect(service.address)
-            try:
-                futures = [await client.submit(q) for q in queries]
-                return await asyncio.gather(*futures)
-            finally:
-                await client.aclose()
+            with Client(service.address) as client:
+                futures = [client.submit(q) for q in queries]
+                return await asyncio.gather(
+                    *(asyncio.wrap_future(f) for f in futures)
+                )
 
         for k, result in enumerate(asyncio.run(async_lane())):
             check(f"async[{k}]", result.matches, oracle[k])

@@ -52,7 +52,7 @@ Quickstart
 (160,)
 """
 
-__version__ = "11.0.0"
+__version__ = "12.0.0"
 
 from . import baselines, core, eval, flash, he, ndp, ssd, tfhe, workloads  # noqa: F401
 from . import api  # noqa: F401  (depends on the subpackages above)

@@ -202,7 +202,6 @@ def _merge_tallies(a: HomOpTally, b: HomOpTally) -> HomOpTally:
         additions=a.additions + b.additions,
         multiplications=a.multiplications + b.multiplications,
         plain_multiplications=a.plain_multiplications + b.plain_multiplications,
-        automorphisms=a.automorphisms + b.automorphisms,
         bootstraps=a.bootstraps + b.bootstraps,
     )
 
@@ -732,18 +731,13 @@ class BonteEngine(Engine):
             )
         db = self._windowed[window]
         stats = self.matcher.stats
-        mult0, add0, auto0 = (
-            stats.multiplications,
-            stats.additions,
-            stats.automorphisms,
-        )
+        mult0, add0 = stats.multiplications, stats.additions
         matches = self.matcher.search(db, bits)
         return _Outcome(
             matches=list(matches),
             hom_ops=HomOpTally(
                 additions=stats.additions - add0,
                 multiplications=stats.multiplications - mult0,
-                automorphisms=stats.automorphisms - auto0,
             ),
             encrypted_db_bytes=db.serialized_bytes,
         )

@@ -161,7 +161,6 @@ class HomOpTally:
     additions: int = 0
     multiplications: int = 0
     plain_multiplications: int = 0
-    automorphisms: int = 0
     bootstraps: int = 0
 
     @property
@@ -170,7 +169,6 @@ class HomOpTally:
             self.additions
             + self.multiplications
             + self.plain_multiplications
-            + self.automorphisms
             + self.bootstraps
         )
 

@@ -55,7 +55,6 @@ class BonteEncryptedDatabase:
 class BonteSearchStats:
     multiplications: int = 0
     additions: int = 0
-    automorphisms: int = 0
 
 
 class BonteMatcher:

@@ -10,8 +10,8 @@ exact product needs (``prod(p_i) > 2 n (q/2)^2``), each limb is
 transformed with the vectorized iterative NTT, and the limbs are
 recombined with a Garner mixed-radix reconstruction that folds
 directly into ``[0, q)`` using int64-safe modular kernels — no
-Python-int arithmetic anywhere on the multiply, scalar-multiply, or
-automorphism path.  Forward NTT limb transforms are cached on the
+Python-int arithmetic anywhere on the multiply or scalar-multiply
+path.  Forward NTT limb transforms are cached on the
 :class:`~repro.he.poly.RingPoly` objects themselves, so repeated
 products against the same polynomial (the database polynomial in the
 serving inner loop, the secret key in batch decryption) transform
@@ -738,7 +738,7 @@ class SmallProductFft:
 class PolyBackend:
     """Arithmetic strategy bound to one ``(n, q)`` pair.
 
-    Subclasses implement ``mul`` / ``scalar_mul`` / ``automorphism``;
+    Subclasses implement ``mul`` / ``scalar_mul``;
     the representation changes (``make`` / ``centered``)
     and the generic product bodies are shared by
     :class:`VectorizedBackend` (its fallback when an operand is not
@@ -819,9 +819,6 @@ class PolyBackend:
     def scalar_mul(self, coeffs: np.ndarray, scalar: int) -> np.ndarray:
         raise NotImplementedError
 
-    def automorphism(self, coeffs: np.ndarray, k: int) -> np.ndarray:
-        raise NotImplementedError
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, q={self.q})"
 
@@ -843,7 +840,6 @@ class VectorizedBackend(PolyBackend):
         super().__init__(n, q)
         self._basis: RnsBasis | None = None
         self.fft = SmallProductFft(n, q)
-        self._auto_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def basis(self) -> RnsBasis:
@@ -984,24 +980,3 @@ class VectorizedBackend(PolyBackend):
 
     def scalar_mul(self, coeffs: np.ndarray, scalar: int) -> np.ndarray:
         return mulmod_scalar(coeffs, scalar % self.q, self.q)
-
-    def automorphism(self, coeffs: np.ndarray, k: int) -> np.ndarray:
-        n, q = self.n, self.q
-        if k % 2 == 0:
-            # Even k is not a bijection mod 2n — the scatter below would
-            # silently leave uninitialized slots.
-            raise ValueError("Galois automorphisms require odd exponents")
-        k = k % (2 * n)
-        tables = self._auto_tables.get(k)
-        if tables is None:
-            # i -> i*k mod 2n is a bijection for odd k (gcd(k, 2n) = 1),
-            # and no two sources share a target mod n, so the scatter is
-            # a pure signed permutation — no accumulation needed.
-            idx = np.arange(n, dtype=np.int64) * k % (2 * n)
-            tables = (idx % n, idx >= n)
-            self._auto_tables[k] = tables
-        perm, negate = tables
-        values = np.where(negate, (q - coeffs) % q, coeffs)
-        out = np.empty(n, dtype=np.int64)
-        out[perm] = values
-        return out

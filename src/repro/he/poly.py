@@ -176,12 +176,6 @@ class RingPoly:
             rolled = (-rolled) % self.ring.q
         return RingPoly(self.ring, rolled)
 
-    def automorphism(self, k: int) -> "RingPoly":
-        """Apply ``X -> X^k`` for odd ``k`` (a Galois automorphism of R_q)."""
-        if k % 2 == 0:
-            raise ValueError("Galois automorphisms require odd exponents")
-        return RingPoly(self.ring, self.ring.backend.automorphism(self.coeffs, k))
-
     # -- representation changes -------------------------------------------
 
     def centered(self) -> np.ndarray:

@@ -11,16 +11,18 @@ deployment actually exposes:
   oldest-deadline shedding, graceful drain (SIGTERM -> finish in-flight
   -> exit 0), and a STATS frame serializing the engine's
   :class:`~repro.serve.report.ServeReport`.
-* :class:`Client` / :class:`AsyncClient` — the SDK: sync + async
-  ``search``/``submit`` mirroring the session surface, connection
-  pooling, reconnect-and-resend on dropped connections.
+* :class:`Client` — the SDK: ``search``/``submit`` mirroring the
+  session surface, connection pooling, reconnect-and-resend on dropped
+  connections.  ``submit`` returns a concurrent future, so a caller on
+  an event loop awaits ``asyncio.wrap_future(client.submit(query))``.
 * :class:`RemoteEngine` — the client behind the engine facade,
   registered as ``"remote"``; without an address it boots a private
   loopback :class:`ServiceThread`, so the whole api test matrix runs
   over a real socket.
 
-Wire format: length-prefixed CMN1 frames (:mod:`repro.net.framing`)
-with compact binary payloads (:mod:`repro.net.codec`).  See
+Wire format: length-prefixed CMN1 v3 frames (:mod:`repro.net.framing`)
+with compact binary payloads (:mod:`repro.net.codec`); every connection
+opens with a HELLO naming the protocol version and the tenant.  See
 ``docs/serving.md`` for the full protocol and operational semantics.
 
 >>> import numpy as np, repro
@@ -31,7 +33,7 @@ with compact binary payloads (:mod:`repro.net.codec`).  See
 """
 
 from ..api.registry import DEFAULT_REGISTRY
-from .client import AsyncClient, Client, parse_address
+from .client import Client, parse_address
 from .codec import (
     AdmissionRejectedError,
     ConnectionLostError,
@@ -54,7 +56,6 @@ if "remote" not in DEFAULT_REGISTRY:
 
 __all__ = [
     "AdmissionRejectedError",
-    "AsyncClient",
     "AsyncSearchService",
     "Client",
     "ConnectionLostError",

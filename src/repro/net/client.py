@@ -1,21 +1,18 @@
 """Client SDK for the networked serving layer.
 
-Two clients over the same CMN1 frame protocol:
+:class:`Client` is the one client of the CMN1 frame protocol.  It
+mirrors the :class:`~repro.api.session.Session` surface (``search`` /
+``submit``-returning-a-future / ``search_batch`` / ``outsource``),
+multiplexes requests over a small **connection pool**, and
+transparently **reconnects and resends** outstanding requests when a
+connection drops (search requests are read-only and idempotent, so
+replaying them is safe).  Each pooled connection runs one reader thread
+that resolves futures by request id, so many submitters share one
+socket without head-of-line coupling between their results.  A caller
+on an event loop awaits ``asyncio.wrap_future(client.submit(query))``.
 
-* :class:`Client` — the synchronous production client.  Mirrors the
-  :class:`~repro.api.session.Session` surface (``search`` /
-  ``submit``-returning-a-future / ``search_batch`` / ``outsource``),
-  multiplexes requests over a small **connection pool**, and
-  transparently **reconnects and resends** outstanding requests when a
-  connection drops (search requests are read-only and idempotent, so
-  replaying them is safe).  Each pooled connection runs one reader
-  thread that resolves futures by request id, so many submitters share
-  one socket without head-of-line coupling between their results.
-* :class:`AsyncClient` — the asyncio mirror for callers already living
-  on an event loop (``await client.search(...)``, ``submit`` returning
-  an :class:`asyncio.Future`).
-
-Both perform the HELLO/WELCOME handshake on connect; the negotiated
+Every connection opens with the HELLO/WELCOME handshake, which names
+the protocol version and the tenant; the negotiated
 :class:`~repro.net.codec.Welcome` (engine key, scheme, capability
 flags, outsourced bit length) is available as ``client.welcome`` and is
 what :class:`repro.net.RemoteEngine` reports as its capabilities.
@@ -23,7 +20,6 @@ what :class:`repro.net.RemoteEngine` reports as its capabilities.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import socket
 import threading
@@ -47,9 +43,7 @@ from .framing import (
     PROTOCOL_VERSION,
     Frame,
     FrameType,
-    read_frame,
     read_frame_sync,
-    write_frame,
     write_frame_sync,
 )
 
@@ -338,8 +332,8 @@ class Client:
         if pool_size < 1:
             raise ValueError(f"pool_size must be >= 1, got {pool_size}")
         self.address = parse_address(address)
-        #: tenant id carried in HELLO and every request frame ("" on a
-        #: single-tenant service)
+        #: tenant id every pooled connection names in its HELLO; its
+        #: requests bill to that tenant ("" on a single-tenant service)
         self.tenant = tenant
         self.max_retries = max_retries
         self.retry = RetryPolicy.coerce(retry)
@@ -479,7 +473,7 @@ class Client:
         request (``None`` → use the client's).
         """
         ftype, payload = codec.encode_request(
-            _as_request(request, verify), deadline, self.tenant
+            _as_request(request, verify), deadline
         )
         policy = RetryPolicy.coerce(retry) if retry is not None else self.retry
         if policy is not None:
@@ -552,172 +546,3 @@ class Client:
     def drain(self) -> None:
         """Ask the service to drain gracefully; returns when it has."""
         self._submit_frame(FrameType.DRAIN, b"", idempotent=False).result()
-
-
-# ---------------------------------------------------------------------------
-# Async client
-# ---------------------------------------------------------------------------
-
-
-class AsyncClient:
-    """Asyncio mirror of :class:`Client` (one connection, no pool).
-
-    >>> client = await AsyncClient.connect(("127.0.0.1", 9137))
-    >>> result = await client.search(np.ones(32, dtype=np.uint8))
-    """
-
-    def __init__(self) -> None:
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._pending: Dict[int, asyncio.Future] = {}
-        self._ids = itertools.count(1)
-        self._read_task: Optional[asyncio.Task] = None
-        self._write_lock = asyncio.Lock()
-        self.welcome: Optional[codec.Welcome] = None
-        self.tenant = ""
-
-    @classmethod
-    async def connect(
-        cls, address: AddressLike, *, tenant: str = ""
-    ) -> "AsyncClient":
-        client = cls()
-        client.tenant = tenant
-        host, port = parse_address(address)
-        client._reader, client._writer = await asyncio.open_connection(
-            host, port
-        )
-        await write_frame(
-            client._writer,
-            Frame(
-                FrameType.HELLO,
-                0,
-                codec.encode_hello(PROTOCOL_VERSION, tenant),
-            ),
-        )
-        frame = await read_frame(client._reader)
-        if frame is not None and frame.type is FrameType.ERROR:
-            code, message = codec.decode_error(frame.payload)
-            raise codec.error_to_exception(code, message)
-        if frame is None or frame.type is not FrameType.WELCOME:
-            raise ConnectionError("handshake failed: no WELCOME frame")
-        client.welcome = codec.decode_welcome(frame.payload)
-        client._read_task = asyncio.ensure_future(client._read_loop())
-        return client
-
-    async def _read_loop(self) -> None:
-        assert self._reader is not None
-        try:
-            while True:
-                frame = await read_frame(self._reader)
-                if frame is None:
-                    break
-                future = self._pending.pop(frame.request_id, None)
-                if future is None or future.done():
-                    continue
-                try:
-                    future.set_result(_decode_response(frame))
-                except Exception as exc:
-                    future.set_exception(exc)
-        except (ConnectionError, OSError, ValueError) as exc:
-            self._fail_pending(exc)
-            return
-        self._fail_pending(codec.ConnectionLostError("connection closed"))
-
-    def _fail_pending(self, exc: Exception) -> None:
-        pending, self._pending = self._pending, {}
-        for future in pending.values():
-            if not future.done():
-                future.set_exception(exc)
-
-    async def _send(self, ftype: FrameType, payload: bytes) -> asyncio.Future:
-        if self._writer is None:
-            raise RuntimeError("client is not connected")
-        request_id = next(self._ids)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[request_id] = future
-        async with self._write_lock:
-            await write_frame(
-                self._writer, Frame(ftype, request_id, payload)
-            )
-        return future
-
-    async def submit(
-        self,
-        request,
-        *,
-        verify: VerifyLike = None,
-        deadline: Optional[float] = None,
-    ) -> asyncio.Future:
-        """Send one request; returns the future of its result."""
-        ftype, payload = codec.encode_request(
-            _as_request(request, verify), deadline, self.tenant
-        )
-        return await self._send(ftype, payload)
-
-    async def search(
-        self,
-        request,
-        *,
-        verify: VerifyLike = None,
-        deadline: Optional[float] = None,
-        retry: Union[None, int, RetryPolicy] = None,
-        timeout: Optional[float] = None,
-    ) -> Union[SearchResult, BatchSearchResult]:
-        """Execute one request; ``retry``/``timeout`` mirror the sync
-        client (backoff waits are ``asyncio.sleep``-based here)."""
-        policy = RetryPolicy.coerce(retry)
-        backoff = policy.begin() if policy is not None else None
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                future = await self.submit(
-                    request, verify=verify, deadline=deadline
-                )
-                if timeout is None:
-                    return await future
-                try:
-                    return await asyncio.wait_for(future, timeout)
-                except asyncio.TimeoutError:
-                    raise codec.RequestTimeoutError(
-                        f"no response within {timeout:.1f}s"
-                    ) from None
-            except Exception as exc:
-                if (
-                    policy is None
-                    or attempt >= policy.max_attempts
-                    or not policy.is_retryable(exc, DEFAULT_RETRYABLE)
-                ):
-                    raise
-                assert backoff is not None
-                await asyncio.sleep(backoff.next_delay())
-
-    async def search_batch(
-        self, queries: Sequence, *, verify: VerifyLike = None
-    ) -> BatchSearchResult:
-        batch = BatchSearch(
-            tuple(
-                q if isinstance(q, ExactSearch) else ExactSearch.from_bits(q)
-                for q in queries
-            ),
-            verify=VerifyPolicy.coerce(verify),
-        )
-        return await self.search(batch)
-
-    async def outsource(self, db_bits) -> int:
-        payload = codec.encode_outsource(np.asarray(db_bits, dtype=np.uint8))
-        return await (await self._send(FrameType.OUTSOURCE, payload))
-
-    async def stats(self) -> codec.ServiceStats:
-        return await (await self._send(FrameType.STATS, b""))
-
-    async def aclose(self) -> None:
-        if self._read_task is not None:
-            self._read_task.cancel()
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        self._fail_pending(codec.ConnectionLostError("client closed"))

@@ -55,7 +55,8 @@ ERR_SHED = 3          # dropped by admission control (backpressure)
 ERR_DRAINING = 4      # service is draining; no new work accepted
 ERR_BAD_FRAME = 5     # request payload failed to decode
 ERR_ADMIT = 6         # fail-fast reject by the adaptive admission target
-ERR_TENANT = 7        # unknown tenant, or request tenant != connection tenant
+ERR_TENANT = 7        # HELLO named a tenant the service does not serve
+ERR_VERSION = 8       # HELLO named a protocol version the service does not speak
 
 
 class RemoteError(RuntimeError):
@@ -76,9 +77,13 @@ class ServiceDrainingError(RemoteError):
 
 
 class TenantRejectedError(RemoteError):
-    """The service rejected the connection's or request's tenant id
-    (unregistered tenant, or a request billed to a different tenant
-    than its connection authenticated as)."""
+    """The service rejected the tenant id the connection's HELLO named
+    (no such tenant is registered)."""
+
+
+class ProtocolVersionError(RemoteError):
+    """The service speaks a different CMN1 protocol version than the
+    connection's HELLO; it answers ``ERR_VERSION`` and closes."""
 
 
 class ConnectionLostError(ConnectionError):
@@ -103,6 +108,8 @@ def error_to_exception(code: int, message: str) -> Exception:
         return ServiceDrainingError(message)
     if code == ERR_TENANT:
         return TenantRejectedError(message)
+    if code == ERR_VERSION:
+        return ProtocolVersionError(message)
     return RemoteError(message)
 
 
@@ -214,9 +221,6 @@ class _Reader:
         packed = np.frombuffer(self.raw((count + 7) // 8), dtype=np.uint8)
         return np.unpackbits(packed, count=count).astype(np.uint8)
 
-    def remaining(self) -> int:
-        return len(self._buf) - self._off
-
     def done(self) -> None:
         if self._off != len(self._buf):
             raise FramingError(
@@ -289,8 +293,7 @@ def decode_welcome(payload: bytes) -> Welcome:
     engine, scheme = r.text(), r.text()
     flags = r.u8()
     max_bits, db_bits = r.i64(), r.i64()
-    # tenant was appended in protocol v2; a v1 WELCOME simply ends here
-    tenant = r.text() if r.remaining() else ""
+    tenant = r.text()
     r.done()
     return Welcome(
         protocol_version=version,
@@ -306,16 +309,20 @@ def decode_welcome(payload: bytes) -> Welcome:
     )
 
 
+#: the largest HELLO payload: a u16 version and a u16-prefixed tenant.
+#: A connection's first frame is read under this bound, so a peer that
+#: has not said HELLO cannot make the service allocate more.
+MAX_HELLO_BYTES = 2 + 2 + 0xFFFF
+
+
 def encode_hello(protocol_version: int, tenant: str = "") -> bytes:
     return _Writer().u16(protocol_version).text(tenant).bytes()
 
 
 def decode_hello(payload: bytes) -> Tuple[int, str]:
-    """Returns ``(protocol_version, tenant)``.  A protocol-v1 HELLO is
-    just the 2-byte version; its tenant decodes as ""."""
+    """Returns ``(protocol_version, tenant)``."""
     r = _Reader(payload)
-    version = r.u16()
-    tenant = r.text() if r.remaining() else ""
+    version, tenant = r.u16(), r.text()
     r.done()
     return version, tenant
 
@@ -349,35 +356,28 @@ def decode_outsource_ok(payload: bytes) -> int:
 
 
 def encode_request(
-    request: SearchRequest,
-    deadline: Optional[float] = None,
-    tenant: str = "",
+    request: SearchRequest, deadline: Optional[float] = None
 ) -> Tuple[FrameType, bytes]:
     """Serialize one facade request; returns (frame type, payload).
 
     ``deadline`` is a relative latency budget in seconds; the server
-    uses it for oldest-deadline shedding under backpressure.  ``tenant``
-    names the tenant the request bills to (must match the connection's
-    HELLO tenant on a multi-tenant service; "" inherits it).
+    uses it for oldest-deadline shedding under backpressure.  A request
+    bills to the tenant its connection's HELLO named.
     """
+    if not isinstance(request, (ExactSearch, WildcardSearch, BatchSearch)):
+        raise FramingError(
+            f"cannot encode request type {type(request).__name__}"
+        )
+    w = _Writer().u8(_policy_byte(request.verify))
+    w.f64(_deadline_f64(deadline))
     if isinstance(request, ExactSearch):
-        w = _Writer().u8(_policy_byte(request.verify))
-        w.f64(_deadline_f64(deadline)).text(tenant).bits(request.bits)
-        return FrameType.SEARCH, w.bytes()
+        return FrameType.SEARCH, w.bits(request.bits).bytes()
     if isinstance(request, WildcardSearch):
-        w = _Writer().u8(_policy_byte(request.verify))
-        w.f64(_deadline_f64(deadline)).text(tenant)
-        w.bits(request.bits).bits(request.mask)
-        return FrameType.WILDCARD, w.bytes()
-    if isinstance(request, BatchSearch):
-        w = _Writer().u8(_policy_byte(request.verify))
-        w.f64(_deadline_f64(deadline)).text(tenant).u32(request.num_queries)
-        for query in request.queries:
-            w.u8(_policy_byte(query.verify)).bits(query.bits)
-        return FrameType.BATCH, w.bytes()
-    raise FramingError(
-        f"cannot encode request type {type(request).__name__}"
-    )
+        return FrameType.WILDCARD, w.bits(request.bits).bits(request.mask).bytes()
+    w.u32(request.num_queries)
+    for query in request.queries:
+        w.u8(_policy_byte(query.verify)).bits(query.bits)
+    return FrameType.BATCH, w.bytes()
 
 
 def _request(make, *args, **kwargs):
@@ -392,14 +392,13 @@ def _request(make, *args, **kwargs):
 
 def decode_request(
     ftype: FrameType, payload: bytes
-) -> Tuple[SearchRequest, Optional[float], str]:
-    """Inverse of :func:`encode_request`; returns
-    ``(request, deadline, tenant)``.  Raises :class:`FramingError` for
-    any payload that does not decode to a valid request."""
+) -> Tuple[SearchRequest, Optional[float]]:
+    """Inverse of :func:`encode_request`; returns ``(request,
+    deadline)``.  Raises :class:`FramingError` for any payload that does
+    not decode to a valid request."""
     r = _Reader(payload)
     policy = _policy(r.u8())
     deadline = _deadline(r.f64())
-    tenant = r.text()
     if ftype is FrameType.SEARCH:
         request: SearchRequest = _request(
             ExactSearch.from_bits, r.bits(), verify=policy
@@ -424,7 +423,7 @@ def decode_request(
     else:
         raise FramingError(f"frame type {ftype.name} is not a request")
     r.done()
-    return request, deadline, tenant
+    return request, deadline
 
 
 # -- results ------------------------------------------------------------------
@@ -440,7 +439,6 @@ def _write_result(w: _Writer, result: SearchResult) -> None:
         tally.additions,
         tally.multiplications,
         tally.plain_multiplications,
-        tally.automorphisms,
         tally.bootstraps,
     ):
         w.u64(field)
@@ -462,7 +460,6 @@ def _read_result(r: _Reader) -> SearchResult:
         additions=r.u64(),
         multiplications=r.u64(),
         plain_multiplications=r.u64(),
-        automorphisms=r.u64(),
         bootstraps=r.u64(),
     )
     elapsed = r.f64()
@@ -598,19 +595,10 @@ def encode_stats(stats: ServiceStats) -> bytes:
     w.u32(stats.active_connections).u64(stats.total_connections)
     w.u64(stats.accepted).u64(stats.completed)
     w.u64(stats.shed).u64(stats.failed)
-    w.u8(1 if stats.draining else 0)
-    w.u64(0).u64(stats.served_queries)  # 0: reserved, see below
+    w.u8(1 if stats.draining else 0).u64(stats.served_queries)
     w.f64(stats.wall_p50).f64(stats.wall_p95).f64(stats.wall_p99)
     w.f64(stats.throughput_qps).f64(stats.cache_hit_rate)
-    # Reserved: three slots that described the shard executor until 3.0
-    # (worker_restarts, dead_shard_degradations, executor name), written
-    # as 0, 0, "thread" — what every 2.x server without worker processes
-    # sent — and the one above (ServeScheduler's copy of ``shed`` until
-    # 9.0), all skipped on read.  Dropping one changes the layout, so
-    # they go when CMN1 v1 parsing does.
-    w.u64(0).u64(0)
     w.u64(stats.admit_rejected).u64(stats.degraded_shards)
-    w.blob(b"thread")
     w.blob(stats.report_text.encode("utf-8"))
     w.blob(stats.report_json.encode("utf-8"))
     w.blob(stats.tenants_json.encode("utf-8"))
@@ -619,7 +607,7 @@ def encode_stats(stats: ServiceStats) -> bytes:
 
 def decode_stats(payload: bytes) -> ServiceStats:
     r = _Reader(payload)
-    fields = dict(
+    stats = ServiceStats(
         active_connections=r.u32(),
         total_connections=r.u64(),
         accepted=r.u64(),
@@ -627,25 +615,17 @@ def decode_stats(payload: bytes) -> ServiceStats:
         shed=r.u64(),
         failed=r.u64(),
         draining=bool(r.u8()),
-    )
-    r.u64()  # reserved, see encode_stats
-    fields.update(
         served_queries=r.u64(),
         wall_p50=r.f64(),
         wall_p95=r.f64(),
         wall_p99=r.f64(),
         throughput_qps=r.f64(),
         cache_hit_rate=r.f64(),
-    )
-    r.u64(), r.u64()  # reserved, see encode_stats
-    fields.update(admit_rejected=r.u64(), degraded_shards=r.u64())
-    r.blob()  # reserved
-    stats = ServiceStats(
-        **fields,
+        admit_rejected=r.u64(),
+        degraded_shards=r.u64(),
         report_text=_utf8(r.blob()),
         report_json=_utf8(r.blob()),
-        # trailing blob appended in protocol v2; absent in v1 payloads
-        tenants_json=_utf8(r.blob()) if r.remaining() else "",
+        tenants_json=_utf8(r.blob()),
     )
     r.done()
     return stats
@@ -660,8 +640,11 @@ __all__: List[str] = [
     "ERR_REMOTE",
     "ERR_SHED",
     "ERR_TENANT",
+    "ERR_VERSION",
+    "MAX_HELLO_BYTES",
     "AdmissionRejectedError",
     "ConnectionLostError",
+    "ProtocolVersionError",
     "RemoteError",
     "RequestShedError",
     "RequestTimeoutError",

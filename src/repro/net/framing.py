@@ -30,13 +30,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 MAGIC = b"CMN1"
-#: wire protocol version, negotiated in the HELLO/WELCOME handshake.
-#: v2 added the tenant id to HELLO/WELCOME/request payloads and the
-#: per-tenant accounting blob to STATS (v1 payloads still decode:
-#: the tenant fields read as "").
-PROTOCOL_VERSION = 2
+#: wire protocol version, checked in the HELLO/WELCOME handshake: a
+#: service answers a HELLO of any other version with ``ERR_VERSION``
+PROTOCOL_VERSION = 3
 #: hard bound on one frame's payload (a corrupt length prefix must not
-#: make a reader allocate unbounded memory)
+#: make a reader allocate unbounded memory); a service reads a
+#: connection's first frame under the much smaller HELLO bound
 MAX_PAYLOAD_BYTES = 1 << 30
 
 _HEADER = struct.Struct("<4sBQI")
@@ -118,13 +117,18 @@ def encode_frame(frame: Frame) -> bytes:
     )
 
 
-def decode_header(header: bytes) -> tuple[FrameType, int, int]:
-    """Parse a frame header; returns (type, request_id, payload_len)."""
+def decode_header(
+    header: bytes, max_payload: int = MAX_PAYLOAD_BYTES
+) -> tuple[FrameType, int, int]:
+    """Parse a frame header; returns (type, request_id, payload_len).
+    A length over ``max_payload`` is a :class:`FramingError`."""
     magic, ftype, request_id, length = _HEADER.unpack(header)
     if magic != MAGIC:
         raise FramingError(f"bad magic {magic!r}; not a CMN1 frame stream")
-    if length > MAX_PAYLOAD_BYTES:
-        raise FramingError(f"frame payload length {length} exceeds bound")
+    if length > max_payload:
+        raise FramingError(
+            f"frame payload length {length} exceeds bound {max_payload}"
+        )
     try:
         ftype = FrameType(ftype)
     except ValueError:
@@ -132,11 +136,15 @@ def decode_header(header: bytes) -> tuple[FrameType, int, int]:
     return ftype, request_id, length
 
 
-async def read_frame(reader) -> Frame | None:
+async def read_frame(
+    reader, max_payload: int = MAX_PAYLOAD_BYTES
+) -> Frame | None:
     """Read one frame from an :class:`asyncio.StreamReader`.
 
     Returns ``None`` on a clean EOF at a frame boundary; raises
-    :class:`FramingError` on EOF mid-frame or a corrupt header.
+    :class:`FramingError` on EOF mid-frame or a corrupt header, which
+    includes a declared length over ``max_payload`` (checked before any
+    payload byte is read).
     """
     import asyncio
 
@@ -146,7 +154,7 @@ async def read_frame(reader) -> Frame | None:
         if not exc.partial:
             return None
         raise FramingError("connection closed mid-header") from exc
-    ftype, request_id, length = decode_header(header)
+    ftype, request_id, length = decode_header(header, max_payload)
     try:
         payload = await reader.readexactly(length) if length else b""
     except asyncio.IncompleteReadError as exc:

@@ -3,14 +3,17 @@
 :class:`AsyncSearchService` puts a real socket between callers and the
 :mod:`repro.api` session layer.  One service holds one
 :class:`~repro.tenancy.TenantRegistry`: the one it was given, or a
-registry of one default tenant (id ``""``, what a connection is before
-HELLO names a tenant) around the session it was given or opened
-(``open_session``-style lifecycle: the constructor resolves an engine
-key through the registry, generates keys and wires caches).  Every
-request takes one path — the connection's tenant, admission, the
-weighted fair queue, :meth:`Session.submit` on that tenant's session —
-so concurrent connections coalesce into the sharded engine's native
-serve-pool batches exactly like concurrent in-process submitters do.
+registry of one default tenant (id ``""``) around the session it was
+given or opened (``open_session``-style lifecycle: the constructor
+resolves an engine key through the registry, generates keys and wires
+caches).  A connection's first frame must be a HELLO of this protocol
+version naming a registered tenant; it is read under
+:data:`~repro.net.codec.MAX_HELLO_BYTES`, and anything else is answered
+with an error and the connection closed.  Every request takes one path
+— the connection's tenant, admission, the weighted fair queue,
+:meth:`Session.submit` on that tenant's session — so concurrent
+connections coalesce into the sharded engine's native serve-pool
+batches exactly like concurrent in-process submitters do.
 
 Concurrency and flow control
 ----------------------------
@@ -62,7 +65,7 @@ from ..faults import (
 )
 from ..serve.admission import classify_request, coerce_admission
 from ..tenancy.fairness import WeightedFairQueue
-from ..tenancy.registry import DEFAULT_TENANT, Tenant, TenantRegistry
+from ..tenancy.registry import Tenant, TenantRegistry
 from ..utils.stats import percentile
 from . import codec
 from .framing import (
@@ -116,9 +119,9 @@ class _Connection:
     tasks: Set["asyncio.Task"] = field(default_factory=set)
     write_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
     closed: bool = False
-    #: tenant this connection named in HELLO (until then the default
-    #: tenant, which only a service built around one session has)
-    tenant: str = DEFAULT_TENANT
+    #: the registered tenant this connection's HELLO named; the
+    #: handshake binds it before any other frame is read
+    tenant: str = ""
 
     async def send(self, ftype: FrameType, request_id: int, payload: bytes = b"") -> None:
         if self.closed:
@@ -202,8 +205,8 @@ class AsyncSearchService:
                 session = open_session(engine, **engine_kwargs)
             registry = TenantRegistry.around(session, owned=owned)
         #: who this service serves.  Each connection is one of its
-        #: tenants (named at HELLO, "" before), and every request runs on
-        #: that tenant's session.  Drain closes it: a passed-in registry
+        #: tenants (named at HELLO), and every request runs on that
+        #: tenant's session.  Drain closes it: a passed-in registry
         #: and a session opened here are closed, a passed-in session is
         #: left to its owner.
         self.registry: TenantRegistry = registry
@@ -336,13 +339,6 @@ class AsyncSearchService:
         if self._drained is not None:
             self._drained.set()
 
-    async def aclose(self) -> None:
-        """Drain and stop; safe to call multiple times."""
-        if self._drained is not None and self._drained.is_set():
-            return
-        self._draining = True
-        await self._drain()
-
     async def shutdown_connections(self) -> None:
         """Close connections lingering after a completed drain.
 
@@ -462,31 +458,54 @@ class AsyncSearchService:
         except (ConnectionError, OSError):
             pass
 
+    async def _handshake(self, conn: _Connection) -> bool:
+        """Read the connection's first frame under the HELLO bound.  A
+        HELLO of this protocol version naming a registered tenant binds
+        that tenant and is answered with WELCOME; anything else is
+        answered with an error (or, when it is not a frame within the
+        bound, nothing) and False tells the caller to close."""
+        frame = await read_frame(conn.reader, codec.MAX_HELLO_BYTES)
+        if frame is None:
+            return False
+        if frame.type is not FrameType.HELLO:
+            await conn.send_error(
+                frame.request_id,
+                codec.ERR_BAD_FRAME,
+                f"expected HELLO as the first frame, got {frame.type.name}",
+            )
+            return False
+        version, tenant = codec.decode_hello(frame.payload)
+        if version != PROTOCOL_VERSION:
+            await conn.send_error(
+                frame.request_id,
+                codec.ERR_VERSION,
+                f"protocol version {version} is not served; "
+                f"this service speaks CMN1 v{PROTOCOL_VERSION}",
+            )
+            return False
+        if tenant not in self.registry:
+            await conn.send_error(
+                frame.request_id, codec.ERR_TENANT, f"unknown tenant {tenant!r}"
+            )
+            return False
+        conn.tenant = tenant
+        await conn.send(
+            FrameType.WELCOME,
+            frame.request_id,
+            codec.encode_welcome(self._welcome(self.registry.get(tenant))),
+        )
+        return True
+
     async def _connection_loop(self, conn: _Connection) -> None:
+        if not await self._handshake(conn):
+            return
         while True:
             frame = await read_frame(conn.reader)
             if frame is None:
                 # Clean EOF.  In-flight responses for this peer are
                 # moot, but the session work completes regardless.
                 return
-            if frame.type is FrameType.HELLO:
-                _version, hello_tenant = codec.decode_hello(frame.payload)
-                if hello_tenant not in self.registry:
-                    await conn.send_error(
-                        frame.request_id,
-                        codec.ERR_TENANT,
-                        f"unknown tenant {hello_tenant!r}",
-                    )
-                    return
-                conn.tenant = hello_tenant
-                await conn.send(
-                    FrameType.WELCOME,
-                    frame.request_id,
-                    codec.encode_welcome(
-                        self._welcome(self.registry.get(hello_tenant))
-                    ),
-                )
-            elif frame.type in _REQUEST_FRAMES:
+            if frame.type in _REQUEST_FRAMES:
                 await self._handle_request(conn, frame)
             elif frame.type is FrameType.OUTSOURCE:
                 # run as a tracked task so a drain starting mid-upload
@@ -555,22 +574,6 @@ class AsyncSearchService:
         if ctl is not None and entry.admission_class is not None:
             ctl.release(entry.admission_class, latency, ok=ok)
 
-    async def _tenant_of(
-        self, conn: _Connection, request_id: int
-    ) -> Optional[Tenant]:
-        """The tenant ``conn`` works as, or None after answering
-        ``ERR_TENANT``: no HELLO named one and this service has no
-        default tenant."""
-        if conn.tenant in self.registry:
-            return self.registry.get(conn.tenant)
-        await conn.send_error(
-            request_id,
-            codec.ERR_TENANT,
-            "connection is not bound to a tenant "
-            "(send HELLO with a tenant id first)",
-        )
-        return None
-
     async def _handle_request(self, conn: _Connection, frame: Frame) -> None:
         if self._step_request_faults(conn):
             return
@@ -580,29 +583,14 @@ class AsyncSearchService:
             )
             return
         try:
-            request, deadline, req_tenant = codec.decode_request(
-                frame.type, frame.payload
-            )
+            request, deadline = codec.decode_request(frame.type, frame.payload)
         except (FramingError, ValueError) as exc:
             await conn.send_error(
                 frame.request_id, codec.ERR_BAD_FRAME, str(exc)
             )
             return
-
-        # Every request bills to the connection's tenant; a request
-        # naming a *different* one is rejected (no cross-tenant
-        # submission on someone else's connection).
-        tenant = await self._tenant_of(conn, frame.request_id)
-        if tenant is None:
-            return
-        if req_tenant and req_tenant != conn.tenant:
-            await conn.send_error(
-                frame.request_id,
-                codec.ERR_TENANT,
-                f"request tenant {req_tenant!r} does not match "
-                f"connection tenant {conn.tenant!r}",
-            )
-            return
+        # every request bills to the tenant its connection's HELLO named
+        tenant = self.registry.get(conn.tenant)
 
         loop = asyncio.get_running_loop()
         abs_deadline = (
@@ -803,9 +791,7 @@ class AsyncSearchService:
                 frame.request_id, codec.ERR_DRAINING, "service is draining"
             )
             return
-        tenant = await self._tenant_of(conn, frame.request_id)
-        if tenant is None:
-            return
+        tenant = self.registry.get(conn.tenant)
         session = tenant.session
         try:
             db_bits = codec.decode_outsource(frame.payload)

@@ -31,8 +31,8 @@ from .quota import TenantQuota
 #: broker-managed per-tenant VariantCipherCache)
 _CACHE_AWARE_ENGINES = ("bfv-sharded",)
 
-#: the tenant a connection is before HELLO names one; registered only
-#: by :meth:`TenantRegistry.around` (a :class:`TenantSpec` cannot carry
+#: the tenant a HELLO with no tenant id names; registered only by
+#: :meth:`TenantRegistry.around` (a :class:`TenantSpec` cannot carry
 #: it), so it exists exactly on a registry built around one session
 DEFAULT_TENANT = ""
 

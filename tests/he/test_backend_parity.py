@@ -97,15 +97,6 @@ class TestBackendParity:
                 ra.shift(degree).coeffs, va.shift(degree).coeffs
             ), f"degree={degree}"
 
-    def test_automorphism(self, n, q, seed):
-        ref, vec = _rings(n, q)
-        rng = np.random.default_rng(seed)
-        ra, va = _random_pair(ref, vec, rng)
-        for k in (1, 3, 5, n + 1, 2 * n - 1, 4 * n + 3):
-            assert np.array_equal(
-                ra.automorphism(k).coeffs, va.automorphism(k).coeffs
-            ), f"k={k}"
-
     def test_centered_and_lift(self, n, q, seed):
         ref, vec = _rings(n, q)
         rng = np.random.default_rng(seed)
@@ -155,9 +146,6 @@ def test_large_ring_parity(n, q):
     rc = rng.integers(0, q, size=n, dtype=np.int64)
     ru, vu = ref.make(rc), vec.make(rc)
     assert np.array_equal((ra * ru).coeffs, (va * vu).coeffs)
-    assert np.array_equal(
-        ra.automorphism(2 * n - 1).coeffs, va.automorphism(2 * n - 1).coeffs
-    )
 
 
 class TestMulmodScalarKernel:
@@ -198,8 +186,7 @@ class TestMulmodScalarKernel:
 )
 def test_backend_parity_fuzz(seed, n, q):
     """Hypothesis sweep: random moduli (including just around the int64
-    safety boundaries) with random operands; mul/scalar_mul/automorphism
-    must agree bit-for-bit."""
+    safety boundaries) with random operands; mul/scalar_mul must agree bit-for-bit."""
     ref, vec = _rings(n, q)
     rng = np.random.default_rng(seed)
     ra, va = _random_pair(ref, vec, rng)
@@ -207,8 +194,6 @@ def test_backend_parity_fuzz(seed, n, q):
     assert np.array_equal((ra * rb).coeffs, (va * vb).coeffs)
     scalar = int(rng.integers(0, q))
     assert np.array_equal(ra.scalar_mul(scalar).coeffs, va.scalar_mul(scalar).coeffs)
-    k = 2 * int(rng.integers(0, 2 * n)) + 1
-    assert np.array_equal(ra.automorphism(k).coeffs, va.automorphism(k).coeffs)
 
 
 class TestBackendSelection:

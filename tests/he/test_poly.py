@@ -147,28 +147,6 @@ class TestShiftAndAutomorphism:
         assert a.shift(2 * ring.n) == a
         assert a.shift(ring.n) == -a
 
-    def test_automorphism_identity(self, ring):
-        rng = np.random.default_rng(9)
-        a = ring.random_uniform(rng)
-        assert a.automorphism(1) == a
-
-    def test_automorphism_composition(self, ring):
-        rng = np.random.default_rng(10)
-        a = ring.random_uniform(rng)
-        n2 = 2 * ring.n
-        assert a.automorphism(3).automorphism(5) == a.automorphism(15 % n2)
-
-    def test_automorphism_rejects_even(self, ring):
-        with pytest.raises(ValueError):
-            ring.zero().automorphism(2)
-
-    def test_automorphism_is_ring_homomorphism(self, ring):
-        rng = np.random.default_rng(11)
-        a, b = ring.random_uniform(rng), ring.random_uniform(rng)
-        k = 3
-        assert (a + b).automorphism(k) == a.automorphism(k) + b.automorphism(k)
-        assert (a * b).automorphism(k) == a.automorphism(k) * b.automorphism(k)
-
 
 class TestRepresentation:
     def test_centered_range(self, ring):

@@ -139,11 +139,14 @@ def test_unknown_frame_type_raises():
 
 
 def test_oversized_length_prefix_rejected():
-    import struct
-
     header = struct.pack("<4sBQI", b"CMN1", 1, 0, (1 << 30) + 1)
     with pytest.raises(FramingError, match="exceeds bound"):
         decode_header(header)
+    # the bound a service reads a connection's first frame under
+    header = struct.pack("<4sBQI", b"CMN1", 1, 0, codec.MAX_HELLO_BYTES + 1)
+    assert decode_header(header)[2] == codec.MAX_HELLO_BYTES + 1
+    with pytest.raises(FramingError, match="exceeds bound"):
+        decode_header(header, codec.MAX_HELLO_BYTES)
 
 
 # -- request payloads --------------------------------------------------------
@@ -154,16 +157,12 @@ _BITS = st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=96)
 
 @settings(max_examples=50, deadline=None)
 @given(bits=_BITS, policy=_POLICIES,
-       deadline_s=st.one_of(st.none(), st.floats(0, 60)),
-       tenant=st.sampled_from(["", "alice", "tenant-7"]))
-def test_exact_request_roundtrip(bits, policy, deadline_s, tenant):
+       deadline_s=st.one_of(st.none(), st.floats(0, 60)))
+def test_exact_request_roundtrip(bits, policy, deadline_s):
     request = ExactSearch.from_bits(bits, verify=policy)
-    ftype, payload = codec.encode_request(request, deadline_s, tenant)
+    ftype, payload = codec.encode_request(request, deadline_s)
     assert ftype is FrameType.SEARCH
-    decoded, got_deadline, got_tenant = codec.decode_request(ftype, payload)
-    assert decoded == request
-    assert got_deadline == deadline_s
-    assert got_tenant == tenant
+    assert codec.decode_request(ftype, payload) == (request, deadline_s)
 
 
 @settings(max_examples=50, deadline=None)
@@ -179,9 +178,7 @@ def test_wildcard_request_roundtrip(data, policy):
     request = WildcardSearch(tuple(bits), tuple(mask), verify=policy)
     ftype, payload = codec.encode_request(request, None)
     assert ftype is FrameType.WILDCARD
-    decoded, _, tenant = codec.decode_request(ftype, payload)
-    assert decoded == request
-    assert tenant == ""
+    assert codec.decode_request(ftype, payload) == (request, None)
 
 
 @settings(max_examples=30, deadline=None)
@@ -198,12 +195,9 @@ def test_batch_request_roundtrip(queries, policies, batch_policy):
         ),
         verify=batch_policy,
     )
-    ftype, payload = codec.encode_request(request, 2.5, "bob")
+    ftype, payload = codec.encode_request(request, 2.5)
     assert ftype is FrameType.BATCH
-    decoded, deadline_s, tenant = codec.decode_request(ftype, payload)
-    assert decoded == request
-    assert deadline_s == 2.5
-    assert tenant == "bob"
+    assert codec.decode_request(ftype, payload) == (request, 2.5)
 
 
 # -- result payloads ---------------------------------------------------------
@@ -220,7 +214,6 @@ _RESULTS = st.builds(
         additions=st.integers(0, 2**32),
         multiplications=st.integers(0, 1000),
         plain_multiplications=st.integers(0, 1000),
-        automorphisms=st.integers(0, 1000),
         bootstraps=st.integers(0, 1000),
     ),
     elapsed_seconds=st.floats(0, 1e6),
@@ -267,7 +260,7 @@ def test_batch_result_roundtrip(results, elapsed, dedup):
 
 def test_welcome_roundtrip():
     welcome = codec.Welcome(
-        protocol_version=1,
+        protocol_version=3,
         engine="bfv-sharded",
         scheme="bfv",
         wildcard=True,
@@ -280,7 +273,7 @@ def test_welcome_roundtrip():
     )
     assert codec.decode_welcome(codec.encode_welcome(welcome)) == welcome
     capped = codec.Welcome(
-        protocol_version=1, engine="bonte", scheme="bfv-arith",
+        protocol_version=3, engine="bonte", scheme="bfv-arith",
         wildcard=False, batching=False, sharded=False, verify=False,
         max_query_bits=4, db_bit_length=None,
     )
@@ -345,50 +338,42 @@ def test_stats_roundtrip():
     assert codec.decode_stats(codec.encode_stats(stats)) == stats
 
 
-def test_stats_frame_keeps_the_v2_layout_with_reserved_slots():
-    """The bytes a 2.x client's ``decode_stats`` walks: the three slots
-    that described the shard executor and the one that carried the
-    scheduler's copy of ``shed`` (until 9.0) are still there, written as
-    0, 0, "thread" and 0, and whatever an older server put in them is
-    skipped."""
-    import struct
+def test_stats_frame_v3_layout_is_byte_exact():
+    """The CMN1 v3 STATS payload, field by field: the counters, the
+    latency and rate figures, then the three UTF-8 blobs.  No reserved
+    slot sits between them."""
+    s = _stats()
 
-    def blob(raw: bytes) -> bytes:
-        return struct.pack("<I", len(raw)) + raw
+    def blob(raw: str) -> bytes:
+        return struct.pack("<I", len(raw.encode())) + raw.encode()
 
-    def layout(
-        restarts: int, degradations: int, executor: bytes, sched_sheds: int = 0
-    ) -> bytes:
-        s = _stats()
-        return (
-            struct.pack(
-                "<IQQQQQBQQdddddQQQQ",
-                s.active_connections, s.total_connections, s.accepted,
-                s.completed, s.shed, s.failed, s.draining,
-                sched_sheds, s.served_queries,
-                s.wall_p50, s.wall_p95, s.wall_p99,
-                s.throughput_qps, s.cache_hit_rate,
-                restarts, degradations,
-                s.admit_rejected, s.degraded_shards,
-            )
-            + blob(executor)
-            + blob(s.report_text.encode())
-            + blob(s.report_json.encode())
-            + blob(s.tenants_json.encode())
+    layout = (
+        struct.pack(
+            "<IQQQQQBQdddddQQ",
+            s.active_connections, s.total_connections, s.accepted,
+            s.completed, s.shed, s.failed, s.draining, s.served_queries,
+            s.wall_p50, s.wall_p95, s.wall_p99,
+            s.throughput_qps, s.cache_hit_rate,
+            s.admit_rejected, s.degraded_shards,
         )
+        + blob(s.report_text)
+        + blob(s.report_json)
+        + blob(s.tenants_json)
+    )
+    assert codec.encode_stats(s) == layout
+    assert codec.decode_stats(layout) == s
+    with pytest.raises(FramingError, match="truncated"):
+        codec.decode_stats(layout[: -len(blob(s.tenants_json))])
 
-    assert codec.encode_stats(_stats()) == layout(0, 0, b"thread")
-    assert codec.decode_stats(layout(7, 3, b"process", 4)) == _stats()
-    assert codec.decode_stats(layout(0, 0, b"\xff\xfe")) == _stats()
 
-
-def test_hello_roundtrip_and_v1_compat():
-    assert codec.decode_hello(codec.encode_hello(2, "carol")) == (2, "carol")
-    assert codec.decode_hello(codec.encode_hello(2)) == (2, "")
-    # a protocol-v1 HELLO is the bare 2-byte version word
-    import struct
-
-    assert codec.decode_hello(struct.pack("<H", 1)) == (1, "")
+def test_two_byte_hello_is_a_framing_error():
+    """A HELLO is a u16 version and a u16-prefixed tenant; the bare
+    version word a v1 peer sent does not decode."""
+    assert codec.decode_hello(codec.encode_hello(3, "carol")) == (3, "carol")
+    assert codec.decode_hello(codec.encode_hello(3)) == (3, "")
+    assert len(codec.encode_hello(3, "x" * 0xFFFF)) == codec.MAX_HELLO_BYTES
+    with pytest.raises(FramingError, match="truncated"):
+        codec.decode_hello(struct.pack("<H", 1))
 
 
 def test_request_payload_trailing_bytes_rejected():
@@ -418,9 +403,6 @@ def _text_payloads():
         wall_p50=0.0, wall_p95=0.0, wall_p99=0.0, throughput_qps=0.0,
         cache_hit_rate=0.0, report_text="",
     )
-    exact = ExactSearch.from_bits([1, 0, 1])
-    wildcard = WildcardSearch((1, 0, 1), (1, 0, 1))
-    batch = BatchSearch((exact,))
     cases = {
         "hello": (codec.encode_hello(2, _MARK), codec.decode_hello),
         "welcome-engine": (
@@ -440,11 +422,6 @@ def _text_payloads():
         ),
         "error": (codec.encode_error(codec.ERR_REMOTE, _MARK), codec.decode_error),
     }
-    for name, request in (("exact", exact), ("wildcard", wildcard), ("batch", batch)):
-        ftype, payload = codec.encode_request(request, None, _MARK)
-        cases[f"request-{name}"] = (
-            payload, lambda p, ftype=ftype: codec.decode_request(ftype, p)
-        )
     for field in ("report_text", "report_json", "tenants_json"):
         cases[f"stats-{field}"] = (
             codec.encode_stats(codec.ServiceStats(**{**stats, field: _MARK})),
@@ -476,7 +453,7 @@ def test_malformed_hello_from_the_issue_raises_framing_error():
 
 # -- request-object validation stays behind FramingError ----------------------
 
-_REQUEST_HEAD = b"\x00" + struct.pack("<d", -1.0) + b"\x00\x00"
+_REQUEST_HEAD = b"\x00" + struct.pack("<d", -1.0)
 
 
 @pytest.mark.parametrize(
@@ -504,7 +481,12 @@ def test_mutated_request_payload_decodes_or_raises_framing_error(case):
     """Seeded byte flips, truncations and appended bytes over one valid
     payload per request frame type: ``decode_request`` returns a request
     or raises ``FramingError``, nothing else."""
-    payload, decode = _TEXT_PAYLOADS[f"request-{case}"]
+    request = {
+        "exact": ExactSearch.from_bits([1, 0, 1]),
+        "wildcard": WildcardSearch((1, 0, 1), (1, 0, 1)),
+        "batch": BatchSearch((ExactSearch.from_bits([1, 0, 1]),)),
+    }[case]
+    ftype, payload = codec.encode_request(request, 2.5)
     rng = np.random.default_rng(13)
     outcomes = {"decoded": 0, "rejected": 0}
     for _ in range(3000):
@@ -518,7 +500,7 @@ def test_mutated_request_payload_decodes_or_raises_framing_error(case):
         else:
             data += rng.integers(0, 256, size=rng.integers(1, 9), dtype=np.uint8).tobytes()
         try:
-            decode(bytes(data))
+            codec.decode_request(ftype, bytes(data))
         except FramingError:
             outcomes["rejected"] += 1
         else:

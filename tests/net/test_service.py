@@ -27,7 +27,6 @@ from repro.api import CapabilityError, PlaintextEngine, Session
 from repro.api.requests import WildcardSearch
 from repro.he import BFVParams
 from repro.net import (
-    AsyncClient,
     Client,
     RemoteError,
     RequestShedError,
@@ -254,29 +253,6 @@ def test_reconnect_resends_in_flight_requests():
             # the reader notices, reconnects, resends; the resent
             # request executes again and resolves the same future
             assert offsets[0] in future.result(timeout=30).matches
-
-
-def test_async_client(plaintext_service):
-    import asyncio
-
-    db, queries, offsets = planted_db(num_queries=3)
-
-    async def main():
-        client = await AsyncClient.connect(plaintext_service.address)
-        try:
-            assert (await client.outsource(db)) == len(db)
-            futures = [await client.submit(q) for q in queries]
-            results = await asyncio.gather(*futures)
-            for k, result in enumerate(results):
-                assert offsets[k] in result.matches
-            batch = await client.search_batch(queries)
-            assert batch.num_queries == 3
-            stats = await client.stats()
-            assert stats.completed >= 4
-        finally:
-            await client.aclose()
-
-    asyncio.run(main())
 
 
 def test_stats_frame_includes_serve_report():

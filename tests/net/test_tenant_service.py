@@ -7,9 +7,9 @@ identities bound at HELLO and assert:
 * every tenant's searches hit only its own database (result isolation),
   and tenant A's key cannot decrypt tenant B's ciphertexts (crypto
   isolation);
-* unknown / unbound / mismatched tenant identities are rejected with
-  the typed ERR_TENANT error, and the default tenant ``""`` exists
-  only on a service built around one session;
+* unknown / unbound tenant identities are rejected at HELLO with the
+  typed ERR_TENANT error, and the default tenant ``""`` exists only on
+  a service built around one session;
 * the slot bound applies only while tenants compete, and a request
   still waiting in the fair queue is the first thing shed.
 
@@ -116,38 +116,35 @@ def test_unbound_connection_rejected(tenant_service):
             client.search(np.ones(8, dtype=np.uint8))
 
 
-def _raw_search(address, query, hello_tenant=None) -> Frame:
-    """One SEARCH on a bare socket, after a HELLO only when
-    ``hello_tenant`` is given; returns the first non-WELCOME reply."""
+def _raw_search(address, query, hello_tenant: str) -> Frame:
+    """HELLO ``hello_tenant`` then one SEARCH on a bare socket; returns
+    the first non-WELCOME reply."""
     with socket.create_connection(address, timeout=10) as sock:
-        if hello_tenant is not None:
-            hello = codec.encode_hello(PROTOCOL_VERSION, hello_tenant)
-            write_frame_sync(sock, Frame(FrameType.HELLO, 1, hello))
-            reply = read_frame_sync(sock)
-            if reply.type is not FrameType.WELCOME:
-                return reply
+        hello = codec.encode_hello(PROTOCOL_VERSION, hello_tenant)
+        write_frame_sync(sock, Frame(FrameType.HELLO, 1, hello))
+        reply = read_frame_sync(sock)
+        if reply.type is not FrameType.WELCOME:
+            return reply
         ftype, payload = codec.encode_request(ExactSearch.from_bits(query))
         write_frame_sync(sock, Frame(ftype, 2, payload))
         return read_frame_sync(sock)
 
 
 def test_default_tenant_exists_only_around_one_session(tenant_service):
-    """HELLO ``""`` and a request on an un-HELLO'd connection name the
-    default tenant: a registry of named tenants answers both with
-    ERR_TENANT, a service built around one session serves both."""
+    """HELLO ``""`` names the default tenant: a registry of named
+    tenants answers it with ERR_TENANT, a service built around one
+    session serves it."""
     db, queries, offsets = planted_db(num_queries=1)
-    for hello_tenant in (None, ""):
-        reply = _raw_search(tenant_service.address, queries[0], hello_tenant)
-        assert reply.type is FrameType.ERROR
-        assert codec.decode_error(reply.payload)[0] == codec.ERR_TENANT
+    reply = _raw_search(tenant_service.address, queries[0], "")
+    assert reply.type is FrameType.ERROR
+    assert codec.decode_error(reply.payload)[0] == codec.ERR_TENANT
     for kind in ("engine-key", "session"):
         with serve(kind) as served:
             with served.client() as client:
                 client.outsource(db)
-            for hello_tenant in (None, ""):
-                reply = _raw_search(served.address, queries[0], hello_tenant)
-                assert reply.type is FrameType.RESULT
-                assert offsets[0] in codec.decode_result(reply.payload).matches
+            reply = _raw_search(served.address, queries[0], "")
+            assert reply.type is FrameType.RESULT
+            assert offsets[0] in codec.decode_result(reply.payload).matches
             # and it has no other tenant to be
             with pytest.raises(TenantRejectedError):
                 with Client(served.address, tenant="alice") as client:
@@ -226,28 +223,6 @@ def test_queued_victim_is_shed_before_incoming():
             "alice": 1, "bob": 0, "carol": 0
         }
         assert rows["alice"]["backlog"] == 0
-
-
-def test_async_client_binds_tenant(tenant_service):
-    import asyncio
-
-    from repro.net import AsyncClient
-
-    db, q, off = _planted_db(9)
-
-    async def main():
-        client = await AsyncClient.connect(
-            tenant_service.address, tenant="carol"
-        )
-        try:
-            assert client.welcome.tenant == "carol"
-            await client.outsource(db)
-            result = await (await client.submit(q))
-            assert off in result.matches
-        finally:
-            await client.aclose()
-
-    asyncio.run(main())
 
 
 def test_remote_engine_and_session_thread_tenant(tenant_service):

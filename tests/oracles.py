@@ -115,8 +115,7 @@ from repro.tfhe.polymath import negacyclic_convolve_small
 class ReferenceBackend(PolyBackend):
     """The repo's original exact path, kept as the parity oracle.
 
-    Multiplication and the per-index automorphism loop are verbatim the
-    pre-backend implementations; only provably-exact vectorizations are
+    Multiplication is verbatim the pre-backend implementation; only provably-exact vectorizations are
     applied (object-dtype numpy reductions instead of Python list
     comprehensions, per the micro-benchmarks in ``bench_poly.py``).
     """
@@ -140,18 +139,6 @@ class ReferenceBackend(PolyBackend):
         if scalar.bit_length() + (q - 1).bit_length() < 63:
             return coeffs * scalar % q
         return (coeffs.astype(object) * scalar % q).astype(np.int64)
-
-    def automorphism(self, coeffs: np.ndarray, k: int) -> np.ndarray:
-        n, q = self.n, self.q
-        out = np.zeros(n, dtype=np.int64)
-        k = k % (2 * n)
-        for i in range(n):
-            target = i * k % (2 * n)
-            if target < n:
-                out[target] = (out[target] + coeffs[i]) % q
-            else:
-                out[target - n] = (out[target - n] - coeffs[i]) % q
-        return out
 
 
 def reference_arithmetic(*holders):

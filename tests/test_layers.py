@@ -228,11 +228,6 @@ UNREAD_ALLOWED = {
         "cache coherence: a caller that edits ciphertexts in place must "
         "drop the arena and the byte count built from the old ones"
     ),
-    "he/poly.py:RingPoly.automorphism": (
-        "ROADMAP item 7: the last piece of the Galois path, kept with its "
-        "40 backend-parity and ring-law tests so that one change does not "
-        "retire more than 200 tests; the next deletion step removes it"
-    ),
 }
 
 
