@@ -13,13 +13,16 @@ Three measurements, each between paths that exist in ``src/``:
   mask's checked magnitude — the product under every fresh row;
 * 39 query rows at the paper's parameters: 39 public-key ``encrypt``
   calls — what database outsourcing runs per polynomial — against one
-  ``encrypt_symmetric_rows`` pass over the same 39 rows under the
-  secret key, what the key holder encrypts its queries with.
+  ciphertext pass over the same 39 rows under the secret key
+  (``fresh_phase_rows`` then ``encrypt_phase_rows``, what a per-pair
+  adder is handed), and that pass against its phase-row half alone,
+  what the key holder encrypts its queries with for the fused kernel.
 
 Runs standalone (``python benchmarks/bench_poly.py``) or under pytest.
 ``--quick`` restricts the multiply to n = 4096 and **exits non-zero if
-the small product is not at least 2x the general one, or the 39-row
-pass takes more than 0.5x the 39 public-key encryptions** — the CI
+the small product is not at least 2x the general one, the 39-row
+ciphertext pass takes more than 0.5x the 39 public-key encryptions, or
+the phase-row pass more than 0.5x the ciphertext pass** — the CI
 bench-smoke gates.
 """
 
@@ -120,9 +123,13 @@ def bench_ternary(n: int, q: int, reps: int, seed: int = DEFAULT_SEED) -> dict:
 
 
 #: one request's query rows under the secret key against as many
-#: public-key encryptions (measured 0.42-0.43x on the 2-CPU reference
+#: public-key encryptions (measured 0.42-0.47x on the 2-CPU reference
 #: host; above 0.5x the one-pass block encryptor is not what ran)
 QUERY_ROWS_GATE = 0.5
+#: the phase-row pass against the ciphertext pass over the same rows
+#: (measured 0.27-0.31x on the 2-CPU reference host; above 0.5x the
+#: phase rows pay for a product they do not need)
+PHASE_ROWS_GATE = 0.5
 #: rows per pass, fixed so the gate compares like with like across
 #: versions (a 48-bit read encrypted 39 when the gate was set; since
 #: one row per variant it encrypts 33)
@@ -131,7 +138,8 @@ QUERY_ROWS = 39
 
 def bench_query_rows(reps: int, seed: int = DEFAULT_SEED) -> dict:
     """``QUERY_ROWS`` plaintext rows at ``paper()``: one public-key
-    ``encrypt`` each against one ``encrypt_symmetric_rows`` pass."""
+    ``encrypt`` each against one ciphertext pass under the secret key,
+    and that pass against its phase-row half."""
     params = BFVParams.paper()
     ctx = BFVContext(params, seed=seed)
     keygen = KeyGenerator(params, seed=seed)
@@ -147,24 +155,31 @@ def bench_query_rows(reps: int, seed: int = DEFAULT_SEED) -> dict:
     # process has not, and the pass's 48-96 KiB transients then cost a
     # few hundred page faults per call, which this gate is not about
     np.empty(1 << 23, dtype=np.uint8).fill(0)
-    block = ctx.encrypt_symmetric_rows(rows, sk)  # warms the key spectra
+
+    def ciphertext_pass():
+        return ctx.encrypt_phase_rows(ctx.fresh_phase_rows(rows), sk)
+
+    block = ciphertext_pass()  # warms the key spectra
     for pt, row in zip(plaintexts, block):
         ct = unstack_ciphertext(ctx.ring, params, row.astype(np.int64))
         assert ctx.decrypt(ct, sk).poly == ctx.decrypt(ctx.encrypt(pt, pk), sk).poly, (
             "block row diverged — run tests/he/test_symmetric_rows.py"
         )
-    # alternating, so both sides see the same host: each is a few ms
-    t_public = t_block = float("inf")
+    # alternating, so all three see the same host: each is a few ms
+    t_public = t_block = t_phase = float("inf")
     for _ in range(10 * reps):
         t_public = min(
             t_public, _time(lambda: [ctx.encrypt(pt, pk) for pt in plaintexts], 1)
         )
-        t_block = min(t_block, _time(lambda: ctx.encrypt_symmetric_rows(rows, sk), 1))
+        t_block = min(t_block, _time(ciphertext_pass, 1))
+        t_phase = min(t_phase, _time(lambda: ctx.fresh_phase_rows(rows), 1))
     return {
         "rows": QUERY_ROWS,
         "public_ms": t_public * 1e3,
         "block_ms": t_block * 1e3,
+        "phase_ms": t_phase * 1e3,
         "ratio": t_block / t_public,
+        "phase_ratio": t_phase / t_block,
     }
 
 
@@ -200,11 +215,12 @@ def run(quick: bool, seed: int = DEFAULT_SEED) -> int:
         "",
         format_table(
             "One request's query rows, n=1024 q=2**32 (best of %d)" % (10 * reps),
-            ["rows", "public-key encrypt x rows, ms",
-             "encrypt_symmetric_rows, ms", "ratio"],
+            ["rows", "public-key encrypt x rows, ms", "ciphertext pass, ms",
+             "ratio", "phase-row pass, ms", "phase / ciphertext"],
             [[
                 query["rows"], f"{query['public_ms']:.2f}",
                 f"{query['block_ms']:.2f}", f"{query['ratio']:.2f}x",
+                f"{query['phase_ms']:.2f}", f"{query['phase_ratio']:.2f}x",
             ]],
         ),
     ]
@@ -236,6 +252,18 @@ def run(quick: bool, seed: int = DEFAULT_SEED) -> int:
         f"time of {query['rows']} public-key encryptions "
         f"(gate: {QUERY_ROWS_GATE}x)"
     )
+    if query["phase_ratio"] > PHASE_ROWS_GATE:
+        print(
+            f"FAIL: the phase rows of {query['rows']} query rows took "
+            f"{query['phase_ratio']:.2f}x the time of their ciphertext pass "
+            f"(gate: {PHASE_ROWS_GATE}x)",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        f"{query['rows']} phase rows: {query['phase_ratio']:.2f}x the time of "
+        f"their ciphertext pass (gate: {PHASE_ROWS_GATE}x)"
+    )
     return 0
 
 
@@ -251,8 +279,9 @@ def main() -> int:
         "--quick",
         action="store_true",
         help="n=4096 multiply, the small product and the query rows only; "
-        "non-zero exit if the small product is under 2x the general one or "
-        "the one-pass query rows over 0.5x the public-key ones (CI gates)",
+        "non-zero exit if the small product is under 2x the general one, "
+        "the one-pass query rows over 0.5x the public-key ones or the phase "
+        "rows over 0.5x the ciphertext pass (CI gates)",
     )
     parser.add_argument(
         "--seed", type=int, default=DEFAULT_SEED,

@@ -25,10 +25,10 @@ from ..verify import VerifyPolicy
 
 
 def _as_bit_tuple(bits: Iterable[int]) -> Tuple[int, ...]:
-    out = tuple(int(b) for b in np.asarray(bits, dtype=np.int64).ravel())
-    if any(b not in (0, 1) for b in out):
+    arr = np.asarray(bits, dtype=np.int64).ravel()
+    if arr.size and (arr.min() < 0 or arr.max() > 1):
         raise ValueError("bit payloads must contain only 0/1 values")
-    return out
+    return tuple(arr.tolist())
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class ExactSearch(SearchRequest):
 
     @classmethod
     def from_bits(cls, bits, *, verify: VerifyPolicy = VerifyPolicy.AUTO) -> "ExactSearch":
-        return cls(_as_bit_tuple(bits), verify=verify)
+        return cls(bits, verify=verify)  # __post_init__ converts, once
 
     @classmethod
     def from_bytes(cls, payload: bytes, *, verify: VerifyPolicy = VerifyPolicy.AUTO) -> "ExactSearch":

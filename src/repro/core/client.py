@@ -94,10 +94,10 @@ class CipherMatchClient:
         """Every distinct encrypted query polynomial of ``prepared`` —
         one per variant, :func:`~repro.he.arena.query_row_layout` —
         stacked for the fused cells in one
-        :meth:`QueryPreparer.encrypt_variant_value` pass: ``(3, n)``
-        rows with their phase under ``CLIENT_DECRYPT`` (the phase row
-        stays with the key holder), ``(2, n)`` ciphertext rows for the
-        server's comparator under ``SERVER_DETERMINISTIC``."""
+        :meth:`QueryPreparer.encrypt_variant_value` pass: ``(n,)``
+        phase rows under ``CLIENT_DECRYPT`` (they stay with the key
+        holder), ``(2, n)`` ciphertext rows for the server's comparator
+        under ``SERVER_DETERMINISTIC``."""
         ctx = self.ctx
         block = self.preparer.encrypt_variant_value(
             prepared, range(prepared.num_variants),

@@ -114,7 +114,7 @@ class SecureStringMatchPipeline:
             ctx.counter.decryptions += pairs
             hits = fused_decrypt_flags(
                 db.fused_arena(ctx.ring, ctx.params).phases(client.sk),
-                query.phases(client.sk),
+                query.phases(),
                 query.row_map(np.arange(db.num_polynomials)),
                 ctx.params,
                 client.chunk_width,

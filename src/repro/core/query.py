@@ -89,19 +89,20 @@ class PreparedQuery:
     def row_plaintexts(self, rows: Sequence[int], n: int) -> np.ndarray:
         """``(len(rows), n)`` plaintext coefficients of the query rows
         ``rows`` (module docstring, "Query rows"): row ``r`` is
-        ``variants[r]`` laid over database polynomial 0.  One gather
-        over the phase patterns laid end to end — a phase's pattern
-        starts at its first variant's index, ``r - rotation``."""
-        patterns = np.concatenate(
-            [v.pattern_chunks for v in self.variants if v.rotation == 0]
-        )
-        rows = np.asarray(rows, dtype=np.intp)
-        rotation = np.asarray([v.rotation for v in self.variants])[rows, None]
-        span = np.asarray([v.span for v in self.variants])[rows, None]
-        at = np.arange(n) - rotation  # the one (rows, n) index array
-        np.remainder(at, span, out=at)
-        at += rows[:, None] - rotation
-        return patterns[at]
+        ``variants[r]`` laid over database polynomial 0, coefficient
+        ``i`` holding pattern chunk ``(i - rotation) mod span``.  A
+        phase's pattern is tiled once over ``n + span`` coefficients;
+        each of its rows copies the slice that starts at
+        ``-rotation mod span``."""
+        out = np.empty((len(rows), n), dtype=np.int64)
+        tiled: Dict[int, np.ndarray] = {}
+        for out_row, row in zip(out, rows):
+            v = self.variants[row]
+            if v.phase not in tiled:
+                tiled[v.phase] = np.tile(v.pattern_chunks, n // v.span + 2)
+            start = -v.rotation % v.span
+            out_row[:] = tiled[v.phase][start : start + n]
+        return out
 
 
 def guaranteed_phases(query_bits: int, chunk_width: int) -> List[int]:
@@ -193,12 +194,10 @@ class QueryPreparer:
         shift = (v.rotation - poly_index * self.ctx.params.n) % v.span
         row = variant_index - v.rotation + shift
         if row not in prepared._cipher_cache:
-            (value,) = self.encrypt_variant_value(
+            block = self.encrypt_variant_value(
                 prepared, [row], pk, sk, deterministic_seed=deterministic_seed
             )
-            prepared._cipher_cache[row] = unstack_ciphertext(
-                self.ctx.ring, self.ctx.params, value.astype(np.int64)
-            )
+            (prepared._cipher_cache[row],) = self.ciphertexts(block, sk)
         return prepared._cipher_cache[row]
 
     def encrypt_variant_value(
@@ -219,25 +218,38 @@ class QueryPreparer:
         that cache is the only place they are retained.
 
         The client holds both keys, so its queries are encrypted under
-        ``sk``: the ``(R, 3, n)`` block of
-        :meth:`BFVContext.encrypt_symmetric_rows` — ``c0``, ``c1`` and
-        the phase ``delta * m - e``.  With ``deterministic_seed`` the
-        rows are instead *defined* as a function of ``pk`` and the
-        shared seed (the comparator predicts ``pk0 * u``, ``u`` derived
-        from the row index): the noiseless public-key encryption
-        database outsourcing uses, ``(R, 2, n)``, no phase.  Either
-        block is in :func:`~repro.he.poly.row_dtype`.
+        ``sk`` and kept as their ``(R, n)`` phase rows ``delta * m - e``
+        (:meth:`BFVContext.fresh_phase_rows`), all the fused kernel
+        reads; :meth:`ciphertexts` makes ``(c0, c1)`` of them.  With
+        ``deterministic_seed`` the rows are instead *defined* as a
+        function of ``pk`` and the shared seed (the comparator predicts
+        ``pk0 * u``, ``u`` derived from the row index): the noiseless
+        public-key encryption database outsourcing uses, ``(R, 2, n)``.
+        Either block is in :func:`~repro.he.poly.row_dtype`.
         """
         ctx, n = self.ctx, self.ctx.params.n
         plain = prepared.row_plaintexts(rows, n)
         if deterministic_seed is None:
-            return ctx.encrypt_symmetric_rows(plain, sk)
+            return ctx.fresh_phase_rows(plain)
         block = np.empty((len(rows), 2, n), dtype=row_dtype(ctx.params.q))
         for out, coeffs, row in zip(block, plain, rows):
             u = derive_masking_poly(ctx, deterministic_seed, "qv", int(row))
             ct = ctx.encrypt(ctx.plaintext(coeffs), pk, noiseless=True, u=u)
             out[0], out[1] = ct.c0.coeffs, ct.c1.coeffs
         return block
+
+    def ciphertexts(self, block: np.ndarray, sk: SecretKey) -> List[Ciphertext]:
+        """The ciphertext objects a per-pair adder reads, one per row
+        of a :meth:`encrypt_variant_value` block: phase rows get their
+        ``(c0, c1)`` from :meth:`BFVContext.encrypt_phase_rows` (one
+        phase row, one ciphertext), ciphertext rows are read."""
+        ctx = self.ctx
+        if block.ndim == 2:
+            block = ctx.encrypt_phase_rows(block, sk)
+        return [
+            unstack_ciphertext(ctx.ring, ctx.params, row)
+            for row in block.astype(np.int64)
+        ]
 
 
 def _periodic_window(query_bits: np.ndarray, start: int, width: int) -> np.ndarray:

@@ -675,16 +675,17 @@ def query_row_layout(
 
 
 class QueryArena:
-    """Stacked encrypted query rows for one prepared query.
+    """Stacked query rows for one prepared query.
 
     One row per *distinct* encrypted query polynomial, which is one per
     variant (:func:`query_row_layout`), whatever the database size.
-    ``rows`` holds them in that order: the ``(2, n)`` rows of a
-    ciphertext (:func:`stack_ciphertext`), or the ``(3, n)`` rows of one
-    encrypted under the key holder's secret key with its phase
-    (:meth:`~repro.he.bfv.BFVContext.encrypt_symmetric_rows` — what the
-    serving cache holds), in which case :meth:`phases` reads the phase
-    rows it was handed instead of multiplying by the secret key.
+    ``rows`` holds them in that order: under ``CLIENT_DECRYPT`` the
+    ``(n,)`` phase rows ``delta * m - e`` of the key holder's secret-key
+    encryption (:meth:`~repro.he.bfv.BFVContext.fresh_phase_rows` —
+    what the serving cache holds), which :meth:`phases` reads as they
+    are; under ``SERVER_DETERMINISTIC`` the ``(2, n)`` rows of a
+    ciphertext (:func:`stack_ciphertext`), whose ``c0`` the comparator
+    reads.
     """
 
     def __init__(
@@ -702,56 +703,27 @@ class QueryArena:
             )
         self.variants = variants
         self.num_variants = len(variants)
-        #: rows as handed: (num_rows, 2 or 3, n), any integer dtype
-        self._rows = (
-            np.stack(rows) if len(rows) else np.empty((0, 2, ring.n), dtype=np.int64)
+        #: rows as handed: (num_rows, n) phases or (num_rows, 2, n)
+        #: ciphertexts, any integer dtype
+        self.rows = (
+            np.stack(rows) if len(rows) else np.empty((0, ring.n), dtype=np.int64)
         )
-        self._stack: np.ndarray | None = None
-        self._lock = threading.Lock()
-        self._phase_cache: Tuple[object, np.ndarray] | None = None
-
-    @property
-    def stack(self) -> np.ndarray:
-        """``(num_rows, 2, n)`` int64 ciphertext rows — what the
-        per-pair adder and the comparator read (widened from the cached
-        storage type on first use; the fused decrypt path never touches
-        them)."""
-        if self._stack is None:
-            self._stack = self._rows[:, :2].astype(np.int64, copy=False)
-        return self._stack
 
     @property
     def c0(self) -> np.ndarray:
-        return self.stack[:, 0]
-
-    @property
-    def c1(self) -> np.ndarray:
-        return self.stack[:, 1]
+        """``(num_rows, n)`` ``c0`` rows of ciphertext rows — what the
+        comparator adds to the database's."""
+        return self.rows[:, 0]
 
     def row_map(self, poly_indices: Sequence[int]) -> np.ndarray:
         """``(V, P)`` row index per (variant, global polynomial)."""
         return query_row_layout(self.variants, self.ring.n, poly_indices)
 
-    def phases(self, sk: "SecretKey") -> np.ndarray:
+    def phases(self) -> np.ndarray:
         """``(num_rows, n)`` decryption phases of the query rows in the
-        kernel's :func:`phase_dtype`, cached per secret key.  Rows that
-        came with their phase (``delta * m - e``, formed when the key
-        holder encrypted them under ``sk``) are read; bare ciphertext
-        rows pay one batched ``c1 * s`` multiply."""
-        with self._lock:
-            cached = self._phase_cache
-            if cached is not None and cached[0] is sk:
-                return cached[1]
-            q = self.params.q
-            if self._rows.shape[1] == 3:
-                phases = self._rows[:, 2]
-            else:
-                phases = add_mod_q(
-                    self.c0, mul_rows_by_poly(self.ring, self.c1, sk.s), q
-                )
-            phases = phases.astype(phase_dtype(q), copy=False)
-            self._phase_cache = (sk, phases)
-            return phases
+        kernel's :func:`phase_dtype`: the phase rows as handed (no copy
+        at ``q = 2**32``), no product with the secret key."""
+        return self.rows.astype(phase_dtype(self.params.q), copy=False)
 
 
 def stack_ciphertext(ct: Ciphertext) -> np.ndarray:

@@ -15,6 +15,7 @@ ciphertexts cannot be compared directly.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,13 +26,34 @@ from .ntt import exact_negacyclic_convolution
 from .params import BFVParams
 from .poly import RingContext, RingPoly, row_dtype
 
-#: rows per pass of :meth:`BFVContext.encrypt_symmetric_rows`: enough
+#: rows per ``a * s`` pass of :meth:`BFVContext.encrypt_phase_rows`: enough
 #: to amortize the NumPy dispatch of a pass, few enough that its
 #: transients stay cache-resident and the largest — ``(rows, pieces,
 #: n)`` 8-byte cells, 96 KiB at the paper's parameters — stays under
 #: the allocator's 128 KiB mmap threshold (``docs/perf.md``, "Queries
 #: under the secret key, one pass per request": the tile sweep)
 _SYMMETRIC_TILE_ROWS = 6
+
+
+#: SplitMix64's counter step and finalizer multipliers
+_GOLDEN, _MIX1, _MIX2 = map(
+    np.uint64, (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+)
+
+
+def _keyed_uniform(rows: np.ndarray, key: np.ndarray, backend) -> np.ndarray:
+    """``(R, n)`` int64 coefficients in ``[0, q)``, row ``r`` a function
+    of ``rows[r]`` and the secret ``key`` alone: the row's inner product
+    with ``key`` mod ``2**64`` (a universal hash) seeds a SplitMix64
+    counter stream, whose words ``backend.fold`` reduces (exact at
+    ``q = 2**32``, residue bias below ``q / 2**64`` elsewhere)."""
+    counters = np.arange(1, rows.shape[1] + 1, dtype=np.uint64) * _GOLDEN
+    x = (rows.astype(np.uint64) @ key)[:, None] + counters
+    for shift, mul in ((30, _MIX1), (27, _MIX2)):
+        x ^= x >> np.uint64(shift)
+        x *= mul
+    x ^= x >> np.uint64(31)
+    return backend.fold(x.view(np.int64))
 
 
 @dataclass
@@ -147,25 +169,19 @@ class BFVContext:
         c0 = backend.fold(pk0_u + e0 + pt.poly.coeffs * params.delta)
         return Ciphertext(params, RingPoly(ring, c0), RingPoly(ring, c1))
 
-    def encrypt_symmetric_rows(
-        self, plain_rows: np.ndarray, sk: SecretKey
-    ) -> np.ndarray:
-        """Secret-key encryption of a block of plaintext rows — what
-        the key holder encrypts its queries with.
+    def fresh_phase_rows(self, plain_rows: np.ndarray) -> np.ndarray:
+        """The decryption phases of fresh secret-key encryptions of a
+        block of plaintext rows — what the key holder's fused kernel
+        reads of its queries.
 
         ``plain_rows`` is ``(R, n)`` with coefficients in ``[0, t)``.
-        Returns the ``(R, 3, n)`` block, in :func:`~repro.he.poly.row_dtype`,
-        of ``c0``, ``c1`` and the decryption phase of every row:
-        ``c1 = a`` uniform, ``phase = delta * m - e`` with no product at
-        all, ``c0 = phase - a * s`` — one small-operand product per row
-        (``a`` by pieces against the cached spectrum of ``s``, sized
-        from its checked magnitude), one Gaussian draw.  The same RLWE
-        assumption as :meth:`encrypt`, whose ``(pk0, pk1)`` is one such
-        pair.  ``a`` then ``e`` are drawn, and the products run,
-        ``_SYMMETRIC_TILE_ROWS`` rows at a time.
+        Returns the ``(R, n)`` rows ``delta * m - e`` in
+        :func:`~repro.he.poly.row_dtype`: one Gaussian draw and no
+        product.  :meth:`encrypt_phase_rows` turns them into the
+        ciphertexts whose phase they are, where a reader of ``(c0, c1)``
+        needs them.
         """
-        params, ring = self.params, self.ring
-        backend = ring.backend
+        params = self.params
         plain_rows = np.asarray(plain_rows, dtype=np.int64)
         if plain_rows.ndim != 2 or plain_rows.shape[1] != params.n:
             raise ValueError(
@@ -175,18 +191,40 @@ class BFVContext:
             0 <= plain_rows.min() and plain_rows.max() < params.t
         ):
             raise ValueError(f"plaintext coefficients must lie in [0, {params.t})")
-        rows = len(plain_rows)
-        self.counter.encryptions += rows
-        block = np.empty((rows, 3, params.n), dtype=row_dtype(params.q))
-        for r0 in range(0, rows, _SYMMETRIC_TILE_ROWS):
+        self.counter.encryptions += len(plain_rows)
+        e = self.ring.draw_error(self._rng, params.sigma, len(plain_rows))
+        # delta * m < q for m in [0, t)
+        phases = self.ring.backend.fold(plain_rows * params.delta - e)
+        return phases.astype(row_dtype(params.q))
+
+    def encrypt_phase_rows(self, phase_rows: np.ndarray, sk: SecretKey) -> np.ndarray:
+        """The ``(R, 2, n)`` secret-key ciphertexts, in
+        :func:`~repro.he.poly.row_dtype`, whose phases under ``sk`` are
+        the ``(R, n)`` rows of :meth:`fresh_phase_rows`: ``c1 = a``,
+        ``c0 = phase - a * s`` — the same RLWE assumption as
+        :meth:`encrypt`, whose ``(pk0, pk1)`` is one such pair.
+
+        ``a`` is a function of ``s`` and the phase row
+        (:func:`_keyed_uniform`), so one phase row always yields one
+        ciphertext: two of one phase under different ``a`` differ by
+        ``(-(a1 - a2) * s, a1 - a2)``, which gives the secret key to
+        whoever adds them.  Nothing is drawn from the context's RNG.
+        ``_SYMMETRIC_TILE_ROWS`` rows at a time, ``a * s`` by pieces
+        against the cached spectrum of ``s`` (sized from its checked
+        magnitude).
+        """
+        backend, n = self.ring.backend, self.params.n
+        phase_rows = np.asarray(phase_rows).astype(row_dtype(self.params.q), copy=False)
+        key = np.frombuffer(hashlib.shake_256(sk.s.coeffs.tobytes()).digest(8 * n), np.uint64)
+        block = np.empty((len(phase_rows), 2, n), dtype=phase_rows.dtype)
+        for r0 in range(0, len(phase_rows), _SYMMETRIC_TILE_ROWS):
             tile = block[r0 : r0 + _SYMMETRIC_TILE_ROWS]
-            a = ring.draw_uniform(self._rng, len(tile))
-            e = ring.draw_error(self._rng, params.sigma, len(tile))
-            # delta * m < q for m in [0, t)
-            phase = backend.fold(plain_rows[r0 : r0 + len(tile)] * params.delta - e)
-            tile[:, 0] = backend.fold(phase - backend.mul_rows_by_poly(a, sk.s))
+            phases = phase_rows[r0 : r0 + len(tile)]
+            a = _keyed_uniform(phases, key, backend)
+            tile[:, 0] = backend.fold(
+                phases.astype(np.int64) - backend.mul_rows_by_poly(a, sk.s)
+            )
             tile[:, 1] = a
-            tile[:, 2] = phase
         return block
 
     def phase(self, ct: Ciphertext, sk: SecretKey) -> RingPoly:

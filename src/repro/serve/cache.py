@@ -20,13 +20,14 @@ transform, no draw.
 Values are whatever the serving path caches per (query, row) — one
 row per query variant (:func:`~repro.he.arena.query_row_layout`).  The
 sharded engine stores one row of
-:meth:`~repro.he.bfv.BFVContext.encrypt_symmetric_rows` per entry — the
-``c0``, ``c1`` and phase rows as a ``(3, n)`` array in the narrowest
-unsigned type that holds ``[0, q)``, 12 KiB at the paper's parameters
-(256 entries: 3 MiB) — and, in ``SERVER_DETERMINISTIC`` mode, the
-``(2, n)`` ciphertext rows alone.  The phase row is ``delta * m - e``:
-the cache lives on the key holder's side of the trust boundary
-(``docs/serving.md``).
+:meth:`~repro.he.bfv.BFVContext.fresh_phase_rows` per entry — the
+``(n,)`` phase row ``delta * m - e`` in the narrowest unsigned type
+that holds ``[0, q)``, 4 KiB at the paper's parameters (256 entries:
+1 MiB) — and, in ``SERVER_DETERMINISTIC`` mode, the ``(2, n)``
+ciphertext rows.  A phase row is the query under the secret key: the
+cache lives on the key holder's side of the trust boundary
+(``docs/serving.md``), and a per-pair adder is handed the ciphertext
+made of it.
 
 Byte accounting (multi-tenant serving)
 --------------------------------------

@@ -47,8 +47,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..he.arena import QueryArena, fused_decrypt_flags, unstack_ciphertext
-from ..he.bfv import BFVContext
+from ..he.arena import QueryArena, fused_decrypt_flags
+from ..he.bfv import BFVContext, Ciphertext
 from ..verify import VerifyLike
 from ..core.client import CipherMatchClient, ClientConfig
 from ..core.match_polynomial import DeterministicComparator, IndexMode
@@ -117,6 +117,8 @@ class _QueryJob:
         #: ``(V, P)`` query row per (variant, database polynomial);
         #: shards read their columns
         self.row_map: Optional[np.ndarray] = None
+        #: per query row, the ciphertext a per-pair adder reads
+        self.query_cts: Optional[List[Ciphertext]] = None
         self.finished_at: float = 0.0
         self.report: Optional[SearchReport] = None
 
@@ -410,15 +412,16 @@ class ShardedSearchEngine:
     # -- arena machinery -------------------------------------------------
 
     def _job_query_arena(self, job: _QueryJob) -> QueryArena:
-        """The job's stacked query-variant rows and its row map, built
-        by the first shard task to need them.  Rows live in the shared
+        """The job's stacked query rows and its row map, built by the
+        first shard task to need them.  Rows live in the shared
         :class:`VariantCipherCache` — under ``CLIENT_DECRYPT`` the
-        ``(3, n)`` ciphertext rows and phase row of a query polynomial
-        encrypted under the client's secret key — and one locked call
-        asks for all of the request's rows and encrypts the missing
-        ones in one pass, so a repeated query skips encryption
-        altogether: the fused kernel reads the phase row, the per-pair
-        adder and the comparator the ciphertext rows of the same entry.
+        ``(n,)`` phase row of a query polynomial encrypted under the
+        client's secret key, under ``SERVER_DETERMINISTIC`` its
+        ``(2, n)`` ciphertext rows — and one locked call asks for all
+        of the request's rows and encrypts the missing ones in one pass,
+        so a repeated query skips encryption altogether.  The fused
+        kernel reads the phase rows; a per-pair shard makes ``(c0, c1)``
+        of them once per job (:meth:`_run_shard_task`).
         """
         if job.query_arena is None:
             ctx, client = self.client.ctx, self.client
@@ -461,13 +464,13 @@ class ShardedSearchEngine:
             # one genuine ``backend.hom_add`` per pair — the only path a
             # stateful backend (the simulated in-flash device) can run;
             # the adder and ``ctx.decrypt`` count their own operations
-            query_cts = [
-                unstack_ciphertext(ctx.ring, ctx.params, row)
-                for row in query_arena.stack
-            ]
+            if job.query_cts is None:
+                job.query_cts = self.client.preparer.ciphertexts(
+                    query_arena.rows, self.client.sk
+                )
             blocks = SecureSearchEngine(shard.backend).search(
                 self.db, job.prepared,
-                lambda v_idx, j: query_cts[job.row_map[v_idx, j]],
+                lambda v_idx, j: job.query_cts[job.row_map[v_idx, j]],
                 range(shard.base_poly, stop),
             )
             index_unit = self.client if self._comparator is None else self._comparator
@@ -488,7 +491,7 @@ class ShardedSearchEngine:
         ctx.counter.decryptions += hom_adds
         return fused_decrypt_flags(
             arena.phases(self.client.sk, shard.base_poly, stop),
-            query_arena.phases(self.client.sk),
+            query_arena.phases(),
             row_map,
             ctx.params,
             self.client.chunk_width,

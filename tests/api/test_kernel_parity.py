@@ -126,7 +126,7 @@ def test_pipeline_flags_byte_identical(index_mode, master_fixture):
             return prepared, pipe.server.search_index(arena)
         return prepared, fused_decrypt_flags(
             pipe.db.fused_arena(ctx.ring, ctx.params).phases(client.sk),
-            arena.phases(client.sk),
+            arena.phases(),
             arena.row_map(np.arange(pipe.db.num_polynomials)),
             ctx.params,
             16,

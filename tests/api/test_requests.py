@@ -40,6 +40,30 @@ class TestExactSearch:
         with pytest.raises(ValueError, match="0/1"):
             ExactSearch((1, 2, 0))
 
+    @pytest.mark.parametrize("bad", [2, -1])
+    @pytest.mark.parametrize("form", [list, tuple, np.array])
+    def test_from_bits_rejects_a_non_bit(self, bad, form):
+        with pytest.raises(ValueError, match="0/1"):
+            ExactSearch.from_bits(form([1, 0, bad, 1]))
+
+    def test_from_bits_converts_once_to_python_ints(self, monkeypatch):
+        """A bit array is validated and turned into a tuple of Python
+        ints in one pass: ``from_bits`` does not convert again."""
+        from repro.api import requests
+
+        calls = []
+        real = requests._as_bit_tuple
+
+        def counting(bits):
+            calls.append(bits)
+            return real(bits)
+
+        monkeypatch.setattr(requests, "_as_bit_tuple", counting)
+        req = ExactSearch.from_bits(np.array([1, 0, 1, 1], dtype=np.uint8))
+        assert len(calls) == 1
+        assert req.bits == (1, 0, 1, 1)
+        assert all(type(b) is int for b in req.bits)
+
     def test_bool_verify_coerces_to_policy(self):
         assert ExactSearch((1,), verify=True).verify is VerifyPolicy.VERIFY
         assert ExactSearch((1,), verify=False).verify is VerifyPolicy.SKIP

@@ -742,19 +742,17 @@ def test_query_arena_rows_and_map_cover_residue_classes():
         for v_idx in range(prepared.num_variants)
     ]
     qa = QueryArena(ctx.ring, params, prepared.variants, rows)
-    assert qa.stack.shape[0] == prepared.num_variants == 33
+    assert qa.rows.shape == (prepared.num_variants, 2, n) and len(rows) == 33
     with pytest.raises(ValueError, match="query rows"):
         QueryArena(ctx.ring, params, prepared.variants, rows[1:])
     assert np.array_equal(qa.row_map(np.arange(num_polys)), row_map)
-    plain = prepared.row_plaintexts(range(qa.stack.shape[0]), n)
+    plain = prepared.row_plaintexts(range(len(qa.rows)), n)
     for v_idx, variant in enumerate(prepared.variants):
         for j in range(num_polys):
             row = row_map[v_idx, j]
             assert np.array_equal(plain[row], coefficient_pattern(variant, n, j * n))
             ct = preparer.encrypt_variant(prepared, v_idx, j, pk, sk)
             assert np.array_equal(stack_ciphertext(ct), rows[row])
-    # phases cached per secret key
-    assert qa.phases(sk) is qa.phases(sk)
 
 
 @pytest.mark.parametrize("num_polys", [1, 7, 40])
@@ -783,7 +781,7 @@ def test_query_arena_asks_for_rows_in_first_appearance_order(num_polys):
                 want.append(identity(variant, j))
     assert len(want) == prepared.num_variants
     row_of = {key: row for row, key in enumerate(want)}
-    rows = [np.full((2, n), row + 1, dtype=np.int64) for row in range(len(want))]
+    rows = [np.full(n, row + 1, dtype=np.uint32) for row in range(len(want))]
     qa = QueryArena(ctx.ring, params, prepared.variants, rows)
     row_map = qa.row_map(np.arange(num_polys))
     assert row_map.dtype == np.intp
@@ -793,13 +791,14 @@ def test_query_arena_asks_for_rows_in_first_appearance_order(num_polys):
         ]
     # a shard reads its columns of the one map
     assert np.array_equal(qa.row_map(np.arange(3, num_polys)), row_map[:, 3:])
-    assert qa.stack[:, 0, 0].tolist() == [row + 1 for row in range(len(want))]
+    assert qa.phases()[:, 0].tolist() == [row + 1 for row in range(len(want))]
 
 
 def test_query_arena_reads_the_phase_rows_it_was_handed():
-    """Rows that arrive with their phase (the serving cache's entries)
-    are read, in the kernel's element type, with no transform; bare
-    ciphertext rows still pay the batched multiply, same values."""
+    """Under ``CLIENT_DECRYPT`` a query is its phase rows: they are read
+    as handed, in the kernel's element type, with no transform and no
+    copy, and equal the phases of the ciphertexts a per-pair adder is
+    handed for them."""
     params, ctx, sk, pk, cts = _setup()
     from repro.core.query import QueryPreparer
     from tests.oracles import count_transforms
@@ -810,18 +809,15 @@ def test_query_arena_reads_the_phase_rows_it_was_handed():
     fresh = preparer.encrypt_variant_value(
         prepared, range(prepared.num_variants), pk, sk
     )
-    assert fresh.shape[1:] == (3, params.n) and fresh.dtype == np.uint32
+    assert fresh.shape == (prepared.num_variants, params.n)
+    assert fresh.dtype == np.uint32
     handed = QueryArena(ctx.ring, params, prepared.variants, list(fresh))
-    computed = QueryArena(
-        ctx.ring, params, prepared.variants,
-        [row[:2].astype(np.int64) for row in fresh],
-    )
     with count_transforms() as calls:
-        got = handed.phases(sk)
+        got = handed.phases()
     assert calls == []
-    assert got.dtype == np.uint32
-    assert np.array_equal(got, computed.phases(sk))
-    assert computed.phases(sk).dtype == np.uint32
-    # the ciphertext rows of the same entries, widened for their readers
-    assert handed.stack.dtype == np.int64
-    assert np.array_equal(handed.stack, computed.stack)
+    assert got.dtype == np.uint32 and got is handed.rows
+    assert np.array_equal(got, fresh)
+    cts = preparer.ciphertexts(handed.rows, sk)
+    assert len(cts) == len(fresh)
+    for ct, row in zip(cts, fresh):
+        assert np.array_equal(ctx.phase(ct, sk).coeffs, row)

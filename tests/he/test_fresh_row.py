@@ -154,7 +154,7 @@ def test_the_piece_plan_of_a_fresh_row_is_the_same_for_any_two_messages():
     params = BFVParams.paper()
     ctx, sk, pk = _endpoint(params, "vectorized")
     zeros = np.zeros(params.n, dtype=np.int64)
-    ctx.encrypt_symmetric_rows(zeros[None], sk)  # the keys' spectra, once
+    ctx.encrypt_phase_rows(ctx.fresh_phase_rows(zeros[None]), sk)  # the keys' spectra, once
     ctx.encrypt(ctx.plaintext(zeros), pk)
     rng = np.random.default_rng(4)
     seen = []
@@ -164,7 +164,7 @@ def test_the_piece_plan_of_a_fresh_row_is_the_same_for_any_two_messages():
         rng.integers(0, params.t, size=params.n, dtype=np.int64),
     ):
         with count_transforms() as calls:
-            ctx.encrypt_symmetric_rows(coeffs[None], sk)
+            ctx.encrypt_phase_rows(ctx.fresh_phase_rows(coeffs[None]), sk)
             ctx.encrypt(ctx.plaintext(coeffs), pk)
         seen.append(calls)
     assert seen[0] == seen[1] == seen[2]
@@ -235,14 +235,14 @@ def test_a_perturbed_inverse_raises(monkeypatch):
     real = np.fft.ifft
     monkeypatch.setattr(np.fft, "ifft", lambda *a, **kw: real(*a, **kw) + 0.2)
     for run in (
-        lambda: ctx.encrypt_symmetric_rows(pt.poly.coeffs[None], sk),
+        lambda: ctx.encrypt_phase_rows(ctx.fresh_phase_rows(pt.poly.coeffs[None]), sk),
         lambda: ctx.encrypt(pt, pk),
         lambda: ctx.phase(ct, sk),
     ):
         with pytest.raises(ArithmeticError, match="residual"):
             run()
     monkeypatch.setattr(np.fft, "ifft", real)
-    ctx.encrypt_symmetric_rows(pt.poly.coeffs[None], sk)
+    ctx.encrypt_phase_rows(ctx.fresh_phase_rows(pt.poly.coeffs[None]), sk)
 
 
 def test_a_large_key_takes_the_general_product():
@@ -271,7 +271,7 @@ def test_keys_hold_one_transform_per_basis():
     x = ctx.ring.random_uniform(rng)
 
     def one_round():
-        ctx.encrypt_symmetric_rows(pt.poly.coeffs[None], sk)
+        ctx.encrypt_phase_rows(ctx.fresh_phase_rows(pt.poly.coeffs[None]), sk)
         ctx.phase(ctx.encrypt(pt, pk), sk)
         return pk.pk0 * x, pk.pk1 * x, sk.s * x
 

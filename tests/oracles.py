@@ -47,7 +47,8 @@ gathers for that (variant, polynomial) pair.
 ``[0, m)``, the change of modulus both backends must agree on.
 
 :func:`encrypt_symmetric` is the one-row call of
-:meth:`repro.he.bfv.BFVContext.encrypt_symmetric_rows` as a
+:meth:`repro.he.bfv.BFVContext.fresh_phase_rows` and
+:meth:`~repro.he.bfv.BFVContext.encrypt_phase_rows` as a
 :class:`~repro.he.bfv.Ciphertext`, and :func:`noise_budget_bits` the
 bits of noise budget a ciphertext has left, read off
 :meth:`~repro.he.bfv.BFVContext.noise_residual`.
@@ -642,9 +643,10 @@ def lift_mod(poly, new_modulus: int) -> np.ndarray:
 
 
 def encrypt_symmetric(ctx, pt, sk) -> Ciphertext:
-    """Secret-key encryption of one plaintext: a one-row block."""
-    row = ctx.encrypt_symmetric_rows(pt.poly.coeffs[None], sk)[0]
-    c0, c1, _ = row.astype(np.int64)
+    """Secret-key encryption of one plaintext: a one-row block, its
+    phase row and then the ciphertext made of it."""
+    phases = ctx.fresh_phase_rows(pt.poly.coeffs[None])
+    c0, c1 = ctx.encrypt_phase_rows(phases, sk)[0].astype(np.int64)
     return Ciphertext(ctx.params, RingPoly(ctx.ring, c0), RingPoly(ctx.ring, c1))
 
 

@@ -1,14 +1,14 @@
 """What a search does must not depend on what the query *says*.
 
-The variant cache holds phase rows (``delta * m - e``) next to the
-ciphertext rows, so it is the widest query-dependent state the serving
-path keeps; timing and cache traffic are outputs of the system just as
-the match list is.  For pairs of same-length queries — one that matches
-against one that does not, all zeros against random — a cold search on
-a fresh engine must leave identical operation counts, identical cache
-traffic and run the same kernels and transforms on the same shapes,
-allocating the same numpy arrays, in the same order, from the kernel
-module and the query-layout code.
+The variant cache holds phase rows (``delta * m - e``), so it is the
+widest query-dependent state the serving path keeps; timing and cache
+traffic are outputs of the system just as the match list is.  For
+pairs of same-length queries — one that matches against one that does
+not, all zeros against random — a cold search on a fresh engine must
+leave identical operation counts, identical cache traffic and run the
+same kernels and transforms on the same shapes, allocating the same
+numpy arrays, in the same order, from the kernel module and the
+query-layout code.
 
 The fused kernel returns the *indices* of the set match flags, so the
 lengths of what it returns differ between a matching and a non-matching
@@ -40,7 +40,6 @@ from repro.core import ClientConfig, IndexMode
 from repro.he import BFVParams
 from repro.core import query as query_module
 from repro.he import arena as arena_module
-from repro.he.bfv import _SYMMETRIC_TILE_ROWS as TILE
 from repro.serve import ShardedSearchEngine
 from repro.serve import engine as engine_module
 from repro.utils.bits import random_bits
@@ -199,8 +198,8 @@ def test_cold_search_is_the_same_work_whatever_the_query_says(monkeypatch, confi
 
 def test_query_equality_is_the_documented_leak(monkeypatch):
     """The two exceptions, asserted: repeating a query turns every cache
-    lookup into a hit and runs no transform, and a batch holding the
-    same query twice does the work of one."""
+    lookup into a hit and draws nothing from the client's RNG, and a
+    batch holding the same query twice does the work of one."""
     rng = np.random.default_rng(23)
     params = BFVParams.test_small(128)
     db, planted = _database(params, rng)
@@ -210,26 +209,23 @@ def test_query_equality_is_the_documented_leak(monkeypatch):
     lookups, misses = cold["cache"][0], cold["cache"][1]
     assert lookups == misses > 0
 
+    client_rng = engine.client.ctx._rng
+    drawn = client_rng.bit_generator.state
     with count_transforms() as transforms:
         engine.search_batch([planted])
     stats = engine.cache.stats()
     assert transforms == []
     assert (stats.hits, stats.misses) == (misses, misses)
+    assert client_rng.bit_generator.state == drawn
 
-    # a different query of the same length on the same engine is cold again
+    # a different query of the same length on the same engine is cold
+    # again: its miss pass draws one Gaussian row per miss and, the
+    # database phases made by the first search, runs no transform —
+    # the draws, not the transforms, tell a miss from a hit
     with count_transforms() as transforms:
         engine.search_batch([other])
-    # (the secret key and the database phases were transformed by the
-    # first search; what repeats is the miss pass: the two 16-bit pieces
-    # of every row's uniform ``a`` forward, its ``a * s`` back, a tile
-    # of rows at a time — 2 forward + 2 inverse FFTs per miss, shapes a
-    # function of the number of missing rows and ``n`` alone)
-    tiles = [TILE] * (misses // TILE) + [misses % TILE] * bool(misses % TILE)
-    assert transforms == [
-        ("SmallProductFft", direction, 1, (rows, 2, width))
-        for rows in tiles
-        for direction, width in (("forward", params.n), ("inverse", params.n // 2))
-    ]
+    assert transforms == []
+    assert client_rng.bit_generator.state != drawn
     assert engine.cache.stats().misses == 2 * misses
 
     _, report, twice, _ = _observe(monkeypatch, params, db, [planted, planted])

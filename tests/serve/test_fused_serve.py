@@ -13,7 +13,6 @@ from repro.baselines import find_all_matches
 from repro.core import ClientConfig, CPUAdditionBackend, IndexMode
 from repro.he import BFVParams
 from repro.he.arena import unstack_ciphertext
-from repro.he.bfv import _SYMMETRIC_TILE_ROWS as TILE
 from repro.he.noise import NoiseBounds
 from repro.serve import ShardedSearchEngine
 from repro.serve.engine import _QueryJob
@@ -126,17 +125,15 @@ def test_variant_cache_stores_stacked_rows_under_fused():
     assert stats.misses > 0
     rows = engine.cache.values()
     assert rows and all(isinstance(v, np.ndarray) for v in rows)
-    # one entry format: c0, c1 and the phase row, q = 2**32 -> uint32;
-    # each entry owns its memory, so evicting one frees it
-    assert all(v.shape == (3, params.n) and v.dtype == np.uint32 for v in rows)
+    # one entry format: the phase row delta * m - e of a negated-query
+    # pattern, q = 2**32 -> uint32; each entry owns its memory, so
+    # evicting one frees it
+    assert all(v.shape == (params.n,) and v.dtype == np.uint32 for v in rows)
     assert all(v.base is None for v in rows)
     ctx, sk = engine.client.ctx, engine.client.sk
     for v in rows:
-        ct = unstack_ciphertext(ctx.ring, ctx.params, v.astype(np.int64))
-        assert np.array_equal(v[2], (ct.c0 + ct.c1 * sk.s).coeffs)
-        # rows 0-1 are a ciphertext under sk of a negated-query pattern:
-        # the phase row is delta * m - e with |e| under the fresh bound
-        noise = ctx.noise_residual(ct, sk)
+        # |e| under the fresh bound: the distance to the nearest delta * m
+        noise = ctx.noise_residual(_phase_only(ctx, v), sk)
         assert 0 < noise <= NoiseBounds(params).fresh_symmetric
     # repeated batch: every variant row is a cache hit
     misses_before = engine.cache.stats().misses
@@ -144,18 +141,30 @@ def test_variant_cache_stores_stacked_rows_under_fused():
     assert engine.cache.stats().misses == misses_before
 
 
+def _phase_only(ctx, phase_row):
+    """A ciphertext with ``c1 = 0`` whose phase is ``phase_row``: what
+    ``noise_residual`` reads of a phase row."""
+    zero = np.zeros(ctx.params.n, dtype=np.int64)
+    return unstack_ciphertext(
+        ctx.ring, ctx.params, np.stack([phase_row.astype(np.int64), zero])
+    )
+
+
+def _query_in(params, rng, num_polys=4):
+    db = random_bits(num_polys * params.n * 16, rng)
+    query = random_bits(32, rng)
+    db[16 * 9 : 16 * 9 + 32] = query
+    return db, query
+
+
 def test_variant_cache_hit_runs_no_transform():
     """A repeated query is served from the cached phase rows: one
     locked dictionary pass, no transform round trip **and no draw from
-    the client's RNG**.  A cold one does run transforms — the counter
-    sees the FFTs of the miss pass and of the database phases, so
-    "none" below is not vacuous — whose shapes follow the number of
-    missing rows and ``n`` alone."""
+    the client's RNG**.  The first search runs transforms — the
+    database phases' — so "none" below is not vacuous."""
     rng = np.random.default_rng(3)
     params = BFVParams.test_small(128)
-    db = random_bits(4 * params.n * 16, rng)
-    query = random_bits(32, rng)
-    db[16 * 9 : 16 * 9 + 32] = query
+    db, query = _query_in(params, rng)
     engine = _engine(params, "fused", num_shards=2)
     engine.outsource(db)
     client_rng = engine.client.ctx._rng
@@ -164,10 +173,6 @@ def test_variant_cache_hit_runs_no_transform():
         first = engine.search_batch([query])
     assert cold and {call[0] for call in cold} == {"SmallProductFft"}
     misses = engine.cache.stats().misses
-    tiles = [(TILE, 2)] * (misses // TILE) + [(misses % TILE, 2)] * bool(misses % TILE)
-    assert [call[3] for call in cold if call[1] == "inverse"][: len(tiles)] == [
-        tile + (params.n // 2,) for tile in tiles
-    ]
     assert client_rng.bit_generator.state != drawn
     drawn = client_rng.bit_generator.state
     with count_transforms() as warm:
@@ -177,6 +182,36 @@ def test_variant_cache_hit_runs_no_transform():
     stats = engine.cache.stats()
     assert stats.misses == misses and stats.hits == misses
     assert second.matches_per_query() == first.matches_per_query() != [[]]
+
+
+def test_a_cold_fused_search_runs_no_transform_and_no_uniform_draw(monkeypatch):
+    """Once the database phases exist, a query the cache has never seen
+    costs no transform either: its miss pass draws one ``(misses, n)``
+    Gaussian block from the client's RNG — exactly that, no uniform
+    ``a`` — and the fused kernel reads the phase rows it made."""
+    rng = np.random.default_rng(5)
+    params = BFVParams.test_small(128)
+    db, query = _query_in(params, rng)
+    engine = _engine(params, "fused", num_shards=2)
+    engine.outsource(db)
+    engine.search_batch([random_bits(32, rng)])  # the database phases
+    client_rng = engine.client.ctx._rng
+    twin = np.random.default_rng()
+    twin.bit_generator.state = client_rng.bit_generator.state
+
+    def no_uniform(*args, **kwargs):
+        raise AssertionError("a uniform row was drawn")
+
+    monkeypatch.setattr(type(engine.client.ctx.ring), "draw_uniform", no_uniform)
+    misses = engine.cache.stats().misses
+    with count_transforms() as cold:
+        report = engine.search_batch([query])
+    assert cold == []
+    assert report.matches_per_query() == [find_all_matches(db, query)] != [[]]
+    missing = engine.cache.stats().misses - misses
+    assert missing == report.reports[0].num_variants
+    twin.normal(0.0, params.sigma, size=(missing, params.n))
+    assert client_rng.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize(
@@ -205,7 +240,7 @@ def test_partial_hit_encrypts_only_the_missing_rows(kernel, config):
     rows = engine.client.prepare_query(queries[0]).num_variants
     assert rows == 17
     counter = engine.client.ctx.counter
-    entry = 3 if not config else 2
+    entry = (params.n,) if not config else (2, params.n)
     for round_, (hits, misses) in enumerate([(0, 17), (4, 13), (4, 13)]):
         before = engine.cache.stats()
         encrypted = counter.encryptions
@@ -218,7 +253,7 @@ def test_partial_hit_encrypts_only_the_missing_rows(kernel, config):
             4 if round_ == 0 else 0
         )
         values = engine.cache.values()
-        assert all(v.shape == (entry, params.n) for v in values)
+        assert all(v.shape == entry for v in values)
         assert after.current_bytes == sum(entry_nbytes(v) for v in values)
     # another query evicts them all: alternating two is a full miss each
     assert engine.search_batch([queries[1]]).matches_per_query() == want[1:]
@@ -254,23 +289,23 @@ def test_deterministic_mode_caches_ciphertext_rows_and_never_forms_a_phase():
         assert any(np.array_equal(v[0], ct.c0.coeffs) for v in rows)
 
 
-def test_variant_cache_entry_is_twelve_kib_at_paper_parameters():
+def test_variant_cache_entry_is_four_kib_at_paper_parameters():
     params = BFVParams.paper()
     rng = np.random.default_rng(4)
     engine = _engine(params, "fused", num_shards=1)
     engine.outsource(random_bits(params.n * 16, rng))
     engine.search_batch([random_bits(32, rng)])
     rows = engine.cache.values()
-    assert rows and {entry_nbytes(v) for v in rows} == {12 * 1024}
+    assert rows and {entry_nbytes(v) for v in rows} == {4 * 1024}
     stats = engine.cache.stats()
-    assert stats.current_bytes == len(rows) * 12 * 1024
+    assert stats.current_bytes == len(rows) * 4 * 1024
     assert engine.cache.capacity == 256
 
 
 def test_stateful_backend_forces_object_path():
     """A backend without ``supports_fused`` (e.g. the simulated IFP
-    adder) runs one ``hom_add`` per pair, fed from the same stacked
-    query rows in the variant cache as the fused kernels."""
+    adder) runs one ``hom_add`` per pair, fed from the same phase rows
+    in the variant cache as the fused kernels."""
 
     class CountingBackend(CPUAdditionBackend):
         supports_fused = False
@@ -303,7 +338,7 @@ def test_stateful_backend_forces_object_path():
     assert engine.db._arena is None  # a stateful backend builds no arena
     rows = engine.cache.values()
     assert rows and all(
-        isinstance(v, np.ndarray) and v.shape == (3, params.n) for v in rows
+        isinstance(v, np.ndarray) and v.shape == (params.n,) for v in rows
     )
 
 
@@ -417,7 +452,7 @@ def test_adopt_database_resets_arena_slices():
     assert [(s.base_poly, s.num_polynomials) for s in engine.shards] == [
         (0, 1), (1, 1), (2, 2)
     ]
-    # every cached row — ciphertext rows and phase row, one entry — went
+    # every cached phase row went
     assert len(engine.cache) == 0 and engine.cache.stats().current_bytes == 0
     misses = engine.cache.stats().misses
     report = engine.search_batch(queries[:1])
@@ -538,3 +573,78 @@ def test_every_cell_answers_long_reads_like_the_oracle(bits):
         assert report.matches == want, label
         stats = engine.cache.stats()
         assert stats.lookups == stats.misses == report.num_variants, label
+
+
+def test_per_pair_shards_read_ciphertexts_made_of_the_cached_phase_rows():
+    """A per-pair shard's query ciphertexts are made of the cached phase
+    rows, once per job: each decrypts to exactly its phase row, noise
+    under the fresh bound, and a repeat of the query — a full hit — is
+    handed the very same ciphertexts, so the adder never sees two of
+    one phase row."""
+    params, db, queries = _workload(num_polys=3)
+    handed = []
+
+    class RecordingAdder(PerPairAdder):
+        def hom_add(self, a, b):
+            handed.append(b)
+            return super().hom_add(a, b)
+
+    engine = ShardedSearchEngine(
+        ClientConfig(params, key_seed=41),
+        num_shards=2,
+        backend_factory=lambda ctx, shard_id: RecordingAdder(ctx),
+    )
+    engine.outsource(db)
+    made = []
+    ciphertexts = engine.client.preparer.ciphertexts
+
+    def spy(block, sk):
+        made.append(len(block))
+        return ciphertexts(block, sk)
+
+    engine.client.preparer.ciphertexts = spy
+    want = [find_all_matches(db, queries[0])]
+    assert engine.search_batch(queries[:1]).matches_per_query() == want != [[]]
+    rows = engine.cache.values()
+    assert made == [len(rows)]  # once per job, not once per shard
+    ctx, sk = engine.client.ctx, engine.client.sk
+    phases = {v.tobytes() for v in rows}
+    first = {id(ct): ct for ct in handed}.values()
+    assert len(first) == len(rows)
+    for ct in first:
+        phase = ctx.phase(ct, sk).coeffs.astype(np.uint32)
+        assert phase.tobytes() in phases
+        assert ctx.noise_residual(ct, sk) <= NoiseBounds(params).fresh_symmetric
+    before = [(ct.c0.coeffs.tobytes(), ct.c1.coeffs.tobytes()) for ct in first]
+    handed.clear()
+    assert engine.search_batch(queries[:1]).matches_per_query() == want
+    again = {id(ct): ct for ct in handed}.values()
+    assert sorted(before) == sorted(
+        (ct.c0.coeffs.tobytes(), ct.c1.coeffs.tobytes()) for ct in again
+    )
+
+
+@pytest.mark.parametrize(
+    "index_mode", [IndexMode.CLIENT_DECRYPT, IndexMode.SERVER_DETERMINISTIC]
+)
+def test_fused_and_per_pair_shards_in_one_engine_answer_like_the_oracle(index_mode):
+    """Shards of one engine may differ in kind: fused and per-pair
+    shards read one cache entry format and answer the oracle's matches,
+    a repeat (all hits) included."""
+    params, db, queries = _workload(num_polys=5)
+
+    def mixed(ctx, shard_id):
+        return PerPairAdder(ctx) if shard_id % 2 else CPUAdditionBackend(ctx)
+
+    engine = ShardedSearchEngine(
+        ClientConfig(params, key_seed=41, index_mode=index_mode),
+        num_shards=3,
+        backend_factory=mixed,
+    )
+    engine.outsource(db)
+    assert [shard.fused for shard in engine.shards] == [True, False, True]
+    want = [find_all_matches(db, q) for q in queries]
+    assert any(want)
+    for _ in range(2):
+        assert engine.search_batch(queries).matches_per_query() == want
+    assert engine.cache.stats().hits == engine.cache.stats().misses > 0
