@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from _util import emit
-from repro.baselines import BooleanMatcher, YasudaMatcher, find_all_matches
+from repro.baselines import TfheBooleanMatcher, YasudaMatcher, find_all_matches
 from repro.core import ClientConfig, SecureStringMatchPipeline
 from repro.eval.experiments import figure2a, figure2c
 from repro.eval import format_table
 from repro.he import BFVParams, generate_keys
+from repro.tfhe import TFHEParams
 from repro.utils.bits import random_bits
 
 RNG = np.random.default_rng(7)
@@ -28,16 +29,14 @@ def test_emit_fig2c_breakdown(benchmark):
     benchmark(figure2c)
 
 
-def test_boolean_matcher_small_db(benchmark, bool_setup=None):
+def test_boolean_matcher_small_db(benchmark):
     """Functional Boolean-approach search on a tiny database — the
     §3.1 observation that even 32 bytes take seconds under per-bit HE."""
-    params = BFVParams.boolean_baseline(n=128)
-    matcher = BooleanMatcher(params, seed=1)
-    sk, pk, rlk = generate_keys(params, seed=1, relin=True)
+    matcher = TfheBooleanMatcher(TFHEParams.test_small(), seed=1)
     db_bits = random_bits(24, RNG)
     q = db_bits[4:10].copy()
-    enc = matcher.encrypt_database(db_bits, pk)
-    result = benchmark(matcher.search, enc, q, pk, sk, rlk)
+    enc = matcher.encrypt_database(db_bits)
+    result = benchmark(matcher.search, enc, q)
     assert result == find_all_matches(db_bits, q)
 
 
@@ -72,13 +71,11 @@ def test_emit_fig2b_measured_comparison(benchmark):
     rows = []
 
     # Boolean: 24-bit db, 6-bit query (per-bit ciphertexts are costly)
-    params_b = BFVParams.boolean_baseline(n=128)
-    mb = BooleanMatcher(params_b, seed=4)
-    skb, pkb, rlkb = generate_keys(params_b, seed=4, relin=True)
+    mb = TfheBooleanMatcher(TFHEParams.test_small(), seed=4)
     db_b = random_bits(24, RNG)
-    enc_b = mb.encrypt_database(db_b, pkb)
+    enc_b = mb.encrypt_database(db_b)
     t0 = time.perf_counter()
-    mb.search(enc_b, db_b[2:8].copy(), pkb, skb, rlkb)
+    mb.search(enc_b, db_b[2:8].copy())
     bool_time = time.perf_counter() - t0
     bool_per_bit = bool_time / 24
 

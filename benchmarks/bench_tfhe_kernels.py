@@ -2,7 +2,7 @@
 
 Measures the primitive costs of the real TFHE implementation — external
 product, CMux, blind rotation, full gate bootstrap — so the per-gate
-constant in :class:`repro.he.boolean.GateCostModel` can be sanity-scaled
+constant ``SoftwareFamilyCalibration.gate_latency_s`` can be sanity-scaled
 (cost grows ~linearly in ``lwe_n`` and ~N log N in the ring dimension;
 the TFHE-lib production set is ~40x the test-small blind-rotation work).
 """

@@ -60,8 +60,8 @@ def main() -> None:
     matches = yasuda.search(enc_db, read0, pk, sk, rlk)
     print(
         f"arithmetic baseline (1000-bit slice): "
-        f"{yasuda.ops.multiplications} Hom-Mults + {yasuda.ops.additions} "
-        f"Hom-Adds for one read -> matches {matches}"
+        f"{yasuda.ctx.counter.multiplications} Hom-Mults + "
+        f"{yasuda.ctx.counter.additions} Hom-Adds for one read -> matches {matches}"
     )
     print(
         "CIPHERMATCH replaces every Hom-Mult with plain additions — the "

@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.baselines import (
     BonteMatcher,
-    BooleanMatcher,
     KimHomEQMatcher,
     TfheBooleanMatcher,
     YasudaMatcher,
@@ -35,22 +34,14 @@ def main() -> None:
     print(f"query   : {''.join(map(str, query))}  -> oracle matches {expected}\n")
     rows = []
 
-    # [33]/[17] Boolean approach, BFV stand-in (per-bit gates).
-    boolean = BooleanMatcher(seed=2)
-    sk, pk, rlk = generate_keys(boolean.params, seed=2, relin=True)
-    enc_db = boolean.encrypt_database(db_bits, pk)
-    matches = boolean.search(enc_db, query, pk, sk, rlk)
-    rows.append(("Pradel/Aziz [33,17] (BFV stand-in)", matches,
-                 f"{boolean.stats.total_gates} hom. gates, "
-                 f"{enc_db.serialized_bytes:,} ct bytes"))
-
-    # Boolean approach on real bootstrapped TFHE.
-    tfhe = TfheBooleanMatcher(TFHEParams.test_tiny(), seed=2)
+    # [33]/[17] Boolean approach: per-bit gates on real bootstrapped TFHE.
+    tfhe = TfheBooleanMatcher(TFHEParams.test_small(), seed=2)
     tfhe_db = tfhe.encrypt_database(db_bits)
     matches = tfhe.search(tfhe_db, query)
-    rows.append(("Boolean on real TFHE", matches,
-                 f"{tfhe.stats.total_gates} gates / "
-                 f"{tfhe.stats.bootstraps} bootstraps"))
+    rows.append(("Pradel/Aziz [33,17] (real TFHE)", matches,
+                 f"{tfhe.ctx.total_gates()} gates / "
+                 f"{tfhe.ctx.bootstrap_count} bootstraps, "
+                 f"{tfhe_db.serialized_bytes:,} ct bytes"))
 
     # [27] Yasuda et al.: Hamming distance with Hom-Mult.
     yasuda = YasudaMatcher(seed=2)
@@ -66,14 +57,14 @@ def main() -> None:
     kim_db = kim.encrypt_database(chars)
     kim_matches = kim.search(kim_db, [1, 0, 1])
     rows.append(("Kim et al. [34] HomEQ", kim_matches,
-                 f"{kim.stats.multiplications} Hom-Mults -> 1 result ct"))
+                 f"{kim.ctx.counter.multiplications} Hom-Mults -> 1 result ct"))
 
     # [29] Bonte & Iliashenko: batched constant-depth equality.
     bonte = BonteMatcher(seed=2)
     b_db = bonte.encrypt_database(db_bits, window_bits=3)
     matches = bonte.search(b_db, query)
     rows.append(("Bonte & Iliashenko [29]", matches,
-                 f"{bonte.stats.multiplications} Hom-Mults "
+                 f"{bonte.ctx.counter.multiplications} Hom-Mults "
                  f"({len(b_db.ciphertexts)} batched cts, depth 4 always)"))
 
     # CIPHERMATCH: Hom-Add only.  The packing scheme detects matches at

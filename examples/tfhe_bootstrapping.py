@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Real TFHE gate bootstrapping — the Boolean baseline without stand-ins.
+"""Real TFHE gate bootstrapping — the Boolean baseline's native scheme.
 
 The paper's Boolean prior works [17, 33] run on TFHE; this repo includes
 a from-scratch TFHE implementation (repro.tfhe) with true blind-rotation
@@ -9,8 +9,8 @@ bootstrapping.  This example shows:
    "flexible query size" property of Table 1),
 2. the per-bit ciphertext blow-up that makes the Boolean approach's
    memory footprint explode (§3.1), and
-3. the same XNOR+AND string-matching circuit running on real TFHE and
-   on the BFV stand-in, producing identical matches and gate counts.
+3. the XNOR+AND string-matching circuit of the Boolean baseline,
+   matching the plaintext oracle with one bootstrap per binary gate.
 
 Run:  python examples/tfhe_bootstrapping.py
 """
@@ -19,9 +19,8 @@ import time
 
 import numpy as np
 
-from repro.baselines import BooleanMatcher, TfheBooleanMatcher, find_all_matches
-from repro.he import GateCostModel
-from repro.he.keys import generate_keys
+from repro.baselines import TfheBooleanMatcher, find_all_matches
+from repro.eval.calibration import SoftwareFamilyCalibration
 from repro.tfhe import TFHEContext, TFHEParams
 
 
@@ -48,43 +47,37 @@ def footprint_demo() -> None:
           f"({encrypted / 32:.0f}x blow-up at TFHE-lib parameters)\n")
 
 
-def matcher_comparison() -> None:
-    print("-- same circuit: real TFHE vs BFV stand-in --")
+def string_matching() -> None:
+    print("-- the Boolean baseline: XNOR + AND per alignment --")
     rng = np.random.default_rng(3)
     db_bits = rng.integers(0, 2, 16).astype(np.uint8)
     query = np.array([1, 0, 1], dtype=np.uint8)
     db_bits[5:8] = query  # plant a guaranteed hit
     expected = find_all_matches(db_bits, query)
 
-    tfhe_matcher = TfheBooleanMatcher(TFHEParams.test_tiny(), seed=7)
-    tfhe_db = tfhe_matcher.encrypt_database(db_bits)
-    tfhe_matches = tfhe_matcher.search(tfhe_db, query)
-
-    standin = BooleanMatcher(seed=7)
-    sk, pk, rlk = generate_keys(standin.params, seed=7, relin=True)
-    bfv_db = standin.encrypt_database(db_bits, pk)
-    bfv_matches = standin.search(bfv_db, query, pk, sk, rlk)
+    matcher = TfheBooleanMatcher(TFHEParams.test_small(), seed=7)
+    matches = matcher.search(matcher.encrypt_database(db_bits), query)
 
     print(f"plaintext oracle : {expected}")
-    print(f"real TFHE        : {tfhe_matches} "
-          f"({tfhe_matcher.stats.total_gates} gates, "
-          f"{tfhe_matcher.stats.bootstraps} bootstraps)")
-    print(f"BFV stand-in     : {bfv_matches} "
-          f"({standin.stats.total_gates} gates, 0 bootstraps)")
-    assert tfhe_matches == bfv_matches == expected
+    print(f"real TFHE        : {matches} "
+          f"({matcher.ctx.total_gates()} gates, "
+          f"{matcher.ctx.bootstrap_count} bootstraps)")
+    assert matches == expected
+    assert matcher.ctx.total_gates() == TfheBooleanMatcher.gates_for(
+        len(db_bits), len(query)
+    )
 
-    cost = GateCostModel()
+    gate_s = SoftwareFamilyCalibration().gate_latency_s
     gates = TfheBooleanMatcher.gates_for(len(db_bits) * 1024, len(query))
     print(f"\ncost model: the same search over a {len(db_bits)} KiB database "
-          f"would run {gates:,} gates = "
-          f"{cost.time_for_gates(gates):,.0f} s single-threaded — "
-          "the latency wall of Figure 2b.")
+          f"would run {gates:,} gates = {gates * gate_s:,.0f} s "
+          "single-threaded — the latency wall of Figure 2b.")
 
 
 def main() -> None:
     gate_depth_demo()
     footprint_demo()
-    matcher_comparison()
+    string_matching()
 
 
 if __name__ == "__main__":

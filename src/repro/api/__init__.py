@@ -24,7 +24,6 @@ the capability matrix and the old-call -> new-call migration table.
 from .capabilities import Capabilities, CapabilityError, UnknownEngineError
 from .engines import (
     BonteEngine,
-    BooleanEngine,
     Engine,
     KimHomEQEngine,
     PipelineEngine,
@@ -52,7 +51,6 @@ __all__ = [
     "BatchSearch",
     "BatchSearchResult",
     "BonteEngine",
-    "BooleanEngine",
     "Capabilities",
     "CapabilityError",
     "DEFAULT_REGISTRY",

@@ -29,7 +29,6 @@ import numpy as np
 
 from ..baselines import (
     BonteMatcher,
-    BooleanMatcher,
     KimHomEQMatcher,
     TfheBooleanMatcher,
     YasudaMatcher,
@@ -468,6 +467,28 @@ class ShardedEngine(Engine):
 # ---------------------------------------------------------------------------
 
 
+def _counted(matcher, db, *query) -> _Outcome:
+    """``matcher.search(db, *query)`` on a BFV baseline, tallied from the
+    operations it made on ``matcher.ctx.counter`` (a plaintext addition
+    has no tally slot)."""
+    counter = matcher.ctx.counter
+    add0, mult0, pmult0 = (
+        counter.additions,
+        counter.multiplications,
+        counter.plain_multiplications,
+    )
+    matches = matcher.search(db, *query)
+    return _Outcome(
+        matches=list(matches),
+        hom_ops=HomOpTally(
+            additions=counter.additions - add0,
+            multiplications=counter.multiplications - mult0,
+            plain_multiplications=counter.plain_multiplications - pmult0,
+        ),
+        encrypted_db_bytes=db.serialized_bytes,
+    )
+
+
 class PlaintextEngine(Engine):
     """The unencrypted oracle, addressable like any other engine."""
 
@@ -492,56 +513,9 @@ class PlaintextEngine(Engine):
         )
 
 
-class BooleanEngine(Engine):
-    """Per-bit XNOR/AND Boolean baseline on the BFV stand-in
-    (:class:`~repro.baselines.BooleanMatcher`)."""
-
-    key = "boolean-bfv"
-    CAPS = Capabilities(
-        scheme="bfv-boolean",
-        max_query_bits=16,  # AND-reduce depth vs the levelled budget
-        practical_query_bits=8,
-        practical_db_bits=48,
-    )
-
-    def __init__(
-        self,
-        params: Optional[BFVParams] = None,
-        *,
-        seed: Optional[int] = None,
-    ):
-        params = params or BFVParams.boolean_baseline(n=128)
-        self.matcher = BooleanMatcher(params, seed)
-        self.sk, self.pk, self.rlk = generate_keys(params, seed, relin=True)
-        self._db = None
-        self._db_bits: Optional[int] = None
-
-    def outsource(self, db_bits: np.ndarray) -> None:
-        db_bits = np.asarray(db_bits, dtype=np.uint8)
-        self._db = self.matcher.encrypt_database(db_bits, self.pk)
-        self._db_bits = len(db_bits)
-
-    @property
-    def db_bit_length(self) -> Optional[int]:
-        return self._db_bits
-
-    def _exact(self, bits: np.ndarray, verify: bool) -> _Outcome:
-        xnor0 = self.matcher.stats.xnor_gates
-        and0 = self.matcher.stats.and_gates
-        matches = self.matcher.search(self._db, bits, self.pk, self.sk, self.rlk)
-        return _Outcome(
-            matches=list(matches),
-            hom_ops=HomOpTally(
-                additions=self.matcher.stats.xnor_gates - xnor0,
-                multiplications=self.matcher.stats.and_gates - and0,
-            ),
-            encrypted_db_bytes=self._db.serialized_bytes,
-        )
-
-
 class TfheBooleanEngine(Engine):
-    """The identical Boolean circuit over real bootstrapped TFHE gates
-    (:class:`~repro.baselines.TfheBooleanMatcher`)."""
+    """Per-bit XNOR/AND Boolean baseline over real bootstrapped TFHE
+    gates (:class:`~repro.baselines.TfheBooleanMatcher`)."""
 
     key = "boolean-tfhe"
     CAPS = Capabilities(
@@ -567,13 +541,12 @@ class TfheBooleanEngine(Engine):
         return self._db_bits
 
     def _exact(self, bits: np.ndarray, verify: bool) -> _Outcome:
-        boots0 = self.matcher.stats.bootstraps
+        ctx = self.matcher.ctx
+        boots0 = ctx.bootstrap_count
         matches = self.matcher.search(self._db, bits)
         return _Outcome(
             matches=list(matches),
-            hom_ops=HomOpTally(
-                bootstraps=self.matcher.stats.bootstraps - boots0
-            ),
+            hom_ops=HomOpTally(bootstraps=ctx.bootstrap_count - boots0),
             encrypted_db_bytes=self._db.serialized_bytes,
         )
 
@@ -620,17 +593,7 @@ class YasudaEngine(Engine):
         return self._db_bits
 
     def _exact(self, bits: np.ndarray, verify: bool) -> _Outcome:
-        mult0 = self.matcher.ops.multiplications
-        add0 = self.matcher.ops.additions
-        matches = self.matcher.search(self._db, bits, self.pk, self.sk, self.rlk)
-        return _Outcome(
-            matches=list(matches),
-            hom_ops=HomOpTally(
-                additions=self.matcher.ops.additions - add0,
-                multiplications=self.matcher.ops.multiplications - mult0,
-            ),
-            encrypted_db_bytes=self._db.serialized_bytes,
-        )
+        return _counted(self.matcher, self._db, bits, self.pk, self.sk, self.rlk)
 
 
 class KimHomEQEngine(Engine):
@@ -668,22 +631,7 @@ class KimHomEQEngine(Engine):
         return self._db_bits
 
     def _exact(self, bits: np.ndarray, verify: bool) -> _Outcome:
-        stats = self.matcher.stats
-        mult0, pmult0, add0 = (
-            stats.multiplications,
-            stats.plain_multiplications,
-            stats.additions,
-        )
-        matches = self.matcher.search(self._db, [int(b) for b in bits])
-        return _Outcome(
-            matches=list(matches),
-            hom_ops=HomOpTally(
-                additions=stats.additions - add0,
-                multiplications=stats.multiplications - mult0,
-                plain_multiplications=stats.plain_multiplications - pmult0,
-            ),
-            encrypted_db_bytes=self._db.serialized_bytes,
-        )
+        return _counted(self.matcher, self._db, [int(b) for b in bits])
 
 
 class BonteEngine(Engine):
@@ -730,14 +678,4 @@ class BonteEngine(Engine):
                 self._db_plain, window_bits=window
             )
         db = self._windowed[window]
-        stats = self.matcher.stats
-        mult0, add0 = stats.multiplications, stats.additions
-        matches = self.matcher.search(db, bits)
-        return _Outcome(
-            matches=list(matches),
-            hom_ops=HomOpTally(
-                additions=stats.additions - add0,
-                multiplications=stats.multiplications - mult0,
-            ),
-            encrypted_db_bytes=db.serialized_bytes,
-        )
+        return _counted(self.matcher, db, bits)

@@ -16,7 +16,6 @@ from typing import Callable, Dict, Iterator, Tuple, Type
 from .capabilities import Capabilities, UnknownEngineError
 from .engines import (
     BonteEngine,
-    BooleanEngine,
     Engine,
     KimHomEQEngine,
     PipelineEngine,
@@ -147,12 +146,8 @@ def _build_default_registry() -> EngineRegistry:
         PlaintextEngine, summary="unencrypted oracle (reference results)"
     )
     reg.register_engine_class(
-        BooleanEngine,
-        summary="Boolean per-bit XNOR/AND baseline on the BFV stand-in",
-    )
-    reg.register_engine_class(
         TfheBooleanEngine,
-        summary="Boolean baseline over real bootstrapped TFHE gates",
+        summary="Boolean baseline: per-bit XNOR/AND over real TFHE gates",
     )
     reg.register_engine_class(
         YasudaEngine,

@@ -1,10 +1,9 @@
 """Baseline string matchers: the plaintext oracle plus all five
 prior-work HE approaches from Table 1 (§2.2, §3.1).
 
-Boolean approach: :class:`BooleanMatcher` (BFV stand-in, with and
-without SIMD batching — Pradel et al. [33] / Aziz et al. [17]) and
-:class:`TfheBooleanMatcher` (the same circuit over real bootstrapped
-TFHE gates from :mod:`repro.tfhe`).
+Boolean approach (Pradel et al. [33] / Aziz et al. [17]):
+:class:`TfheBooleanMatcher`, the per-bit XNOR/AND circuit over real
+bootstrapped TFHE gates from :mod:`repro.tfhe`.
 
 Arithmetic approach: :class:`YasudaMatcher` [27] (Hamming distance),
 :class:`KimHomEQMatcher` [34] (equality circuit, compressed result) and
@@ -12,7 +11,6 @@ Arithmetic approach: :class:`YasudaMatcher` [27] (Hamming distance),
 """
 
 from .bonte import BonteEncryptedDatabase, BonteMatcher, bonte_params
-from .boolean_match import BooleanEncryptedDatabase, BooleanMatcher
 from .kim_homeq import KimEncryptedDatabase, KimHomEQMatcher, homeq_params
 from ..utils.bits import matches_at
 from .plaintext import find_all_matches
@@ -22,8 +20,6 @@ from .yasuda import YasudaEncryptedDatabase, YasudaMatcher
 __all__ = [
     "BonteEncryptedDatabase",
     "BonteMatcher",
-    "BooleanEncryptedDatabase",
-    "BooleanMatcher",
     "KimEncryptedDatabase",
     "KimHomEQMatcher",
     "TfheBooleanMatcher",

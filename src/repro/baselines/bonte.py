@@ -51,12 +51,6 @@ class BonteEncryptedDatabase:
         return sum(ct.serialized_bytes for ct in self.ciphertexts)
 
 
-@dataclass
-class BonteSearchStats:
-    multiplications: int = 0
-    additions: int = 0
-
-
 class BonteMatcher:
     """Constant-depth batched window-equality matcher.
 
@@ -79,7 +73,6 @@ class BonteMatcher:
         self.sk: SecretKey = gen.secret_key()
         self.pk: PublicKey = gen.public_key(self.sk)
         self.rlk: RelinKey = gen.relin_key(self.sk)
-        self.stats = BonteSearchStats()
 
     # -- window packing ---------------------------------------------------
 
@@ -134,9 +127,7 @@ class BonteMatcher:
             raise ValueError("presets use t with t-1 a power of two")
         for _ in range(squarings):
             acc = self.ctx.multiply(acc, acc, self.rlk)
-            self.stats.multiplications += 1
         ones = self.encoder.encode(np.ones(self.params.n, dtype=np.int64), self.ctx)
-        self.stats.additions += 1
         return self.ctx.add_plain(self.ctx.negate(acc), ones)
 
     def match_ciphertext(
@@ -144,7 +135,6 @@ class BonteMatcher:
     ) -> Ciphertext:
         """Slot-wise match indicators for one batch of alignments."""
         diff = self.ctx.sub(db_ct, query_ct)
-        self.stats.additions += 1
         return self._fermat_indicator(diff)
 
     # -- search ----------------------------------------------------------

@@ -58,13 +58,6 @@ class KimEncryptedDatabase:
         return sum(ct.serialized_bytes for ct in self.char_ciphertexts)
 
 
-@dataclass
-class KimSearchStats:
-    multiplications: int = 0
-    plain_multiplications: int = 0
-    additions: int = 0
-
-
 class KimHomEQMatcher:
     """Equality-circuit string matcher over an ``F_t`` alphabet.
 
@@ -88,7 +81,6 @@ class KimHomEQMatcher:
         self.sk: SecretKey = gen.secret_key()
         self.pk: PublicKey = gen.public_key(self.sk)
         self.rlk: RelinKey = gen.relin_key(self.sk)
-        self.stats = KimSearchStats()
         self._one = self._constant_plaintext(1)
 
     # -- helpers --------------------------------------------------------
@@ -119,18 +111,15 @@ class KimHomEQMatcher:
                     result = square
                 else:
                     result = self.ctx.multiply(result, square, self.rlk)
-                    self.stats.multiplications += 1
             exponent >>= 1
             if exponent:
                 square = self.ctx.multiply(square, square, self.rlk)
-                self.stats.multiplications += 1
         assert result is not None
         return result
 
     def _equals_zero(self, ct: Ciphertext) -> Ciphertext:
         """``EQ(x) = 1 - x**(t-1)`` — 1 iff the encrypted value is 0."""
         powered = self._fermat_power(ct)
-        self.stats.additions += 1
         return self.ctx.add_plain(self.ctx.negate(powered), self._one)
 
     # -- public API ---------------------------------------------------------
@@ -157,13 +146,11 @@ class KimHomEQMatcher:
         mismatch_sum: Ciphertext | None = None
         for j, q_ct in enumerate(query_cts):
             diff = self.ctx.sub(db.char_ciphertexts[offset + j], q_ct)
-            self.stats.additions += 1
             not_eq = self._fermat_power(diff)  # 1 iff chars differ
             if mismatch_sum is None:
                 mismatch_sum = not_eq
             else:
                 mismatch_sum = self.ctx.add(mismatch_sum, not_eq)
-                self.stats.additions += 1
         assert mismatch_sum is not None
         return self._equals_zero(mismatch_sum)
 
@@ -181,7 +168,6 @@ class KimHomEQMatcher:
                 self.ctx.plain_ring.monomial(k).coeffs
             )
             positioned = self.ctx.multiply_plain(indicator, monomial)
-            self.stats.plain_multiplications += 1
             result = positioned if result is None else self.ctx.add(result, positioned)
         if result is None:
             raise ValueError("query longer than database")

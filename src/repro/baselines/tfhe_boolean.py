@@ -1,21 +1,21 @@
-"""The Boolean-approach baseline on *real* TFHE gate bootstrapping.
+"""The Boolean-approach baseline: per-bit homomorphic XNOR/AND string
+matching (Pradel & Mitchell [33]; Aziz et al. [17]) on real TFHE gate
+bootstrapping (:mod:`repro.tfhe`).
 
-:mod:`repro.baselines.boolean_match` evaluates the per-bit XNOR/AND
-circuit on the BFV Boolean mode (the documented TFHE stand-in).  This
-module runs the identical circuit on :mod:`repro.tfhe`, the from-scratch
-gate-bootstrapping implementation, which restores the two properties of
-the Boolean approach that the stand-in can only model:
+Every database bit and every query bit is its own LWE ciphertext.  For
+each alignment ``k`` the circuit computes ``AND_j XNOR(d_{k+j}, q_j)``;
+the result bit is 1 exactly when the query matches at ``k``.  Two
+properties of the Boolean approach follow from the scheme itself:
 
 * unlimited circuit depth (every gate output is bootstrapped fresh), so
   arbitrarily long queries match without parameter tuning — the
   "flexible query size" column of Table 1;
-* a per-bit LWE ciphertext footprint, giving the genuine >200x
-  encrypted-database blow-up of §3.1 measured in actual ciphertext
-  bytes rather than a constant from a cost model.
+* a per-bit LWE ciphertext footprint, giving the >200x encrypted-database
+  blow-up of §3.1 measured in actual ciphertext bytes.
 
 Bootstrapping dominates the runtime exactly as the paper describes, so
-functional runs use reduced dimensions; the per-gate *counts* produced
-here are what the figure-scale models consume.
+functional runs use reduced dimensions.  The context counts what ran:
+``ctx.gate_counts`` per gate and ``ctx.bootstrap_count``.
 """
 
 from __future__ import annotations
@@ -44,23 +44,9 @@ class TfheEncryptedDatabase:
         return sum(ct.serialized_bytes for ct in self.bit_ciphertexts)
 
 
-@dataclass
-class TfheSearchStats:
-    xnor_gates: int = 0
-    and_gates: int = 0
-    bootstraps: int = 0
-
-    @property
-    def total_gates(self) -> int:
-        return self.xnor_gates + self.and_gates
-
-
 class TfheBooleanMatcher:
-    """Per-bit homomorphic string matcher over bootstrapped TFHE gates.
-
-    The circuit is identical to :class:`BooleanMatcher`: for every
-    alignment ``k``, ``AND_j XNOR(d_{k+j}, q_j)``.
-    """
+    """Per-bit homomorphic string matcher over bootstrapped TFHE gates:
+    for every alignment ``k``, ``AND_j XNOR(d_{k+j}, q_j)``."""
 
     name = "Boolean (real TFHE)"
 
@@ -69,7 +55,6 @@ class TfheBooleanMatcher:
     ):
         self.ctx = TFHEContext(params or TFHEParams.test_small(), seed)
         self.params = self.ctx.params
-        self.stats = TfheSearchStats()
 
     # -- database -----------------------------------------------------------
 
@@ -89,16 +74,11 @@ class TfheBooleanMatcher:
         offset: int,
     ) -> LweSample:
         """Encrypted match bit for a single alignment."""
-        before = self.ctx.bootstrap_count
         eq_bits = [
             self.ctx.xnor(db.bit_ciphertexts[offset + j], q)
             for j, q in enumerate(query_cts)
         ]
-        result = self.ctx.and_reduce(eq_bits)
-        self.stats.xnor_gates += len(query_cts)
-        self.stats.and_gates += len(query_cts) - 1
-        self.stats.bootstraps += self.ctx.bootstrap_count - before
-        return result
+        return self.ctx.and_reduce(eq_bits)
 
     def search(
         self, db: TfheEncryptedDatabase, query_bits: np.ndarray
@@ -117,7 +97,7 @@ class TfheBooleanMatcher:
 
     @staticmethod
     def gates_for(db_bits: int, query_bits: int) -> int:
-        """Total gate count for a full traversal (same circuit as the
-        stand-in, so the figure models apply unchanged)."""
+        """Total gate count for a full traversal: per alignment ``y``
+        XNORs and ``y - 1`` ANDs."""
         alignments = max(db_bits - query_bits + 1, 0)
         return alignments * (2 * query_bits - 1)

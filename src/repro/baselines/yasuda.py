@@ -10,8 +10,9 @@ then
 
     HD_k = |Q| + sum_j d_{k+j} - 2 * corr_k
 
-which costs **two homomorphic multiplications and three additions** per
-database ciphertext — exactly the operation mix whose latency breakdown
+which costs **two homomorphic multiplications and three additions** (two
+ciphertext, one plaintext, as ``ctx.counter`` books them) per database
+ciphertext — exactly the operation mix whose latency breakdown
 Figure 2c reports (98.2% of time in Hom-Mult).  A zero Hamming distance
 marks an exact match.
 """
@@ -43,13 +44,6 @@ class YasudaEncryptedDatabase:
         return sum(ct.serialized_bytes for ct in self.ciphertexts)
 
 
-@dataclass
-class YasudaOpCount:
-    multiplications: int = 0
-    additions: int = 0
-    plain_multiplications: int = 0
-
-
 class YasudaMatcher:
     """Functional implementation of the arithmetic baseline."""
 
@@ -73,7 +67,6 @@ class YasudaMatcher:
         self.params = params
         self.ctx = BFVContext(params, seed=seed)
         self.max_query_bits = max_query_bits
-        self.ops = YasudaOpCount()
 
     # -- database ---------------------------------------------------------
 
@@ -145,22 +138,12 @@ class YasudaMatcher:
         """The 2-mult + 3-add Hamming distance circuit for one block."""
         corr = self.ctx.multiply(db_ct, query_ct, rlk)  # sum_j q_j d_{k+j}
         ones = self.ctx.multiply(db_ct, mask_ct, rlk)  # sum_j d_{k+j}
-        self.ops.multiplications += 2
         # HD = |Q| + ones - 2 * corr
         two_corr = self.ctx.add(corr, corr)
         hd = self.ctx.sub(ones, two_corr)
-        weight_pt = self.ctx.plaintext(
-            np.concatenate(
-                [
-                    np.full(1, query_weight, dtype=np.int64),
-                    np.zeros(self.params.n - 1, dtype=np.int64),
-                ]
-            )
-        )
         # the weight term must land in EVERY alignment coefficient
         weight_coeffs = np.full(self.params.n, query_weight, dtype=np.int64)
         hd = self.ctx.add_plain(hd, self.ctx.plaintext(weight_coeffs))
-        self.ops.additions += 3
         return hd
 
     def search(

@@ -94,6 +94,12 @@ class SoftwareFamilyCalibration:
     cm_expansion: float = 4.0  # [paper §4.2.1]
     arith_expansion: float = 64.0  # [paper §4.2.1]
     boolean_expansion: float = 256.0  # [paper §3.1: >200x]
+    # One LWE ciphertext per plaintext bit   [Fig 2a input]
+    # (16,384x per byte: 64x boolean_expansion, which Figs 7-9 read)
+    boolean_bit_ct_bytes: int = 2048
+    # One bootstrapped Boolean gate, single-threaded, SIMD batching [17]
+    # folded in by the caller   [calibrated: TFHE-rs gate, paper Xeon]
+    gate_latency_s: float = 10.0e-3
     # Streaming penalty, cost units per encrypted byte, applied per
     # query once a scheme's footprint exceeds DRAM.
     # [calibrated: Fig 9 -- CM-SW drops 1.16x beyond 32 GB]

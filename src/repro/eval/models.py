@@ -182,7 +182,6 @@ class SoftwareCostModel:
         *,
         ring_n: int = 1024,
         ct_bytes: int = 8192,
-        boolean_bit_ct_bytes: int = 2048,
         chunk_width: int = 16,
     ) -> List[Dict]:
         """Encrypted-footprint comparison, ciphertext-quantized: small
@@ -196,7 +195,7 @@ class SoftwareCostModel:
             rows.append(
                 {
                     "db_bytes": size,
-                    "boolean_bytes": bits * boolean_bit_ct_bytes,
+                    "boolean_bytes": bits * self.cal.boolean_bit_ct_bytes,
                     "arithmetic_bytes": arith_cts * ct_bytes,
                     "ciphermatch_bytes": cm_cts * ct_bytes,
                 }

@@ -1,6 +1,6 @@
 """Homomorphic-encryption substrate: a from-scratch BFV implementation
-(Ring-LWE over ``Z_q[X]/(X^n+1)``) with a packing encoder, a Boolean mode
-(TFHE stand-in) and noise-budget diagnostics."""
+(Ring-LWE over ``Z_q[X]/(X^n+1)``) with a packing encoder, SIMD batching
+and noise-budget diagnostics."""
 
 from .arena import (
     CiphertextArena,
@@ -11,7 +11,6 @@ from .arena import (
 from .backend import PolyBackend, VectorizedBackend
 from .batch_encoder import BatchEncoder
 from .bfv import BFVContext, Ciphertext, OperationCounter, Plaintext
-from .boolean import BooleanContext, GateCostModel
 from .encoder import (
     ChunkPackEncoder,
     EncodedMessage,
@@ -35,13 +34,11 @@ __all__ = [
     "BFVContext",
     "BFVParams",
     "BatchEncoder",
-    "BooleanContext",
     "ChunkPackEncoder",
     "Ciphertext",
     "CiphertextArena",
     "QueryArena",
     "EncodedMessage",
-    "GateCostModel",
     "KeyGenerator",
     "NoiseBounds",
     "NoiseBudgetEstimator",

@@ -4,8 +4,8 @@ polynomials.
 :class:`ChunkPackEncoder` is the CIPHERMATCH memory-efficient packing
 (§4.2.1): ``w``-bit chunks per coefficient (w = 16 for the paper set).
 The baselines pack their own way: one bit per coefficient
-(:mod:`repro.baselines.yasuda`) or one bit per ciphertext
-(:mod:`repro.baselines.boolean_match`).
+(:mod:`repro.baselines.yasuda`) or one bit per TFHE ciphertext
+(:mod:`repro.baselines.tfhe_boolean`).
 """
 
 from __future__ import annotations

@@ -104,9 +104,3 @@ class BFVParams:
         q = find_ntt_prime(60 if n >= 1024 else 40, 2 * n)
         return BFVParams(n=n, q=q, t=t, name=f"yasuda-n{n}")
 
-    @staticmethod
-    def boolean_baseline(n: int = 256) -> "BFVParams":
-        """Parameters for the Boolean (TFHE stand-in) baseline: t = 2."""
-        q = find_ntt_prime(60 if n >= 1024 else 45, 2 * n)
-        return BFVParams(n=n, q=q, t=2, name=f"boolean-n{n}")
-

@@ -4,7 +4,8 @@ Every two-input gate is one public linear combination of the input
 samples followed by one gate bootstrap, exactly as in the reference
 library; gate outputs are fresh ciphertexts, so circuits of unbounded
 depth evaluate correctly (the property the paper credits the Boolean
-approach with, §2.2).
+approach with, §2.2).  NOT needs no gate: ``-sample`` negates a bit
+without a bootstrap.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ class TFHEContext:
             "or": 0,
             "xor": 0,
             "xnor": 0,
-            "not": 0,
         }
         self.bootstrap_count = 0
 
@@ -102,11 +102,6 @@ class TFHEContext:
         """XNOR: bootstrap(-1/4 - 2(a + b)) — the string-match primitive."""
         self.gate_counts["xnor"] += 1
         return self._bootstrap(self._trivial(-1, 4) - (a + b).scale(2))
-
-    def not_(self, a: LweSample) -> LweSample:
-        """NOT is free: negate the sample (no bootstrap)."""
-        self.gate_counts["not"] += 1
-        return -a
 
     # -- reductions ----------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Cross-engine parity: every registered engine, one shared fixture.
 
 The acceptance bar of the facade: every engine the registry knows —
-core BFV pipeline, wire protocol, sharded serving, and all six
+core BFV pipeline, wire protocol, sharded serving, and all five
 baselines — is constructible via ``repro.open_session(key, ...)`` and
 returns a :class:`SearchResult` whose matches agree with
 ``baselines.plaintext.find_all_matches`` on (its capability-clamped
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.api import DEFAULT_REGISTRY, SearchResult
+from repro.api import DEFAULT_REGISTRY, HomOpTally, SearchResult
 from repro.baselines import find_all_matches
 from tests.oracles import ARITHMETIC
 
@@ -22,7 +22,6 @@ ENGINE_KWARGS = {
     "bfv-wire": {"key_seed": 12},
     "bfv-sharded": {"key_seed": 13, "num_shards": 2},
     "plaintext": {},
-    "boolean-bfv": {"seed": 14},
     "boolean-tfhe": {"seed": 15},
     "yasuda": {"seed": 16},
     "kim-homeq": {"seed": 17},
@@ -63,6 +62,36 @@ def test_engine_matches_plaintext_oracle(key, master_fixture):
     if caps.scheme != "none":
         assert result.hom_ops.total > 0
         assert result.encrypted_db_bytes > 0
+
+
+@pytest.mark.parametrize(
+    "key, db_bits, tally",
+    [
+        # Kim's characters are the first 12 bits: 10 alignments, each 3
+        # subs + 2 adds, four x^4 ladders of 2 squarings, one add_plain
+        # and one multiply_plain; then 9 adds fold the 10 indicators
+        ("kim-homeq", 12, HomOpTally(59, 80, plain_multiplications=10)),
+        # 22 windows in 3 batched ciphertexts: 1 sub + 4 squarings each
+        ("bonte", 24, HomOpTally(3, 12)),
+    ],
+)
+def test_baseline_tally_is_the_context_counter(key, db_bits, tally):
+    """On Table 1's input a BFV baseline's tally is what its context
+    counted: Hom-Adds exclude plaintext adds, and Kim's fold adds count."""
+    rng = np.random.default_rng(5)
+    db = rng.integers(0, 2, 24).astype(np.uint8)
+    query = np.array([1, 0, 1], dtype=np.uint8)
+    db[8:11] = query
+    with repro.open_session(key, db_bits=db[:db_bits], seed=2) as session:
+        result = session.search(query)
+        counter = session.engine.matcher.ctx.counter
+    assert result.hom_ops == tally
+    assert (
+        counter.additions,
+        counter.multiplications,
+        counter.plain_multiplications,
+    ) == (tally.additions, tally.multiplications, tally.plain_multiplications)
+    assert list(result.matches) == find_all_matches(db[:db_bits], query)
 
 
 def test_sharded_engine_reports_shards(master_fixture):

@@ -21,7 +21,6 @@ ALL_KEYS = (
     "bfv-wire",
     "bfv-sharded",
     "plaintext",
-    "boolean-bfv",
     "boolean-tfhe",
     "yasuda",
     "kim-homeq",

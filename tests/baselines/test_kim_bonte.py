@@ -60,14 +60,14 @@ class TestKimHomEQ:
         m = KimHomEQMatcher(seed=0)
         db = m.encrypt_database([0, 1, 2, 3, 0, 1])
         m.search(db, [1, 2])
-        assert m.stats.multiplications == 5 * (2 * 2 + 2)
+        assert m.ctx.counter.multiplications == 5 * (2 * 2 + 2)
 
     def test_stats_accumulate(self):
         m = KimHomEQMatcher(seed=0)
         db = m.encrypt_database([0, 1, 2])
         m.search(db, [1])
-        assert m.stats.multiplications > 0
-        assert m.stats.plain_multiplications == 3
+        assert m.ctx.counter.multiplications > 0
+        assert m.ctx.counter.plain_multiplications == 3
 
     def test_matches_plaintext_oracle_on_chars(self, kim):
         chars = [0, 2, 1, 2, 1, 2]
@@ -120,9 +120,9 @@ class TestBonte:
         per_batch = []
         for window in (2, 4):
             db = bonte.encrypt_database([1, 0] * 10, window_bits=window)
-            before = bonte.stats.multiplications
+            before = bonte.ctx.counter.multiplications
             bonte.search(db, [1, 0] * (window // 2))
-            spent = bonte.stats.multiplications - before
+            spent = bonte.ctx.counter.multiplications - before
             per_batch.append(spent / len(db.ciphertexts))
         assert per_batch[0] == per_batch[1]
 

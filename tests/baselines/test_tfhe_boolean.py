@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.baselines.boolean_match import BooleanMatcher
 from repro.baselines.plaintext import find_all_matches
 from repro.baselines.tfhe_boolean import TfheBooleanMatcher
 from repro.tfhe import TFHEParams
@@ -44,18 +43,30 @@ class TestSearch:
 
 
 class TestCostStructure:
-    def test_gate_count_model_matches_bfv_standin(self):
-        """Real TFHE and the BFV stand-in evaluate the same circuit."""
-        assert TfheBooleanMatcher.gates_for(64, 8) == BooleanMatcher.gates_for(64, 8)
+    def test_gate_formula(self):
+        # alignments * (2y - 1)
+        assert TfheBooleanMatcher.gates_for(db_bits=100, query_bits=8) == 93 * 15
+
+    def test_gate_formula_no_alignments(self):
+        assert TfheBooleanMatcher.gates_for(db_bits=4, query_bits=8) == 0
+
+    def test_gate_count_model_matches_executed_circuit(self):
+        """The Figure 2b/7 gate model is the circuit a search runs."""
+        m = TfheBooleanMatcher(TFHEParams.test_tiny(), seed=4)
+        bits = np.random.default_rng(4).integers(0, 2, 64).astype(np.uint8)
+        m.search(m.encrypt_database(bits), bits[10:18])
+        assert m.ctx.total_gates() == TfheBooleanMatcher.gates_for(64, 8)
+        assert m.ctx.bootstrap_count == TfheBooleanMatcher.gates_for(64, 8)
 
     def test_stats_track_gates(self):
         m = TfheBooleanMatcher(TFHEParams.test_tiny(), seed=2)
         db = m.encrypt_database(np.array([1, 0, 1, 1], dtype=np.uint8))
         m.search(db, np.array([1, 1]))
-        # 3 alignments x (2 XNOR + 1 AND).
-        assert m.stats.xnor_gates == 6
-        assert m.stats.and_gates == 3
-        assert m.stats.bootstraps == 9  # every binary gate bootstraps once
+        # 3 alignments x (2 XNOR + 1 AND), counted by the context
+        assert m.ctx.gate_counts["xnor"] == 6
+        assert m.ctx.gate_counts["and"] == 3
+        assert m.ctx.total_gates() == TfheBooleanMatcher.gates_for(4, 2) == 9
+        assert m.ctx.bootstrap_count == 9  # every binary gate bootstraps once
 
     def test_footprint_is_per_bit(self, matcher):
         db_bits = np.ones(16, dtype=np.uint8)

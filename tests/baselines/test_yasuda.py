@@ -98,5 +98,7 @@ class TestOpCounts:
         db = random_bits(100, rng)
         enc = matcher.encrypt_database(db, pk)
         matcher.search(enc, random_bits(16, rng), pk, sk, rlk)
-        assert matcher.ops.multiplications == 2  # one block
-        assert matcher.ops.additions == 3
+        counter = matcher.ctx.counter
+        assert counter.multiplications == 2  # one block
+        # |Q| + ones - 2 * corr: one add, one sub, one plaintext add
+        assert (counter.additions, counter.plain_additions) == (2, 1)

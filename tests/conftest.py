@@ -53,11 +53,6 @@ def mult_keys(mult_params):
     return sk, pk, rlk
 
 
-@pytest.fixture(scope="session")
-def bool_params() -> BFVParams:
-    return BFVParams.boolean_baseline(n=128)
-
-
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

@@ -56,9 +56,6 @@ class TestPresets:
         p = BFVParams.arithmetic_baseline(n=256, t=1024)
         assert p.q > p.t * (1 << 20)  # plenty of noise budget
 
-    def test_boolean_baseline_t2(self):
-        assert BFVParams.boolean_baseline(n=128).t == 2
-
     def test_frozen(self):
         p = BFVParams.paper()
         with pytest.raises(AttributeError):

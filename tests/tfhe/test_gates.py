@@ -39,7 +39,8 @@ class TestTruthTables:
 
     @pytest.mark.parametrize("a", [0, 1])
     def test_not(self, ctx, a):
-        assert ctx.decrypt(ctx.not_(ctx.encrypt(a))) == 1 - a
+        # NOT is sample negation, no gate
+        assert ctx.decrypt(-ctx.encrypt(a)) == 1 - a
 
 
 class TestCircuits:
@@ -102,16 +103,14 @@ class TestBookkeeping:
         ctx = TFHEContext(TFHEParams.test_tiny(), seed=9)
         ctx.nand(ctx.encrypt(0), ctx.encrypt(1))
         ctx.xor(ctx.encrypt(0), ctx.encrypt(1))
-        ctx.not_(ctx.encrypt(1))
         assert ctx.gate_counts["nand"] == 1
         assert ctx.gate_counts["xor"] == 1
-        assert ctx.gate_counts["not"] == 1
-        assert ctx.total_gates() == 3
+        assert ctx.total_gates() == 2
 
     def test_not_is_bootstrap_free(self):
         ctx = TFHEContext(TFHEParams.test_tiny(), seed=9)
         before = ctx.bootstrap_count
-        ctx.not_(ctx.encrypt(1))
+        assert ctx.decrypt(-ctx.encrypt(1)) == 0
         assert ctx.bootstrap_count == before
 
     def test_binary_gates_bootstrap_once(self):
