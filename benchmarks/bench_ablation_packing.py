@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from _util import emit
-from repro.core import ClientConfig, SecureStringMatchPipeline
+from repro.core import ClientConfig
 from repro.eval import format_table
 from repro.he import BFVParams
+from repro.serve import ShardedSearchEngine
 from repro.utils.bits import random_bits
 
 WIDTHS = (1, 2, 4, 8, 16)
@@ -20,7 +21,7 @@ WIDTHS = (1, 2, 4, 8, 16)
 
 def run_width(width: int):
     params = BFVParams.test_small(64)
-    pipe = SecureStringMatchPipeline(
+    engine = ShardedSearchEngine(
         ClientConfig(params, chunk_width=width, key_seed=width)
     )
     rng = np.random.default_rng(width)
@@ -29,8 +30,8 @@ def run_width(width: int):
     off = width * 8 * ((64 // width) // 2)  # multiple of the chunk width
     off -= off % width
     db[off : off + 32] = q
-    enc = pipe.outsource_database(db)
-    report = pipe.search(q)
+    enc = engine.outsource(db)
+    report = engine.search(q)
     assert off in report.matches, f"width {width}"
     raw_bytes = len(db) // 8
     return {

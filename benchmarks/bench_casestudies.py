@@ -1,5 +1,5 @@
 """Case-study application scaling: secure read mapping and biometric
-authentication on top of the pipeline (the applications §5.3 motivates),
+authentication on top of the serving engine (the applications §5.3 motivates),
 with measured Hom-Add counts — all additions, never multiplications.
 """
 
@@ -59,7 +59,7 @@ def _biometric_table() -> str:
         rows.append(
             [
                 subjects,
-                matcher.pipeline.db.serialized_bytes,
+                matcher.engine.db.serialized_bytes,
                 result.hom_additions,
                 "yes" if result.accepted else "NO",
                 "yes" if rejected else "NO",

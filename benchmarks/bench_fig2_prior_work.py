@@ -9,10 +9,11 @@ import pytest
 
 from _util import emit
 from repro.baselines import TfheBooleanMatcher, YasudaMatcher, find_all_matches
-from repro.core import ClientConfig, SecureStringMatchPipeline
+from repro.core import ClientConfig
 from repro.eval.experiments import figure2a, figure2c
 from repro.eval import format_table
 from repro.he import BFVParams, generate_keys
+from repro.serve import ShardedSearchEngine
 from repro.tfhe import TFHEParams
 from repro.utils.bits import random_bits
 
@@ -54,13 +55,13 @@ def test_arithmetic_matcher_small_db(benchmark):
 
 def test_ciphermatch_sw_small_db(benchmark):
     """Functional CM-SW (Hom-Add only) search on the same scale."""
-    pipe = SecureStringMatchPipeline(
+    engine = ShardedSearchEngine(
         ClientConfig(BFVParams.test_small(64), key_seed=3)
     )
     db_bits = random_bits(1024, RNG)
     q = db_bits[256:288].copy()
-    pipe.outsource_database(db_bits)
-    report = benchmark(pipe.search, q)
+    engine.outsource(db_bits)
+    report = benchmark(engine.search, q)
     assert 256 in report.matches
 
 
@@ -91,11 +92,11 @@ def test_emit_fig2b_measured_comparison(benchmark):
     arith_per_bit = arith_time / 256
 
     # CM-SW: 1024-bit db
-    pipe = SecureStringMatchPipeline(ClientConfig(BFVParams.test_small(64), key_seed=6))
+    engine = ShardedSearchEngine(ClientConfig(BFVParams.test_small(64), key_seed=6))
     db_c = random_bits(1024, RNG)
-    pipe.outsource_database(db_c)
+    engine.outsource(db_c)
     t0 = time.perf_counter()
-    pipe.search(db_c[128:160].copy())
+    engine.search(db_c[128:160].copy())
     cm_time = time.perf_counter() - t0
     cm_per_bit = cm_time / 1024
 

@@ -36,8 +36,9 @@ def _table() -> str:
         "Wire protocol transcript sizes (2-round HE exchange)",
         ["workload", "db upload (offline)", "query up", "results down", "online total"],
         rows,
-        paper_note="two rounds only; online traffic scales with query "
-        "variants x database polynomials, never with raw database size",
+        paper_note="two rounds only; the query upload is one ciphertext "
+        "per variant plus a 4-byte row-map entry per (variant, database "
+        "polynomial) pair, the download one ciphertext per pair",
     )
 
 

@@ -65,7 +65,7 @@ def wildcard_search() -> None:
         "user carol logged out; user dave logged in; "
     )
     with repro.open_session(
-        "bfv", params=PARAMS, key_seed=79, db_bits=text_to_bits(text)
+        "bfv-sharded", params=PARAMS, key_seed=79, db_bits=text_to_bits(text)
     ) as session:
         pattern = WildcardSearch.from_text("logged ??")
         result = session.search(pattern)

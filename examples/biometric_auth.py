@@ -27,7 +27,7 @@ def main() -> None:
     )
     print(
         f"enrolled {gallery.size} subjects x {gallery.template_bits}-bit "
-        f"templates ({matcher.pipeline.db.serialized_bytes} encrypted bytes "
+        f"templates ({matcher.engine.db.serialized_bytes} encrypted bytes "
         "on the server)\n"
     )
 

@@ -11,8 +11,9 @@ Run:  python examples/dna_search.py
 import numpy as np
 
 from repro.baselines import YasudaMatcher, find_all_matches
-from repro.core import ClientConfig, SecureStringMatchPipeline
+from repro.core import ClientConfig
 from repro.he import BFVParams, generate_keys
+from repro.serve import ShardedSearchEngine
 from repro.workloads import DnaWorkloadGenerator
 
 
@@ -27,10 +28,10 @@ def main() -> None:
     )
 
     # --- CIPHERMATCH ---------------------------------------------------
-    pipeline = SecureStringMatchPipeline(
+    engine = ShardedSearchEngine(
         ClientConfig(BFVParams.test_small(64), key_seed=11)
     )
-    enc = pipeline.outsource_database(genome_bits)
+    enc = engine.outsource(genome_bits)
     print(
         f"encrypted genome: {enc.num_polynomials} ciphertexts "
         f"({enc.serialized_bytes / 1024:.1f} KiB)"
@@ -39,7 +40,7 @@ def main() -> None:
     total_adds = 0
     for i, read in enumerate(workload.reads):
         bits = workload.read_bits(i)
-        report = pipeline.search(bits)
+        report = engine.search(bits)
         total_adds += report.hom_additions
         found = "FOUND" if read.position_bits in report.matches else "MISSED"
         print(

@@ -8,8 +8,9 @@ the in-SSD index-generation flow of Figure 6.
 Run:  python examples/encrypted_database.py
 """
 
-from repro.core import ClientConfig, IndexMode, SecureStringMatchPipeline
+from repro.core import ClientConfig, IndexMode
 from repro.he import BFVParams
+from repro.serve import ShardedSearchEngine
 from repro.workloads import DatabaseWorkloadGenerator
 
 
@@ -23,14 +24,14 @@ def main() -> None:
         f"{mix.num_hits} expected hits"
     )
 
-    pipeline = SecureStringMatchPipeline(
+    engine = ShardedSearchEngine(
         ClientConfig(
             BFVParams.test_small(64),
             key_seed=31,
             index_mode=IndexMode.SERVER_DETERMINISTIC,
         )
     )
-    enc = pipeline.outsource_database(db.flatten_bits())
+    enc = engine.outsource(db.flatten_bits())
     print(
         f"encrypted store: {enc.num_polynomials} ciphertexts, server-side "
         f"index generation armed (deterministic masking)"
@@ -38,7 +39,7 @@ def main() -> None:
 
     hits = misses = 0
     for key, expected_idx in zip(mix.keys, mix.expected_record_indices):
-        report = pipeline.search(db.key_bits(key))
+        report = engine.search(db.key_bits(key))
         record_hits = [
             off // db.record_bits
             for off in report.matches

@@ -10,9 +10,10 @@ Run:  python examples/ifp_walkthrough.py
 
 import numpy as np
 
-from repro.core import ClientConfig, SecureStringMatchPipeline
+from repro.core import ClientConfig
 from repro.flash import BitSerialAdder, FlashArray, FlashGeometry, FlashTimings
 from repro.he import BFVParams
+from repro.serve import ShardedSearchEngine
 from repro.ssd import IFPAdditionBackend
 from repro.utils.bits import random_bits
 
@@ -52,16 +53,21 @@ def search_in_flash() -> None:
     db[640:672] = query
     db[1203:1235] = query  # non-aligned occurrence (phase 3)
 
-    pipeline = SecureStringMatchPipeline(
-        ClientConfig(BFVParams.test_small(64), key_seed=55)
+    engine = ShardedSearchEngine(
+        ClientConfig(BFVParams.test_small(64), key_seed=55),
+        backend_factory=lambda ctx, shard_id: IFPAdditionBackend(ctx),
     )
-    backend = IFPAdditionBackend(pipeline.client.ctx)
-    pipeline.server.engine.backend = backend
-
-    pipeline.outsource_database(db)
-    report = pipeline.search(query)
+    engine.outsource(db)
+    (shard,) = engine.shards
+    backend, counter = shard.backend, engine.client.ctx.counter
+    adds_before = counter.additions
+    report = engine.search(query)
     print(f"matches found in-flash: {report.matches} (planted: [640, 1203])")
-    print(f"homomorphic additions executed by bop_add: {backend.hom_add_count}")
+    assert report.matches == [640, 1203]
+    print(
+        "homomorphic additions executed by bop_add: "
+        f"{counter.additions - adds_before}"
+    )
     geo = backend.ssd.flash.geometry
     print(
         f"simulated device: {geo.channels} channels x {geo.dies_per_channel} "

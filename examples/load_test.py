@@ -11,7 +11,7 @@ Three short acts over the scenario registry:
    session and read the per-scenario SLO report (p50/p95/p99,
    achieved vs offered q/s, exact shed accounting).
 3. **Clamp**: the ``readmapper`` scenario needs batching + wildcards,
-   so pointing it at the plain ``bfv`` engine is refused up front by
+   so pointing it at the ``bfv-wire`` engine is refused up front by
    the capability check instead of failing mid-run.
 
 Run:  python examples/load_test.py
@@ -90,11 +90,11 @@ def clamp() -> None:
     print()
     print("=== act 3: capability clamp before any ciphertext moves ===")
     scenario = SCENARIO_REGISTRY.create("readmapper", seed=SEED)
-    caps = DEFAULT_REGISTRY.spec("bfv").capabilities
+    caps = DEFAULT_REGISTRY.spec("bfv-wire").capabilities
     try:
-        scenario.check(caps, "bfv")
+        scenario.check(caps, "bfv-wire")
     except CapabilityError as exc:
-        print(f"readmapper vs plain bfv refused as expected:\n  {exc}")
+        print(f"readmapper vs bfv-wire refused as expected:\n  {exc}")
         return
     raise SystemExit("capability clamp did not fire")
 

@@ -2,8 +2,8 @@
 
 One ``repro.open_session`` call owns key generation, database packing +
 encryption, and outsourcing; the session then answers typed search
-requests.  Swap the engine key ("bfv" -> "bfv-sharded" -> "yasuda" ->
-"plaintext") to run the identical workload on any registered matcher.
+requests.  Swap the engine key ("bfv-sharded" -> "bfv-wire" -> "yasuda"
+-> "plaintext") to run the identical workload on any registered matcher.
 
 Run:  python examples/quickstart.py
 """
@@ -32,7 +32,7 @@ def main() -> None:
     print(f"database: {len(text)} chars = {len(db_bits)} bits")
 
     with repro.open_session(
-        "bfv", params=params, key_seed=2024, db_bits=db_bits
+        "bfv-sharded", params=params, key_seed=2024, db_bits=db_bits
     ) as session:
         print(
             f"engine {session.engine_key!r} "

@@ -7,8 +7,9 @@ Run:  python examples/secure_index_return.py
 
 import numpy as np
 
-from repro.core import ClientConfig, IndexMode, SecureStringMatchPipeline
+from repro.core import ClientConfig, IndexMode
 from repro.he import BFVParams
+from repro.serve import ShardedSearchEngine
 from repro.ssd import SecureIndexChannel
 from repro.utils.bits import random_bits
 
@@ -26,15 +27,15 @@ def main() -> None:
     print(f"AES-256 channel established (key fingerprint {channel.key[:4].hex()}...)")
 
     # Secure search with server-side index generation (Figure 6 flow).
-    pipeline = SecureStringMatchPipeline(
+    engine = ShardedSearchEngine(
         ClientConfig(
             BFVParams.test_small(64),
             key_seed=100,
             index_mode=IndexMode.SERVER_DETERMINISTIC,
         )
     )
-    pipeline.outsource_database(db)
-    report = pipeline.search(query)
+    engine.outsource(db)
+    report = engine.search(query)
     print(f"server found {report.num_matches} matches: {report.matches}")
 
     # SSD side: encrypt the index list before transmission.

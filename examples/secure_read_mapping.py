@@ -31,7 +31,7 @@ def main() -> None:
         seed_bases=8,
     )
     print(f"outsourced encrypted reference "
-          f"({mapper.pipeline.db.serialized_bytes} ciphertext bytes)\n")
+          f"({mapper.engine.db.serialized_bytes} ciphertext bytes)\n")
 
     correct = 0
     for i, read in enumerate(workload.reads):

@@ -11,8 +11,8 @@ Subpackages
     From-scratch TFHE with real gate bootstrapping (the Boolean
     baseline's native scheme) plus word-level homomorphic circuits.
 ``repro.core``
-    The paper's contribution: the memory-efficient packing scheme and
-    the Hom-Add-only secure string matching pipeline.
+    The paper's contribution: the memory-efficient packing scheme,
+    query preparation, the Hom-Add search loop and result decoding.
 ``repro.baselines``
     Plaintext oracle plus the Boolean [17] and arithmetic [27] prior
     approaches.
@@ -23,9 +23,10 @@ Subpackages
     Performance/energy models of the four evaluated systems and the
     per-figure reproduction harness.
 ``repro.serve``
-    Production-style serving: the sharded concurrent query engine with
-    per-shard addition backends, a bounded LRU variant-ciphertext cache,
-    and queueing-model throughput/latency reporting.
+    The one BFV search path: the sharded query engine (one shard is
+    one server) with per-shard addition backends, a bounded LRU
+    variant-ciphertext cache, and queueing-model throughput/latency
+    reporting.
 ``repro.workloads``
     DNA string matching and encrypted database search case studies.
 ``repro.load``
@@ -35,7 +36,7 @@ Subpackages
 
 ``repro.api``
     The unified facade over all of the above: typed search requests,
-    an engine registry (core BFV, sharded serving, every baseline) and
+    an engine registry (sharded serving, wire protocol, every baseline) and
     a session layer with sync + future-based async execution.
 ``repro.net``
     The networked serving layer: an asyncio TCP service over the
@@ -47,12 +48,12 @@ Quickstart
 ----------
 >>> import numpy as np, repro
 >>> db = np.zeros(640, dtype=np.uint8); db[160:192] = 1
->>> with repro.open_session("bfv", db_bits=db) as session:
+>>> with repro.open_session("bfv-sharded", db_bits=db) as session:
 ...     session.search(np.ones(32, dtype=np.uint8)).matches
 (160,)
 """
 
-__version__ = "14.0.0"
+__version__ = "15.0.0"
 
 from . import baselines, core, eval, flash, he, ndp, ssd, tfhe, workloads  # noqa: F401
 from . import api  # noqa: F401  (depends on the subpackages above)

@@ -36,7 +36,7 @@ def _demo(args: argparse.Namespace) -> int:
     db = random_bits(4000, rng)
     query = random_bits(32, rng)
     db[1600:1632] = query
-    with repro.open_session("bfv", db_bits=db) as session:
+    with repro.open_session("bfv-sharded", db_bits=db) as session:
         result = session.search(query)
     print(
         f"secure search over {len(db)} encrypted bits: "
@@ -82,7 +82,7 @@ def _search(args: argparse.Namespace) -> int:
               "service routes by tenant id)")
         return 2
     elif args.engine is None:
-        args.engine = "bfv"
+        args.engine = "bfv-sharded"
     try:
         spec = DEFAULT_REGISTRY.spec(args.engine)
     except UnknownEngineError as exc:
@@ -140,7 +140,6 @@ def _search(args: argparse.Namespace) -> int:
 
 def _selftest(args: argparse.Namespace) -> int:
     import repro
-    from repro.api import PipelineEngine
     from repro.baselines import find_all_matches
     from repro.ssd import IFPAdditionBackend
     from repro.utils.bits import random_bits
@@ -149,8 +148,12 @@ def _selftest(args: argparse.Namespace) -> int:
     db = random_bits(2000, rng)
     q = random_bits(32, rng)
     db[480:512] = q
-    engine = PipelineEngine(addition_backend=lambda ctx: IFPAdditionBackend(ctx))
-    with repro.open_session(engine, db_bits=db) as session:
+    with repro.open_session(
+        "bfv-sharded",
+        num_shards=1,
+        backend_factory=lambda ctx, shard_id: IFPAdditionBackend(ctx),
+        db_bits=db,
+    ) as session:
         got = list(session.search(q).matches)
     expected = find_all_matches(db, q)
     ok = got == expected
@@ -219,7 +222,7 @@ def _queueing(args: argparse.Namespace) -> int:
 
 def _serve(args: argparse.Namespace) -> int:
     import repro
-    from repro.core import ClientConfig, SecureStringMatchPipeline
+    from repro.baselines import find_all_matches
     from repro.he import BFVParams
     from repro.utils.bits import random_bits
 
@@ -252,17 +255,15 @@ def _serve(args: argparse.Namespace) -> int:
         session.search_batch(queries)
         report = session.engine.last_serve_report
 
-    pipe = SecureStringMatchPipeline(ClientConfig(params, key_seed=11))
-    pipe.outsource_database(db)
-    sequential = [pipe.search(q).matches for q in queries]
-    identical = report.matches_per_query() == sequential
+    expected = [find_all_matches(db, q) for q in queries]
+    identical = report.matches_per_query() == expected
 
     print(report.summary_table())
     print()
     print(report.shard_table())
     print()
     print(
-        f"sharded results identical to sequential pipeline: "
+        f"sharded results identical to the plaintext oracle: "
         f"{'OK' if identical else 'FAIL'}"
     )
     return 0 if identical else 1
@@ -580,7 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument(
         "--engine",
-        help="engine registry key (default: bfv; see --list-engines); "
+        help="engine registry key (default: bfv-sharded; see "
+        "--list-engines); "
         "mutually exclusive with --remote",
     )
     p_search.add_argument(

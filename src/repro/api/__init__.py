@@ -2,19 +2,19 @@
 session layer over every matcher in the reproduction.
 
 One call gets a ready-to-search session on any registered engine —
-the core BFV packing pipeline, the wire protocol, the concurrent
-sharded serving engine, or any of the prior-work baselines — and every
+the sharded CIPHERMATCH serving engine, the wire protocol, or any of
+the prior-work baselines — and every
 engine consumes the same frozen request types and returns the same
 :class:`SearchResult`:
 
 >>> import numpy as np, repro
 >>> db = np.zeros(4096, dtype=np.uint8); db[160:192] = 1
->>> with repro.open_session("bfv", key_seed=7, db_bits=db) as s:
+>>> with repro.open_session("bfv-sharded", key_seed=7, db_bits=db) as s:
 ...     s.search(np.ones(32, dtype=np.uint8)).matches
 (160,)
 
-Swapping engines is a one-word change (``"bfv"`` -> ``"bfv-sharded"``
--> ``"yasuda"`` -> ``"plaintext"``); requests an engine cannot serve
+Swapping engines is a one-word change (``"bfv-sharded"`` ->
+``"bfv-wire"`` -> ``"yasuda"`` -> ``"plaintext"``); requests an engine cannot serve
 fail fast with :class:`CapabilityError`.  ``Session.submit`` gives
 future-based asynchronous submission with native batch coalescing on
 engines that declare it.  See ``docs/api.md`` for the full contract,
@@ -26,7 +26,6 @@ from .engines import (
     BonteEngine,
     Engine,
     KimHomEQEngine,
-    PipelineEngine,
     PlaintextEngine,
     ShardedEngine,
     TfheBooleanEngine,
@@ -60,7 +59,6 @@ __all__ = [
     "ExactSearch",
     "HomOpTally",
     "KimHomEQEngine",
-    "PipelineEngine",
     "PlaintextEngine",
     "SearchRequest",
     "SearchResult",

@@ -47,7 +47,7 @@ class Capabilities:
     tests and demos size their fixtures to).  ``exact_query_bits`` is
     the minimum query length at which the engine detects occurrences at
     *every* bit phase without relying on verification-filtered
-    candidates (2w - 1 for the packing pipeline).
+    candidates (2w - 1 for CIPHERMATCH's packing).
     """
 
     scheme: str

@@ -1,8 +1,8 @@
 """Engine adapters: one uniform execution surface over every matcher.
 
-The repo grew six-plus parallel entry points to the same secure-search
-capability — the core packing pipeline, the wire-protocol session, the
-sharded serve engine and the prior-work baseline matchers — each with
+The repo grew several parallel entry points to the same secure-search
+capability — the wire-protocol session, the sharded serve engine and
+the prior-work baseline matchers — each with
 its own constructor, outsourcing step and result shape.  This module
 wraps each of them in an :class:`Engine` with declared
 :class:`~repro.api.capabilities.Capabilities`, a single ``outsource``
@@ -36,7 +36,6 @@ from ..baselines import (
 )
 from ..core.client import CipherMatchClient, ClientConfig
 from ..core.match_polynomial import IndexMode
-from ..core.pipeline import SecureStringMatchPipeline
 from ..core.protocol import WireProtocolSession
 from ..core.wildcard import WildcardPattern
 from ..he.params import BFVParams
@@ -212,65 +211,8 @@ def _default_params() -> BFVParams:
 
 
 # ---------------------------------------------------------------------------
-# Core pipeline family
+# CIPHERMATCH
 # ---------------------------------------------------------------------------
-
-
-class PipelineEngine(Engine):
-    """The paper's contribution behind the facade:
-    :class:`~repro.core.pipeline.SecureStringMatchPipeline`."""
-
-    key = "bfv"
-    CAPS = Capabilities(
-        scheme="bfv",
-        wildcard=True,
-        verify=True,
-        exact_query_bits=31,  # 2w - 1 at the default 16-bit chunk width
-    )
-
-    def __init__(
-        self,
-        params: Optional[BFVParams] = None,
-        *,
-        key_seed: Optional[int] = None,
-        chunk_width: Optional[int] = None,
-        index_mode: IndexMode = IndexMode.CLIENT_DECRYPT,
-        deterministic_seed: Optional[int] = None,
-        addition_backend=None,
-        pipeline: Optional[SecureStringMatchPipeline] = None,
-    ):
-        if pipeline is not None:
-            self.pipeline = pipeline
-        else:
-            config = ClientConfig(
-                params or _default_params(),
-                chunk_width=chunk_width,
-                index_mode=index_mode,
-                deterministic_seed=deterministic_seed,
-                key_seed=key_seed,
-            )
-            self.pipeline = SecureStringMatchPipeline(config)
-        if addition_backend is not None:
-            if callable(addition_backend):
-                addition_backend = addition_backend(self.pipeline.client.ctx)
-            self.pipeline.server.engine.backend = addition_backend
-
-    def outsource(self, db_bits: np.ndarray) -> None:
-        self.pipeline.outsource_database(np.asarray(db_bits, dtype=np.uint8))
-
-    @property
-    def db_bit_length(self) -> Optional[int]:
-        return None if self.pipeline.db is None else self.pipeline.db.bit_length
-
-    def _exact(self, bits: np.ndarray, verify: bool) -> _Outcome:
-        report = self.pipeline.search(bits, verify=verify)
-        return _Outcome(
-            matches=list(report.matches),
-            hom_ops=HomOpTally(additions=report.hom_additions),
-            verified=verify,
-            num_variants=report.num_variants,
-            encrypted_db_bytes=report.encrypted_db_bytes,
-        )
 
 
 class WireEngine(Engine):
@@ -306,13 +248,12 @@ class WireEngine(Engine):
         return self._db_bits
 
     def _exact(self, bits: np.ndarray, verify: bool) -> _Outcome:
-        adds_before = self.session.server.hom_add_count
+        counter = self.session.server.ctx.counter
+        adds_before = counter.additions
         matches = self.session.search(bits, verify=verify)
         return _Outcome(
             matches=list(matches),
-            hom_ops=HomOpTally(
-                additions=self.session.server.hom_add_count - adds_before
-            ),
+            hom_ops=HomOpTally(additions=counter.additions - adds_before),
             verified=verify,
             encrypted_db_bytes=self.session.stats.database_upload,
         )
@@ -386,7 +327,7 @@ class ShardedEngine(Engine):
         self.engine.close()
 
     def adopt_database(self, db) -> None:
-        """Shard a database some pipeline already encrypted."""
+        """Shard a database this engine's client already encrypted."""
         self.engine.adopt_database(db)
 
     @property

@@ -18,7 +18,6 @@ from .engines import (
     BonteEngine,
     Engine,
     KimHomEQEngine,
-    PipelineEngine,
     PlaintextEngine,
     ShardedEngine,
     TfheBooleanEngine,
@@ -130,10 +129,6 @@ class EngineRegistry:
 
 def _build_default_registry() -> EngineRegistry:
     reg = EngineRegistry()
-    reg.register_engine_class(
-        PipelineEngine,
-        summary="CIPHERMATCH packing pipeline (Hom-Add only, in-process)",
-    )
     reg.register_engine_class(
         WireEngine,
         summary="CIPHERMATCH over the serialized two-round wire protocol",

@@ -282,7 +282,7 @@ def open_session(
 ) -> Session:
     """One call from engine name to ready-to-search session.
 
-    ``engine`` is a registry key (``"bfv"``, ``"bfv-sharded"``,
+    ``engine`` is a registry key (``"bfv-sharded"``, ``"bfv-wire"``,
     ``"yasuda"``, ...) or an already-built :class:`Engine`.  Keyword
     arguments flow to the engine constructor (``params=``,
     ``key_seed=``, ``num_shards=``, ``cache_capacity=``, ...),

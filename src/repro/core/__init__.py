@@ -8,7 +8,6 @@ from .matcher import (
     MatchCandidate,
     ResultBlock,
     ResultDecoder,
-    SecureSearchEngine,
     verify_candidates,
 )
 from .packing import (
@@ -17,10 +16,8 @@ from .packing import (
     FootprintReport,
     PackedDatabase,
 )
-from .pipeline import SearchReport, SecureStringMatchPipeline
 from .protocol import TranscriptStats, WireProtocolSession
 from .query import PreparedQuery, QueryPreparer, QueryVariant, guaranteed_phases
-from .server import CipherMatchServer
 from .wildcard import WildcardPattern
 
 __all__ = [
@@ -28,7 +25,6 @@ __all__ = [
     "WireProtocolSession",
     "CPUAdditionBackend",
     "CipherMatchClient",
-    "CipherMatchServer",
     "ClientConfig",
     "DataPacker",
     "EncryptedDatabase",
@@ -41,9 +37,6 @@ __all__ = [
     "QueryVariant",
     "ResultBlock",
     "ResultDecoder",
-    "SearchReport",
-    "SecureSearchEngine",
-    "SecureStringMatchPipeline",
     "WildcardPattern",
     "guaranteed_phases",
     "match_value",

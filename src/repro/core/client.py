@@ -12,7 +12,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..he.arena import QueryArena
 from ..he.bfv import BFVContext, Ciphertext
 from ..he.keys import KeyGenerator, PublicKey, SecretKey
 from ..he.params import BFVParams
@@ -84,27 +83,6 @@ class CipherMatchClient:
     def prepare_query(self, query_bits: np.ndarray) -> PreparedQuery:
         return self.preparer.prepare(query_bits)
 
-    def encrypt_variant(self, prepared: PreparedQuery, variant_index: int, poly_index: int):
-        return self.preparer.encrypt_variant(
-            prepared, variant_index, poly_index, self.pk, self.sk,
-            deterministic_seed=self.masking_seed,
-        )
-
-    def query_arena(self, prepared: PreparedQuery) -> QueryArena:
-        """Every distinct encrypted query polynomial of ``prepared`` —
-        one per variant, :func:`~repro.he.arena.query_row_layout` —
-        stacked for the fused cells in one
-        :meth:`QueryPreparer.encrypt_variant_value` pass: ``(n,)``
-        phase rows under ``CLIENT_DECRYPT`` (they stay with the key
-        holder), ``(2, n)`` ciphertext rows for the server's comparator
-        under ``SERVER_DETERMINISTIC``."""
-        ctx = self.ctx
-        block = self.preparer.encrypt_variant_value(
-            prepared, range(prepared.num_variants),
-            self.pk, self.sk, deterministic_seed=self.masking_seed,
-        )
-        return QueryArena(ctx.ring, ctx.params, prepared.variants, block)
-
     # -- result handling (line 12 and the verification step) -----------
 
     def flag_matches(
@@ -133,8 +111,8 @@ class CipherMatchClient:
         predates the index form; the benchmark's tracer resolves it.)
 
         ``verify`` accepts a bool or a :class:`repro.verify.VerifyPolicy`
-        — this is the single place the whole pipeline family resolves
-        the policy to a decision."""
+        — this is the single place a BFV search resolves the policy to
+        a decision."""
         decoder = ResultDecoder(self.chunk_width, db.n, db.bit_length)
         candidates = decoder.decode_hits(prepared, hits)
         if want_verify(verify) and self._db_bits is not None:

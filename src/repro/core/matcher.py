@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Protocol, Sequence
 
 import numpy as np
 
-from ..he.arena import CiphertextArena, QueryArena, add_mod_q, query_row_layout
+from ..he.arena import CiphertextArena, QueryArena, add_mod_q
 from ..he.bfv import BFVContext, Ciphertext
 from .packing import EncryptedDatabase
 from .query import PreparedQuery
@@ -78,8 +78,8 @@ def block_hits(
     (:meth:`CipherMatchClient.flag_matches`), the comparator's
     prediction on the server's
     (:meth:`DeterministicComparator.flag_matches`).  ``blocks`` come in
-    :meth:`SecureSearchEngine.search` order (polynomials ascending
-    within a variant), so each variant's indices come out sorted.
+    :func:`per_pair_blocks` order (polynomials ascending within a
+    variant), so each variant's indices come out sorted.
     """
     parts: List[List[np.ndarray]] = [[] for _ in range(num_variants)]
     for block in blocks:
@@ -108,8 +108,7 @@ def comparator_hits(
     broadcast Hom-Add of the c0 rows plus the batched comparator, whose
     query masks are keyed by the query row, one variant at a time, each
     reduced to the sorted flat indices of its set flags before the next
-    is formed — the single home of the fused comparator math for both
-    the pipeline and the serving shards.
+    is formed — the single home of the fused comparator math.
     """
     q = arena.params.q
     db_c0 = arena.c0_rows(polys.start, polys.stop)
@@ -124,43 +123,31 @@ def comparator_hits(
     ]
 
 
-class SecureSearchEngine:
-    """Runs the Hom-Add search over an encrypted database."""
+def per_pair_blocks(
+    backend: AdditionBackend,
+    db: EncryptedDatabase,
+    query_cts: Sequence[Ciphertext],
+    row_map: np.ndarray,
+    polys: range,
+) -> List[ResultBlock]:
+    """One ``backend.hom_add`` per (variant, polynomial) pair of the
+    database polynomials ``polys`` (the whole database, or one serving
+    shard's range): pair ``(v, j)`` adds query ciphertext
+    ``query_cts[row_map[v, j - polys.start]]`` to ``db.ciphertexts[j]``.
 
-    def __init__(self, backend: AdditionBackend):
-        self.backend = backend
-        self.hom_add_count = 0
-
-    def search(
-        self,
-        db: EncryptedDatabase,
-        prepared: PreparedQuery,
-        encrypt_variant: Callable[[int, int], Ciphertext],
-        polys: range,
-    ) -> List[ResultBlock]:
-        """Hom-Add every query variant against the database polynomials
-        ``polys`` (the whole database, or one serving shard's range).
-
-        ``encrypt_variant(variant_index, poly_index)`` supplies the
-        encrypted query polynomial (the client pre-encrypts; the server
-        only sees ciphertexts).
-        """
-        blocks = []
-        row_map = query_row_layout(prepared.variants, db.n, polys)
-        for v_idx, rows in enumerate(row_map.tolist()):
-            for j, row in zip(polys, rows):
-                query_ct = encrypt_variant(v_idx, j)
-                result = self.backend.hom_add(db.ciphertexts[j], query_ct)
-                self.hom_add_count += 1
-                blocks.append(
-                    ResultBlock(
-                        poly_index=j,
-                        variant_index=v_idx,
-                        query_row=row,
-                        ciphertext=result,
-                    )
-                )
-        return blocks
+    ``row_map`` is ``(V, len(polys))``, the columns of
+    :func:`~repro.he.arena.query_row_layout` for ``polys``, and
+    ``query_cts`` the distinct encrypted query rows it names — all a
+    server is handed, so nothing here reads the plaintext query.  The
+    adder counts its own operations.  Blocks come polynomials ascending
+    within a variant, the order :func:`block_hits` expects.
+    """
+    blocks = []
+    for v_idx, rows in enumerate(row_map.tolist()):
+        for j, row in zip(polys, rows):
+            result = backend.hom_add(db.ciphertexts[j], query_cts[row])
+            blocks.append(ResultBlock(j, v_idx, row, result))
+    return blocks
 
 
 class ResultDecoder:

@@ -1,39 +1,79 @@
 """Wire-level client-server protocol for CIPHERMATCH.
 
-:class:`SecureStringMatchPipeline` wires client and server together
-in-process; this module puts a *byte boundary* between them, exercising
-the two-round exchange the paper credits HE with (§2.2, "low
-communication complexity"):
+The serving engine (:mod:`repro.serve`) runs the client and the search
+in one process; this module puts a *byte boundary* between them,
+exercising the two-round exchange the paper credits HE with (§2.2,
+"low communication complexity"):
 
     round 1:  client --[encrypted database]--> server        (offline)
-    round 2:  client --[encrypted query variants]--> server
+    round 2:  client --[encrypted query rows + row map]--> server
               server --[Hom-Add result blocks]--> client
 
 Every ciphertext crosses the boundary through
 :mod:`repro.he.serialize`, so the transcript sizes reported here are
 the real protocol footprint (what Figure 2a's memory accounting counts,
-measured on the wire).
+measured on the wire).  The query upload is the distinct encrypted
+query rows — one per variant — and the ``(V, P)`` map naming the row
+each (variant, database polynomial) pair adds
+(:func:`~repro.he.arena.query_row_layout`), which depends on the
+query's length alone.
+
+Every decoder checks each header and count against the bytes left
+before reading or looping, and raises :class:`ValueError` naming the
+fault on a short or malformed message.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..he.arena import query_row_layout
+from ..he.bfv import BFVContext, Ciphertext
+from ..he.params import BFVParams
 from ..he.serialize import deserialize_ciphertext, serialize_ciphertext
 from ..verify import VerifyLike
 from .client import CipherMatchClient, ClientConfig
-from .matcher import MatchCandidate, ResultBlock, block_hits
+from .matcher import (
+    CPUAdditionBackend,
+    MatchCandidate,
+    ResultBlock,
+    block_hits,
+    per_pair_blocks,
+)
 from .packing import EncryptedDatabase
-from .query import PreparedQuery
-from .server import CipherMatchServer
 
 _LEN = struct.Struct("<I")
 _DB_HEADER = struct.Struct("<IIII")
+_UPLOAD_HEADER = struct.Struct("<II")
 _BLOCK_HEADER = struct.Struct("<III")
+#: the row map travels as little-endian uint32
+_ROW = np.dtype("<u4")
+
+
+def _take(data: bytes, offset: int, layout: struct.Struct, what: str) -> tuple:
+    """``layout`` unpacked at ``offset``; :class:`ValueError` naming
+    ``what`` when fewer bytes than it needs are left."""
+    left = len(data) - offset
+    if left < layout.size:
+        raise ValueError(
+            f"truncated {what}: {layout.size} bytes needed at offset "
+            f"{offset}, {left} left"
+        )
+    return layout.unpack_from(data, offset)
+
+
+def _check_count(count: int, item_bytes: int, left: int, what: str) -> None:
+    """A declared ``count`` of ``item_bytes``-byte items must fit in the
+    ``left`` bytes that follow — checked before any loop runs."""
+    if count * item_bytes > left:
+        raise ValueError(
+            f"{what} count {count} needs at least {count * item_bytes} "
+            f"bytes, {left} left"
+        )
 
 
 def _pack_frames(frames: List[bytes]) -> bytes:
@@ -44,17 +84,27 @@ def _pack_frames(frames: List[bytes]) -> bytes:
     return bytes(out)
 
 
-def _unpack_frames(data: bytes) -> List[bytes]:
-    (count,) = _LEN.unpack_from(data)
-    offset = _LEN.size
+def _unpack_frames(data: bytes, offset: int = 0) -> List[bytes]:
+    """The length-prefixed frames from ``offset`` to the end of ``data``."""
+    (count,) = _take(data, offset, _LEN, "frame count")
+    offset += _LEN.size
+    _check_count(count, _LEN.size, len(data) - offset, "frame")
     frames = []
-    for _ in range(count):
-        (length,) = _LEN.unpack_from(data, offset)
+    for i in range(count):
+        (length,) = _take(data, offset, _LEN, f"length of frame {i}")
         offset += _LEN.size
+        left = len(data) - offset
+        if length > left:
+            raise ValueError(
+                f"truncated frame {i} of {count}: {length} bytes declared, "
+                f"{left} left"
+            )
         frames.append(data[offset : offset + length])
         offset += length
     if offset != len(data):
-        raise ValueError("trailing bytes after last frame")
+        raise ValueError(
+            f"{len(data) - offset} trailing bytes after last frame"
+        )
     return frames
 
 
@@ -76,8 +126,8 @@ def encode_database(db: EncryptedDatabase) -> bytes:
 
 
 def decode_database(data: bytes, ctx) -> EncryptedDatabase:
-    bit_length, chunk_width, n, seed = _DB_HEADER.unpack_from(data)
-    frames = _unpack_frames(data[_DB_HEADER.size :])
+    bit_length, chunk_width, n, seed = _take(data, 0, _DB_HEADER, "database header")
+    frames = _unpack_frames(data, _DB_HEADER.size)
     cts = [deserialize_ciphertext(frame, ctx) for frame in frames]
     return EncryptedDatabase(
         ciphertexts=cts,
@@ -93,41 +143,32 @@ def decode_database(data: bytes, ctx) -> EncryptedDatabase:
 # ---------------------------------------------------------------------------
 
 
-def encode_query_variants(
-    client: CipherMatchClient,
-    prepared: PreparedQuery,
-    num_polynomials: int,
-) -> bytes:
-    """Encrypt and serialize every (variant, polynomial) ciphertext the
-    server's search will request — the full round-2 upload."""
-    frames = []
-    index = []
-    for v_idx in range(prepared.num_variants):
-        for j in range(num_polynomials):
-            ct = client.encrypt_variant(prepared, v_idx, j)
-            index.append((v_idx, j))
-            frames.append(serialize_ciphertext(ct))
-    header = bytearray(_LEN.pack(len(index)))
-    for v_idx, j in index:
-        header += struct.pack("<II", v_idx, j)
-    return bytes(header) + _pack_frames(frames)
+def encode_query_rows(query_cts: Sequence[Ciphertext], row_map: np.ndarray) -> bytes:
+    """Serialize the round-2 upload: the ``(V, P)`` row map, then the
+    distinct encrypted query rows it names."""
+    num_variants, num_polys = row_map.shape
+    return (
+        _UPLOAD_HEADER.pack(num_variants, num_polys)
+        + np.ascontiguousarray(row_map, dtype=_ROW).tobytes()
+        + _pack_frames([serialize_ciphertext(ct) for ct in query_cts])
+    )
 
 
-def decode_query_variants(data: bytes, ctx) -> Dict[tuple, object]:
-    (count,) = _LEN.unpack_from(data)
-    offset = _LEN.size
-    index = []
-    for _ in range(count):
-        v_idx, j = struct.unpack_from("<II", data, offset)
-        index.append((v_idx, j))
-        offset += 8
-    frames = _unpack_frames(data[offset:])
-    if len(frames) != count:
-        raise ValueError("variant index/frame count mismatch")
-    return {
-        key: deserialize_ciphertext(frame, ctx)
-        for key, frame in zip(index, frames)
-    }
+def decode_query_rows(data: bytes, ctx) -> Tuple[List[Ciphertext], np.ndarray]:
+    """The query rows and the ``(V, P)`` row map of an upload."""
+    num_variants, num_polys = _take(data, 0, _UPLOAD_HEADER, "upload header")
+    offset = _UPLOAD_HEADER.size
+    pairs = num_variants * num_polys
+    _check_count(pairs, _ROW.itemsize, len(data) - offset, "row map entry")
+    row_map = np.frombuffer(data, dtype=_ROW, count=pairs, offset=offset)
+    frames = _unpack_frames(data, offset + pairs * _ROW.itemsize)
+    if pairs and int(row_map.max()) >= len(frames):
+        raise ValueError(
+            f"row map names row {int(row_map.max())}, "
+            f"{len(frames)} rows uploaded"
+        )
+    cts = [deserialize_ciphertext(frame, ctx) for frame in frames]
+    return cts, row_map.reshape(num_variants, num_polys).astype(np.intp)
 
 
 def encode_result_blocks(blocks: List[ResultBlock]) -> bytes:
@@ -143,15 +184,18 @@ def encode_result_blocks(blocks: List[ResultBlock]) -> bytes:
 
 
 def decode_result_blocks(data: bytes, ctx) -> List[ResultBlock]:
-    (count,) = _LEN.unpack_from(data)
+    (count,) = _take(data, 0, _LEN, "block count")
     offset = _LEN.size
+    _check_count(count, _BLOCK_HEADER.size, len(data) - offset, "block header")
     metas = []
     for _ in range(count):
         metas.append(_BLOCK_HEADER.unpack_from(data, offset))
         offset += _BLOCK_HEADER.size
-    frames = _unpack_frames(data[offset:])
+    frames = _unpack_frames(data, offset)
     if len(frames) != count:
-        raise ValueError("block header/frame count mismatch")
+        raise ValueError(
+            f"{count} block headers, {len(frames)} ciphertext frames"
+        )
     return [
         ResultBlock(
             poly_index=poly,
@@ -182,6 +226,42 @@ class TranscriptStats:
         return self.query_upload + self.result_download
 
 
+class WireServer:
+    """The server half of :class:`WireProtocolSession`: handed public
+    parameters and bytes, it answers bytes.
+
+    It builds its own context from ``params`` — never the client's RNG
+    state or keys — stores the decoded database, and answers a query
+    upload with one Hom-Add result block per (variant, polynomial) pair
+    (:func:`~.matcher.per_pair_blocks`).  What it is given depends on
+    the query's length alone (docs/serving.md "Trust boundary").
+    """
+
+    def __init__(self, params: BFVParams):
+        self.ctx = BFVContext(params)
+        self.backend = CPUAdditionBackend(self.ctx)
+        self.db: Optional[EncryptedDatabase] = None
+
+    def store(self, upload: bytes) -> None:
+        """Decode and keep the outsourced database (round 1)."""
+        self.db = decode_database(upload, self.ctx)
+
+    def search(self, upload: bytes) -> bytes:
+        """Answer one query upload with the serialized result blocks."""
+        if self.db is None:
+            raise RuntimeError("no database stored on the server")
+        query_cts, row_map = decode_query_rows(upload, self.ctx)
+        polys = range(self.db.num_polynomials)
+        if row_map.shape[1] != len(polys):
+            raise ValueError(
+                f"row map covers {row_map.shape[1]} polynomials, the "
+                f"database has {len(polys)}"
+            )
+        return encode_result_blocks(
+            per_pair_blocks(self.backend, self.db, query_cts, row_map, polys)
+        )
+
+
 class WireProtocolSession:
     """Client and server that only ever exchange bytes.
 
@@ -196,20 +276,16 @@ class WireProtocolSession:
     def __init__(self, config: ClientConfig):
         self.config = config
         self.client = CipherMatchClient(config)
-        self.server = CipherMatchServer(
-            # The server builds its own context from public parameters —
-            # it never sees the client's RNG state or keys.
-            type(self.client.ctx)(config.params)
-        )
+        self.server = WireServer(config.params)
         self.stats = TranscriptStats()
-        self._num_polynomials = 0
+        #: the client's own copy of what it outsourced
+        self._db: Optional[EncryptedDatabase] = None
 
     def outsource(self, bits: np.ndarray) -> None:
-        db = self.client.outsource(np.asarray(bits, dtype=np.uint8))
-        wire = encode_database(db)
+        self._db = self.client.outsource(np.asarray(bits, dtype=np.uint8))
+        wire = encode_database(self._db)
         self.stats.database_upload = len(wire)
-        self.server.store_database(decode_database(wire, self.server.ctx))
-        self._num_polynomials = db.num_polynomials
+        self.server.store(wire)
 
     def search(
         self, query_bits: np.ndarray, *, verify: VerifyLike = True
@@ -220,24 +296,26 @@ class WireProtocolSession:
     def search_candidates(
         self, query_bits: np.ndarray, *, verify: VerifyLike = True
     ) -> List[MatchCandidate]:
-        prepared = self.client.prepare_query(np.asarray(query_bits, dtype=np.uint8))
+        if self._db is None:
+            raise RuntimeError("outsource a database first")
+        client, db = self.client, self._db
+        prepared = client.prepare_query(np.asarray(query_bits, dtype=np.uint8))
 
-        # client -> server: all encrypted query variants
-        upload = encode_query_variants(self.client, prepared, self._num_polynomials)
+        # client -> server: one encrypted row per variant + the row map
+        rows = client.preparer.encrypt_variant_value(
+            prepared, range(prepared.num_variants), client.pk, client.sk,
+            deterministic_seed=client.masking_seed,
+        )
+        upload = encode_query_rows(
+            client.preparer.ciphertexts(rows, client.sk),
+            query_row_layout(prepared.variants, db.n, range(db.num_polynomials)),
+        )
         self.stats.query_upload = len(upload)
-        variants = decode_query_variants(upload, self.server.ctx)
-
-        # server: Hom-Add search using only deserialized material, one
-        # result block per pair (blocks are what crosses the wire)
-        blocks = self.server.search(prepared, lambda v, j: variants[(v, j)])
 
         # server -> client: result blocks
-        download = encode_result_blocks(blocks)
+        download = self.server.search(upload)
         self.stats.result_download = len(download)
-        restored = decode_result_blocks(download, self.client.ctx)
+        blocks = decode_result_blocks(download, client.ctx)
 
-        assert self.server.db is not None
-        hits = block_hits(restored, self.client.flag_matches, prepared.num_variants)
-        return self.client.decode_flags_matrix(
-            prepared, hits, self.server.db, verify=verify
-        )
+        hits = block_hits(blocks, client.flag_matches, prepared.num_variants)
+        return client.decode_flags_matrix(prepared, hits, db, verify=verify)

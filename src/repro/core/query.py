@@ -21,7 +21,7 @@ When the interior is empty (short queries at non-zero phase) the paper's
 replicated-pattern form is used: the chunk pattern is a ``w``-bit window
 of the query's periodic extension.  Such variants only *candidate*-match
 (the surrounding bits are unchecked), so they are flagged
-``requires_verification`` and the pipeline's verification step filters
+``requires_verification`` and the client's verification step filters
 them; `guaranteed_phases` tells callers which phases detect exactly.
 
 For interior spans longer than one chunk, the pattern repeats with
@@ -43,7 +43,7 @@ The row index is the key a row is cached under and, under
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -70,13 +70,11 @@ class QueryVariant:
 
 @dataclass
 class PreparedQuery:
-    """All variants of a query, plus encryption caching."""
+    """All variants of a query."""
 
     query_bits: np.ndarray
     chunk_width: int
     variants: List[QueryVariant]
-    #: per-pair encryptions, keyed by query row
-    _cipher_cache: Dict[int, Ciphertext] = field(default_factory=dict)
 
     @property
     def bit_length(self) -> int:
@@ -173,33 +171,6 @@ class QueryPreparer:
     # Encryption
     # ------------------------------------------------------------------
 
-    def encrypt_variant(
-        self,
-        prepared: PreparedQuery,
-        variant_index: int,
-        poly_index: int,
-        pk: PublicKey,
-        sk: SecretKey,
-        *,
-        deterministic_seed: int | None = None,
-    ) -> Ciphertext:
-        """Encrypted query polynomial for one (variant, db-polynomial).
-
-        Pairs that read the same query row share one ciphertext, cached
-        per row — a query is encrypted once per variant, not once per
-        (variant, polynomial) pair.
-        """
-        # query_row_layout's formula for one pair
-        v = prepared.variants[variant_index]
-        shift = (v.rotation - poly_index * self.ctx.params.n) % v.span
-        row = variant_index - v.rotation + shift
-        if row not in prepared._cipher_cache:
-            block = self.encrypt_variant_value(
-                prepared, [row], pk, sk, deterministic_seed=deterministic_seed
-            )
-            (prepared._cipher_cache[row],) = self.ciphertexts(block, sk)
-        return prepared._cipher_cache[row]
-
     def encrypt_variant_value(
         self,
         prepared: PreparedQuery,
@@ -210,8 +181,7 @@ class QueryPreparer:
         deterministic_seed: int | None = None,
     ) -> np.ndarray:
         """Encrypt the query rows ``rows`` (indices in
-        :func:`~repro.he.arena.query_row_layout` order) in one pass,
-        without consulting or populating ``prepared``'s per-query cache.
+        :func:`~repro.he.arena.query_row_layout` order) in one pass.
 
         The serving layer (:mod:`repro.serve`) calls this once per
         request, with the rows its *bounded* LRU cache is missing, so

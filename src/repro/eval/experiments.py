@@ -57,7 +57,7 @@ def table1_functional() -> str:
         find_all_matches,
     )
     from ..core.client import ClientConfig
-    from ..core.pipeline import SecureStringMatchPipeline
+    from ..serve import ShardedSearchEngine
     from ..he.keys import generate_keys
     from ..he.params import BFVParams
     from ..tfhe import TFHEParams
@@ -117,9 +117,9 @@ def table1_functional() -> str:
         ]
     )
 
-    pipe = SecureStringMatchPipeline(ClientConfig(BFVParams.test_small(64)))
-    pipe.outsource_database(db_bits)
-    report = pipe.search(db_bits[:16])
+    engine = ShardedSearchEngine(ClientConfig(BFVParams.test_small(64)))
+    engine.outsource(db_bits)
+    report = engine.search(db_bits[:16])
     rows.append(
         [
             "CIPHERMATCH (16b q)",

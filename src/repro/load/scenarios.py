@@ -333,7 +333,7 @@ class DatabaseScenario(Scenario):
     """Key lookups against a fixed-width key-value store (§5.3).
 
     A 50/50 hit/miss mix of 32-bit key probes — the encrypted-search
-    case study's query shape, sized so every key clears the pipeline's
+    case study's query shape, sized so every key clears CIPHERMATCH's
     31-bit every-phase detection threshold.
     """
 

@@ -1,8 +1,8 @@
 """Production-style serving layer for the CIPHERMATCH secure search.
 
 The paper's Figure 9/12 evaluation issues 1000-query batches against
-one encrypted database; the seed reproduction executed them strictly
-sequentially over a single pipeline.  This package turns that into a
+one encrypted database.  This package serves them — and every other
+BFV search in the repo, one shard standing for one server — through a
 sharded serving engine:
 
 :class:`ShardedSearchEngine`
@@ -12,8 +12,8 @@ sharded serving engine:
     simulated in-flash backend from :mod:`repro.ssd.device`), and runs a
     batch as (query, shard) tasks on the calling thread.  Per-shard
     match-flag indices are merged in global polynomial order, so merged
-    results — match offsets included — are identical to the sequential
-    pipeline's, even for occurrences spanning shard boundaries.
+    results — match offsets included — are identical whatever the shard
+    count, even for occurrences spanning shard boundaries.
 
 :class:`VariantCipherCache`
     A bounded, thread-safe LRU cache of encrypted query variants shared
@@ -27,7 +27,7 @@ sharded serving engine:
     deployment of the same batch would see.
 
 :class:`ServeReport`
-    Per-query :class:`~repro.core.pipeline.SearchReport` list plus
+    Per-query :class:`SearchReport` list plus
     throughput, wall/modeled latency percentiles, cache and shard
     statistics, rendered with the :mod:`repro.eval.tables`
     helpers.
@@ -54,7 +54,7 @@ one to eight shards.
 from .admission import AdmissionController, classify_request, coerce_admission
 from .cache import CacheStats, VariantCipherCache
 from .engine import BackendFactory, DbShard, ShardedSearchEngine, WorkerCrashError
-from .report import ServeReport, ShardStats
+from .report import SearchReport, ServeReport, ShardStats
 from .scheduler import ServeScheduler, ShardTaskTrace
 
 __all__ = [
@@ -62,6 +62,7 @@ __all__ = [
     "BackendFactory",
     "CacheStats",
     "DbShard",
+    "SearchReport",
     "ServeReport",
     "ServeScheduler",
     "ShardStats",

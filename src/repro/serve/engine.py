@@ -7,11 +7,11 @@ and runs a batch as (query, shard) tasks.  Every shard task yields, per
 query variant, the sorted indices of the set match flags of that
 shard's slice of the flag grid; finalize shifts them to *global*
 polynomial order and concatenates them shard by shard, so decode is
-byte-identical to the single-pipeline
-:class:`~repro.core.pipeline.SecureStringMatchPipeline` — including
-matches that span shard boundaries (the run-detection in
+byte-identical whatever the shard count — including matches that span
+shard boundaries (the run-detection in
 :class:`~repro.core.matcher.ResultDecoder` operates on the indices of
-the globally concatenated flag vector).
+the globally concatenated flag vector).  One shard is the single-server
+search; every BFV search in the repo runs here.
 
 Execution model
 ---------------
@@ -34,7 +34,8 @@ Execution model
   :mod:`repro.he.arena`).
   A shard whose backend does its own addition (the simulated in-flash
   IFP device) runs one ``backend.hom_add`` per (polynomial, variant)
-  pair instead; both produce the same hits.
+  pair instead (:func:`~repro.core.matcher.per_pair_blocks`); both
+  produce the same hits.
 """
 
 from __future__ import annotations
@@ -55,12 +56,11 @@ from ..core.match_polynomial import DeterministicComparator, IndexMode
 from ..core.matcher import (
     AdditionBackend,
     CPUAdditionBackend,
-    SecureSearchEngine,
     block_hits,
     comparator_hits,
+    per_pair_blocks,
 )
 from ..core.packing import EncryptedDatabase
-from ..core.pipeline import SearchReport
 from ..core.query import PreparedQuery
 from ..faults import (
     SLOW_SHARD,
@@ -70,7 +70,7 @@ from ..faults import (
     FaultInjector,
 )
 from .cache import VariantCipherCache
-from .report import ModelReplay, ServeReport, ShardStats
+from .report import ModelReplay, SearchReport, ServeReport, ShardStats
 from .scheduler import ServeScheduler, ShardTaskTrace
 
 #: builds the addition backend for one shard: ``factory(ctx, shard_id)``
@@ -113,7 +113,7 @@ class _QueryJob:
         self.hit_parts: Dict[int, List[np.ndarray]] = {}
         #: shards whose task was skipped/lost under partial-results mode
         self.degraded: set = set()
-        self.query_arena: Optional[QueryArena] = None
+        self.arena: Optional[QueryArena] = None
         #: ``(V, P)`` query row per (variant, database polynomial);
         #: shards read their columns
         self.row_map: Optional[np.ndarray] = None
@@ -132,7 +132,7 @@ class ShardedSearchEngine:
         Client configuration; ignored when ``client`` is given.
     client:
         An existing :class:`CipherMatchClient` to reuse (lets the engine
-        adopt a database a pipeline already outsourced).
+        adopt a database that client already outsourced).
     num_shards:
         Requested shard count; clamped to the number of database
         polynomials at :meth:`outsource` time.
@@ -221,8 +221,13 @@ class ShardedSearchEngine:
         return db
 
     def adopt_database(self, db: EncryptedDatabase) -> None:
-        """Shard an already-encrypted database (e.g. one a pipeline
-        outsourced) without re-encrypting."""
+        """Shard an already-encrypted database without re-encrypting.
+        The outgoing shards' backends first drop what they keep
+        resident, so a factory reusing one SSD holds one database."""
+        for shard in self.shards:
+            release = getattr(shard.backend, "release_database", None)
+            if release is not None:
+                release()
         self.db = db
         self.cache.clear()
         effective = max(1, min(self.num_shards, db.num_polynomials))
@@ -411,7 +416,7 @@ class ShardedSearchEngine:
 
     # -- arena machinery -------------------------------------------------
 
-    def _job_query_arena(self, job: _QueryJob) -> QueryArena:
+    def _job_arena(self, job: _QueryJob) -> QueryArena:
         """The job's stacked query rows and its row map, built by the
         first shard task to need them.  Rows live in the shared
         :class:`VariantCipherCache` — under ``CLIENT_DECRYPT`` the
@@ -423,7 +428,7 @@ class ShardedSearchEngine:
         kernel reads the phase rows; a per-pair shard makes ``(c0, c1)``
         of them once per job (:meth:`_run_shard_task`).
         """
-        if job.query_arena is None:
+        if job.arena is None:
             ctx, client = self.client.ctx, self.client
 
             def encrypt(missing: list) -> List[np.ndarray]:
@@ -438,11 +443,11 @@ class ShardedSearchEngine:
                 [(job.key, row) for row in range(job.prepared.num_variants)],
                 encrypt,
             )
-            job.query_arena = QueryArena(
+            job.arena = QueryArena(
                 ctx.ring, ctx.params, job.prepared.variants, rows
             )
-            job.row_map = job.query_arena.row_map(range(self.db.num_polynomials))
-        return job.query_arena
+            job.row_map = job.arena.row_map(range(self.db.num_polynomials))
+        return job.arena
 
     # -- shard execution -------------------------------------------------
 
@@ -457,7 +462,7 @@ class ShardedSearchEngine:
         pair on the context's operation counter.
         """
         ctx = self.client.ctx
-        query_arena = self._job_query_arena(job)
+        query = self._job_arena(job)
         stop = shard.base_poly + shard.num_polynomials
         row_map = job.row_map[:, shard.base_poly : stop]
         if not shard.fused:
@@ -466,11 +471,10 @@ class ShardedSearchEngine:
             # the adder and ``ctx.decrypt`` count their own operations
             if job.query_cts is None:
                 job.query_cts = self.client.preparer.ciphertexts(
-                    query_arena.rows, self.client.sk
+                    query.rows, self.client.sk
                 )
-            blocks = SecureSearchEngine(shard.backend).search(
-                self.db, job.prepared,
-                lambda v_idx, j: job.query_cts[job.row_map[v_idx, j]],
+            blocks = per_pair_blocks(
+                shard.backend, self.db, job.query_cts, row_map,
                 range(shard.base_poly, stop),
             )
             index_unit = self.client if self._comparator is None else self._comparator
@@ -485,13 +489,13 @@ class ShardedSearchEngine:
         ctx.counter.additions += hom_adds
         if self._comparator is not None:
             return comparator_hits(
-                self._comparator, arena, query_arena, row_map,
+                self._comparator, arena, query, row_map,
                 range(shard.base_poly, stop),
             )
         ctx.counter.decryptions += hom_adds
         return fused_decrypt_flags(
             arena.phases(self.client.sk, shard.base_poly, stop),
-            query_arena.phases(),
+            query.phases(),
             row_map,
             ctx.params,
             self.client.chunk_width,

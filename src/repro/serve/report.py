@@ -1,9 +1,8 @@
 """Serving metrics: throughput, latency percentiles, shard utilization.
 
 :class:`ServeReport` is what :meth:`ShardedSearchEngine.search_batch`
-returns — the per-query :class:`~repro.core.pipeline.SearchReport` list
-(so correctness consumers see exactly what the sequential pipeline would
-produce) plus the operational metrics a serving deployment watches.  The
+returns — the per-query :class:`SearchReport` list plus the operational
+metrics a serving deployment watches.  The
 tables render through :mod:`repro.eval.tables` so serving output matches
 the paper-figure reproductions.
 
@@ -23,7 +22,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.matcher import MatchCandidate
-from ..core.pipeline import SearchReport
 from ..eval.tables import format_bytes, format_table
 from ..utils.stats import percentile
 from .cache import CacheStats
@@ -31,6 +29,25 @@ from .scheduler import ServeScheduler, ShardTaskTrace
 
 #: schema guard for the machine-readable serialization
 SERVE_REPORT_VERSION = 1
+
+
+@dataclass
+class SearchReport:
+    """Outcome of one secure search."""
+
+    matches: List[int]
+    candidates: List[MatchCandidate]
+    hom_additions: int
+    num_variants: int
+    encrypted_db_bytes: int
+    #: shards whose results are missing from this report (circuit
+    #: breaker open / terminal worker crash under partial-results mode);
+    #: empty means the report covers the whole database
+    degraded_shards: Tuple[int, ...] = ()
+
+    @property
+    def num_matches(self) -> int:
+        return len(self.matches)
 
 
 class ModelReplay:

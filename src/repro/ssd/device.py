@@ -2,8 +2,8 @@
 addition backend that plugs into the secure-search engine.
 
 ``IFPAdditionBackend`` is the hardware-software codesign seam: the
-per-pair search cell (:meth:`repro.core.matcher.SecureSearchEngine.search`,
-the one loop the pipeline's server and every serving shard run) calls
+per-pair search loop (:func:`repro.core.matcher.per_pair_blocks`, the
+one loop every per-pair serving shard and the wire server run) calls
 ``hom_add`` and the addition executes inside the simulated NAND planes
 via ``bop_add`` — coefficient-wise addition mod ``2**32`` on vertical
 data is exactly BFV Hom-Add for the paper's ``q = 2**32``.
@@ -95,7 +95,6 @@ class IFPAdditionBackend:
         #: logical pages); holding the object keeps its ``id`` from
         #: being reused by another ciphertext while the entry lives
         self._resident: Dict[int, Tuple[Ciphertext, List[int]]] = {}
-        self.hom_add_count = 0
 
     # -- placement -----------------------------------------------------------
 
@@ -118,8 +117,9 @@ class IFPAdditionBackend:
 
     def release_database(self) -> None:
         """Drop every resident ciphertext and reclaim its flash: the
-        server calls this when a new database replaces the stored one
-        (:meth:`repro.core.server.CipherMatchServer.store_database`)."""
+        serving engine calls this when a new database replaces the
+        stored one
+        (:meth:`repro.serve.ShardedSearchEngine.adopt_database`)."""
         self._resident.clear()
         self.ssd.controller.cm_trim()
 
@@ -137,7 +137,6 @@ class IFPAdditionBackend:
             hi = min(lo + per_slot, len(query_words))
             outcome = self.ssd.controller.cm_search(lpn, query_words[lo:hi])
             sums[lo:hi] = outcome.sums[: hi - lo]
-        self.hom_add_count += 1
         self.ctx.counter.additions += 1
 
         n = self.ctx.params.n

@@ -3,7 +3,7 @@
 Every search path in the repo ends with the same question: should the
 decoded candidates be re-checked against the client's plaintext copy
 (the paper's step 5, "verification")?  Before the :mod:`repro.api`
-facade existed, each entry point — pipeline, wire protocol, wildcard
+facade existed, each entry point — wire protocol, wildcard
 join, batch searcher, sharded serve engine — carried its own
 ``verify: bool = True`` keyword.  They now all speak
 :class:`VerifyPolicy`; plain booleans are still accepted everywhere for
@@ -60,7 +60,7 @@ VerifyLike = Union[bool, VerifyPolicy, None]
 
 def want_verify(value: VerifyLike) -> bool:
     """Effective verify-or-not for a path that *does* implement
-    verification (the core pipeline family).  ``AUTO`` therefore means
+    verification (the CIPHERMATCH engines).  ``AUTO`` therefore means
     "verify".  Non-policy values keep the legacy truthiness semantics
     (``verify=None`` / ``verify=0`` / numpy bools behave exactly as
     they did when the keyword was a plain bool)."""

@@ -4,7 +4,7 @@ The paper motivates HE-based exact matching with biometric
 authentication ([19, 33], §1-2.2): a client's biometric template is
 matched against an enrolled gallery without revealing either.  This
 module generates iris-code-style binary templates and runs exact
-gallery search through the CIPHERMATCH pipeline:
+gallery search through a one-shard CIPHERMATCH serving engine:
 
 * enrolment: the gallery (concatenated fixed-width templates) is packed,
   encrypted and outsourced;
@@ -26,7 +26,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..core.client import ClientConfig
-from ..core.pipeline import SecureStringMatchPipeline
+from ..serve import ShardedSearchEngine
 from ..utils.rng import SeedLike, as_generator
 
 
@@ -123,8 +123,8 @@ class SecureBiometricMatcher:
 
     def __init__(self, gallery: BiometricGallery, config: ClientConfig):
         self.gallery = gallery
-        self.pipeline = SecureStringMatchPipeline(config)
-        self.pipeline.outsource_database(gallery.concatenated_bits())
+        self.engine = ShardedSearchEngine(config, num_shards=1)
+        self.engine.outsource(gallery.concatenated_bits())
 
     def authenticate(self, probe: np.ndarray) -> AuthenticationResult:
         """Exact search of the probe; acceptance requires a hit at a
@@ -136,7 +136,7 @@ class SecureBiometricMatcher:
                 f"probe of {len(probe)} bits does not match the gallery's "
                 f"{self.gallery.template_bits}-bit templates"
             )
-        report = self.pipeline.search(probe)
+        report = self.engine.search(probe)
         for offset in report.matches:
             subject = self.gallery.subject_at_offset(offset)
             if subject is not None:

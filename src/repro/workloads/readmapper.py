@@ -4,7 +4,8 @@ The paper motivates exact string matching with the *seeding* step of
 DNA read mapping (§2.2, §5.3): short substrings ("seeds") of a read are
 matched exactly against a reference genome to collect candidate mapping
 positions, which a downstream aligner then verifies.  This module builds
-that application layer over :class:`SecureStringMatchPipeline`:
+that application layer over a one-shard
+:class:`~repro.serve.ShardedSearchEngine`:
 
 1. the reference genome is packed + encrypted once and outsourced;
 2. each read is cut into non-overlapping seeds;
@@ -27,7 +28,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..core.client import ClientConfig
-from ..core.pipeline import SecureStringMatchPipeline
+from ..serve import ShardedSearchEngine
 from .dna import BITS_PER_BASE, sequence_to_bits
 
 
@@ -126,8 +127,8 @@ class SecureReadMapper:
         self.reference = reference
         self.extractor = SeedExtractor(seed_bases)
         self.min_votes = min_votes
-        self.pipeline = SecureStringMatchPipeline(config)
-        self.pipeline.outsource_database(sequence_to_bits(reference))
+        self.engine = ShardedSearchEngine(config, num_shards=1)
+        self.engine.outsource(sequence_to_bits(reference))
         self.reads_mapped = 0
 
     @property
@@ -140,7 +141,7 @@ class SecureReadMapper:
         votes: Dict[int, List[int]] = {}
         hom_adds = 0
         for seed_index, seed in enumerate(seeds):
-            report = self.pipeline.search(sequence_to_bits(seed.sequence))
+            report = self.engine.search(sequence_to_bits(seed.sequence))
             hom_adds += report.hom_additions
             for hit_bits in report.matches:
                 start_bits = hit_bits - seed.read_offset_bits
@@ -168,7 +169,7 @@ class SecureReadMapper:
     def verify(self, result: MappingResult) -> Optional[int]:
         """Client-side final verification: the first candidate whose
         reference window equals the read exactly (the aligner's job in a
-        real pipeline)."""
+        real read mapper)."""
         for candidate in result.candidates:
             window = self.reference[
                 candidate.position_bases : candidate.position_bases + len(result.read)

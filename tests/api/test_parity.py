@@ -1,7 +1,7 @@
 """Cross-engine parity: every registered engine, one shared fixture.
 
 The acceptance bar of the facade: every engine the registry knows —
-core BFV pipeline, wire protocol, sharded serving, and all five
+sharded serving, wire protocol, and all five
 baselines — is constructible via ``repro.open_session(key, ...)`` and
 returns a :class:`SearchResult` whose matches agree with
 ``baselines.plaintext.find_all_matches`` on (its capability-clamped
@@ -18,7 +18,6 @@ from tests.oracles import ARITHMETIC
 
 #: engine-appropriate deterministic seeds / scale kwargs
 ENGINE_KWARGS = {
-    "bfv": {"key_seed": 11},
     "bfv-wire": {"key_seed": 12},
     "bfv-sharded": {"key_seed": 13, "num_shards": 2},
     "plaintext": {},

@@ -17,7 +17,6 @@ from repro.api import (
 )
 
 ALL_KEYS = (
-    "bfv",
     "bfv-wire",
     "bfv-sharded",
     "plaintext",
@@ -48,8 +47,16 @@ class TestResolution:
             DEFAULT_REGISTRY.create("enigma")
 
     def test_open_session_unknown_key(self):
-        with pytest.raises(UnknownEngineError):
-            repro.open_session("enigma")
+        # the sharded engine is the one BFV path: "bfv" is no key
+        for key in ("enigma", "bfv"):
+            with pytest.raises(UnknownEngineError):
+                repro.open_session(key)
+
+    def test_cli_search_defaults_to_the_sharded_engine(self, capsys):
+        from repro.__main__ import main
+
+        assert main(["search", "--query", "fox"]) == 0
+        assert "engine 'bfv-sharded'" in capsys.readouterr().out
 
     def test_cli_search_unknown_engine_exits_cleanly(self, capsys):
         from repro.__main__ import main

@@ -122,7 +122,7 @@ class TestSearchResult:
     def test_result_is_frozen(self):
         result = SearchResult(
             matches=(4,),
-            engine="bfv",
+            engine="bfv-sharded",
             scheme="bfv",
             hom_ops=HomOpTally(additions=1),
             elapsed_seconds=0.1,

@@ -53,13 +53,13 @@ class TestSyncSearch:
             dtype=np.uint8,
         )
         with repro.open_session(
-            "bfv", params=PARAMS, key_seed=42, db_bits=db
+            "bfv-sharded", params=PARAMS, key_seed=42, db_bits=db
         ) as s:
             result = s.search("beta")
         assert list(result.matches) == [8 * text.index("beta"), 8 * text.rindex("beta")]
 
     def test_search_before_outsource_raises(self):
-        with repro.open_session("bfv", params=PARAMS, key_seed=43) as s:
+        with repro.open_session("bfv-sharded", params=PARAMS, key_seed=43) as s:
             with pytest.raises(RuntimeError, match="outsource"):
                 s.search(np.ones(32, dtype=np.uint8))
 
@@ -70,7 +70,7 @@ class TestSyncSearch:
         native = session.search_batch(queries[:2], verify=False)
         assert [r.verified for r in native.results] == [False, False]
         with repro.open_session(
-            "bfv", params=PARAMS, key_seed=47, db_bits=db
+            "bfv-wire", params=PARAMS, key_seed=47, db_bits=db
         ) as plain:
             generic = plain.search_batch(queries[:2], verify=False)
         assert [r.verified for r in generic.results] == [False, False]
@@ -168,7 +168,7 @@ class TestWildcardThroughSession:
         import re
 
         with repro.open_session(
-            "bfv", params=PARAMS, key_seed=44, db_bits=db
+            "bfv-sharded", params=PARAMS, key_seed=44, db_bits=db
         ) as s:
             result = s.search(WildcardSearch.from_text("logged ??"))
         expected = [8 * m.start() for m in re.finditer(r"logged ..", text)]

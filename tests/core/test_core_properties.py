@@ -6,17 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import find_all_matches
-from repro.core import ClientConfig, SecureStringMatchPipeline
+from repro.core import ClientConfig
 from repro.core.query import guaranteed_phases
 from repro.he import BFVParams
+from repro.serve import ShardedSearchEngine
 
 PARAMS = BFVParams.test_small(16)  # 16 coeffs x 16 bits = 256 bits/poly
 
 
 def run_search(db_bits: np.ndarray, query_bits: np.ndarray):
-    pipe = SecureStringMatchPipeline(ClientConfig(PARAMS, key_seed=99))
-    pipe.outsource_database(db_bits)
-    return pipe.search(query_bits).matches
+    engine = ShardedSearchEngine(ClientConfig(PARAMS, key_seed=99))
+    engine.outsource(db_bits)
+    return engine.search(query_bits).matches
 
 
 @settings(max_examples=20, deadline=None)
@@ -26,7 +27,7 @@ def run_search(db_bits: np.ndarray, query_bits: np.ndarray):
     q_len=st.integers(min_value=16, max_value=48),
 )
 def test_matcher_agrees_with_oracle_on_planted_match(data, db_len, q_len):
-    """Plant the query at a guaranteed-detectable offset: the pipeline
+    """Plant the query at a guaranteed-detectable offset: the search
     must report exactly the oracle's match set."""
     db = np.array(
         data.draw(st.lists(st.integers(0, 1), min_size=db_len, max_size=db_len)),

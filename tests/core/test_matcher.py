@@ -9,15 +9,18 @@ from repro.core import (
     ClientConfig,
     CPUAdditionBackend,
     ResultDecoder,
-    SecureSearchEngine,
     verify_candidates,
 )
-from repro.core.matcher import MatchCandidate
+from repro.core.matcher import MatchCandidate, per_pair_blocks
 from repro.core.client import CipherMatchClient
 from repro.core.query import PreparedQuery, QueryVariant
 from repro.he import BFVParams
 from repro.utils.bits import random_bits
-from tests.oracles import hits_of_blocks, prefix_sum_offsets
+from tests.oracles import (
+    encrypted_query_rows,
+    hits_of_blocks,
+    prefix_sum_offsets,
+)
 
 
 @pytest.fixture(scope="module")
@@ -25,29 +28,37 @@ def client():
     return CipherMatchClient(ClientConfig(BFVParams.test_small(64), key_seed=8))
 
 
-class TestSecureSearchEngine:
+class TestPerPairBlocks:
     def test_one_add_per_poly_per_variant(self, client, rng):
         db_bits = random_bits(3 * client.ctx.params.n * client.packer.chunk_width, rng)
         db = client.outsource(db_bits)
         prepared = client.prepare_query(random_bits(16, rng))
-        engine = SecureSearchEngine(CPUAdditionBackend(client.ctx))
-        blocks = engine.search(
-            db, prepared, lambda v, j: client.encrypt_variant(prepared, v, j),
-            range(3),
+        _, query_cts, row_map = encrypted_query_rows(client, prepared, range(3))
+        adds_before = client.ctx.counter.additions
+        blocks = per_pair_blocks(
+            CPUAdditionBackend(client.ctx), db, query_cts, row_map, range(3)
         )
-        assert engine.hom_add_count == 3 * 16
+        assert client.ctx.counter.additions - adds_before == 3 * 16
         assert len(blocks) == 3 * 16
 
     def test_blocks_metadata(self, client, rng):
-        db = client.outsource(random_bits(100, rng))
-        prepared = client.prepare_query(random_bits(16, rng))
-        engine = SecureSearchEngine(CPUAdditionBackend(client.ctx))
-        blocks = engine.search(
-            db, prepared, lambda v, j: client.encrypt_variant(prepared, v, j),
-            range(1),
+        """A shard's range (polynomials 2..4) pairs with the row map's
+        columns for it: each block is that database ciphertext plus
+        that query row, variants outer, polynomials ascending."""
+        db = client.outsource(random_bits(5 * 64 * 16, rng))
+        prepared = client.prepare_query(random_bits(40, rng))
+        polys = range(2, 5)
+        _, query_cts, row_map = encrypted_query_rows(client, prepared, polys)
+        blocks = per_pair_blocks(
+            CPUAdditionBackend(client.ctx), db, query_cts, row_map, polys
         )
-        assert {b.poly_index for b in blocks} == {0}
-        assert {b.variant_index for b in blocks} == set(range(16))
+        assert [(b.variant_index, b.poly_index) for b in blocks] == [
+            (v, j) for v in range(prepared.num_variants) for j in polys
+        ]
+        assert [b.query_row for b in blocks] == row_map.ravel().tolist()
+        for b in blocks:
+            want = client.ctx.add(db.ciphertexts[b.poly_index], query_cts[b.query_row])
+            assert b.ciphertext == want
 
 
 class TestResultDecoder:

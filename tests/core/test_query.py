@@ -111,24 +111,24 @@ class TestVariantEncryption:
     def test_encrypted_variant_decrypts_to_pattern(self, ctx, preparer, keys, rng):
         sk, pk = keys
         prepared = preparer.prepare(random_bits(32, rng))
-        ct = preparer.encrypt_variant(prepared, 0, 0, pk, sk)
+        (ct,) = preparer.ciphertexts(
+            preparer.encrypt_variant_value(prepared, [0], pk, sk), sk
+        )
         pt = ctx.decrypt(ct, sk)
         expected = coefficient_pattern(prepared.variants[0], ctx.params.n, 0)
         assert np.array_equal(pt.poly.coeffs, expected)
 
-    def test_cache_by_residue(self, preparer, keys, rng):
-        sk, pk = keys
+    def test_cache_by_residue(self, ctx, preparer, rng):
+        """Pairs in one residue class read one query row, the key a
+        row is cached and uploaded under."""
         prepared = preparer.prepare(random_bits(16, rng))  # span 1 everywhere
-        ct0 = preparer.encrypt_variant(prepared, 0, 0, pk, sk)
-        ct1 = preparer.encrypt_variant(prepared, 0, 5, pk, sk)
-        assert ct0 is ct1  # same residue class -> cached object
+        row_map = query_row_layout(prepared.variants, ctx.params.n, range(6))
+        assert row_map[0, 0] == row_map[0, 5]
 
-    def test_cache_distinguishes_variants(self, preparer, keys, rng):
-        sk, pk = keys
+    def test_cache_distinguishes_variants(self, ctx, preparer, rng):
         prepared = preparer.prepare(random_bits(16, rng))
-        ct0 = preparer.encrypt_variant(prepared, 0, 0, pk, sk)
-        ct1 = preparer.encrypt_variant(prepared, 1, 0, pk, sk)
-        assert ct0 is not ct1
+        row_map = query_row_layout(prepared.variants, ctx.params.n, range(1))
+        assert row_map[0, 0] != row_map[1, 0]
 
 
 class TestPeriodicWindow:

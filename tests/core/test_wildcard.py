@@ -59,7 +59,7 @@ class TestWildcardSearch:
 
     def _session(self, db_bits, seed=70):
         return repro.open_session(
-            "bfv", params=PARAMS, key_seed=seed, db_bits=db_bits
+            "bfv-sharded", params=PARAMS, key_seed=seed, db_bits=db_bits
         )
 
     def test_text_wildcard_byte(self, rng):
@@ -114,18 +114,19 @@ class TestWildcardSearch:
         db = random_bits(1000, rng)
         pattern = WildcardPattern.from_text("ab?cd")
         with self._session(db, seed=74) as session:
-            pipeline = session.engine.pipeline
+            engine = session.engine.engine
             predicted = sum(
-                pipeline.client.prepare_query(seg.bit_array()).num_variants
-                * pipeline.db.num_polynomials
+                engine.client.prepare_query(seg.bit_array()).num_variants
+                * engine.db.num_polynomials
                 for seg in pattern.segments
             )
-            before = pipeline.server.hom_add_count
+            counter = engine.client.ctx.counter
+            before = counter.additions
             result = session.search(WildcardSearch.from_text("ab?cd"))
-            executed = pipeline.server.hom_add_count - before
+            executed = counter.additions - before
         assert executed == predicted == result.hom_ops.additions
 
     def test_search_requires_database(self):
-        with repro.open_session("bfv", params=PARAMS, key_seed=75) as session:
+        with repro.open_session("bfv-sharded", params=PARAMS, key_seed=75) as session:
             with pytest.raises(RuntimeError):
                 session.search(WildcardSearch.from_text("a?b"))

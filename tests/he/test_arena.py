@@ -726,7 +726,7 @@ def test_lazy_arena_kernels_build_on_first_touch():
 def test_query_arena_rows_and_map_cover_residue_classes():
     """One row per variant covers every (variant, residue class): the
     row of each pair holds the plaintext the variant lays over that
-    polynomial, and the per-pair encryption of the pair is that row."""
+    polynomial, and that row's ciphertext decrypts to it."""
     params, ctx, sk, pk, cts = _setup()
     from repro.core.query import QueryPreparer
 
@@ -737,10 +737,13 @@ def test_query_arena_rows_and_map_cover_residue_classes():
     row_map = query_row_layout(prepared.variants, n, range(num_polys))
     # row r is what variant r adds to polynomial 0
     assert row_map[:, 0].tolist() == list(range(prepared.num_variants))
-    rows = [
-        stack_ciphertext(preparer.encrypt_variant(prepared, v_idx, 0, pk, sk))
-        for v_idx in range(prepared.num_variants)
-    ]
+    query_cts = preparer.ciphertexts(
+        preparer.encrypt_variant_value(
+            prepared, range(prepared.num_variants), pk, sk
+        ),
+        sk,
+    )
+    rows = [stack_ciphertext(ct) for ct in query_cts]
     qa = QueryArena(ctx.ring, params, prepared.variants, rows)
     assert qa.rows.shape == (prepared.num_variants, 2, n) and len(rows) == 33
     with pytest.raises(ValueError, match="query rows"):
@@ -750,9 +753,10 @@ def test_query_arena_rows_and_map_cover_residue_classes():
     for v_idx, variant in enumerate(prepared.variants):
         for j in range(num_polys):
             row = row_map[v_idx, j]
-            assert np.array_equal(plain[row], coefficient_pattern(variant, n, j * n))
-            ct = preparer.encrypt_variant(prepared, v_idx, j, pk, sk)
-            assert np.array_equal(stack_ciphertext(ct), rows[row])
+            pattern = coefficient_pattern(variant, n, j * n)
+            assert np.array_equal(plain[row], pattern)
+            decrypted = ctx.decrypt(query_cts[row], sk).poly.coeffs
+            assert np.array_equal(decrypted, pattern)
 
 
 @pytest.mark.parametrize("num_polys", [1, 7, 40])

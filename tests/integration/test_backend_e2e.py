@@ -1,4 +1,4 @@
-"""Full-pipeline arithmetic regression: outsource -> query -> match ->
+"""Full-engine arithmetic regression: outsource -> query -> match ->
 decrypt must produce identical match offsets on the vectorized ring
 arithmetic and on the reference oracle's (``tests/oracles.py``), in both
 index-generation modes and through the sharded serving engine.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ClientConfig, SecureStringMatchPipeline
+from repro.core import ClientConfig
 from repro.core.match_polynomial import IndexMode
 from repro.he import BFVParams
 from repro.serve import ShardedSearchEngine
@@ -49,31 +49,18 @@ def _on(backend, client):
 )
 def test_pipeline_matches_identical_across_backends(index_mode):
     params, db, query = _workload()
-    results = {}
-    for backend in BACKENDS:
-        pipeline = SecureStringMatchPipeline(
-            ClientConfig(params, index_mode=index_mode, key_seed=7)
-        )
-        _on(backend, pipeline.client)
-        pipeline.outsource_database(db)
-        report = pipeline.search(query)
-        results[backend] = report.matches
-    assert results["reference"] == results["vectorized"]
-    assert len(results["vectorized"]) >= 3  # the planted occurrences
-
-
-def test_sharded_engine_matches_identical_across_backends():
-    params, db, query = _workload()
     batches = {}
     for backend in BACKENDS:
         engine = ShardedSearchEngine(
-            ClientConfig(params, key_seed=7), num_shards=3
+            ClientConfig(params, index_mode=index_mode, key_seed=7),
+            num_shards=3,
         )
         _on(backend, engine.client)
         engine.outsource(db)
         report = engine.search_batch([query, query[:32]])
         batches[backend] = [r.matches for r in report.reports]
     assert batches["reference"] == batches["vectorized"]
+    assert len(batches["vectorized"][0]) >= 3  # the planted occurrences
     assert all(batches["vectorized"])
 
 
@@ -83,13 +70,13 @@ def test_ciphertexts_bit_identical_under_deterministic_encryption():
     params, db, _ = _workload()
     encrypted = {}
     for backend in BACKENDS:
-        pipeline = SecureStringMatchPipeline(
+        engine = ShardedSearchEngine(
             ClientConfig(
                 params, index_mode=IndexMode.SERVER_DETERMINISTIC, key_seed=7
             )
         )
-        _on(backend, pipeline.client)
-        encrypted[backend] = pipeline.outsource_database(db)
+        _on(backend, engine.client)
+        encrypted[backend] = engine.outsource(db)
     ref, vec = encrypted["reference"], encrypted["vectorized"]
     assert len(ref.ciphertexts) == len(vec.ciphertexts)
     for ct_ref, ct_vec in zip(ref.ciphertexts, vec.ciphertexts):

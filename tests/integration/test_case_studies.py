@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from repro.baselines import find_all_matches
-from repro.core import ClientConfig, SecureStringMatchPipeline
+from repro.core import ClientConfig
 from repro.he import BFVParams
+from repro.serve import ShardedSearchEngine
 from repro.workloads import (
     DatabaseWorkloadGenerator,
     DnaWorkloadGenerator,
@@ -24,22 +25,22 @@ class TestDnaCaseStudy:
         )
 
     def test_all_planted_reads_found(self, workload):
-        pipe = SecureStringMatchPipeline(ClientConfig(PARAMS, key_seed=21))
+        engine = ShardedSearchEngine(ClientConfig(PARAMS, key_seed=21))
         genome_bits = workload.genome_bits
-        pipe.outsource_database(genome_bits)
+        engine.outsource(genome_bits)
         for i, read in enumerate(workload.reads):
-            matches = pipe.search(workload.read_bits(i)).matches
+            matches = engine.search(workload.read_bits(i)).matches
             assert read.position_bits in matches, f"read {i}"
             assert set(matches) == set(
                 find_all_matches(genome_bits, workload.read_bits(i))
             )
 
     def test_absent_read_not_found(self, workload):
-        pipe = SecureStringMatchPipeline(ClientConfig(PARAMS, key_seed=22))
-        pipe.outsource_database(workload.genome_bits)
+        engine = ShardedSearchEngine(ClientConfig(PARAMS, key_seed=22))
+        engine.outsource(workload.genome_bits)
         # a read that differs from the genome everywhere it could align
         absent = sequence_to_bits("A" * 32)
-        matches = pipe.search(absent).matches
+        matches = engine.search(absent).matches
         assert matches == find_all_matches(workload.genome_bits, absent)
 
     @pytest.mark.parametrize("read_bases", [8, 16, 32, 64])
@@ -48,10 +49,10 @@ class TestDnaCaseStudy:
         wl = DnaWorkloadGenerator(seed=23 + read_bases).generate(
             num_bases=1500, read_length_bases=read_bases, num_reads=2
         )
-        pipe = SecureStringMatchPipeline(ClientConfig(PARAMS, key_seed=23))
-        pipe.outsource_database(wl.genome_bits)
+        engine = ShardedSearchEngine(ClientConfig(PARAMS, key_seed=23))
+        engine.outsource(wl.genome_bits)
         for i, read in enumerate(wl.reads):
-            assert read.position_bits in pipe.search(wl.read_bits(i)).matches
+            assert read.position_bits in engine.search(wl.read_bits(i)).matches
 
 
 class TestEncryptedDatabaseSearch:
@@ -60,14 +61,14 @@ class TestEncryptedDatabaseSearch:
         gen = DatabaseWorkloadGenerator(seed=30)
         db = gen.generate(num_records=12, key_bytes=8, value_bytes=8)
         mix = gen.query_mix(db, num_queries=10, hit_fraction=0.6)
-        pipe = SecureStringMatchPipeline(ClientConfig(PARAMS, key_seed=31))
-        pipe.outsource_database(db.flatten_bits())
-        return db, mix, pipe
+        engine = ShardedSearchEngine(ClientConfig(PARAMS, key_seed=31))
+        engine.outsource(db.flatten_bits())
+        return db, mix, engine
 
     def test_key_lookups(self, setup):
-        db, mix, pipe = setup
+        db, mix, engine = setup
         for key, expected_idx in zip(mix.keys, mix.expected_record_indices):
-            matches = pipe.search(db.key_bits(key)).matches
+            matches = engine.search(db.key_bits(key)).matches
             if expected_idx is not None:
                 assert expected_idx * db.record_bits in matches
             else:
@@ -77,11 +78,11 @@ class TestEncryptedDatabaseSearch:
                 assert matches == oracle
 
     def test_every_hit_is_at_a_record_boundary(self, setup):
-        db, mix, pipe = setup
+        db, mix, engine = setup
         hits = [
             (k, i) for k, i in zip(mix.keys, mix.expected_record_indices) if i is not None
         ]
         key, idx = hits[0]
-        matches = pipe.search(db.key_bits(key)).matches
+        matches = engine.search(db.key_bits(key)).matches
         assert idx * db.record_bits % db.record_bits == 0
         assert idx * db.record_bits in matches

@@ -9,8 +9,9 @@ from repro.baselines import (
     YasudaMatcher,
     find_all_matches,
 )
-from repro.core import ClientConfig, IndexMode, SecureStringMatchPipeline
+from repro.core import ClientConfig
 from repro.he import BFVParams, generate_keys
+from repro.serve import ShardedSearchEngine
 from repro.tfhe import TFHEParams
 from repro.utils.bits import random_bits
 
@@ -27,11 +28,11 @@ class TestThreeWayAgreement:
         expected = find_all_matches(db, q)
 
         # CIPHERMATCH (aligned occurrences guaranteed for 16-bit queries)
-        pipe = SecureStringMatchPipeline(
+        engine = ShardedSearchEngine(
             ClientConfig(BFVParams.test_small(16), key_seed=1)
         )
-        pipe.outsource_database(db)
-        cm = pipe.search(q).matches
+        engine.outsource(db)
+        cm = engine.search(q).matches
         assert 32 in cm
         assert set(cm).issubset(set(expected))
 
@@ -56,12 +57,12 @@ class TestOperationMixContrast:
     block; the Boolean baseline bootstraps a gate per bit pair."""
 
     def test_ciphermatch_is_addition_only(self, rng):
-        pipe = SecureStringMatchPipeline(
+        engine = ShardedSearchEngine(
             ClientConfig(BFVParams.test_small(16), key_seed=4)
         )
-        pipe.outsource_database(random_bits(400, rng))
-        pipe.search(random_bits(16, rng))
-        counter = pipe.client.ctx.counter
+        engine.outsource(random_bits(400, rng))
+        engine.search(random_bits(16, rng))
+        counter = engine.client.ctx.counter
         assert counter.multiplications == 0
         assert counter.additions > 0
 
@@ -78,10 +79,10 @@ class TestOperationMixContrast:
         the same database."""
         db = random_bits(256, rng)
 
-        pipe = SecureStringMatchPipeline(
+        engine = ShardedSearchEngine(
             ClientConfig(BFVParams.test_small(64), key_seed=6)
         )
-        cm_bytes = pipe.outsource_database(db).serialized_bytes
+        cm_bytes = engine.outsource(db).serialized_bytes
 
         params = BFVParams.arithmetic_baseline(n=1024, t=1024)
         yasuda = YasudaMatcher(params, max_query_bits=64, seed=6)
@@ -97,28 +98,6 @@ class TestOperationMixContrast:
         assert cm_bytes < arith_bytes < bool_bytes
 
 
-class TestDeterministicVsClientModes:
-    def test_identical_results_on_batch(self, rng):
-        db = random_bits(3000, rng)
-        queries = []
-        for k in range(5):
-            q = random_bits(32, rng)
-            off = 16 * (10 + 20 * k)
-            db[off : off + 32] = q
-            queries.append(q)
-
-        results = {}
-        for mode in (IndexMode.CLIENT_DECRYPT, IndexMode.SERVER_DETERMINISTIC):
-            pipe = SecureStringMatchPipeline(
-                ClientConfig(BFVParams.test_small(64), key_seed=7, index_mode=mode)
-            )
-            pipe.outsource_database(db)
-            results[mode] = [tuple(pipe.search(q).matches) for q in queries]
-        assert results[IndexMode.CLIENT_DECRYPT] == results[
-            IndexMode.SERVER_DETERMINISTIC
-        ]
-
-
 class TestScaleUp:
     def test_multi_polynomial_database(self, rng):
         """A database spanning 8 polynomials with matches in different
@@ -130,8 +109,8 @@ class TestScaleUp:
         offsets = [0, 3 * per_poly + 160, 7 * per_poly + 512]
         for off in offsets:
             db[off : off + 64] = q
-        pipe = SecureStringMatchPipeline(ClientConfig(params, key_seed=8))
-        pipe.outsource_database(db)
-        report = pipe.search(q)
+        engine = ShardedSearchEngine(ClientConfig(params, key_seed=8))
+        engine.outsource(db)
+        report = engine.search(q)
         assert set(report.matches) == set(find_all_matches(db, q))
         assert set(offsets).issubset(set(report.matches))

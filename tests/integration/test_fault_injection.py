@@ -1,6 +1,6 @@
 """Full-stack failure injection: corrupt stored flash bits and check
 how the error propagates through bop_add, Hom-Add, decryption and the
-pipeline's verification step.
+client's verification step.
 
 The reliability section (§4.3.1) argues ESP makes computation reads
 error-free; these tests quantify what happens when that assumption is
@@ -12,18 +12,19 @@ import numpy as np
 import pytest
 
 from repro.baselines import find_all_matches
-from repro.core import ClientConfig, SecureStringMatchPipeline
+from repro.core import ClientConfig
 from repro.he import BFVParams
+from repro.serve import ShardedSearchEngine
 from repro.ssd import IFPAdditionBackend
 from repro.utils.bits import random_bits
 
 
-def _ifp_pipeline(seed: int = 0):
+def _ifp_engine(seed: int = 0):
     params = BFVParams.test_small(64)
-    pipe = SecureStringMatchPipeline(ClientConfig(params, key_seed=seed))
-    backend = IFPAdditionBackend(pipe.client.ctx)
-    pipe.server.engine.backend = backend
-    return pipe, backend
+    engine = ShardedSearchEngine(ClientConfig(params, key_seed=seed))
+    backend = IFPAdditionBackend(engine.client.ctx)
+    engine.backend_factory = lambda ctx, shard_id: backend
+    return engine, backend
 
 
 def _flip_stored_bit(backend, wordline: int = 0, bitline: int = 0) -> bool:
@@ -40,27 +41,27 @@ def _flip_stored_bit(backend, wordline: int = 0, bitline: int = 0) -> bool:
 
 class TestFaultPropagation:
     def test_clean_run_matches_oracle(self):
-        pipe, _ = _ifp_pipeline()
+        engine, _ = _ifp_engine()
         rng = np.random.default_rng(1)
         db = random_bits(640, rng)
         query = db[64:96].copy()
-        pipe.outsource_database(db)
-        assert pipe.search(query).matches == find_all_matches(db, query)
+        engine.outsource(db)
+        assert engine.search(query).matches == find_all_matches(db, query)
 
     def test_single_bit_fault_is_contained_by_verification(self):
         """A flipped stored bit corrupts one coefficient's sum; the
         decode layer's verification against the client's plaintext
         rejects any false candidate, so the match set stays a subset of
         the oracle's."""
-        pipe, backend = _ifp_pipeline(seed=2)
+        engine, backend = _ifp_engine(seed=2)
         rng = np.random.default_rng(2)
         db = random_bits(640, rng)
         query = db[64:96].copy()
-        pipe.outsource_database(db)
-        pipe.search(query)  # places ciphertexts in the flash
+        engine.outsource(db)
+        engine.search(query)  # places ciphertexts in the flash
 
         assert _flip_stored_bit(backend, wordline=5, bitline=3)
-        report = pipe.search(query)
+        report = engine.search(query)
         oracle = find_all_matches(db, query)
         assert set(report.matches) <= set(oracle)
 
@@ -94,12 +95,12 @@ class TestFaultPropagation:
     def test_wear_is_search_independent(self):
         """Repeated searches never erase/program the CM region — the
         §4.3.1 lifetime argument, observed on the functional simulator."""
-        pipe, backend = _ifp_pipeline(seed=4)
+        engine, backend = _ifp_engine(seed=4)
         rng = np.random.default_rng(4)
         db = random_bits(320, rng)
         query = db[:32].copy()
-        pipe.outsource_database(db)
-        pipe.search(query)
+        engine.outsource(db)
+        engine.search(query)
 
         def erase_total():
             return sum(
@@ -110,5 +111,5 @@ class TestFaultPropagation:
 
         before = erase_total()
         for _ in range(3):
-            pipe.search(query)
+            engine.search(query)
         assert erase_total() == before

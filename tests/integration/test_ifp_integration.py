@@ -1,12 +1,17 @@
-"""Hardware-software codesign integration: the secure search pipeline
-running on the simulated in-flash backend."""
+"""Hardware-software codesign integration: the secure search running
+on the simulated in-flash backend, one SSD behind a one-shard serving
+engine."""
+
+import functools
 
 import numpy as np
 import pytest
 
 from repro.baselines import find_all_matches
-from repro.core import ClientConfig, IndexMode, SecureStringMatchPipeline
+from repro.core import ClientConfig, IndexMode
+from repro.flash import FlashOp
 from repro.he import BFVParams
+from repro.serve import ShardedSearchEngine
 from repro.ssd import IFPAdditionBackend
 from repro.ssd.ftl import Region
 from repro.utils.bits import random_bits
@@ -14,11 +19,14 @@ from repro.utils.bits import random_bits
 PARAMS = BFVParams.test_small(64)
 
 
-def ifp_pipeline(seed, mode=IndexMode.CLIENT_DECRYPT):
-    pipe = SecureStringMatchPipeline(ClientConfig(PARAMS, key_seed=seed, index_mode=mode))
-    backend = IFPAdditionBackend(pipe.client.ctx)
-    pipe.server.engine.backend = backend
-    return pipe, backend
+def ifp_engine(seed, mode=IndexMode.CLIENT_DECRYPT):
+    """A one-shard engine handing every database the same SSD."""
+    engine = ShardedSearchEngine(
+        ClientConfig(PARAMS, key_seed=seed, index_mode=mode)
+    )
+    backend = IFPAdditionBackend(engine.client.ctx)
+    engine.backend_factory = lambda ctx, shard_id: backend
+    return engine, backend
 
 
 class TestIFPSearchCorrectness:
@@ -28,37 +36,31 @@ class TestIFPSearchCorrectness:
         db[480:512] = q
         db[1203:1235] = q  # phase 3
 
-        cpu_pipe = SecureStringMatchPipeline(ClientConfig(PARAMS, key_seed=11))
-        cpu_pipe.outsource_database(db)
-        cpu_matches = cpu_pipe.search(q).matches
-
-        flash_pipe, backend = ifp_pipeline(11)
-        flash_pipe.outsource_database(db)
-        flash_matches = flash_pipe.search(q).matches
-
-        assert flash_matches == cpu_matches == find_all_matches(db, q)
-        assert backend.hom_add_count > 0
+        flash_engine, backend = ifp_engine(11)
+        flash_engine.outsource(db)
+        assert flash_engine.search(q).matches == find_all_matches(db, q)
+        assert backend.ssd.controller.log.count(FlashOp.BOP_ADD) > 0
 
     def test_deterministic_mode_in_flash(self, rng):
         db = random_bits(1500, rng)
         q = random_bits(32, rng)
         db[320:352] = q
-        pipe, _ = ifp_pipeline(12, IndexMode.SERVER_DETERMINISTIC)
-        pipe.outsource_database(db)
-        assert 320 in pipe.search(q).matches
+        engine, _ = ifp_engine(12, IndexMode.SERVER_DETERMINISTIC)
+        engine.outsource(db)
+        assert 320 in engine.search(q).matches
 
     def test_multiple_queries_reuse_flash_data(self, rng):
         db = random_bits(2000, rng)
         q1, q2 = random_bits(32, rng), random_bits(32, rng)
         db[160:192] = q1
         db[960:992] = q2
-        pipe, backend = ifp_pipeline(13)
-        pipe.outsource_database(db)
+        engine, backend = ifp_engine(13)
+        engine.outsource(db)
         from repro.flash import FlashOp
 
-        pipe.search(q1)
+        engine.search(q1)
         writes_after_q1 = backend.ssd.controller.log.count(FlashOp.PROGRAM_PAGE)
-        r2 = pipe.search(q2)
+        r2 = engine.search(q2)
         writes_after_q2 = backend.ssd.controller.log.count(FlashOp.PROGRAM_PAGE)
         assert 960 in r2.matches
         # the encrypted database stays resident: no new flash programs
@@ -69,20 +71,20 @@ class TestIFPSearchCorrectness:
         "mode", [IndexMode.CLIENT_DECRYPT, IndexMode.SERVER_DETERMINISTIC]
     )
     def test_reoutsourcing_replaces_the_resident_database(self, rng, mode):
-        """The flash holds the database the server stores, not every
-        database it ever stored: 12 re-outsource + search rounds (the
+        """The flash holds the database the engine serves, not every
+        database it was ever given: 12 re-outsource + search rounds (the
         functional region has 16 slots, a database takes 2) stay the
         oracle's and residency stays one database."""
-        pipe, backend = ifp_pipeline(18, mode)
+        engine, backend = ifp_engine(18, mode)
         ftl = backend.ssd.controller.ftl
         for _ in range(12):
             db = random_bits(2000, rng)
             q = random_bits(32, rng)
             db[160:192] = q
             db[1203:1235] = q
-            stored = pipe.outsource_database(db)
-            assert pipe.search(q).matches == find_all_matches(db, q)
-            assert pipe.search(q).matches == find_all_matches(db, q)
+            stored = engine.outsource(db)
+            assert engine.search(q).matches == find_all_matches(db, q)
+            assert engine.search(q).matches == find_all_matches(db, q)
             assert len(backend._resident) == stored.num_polynomials == 2
             assert all(
                 any(ct is kept for kept in stored.ciphertexts)
@@ -94,7 +96,10 @@ class TestIFPSearchCorrectness:
         import repro
 
         with repro.open_session(
-            "bfv", params=PARAMS, key_seed=19, addition_backend=IFPAdditionBackend
+            "bfv-sharded", params=PARAMS, key_seed=19, num_shards=1,
+            # one SSD for every database: the factory is called once per
+            # outsource with the engine's one context
+            backend_factory=functools.cache(lambda ctx, _: IFPAdditionBackend(ctx)),
         ) as session:
             for _ in range(12):
                 db = random_bits(2000, rng)
@@ -102,6 +107,8 @@ class TestIFPSearchCorrectness:
                 db[480:512] = q
                 session.outsource(db)
                 assert list(session.search(q).matches) == find_all_matches(db, q)
+                (shard,) = session.engine.engine.shards
+                assert len(shard.backend._resident) == 2
 
 
 class TestIFPCostAccounting:
@@ -109,27 +116,27 @@ class TestIFPCostAccounting:
         db_small = random_bits(500, rng)
         db_large = random_bits(4000, rng)
 
-        pipe1, b1 = ifp_pipeline(14)
-        pipe1.outsource_database(db_small)
-        pipe1.search(random_bits(16, rng))
+        engine1, b1 = ifp_engine(14)
+        engine1.outsource(db_small)
+        engine1.search(random_bits(16, rng))
 
-        pipe2, b2 = ifp_pipeline(15)
-        pipe2.outsource_database(db_large)
-        pipe2.search(random_bits(16, rng))
+        engine2, b2 = ifp_engine(15)
+        engine2.outsource(db_large)
+        engine2.search(random_bits(16, rng))
 
         assert b2.ssd.simulated_seconds > b1.ssd.simulated_seconds
 
     def test_bop_add_commands_issued(self, rng):
         from repro.flash import FlashOp
 
-        pipe, backend = ifp_pipeline(16)
-        pipe.outsource_database(random_bits(900, rng))  # one polynomial
-        pipe.search(random_bits(16, rng))
+        engine, backend = ifp_engine(16)
+        engine.outsource(random_bits(900, rng))  # one polynomial
+        engine.search(random_bits(16, rng))
         # 16 variants x 1 polynomial x 1 slot
         assert backend.ssd.controller.log.count(FlashOp.BOP_ADD) == 16
 
     def test_energy_accrues(self, rng):
-        pipe, backend = ifp_pipeline(17)
-        pipe.outsource_database(random_bits(500, rng))
-        pipe.search(random_bits(16, rng))
+        engine, backend = ifp_engine(17)
+        engine.outsource(random_bits(500, rng))
+        engine.search(random_bits(16, rng))
         assert backend.ssd.simulated_joules > 0

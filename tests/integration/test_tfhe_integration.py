@@ -1,12 +1,13 @@
 """Cross-module integration: the real-TFHE Boolean baseline against the
-DNA workload, the plaintext oracle, and the CIPHERMATCH pipeline."""
+DNA workload, the plaintext oracle, and the CIPHERMATCH engine."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import TfheBooleanMatcher, find_all_matches
-from repro.core import ClientConfig, SecureStringMatchPipeline
+from repro.core import ClientConfig
 from repro.he import BFVParams
+from repro.serve import ShardedSearchEngine
 from repro.tfhe import TFHEParams
 from repro.workloads import DnaWorkloadGenerator, sequence_to_bits
 
@@ -34,9 +35,9 @@ class TestTfheOnDna:
         tfhe = TfheBooleanMatcher(TFHEParams.test_tiny(), seed=3)
         tfhe_matches = tfhe.search(tfhe.encrypt_database(db_bits), query)
 
-        pipe = SecureStringMatchPipeline(ClientConfig(BFVParams.test_small(64)))
-        pipe.outsource_database(db_bits)
-        cm_matches = pipe.search(query).matches
+        engine = ShardedSearchEngine(ClientConfig(BFVParams.test_small(64)))
+        engine.outsource(db_bits)
+        cm_matches = engine.search(query).matches
 
         oracle = find_all_matches(db_bits, query)
         assert tfhe_matches == oracle

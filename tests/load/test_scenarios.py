@@ -132,11 +132,11 @@ class TestOracles:
 
 class TestCapabilityClamp:
     def test_readmapper_refuses_unbatched_engine(self):
-        caps = DEFAULT_REGISTRY.spec("bfv").capabilities
+        caps = DEFAULT_REGISTRY.spec("bfv-wire").capabilities
         assert not caps.batching
         scenario = SCENARIO_REGISTRY.create("readmapper")
         with pytest.raises(CapabilityError, match="batching"):
-            scenario.check(caps, "bfv")
+            scenario.check(caps, "bfv-wire")
 
     def test_readmapper_refuses_query_bit_cap(self):
         caps = DEFAULT_REGISTRY.spec("yasuda").capabilities
@@ -146,10 +146,10 @@ class TestCapabilityClamp:
 
     @pytest.mark.parametrize("key", ["dna", "biometric", "database"])
     def test_exact_scenarios_run_everywhere_with_31plus_bits(self, key):
-        # exact-only streams clear the capability gate on the plain
-        # single-pipeline engine too
-        caps = DEFAULT_REGISTRY.spec("bfv").capabilities
-        SCENARIO_REGISTRY.create(key).check(caps, "bfv")
+        # exact-only streams clear the capability gate on the
+        # unbatched wire-protocol engine too
+        caps = DEFAULT_REGISTRY.spec("bfv-wire").capabilities
+        SCENARIO_REGISTRY.create(key).check(caps, "bfv-wire")
 
     def test_sharded_engine_serves_every_scenario(self):
         caps = DEFAULT_REGISTRY.spec("bfv-sharded").capabilities

@@ -109,7 +109,7 @@ def test_kernel_parity_over_socket(fixture_db, adder):
         db,
         num_shards=2,
         key_seed=33,
-        **ADDER_KWARGS[adder]["bfv-sharded"],
+        **ADDER_KWARGS[adder],
     )
     try:
         expected = find_all_matches(db, query)

@@ -12,11 +12,11 @@ product of the production backend must equal its product bit for bit.
 :class:`PerPairAdder` is the differential oracle for the fused arena
 kernels: the same CPU additions as
 :class:`~repro.core.matcher.CPUAdditionBackend`, but it declines the
-fused kernels, so every layer runs one genuine ``hom_add`` per
+fused kernels, so every shard runs one genuine ``hom_add`` per
 (polynomial, variant) pair — the path stateful backends such as the
-in-flash :class:`~repro.ssd.device.IFPAdditionBackend` take.  Engines
-receive it through their ordinary backend parameters
-(``backend=`` / ``addition_backend=`` / ``backend_factory=``).
+in-flash :class:`~repro.ssd.device.IFPAdditionBackend` take.  The
+serving engine receives it through ``backend_factory=``
+(:data:`ADDER_KWARGS`).
 
 :func:`scaled_decrypt_flags` and :func:`prefix_sum_offsets` are the
 index-generation tail computed the long way — full BFV plaintext
@@ -100,6 +100,7 @@ from repro.he.arena import (
     _as_phase_rows,
     add_mod_q,
     center_rows,
+    query_row_layout,
     scale_rows_to_plaintext,
 )
 from repro.he.backend import PolyBackend, _is_native_ntt_modulus
@@ -108,6 +109,7 @@ from repro.he.bfv import Ciphertext
 from repro.he.params import BFVParams
 from repro.he.poly import RingContext, RingPoly
 from repro.he.primes import find_ntt_prime
+from repro.ssd import IFPAdditionBackend
 from repro.ssd.queueing import SimulationResult
 from repro.tfhe.params import TORUS_MOD
 from repro.tfhe.polymath import negacyclic_convolve_small
@@ -183,13 +185,28 @@ def per_pair_factory(ctx, shard_id):
     return PerPairAdder(ctx)
 
 
-#: adder label -> engine key -> the ``open_session`` kwargs selecting it
+def ifp_factory(ctx, shard_id):
+    """``backend_factory=`` form of the in-flash adder, an SSD a shard."""
+    return IFPAdditionBackend(ctx)
+
+
+def encrypted_query_rows(client, prepared, polys):
+    """``prepared``'s query rows as encrypted (phase or ciphertext rows),
+    the ciphertexts a per-pair adder reads of them, and the
+    ``(V, len(polys))`` row map over the database polynomials ``polys``."""
+    rows = client.preparer.encrypt_variant_value(
+        prepared, range(prepared.num_variants), client.pk, client.sk,
+        deterministic_seed=client.masking_seed,
+    )
+    row_map = query_row_layout(prepared.variants, client.ctx.params.n, polys)
+    return rows, client.preparer.ciphertexts(rows, client.sk), row_map
+
+
+#: adder label -> the ``open_session("bfv-sharded", ...)`` kwargs selecting it
 ADDER_KWARGS = {
-    "fused": {"bfv": {}, "bfv-sharded": {}},
-    "object": {
-        "bfv": {"addition_backend": PerPairAdder},
-        "bfv-sharded": {"backend_factory": per_pair_factory},
-    },
+    "fused": {},
+    "object": {"backend_factory": per_pair_factory},
+    "ifp": {"backend_factory": ifp_factory},
 }
 
 

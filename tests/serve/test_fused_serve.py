@@ -284,9 +284,12 @@ def test_deterministic_mode_caches_ciphertext_rows_and_never_forms_a_phase():
     assert rows and all(v.shape == (2, params.n) and v.dtype == np.uint32 for v in rows)
     assert engine.cache.stats().current_bytes == len(rows) * 2 * params.n * 4
     prepared = client.prepare_query(queries[0])
-    for v_idx in (0, 5):
-        ct = client.encrypt_variant(prepared, v_idx, 0)
-        assert any(np.array_equal(v[0], ct.c0.coeffs) for v in rows)
+    block = client.preparer.encrypt_variant_value(
+        prepared, [0, 5], client.pk, client.sk,
+        deterministic_seed=client.masking_seed,
+    )
+    for row in block:
+        assert any(np.array_equal(v[0], row[0]) for v in rows)
 
 
 def test_variant_cache_entry_is_four_kib_at_paper_parameters():

@@ -95,7 +95,7 @@ class TestServeReportJsonRoundTrip:
 
     def _full_report(self) -> ServeReport:
         from repro.core.matcher import MatchCandidate
-        from repro.core.pipeline import SearchReport
+        from repro.serve.report import SearchReport
 
         return ServeReport(
             reports=[

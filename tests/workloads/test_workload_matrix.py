@@ -34,7 +34,7 @@ def _scenario_results(key, kernel, n):
         params=PARAMS,
         num_shards=2,
         key_seed=13,
-        **ADDER_KWARGS[kernel]["bfv-sharded"],
+        **ADDER_KWARGS[kernel],
         db_bits=scenario.db_bits(),
     ) as session:
         out = []
@@ -79,9 +79,10 @@ class TestScenarioParityMatrix:
         assert runs["fused"] == runs["object"]
 
 
-def _use_adder(pipeline, kernel):
+def _use_adder(engine, kernel):
     if kernel == "object":
-        pipeline.server.engine.backend = PerPairAdder(pipeline.client.ctx)
+        for shard in engine.shards:
+            shard.backend = PerPairAdder(engine.client.ctx)
 
 
 class TestWorkloadWrapperKernelKnob:
@@ -97,7 +98,7 @@ class TestWorkloadWrapperKernelKnob:
             mapper = SecureReadMapper(
                 workload.genome, ClientConfig(PARAMS), seed_bases=8
             )
-            _use_adder(mapper.pipeline, kernel)
+            _use_adder(mapper.engine, kernel)
             verdicts[kernel] = [
                 mapper.verify(mapper.map_read(read.sequence))
                 for read in workload.reads
@@ -114,7 +115,7 @@ class TestWorkloadWrapperKernelKnob:
         outcomes = {}
         for kernel in ("fused", "object"):
             matcher = SecureBiometricMatcher(gallery, ClientConfig(PARAMS))
-            _use_adder(matcher.pipeline, kernel)
+            _use_adder(matcher.engine, kernel)
             outcomes[kernel] = [
                 (
                     matcher.authenticate(e.template).accepted,
